@@ -217,13 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
         "affinity; >= 2 adds load-balanced routing and transparent "
         "failover; clamped to --shards)",
     )
-    serve_p.add_argument(
-        "--hedge-ms", type=float, default=0.0, dest="hedge_ms",
-        help="floor in milliseconds on the hedged-read delay; a slow "
-        "read batch is duplicated to a second replica after max(this, "
-        "observed p99) and the first reply wins (default: 0 = off; "
-        "needs --replicas >= 2)",
-    )
 
     ingest_p = sub.add_parser(
         "ingest",
@@ -541,9 +534,6 @@ def _cmd_serve(args) -> int:
     if args.replicas < 1:
         print("--replicas must be >= 1", file=sys.stderr)
         return 2
-    if args.hedge_ms < 0:
-        print("--hedge-ms must be >= 0", file=sys.stderr)
-        return 2
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -552,7 +542,6 @@ def _cmd_serve(args) -> int:
         batch_linger=args.batch_linger,
         shards=args.shards,
         replicas=args.replicas,
-        hedge_ms=args.hedge_ms,
     )
 
     async def _amain() -> None:
@@ -560,16 +549,10 @@ def _cmd_serve(args) -> int:
         host, port = await server.start()
         if args.shards > 0:
             replicas = min(args.replicas, args.shards)
-            hedging = (
-                f", hedge >= {args.hedge_ms:g}ms"
-                if args.hedge_ms > 0 and replicas > 1
-                else ""
-            )
             # stderr: stdout carries the machine-read banner below.
             print(
                 f"sharded serving: {args.shards} worker processes over "
-                f"a shared-memory engine export "
-                f"(replicas={replicas}{hedging})",
+                f"a shared-memory engine export (replicas={replicas})",
                 file=sys.stderr,
                 flush=True,
             )

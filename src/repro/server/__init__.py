@@ -13,23 +13,24 @@ Service semantics, not a toy loop:
   the same ``(alpha bucket, source)`` sweep share one engine search;
 * **admission control / backpressure** — a bounded pending queue with
   per-request deadlines and typed ``overloaded`` / ``timeout`` replies;
-* **hot forecast reloads** — ``update_forecast`` swaps ``o_f``
-  atomically between batches; replies are tagged with the risk
-  fingerprint they were computed under, so no answer ever mixes pre-
-  and post-advisory risk;
+* **hot risk-field writes** — ``update_forecast`` swaps ``o_f`` and
+  ``ingest`` folds disaster events into ``o_h``, both atomically
+  between batches through one write path; replies are tagged with the
+  risk fingerprint they were computed under, so no answer ever mixes
+  pre- and post-write risk;
 * **graceful shutdown** draining admitted work;
 * a ``stats`` op exposing :class:`~repro.server.stats.ServerStats`
   plus engine cache counters;
 * **worker supervision** — a crashed worker is restarted, its in-flight
   batch failed with typed ``internal`` errors, and ``health`` reports
   ``degraded`` (with the reason) until a batch completes cleanly;
-* **transactional forecast swaps** — a failed ``update_forecast``
-  rolls back to the prior risk field and fingerprint, and idempotency
-  tokens make retried swaps apply at most once;
+* **transactional writes** — a failed ``update_forecast`` or
+  ``ingest`` rolls back to the prior risk field and fingerprint, and
+  idempotency tokens make retried writes apply at most once;
 * a seedable **fault-injection plane**
   (:class:`~repro.server.faults.FaultPlane`) driving the chaos tests —
   connection resets, torn/delayed writes, worker crashes, executor
-  stalls, forced swap failures — off in production.
+  stalls, forced write failures, shard deaths — off in production.
 
 The blocking :class:`~repro.server.client.RiskRouteClient` self-heals:
 transport failures mark it closed for reconnect on the next call, and
@@ -47,9 +48,9 @@ from it.  A daemon started with ``shards=N``
 worker processes over a shared-memory engine export, with writes
 applied in the parent and broadcast behind a fingerprint barrier.
 With ``replicas=R >= 2`` each read key is rendezvous-replicated over R
-shards with load-balanced (power-of-two-choices) routing, transparent
-one-hop failover on a mid-batch crash, and optional hedged reads
-(``hedge_ms``) — see :mod:`repro.server.shards`.
+shards with load-balanced (power-of-two-choices) routing and
+transparent one-hop failover on a mid-batch crash — see
+:mod:`repro.server.shards`.
 
 Run one from the CLI (``riskroute serve Level3 --shards 4``),
 in-process (:class:`ServerThread`), or under your own loop

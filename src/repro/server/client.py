@@ -23,9 +23,10 @@ instead of reading a desynchronized stream.  With a
 Retries respect exponential backoff with jitter and a total time
 budget, and only ever re-send what is safe: the registry's retry-safe
 ops (reads and controls — see :data:`RETRY_SAFE_OPS`) always; the
-write ops (``update_forecast`` / ``ingest``) only when guarded by an
-idempotency token (one is generated automatically under a retry
-policy), which the server uses to apply a retried write at most once.
+registry's ``write`` ops (``update_forecast`` / ``ingest``) only when
+guarded by an idempotency token (one is generated automatically under
+a retry policy), which the server uses to apply a retried write at
+most once.
 
 The per-op methods (``route``/``pair``/``ratios``/``stats``/...) are
 **generated from the op registry** (:mod:`repro.server.ops`): each
@@ -33,8 +34,7 @@ registered op becomes a typed wrapper over :meth:`RiskRouteClient.call`
 with a real signature (required params positional-or-keyword, optional
 params defaulted) and a docstring derived from the spec.  Hand-rolled
 methods survive only where behavior goes beyond the wire contract —
-``update_forecast`` / ``ingest`` (auto-tokening) and ``provision``
-(the deprecated ``exact=`` flag, kept as a warning shim).
+``update_forecast`` / ``ingest`` (auto-tokening).
 
 Requests carry the protocol version (``v``); a reply stamped with a
 *newer* envelope version than this client speaks raises a typed
@@ -49,7 +49,6 @@ import json
 import random
 import socket
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -60,8 +59,7 @@ __all__ = ["RiskRouteClient", "RetryPolicy", "ServerError"]
 
 #: Ops that are safe to blindly re-send after a connection drop —
 #: derived from the registry (``read`` and ``control`` ops; writes are
-#: excluded).  ``update_forecast`` and ``ingest`` join them only when
-#: token-guarded.
+#: excluded).  ``write`` ops join them only when token-guarded.
 RETRY_SAFE_OPS = frozenset(ops.retry_safe_op_names())
 
 
@@ -211,8 +209,11 @@ class RiskRouteClient:
         """
         wire_params = {k: v for k, v in params.items() if v is not None}
         policy = self._retry
+        spec = ops.REGISTRY.get(op)
         retry_safe = op in RETRY_SAFE_OPS or (
-            op in ("update_forecast", "ingest") and "token" in wire_params
+            spec is not None
+            and spec.kind == "write"
+            and "token" in wire_params
         )
         deadline = (
             time.monotonic() + policy.budget if policy is not None else None
@@ -299,37 +300,6 @@ class RiskRouteClient:
     # -- hand-rolled ops (behavior beyond the wire contract) ---------------
     #
     # Every other per-op method is generated from the registry below.
-
-    def provision(
-        self,
-        k: int = 1,
-        top: Optional[int] = None,
-        verify_every: Optional[int] = None,
-        exact: Optional[bool] = None,
-    ) -> dict:
-        """Equation 4 link recommendations.
-
-        ``verify_every=N`` makes the greedy search re-verify its
-        incremental component matrices against a from-scratch rebuild
-        every N insertions (None — the default — never re-verifies).
-
-        ``exact`` is deprecated: it was the old switch for the same
-        re-verification and now merely maps ``exact=True`` to
-        ``verify_every=1`` (with a :class:`DeprecationWarning`); the
-        wire protocol no longer carries it.
-        """
-        if exact is not None:
-            warnings.warn(
-                "the 'exact' flag is deprecated; pass verify_every=N to "
-                "re-verify incremental matrices every N insertions",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            if exact and verify_every is None:
-                verify_every = 1
-        return self.call(
-            "provision", k=k, top=top, verify_every=verify_every
-        )
 
     def update_forecast(
         self,

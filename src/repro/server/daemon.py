@@ -17,11 +17,13 @@ Architecture (all stdlib)::
 * **The worker** is the only consumer: it pulls contiguous batches,
   expires requests past their deadline (``timeout``), runs query
   batches on the one-thread executor (so engine state is touched by
-  exactly one thread), and applies write barriers (``update_forecast``
-  forecast swaps and ``ingest`` streaming-event folds) between batches
-  — no reply can mix pre- and post-write risk.  Applied writes that
-  move the fingerprint feed a bounded changelog served by the
-  ``subscribe`` poll op.
+  exactly one thread), and applies write barriers between batches —
+  no reply can mix pre- and post-write risk.  Both write ops
+  (``update_forecast`` swaps ``o_f``, ``ingest`` recomputes ``o_h``)
+  take one path: the service's transactional write, the shard
+  broadcast behind a fingerprint barrier, then the reply.  Applied
+  writes that move the fingerprint feed a bounded changelog served by
+  the ``subscribe`` poll op.
 * **The supervisor** watches the worker: if it crashes (a service bug,
   or an injected ``worker_exception`` fault), every request of the
   batch in flight is failed with a typed ``internal`` error — never a
@@ -36,7 +38,7 @@ Architecture (all stdlib)::
 Chaos testing: :class:`ServerConfig.faults` accepts a
 :class:`~repro.server.faults.FaultPlane` whose scheduled faults fire at
 the instrumented sites (connection resets, torn/delayed writes, worker
-crashes, executor stalls, forced swap failures).  Production configs
+crashes, executor stalls, forced write failures).  Production configs
 leave it ``None``.
 
 :class:`ServerThread` runs a daemon on a background thread with its own
@@ -78,6 +80,14 @@ __all__ = [
 #: should resync from the current fingerprint.
 CHANGELOG_SIZE = 256
 
+#: Each write op's :class:`QueryService` entry point and
+#: :class:`ShardPool` broadcast.  The two share one write path; the
+#: names only tell the two risk fields apart (``o_f`` and ``o_h``).
+_WRITES = {
+    "update_forecast": ("apply_update", "broadcast_swap"),
+    "ingest": ("apply_ingest", "broadcast_ingest"),
+}
+
 
 @dataclass(frozen=True)
 class ServerConfig:
@@ -104,17 +114,12 @@ class ServerConfig:
             engine export, with writes applied in the parent and
             broadcast behind a fingerprint barrier.
         shard_timeout: seconds the shard watchdog waits for one shard's
-            batch (or warm-up ping) before declaring it hung.
+            batch, write ack or warm-up ping before declaring it hung.
         replicas: shards serving each read key (clamped to ``shards``).
             1 (the default) keeps PR 6 single-owner affinity
             bit-for-bit; R >= 2 rendezvous-replicates every pair/params
             key over R shards with load-balanced routing and
             transparent one-hop failover for reads.
-        hedge_ms: floor, in milliseconds, on the hedged-read delay.
-            0 (the default) disables hedging; positive values duplicate
-            a slow read batch to a second replica after a p99-derived
-            delay and take the first reply.  Ignored when
-            ``replicas < 2``.
     """
 
     host: str = "127.0.0.1"
@@ -129,7 +134,6 @@ class ServerConfig:
     shards: int = 0
     shard_timeout: float = 120.0
     replicas: int = 1
-    hedge_ms: float = 0.0
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -146,8 +150,6 @@ class ServerConfig:
             raise ValueError("shard_timeout must be > 0")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.hedge_ms < 0:
-            raise ValueError("hedge_ms must be >= 0")
 
 
 class RiskRouteServer:
@@ -202,9 +204,7 @@ class RiskRouteServer:
                 ShardConfig(
                     shards=self.config.shards,
                     replicas=min(self.config.replicas, self.config.shards),
-                    hedge_ms=self.config.hedge_ms,
-                    batch_timeout=self.config.shard_timeout,
-                    spawn_timeout=self.config.shard_timeout,
+                    timeout=self.config.shard_timeout,
                 ),
                 faults=self._faults,
                 engine_config=getattr(self.session, "_config", None),
@@ -449,41 +449,21 @@ class RiskRouteServer:
                 )
                 item.ok = True
                 self._deliver(loop, item)
-            elif op == "update_forecast":
+            elif ops.REGISTRY[op].kind == "write":
                 item = live[0]
+                apply, broadcast = _WRITES[op]
                 outcome = await loop.run_in_executor(
-                    self._executor, self.service.apply_update, item
+                    self._executor, getattr(self.service, apply), item
                 )
                 if outcome.changed:
-                    self.stats.forecast_swaps += 1
+                    self.stats.writes[op] += 1
                 if self._shards is not None and outcome.applied:
                     # The write barrier: every shard rebinds to the
                     # applied field (fingerprint-acked) before the
                     # reply goes out and the next batch is taken.
                     await loop.run_in_executor(
                         self._executor,
-                        self._shards.broadcast_swap,
-                        outcome.field,
-                        outcome.fingerprint,
-                    )
-                    healed = self._sync_shard_health()
-                self._record_change(op, outcome)
-                self._deliver(loop, item)
-            elif op == "ingest":
-                item = live[0]
-                outcome = await loop.run_in_executor(
-                    self._executor, self.service.apply_ingest, item
-                )
-                if outcome.changed:
-                    self.stats.ingests += 1
-                if self._shards is not None and outcome.applied:
-                    # Same barrier as a forecast swap, for the
-                    # historical field: each shard rebinds its o_h and
-                    # acks the parent's post-ingest fingerprint before
-                    # any further batch is served.
-                    await loop.run_in_executor(
-                        self._executor,
-                        self._shards.broadcast_ingest,
+                        getattr(self._shards, broadcast),
                         outcome.field,
                         outcome.fingerprint,
                     )
@@ -500,8 +480,6 @@ class RiskRouteServer:
                         self._executor, self._shards.execute_batch, live
                     )
                     self.stats.read_failovers += metrics.get("failovers", 0)
-                    self.stats.hedged_reads += metrics.get("hedges", 0)
-                    self.stats.hedge_wins += metrics.get("hedge_wins", 0)
                     healed = self._sync_shard_health()
                 else:
                     metrics = await loop.run_in_executor(

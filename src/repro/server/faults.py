@@ -41,9 +41,10 @@ Sites (see :data:`FAULT_SITES`):
     The service sleeps ``delay`` seconds inside the executor before
     running a batch — exercises queue deadlines and backpressure.
 ``apply_update``
-    A forecast swap raises *after* the new model has been applied —
-    exercises the transactional rollback in
-    :meth:`~repro.server.service.QueryService.apply_update`.
+    A write raises *after* its new risk field has been applied —
+    exercises the transactional rollback of the one write path
+    (``QueryService._write``).  Visited once per applied write of
+    either op: ``update_forecast`` and ``ingest`` alike.
 ``shard_exit``
     A shard worker process hard-exits (``os._exit``) after receiving a
     batch but before replying — the mid-batch shard crash.  The site is
@@ -54,13 +55,6 @@ Sites (see :data:`FAULT_SITES`):
     ``replicas=1`` typed ``internal`` errors for the batch, respawn +
     re-warm, and ``degraded`` health until a clean batch completes; at
     ``replicas >= 2`` the transparent read failover path instead.
-``shard_stall``
-    A shard sleeps ``delay`` seconds after receiving a batch, before
-    serving it — a slow-but-alive shard.  Visited in the parent (one
-    visit per primary shard-batch send) like ``shard_exit``.
-    Exercises the hedged-read trigger: with ``hedge_ms`` armed, the
-    parent duplicates the stalled batch's reads to a second replica
-    and takes the first reply.
 ``replica_crash``
     The shard receiving a *failover re-dispatch* hard-exits before
     replying — the both-replicas-down window.  Visited in the parent,
@@ -86,7 +80,6 @@ FAULT_SITES = (
     "executor_stall",
     "apply_update",
     "shard_exit",
-    "shard_stall",
     "replica_crash",
 )
 

@@ -87,8 +87,8 @@ KINDS = ("read", "write", "control")
 #: ``parent`` is answered/applied by the parent process only, and
 #: ``inline`` never reaches the worker at all (``health``).  Under a
 #: replicated pool (``ShardConfig.replicas >= 2``) the two shard-routed
-#: modes widen to a rendezvous-hashed replica set and gain balancing,
-#: failover and hedging for ``read``-kind ops (:attr:`OpSpec.replicable`);
+#: modes widen to a rendezvous-hashed replica set and gain balancing and
+#: failover for ``read``-kind ops (:attr:`OpSpec.replicable`);
 #: ``parent`` / ``inline`` routing is unaffected by replication.
 ROUTINGS = ("pair", "params", "parent", "inline")
 
@@ -266,7 +266,8 @@ class OpSpec:
         params: declared parameters, in client-signature order.
         handler: ``(service, params) -> result dict`` for batched query
             ops; ``None`` for ops the daemon answers itself (``stats``,
-            ``health``) or applies as a barrier (``update_forecast``).
+            ``health``) or applies as a barrier (``update_forecast``,
+            ``ingest``).
         plan: ``(engine, params) -> [(source index, alpha), ...]`` sweep
             demands for the batch coalescer; ``None`` contributes none.
         routing: shard routing mode (:data:`ROUTINGS`).
@@ -317,8 +318,8 @@ class OpSpec:
         """Served identically by any replica of the op's shard key.
 
         Shard-routed reads (``pair`` / ``params``) are the ops the
-        pool may balance, fail over, or hedge across a key's replica
-        set (:func:`repro.server.shards.replicas_of`): every replica
+        pool may balance or fail over across a key's replica set
+        (:func:`repro.server.shards.replicas_of`): every replica
         maps the same shared-memory arrays and runs the same service
         code, so replies are byte-identical wherever they are served.
         Writes, parent-answered controls and inline ops never qualify

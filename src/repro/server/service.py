@@ -4,8 +4,8 @@ The daemon's single worker hands the service whole batches (see
 :mod:`repro.server.coalesce`), and the service runs them synchronously
 on a one-thread executor — so exactly one thread ever touches the
 engine, and a batch always executes under exactly one risk model.
-That serialization is what makes the forecast-swap guarantee atomic:
-:meth:`QueryService.apply_update` only ever runs *between* batches, and
+That serialization is what makes the write guarantee atomic: a write
+(``update_forecast`` / ``ingest``) only ever runs *between* batches, and
 every reply in a batch is tagged with the risk fingerprint captured
 when the batch started.
 
@@ -23,27 +23,23 @@ need — are collected, deduplicated and prefetched in one engine call.
 Requests that demand the same sweep share one computation; the surplus
 is reported back as ``coalesced`` and surfaces in server stats.
 
-Forecast swaps are **transactional**: :meth:`QueryService.apply_update`
-validates the whole advisory before touching anything, applies it
+Writes are **transactional** and share one path
+(:meth:`QueryService._write`).  In the paper every PoP's risk term is
+``gamma_h * o_h + gamma_f * o_f`` (Eq. 1), so a write replaces one
+per-PoP field: ``o_f`` from an ``update_forecast`` advisory
+(:meth:`QueryService.apply_update`), or ``o_h`` recomputed through the
+incremental KDE path after an ``ingest`` of disaster events
+(:meth:`QueryService.apply_ingest`).  Only that step is per-op.  The
+shared path validates before touching anything, applies the field
 copy-on-write (a new :class:`~repro.risk.model.RiskModel`, swapped by
 reference), and on *any* failure during the apply rolls the session
 back to the prior model — the risk field and its fingerprint are
 restored, never left half-swapped.  An optional idempotency ``token``
 makes retries safe: a token is recorded only after a successful apply,
-so a retried swap applies at most once and the duplicate is answered
+so a retried write applies at most once and the duplicate is answered
 from the token ledger (``duplicate: true`` on the wire).  The returned
 :class:`SwapOutcome` carries the full applied field so a sharded parent
-can broadcast the swap to its shard processes behind a fingerprint
-barrier.
-
-Streaming event **ingests** (:meth:`QueryService.apply_ingest`) follow
-the same write-barrier discipline for the *historical* field: the
-batch of disaster records folds into a lazily-built
-:class:`~repro.risk.streaming.StreamingHistoricalModel`, the new
-``o_h`` vector comes out of the incremental KDE path (only rows near
-the new events are recomputed), and the session swaps to it
-transactionally under the same token ledger.  The outcome again
-carries the full applied field for the shard barrier.
+can broadcast it to its shard processes behind a fingerprint barrier.
 """
 
 from __future__ import annotations
@@ -70,8 +66,8 @@ __all__ = ["QueryService", "SwapOutcome", "TOKEN_LEDGER_SIZE"]
 
 
 #: Most recent idempotency tokens remembered per service (a retried
-#: ``update_forecast`` older than this many successful swaps is no
-#: longer recognized as a duplicate).
+#: write older than this many successful writes is no longer recognized
+#: as a duplicate).
 TOKEN_LEDGER_SIZE = 256
 
 
@@ -93,6 +89,19 @@ class SwapOutcome:
     changed: bool
     field: Optional[Dict[str, float]] = None
     fingerprint: Optional[str] = None
+
+
+def apply_field(session, name: str, values: Dict[str, float]) -> bool:
+    """Swap one per-PoP risk field of Eq. 1 into ``session``.
+
+    ``name`` is ``"forecast"`` (``o_f``) or ``"historical"`` (``o_h``).
+    The parent's write path and every shard process apply writes
+    through this one function.  Returns True when the risk field
+    changed.
+    """
+    if name == "forecast":
+        return session.update_forecast(values)
+    return session.update_historical(values)
 
 
 def field_cache_stats() -> Dict[str, Any]:
@@ -188,38 +197,97 @@ class QueryService:
             "computed": computed,
         }
 
+    # -- the risk-field write path -----------------------------------------
+
     def apply_update(self, item: PendingRequest) -> SwapOutcome:
-        """Apply one ``update_forecast`` barrier.
+        """Apply one ``update_forecast``: the request's ``o_f`` field.
 
-        The swap is transactional: validation completes before any
-        state moves, the new model is built copy-on-write, and a
-        failure during the apply rolls the session back to the prior
-        risk field and fingerprint.  With an idempotency ``token`` a
-        retried swap applies at most once — duplicates answer from the
-        token ledger with ``duplicate: true`` and the current
-        fingerprint, without touching the engine.
-
-        Returns a :class:`SwapOutcome`; ``outcome.field`` is the full
-        applied forecast field, which the sharded daemon broadcasts to
-        its shard processes behind a fingerprint barrier.
+        PoPs absent from ``risk`` get ``default``; a PoP the model does
+        not know is an ``unknown_node`` error.  The rest is the shared
+        write path (:meth:`_write`).
         """
-        request = item.request
-        try:
-            spec = ops.get_spec("update_forecast")
-            params = ops.validate_params(spec, request.params)
-            token = params["token"]
-            risk = params["risk"]
-            default = params["default"]
-            model = self.session.model
-            known = set(model.pop_ids())
-            unknown = sorted(set(risk) - known)
+
+        def prepare(params):
+            risk, default = params["risk"], params["default"]
+            pop_ids = self.session.model.pop_ids()
+            unknown = sorted(set(risk) - set(pop_ids))
             if unknown:
                 raise NodeNotFoundError(unknown[0])
-            full = {
-                pop: float(risk.get(pop, default)) for pop in model.pop_ids()
-            }
+            values = {pop: float(risk.get(pop, default)) for pop in pop_ids}
+            return lambda: (values, {})
+
+        return self._write(item, "forecast", prepare)
+
+    def apply_ingest(self, item: PendingRequest) -> SwapOutcome:
+        """Apply one ``ingest``: disaster events in, the new ``o_h`` out.
+
+        The batch is folded into the streaming model (duplicates and
+        stale records dropped, window retires applied) and the per-PoP
+        ``o_h`` field is recomputed through the incremental KDE path.
+        The reply carries the :class:`~repro.risk.streaming.IngestDelta`
+        summary.  The rest is the shared write path (:meth:`_write`),
+        which also rolls a failed ingest's streaming model back.
+        """
+
+        def prepare(params):
+            events = self._parse_events(params["events"])
+            network = getattr(self.session, "network", None)
+            if network is None:
+                raise ProtocolError(
+                    "bad_request",
+                    "ingest requires a network-backed session "
+                    "(o_h evaluation needs PoP coordinates)",
+                )
+            now_year = params["now_year"]
+
+            def compute():
+                model = self.streaming_model()
+                # Ingest validates the whole batch (classes, window
+                # slides) before mutating, so a raise here leaves the
+                # model intact.
+                delta = model.ingest(events, now_year=now_year)
+                self._ingest_log.append((tuple(events), now_year))
+                return model.pop_risks(network), delta.as_dict()
+
+            return compute
+
+        return self._write(item, "historical", prepare)
+
+    def _write(self, item: PendingRequest, name: str, prepare) -> SwapOutcome:
+        """The one risk-field write path behind both write ops.
+
+        ``prepare(params)`` is the op's own step: it validates the
+        request and returns a thunk computing the new per-PoP ``name``
+        field as ``(values, extra reply body)``.  Everything else
+        happens here, once:
+
+        * with an idempotency ``token`` already in the ledger, answer
+          ``duplicate: true`` with the current fingerprint and touch
+          nothing;
+        * otherwise compute and apply the field copy-on-write (a new
+          :class:`~repro.risk.model.RiskModel`, swapped by reference),
+          then visit the ``apply_update`` fault site;
+        * on any failure roll back: the session returns to its prior
+          model and fingerprint, and an ingest's advanced streaming
+          model and log entry are dropped (:meth:`streaming_model`
+          replays the committed log);
+        * on success commit the token and reply ``changed`` /
+          ``duplicate: false``.
+
+        Returns a :class:`SwapOutcome`; ``outcome.field`` is the full
+        applied field, which the sharded daemon broadcasts to its shard
+        processes behind a fingerprint barrier.
+        """
+        request = item.request
+        session = self.session
+        try:
+            params = ops.validate_params(
+                ops.get_spec(request.op), request.params
+            )
+            compute = prepare(params)
+            token = params["token"]
             if token is not None and token in self._applied_tokens:
-                fingerprint = self.session.engine.risk_fingerprint
+                fingerprint = session.engine.risk_fingerprint
                 item.reply = encode_reply(
                     request.id,
                     {
@@ -232,18 +300,31 @@ class QueryService:
                 return SwapOutcome(  # nothing swapped this time
                     applied=False, changed=False, fingerprint=fingerprint
                 )
-            changed = self._transactional_swap(full)
+            prior_model, logged = session.model, len(self._ingest_log)
+            try:
+                values, body = compute()
+                changed = apply_field(session, name, values)
+                # Fires *after* the new field landed: the worst case
+                # for the rollback below.
+                if self._fault("apply_update") is not None:
+                    raise InjectedFault("injected apply_update failure")
+            except Exception:
+                session.update_model(prior_model)
+                if len(self._ingest_log) > logged:
+                    del self._ingest_log[logged:]
+                    self._streaming = None
+                raise
             if token is not None:
                 self._remember_token(token, changed)
-            fingerprint = self.session.engine.risk_fingerprint
+            fingerprint = session.engine.risk_fingerprint
             item.reply = encode_reply(
                 request.id,
-                {"changed": changed, "duplicate": False},
+                {**body, "changed": changed, "duplicate": False},
                 fingerprint=fingerprint,
             )
             item.ok = True
             return SwapOutcome(
-                applied=True, changed=changed, field=full,
+                applied=True, changed=changed, field=values,
                 fingerprint=fingerprint,
             )
         except Exception as exc:  # noqa: BLE001 - mapped to wire errors
@@ -251,34 +332,11 @@ class QueryService:
             item.ok = False
             return SwapOutcome(applied=False, changed=False)
 
-    def _transactional_swap(self, full: Dict[str, float]) -> bool:
-        """Swap the forecast risk field; roll back on any failure.
-
-        The prior model is captured before the apply; if the swap (or
-        an injected ``apply_update`` fault, which fires *after* the new
-        model landed — the worst case) raises, the session is restored
-        to that model, bringing the risk field and fingerprint back to
-        their pre-swap values.
-        """
-        session = self.session
-        prior_model = session.model
-        try:
-            changed = session.update_forecast(full)
-            rule = self._fault("apply_update")
-            if rule is not None:
-                raise InjectedFault("injected apply_update failure")
-            return changed
-        except Exception:
-            session.update_model(prior_model)
-            raise
-
     def _remember_token(self, token: str, changed: bool) -> None:
         """Record a successfully applied token (bounded ledger)."""
         self._applied_tokens[token] = changed
         while len(self._applied_tokens) > TOKEN_LEDGER_SIZE:
             self._applied_tokens.popitem(last=False)
-
-    # -- streaming event ingest --------------------------------------------
 
     def streaming_model(self):
         """The service's mutable streaming historical model.
@@ -328,94 +386,6 @@ class QueryService:
                     "bad_request", f"bad event record {record!r}: {exc}"
                 )
         return events
-
-    def apply_ingest(self, item: PendingRequest) -> SwapOutcome:
-        """Apply one ``ingest`` barrier: events in, new ``o_h`` out.
-
-        Mirrors :meth:`apply_update`: token-ledger idempotency, then a
-        transactional swap — the batch is folded into the streaming
-        model (duplicates and stale records dropped, window retires
-        applied), the per-PoP ``o_h`` field is recomputed through the
-        incremental KDE path, and the session rebinds to it.  A failure
-        during the apply restores the prior risk model *and* discards
-        the half-advanced streaming model (rebuilt from the log of
-        committed batches on the next ingest).
-
-        The reply carries the :class:`~repro.risk.streaming.IngestDelta`
-        summary; ``changed`` reports whether the engine's risk field
-        moved (the same contract as ``update_forecast``).
-        """
-        request = item.request
-        try:
-            spec = ops.get_spec("ingest")
-            params = ops.validate_params(spec, request.params)
-            token = params["token"]
-            events = self._parse_events(params["events"])
-            if getattr(self.session, "network", None) is None:
-                raise ProtocolError(
-                    "bad_request",
-                    "ingest requires a network-backed session "
-                    "(o_h evaluation needs PoP coordinates)",
-                )
-            if token is not None and token in self._applied_tokens:
-                fingerprint = self.session.engine.risk_fingerprint
-                item.reply = encode_reply(
-                    request.id,
-                    {
-                        "changed": self._applied_tokens[token],
-                        "duplicate": True,
-                    },
-                    fingerprint=fingerprint,
-                )
-                item.ok = True
-                return SwapOutcome(
-                    applied=False, changed=False, fingerprint=fingerprint
-                )
-            model = self.streaming_model()
-            # Ingest validates the whole batch (classes, window slides)
-            # before mutating, so a raise here leaves the model intact.
-            delta = model.ingest(events, now_year=params["now_year"])
-            field, changed = self._transactional_ingest(model)
-            self._ingest_log.append((tuple(events), params["now_year"]))
-            if token is not None:
-                self._remember_token(token, changed)
-            fingerprint = self.session.engine.risk_fingerprint
-            body = delta.as_dict()
-            body["changed"] = changed
-            body["duplicate"] = False
-            item.reply = encode_reply(request.id, body, fingerprint=fingerprint)
-            item.ok = True
-            return SwapOutcome(
-                applied=True, changed=changed, field=field,
-                fingerprint=fingerprint,
-            )
-        except Exception as exc:  # noqa: BLE001 - mapped to wire errors
-            item.reply = self._error_reply(request, exc)
-            item.ok = False
-            return SwapOutcome(applied=False, changed=False)
-
-    def _transactional_ingest(self, model):
-        """Swap the historical risk field; roll back on any failure.
-
-        On a raise (including the injected ``apply_ingest`` fault,
-        fired *after* the new field landed) the session is restored to
-        the prior model and the mutated streaming model is discarded —
-        :meth:`streaming_model` rebuilds it from the committed log, so
-        the failed batch leaves no trace.
-        """
-        session = self.session
-        prior_model = session.model
-        try:
-            field = model.pop_risks(session.network)
-            changed = session.update_historical(field)
-            rule = self._fault("apply_ingest")
-            if rule is not None:
-                raise InjectedFault("injected apply_ingest failure")
-            return field, changed
-        except Exception:
-            self._streaming = None
-            session.update_model(prior_model)
-            raise
 
     # -- per-request dispatch ----------------------------------------------
 

@@ -53,16 +53,11 @@ once).  If the failover hop fails too, the request gets a typed
 semantics — they are applied by the parent and barriered, never
 re-dispatched.
 
-**Hedging** (off by default, ``hedge_ms > 0`` enables): when a
-replicated read batch has not answered within a p99-derived delay
-(never below ``hedge_ms``), the parent duplicates its undelivered
-items to a second replica and takes the first reply per item; the
-loser's late reply is drained and discarded by sequence number.
-
 **Writes** keep the single-process guarantee: the parent applies
-``update_forecast`` / ``ingest`` authoritatively (token ledger,
-transactional rollback, incremental KDE), then broadcasts the applied
-field — the forecast o_f, or the recomputed historical o_h — to every
+``update_forecast`` / ``ingest`` authoritatively through the service's
+one write path (token ledger, transactional rollback, incremental
+KDE), then broadcasts the applied per-PoP field — the forecast o_f, or
+the recomputed historical o_h — as one ``write`` message to every
 shard and collects a **fingerprint barrier**: each shard acks with
 its post-apply risk fingerprint, which must equal the parent's.
 Shards never see raw disaster events; they receive the already
@@ -70,7 +65,9 @@ evaluated per-PoP field, so their rebind is a cheap dict swap and the
 fingerprint check proves byte-identical risk everywhere.  Queue
 barrier placement means no query batch is in flight during the
 broadcast, so no reply anywhere can mix pre- and post-write risk;
-a shard that fails the barrier is killed and respawned warm.
+a shard that fails the barrier is killed and respawned warm: the pool
+keeps the current value of each written field in its spawn spec, and
+a fresh shard re-applies them before its warm-up ping.
 
 **Supervision / rejoin** mirrors the PR4 single-worker watchdog, per
 shard: a crashed shard is killed, its in-flight reads failed over (or
@@ -96,16 +93,15 @@ import os
 import random
 import signal
 import time
-from collections import deque
 from dataclasses import dataclass, field, replace
-from multiprocessing.connection import wait as _wait_conns
-from typing import Any, Deque, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..engine.shm import ShmManifest, SharedEngineState, attach_engine
 from . import ops
 from .coalesce import PendingRequest
 from .faults import FaultPlane
 from .protocol import Request, encode_error
+from .service import QueryService, apply_field
 
 __all__ = [
     "ShardConfig",
@@ -199,35 +195,25 @@ def replicas_of(
 
 @dataclass(frozen=True)
 class ShardConfig:
-    """Placement and balancing knobs for one :class:`ShardPool`.
+    """Placement knobs and the watchdog timeout for one :class:`ShardPool`.
 
     ``replicas`` is clamped to ``shards`` by the pool; ``replicas=1``
-    reproduces PR 6 single-owner affinity exactly.  ``hedge_ms=0``
-    (the default) disables hedged reads; any positive value arms them
-    with that floor on the hedge delay (the pool raises the delay to
-    its observed p99 batch service time once it has samples).
+    reproduces single-owner :func:`shard_of` affinity exactly.
     """
 
     shards: int
     replicas: int = 1
-    hedge_ms: float = 0.0
-    #: Seconds to wait for one shard batch before the shard is
-    #: declared hung and killed.
-    batch_timeout: float = 120.0
-    #: Seconds to wait for a (re)spawned shard's warm-up ping.
-    spawn_timeout: float = 120.0
+    #: Seconds to wait for one shard batch, write ack or warm-up ping
+    #: before the shard is declared hung and killed.
+    timeout: float = 120.0
 
     def __post_init__(self) -> None:
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
-        if self.hedge_ms < 0:
-            raise ValueError("hedge_ms must be >= 0")
-        if self.batch_timeout <= 0:
-            raise ValueError("batch_timeout must be positive")
-        if self.spawn_timeout <= 0:
-            raise ValueError("spawn_timeout must be positive")
+        if self.timeout <= 0:
+            raise ValueError("timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -245,12 +231,10 @@ class ShardSpec:
     manifest: ShmManifest
     engine_config: Any = None        # EngineConfig or None
     faults: Optional[FaultPlane] = None
-    #: Forecast field to re-apply on (re)spawn, so a shard restarted
-    #: after swaps comes up on the current advisory, not the boot one.
-    forecast_field: Optional[Dict[str, float]] = None
-    #: Historical (o_h) field to re-apply on (re)spawn — the streaming
-    #: ingest counterpart of ``forecast_field``.
-    historical_field: Optional[Dict[str, float]] = None
+    #: The current value of every field written since boot, by name
+    #: (``forecast`` / ``historical``), re-applied on (re)spawn so a
+    #: restarted shard comes up on the current risk, not the boot one.
+    fields: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
 
 # -- the child process -------------------------------------------------------
@@ -261,20 +245,19 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
 
     Message protocol (parent -> child / child -> parent)::
 
-        ("ping", seq)                      -> ("pong", seq, risk_fingerprint, pid)
-        ("batch", seq, items, die, stall)  -> ("batch", seq, replies, metrics)
-        ("swap", seq, field)               -> ("swap", seq, risk_fingerprint, changed)
-        ("ingest", seq, field)             -> ("ingest", seq, risk_fingerprint, changed)
-        ("stop",)                          -> (child exits)
+        ("ping", seq)                  -> ("pong", seq, risk_fingerprint, pid)
+        ("batch", seq, items, die)     -> ("batch", seq, replies, metrics)
+        ("write", seq, name, values)   -> ("write", seq, risk_fingerprint)
+        ("stop",)                      -> (child exits)
 
     Batch items are ``(request_id, op, params, v)`` tuples; replies are
     ``(reply_bytes, ok)`` in item order — the child runs the *real*
     :meth:`QueryService.execute_batch`, so the encoded reply lines are
     byte-identical to single-process serving.  ``die`` (the parent's
     ``shard_exit`` / ``replica_crash`` fault plane) kills the child
-    before it answers; ``stall`` (the ``shard_stall`` site) sleeps
-    that many seconds first — a slow-but-alive shard, the hedging
-    trigger.
+    before it answers.  A ``write`` rebinds one per-PoP field through
+    :func:`~repro.server.service.apply_field`; a failed apply acks
+    ``"error: ..."`` in place of the fingerprint.
     """
     # The parent orchestrates shutdown (drain, then "stop"); a Ctrl+C
     # delivered to the whole process group must not kill shards first.
@@ -283,7 +266,6 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
     except (ValueError, OSError):  # pragma: no cover - non-main thread
         pass
     from ..session import RoutingSession
-    from .service import QueryService
 
     engine = attach_engine(
         spec.manifest, spec.model, config=spec.engine_config
@@ -295,10 +277,8 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
     )
     if session.engine is not engine:  # pragma: no cover - defensive
         raise RuntimeError("shard session did not adopt the shm engine")
-    if spec.forecast_field is not None:
-        session.update_forecast(spec.forecast_field)
-    if spec.historical_field is not None:
-        session.update_historical(spec.historical_field)
+    for name, values in spec.fields.items():
+        apply_field(session, name, values)
     service = QueryService(session, faults=spec.faults)
     while True:
         try:
@@ -312,7 +292,7 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
                  os.getpid())
             )
         elif kind == "batch":
-            _, seq, items, die, stall = message
+            _, seq, items, die = message
             if die:
                 # Injected mid-batch death (the parent's ``shard_exit``
                 # or ``replica_crash`` fault plane fired for this
@@ -320,10 +300,6 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
                 # exactly like a seg-faulted worker.
                 conn.close()
                 os._exit(13)
-            if stall:
-                # Injected slowness (``shard_stall``): the shard is
-                # alive but late — the hedged-read trigger.
-                time.sleep(stall)
             pending = [
                 PendingRequest(
                     request=Request(op=op, id=rid, params=params, v=v),
@@ -341,24 +317,13 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
                     metrics,
                 )
             )
-        elif kind == "swap":
-            _, seq, forecast = message
+        elif kind == "write":
+            _, seq, name, values = message
             try:
-                changed = session.update_forecast(forecast)
-                conn.send(
-                    ("swap", seq, session.engine.risk_fingerprint, changed)
-                )
+                apply_field(session, name, values)
+                conn.send(("write", seq, session.engine.risk_fingerprint))
             except Exception as exc:  # noqa: BLE001 - reported to parent
-                conn.send(("swap", seq, f"error: {exc}", False))
-        elif kind == "ingest":
-            _, seq, field_values = message
-            try:
-                changed = session.update_historical(field_values)
-                conn.send(
-                    ("ingest", seq, session.engine.risk_fingerprint, changed)
-                )
-            except Exception as exc:  # noqa: BLE001 - reported to parent
-                conn.send(("ingest", seq, f"error: {exc}", False))
+                conn.send(("write", seq, f"error: {exc}"))
         elif kind == "stop":
             break
     try:
@@ -400,39 +365,25 @@ class ShardPool:
     Args:
         session: the parent's :class:`~repro.session.RoutingSession`
             (its engine is exported; its model seeds the shards).
-        config: a :class:`ShardConfig`, or a bare shard count (kept
-            for callers predating replication).
-        faults: fault plane — ``shard_exit`` / ``shard_stall`` /
-            ``replica_crash`` are visited parent-side (counters
-            survive respawns); a copy still pickles into each child
-            for the service-level sites.
+        config: placement and timeout knobs (:class:`ShardConfig`).
+        faults: fault plane — ``shard_exit`` / ``replica_crash`` are
+            visited parent-side (counters survive respawns); a copy
+            still pickles into each child for the service-level sites.
         engine_config: tuning for shard engines (None = defaults).
-        batch_timeout / spawn_timeout: overrides for the matching
-            :class:`ShardConfig` fields (legacy keyword interface).
     """
 
     def __init__(
         self,
         session,
-        config,
+        config: ShardConfig,
         *,
         faults: Optional[FaultPlane] = None,
         engine_config=None,
-        batch_timeout: Optional[float] = None,
-        spawn_timeout: Optional[float] = None,
     ) -> None:
-        if isinstance(config, int):
-            config = ShardConfig(shards=config)
-        if batch_timeout is not None:
-            config = replace(config, batch_timeout=batch_timeout)
-        if spawn_timeout is not None:
-            config = replace(config, spawn_timeout=spawn_timeout)
         self.config = config
         self.nshards = config.shards
         self.replicas = min(config.replicas, config.shards)
-        self.hedge_ms = config.hedge_ms
-        self.batch_timeout = config.batch_timeout
-        self.spawn_timeout = config.spawn_timeout
+        self.timeout = config.timeout
         self._session = session
         self._faults = faults
         self._engine_config = engine_config
@@ -444,23 +395,15 @@ class ShardPool:
         self._spec: Optional[ShardSpec] = None
         self._shards: List[Optional[_Shard]] = [None] * self.nshards
         self._seq = 0
-        #: (sid, seq) -> (item count, send time) for every batch sent
-        #: but not yet answered; drives the load signal and lets stale
-        #: replies (lost hedges) be drained with correct accounting.
-        self._sent: Dict[Tuple[int, int], Tuple[int, float]] = {}
+        #: (sid, seq) -> item count for every batch sent but not yet
+        #: answered; drives the load signal.
+        self._sent: Dict[Tuple[int, int], int] = {}
         #: Replies that arrived while the pool was waiting on a
         #: *different* sequence from the same shard (a pipe is FIFO:
         #: an earlier group's reply can land first during a failover
         #: collect).  Consumed by that group's own collect; entries
         #: cannot outlive their execute_batch call.
         self._stash: Dict[Tuple[int, int], Any] = {}
-        #: Sequences nobody will ever collect (hedges that lost, or a
-        #: primary the hedges fully covered): their late replies are
-        #: drained and dropped.
-        self._abandoned: Set[Tuple[int, int]] = set()
-        #: Recent batch service times (send -> reply, seconds) for the
-        #: p99-derived hedge delay.
-        self._service_times: Deque[float] = deque(maxlen=512)
         # Seeded: the two-choice sample is reproducible run to run.
         self._rng = random.Random(0x52525247)
         #: Risk fingerprint every healthy shard must currently report.
@@ -468,8 +411,6 @@ class ShardPool:
         self.crashes = 0
         self.restarts = 0
         self.failovers = 0
-        self.hedges = 0
-        self.hedge_wins = 0
         self.unavailable = 0
         self.last_crash: Optional[str] = None
 
@@ -519,7 +460,6 @@ class ShardPool:
             self._shards[sid] = None
         self._sent.clear()
         self._stash.clear()
-        self._abandoned.clear()
         if self._state is not None:
             self._state.close()
             self._state = None
@@ -534,11 +474,10 @@ class ShardPool:
         down, served by the surviving replicas.
         """
         assert self._spec is not None
-        spec = replace(self._spec, forecast_field=self._current_field())
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
             target=_shard_main,
-            args=(sid, child_conn, spec),
+            args=(sid, child_conn, self._spec),
             name=f"riskroute-shard-{sid}",
             daemon=True,
         )
@@ -548,9 +487,9 @@ class ShardPool:
         self._seq += 1
         try:
             parent_conn.send(("ping", self._seq))
-            if not parent_conn.poll(self.spawn_timeout):
+            if not parent_conn.poll(self.timeout):
                 raise TimeoutError(
-                    f"shard {sid} did not warm up in {self.spawn_timeout:g}s"
+                    f"shard {sid} did not warm up in {self.timeout:g}s"
                 )
             kind, seq, fingerprint, _pid = parent_conn.recv()
             if kind != "pong" or seq != self._seq:
@@ -566,9 +505,6 @@ class ShardPool:
             self._kill(shard)
             raise
         return shard
-
-    def _current_field(self) -> Optional[Dict[str, float]]:
-        return self._spec.forecast_field if self._spec is not None else None
 
     @staticmethod
     def _kill(shard: _Shard) -> None:
@@ -588,9 +524,6 @@ class ShardPool:
             self._shards[sid] = None
         for key in [key for key in self._sent if key[0] == sid]:
             del self._sent[key]
-        self._abandoned = {
-            key for key in self._abandoned if key[0] != sid
-        }
 
     def _is_up(self, sid: int) -> bool:
         shard = self._shards[sid]
@@ -647,10 +580,8 @@ class ShardPool:
 
         Same contract as
         :meth:`~repro.server.service.QueryService.execute_batch`, plus
-        ``crashes`` (shards lost mid-batch), ``failovers`` (read items
-        transparently answered by a surviving replica) and ``hedges``
-        / ``hedge_wins`` (duplicated reads and how many a hedge
-        answered first).
+        ``crashes`` (shards lost mid-batch) and ``failovers`` (read
+        items transparently answered by a surviving replica).
         """
         groups: Dict[int, List[PendingRequest]] = {}
         assigned: Dict[int, int] = {}
@@ -664,8 +595,6 @@ class ShardPool:
             "computed": 0,
             "crashes": 0,
             "failovers": 0,
-            "hedges": 0,
-            "hedge_wins": 0,
         }
         inflight: List[Tuple[int, int, List[PendingRequest]]] = []
         for sid in sorted(groups):
@@ -678,10 +607,7 @@ class ShardPool:
                 else:
                     self._fail_group(sid, group, "unavailable")
                 continue
-            seq = self._send_batch(
-                sid, shard, group,
-                die_site="shard_exit", stall_site="shard_stall",
-            )
+            seq = self._send_batch(sid, shard, group, "shard_exit")
             if seq is None:
                 self._group_crash(sid, group, "died before batch send",
                                   metrics)
@@ -697,19 +623,15 @@ class ShardPool:
         sid: int,
         shard: _Shard,
         group: List[PendingRequest],
-        *,
-        die_site: Optional[str] = None,
-        stall_site: Optional[str] = None,
+        die_site: str,
     ) -> Optional[int]:
         """Send one group to one shard; None means the pipe is dead.
 
         Fault sites are checked here, in the parent, so their
         visit/fire counters survive shard respawns (a re-pickled child
         plane would reset them and re-kill every fresh shard).  One
-        visit per shard-batch send: ``shard_exit`` / ``shard_stall``
-        on primary sends, ``replica_crash`` on failover re-dispatch;
-        hedge duplicates visit no site (they are copies, not new
-        admissions).
+        visit per shard-batch send: ``shard_exit`` on primary sends,
+        ``replica_crash`` on failover re-dispatch.
         """
         items = [
             (
@@ -721,33 +643,28 @@ class ShardPool:
             for item in group
         ]
         self._seq += 1
-        die = False
-        if die_site is not None and self._faults is not None:
-            die = self._faults.check(die_site) is not None
-        stall = 0.0
-        if stall_site is not None and self._faults is not None:
-            rule = self._faults.check(stall_site)
-            if rule is not None:
-                stall = rule.delay
+        die = (
+            self._faults is not None
+            and self._faults.check(die_site) is not None
+        )
         try:
-            shard.conn.send(("batch", self._seq, items, die, stall))
+            shard.conn.send(("batch", self._seq, items, die))
         except (OSError, ValueError):
             return None
         shard.inflight_batches += 1
         shard.inflight_items += len(items)
-        self._sent[(sid, self._seq)] = (len(items), time.monotonic())
+        self._sent[(sid, self._seq)] = len(items)
         return self._seq
 
     def _settle(self, sid: int, message) -> None:
         """Account one received batch reply against the load signal."""
-        entry = self._sent.pop((sid, message[1]), None)
-        if entry is None:
+        count = self._sent.pop((sid, message[1]), None)
+        if count is None:
             return
         shard = self._shards[sid]
         if shard is not None:
             shard.inflight_batches = max(0, shard.inflight_batches - 1)
-            shard.inflight_items = max(0, shard.inflight_items - entry[0])
-        self._service_times.append(time.monotonic() - entry[1])
+            shard.inflight_items = max(0, shard.inflight_items - count)
 
     def _recv_matching(
         self, sid: int, shard: _Shard, kind: str, seq: int, timeout: float
@@ -755,11 +672,11 @@ class ShardPool:
         """Next ``(kind, seq)`` message from one shard, draining strays.
 
         A shard pipe is FIFO but the pool may owe it several replies
-        (an uncollected earlier group, a hedge that lost): batch
-        replies for other sequences are settled and either stashed for
-        their own collect or dropped if abandoned.  Returns None on
-        timeout or a dead pipe; a mismatched non-batch message is
-        returned for the caller to treat as a protocol violation.
+        (a failover hop lands on a shard whose own group is still
+        uncollected): batch replies for other sequences are settled
+        and stashed for their own collect.  Returns None on timeout or
+        a dead pipe; a mismatched non-batch message is returned for
+        the caller to treat as a protocol violation.
         """
         deadline = time.monotonic() + timeout
         while True:
@@ -777,11 +694,7 @@ class ShardPool:
             self._settle(sid, message)
             if kind == "batch" and message[1] == seq:
                 return message
-            key = (sid, message[1])
-            if key in self._abandoned:
-                self._abandoned.discard(key)
-            else:
-                self._stash[key] = message
+            self._stash[(sid, message[1])] = message
             # Keep waiting for the sequence we came for.
 
     @staticmethod
@@ -790,9 +703,9 @@ class ShardPool:
     ) -> Optional[Dict[str, int]]:
         """Fill undelivered items from a batch reply; None = invalid.
 
-        The ``item.reply is None`` guard is what makes failover and
-        hedging exactly-once: a late duplicate can never overwrite a
-        delivered reply.
+        The ``item.reply is None`` guard is what makes failover
+        exactly-once: a late duplicate can never overwrite a delivered
+        reply.
         """
         if (
             message is None
@@ -833,18 +746,7 @@ class ShardPool:
                 self._fail_group(sid, group, "crashed mid-batch")
             return
         shard = self._shards[sid]
-        hedge_delay = self._hedge_delay()
-        if hedge_delay is not None and hedge_delay < self.batch_timeout:
-            message = self._recv_matching(
-                sid, shard, "batch", seq, hedge_delay
-            )
-            if message is None and shard.process.is_alive():
-                self._hedge_group(sid, seq, group, metrics)
-                return
-        else:
-            message = self._recv_matching(
-                sid, shard, "batch", seq, self.batch_timeout
-            )
+        message = self._recv_matching(sid, shard, "batch", seq, self.timeout)
         submetrics = self._fill(group, message, seq)
         if submetrics is None:
             self._group_crash(sid, group, "crashed mid-batch", metrics)
@@ -910,13 +812,11 @@ class ShardPool:
             shard = self._shards[tsid]
             seq = None
             if shard is not None:
-                seq = self._send_batch(
-                    tsid, shard, titems, die_site="replica_crash"
-                )
+                seq = self._send_batch(tsid, shard, titems, "replica_crash")
             message = None
             if seq is not None:
                 message = self._recv_matching(
-                    tsid, shard, "batch", seq, self.batch_timeout
+                    tsid, shard, "batch", seq, self.timeout
                 )
             submetrics = self._fill(titems, message, seq)
             if submetrics is None:
@@ -933,130 +833,6 @@ class ShardPool:
             self.failovers += len(titems)
             metrics["failovers"] += len(titems)
             self._merge(metrics, submetrics)
-
-    # -- hedged reads ------------------------------------------------------
-
-    def _hedge_delay(self) -> Optional[float]:
-        """Seconds before a read batch is hedged (None = hedging off).
-
-        The configured ``hedge_ms`` is a floor; once the pool has a
-        window of batch service times, the delay rises to the observed
-        p99 so hedges fire on genuine stragglers, not the median.
-        """
-        if self.hedge_ms <= 0 or self.replicas <= 1:
-            return None
-        floor = self.hedge_ms / 1000.0
-        if len(self._service_times) >= 16:
-            window = sorted(self._service_times)
-            p99 = window[min(len(window) - 1, int(0.99 * len(window)))]
-            return max(floor, p99)
-        return floor
-
-    def _hedge_group(
-        self,
-        sid: int,
-        seq: int,
-        group: List[PendingRequest],
-        metrics: Dict[str, int],
-    ) -> None:
-        """The primary is slow (alive, past the hedge delay): duplicate
-        its replicable items to a second replica and take the first
-        reply per item; the loser's late reply is abandoned.
-        """
-        regrouped: Dict[int, List[PendingRequest]] = {}
-        for item in group:
-            if item.reply is not None:
-                continue
-            target = self._failover_target(item.request, sid)
-            if target is not None:
-                regrouped.setdefault(target, []).append(item)
-        entries: Dict[int, Tuple[int, List[PendingRequest]]] = {sid: (seq, group)}
-        hedged_ids: Set[int] = set()
-        for tsid in sorted(regrouped):
-            shard = self._shards[tsid]
-            hseq = self._send_batch(tsid, shard, regrouped[tsid])
-            if hseq is None:
-                continue
-            entries[tsid] = (hseq, regrouped[tsid])
-            self.hedges += len(regrouped[tsid])
-            metrics["hedges"] += len(regrouped[tsid])
-            hedged_ids.update(id(item) for item in regrouped[tsid])
-        deadline = time.monotonic() + self.batch_timeout
-        winner_seen = False
-        dead: List[int] = []
-        while entries and any(item.reply is None for item in group):
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            conns = {
-                self._shards[e_sid].conn: e_sid
-                for e_sid in entries
-                if self._shards[e_sid] is not None
-            }
-            if not conns:
-                break
-            ready = _wait_conns(list(conns), timeout=remaining)
-            if not ready:
-                break
-            for conn in ready:
-                e_sid = conns[conn]
-                e_seq, e_items = entries[e_sid]
-                try:
-                    message = conn.recv()
-                except (EOFError, OSError):
-                    del entries[e_sid]
-                    dead.append(e_sid)
-                    continue
-                if message[0] != "batch":
-                    del entries[e_sid]
-                    dead.append(e_sid)
-                    continue
-                self._settle(e_sid, message)
-                if message[1] != e_seq:
-                    key = (e_sid, message[1])
-                    if key in self._abandoned:
-                        self._abandoned.discard(key)
-                    else:
-                        self._stash[key] = message
-                    continue
-                if len(message[2]) != len(e_items):
-                    del entries[e_sid]
-                    dead.append(e_sid)
-                    continue
-                filled = False
-                for item, (reply, ok) in zip(e_items, message[2]):
-                    if item.reply is None:
-                        item.reply = reply
-                        item.ok = ok
-                        filled = True
-                self._shards[e_sid].batches += 1
-                if filled and not winner_seen:
-                    winner_seen = True
-                    if e_sid != sid:
-                        self.hedge_wins += 1
-                        metrics["hedge_wins"] += 1
-                    self._merge(metrics, message[3])
-                del entries[e_sid]
-        # Replies still owed by live shards will drain later as stale.
-        for e_sid, (e_seq, _e_items) in entries.items():
-            self._abandoned.add((e_sid, e_seq))
-        for e_sid in dead:
-            self.crashes += 1
-            self.last_crash = f"shard {e_sid} crashed during hedged read"
-            metrics["crashes"] += 1
-            self._teardown(e_sid)
-            self._respawn(e_sid)
-        leftover = [item for item in group if item.reply is None]
-        if not leftover:
-            return
-        # Items that were hedged have used their one extra hop; items
-        # that could not be hedged (no live alternate at hedge time)
-        # still get their single failover attempt.
-        spent = [item for item in leftover if id(item) in hedged_ids]
-        fresh = [item for item in leftover if id(item) not in hedged_ids]
-        self._fail_unavailable(sid, spent, "lost both replicas")
-        if fresh:
-            self._redispatch(sid, fresh, "crashed mid-batch", metrics)
 
     # -- shard supervision -------------------------------------------------
 
@@ -1112,46 +888,34 @@ class ShardPool:
     def broadcast_swap(
         self, forecast: Dict[str, float], fingerprint: str
     ) -> int:
-        """Push an applied forecast field to every shard, barriered.
-
-        Called by the daemon *after* the parent's authoritative
-        transactional swap, between batches.  Each shard rebinds and
-        acks with its post-swap risk fingerprint; a shard whose ack is
-        missing or mismatched is killed and respawned warm on the new
-        field.  Stale batch replies (a hedge that lost just before the
-        write) are drained by the matching recv, so the barrier can
-        never confuse a late read reply for a swap ack.  Returns the
-        number of shards lost this way.
-        """
-        assert self._spec is not None
-        self._spec = replace(
-            self._spec, forecast_field=dict(forecast)
-        )
-        return self._broadcast("swap", forecast, fingerprint)
+        """Barrier-broadcast an applied forecast (``o_f``) field."""
+        return self._broadcast("forecast", forecast, fingerprint)
 
     def broadcast_ingest(
-        self, field_values: Dict[str, float], fingerprint: str
+        self, historical: Dict[str, float], fingerprint: str
     ) -> int:
-        """Push an ingest-updated historical (o_h) field, barriered.
+        """Barrier-broadcast an ingest-updated historical (``o_h``) field."""
+        return self._broadcast("historical", historical, fingerprint)
 
-        Same contract as :meth:`broadcast_swap` for the other half of
-        the risk field: the parent has already run the incremental KDE
-        and evaluated the new o_h per PoP, so shards rebind the plain
-        value dict and ack fingerprints — the barrier proves every
-        replica serves the exact post-ingest risk.  Returns the number
-        of shards lost at the barrier.
+    def _broadcast(
+        self, name: str, values: Dict[str, float], fingerprint: str
+    ) -> int:
+        """Push one applied per-PoP field to every shard, barriered.
+
+        Called by the daemon *after* the parent's authoritative
+        transactional write, between batches.  The field is first
+        recorded in the spawn spec, so any shard (re)spawned from here
+        on comes up on it.  Each live shard rebinds and acks with its
+        post-write risk fingerprint; a shard whose ack is missing or
+        mismatched is killed and respawned warm.  Stale batch replies
+        are stashed by the matching recv, so the barrier can never
+        confuse a read reply for a write ack.  Returns the number of
+        shards lost this way.
         """
         assert self._spec is not None
         self._spec = replace(
-            self._spec, historical_field=dict(field_values)
+            self._spec, fields={**self._spec.fields, name: dict(values)}
         )
-        return self._broadcast("ingest", field_values, fingerprint)
-
-    def _broadcast(
-        self, kind: str, field_values: Dict[str, float], fingerprint: str
-    ) -> int:
-        """Fan one applied field to every shard under the fingerprint
-        barrier shared by both write kinds (``swap`` / ``ingest``)."""
         self.fingerprint = fingerprint
         crashes = 0
         for sid in range(self.nshards):
@@ -1161,22 +925,24 @@ class ShardPool:
                 continue
             self._seq += 1
             try:
-                shard.conn.send((kind, self._seq, dict(field_values)))
+                shard.conn.send(("write", self._seq, name, values))
             except (OSError, ValueError):
-                self._swap_crash(sid, f"died before {kind} broadcast")
+                self._swap_crash(sid, f"died before the {name} write")
                 crashes += 1
                 continue
             message = self._recv_matching(
-                sid, shard, kind, self._seq, self.batch_timeout
+                sid, shard, "write", self._seq, self.timeout
             )
             if (
                 message is None
-                or message[0] != kind
+                or message[0] != "write"
                 or message[1] != self._seq
                 or message[2] != fingerprint
             ):
                 got = message[2] if message is not None else "no ack"
-                self._swap_crash(sid, f"failed the {kind} barrier ({got!r})")
+                self._swap_crash(
+                    sid, f"failed the {name} write barrier ({got!r})"
+                )
                 crashes += 1
                 continue
             shard.swaps += 1
@@ -1204,12 +970,9 @@ class ShardPool:
             "count": self.nshards,
             "alive": self.alive(),
             "replicas": self.replicas,
-            "hedge_ms": self.hedge_ms,
             "crashes": self.crashes,
             "restarts": self.restarts,
             "failovers": self.failovers,
-            "hedges": self.hedges,
-            "hedge_wins": self.hedge_wins,
             "unavailable": self.unavailable,
             "fingerprint": self.fingerprint,
             "per_shard": [

@@ -8,7 +8,7 @@ on snapshot, which is a control op and therefore never races a batch.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from typing import Deque, Dict, Optional
 
 __all__ = ["ServerStats"]
@@ -42,13 +42,10 @@ class ServerStats:
         self.batches = 0           # worker batches executed
         self.coalesced_sweeps = 0  # sweep demands shared within a batch
         self.sweeps_computed = 0   # cold sweeps actually run
-        self.forecast_swaps = 0    # update_forecast calls that invalidated
-        self.ingests = 0           # ingest calls that changed the risk field
+        self.writes: Counter = Counter()  # writes that changed risk, by op
         self.worker_crashes = 0    # worker task died (batch aborted)
         self.worker_restarts = 0   # supervisor restarts after a crash
         self.read_failovers = 0    # reads answered by a surviving replica
-        self.hedged_reads = 0      # reads duplicated to a second replica
-        self.hedge_wins = 0        # hedged batches the duplicate answered first
         self.queue_high_water = 0  # max pending depth observed
         self._latency_window = latency_window
         self._latencies: Deque[float] = deque(maxlen=latency_window)
@@ -96,13 +93,11 @@ class ServerStats:
             "batches": self.batches,
             "coalesced_sweeps": self.coalesced_sweeps,
             "sweeps_computed": self.sweeps_computed,
-            "forecast_swaps": self.forecast_swaps,
-            "ingests": self.ingests,
+            "forecast_swaps": self.writes["update_forecast"],
+            "ingests": self.writes["ingest"],
             "worker_crashes": self.worker_crashes,
             "worker_restarts": self.worker_restarts,
             "read_failovers": self.read_failovers,
-            "hedged_reads": self.hedged_reads,
-            "hedge_wins": self.hedge_wins,
             "queue_depth": queue_depth,
             "queue_high_water": self.queue_high_water,
             "p50_ms": _percentile(window, 0.50) * 1e3,

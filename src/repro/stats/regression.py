@@ -28,6 +28,21 @@ class LinearFit:
         return self.slope * x + self.intercept
 
 
+def _spread(values: np.ndarray, deviations: np.ndarray) -> float:
+    """Largest absolute deviation from the mean; 0.0 for rounding noise.
+
+    The computed mean of n values is itself rounded, by up to about n
+    ulps of the data's magnitude, so constant data can show deviations
+    of that size (``[0.045] * 3`` deviates by about 7e-18).  Deviations
+    within that tolerance are treated as no spread at all.
+    """
+    spread = float(np.max(np.abs(deviations)))
+    tolerance = (
+        values.size * np.finfo(np.float64).eps * float(np.max(np.abs(values)))
+    )
+    return spread if spread > tolerance else 0.0
+
+
 def linear_regression(
     x: Sequence[float], y: Sequence[float]
 ) -> LinearFit:
@@ -49,11 +64,11 @@ def linear_regression(
     # would silently report a vertical stack for genuinely sloped data.
     dx = x_arr - x_mean
     dy = y_arr - y_mean
-    x_scale = float(np.max(np.abs(dx)))
+    x_scale = _spread(x_arr, dx)
     if x_scale == 0.0:
         # Vertical stack of points: the best horizontal line is y = mean.
         return LinearFit(slope=0.0, intercept=float(y_mean), r_squared=0.0)
-    y_scale = float(np.max(np.abs(dy)))
+    y_scale = _spread(y_arr, dy)
     if y_scale == 0.0:
         # Constant observations: slope 0, and r_squared keeps its
         # degenerate-case convention (no variance to explain -> 0.0).
@@ -82,10 +97,15 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
         raise ValueError("observed and predicted must have the same length")
     if obs.size == 0:
         raise ValueError("need at least one observation")
-    ss_tot = float(np.sum((obs - obs.mean()) ** 2))
-    if ss_tot == 0.0:
+    deviations = obs - obs.mean()
+    spread = _spread(obs, deviations)
+    if spread == 0.0:
         return 0.0
-    ss_res = float(np.sum((obs - pred) ** 2))
+    # Rescaled to O(1) like linear_regression: squares of deviations
+    # below ~1e-154 would underflow to a zero total.
+    ss_tot = float(np.sum((deviations / spread) ** 2))
+    with np.errstate(over="ignore"):  # an infinite residual is R^2 = 0
+        ss_res = float(np.sum(((obs - pred) / spread) ** 2))
     return max(0.0, 1.0 - ss_res / ss_tot)
 
 

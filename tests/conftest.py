@@ -11,10 +11,36 @@ from __future__ import annotations
 import os
 
 import pytest
+from hypothesis import settings
 
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
 from repro.topology.network import Network, NetworkTier, PoP
+
+
+#: Hypothesis profile for this run, from ``HYPOTHESIS_PROFILE``.  ``ci``
+#: (the default, and what tier-1 runs) is derandomized: every run draws
+#: the same examples, so a pass or a failure reproduces exactly.
+#: ``explore`` draws fresh random examples with ``EXPLORE_SCALE`` times
+#: each property test's budget, to find inputs the fixed draw misses;
+#: pin each defect it finds as an ``@example`` on the test.
+PROFILE = os.environ.get("HYPOTHESIS_PROFILE", "ci")
+EXPLORE_SCALE = 20
+
+settings.register_profile(
+    "ci", derandomize=True, deadline=None, print_blob=True
+)
+settings.register_profile(
+    "explore", max_examples=100 * EXPLORE_SCALE, deadline=None,
+    print_blob=True,
+)
+settings.load_profile(PROFILE)
+
+
+def examples(budget: int) -> int:
+    """A property test's ``max_examples``: its own ``budget`` under
+    ``ci``, ``EXPLORE_SCALE`` times that under ``explore``."""
+    return budget * EXPLORE_SCALE if PROFILE == "explore" else budget
 
 
 @pytest.fixture(scope="session", autouse=True)

@@ -12,6 +12,7 @@ from repro.geo.distance import (
     haversine_miles,
     interpolate_great_circle,
 )
+from tests.conftest import examples
 
 lats = st.floats(min_value=-85.0, max_value=85.0, allow_nan=False)
 lons = st.floats(min_value=-179.0, max_value=179.0, allow_nan=False)
@@ -33,7 +34,7 @@ class TestHaversineProperties:
         assert 0.0 <= d <= math.pi * EARTH_RADIUS_MILES + 1e-6
 
     @given(points, points, points)
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_triangle_inequality(self, a, b, c):
         assert haversine_miles(a, c) <= (
             haversine_miles(a, b) + haversine_miles(b, c) + 1e-6
@@ -42,7 +43,7 @@ class TestHaversineProperties:
 
 class TestDestinationProperties:
     @given(points, st.floats(0.0, 360.0), st.floats(0.0, 3000.0))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_distance_preserved(self, origin, bearing, distance):
         out = destination_point(origin, bearing, distance)
         measured = haversine_miles(origin, out)
@@ -51,7 +52,7 @@ class TestDestinationProperties:
 
 class TestInterpolationProperties:
     @given(points, points, st.floats(0.0, 1.0))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_on_segment(self, a, b, fraction):
         total = haversine_miles(a, b)
         if total > EARTH_RADIUS_MILES * 3.0:
@@ -64,7 +65,7 @@ class TestInterpolationProperties:
 
 class TestBoundingBoxProperties:
     @given(points, st.floats(0.1, 5.0))
-    @settings(max_examples=50)
+    @settings(max_examples=examples(50))
     def test_expanded_contains_original_center(self, p, margin):
         lat_pad = min(1.0, 89.0 - abs(p.lat))
         box = BoundingBox(

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from repro.graph.components import connected_components, is_connected
 from repro.graph.core import Graph
 from repro.graph.shortest_path import NoPathError, dijkstra, shortest_path
+from tests.conftest import examples
 
 
 @st.composite
@@ -35,7 +36,7 @@ def random_graphs(draw):
 
 class TestDijkstraProperties:
     @given(random_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_distances_satisfy_edge_relaxation(self, g):
         nodes = list(g.nodes())
         dist, _ = dijkstra(g, nodes[0])
@@ -45,7 +46,7 @@ class TestDijkstraProperties:
                 assert dist[u] <= dist[v] + w + 1e-9
 
     @given(random_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_path_weight_matches_distance(self, g):
         nodes = list(g.nodes())
         source = nodes[0]
@@ -58,7 +59,7 @@ class TestDijkstraProperties:
             assert path[0] == source and path[-1] == target
 
     @given(random_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_symmetry_of_distance(self, g):
         nodes = list(g.nodes())
         a, b = nodes[0], nodes[-1]
@@ -74,7 +75,7 @@ class TestDijkstraProperties:
 
 class TestComponentProperties:
     @given(random_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_components_partition_nodes(self, g):
         comps = connected_components(g)
         seen = [n for comp in comps for n in comp]
@@ -82,7 +83,7 @@ class TestComponentProperties:
         assert len(seen) == len(set(seen))
 
     @given(random_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_reachability_matches_components(self, g):
         comps = connected_components(g)
         labels = {}
@@ -98,6 +99,6 @@ class TestComponentProperties:
                 assert node not in dist
 
     @given(random_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_is_connected_consistent(self, g):
         assert is_connected(g) == (len(connected_components(g)) == 1)

@@ -8,6 +8,7 @@ from repro.core.riskroute import RiskRouter
 from repro.graph.core import Graph
 from repro.graph.shortest_path import NoPathError
 from repro.risk.model import RiskModel
+from tests.conftest import examples
 
 
 @st.composite
@@ -44,7 +45,7 @@ def routed_worlds(draw):
 
 class TestOptimizerInvariants:
     @given(routed_worlds())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_riskroute_never_beats_shortest_on_miles(self, world):
         g, model = world
         router = RiskRouter(g, model)
@@ -53,7 +54,7 @@ class TestOptimizerInvariants:
         assert pair.shortest.bit_miles <= pair.riskroute.bit_miles + 1e-6
 
     @given(routed_worlds())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_shortest_never_beats_riskroute_on_bit_risk(self, world):
         g, model = world
         router = RiskRouter(g, model)
@@ -65,7 +66,7 @@ class TestOptimizerInvariants:
         )
 
     @given(routed_worlds())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_optimum_beats_every_reported_alternative(self, world):
         """The exact per-pair route is no worse than any per-source
         approximate route for the same pair."""
@@ -81,7 +82,7 @@ class TestOptimizerInvariants:
             )
 
     @given(routed_worlds())
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=examples(50), deadline=None)
     def test_reported_costs_match_path_re_evaluation(self, world):
         g, model = world
         router = RiskRouter(g, model)
@@ -91,7 +92,7 @@ class TestOptimizerInvariants:
             assert abs(metrics.bit_risk_miles - route.bit_risk_miles) < 1e-9
 
     @given(routed_worlds())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_paths_are_simple(self, world):
         g, model = world
         router = RiskRouter(g, model)

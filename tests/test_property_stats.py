@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.geo.coords import GeoPoint
@@ -13,6 +13,7 @@ from repro.stats.divergence import (
 )
 from repro.stats.kde import GaussianKDE
 from repro.stats.regression import linear_regression, r_squared
+from tests.conftest import examples
 
 lats = st.floats(min_value=25.0, max_value=49.0)
 lons = st.floats(min_value=-124.0, max_value=-67.0)
@@ -23,13 +24,13 @@ bandwidths = st.floats(min_value=5.0, max_value=500.0)
 
 class TestKdeProperties:
     @given(event_lists, bandwidths, points)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_density_non_negative(self, events, bandwidth, query):
         kde = GaussianKDE(events, bandwidth)
         assert kde.density(query) >= 0.0
 
     @given(event_lists, bandwidths)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_peak_at_events(self, events, bandwidth):
         """Density at some event location >= density far away."""
         kde = GaussianKDE(events, bandwidth)
@@ -38,7 +39,7 @@ class TestKdeProperties:
         assert at_events.max() >= far - 1e-15
 
     @given(points, bandwidths)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_single_event_radial_decay(self, center, bandwidth):
         from repro.geo.distance import destination_point
 
@@ -51,7 +52,7 @@ class TestKdeProperties:
             assert closer >= farther - 1e-18
 
     @given(event_lists, bandwidths, st.lists(points, min_size=1, max_size=8))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_batch_matches_scalar(self, events, bandwidth, queries):
         kde = GaussianKDE(events, bandwidth)
         batch = kde.density_many(queries)
@@ -66,7 +67,7 @@ class TestKdeProperties:
         st.lists(points, min_size=1, max_size=10),
         st.floats(min_value=7.0, max_value=12.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_truncated_matches_exact_within_bound(
         self, events, bandwidth, queries, cutoff
     ):
@@ -89,7 +90,7 @@ class TestKdeProperties:
         assert np.all(fast <= dense * (1.0 + 1e-9) + 1e-300)
 
     @given(event_lists, bandwidths, st.lists(points, min_size=1, max_size=6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_log_density_truncation_lossless(self, events, bandwidth, queries):
         """The log path truncates only exact-zero kernels, so scores
         match dense mode to float-sum reordering."""
@@ -111,17 +112,17 @@ def _distributions(size):
 
 class TestDivergenceProperties:
     @given(_distributions(5), _distributions(5))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_kl_non_negative(self, p, q):
         assert kl_divergence_discrete(p, q) >= -1e-12
 
     @given(_distributions(6))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_kl_self_zero(self, p):
         assert abs(kl_divergence_discrete(p, p)) < 1e-12
 
     @given(_distributions(5), _distributions(5))
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_js_symmetric_and_bounded(self, p, q):
         forward = jensen_shannon_discrete(p, q)
         backward = jensen_shannon_discrete(q, p)
@@ -140,7 +141,7 @@ class TestRegressionProperties:
     )
 
     @given(xy_lists)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_r_squared_in_unit_interval(self, pairs):
         x = [a for a, _ in pairs]
         y = [b for _, b in pairs]
@@ -152,17 +153,37 @@ class TestRegressionProperties:
         st.floats(-5.0, 5.0),
         st.floats(-10.0, 10.0),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
+    # Constant y whose mean rounds: ~1e-18 of deviation over an x
+    # spread of 2e-109 was read as slope 7.9e75.
+    @example(x=[0.0, 1.95e-109, 3.18e-127], slope=0.0, intercept=0.045)
+    # Squared deviations of ~1e-293 underflowed: R^2 0.0 for a line.
+    @example(x=[0.0, 1.0, 2.0], slope=2.1808432187908316e-293, intercept=0.0)
+    # Lines that rounding y to floats flattens or bends: no fit, and no
+    # exact arithmetic on the rounded data, recovers them.
+    @example(x=[0.0, 1.0, 0.5], slope=1e-12, intercept=8.0)
+    @example(x=[0.0, 6.373984988025233e-19, 1.3367498673837226e-101],
+             slope=1.0, intercept=1.0)
+    @example(x=[0.0, 2.0, 44.5], slope=5e-324, intercept=0.0)
     def test_exact_line_recovered(self, x, slope, intercept):
         y = [slope * v + intercept for v in x]
         fit = linear_regression(x, y)
-        assert abs(fit.slope - slope) < 1e-6 * max(1.0, abs(slope))
-        assert fit.r_squared > 1.0 - 1e-9 or all(
-            abs(v - y[0]) < 1e-12 for v in y
-        )
+        # Rounding moves each y by up to an ulp of max|y| (at least the
+        # smallest subnormal), which bounds the slope error by ~3 ulp /
+        # x spread and 1 - R^2 by 8 n ulp^2 / rise^2.
+        rise = max(y) - min(y)
+        ulp = max(max(abs(v) for v in y) * 2.0 ** -52, 5e-324)
+        if rise > 1e7 * ulp:
+            assert abs(fit.slope - slope) < 1e-6 * max(1.0, abs(slope))
+            assert fit.r_squared > 1.0 - 1e-9
+        else:
+            # The rounded points no longer carry the line; the fit may
+            # not claim more slope than their rise supports (any OLS
+            # slope is at most 2 n rise / x spread).
+            assert abs(fit.slope) <= 2 * len(x) * rise / (max(x) - min(x))
 
     @given(xy_lists)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_fit_beats_mean_predictor(self, pairs):
         """OLS predictions can never explain less variance than y-bar."""
         x = [a for a, _ in pairs]

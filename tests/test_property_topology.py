@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.topology.builders import build_network, gabriel_pairs
 from repro.topology.cities import ALL_CITIES
 from repro.traffic.gravity import TrafficMatrix
+from tests.conftest import examples
 
 
 city_subsets = st.lists(
@@ -16,21 +17,21 @@ city_subsets = st.lists(
 
 class TestBuilderProperties:
     @given(city_subsets, st.floats(2.0, 4.0), st.integers(4, 30))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_built_networks_always_connected(self, cities, degree, count):
         network = build_network("prop", cities, count, degree)
         assert network.pop_count == count
         assert network.is_connected()
 
     @given(city_subsets, st.floats(2.0, 4.0))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_no_duplicate_links(self, cities, degree):
         network = build_network("prop", cities, len(cities), degree)
         endpoints = [link.endpoints for link in network.links()]
         assert len(endpoints) == len(set(endpoints))
 
     @given(city_subsets)
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_deterministic_construction(self, cities):
         a = build_network("prop", cities, len(cities), 3.0)
         b = build_network("prop", cities, len(cities), 3.0)
@@ -39,7 +40,7 @@ class TestBuilderProperties:
         )
 
     @given(city_subsets, st.floats(2.0, 3.5))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_degree_near_target(self, cities, degree):
         count = len(cities)
         network = build_network("prop", cities, count, degree)
@@ -57,7 +58,7 @@ class TestGabrielProperties:
     )
 
     @given(coords)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_gabriel_connected(self, pairs):
         lat = np.array([a for a, _ in pairs])
         lon = np.array([b for _, b in pairs])
@@ -75,7 +76,7 @@ class TestGabrielProperties:
         assert len({find(i) for i in range(len(pairs))}) == 1
 
     @given(coords)
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_gabriel_edges_valid(self, pairs):
         lat = np.array([a for a, _ in pairs])
         lon = np.array([b for _, b in pairs])
@@ -85,7 +86,7 @@ class TestGabrielProperties:
 
 class TestTrafficMatrixProperties:
     @given(st.integers(2, 10), st.integers(0, 1000))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_normalisation_invariant(self, n, seed):
         rng = np.random.default_rng(seed)
         raw = rng.uniform(0.0, 5.0, size=(n, n))

@@ -89,12 +89,9 @@ class TestBasicOps:
             assert rec["fraction_of_baseline"] <= 1.0 + 1e-12
 
     def test_provision_exact_and_latency_bucket(self, diamond_server):
-        # The deprecated exact= client flag still works (as a warning
-        # shim mapping to verify_every=1); the wire carries no 'exact'.
         _, host, port = diamond_server
         with RiskRouteClient(host, port) as client:
-            with pytest.warns(DeprecationWarning):
-                client.provision(k=2, exact=True)
+            client.provision(k=2, verify_every=1)
             stats = client.stats()
         by_op = stats["latency_by_op"]
         assert by_op["provision"]["count"] == 1

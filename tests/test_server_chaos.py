@@ -7,9 +7,9 @@ resilience invariants the issue names:
 * every admitted request receives exactly one reply or a clean close —
   never a hung socket;
 * the risk fingerprint never regresses to a half-applied state: a
-  failed forecast swap rolls back, and every reply's payload is the
-  exact answer of the model its fingerprint names;
-* a retried token-guarded ``update_forecast`` applies exactly once;
+  failed write (forecast swap or ingest) rolls back, and every reply's
+  payload is the exact answer of the model its fingerprint names;
+* a retried token-guarded write applies exactly once;
 * a crashed worker is restarted, ``health`` flips to ``degraded`` with
   the reason, and heals back to ``ok`` on the next clean batch.
 
@@ -392,6 +392,78 @@ class TestTransactionalSwap:
                         "update_forecast",
                         risk={"diamond:north": 1.0},
                     )
+        finally:
+            thread.stop()
+
+
+class TestTransactionalIngest:
+    """``ingest`` takes the same write path as ``update_forecast``:
+    it runs under any fault plane and rolls back through the one
+    ``apply_update`` site."""
+
+    EVENTS = [
+        {"event_type": "fema-tornado", "lat": 37.5, "lon": -97.5,
+         "year": 2005},
+    ]
+
+    def test_ingest_applies_under_a_plane_without_write_rules(
+        self, diamond_network, diamond_model
+    ):
+        faults = FaultPlane([FaultRule("partial_write", hits=(99,))])
+        thread = _serve(diamond_network, diamond_model, faults)
+        try:
+            host, port = thread.address
+            with RiskRouteClient(host, port, timeout=60) as client:
+                before = client.subscribe(since=0)["fingerprint"]
+                reply = client.ingest(self.EVENTS, token="plain-1")
+                assert reply["changed"] is True
+                assert reply["duplicate"] is False
+                assert client.last_fingerprint != before
+                assert client.stats()["ingests"] == 1
+            assert faults.visits["apply_update"] == 1
+        finally:
+            thread.stop()
+
+    def test_failed_ingest_rolls_back_then_retry_applies_once(
+        self, diamond_network, diamond_model
+    ):
+        clean = _serve(diamond_network, build_diamond_model(), None)
+        try:
+            host, port = clean.address
+            with RiskRouteClient(host, port, timeout=60) as client:
+                client.ingest(self.EVENTS, token="ing-1")
+                never_failed = client.last_fingerprint
+        finally:
+            clean.stop()
+        clear_engine_registry()
+
+        faults = FaultPlane([FaultRule("apply_update", hits=(1,))])
+        thread = _serve(diamond_network, diamond_model, faults)
+        try:
+            host, port = thread.address
+            with RiskRouteClient(host, port, timeout=60) as client:
+                before = client.subscribe(since=0)
+                with pytest.raises(ServerError) as err:
+                    client.ingest(self.EVENTS, token="ing-1")
+                assert err.value.code == "internal"
+
+                # Rollback: fingerprint, counter and changelog unmoved.
+                after_fail = client.subscribe(since=0)
+                assert after_fail["fingerprint"] == before["fingerprint"]
+                assert after_fail["version"] == before["version"] == 0
+                assert client.stats()["ingests"] == 0
+
+                # The same token now applies — exactly once.
+                result = client.ingest(self.EVENTS, token="ing-1")
+                assert result["changed"] is True
+                assert result["duplicate"] is False
+                assert client.last_fingerprint == never_failed
+                replay = client.ingest(self.EVENTS, token="ing-1")
+                assert replay == {"changed": True, "duplicate": True}
+                assert client.last_fingerprint == never_failed
+                assert client.subscribe(since=0)["version"] == 1
+                assert client.stats()["ingests"] == 1
+            assert faults.fires["apply_update"] == 1
         finally:
             thread.stop()
 

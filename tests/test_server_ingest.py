@@ -14,7 +14,8 @@ The issue's end-to-end acceptance surface:
   ``stats()["engine"]``;
 * under sharding the ingest barrier rebinds every shard's ``o_h``
   before the reply: all subsequent replies carry the post-ingest
-  fingerprint and the pool agrees with the parent.
+  fingerprint and the pool agrees with the parent, and a shard
+  respawned after the writes comes back on both current fields.
 """
 
 from __future__ import annotations
@@ -26,11 +27,14 @@ from repro.engine import clear_engine_registry
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
 from repro.server import (
+    FaultPlane,
+    FaultRule,
     RiskRouteClient,
     ServerConfig,
     ServerError,
     ServerThread,
 )
+from repro.server.protocol import pair_to_dict
 from repro.topology.network import Network, NetworkTier, PoP
 from tests.conftest import build_diamond_model, build_diamond_network
 
@@ -288,3 +292,72 @@ class TestShardedIngest:
                 assert feed["changes"][0]["op"] == "ingest"
         finally:
             thread.stop()
+
+    def test_respawned_shard_comes_back_on_both_fields(self):
+        """A shard killed after an ingest and a forecast swap respawns
+        on both current fields: it passes the warm-up fingerprint
+        barrier and its replies match a direct session."""
+        from repro.disasters.events import DisasterEvent
+        from repro.risk.streaming import default_streaming_model
+
+        pops = ("diamond:west", "diamond:east", "diamond:north",
+                "diamond:south")
+        pairs = [(s, t) for s in pops for t in pops if s != t]
+        forecast = {"diamond:west": 0.4}
+        # Writes never visit shard_exit: the first read batch after
+        # them is the one that loses a shard.
+        plane = FaultPlane([FaultRule("shard_exit", hits=(1,))])
+        thread = ServerThread(
+            RoutingSession(build_diamond_network(), build_diamond_model()),
+            ServerConfig(
+                batch_linger=0.002, shards=2, replicas=2, faults=plane
+            ),
+        )
+        host, port = thread.start()
+        try:
+            with RiskRouteClient(host, port) as client:
+                client.ingest([_tornado(37.5, -97.5, 2005)], token="r-1")
+                client.update_forecast(forecast, token="r-2")
+                pids = [
+                    entry["pid"]
+                    for entry in client.stats()["shards"]["per_shard"]
+                ]
+                replies = {}
+                for source, target in pairs:
+                    replies[(source, target)] = client.pair(source, target)
+                    fingerprint = client.last_fingerprint
+                stats = client.stats()
+                health = client.health()
+        finally:
+            thread.stop()
+        shards = stats["shards"]
+        assert plane.fires["shard_exit"] == 1
+        assert shards["crashes"] == 1
+        # The replacement passed the warm-up fingerprint barrier (a
+        # stale field would have failed it and left the slot down).
+        assert shards["restarts"] == 1
+        assert shards["alive"] == 2 and health["status"] == "ok"
+        assert shards["fingerprint"] == fingerprint
+        replaced = [
+            entry for entry, pid in zip(shards["per_shard"], pids)
+            if entry["pid"] != pid
+        ]
+        assert len(replaced) == 1 and replaced[0]["batches"] > 0
+
+        clear_engine_registry()
+        network = build_diamond_network()
+        reference = RoutingSession(network, build_diamond_model())
+        streaming = default_streaming_model()
+        streaming.ingest([
+            DisasterEvent(
+                event_type=TORNADO, location=GeoPoint(37.5, -97.5),
+                year=2005,
+            )
+        ])
+        reference.update_historical(streaming.pop_risks(network))
+        full = {pop: 0.0 for pop in pops}
+        full.update(forecast)
+        reference.update_forecast(full)
+        assert reference.engine.risk_fingerprint == fingerprint
+        for (source, target), payload in replies.items():
+            assert payload == pair_to_dict(reference.pair(source, target))

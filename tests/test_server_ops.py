@@ -367,8 +367,6 @@ class TestGeneratedClientWrappers:
             assert ops.REGISTRY[name].doc in (method.__doc__ or "")
 
     def test_hand_written_methods_survive_generation(self):
-        provision = inspect.signature(RiskRouteClient.provision)
-        assert "exact" in provision.parameters  # deprecation shim
         update = inspect.signature(RiskRouteClient.update_forecast)
         assert "token" in update.parameters
 

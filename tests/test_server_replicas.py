@@ -1,11 +1,11 @@
-"""Replicated read shards: parity, failover, hedging, degraded states.
+"""Replicated read shards: parity, failover, degraded states.
 
 The replication issue's acceptance tests, over real spawned shard
 processes:
 
 * a ``replicas=2`` server's replies are *identical* (payload and
   fingerprint) to the single-process server, whichever replica served
-  them — with and without hedging armed;
+  them;
 * a shard killed mid-batch (injected ``shard_exit``) at ``replicas=2``
   yields **zero client-visible errors**: every read is answered
   exactly once, correctly, by the surviving replica (the transparent
@@ -15,10 +15,6 @@ processes:
   reads get typed, retry-safe ``shard_unavailable`` errors — and a
   client under the default :class:`RetryPolicy` rides through the
   respawn window without surfacing anything;
-* a stalled shard (injected ``shard_stall``) with ``hedge_ms`` armed
-  is raced by a duplicate on the second replica: first reply wins,
-  correct payload, no crash accounting, and the loser's late reply is
-  drained without confusing later batches or swap barriers;
 * forecast swaps stay barriered under replication.
 
 Every server test runs under pytest-timeout so a wedged pipe fails
@@ -29,7 +25,6 @@ from __future__ import annotations
 
 import json
 import socket
-import time
 from itertools import permutations
 
 import pytest
@@ -101,9 +96,7 @@ class TestReplicatedParity:
 
         single = serve_and_collect(shards=0)
         replicated = serve_and_collect(shards=2, replicas=2)
-        hedged = serve_and_collect(shards=2, replicas=2, hedge_ms=25.0)
         assert replicated == single
-        assert hedged == single
         assert replicated[0] == expected
         assert replicated[2] == direct_fp
 
@@ -161,7 +154,6 @@ class TestReplicatedParity:
         assert health["shards"] == {"count": 2, "alive": 2, "replicas": 2}
         shards = stats["shards"]
         assert shards["replicas"] == 2
-        assert shards["hedge_ms"] == 0.0
         assert shards["crashes"] == 0
         assert shards["failovers"] == 0
         assert shards["unavailable"] == 0
@@ -169,7 +161,6 @@ class TestReplicatedParity:
             entry["load"] == 0 for entry in shards["per_shard"]
         )
         assert stats["read_failovers"] == 0
-        assert stats["hedged_reads"] == 0
 
 
 @pytest.mark.timeout(180)
@@ -331,67 +322,6 @@ class TestTransparentFailover:
         reference.update_forecast(full)
         assert post == pair_to_dict(reference.pair(WEST, EAST))
         assert reference.engine.risk_fingerprint == post_fp
-
-
-@pytest.mark.timeout(180)
-class TestHedgedReads:
-    def test_stalled_shard_is_raced_and_loses(self):
-        stall = 2.0
-        plane = FaultPlane([
-            FaultRule("shard_stall", hits=(1,), delay=stall)
-        ])
-        thread = ServerThread(
-            _session(),
-            ServerConfig(
-                batch_linger=0.002, shards=2, replicas=2,
-                hedge_ms=40.0, faults=plane,
-            ),
-        )
-        host, port = thread.start()
-        try:
-            expected = pair_to_dict(_session().pair(WEST, EAST))
-            with RiskRouteClient(host, port) as client:
-                started = time.monotonic()
-                first = client.pair(WEST, EAST)
-                elapsed = time.monotonic() - started
-                # The hedge answered long before the stalled primary
-                # woke up — and with the right payload.
-                assert first == expected
-                assert elapsed < stall * 0.75, elapsed
-                # The loser's late reply must not poison later reads:
-                # keep querying past the stall window.
-                deadline = time.monotonic() + stall + 1.0
-                while time.monotonic() < deadline:
-                    assert client.pair(WEST, EAST) == expected
-                    time.sleep(0.05)
-                stats = client.stats()
-                health = client.health()
-        finally:
-            thread.stop()
-        assert health["status"] == "ok"  # a stall is not a crash
-        assert stats["shards"]["crashes"] == 0
-        assert stats["shards"]["hedges"] >= 1
-        assert stats["shards"]["hedge_wins"] >= 1
-        assert stats["hedged_reads"] >= 1
-        assert stats["hedge_wins"] >= 1
-        assert stats["errors"] == 0
-        assert plane.fires["shard_stall"] == 1
-
-    def test_hedging_off_by_default(self):
-        thread = ServerThread(
-            _session(),
-            ServerConfig(batch_linger=0.002, shards=2, replicas=2),
-        )
-        host, port = thread.start()
-        try:
-            with RiskRouteClient(host, port) as client:
-                for _ in range(10):
-                    client.pair(WEST, EAST)
-                stats = client.stats()
-        finally:
-            thread.stop()
-        assert stats["shards"]["hedges"] == 0
-        assert stats["hedged_reads"] == 0
 
 
 @pytest.mark.timeout(180)

@@ -181,7 +181,6 @@ class TestShardedParity:
         assert shards["crashes"] == 0
         assert shards["replicas"] == 1
         assert shards["failovers"] == 0
-        assert shards["hedges"] == 0
         # Per-pair affinity end to end: every batch of the repeated
         # pair landed on one shard; the other stayed cold.
         batches = sorted(

@@ -33,6 +33,25 @@ class TestLinearRegression:
         assert fit.intercept == pytest.approx(2.0)
         assert fit.r_squared == 0.0
 
+    def test_rounding_noise_in_constant_y_is_no_slope(self):
+        # mean([0.045] * 3) rounds, leaving ~7e-18 of deviation.
+        fit = linear_regression([0.0, 1.95e-109, 3.18e-127], [0.045] * 3)
+        assert fit.slope == 0.0
+        assert fit.intercept == pytest.approx(0.045)
+        assert fit.r_squared == 0.0
+
+    def test_rounding_noise_in_constant_x_is_a_vertical_stack(self):
+        fit = linear_regression([0.045] * 3, [1.0, 2.0, 4.0])
+        assert fit.slope == 0.0
+        assert fit.intercept == pytest.approx(7.0 / 3.0)
+        assert fit.r_squared == 0.0
+
+    def test_tiny_genuine_spread_still_fits(self):
+        # The tolerance is relative to the data's magnitude, so a real
+        # spread far below 1e-16 in absolute terms is kept.
+        fit = linear_regression([0.0, 1e-200, 2e-200], [1.0, 3.0, 5.0])
+        assert fit.slope == pytest.approx(2e200)
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             linear_regression([1.0], [1.0, 2.0])
@@ -56,6 +75,15 @@ class TestRSquared:
 
     def test_constant_observations(self):
         assert r_squared([5.0, 5.0], [5.0, 5.0]) == 0.0
+
+    def test_tiny_magnitudes_do_not_underflow(self):
+        obs = [0.0, 2e-293, 4e-293]
+        assert r_squared(obs, obs) == pytest.approx(1.0)
+        assert r_squared(obs, [2e-293] * 3) == pytest.approx(0.0)
+
+    def test_constant_observations_with_rounding_noise(self):
+        # mean([0.045] * 3) rounds; the noise is not variance.
+        assert r_squared([0.045] * 3, [0.045] * 3) == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -197,11 +197,7 @@ class RiskRouter:
         return self._session.routes_from(source, SweepStrategy.PER_SOURCE)
 
     def risk_routes_from(
-        self,
-        source: str,
-        strategy=None,
-        *,
-        exact: Optional[bool] = None,
+        self, source: str, strategy=None
     ) -> Dict[str, RouteResult]:
         """RiskRoute paths from ``source`` to every reachable PoP.
 
@@ -210,10 +206,5 @@ class RiskRouter:
             strategy: ``"exact"`` (default — one search per target, the
                 true Equation 3) or ``"per-source"`` (single-search
                 approximation, re-scored exactly).
-            exact: deprecated boolean spelling of ``strategy``; accepted
-                with a :class:`DeprecationWarning` for one release.
         """
-        resolved = resolve_strategy(
-            strategy, exact, default=SweepStrategy.EXACT
-        )
-        return self._session.routes_from(source, resolved)
+        return self._session.routes_from(source, resolve_strategy(strategy))

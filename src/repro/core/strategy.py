@@ -7,16 +7,12 @@ Two ways to answer "all RiskRoute paths from ``i``":
 * ``PER_SOURCE`` — a single search from ``i`` under the expected impact
   ``alpha_i = c_i + mean(c)``, with every chosen path re-scored exactly
   under its pair's true ``alpha_ij``.
-
-Historically this was a ``exact: bool`` flag; the enum is the blessed
-spelling and the boolean is accepted through a deprecation shim.
 """
 
 from __future__ import annotations
 
 import enum
-import warnings
-from typing import Optional, Union
+from typing import Union
 
 __all__ = [
     "SweepStrategy",
@@ -37,44 +33,21 @@ class SweepStrategy(str, enum.Enum):
     PER_SOURCE = "per-source"
 
 
-StrategyLike = Union[SweepStrategy, str, bool, None]
-
-
-def _warn_exact_flag() -> None:
-    warnings.warn(
-        "the 'exact' boolean flag is deprecated; pass "
-        "strategy='exact' or strategy='per-source' instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
+StrategyLike = Union[SweepStrategy, str, None]
 
 
 def resolve_strategy(
     strategy: StrategyLike = None,
-    exact: Optional[bool] = None,
     default: SweepStrategy = SweepStrategy.EXACT,
 ) -> SweepStrategy:
     """Normalise a strategy argument to a :class:`SweepStrategy`.
 
-    Accepts the enum, its string values, ``None`` (→ ``default``), and —
-    for one deprecation cycle — the legacy ``exact`` boolean either as
-    the keyword or passed positionally where ``strategy`` now lives.
+    Accepts the enum, its string values and ``None`` (→ ``default``).
 
     Raises:
-        ValueError: for an unknown strategy name or when both the new
-            and the deprecated spelling are supplied.
+        ValueError: for anything else, including the boolean ``exact``
+            flag this argument replaced.
     """
-    if isinstance(strategy, bool):
-        # Old positional call style: risk_routes_from(source, True).
-        if exact is not None:
-            raise ValueError("pass either strategy= or exact=, not both")
-        _warn_exact_flag()
-        return SweepStrategy.EXACT if strategy else SweepStrategy.PER_SOURCE
-    if exact is not None:
-        if strategy is not None:
-            raise ValueError("pass either strategy= or exact=, not both")
-        _warn_exact_flag()
-        return SweepStrategy.EXACT if exact else SweepStrategy.PER_SOURCE
     if strategy is None:
         return default
     if isinstance(strategy, SweepStrategy):

@@ -712,8 +712,7 @@ class RoutingEngine:
         Raises:
             ValueError: when no valid pair exists.
         """
-        # `exact` here is the documented intradomain_ratios parameter,
-        # not the deprecated risk_routes_from flag — no warning.
+        # `exact` here is the documented intradomain_ratios parameter.
         if exact is not None:
             if strategy is not None:
                 raise ValueError("pass either strategy= or exact=, not both")
@@ -721,7 +720,7 @@ class RoutingEngine:
                 SweepStrategy.EXACT if exact else SweepStrategy.PER_SOURCE
             )
         strategy = resolve_strategy(
-            strategy, None, default=auto_strategy(self._csr.node_count)
+            strategy, default=auto_strategy(self._csr.node_count)
         )
         source_list, target_set = self._resolve_population(sources, targets)
         key = (

@@ -48,9 +48,9 @@ from it.  A daemon started with ``shards=N``
 worker processes over a shared-memory engine export, with writes
 applied in the parent and broadcast behind a fingerprint barrier.
 With ``replicas=R >= 2`` each read key is rendezvous-replicated over R
-shards with load-balanced (power-of-two-choices) routing and
-transparent one-hop failover on a mid-batch crash — see
-:mod:`repro.server.shards`.
+shards with load-balanced (power-of-two-choices) routing, and a shard
+that dies or hangs mid-batch has its reads re-sent once to a live
+replica — see :mod:`repro.server.shards`.
 
 Run one from the CLI (``riskroute serve Level3 --shards 4``),
 in-process (:class:`ServerThread`), or under your own loop
@@ -77,7 +77,7 @@ from .protocol import (
     parse_request,
 )
 from .service import QueryService, SwapOutcome
-from .shards import ShardConfig, ShardPool, replicas_of, shard_of
+from .shards import ShardPool, replicas_of, shard_of
 from .stats import ServerStats
 
 __all__ = [
@@ -94,7 +94,6 @@ __all__ = [
     "FAULT_SITES",
     "QueryService",
     "SwapOutcome",
-    "ShardConfig",
     "ShardPool",
     "shard_of",
     "replicas_of",

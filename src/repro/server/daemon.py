@@ -65,7 +65,7 @@ from .protocol import (
     parse_request,
 )
 from .service import QueryService, field_cache_stats
-from .shards import ShardConfig, ShardPool
+from .shards import ShardPool
 from .stats import ServerStats
 
 __all__ = [
@@ -201,11 +201,9 @@ class RiskRouteServer:
         if self.config.shards > 0:
             pool = ShardPool(
                 self.session,
-                ShardConfig(
-                    shards=self.config.shards,
-                    replicas=min(self.config.replicas, self.config.shards),
-                    timeout=self.config.shard_timeout,
-                ),
+                self.config.shards,
+                replicas=self.config.replicas,
+                timeout=self.config.shard_timeout,
                 faults=self._faults,
                 engine_config=getattr(self.session, "_config", None),
             )

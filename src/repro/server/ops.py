@@ -85,11 +85,11 @@ KINDS = ("read", "write", "control")
 #: ``params`` hashes the canonical parameter dict (so repeats of the
 #: same heavy query land on the same shard's memoized result cache),
 #: ``parent`` is answered/applied by the parent process only, and
-#: ``inline`` never reaches the worker at all (``health``).  Under a
-#: replicated pool (``ShardConfig.replicas >= 2``) the two shard-routed
-#: modes widen to a rendezvous-hashed replica set and gain balancing and
-#: failover for ``read``-kind ops (:attr:`OpSpec.replicable`);
-#: ``parent`` / ``inline`` routing is unaffected by replication.
+#: ``inline`` never reaches the worker at all (``health``).  Only
+#: ``read`` ops use the two shard-routed modes.  With ``replicas >= 2``
+#: (``ServerConfig.replicas``) they widen to a rendezvous-hashed replica
+#: set, with balancing and failover; ``parent`` / ``inline`` routing is
+#: unaffected by replication.
 ROUTINGS = ("pair", "params", "parent", "inline")
 
 
@@ -312,20 +312,6 @@ class OpSpec:
     def retry_safe(self) -> bool:
         """Safe to blindly re-send after a connection drop."""
         return self.kind in ("read", "control")
-
-    @property
-    def replicable(self) -> bool:
-        """Served identically by any replica of the op's shard key.
-
-        Shard-routed reads (``pair`` / ``params``) are the ops the
-        pool may balance or fail over across a key's replica set
-        (:func:`repro.server.shards.replicas_of`): every replica
-        maps the same shared-memory arrays and runs the same service
-        code, so replies are byte-identical wherever they are served.
-        Writes, parent-answered controls and inline ops never qualify
-        — they keep single-authority, fail-fast semantics.
-        """
-        return self.kind == "read" and self.routing in ("pair", "params")
 
     @property
     def command(self) -> str:

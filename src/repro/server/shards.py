@@ -30,28 +30,31 @@ the same shard's memoized result cache.  With ``replicas=R >= 2``,
 affinity key: every replica of a key is a full substitute for the
 others (identical arrays, identical service code), adding a shard
 moves only the keys that shard wins, and growing R keeps the first
-R-1 replicas unchanged.  Writes and ``stats`` never reach a shard
-(``routing="parent"``).
+R-1 replicas unchanged.  Only shard-routed reads reach the pool: the
+daemon applies writes and answers ``stats``, ``subscribe`` and
+``health`` itself, so any replica of a key can answer any of its items.
 
-**Balancing**: for ``read``-kind ops the parent picks among a key's
-live replicas by **power of two choices** — sample two candidates,
-send to the less loaded, where load is the shard's in-flight batch
-count plus its pipe queue depth in items (plus what this batch has
-already assigned it).  A celebrity key therefore spreads over its R
-replicas instead of saturating one process, at the cost of cache
-affinity for that key.
+**Balancing**: the parent picks among a key's live replicas by
+**power of two choices** — sample two candidates (seeded, so the pick
+is reproducible), send to the one this batch has assigned fewer items
+so far, ties to the rendezvous rank winner.  Batch-local counts are
+the whole load signal: only the daemon's one executor thread calls the
+pool, and each batch or write broadcast collects (or kills) every
+shard it sent to before returning, so nothing else is ever in flight.
+A celebrity key therefore spreads over its R replicas instead of
+saturating one process, at the cost of cache affinity for that key.
 
-**Failover**: with ``replicas >= 2``, a shard that dies mid-batch has
-its undelivered *read* requests transparently re-dispatched to a
-surviving replica — bounded by exactly one failover hop, preserving
-the exactly-once ``delivered`` guard (an item is only ever filled
-once).  If the failover hop fails too, the request gets a typed
-``shard_unavailable`` error, which clients may safely retry
+**Failover**: a batch is one round — send every shard its group, then
+collect every answer.  A shard that died, or hung past ``timeout``, is
+lost for the batch.  With ``replicas >= 2``, one failover round
+re-sends each lost group's items to a live replica outside the lost
+set, so a request visits at most two shards, and the ``item.reply is
+None`` guard fills each item exactly once.  Items still unanswered get
+a typed ``shard_unavailable`` error, which clients may safely retry
 (:class:`~repro.server.client.RetryPolicy` does by default).  With
-``replicas=1`` the PR 6 behavior is preserved bit-for-bit: typed
-``internal`` errors, fail-fast.  Writes always keep fail-fast
-semantics — they are applied by the parent and barriered, never
-re-dispatched.
+``replicas=1`` there is no failover round: typed ``internal`` errors,
+fail-fast.  Lost shards are respawned before the batch returns, so
+every error reply goes out after the respawn.
 
 **Writes** keep the single-process guarantee: the parent applies
 ``update_forecast`` / ``ingest`` authoritatively through the service's
@@ -70,10 +73,10 @@ keeps the current value of each written field in its spawn spec, and
 a fresh shard re-applies them before its warm-up ping.
 
 **Supervision / rejoin** mirrors the PR4 single-worker watchdog, per
-shard: a crashed shard is killed, its in-flight reads failed over (or
-typed errors emitted), and a replacement spawned from the shared
-segments.  The replacement only re-enters the placement map after
-echoing the pool's current risk fingerprint on its warm-up ping
+shard: a lost shard is counted, killed, and replaced by a shard
+spawned from the shared segments, by one helper that batches and the
+write barrier share.  The replacement only re-enters the placement map
+after echoing the pool's current risk fingerprint on its warm-up ping
 (:meth:`ShardPool._spawn` raises otherwise and the slot stays down) —
 routing skips dead slots, so clients are served by the surviving
 replicas until the rejoin barrier passes.
@@ -92,7 +95,6 @@ import multiprocessing
 import os
 import random
 import signal
-import time
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -104,7 +106,6 @@ from .protocol import Request, encode_error
 from .service import QueryService, apply_field
 
 __all__ = [
-    "ShardConfig",
     "ShardPool",
     "ShardSpec",
     "replicas_of",
@@ -191,29 +192,6 @@ def replicas_of(
         reverse=True,
     )
     return tuple(ranked[:replicas])
-
-
-@dataclass(frozen=True)
-class ShardConfig:
-    """Placement knobs and the watchdog timeout for one :class:`ShardPool`.
-
-    ``replicas`` is clamped to ``shards`` by the pool; ``replicas=1``
-    reproduces single-owner :func:`shard_of` affinity exactly.
-    """
-
-    shards: int
-    replicas: int = 1
-    #: Seconds to wait for one shard batch, write ack or warm-up ping
-    #: before the shard is declared hung and killed.
-    timeout: float = 120.0
-
-    def __post_init__(self) -> None:
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        if self.timeout <= 0:
-            raise ValueError("timeout must be positive")
 
 
 @dataclass(frozen=True)
@@ -344,14 +322,6 @@ class _Shard:
     pid: int
     batches: int = 0
     swaps: int = 0
-    #: Load signal: batches sent but not yet answered, and the item
-    #: count still queued in those batches (pipe queue depth).
-    inflight_batches: int = 0
-    inflight_items: int = 0
-
-    @property
-    def load(self) -> int:
-        return self.inflight_batches + self.inflight_items
 
 
 class ShardPool:
@@ -360,12 +330,17 @@ class ShardPool:
     Built by the daemon when ``ServerConfig.shards > 0``; every method
     is called from the daemon's one-thread executor (the same
     serialization discipline as the in-process service), so the pool
-    needs no locking.
+    needs no locking, and every call collects (or kills) each shard it
+    sent to before it returns.
 
     Args:
         session: the parent's :class:`~repro.session.RoutingSession`
             (its engine is exported; its model seeds the shards).
-        config: placement and timeout knobs (:class:`ShardConfig`).
+        shards: shard processes to run.
+        replicas: shards serving each key, clamped to ``shards``;
+            1 keeps single-owner :func:`shard_of` affinity.
+        timeout: seconds to wait for one shard batch, write ack or
+            warm-up ping before the shard is declared hung and killed.
         faults: fault plane — ``shard_exit`` / ``replica_crash`` are
             visited parent-side (counters survive respawns); a copy
             still pickles into each child for the service-level sites.
@@ -375,15 +350,16 @@ class ShardPool:
     def __init__(
         self,
         session,
-        config: ShardConfig,
+        shards: int,
         *,
+        replicas: int,
+        timeout: float,
         faults: Optional[FaultPlane] = None,
         engine_config=None,
     ) -> None:
-        self.config = config
-        self.nshards = config.shards
-        self.replicas = min(config.replicas, config.shards)
-        self.timeout = config.timeout
+        self.nshards = shards
+        self.replicas = min(replicas, shards)
+        self.timeout = timeout
         self._session = session
         self._faults = faults
         self._engine_config = engine_config
@@ -395,15 +371,6 @@ class ShardPool:
         self._spec: Optional[ShardSpec] = None
         self._shards: List[Optional[_Shard]] = [None] * self.nshards
         self._seq = 0
-        #: (sid, seq) -> item count for every batch sent but not yet
-        #: answered; drives the load signal.
-        self._sent: Dict[Tuple[int, int], int] = {}
-        #: Replies that arrived while the pool was waiting on a
-        #: *different* sequence from the same shard (a pipe is FIFO:
-        #: an earlier group's reply can land first during a failover
-        #: collect).  Consumed by that group's own collect; entries
-        #: cannot outlive their execute_batch call.
-        self._stash: Dict[Tuple[int, int], Any] = {}
         # Seeded: the two-choice sample is reproducible run to run.
         self._rng = random.Random(0x52525247)
         #: Risk fingerprint every healthy shard must currently report.
@@ -458,8 +425,6 @@ class ShardPool:
             except OSError:
                 pass
             self._shards[sid] = None
-        self._sent.clear()
-        self._stash.clear()
         if self._state is not None:
             self._state.close()
             self._state = None
@@ -487,24 +452,37 @@ class ShardPool:
         self._seq += 1
         try:
             parent_conn.send(("ping", self._seq))
-            if not parent_conn.poll(self.timeout):
-                raise TimeoutError(
-                    f"shard {sid} did not warm up in {self.timeout:g}s"
-                )
-            kind, seq, fingerprint, _pid = parent_conn.recv()
-            if kind != "pong" or seq != self._seq:
+            message = self._recv(shard, "pong", self._seq)
+            if message is None:
                 raise RuntimeError(
-                    f"shard {sid} answered {kind!r} to its warm-up ping"
+                    f"shard {sid} did not answer its warm-up ping "
+                    f"within {self.timeout:g}s"
                 )
-            if fingerprint != self.fingerprint:
+            if message[2] != self.fingerprint:
                 raise RuntimeError(
                     f"shard {sid} warmed up on fingerprint "
-                    f"{fingerprint!r}, expected {self.fingerprint!r}"
+                    f"{message[2]!r}, expected {self.fingerprint!r}"
                 )
         except BaseException:
             self._kill(shard)
             raise
         return shard
+
+    def _recv(self, shard: _Shard, kind: str, seq: int):
+        """The shard's answer to the ``(kind, seq)`` message, or None.
+
+        None covers a hung shard (nothing within ``timeout``), a dead
+        pipe and any other message.  Because every pool call collects
+        each answer it asked for before it returns, the next message
+        on a pipe is always the answer to the last one sent.
+        """
+        try:
+            if not shard.conn.poll(self.timeout):
+                return None
+            message = shard.conn.recv()
+        except (EOFError, OSError):
+            return None
+        return message if message[:2] == (kind, seq) else None
 
     @staticmethod
     def _kill(shard: _Shard) -> None:
@@ -516,15 +494,6 @@ class ShardPool:
             shard.process.kill()
         shard.process.join(timeout=5)
 
-    def _teardown(self, sid: int) -> None:
-        """Kill one shard and forget its in-flight bookkeeping."""
-        shard = self._shards[sid]
-        if shard is not None:
-            self._kill(shard)
-            self._shards[sid] = None
-        for key in [key for key in self._sent if key[0] == sid]:
-            del self._sent[key]
-
     def _is_up(self, sid: int) -> bool:
         shard = self._shards[sid]
         return shard is not None and shard.process.is_alive()
@@ -534,12 +503,14 @@ class ShardPool:
     def _route(self, request: Request, assigned: Dict[int, int]) -> int:
         """Pick the shard for one request (power of two choices).
 
-        ``assigned`` counts items this batch has already given each
-        shard, so the choice sees the load it is itself creating.
-        Single-replica keys short-circuit to the PR 6 owner.  Dead
-        slots are skipped while any replica lives; when *every*
-        replica is down, the primary is returned so the send path pays
-        for (and gates on) its respawn.
+        ``assigned`` counts the items this batch has already given each
+        shard, so the choice sees the load it is itself creating; no
+        other load exists, since the previous batch was collected in
+        full before this one is routed.  Single-replica keys
+        short-circuit to the :func:`shard_of` owner.  Dead slots are
+        skipped while any replica lives; when *every* replica is down,
+        the pick is made over the whole set so the send path pays for
+        (and gates on) a respawn.
         """
         candidates = replicas_of(request, self.nshards, self.replicas)
         if len(candidates) == 1:
@@ -548,30 +519,10 @@ class ShardPool:
         pool = alive if alive else list(candidates)
         if len(pool) > 2:
             pool = sorted(self._rng.sample(pool, 2), key=candidates.index)
-
-        def load(sid: int) -> int:
-            shard = self._shards[sid]
-            inflight = 0 if shard is None else shard.load
-            return inflight + assigned.get(sid, 0)
-
-        return min(pool, key=lambda sid: (load(sid), candidates.index(sid)))
-
-    def _failover_target(
-        self, request: Request, dead_sid: int
-    ) -> Optional[int]:
-        """The surviving replica a read re-dispatches to (or None).
-
-        Only ``replicable`` ops (reads served identically by any
-        replica) ever fail over; writes and parent-routed ops cannot
-        reach here, but the guard keeps the invariant local.
-        """
-        spec = ops.REGISTRY.get(request.op)
-        if spec is None or not spec.replicable:
-            return None
-        for sid in replicas_of(request, self.nshards, self.replicas):
-            if sid != dead_sid and self._is_up(sid):
-                return sid
-        return None
+        return min(
+            pool,
+            key=lambda sid: (assigned.get(sid, 0), candidates.index(sid)),
+        )
 
     # -- batch fan-out -----------------------------------------------------
 
@@ -580,8 +531,12 @@ class ShardPool:
 
         Same contract as
         :meth:`~repro.server.service.QueryService.execute_batch`, plus
-        ``crashes`` (shards lost mid-batch) and ``failovers`` (read
-        items transparently answered by a surviving replica).
+        ``failovers`` (items answered by a surviving replica).  One
+        round sends every shard its group, then collects every answer.
+        With ``replicas >= 2``, one failover round re-sends each lost
+        group's items to a live replica outside the lost set.  The
+        lost shards are respawned, and the items still unanswered get
+        typed errors (:meth:`_fail`).
         """
         groups: Dict[int, List[PendingRequest]] = {}
         assigned: Dict[int, int] = {}
@@ -589,260 +544,130 @@ class ShardPool:
             sid = self._route(item.request, assigned)
             groups.setdefault(sid, []).append(item)
             assigned[sid] = assigned.get(sid, 0) + 1
-        metrics = {
-            "demands": 0,
-            "coalesced": 0,
-            "computed": 0,
-            "crashes": 0,
-            "failovers": 0,
-        }
-        inflight: List[Tuple[int, int, List[PendingRequest]]] = []
-        for sid in sorted(groups):
-            group = groups[sid]
-            shard = self._ensure_shard(sid)
-            if shard is None:
-                metrics["crashes"] += 1
-                if self.replicas > 1:
-                    self._redispatch(sid, group, "unavailable", metrics)
+        metrics = {"demands": 0, "coalesced": 0, "computed": 0, "failovers": 0}
+        lost = self._round(groups, "shard_exit", "crashed mid-batch", metrics)
+        hop_lost: Dict[int, str] = {}
+        if lost and self.replicas > 1:
+            hops: Dict[int, List[PendingRequest]] = {}
+            for sid in lost:
+                for item in groups[sid]:
+                    for rid in replicas_of(
+                        item.request, self.nshards, self.replicas
+                    ):
+                        if rid not in lost and self._is_up(rid):
+                            hops.setdefault(rid, []).append(item)
+                            break
+            hop_lost = self._round(
+                hops, "replica_crash", "crashed during failover", metrics
+            )
+            for sid, group in hops.items():
+                if sid in hop_lost:
+                    self._fail(sid, "lost the failover hop too", group)
                 else:
-                    self._fail_group(sid, group, "unavailable")
-                continue
-            seq = self._send_batch(sid, shard, group, "shard_exit")
-            if seq is None:
-                self._group_crash(sid, group, "died before batch send",
-                                  metrics)
-                continue
-            inflight.append((sid, seq, group))
-        # Every shard is now computing concurrently; collect in order.
-        for sid, seq, group in inflight:
-            self._collect_group(sid, seq, group, metrics)
+                    self.failovers += len(group)
+                    metrics["failovers"] += len(group)
+        for sid, why in lost.items():
+            self._fail(sid, why, groups[sid])
+        for sid, why in {**lost, **hop_lost}.items():
+            # None: the slot was already down and its respawn just
+            # failed in _ensure_shard; nothing new was lost.
+            if self._shards[sid] is not None:
+                self._lose(sid, why)
         return metrics
 
-    def _send_batch(
+    def _round(
         self,
-        sid: int,
-        shard: _Shard,
-        group: List[PendingRequest],
-        die_site: str,
-    ) -> Optional[int]:
-        """Send one group to one shard; None means the pipe is dead.
+        groups: Dict[int, List[PendingRequest]],
+        site: str,
+        why: str,
+        metrics: Dict[str, int],
+    ) -> Dict[int, str]:
+        """Send every shard its group, then collect every answer.
 
-        Fault sites are checked here, in the parent, so their
+        ``site`` is the fault site visited once per send, in sorted
+        shard order.  It is checked here in the parent, so its
         visit/fire counters survive shard respawns (a re-pickled child
-        plane would reset them and re-kill every fresh shard).  One
-        visit per shard-batch send: ``shard_exit`` on primary sends,
-        ``replica_crash`` on failover re-dispatch.
+        plane would reset them and re-kill every fresh shard).  Returns
+        each shard lost on the way with the reason; its items are left
+        unanswered.
         """
-        items = [
-            (
-                item.request.id,
-                item.request.op,
-                item.request.params,
-                item.request.v,
+        lost: Dict[int, str] = {}
+        sent: List[Tuple[int, _Shard, int]] = []
+        for sid in sorted(groups):
+            shard = self._ensure_shard(sid)
+            if shard is None:
+                lost[sid] = "unavailable"
+                continue
+            items = [
+                (
+                    item.request.id,
+                    item.request.op,
+                    item.request.params,
+                    item.request.v,
+                )
+                for item in groups[sid]
+            ]
+            self._seq += 1
+            die = (
+                self._faults is not None
+                and self._faults.check(site) is not None
             )
-            for item in group
-        ]
-        self._seq += 1
-        die = (
-            self._faults is not None
-            and self._faults.check(die_site) is not None
-        )
-        try:
-            shard.conn.send(("batch", self._seq, items, die))
-        except (OSError, ValueError):
-            return None
-        shard.inflight_batches += 1
-        shard.inflight_items += len(items)
-        self._sent[(sid, self._seq)] = len(items)
-        return self._seq
-
-    def _settle(self, sid: int, message) -> None:
-        """Account one received batch reply against the load signal."""
-        count = self._sent.pop((sid, message[1]), None)
-        if count is None:
-            return
-        shard = self._shards[sid]
-        if shard is not None:
-            shard.inflight_batches = max(0, shard.inflight_batches - 1)
-            shard.inflight_items = max(0, shard.inflight_items - count)
-
-    def _recv_matching(
-        self, sid: int, shard: _Shard, kind: str, seq: int, timeout: float
-    ):
-        """Next ``(kind, seq)`` message from one shard, draining strays.
-
-        A shard pipe is FIFO but the pool may owe it several replies
-        (a failover hop lands on a shard whose own group is still
-        uncollected): batch replies for other sequences are settled
-        and stashed for their own collect.  Returns None on timeout or
-        a dead pipe; a mismatched non-batch message is returned for
-        the caller to treat as a protocol violation.
-        """
-        deadline = time.monotonic() + timeout
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return None
             try:
-                if not shard.conn.poll(remaining):
-                    return None
-                message = shard.conn.recv()
-            except (EOFError, OSError):
-                return None
-            if message[0] != "batch":
-                return message
-            self._settle(sid, message)
-            if kind == "batch" and message[1] == seq:
-                return message
-            self._stash[(sid, message[1])] = message
-            # Keep waiting for the sequence we came for.
-
-    @staticmethod
-    def _fill(
-        group: List[PendingRequest], message, seq: int
-    ) -> Optional[Dict[str, int]]:
-        """Fill undelivered items from a batch reply; None = invalid.
-
-        The ``item.reply is None`` guard is what makes failover
-        exactly-once: a late duplicate can never overwrite a delivered
-        reply.
-        """
-        if (
-            message is None
-            or message[0] != "batch"
-            or message[1] != seq
-            or len(message[2]) != len(group)
-        ):
-            return None
-        for item, (reply, ok) in zip(group, message[2]):
-            if item.reply is None:
-                item.reply = reply
-                item.ok = ok
-        return message[3]
-
-    def _collect_group(
-        self,
-        sid: int,
-        seq: int,
-        group: List[PendingRequest],
-        metrics: Dict[str, int],
-    ) -> None:
-        stashed = self._stash.pop((sid, seq), None)
-        if stashed is not None:
-            submetrics = self._fill(group, stashed, seq)
-            if submetrics is not None:
-                shard = self._shards[sid]
-                if shard is not None:
-                    shard.batches += 1
-                self._merge(metrics, submetrics)
-                return
-        if (sid, seq) not in self._sent:
-            # The shard was torn down after this send (it crashed as
-            # the failover target of an earlier group): the pipe and
-            # any reply are gone.  The crash was already counted.
-            if self.replicas > 1:
-                self._redispatch(sid, group, "crashed mid-batch", metrics)
-            else:
-                self._fail_group(sid, group, "crashed mid-batch")
-            return
-        shard = self._shards[sid]
-        message = self._recv_matching(sid, shard, "batch", seq, self.timeout)
-        submetrics = self._fill(group, message, seq)
-        if submetrics is None:
-            self._group_crash(sid, group, "crashed mid-batch", metrics)
-            return
-        shard.batches += 1
-        self._merge(metrics, submetrics)
-
-    @staticmethod
-    def _merge(metrics: Dict[str, int], submetrics: Dict[str, int]) -> None:
-        for key in ("demands", "coalesced", "computed"):
-            metrics[key] += submetrics.get(key, 0)
-
-    def _group_crash(
-        self,
-        sid: int,
-        group: List[PendingRequest],
-        why: str,
-        metrics: Dict[str, int],
-    ) -> None:
-        """A shard died (or hung) holding a group: fail over or fail.
-
-        With replicas, undelivered reads re-dispatch to a surviving
-        replica *before* the slow respawn, so the failover reply is
-        not serialized behind a process spawn.  With ``replicas=1``
-        this is exactly the PR 6 path: typed ``internal`` errors.
-        """
-        self.crashes += 1
-        self.last_crash = f"shard {sid} {why}"
-        metrics["crashes"] += 1
-        self._teardown(sid)
-        undelivered = [item for item in group if item.reply is None]
-        if self.replicas > 1:
-            self._redispatch(sid, undelivered, why, metrics)
-        else:
-            self._fail_group(sid, undelivered, why)
-        self._respawn(sid)
-
-    def _redispatch(
-        self,
-        dead_sid: int,
-        items: List[PendingRequest],
-        why: str,
-        metrics: Dict[str, int],
-    ) -> None:
-        """One failover hop: re-dispatch undelivered reads, typed-fail
-        the rest.
-
-        Bounded by construction: a re-dispatched group that fails
-        again goes straight to ``shard_unavailable`` — there is no
-        recursive call, so a request visits at most two shards.
-        """
-        regrouped: Dict[int, List[PendingRequest]] = {}
-        stranded: List[PendingRequest] = []
-        for item in items:
-            target = self._failover_target(item.request, dead_sid)
-            if target is None:
-                stranded.append(item)
-            else:
-                regrouped.setdefault(target, []).append(item)
-        self._fail_unavailable(dead_sid, stranded, why)
-        for tsid in sorted(regrouped):
-            titems = regrouped[tsid]
-            shard = self._shards[tsid]
-            seq = None
-            if shard is not None:
-                seq = self._send_batch(tsid, shard, titems, "replica_crash")
-            message = None
-            if seq is not None:
-                message = self._recv_matching(
-                    tsid, shard, "batch", seq, self.timeout
-                )
-            submetrics = self._fill(titems, message, seq)
-            if submetrics is None:
-                self.crashes += 1
-                self.last_crash = f"shard {tsid} crashed during failover"
-                metrics["crashes"] += 1
-                self._teardown(tsid)
-                self._fail_unavailable(
-                    tsid, titems, "lost the failover hop too"
-                )
-                self._respawn(tsid)
+                shard.conn.send(("batch", self._seq, items, die))
+            except (OSError, ValueError):
+                lost[sid] = "died before batch send"
+                continue
+            sent.append((sid, shard, self._seq))
+        # Every shard is now computing concurrently; collect in order.
+        for sid, shard, seq in sent:
+            group = groups[sid]
+            message = self._recv(shard, "batch", seq)
+            if message is None or len(message[2]) != len(group):
+                lost[sid] = why
                 continue
             shard.batches += 1
-            self.failovers += len(titems)
-            metrics["failovers"] += len(titems)
-            self._merge(metrics, submetrics)
+            for item, (reply, ok) in zip(group, message[2]):
+                if item.reply is None:  # exactly one reply per request
+                    item.reply = reply
+                    item.ok = ok
+            for key in ("demands", "coalesced", "computed"):
+                metrics[key] += message[3].get(key, 0)
+        return lost
+
+    def _fail(self, sid: int, why: str, group: List[PendingRequest]) -> None:
+        """Typed errors for the unanswered items of a lost shard's group.
+
+        One replica fails fast with ``internal``.  With more, the
+        key's replicas are exhausted: ``shard_unavailable`` is safe to
+        retry, and a retry lands on the respawned pool.
+        """
+        for item in group:
+            if item.reply is not None:
+                continue
+            if self.replicas > 1:
+                item.reply = encode_error(
+                    item.request.id,
+                    "shard_unavailable",
+                    f"shard {sid} {why}; replicas exhausted, safe to retry",
+                )
+                self.unavailable += 1
+            else:
+                item.reply = encode_error(
+                    item.request.id,
+                    "internal",
+                    f"shard {sid} {why}; request aborted",
+                )
+            item.ok = False
 
     # -- shard supervision -------------------------------------------------
 
     def _ensure_shard(self, sid: int) -> Optional[_Shard]:
-        shard = self._shards[sid]
-        if shard is not None and shard.process.is_alive():
-            return shard
+        if self._is_up(sid):
+            return self._shards[sid]
         # A previous respawn failed (or the shard died idle): retry now.
+        shard = self._shards[sid]
         if shard is not None:
-            self._teardown(sid)
+            self._kill(shard)
         return self._respawn(sid)
 
     def _respawn(self, sid: int) -> Optional[_Shard]:
@@ -856,50 +681,31 @@ class ShardPool:
         self.restarts += 1
         return shard
 
-    def _fail_group(
-        self, sid: int, group: List[PendingRequest], why: str
-    ) -> None:
-        """PR 6 fail-fast: typed ``internal`` errors (replicas=1)."""
-        for item in group:
-            if item.reply is None:
-                item.reply = encode_error(
-                    item.request.id,
-                    "internal",
-                    f"shard {sid} {why}; request aborted",
-                )
-                item.ok = False
-
-    def _fail_unavailable(
-        self, sid: int, group: List[PendingRequest], why: str
-    ) -> None:
-        """Typed, retry-safe refusal: the key's replica set is down."""
-        for item in group:
-            if item.reply is None:
-                item.reply = encode_error(
-                    item.request.id,
-                    "shard_unavailable",
-                    f"shard {sid} {why}; replicas exhausted, safe to retry",
-                )
-                item.ok = False
-                self.unavailable += 1
+    def _lose(self, sid: int, why: str) -> None:
+        """Count one shard lost mid-batch or mid-write, kill it, and
+        respawn it warm through the fingerprint barrier."""
+        self.crashes += 1
+        self.last_crash = f"shard {sid} {why}"
+        self._kill(self._shards[sid])
+        self._respawn(sid)
 
     # -- the write barrier -------------------------------------------------
 
     def broadcast_swap(
         self, forecast: Dict[str, float], fingerprint: str
-    ) -> int:
+    ) -> None:
         """Barrier-broadcast an applied forecast (``o_f``) field."""
-        return self._broadcast("forecast", forecast, fingerprint)
+        self._broadcast("forecast", forecast, fingerprint)
 
     def broadcast_ingest(
         self, historical: Dict[str, float], fingerprint: str
-    ) -> int:
+    ) -> None:
         """Barrier-broadcast an ingest-updated historical (``o_h``) field."""
-        return self._broadcast("historical", historical, fingerprint)
+        self._broadcast("historical", historical, fingerprint)
 
     def _broadcast(
         self, name: str, values: Dict[str, float], fingerprint: str
-    ) -> int:
+    ) -> None:
         """Push one applied per-PoP field to every shard, barriered.
 
         Called by the daemon *after* the parent's authoritative
@@ -907,17 +713,13 @@ class ShardPool:
         recorded in the spawn spec, so any shard (re)spawned from here
         on comes up on it.  Each live shard rebinds and acks with its
         post-write risk fingerprint; a shard whose ack is missing or
-        mismatched is killed and respawned warm.  Stale batch replies
-        are stashed by the matching recv, so the barrier can never
-        confuse a read reply for a write ack.  Returns the number of
-        shards lost this way.
+        mismatched is lost (:meth:`_lose`) and respawned warm.
         """
         assert self._spec is not None
         self._spec = replace(
             self._spec, fields={**self._spec.fields, name: dict(values)}
         )
         self.fingerprint = fingerprint
-        crashes = 0
         for sid in range(self.nshards):
             shard = self._shards[sid]
             if shard is None:
@@ -927,42 +729,20 @@ class ShardPool:
             try:
                 shard.conn.send(("write", self._seq, name, values))
             except (OSError, ValueError):
-                self._swap_crash(sid, f"died before the {name} write")
-                crashes += 1
+                self._lose(sid, f"died before the {name} write")
                 continue
-            message = self._recv_matching(
-                sid, shard, "write", self._seq, self.timeout
-            )
-            if (
-                message is None
-                or message[0] != "write"
-                or message[1] != self._seq
-                or message[2] != fingerprint
-            ):
+            message = self._recv(shard, "write", self._seq)
+            if message is None or message[2] != fingerprint:
                 got = message[2] if message is not None else "no ack"
-                self._swap_crash(
-                    sid, f"failed the {name} write barrier ({got!r})"
-                )
-                crashes += 1
+                self._lose(sid, f"failed the {name} write barrier ({got!r})")
                 continue
             shard.swaps += 1
-        return crashes
-
-    def _swap_crash(self, sid: int, why: str) -> None:
-        self.crashes += 1
-        self.last_crash = f"shard {sid} {why}"
-        self._teardown(sid)
-        self._respawn(sid)
 
     # -- observability -----------------------------------------------------
 
     def alive(self) -> int:
         """Shards currently up."""
-        return sum(
-            1
-            for shard in self._shards
-            if shard is not None and shard.process.is_alive()
-        )
+        return sum(1 for sid in range(self.nshards) if self._is_up(sid))
 
     def snapshot(self) -> dict:
         """Pool counters for the ``stats`` op."""
@@ -982,7 +762,6 @@ class ShardPool:
                     "pid": shard.pid,
                     "batches": shard.batches,
                     "swaps": shard.swaps,
-                    "load": shard.load,
                 }
                 for shard in self._shards
             ],

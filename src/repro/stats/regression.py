@@ -120,11 +120,16 @@ def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("x and y must have the same length")
     if x_arr.size < 2:
         raise ValueError("need at least two points")
-    x_std = x_arr.std()
-    y_std = y_arr.std()
-    if x_std == 0.0 or y_std == 0.0:
+    dx = x_arr - x_arr.mean()
+    dy = y_arr - y_arr.mean()
+    x_scale = _spread(x_arr, dx)
+    y_scale = _spread(y_arr, dy)
+    if x_scale == 0.0 or y_scale == 0.0:
         return 0.0
-    return float(
-        np.mean((x_arr - x_arr.mean()) * (y_arr - y_arr.mean()))
-        / (x_std * y_std)
-    )
+    # Rescaled to O(1) like linear_regression: squares of deviations
+    # below ~1e-154 underflow, losing the variance or its precision.
+    ux = dx / x_scale
+    uy = dy / y_scale
+    rho = float(np.sum(ux * uy) / np.sqrt(np.sum(ux * ux) * np.sum(uy * uy)))
+    # Rounding can carry a perfect correlation a few ulps past +-1.
+    return min(1.0, max(-1.0, rho))

@@ -76,7 +76,9 @@ class TestFrrTable:
 
     def test_backup_next_hop_differs_from_primary(self, router):
         table = frr_backup_next_hops(router, "diamond:west")
-        primaries = router.risk_routes_from("diamond:west", exact=False)
+        primaries = router.risk_routes_from(
+            "diamond:west", strategy="per-source"
+        )
         for target, backup_hop in table.items():
             if backup_hop is None:
                 continue

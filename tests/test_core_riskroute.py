@@ -1,7 +1,5 @@
 """Tests for repro.core.riskroute — Equation 3."""
 
-import warnings
-
 import pytest
 
 from repro.core.riskroute import RiskRouter, _risk_dijkstra
@@ -83,7 +81,7 @@ class TestSweeps:
         assert set(routes) == {"diamond:north", "diamond:south", "diamond:east"}
 
     def test_exact_sweep_matches_single_pair(self, router):
-        sweep = router.risk_routes_from("diamond:west", exact=True)
+        sweep = router.risk_routes_from("diamond:west", strategy="exact")
         single = router.risk_route("diamond:west", "diamond:east")
         assert sweep["diamond:east"].path == single.path
 
@@ -98,8 +96,10 @@ class TestSweeps:
             )
 
     def test_approx_close_to_exact_on_diamond(self, router):
-        exact = router.risk_routes_from("diamond:west", exact=True)
-        approx = router.risk_routes_from("diamond:west", exact=False)
+        exact = router.risk_routes_from("diamond:west", strategy="exact")
+        approx = router.risk_routes_from(
+            "diamond:west", strategy="per-source"
+        )
         for target in exact:
             assert approx[target].bit_risk_miles <= exact[
                 target
@@ -124,25 +124,7 @@ class TestRiskDijkstraCoverage:
 
 
 class TestStrategyShim:
-    """risk_routes_from: strategy= is the API, exact= the deprecated shim."""
-
-    def test_exact_kwarg_warns(self, router):
-        with pytest.warns(DeprecationWarning, match="strategy"):
-            router.risk_routes_from("diamond:west", exact=True)
-
-    def test_positional_bool_warns(self, router):
-        with pytest.warns(DeprecationWarning):
-            routes = router.risk_routes_from("diamond:west", False)
-        assert set(routes) == {
-            "diamond:north", "diamond:south", "diamond:east"
-        }
-
-    def test_shim_matches_strategy(self, router):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            legacy = router.risk_routes_from("diamond:west", exact=False)
-        modern = router.risk_routes_from("diamond:west", strategy="per-source")
-        assert legacy == modern
+    """risk_routes_from takes strategy=; the exact= bool shim is gone."""
 
     def test_enum_accepted(self, router):
         routes = router.risk_routes_from(
@@ -150,12 +132,6 @@ class TestStrategyShim:
         )
         single = router.risk_route("diamond:west", "diamond:east")
         assert routes["diamond:east"].path == single.path
-
-    def test_both_given_raises(self, router):
-        with pytest.raises(ValueError):
-            router.risk_routes_from(
-                "diamond:west", strategy="exact", exact=True
-            )
 
     def test_unknown_strategy_raises(self, router):
         with pytest.raises(ValueError):

@@ -26,6 +26,7 @@ from repro.engine.sweep import csr_sweep
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import haversine_miles
 from repro.graph.core import Graph
+from tests.conftest import examples
 
 _INF = float("inf")
 
@@ -103,7 +104,7 @@ class TestLandmarkProperties:
     """Satellite: pruned distances equal unpruned, property-tested."""
 
     @given(geometric_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_pruned_equals_unpruned(self, case):
         points, edges, alpha, source, target = case
         csr, entry_risk, latlon = geometric_csr(points, edges)
@@ -131,7 +132,7 @@ class TestLandmarkProperties:
             )
 
     @given(geometric_graphs())
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_bounds_are_admissible(self, case):
         points, edges, alpha, _, target = case
         csr, entry_risk, latlon = geometric_csr(points, edges)

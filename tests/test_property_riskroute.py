@@ -74,8 +74,8 @@ class TestOptimizerInvariants:
         router = RiskRouter(g, model)
         nodes = list(g.nodes())
         source = nodes[0]
-        exact = router.risk_routes_from(source, exact=True)
-        approx = router.risk_routes_from(source, exact=False)
+        exact = router.risk_routes_from(source, strategy="exact")
+        approx = router.risk_routes_from(source, strategy="per-source")
         for target, route in approx.items():
             assert (
                 exact[target].bit_risk_miles <= route.bit_risk_miles + 1e-6
@@ -87,7 +87,8 @@ class TestOptimizerInvariants:
         g, model = world
         router = RiskRouter(g, model)
         nodes = list(g.nodes())
-        for target, route in router.risk_routes_from(nodes[0], exact=True).items():
+        routes = router.risk_routes_from(nodes[0], strategy="exact")
+        for target, route in routes.items():
             metrics = path_metrics(g, list(route.path), model)
             assert abs(metrics.bit_risk_miles - route.bit_risk_miles) < 1e-9
 
@@ -97,5 +98,6 @@ class TestOptimizerInvariants:
         g, model = world
         router = RiskRouter(g, model)
         nodes = list(g.nodes())
-        for route in router.risk_routes_from(nodes[0], exact=True).values():
+        routes = router.risk_routes_from(nodes[0], strategy="exact")
+        for route in routes.values():
             assert len(route.path) == len(set(route.path))

@@ -26,6 +26,7 @@ from repro.risk.model import RiskModel
 from repro.topology.builders import build_network
 from repro.topology.cities import ALL_CITIES
 from repro.topology.zoo import network_by_name
+from tests.conftest import examples
 
 city_subsets = st.lists(
     st.sampled_from(list(ALL_CITIES[:60])), min_size=6, max_size=14, unique=True
@@ -34,7 +35,7 @@ city_subsets = st.lists(
 
 class TestIncrementalExactness:
     @given(city_subsets, st.integers(1, 4), st.integers(0, 2**31 - 1))
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=examples(12), deadline=None)
     def test_incremental_matches_rebuild_on_gabriel_meshes(
         self, cities, k, seed
     ):

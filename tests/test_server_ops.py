@@ -38,7 +38,11 @@ from repro.server.protocol import (
     parse_request,
 )
 from repro.server.service import QueryService
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import (
+    build_diamond_model,
+    build_diamond_network,
+    examples,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -133,6 +137,21 @@ class TestValidateParams:
         assert err.value.code == "bad_request"
         assert "exact" in err.value.message
 
+    def test_bool_strategy_rejected(self):
+        # The deprecated exact= bool shim is gone: a bool strategy is
+        # a typed bad_request, not a warning logged by the daemon.
+        for op, params in (
+            ("ratios", {}),
+            ("route", {"source": "a", "target": "b"}),
+        ):
+            for flag in (True, False):
+                with pytest.raises(ProtocolError) as err:
+                    ops.validate_params(
+                        REGISTRY[op], {**params, "strategy": flag}
+                    )
+                assert err.value.code == "bad_request"
+                assert "unknown strategy" in err.value.message
+
     def test_missing_required_rejected(self):
         with pytest.raises(ProtocolError) as err:
             ops.validate_params(REGISTRY["route"], {"source": "a"})
@@ -142,7 +161,7 @@ class TestValidateParams:
     @given(st.text(min_size=1).filter(
         lambda s: s not in {p.name for p in REGISTRY["pair"].params}
     ))
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=examples(30), deadline=None)
     def test_any_undeclared_name_is_bad_request(self, name):
         with pytest.raises(ProtocolError) as err:
             ops.validate_params(
@@ -171,7 +190,7 @@ class TestEnvelopeRoundTripProperty:
             max_size=4,
         ),
     )
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     def test_parse_inverts_encode(self, op, request_id, version, extra):
         """Any well-formed envelope parses back field-for-field."""
         line = json.dumps(
@@ -184,7 +203,7 @@ class TestEnvelopeRoundTripProperty:
         assert request.params == extra
 
     @given(version=st.integers(PROTOCOL_VERSION + 1, 2**31))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=examples(20), deadline=None)
     def test_any_future_version_is_typed(self, version):
         with pytest.raises(ProtocolError) as err:
             parse_request(

@@ -15,6 +15,10 @@ processes:
   reads get typed, retry-safe ``shard_unavailable`` errors — and a
   client under the default :class:`RetryPolicy` rides through the
   respawn window without surfacing anything;
+* a shard that hangs (SIGSTOP) rather than dies is declared lost by
+  the batch watchdog (``shard_timeout``) and handled like a crash:
+  failover at ``replicas=2``, typed ``internal`` errors for its keys
+  only at ``replicas=1``;
 * forecast swaps stay barriered under replication.
 
 Every server test runs under pytest-timeout so a wedged pipe fails
@@ -24,6 +28,8 @@ fast instead of hanging the suite.
 from __future__ import annotations
 
 import json
+import os
+import signal
 import socket
 from itertools import permutations
 
@@ -41,7 +47,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import PROTOCOL_VERSION, Request, pair_to_dict
-from repro.server.shards import replicas_of
+from repro.server.shards import replicas_of, shard_of
 from tests.conftest import build_diamond_model, build_diamond_network
 
 WEST, EAST = "diamond:west", "diamond:east"
@@ -157,9 +163,6 @@ class TestReplicatedParity:
         assert shards["crashes"] == 0
         assert shards["failovers"] == 0
         assert shards["unavailable"] == 0
-        assert all(
-            entry["load"] == 0 for entry in shards["per_shard"]
-        )
         assert stats["read_failovers"] == 0
 
 
@@ -322,6 +325,97 @@ class TestTransparentFailover:
         reference.update_forecast(full)
         assert post == pair_to_dict(reference.pair(WEST, EAST))
         assert reference.engine.risk_fingerprint == post_fp
+
+
+#: Every ordered diamond pair, by request id.
+ALL_PAIRS = dict(enumerate(permutations(POPS, 2)))
+
+
+def _stop_shard_0_and_burst(host: str, port: int) -> list:
+    """Warm up, SIGSTOP shard 0, then pipeline every ordered pair in
+    one flush (so they form one batch spanning both shards) and read
+    one reply per request."""
+    with RiskRouteClient(host, port) as client:
+        client.pair(WEST, EAST)
+        pid = client.stats()["shards"]["per_shard"][0]["pid"]
+    os.kill(pid, signal.SIGSTOP)
+    sock = socket.create_connection((host, port), timeout=60)
+    stream = sock.makefile("rwb")
+    for i, (s, t) in ALL_PAIRS.items():
+        stream.write(json.dumps({
+            "id": i, "op": "pair", "v": 2, "source": s, "target": t,
+        }).encode() + b"\n")
+    stream.flush()
+    replies = [json.loads(stream.readline()) for _ in ALL_PAIRS]
+    sock.close()
+    assert sorted(r["id"] for r in replies) == sorted(ALL_PAIRS)
+    return replies
+
+
+@pytest.mark.timeout(180)
+class TestHungShard:
+    """A shard that stops answering without dying: the batch watchdog
+    (``shard_timeout``) declares it lost, and the pool kills and
+    respawns it exactly as it does a crashed one."""
+
+    def test_hung_shard_is_invisible_to_read_clients(self):
+        thread = ServerThread(
+            _session(),
+            ServerConfig(
+                batch_linger=0.05, shards=2, replicas=2, shard_timeout=2.0
+            ),
+        )
+        host, port = thread.start()
+        try:
+            replies = _stop_shard_0_and_burst(host, port)
+            assert [r for r in replies if not r["ok"]] == []
+            reference = _session()
+            for reply in replies:
+                s, t = ALL_PAIRS[reply["id"]]
+                assert reply["result"] == pair_to_dict(reference.pair(s, t))
+            with RiskRouteClient(host, port) as client:
+                health = client.health()
+                assert health["status"] == "degraded"
+                assert "shard 0" in health["degraded_reason"]
+                client.pair(WEST, EAST)
+                health = client.health()
+                assert health["status"] == "ok"
+                assert health["shards"]["alive"] == 2
+                stats = client.stats()
+        finally:
+            thread.stop()
+        assert stats["shards"]["crashes"] == 1
+        assert stats["shards"]["restarts"] == 1
+        assert stats["shards"]["failovers"] >= 1
+        assert stats["shards"]["unavailable"] == 0
+
+    def test_hung_shard_fails_only_its_keys_at_one_replica(self):
+        thread = ServerThread(
+            _session(),
+            ServerConfig(
+                batch_linger=0.05, shards=2, replicas=1, shard_timeout=2.0
+            ),
+        )
+        host, port = thread.start()
+        try:
+            replies = _stop_shard_0_and_burst(host, port)
+        finally:
+            thread.stop()
+        stopped = {
+            i for i, (s, t) in ALL_PAIRS.items()
+            if shard_of(_pair_request(s, t), 2) == 0
+        }
+        assert 0 < len(stopped) < len(ALL_PAIRS)
+        reference = _session()
+        for reply in replies:
+            if reply["id"] in stopped:
+                assert not reply["ok"]
+                assert reply["error"]["code"] == "internal"
+                assert "shard 0" in reply["error"]["message"]
+            else:
+                s, t = ALL_PAIRS[reply["id"]]
+                assert reply["ok"]
+                assert reply["result"] == pair_to_dict(reference.pair(s, t))
 
 
 @pytest.mark.timeout(180)

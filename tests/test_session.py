@@ -158,10 +158,10 @@ class TestStrategyCoercion:
             session.all_pairs(strategy="exact", exact=False)
 
     def test_resolve_strategy_bool_positional_warns(self):
-        with pytest.warns(DeprecationWarning):
-            assert resolve_strategy(True) is SweepStrategy.EXACT
-        with pytest.warns(DeprecationWarning):
-            assert resolve_strategy(False) is SweepStrategy.PER_SOURCE
+        # The one-release bool shim is gone: a bool is not a strategy.
+        for flag in (True, False):
+            with pytest.raises(ValueError, match="unknown strategy"):
+                resolve_strategy(flag)
 
     def test_route_per_source_strategy(self, session):
         exact = session.route("diamond:west", "diamond:east")

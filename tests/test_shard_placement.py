@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.server.protocol import Request
 from repro.server.shards import replicas_of, shard_of
+from tests.conftest import examples
 
 pytestmark = pytest.mark.timeout(60)
 
@@ -48,7 +49,7 @@ class TestSingleReplicaIsLegacyRouting:
         target=_pop_ids,
         nshards=st.integers(min_value=1, max_value=16),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_replicas_1_reproduces_modulo_placement(
         self, source, target, nshards
     ):
@@ -70,7 +71,7 @@ class TestSingleReplicaIsLegacyRouting:
             assert replicas_of(request, nshards, 1) == (expected,)
 
     @given(nshards=st.integers(min_value=1, max_value=16))
-    @settings(max_examples=32, deadline=None)
+    @settings(max_examples=examples(32), deadline=None)
     def test_malformed_requests_pin_to_shard_zero(self, nshards):
         malformed = Request(op="pair", id=1, params={"source": 3}, v=2)
         assert shard_of(malformed, nshards) == 0
@@ -85,7 +86,7 @@ class TestRendezvousPlacement:
         nshards=st.integers(min_value=2, max_value=12),
         replicas=st.integers(min_value=2, max_value=4),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_replica_sets_are_valid(self, source, target, nshards, replicas):
         got = replicas_of(_pair_request(source, target), nshards, replicas)
         assert len(got) == min(replicas, nshards)
@@ -102,7 +103,7 @@ class TestRendezvousPlacement:
         nshards=st.integers(min_value=2, max_value=12),
         replicas=st.integers(min_value=2, max_value=4),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_adding_a_shard_moves_only_the_minimal_keys(
         self, source, target, nshards, replicas
     ):
@@ -132,7 +133,7 @@ class TestRendezvousPlacement:
         nshards=st.integers(min_value=3, max_value=12),
         replicas=st.integers(min_value=2, max_value=4),
     )
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_growing_replicas_only_appends(
         self, source, target, nshards, replicas
     ):
@@ -145,7 +146,7 @@ class TestRendezvousPlacement:
         sources=st.lists(_pop_ids, min_size=1, max_size=3),
         nshards=st.integers(min_value=2, max_value=8),
     )
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     def test_params_keys_replicate_deterministically(self, sources, nshards):
         a = replicas_of(_params_request(sources), nshards, 2)
         b = replicas_of(_params_request(list(sources)), nshards, 2)

@@ -104,6 +104,21 @@ class TestPearson:
     def test_constant_vector_zero(self):
         assert pearson_correlation([1, 1, 1], [1, 2, 3]) == 0.0
 
+    def test_tiny_magnitudes_do_not_underflow(self):
+        # Squares of 1e-170 deviations underflow to a zero std.
+        rho = pearson_correlation([1e-170, 2e-170, 3e-170], [1, 2, 3])
+        assert rho == pytest.approx(1.0)
+
+    def test_stays_within_unit_interval(self):
+        # Subnormal squares of 1e-160 deviations lose precision.
+        rho = pearson_correlation([1e-160, 2e-160, 4e-160], [1, 2, 4])
+        assert -1.0 <= rho <= 1.0
+        assert rho == pytest.approx(1.0)
+
+    def test_constant_vector_with_rounding_noise_is_zero(self):
+        # mean([0.045] * 3) rounds; the noise is not variance.
+        assert pearson_correlation([0.045] * 3, [1, 2, 3.5]) == 0.0
+
     def test_relation_to_r_squared(self):
         x = [1.0, 2.0, 3.0, 4.0]
         y = [1.1, 1.9, 3.2, 3.8]

@@ -23,6 +23,7 @@ from repro.geo.grid import GeoGrid
 from repro.stats.fieldcache import RiskFieldCache
 from repro.stats.kde import GaussianKDE
 from repro.stats.streaming import StreamingKDE
+from tests.conftest import examples
 
 BANDWIDTH = 40.0
 
@@ -72,7 +73,7 @@ class TestConstruction:
 
 class TestIncrementalParity:
     @given(data=st.data())
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=examples(25), deadline=None)
     def test_random_appends_and_retires_match_rebuild(self, data):
         """Any interleaving of appends/retires == rebuild, bitwise."""
         events = data.draw(

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.disasters.events import DisasterCatalog, DisasterEvent, EventType
 from repro.geo.coords import GeoPoint
 from repro.risk.streaming import StreamingHistoricalModel
-from tests.conftest import build_diamond_network
+from tests.conftest import build_diamond_network, examples
 
 HURRICANE = EventType.FEMA_HURRICANE
 QUAKE = EventType.NOAA_EARTHQUAKE
@@ -200,7 +200,7 @@ class TestIngestParityProperty:
     )
 
     @given(data=st.data())
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=examples(10), deadline=None)
     def test_random_batches_and_slides_match_rebuild(self, data):
         """pop_risks parity under random ingest sequences (the issue's
         1e-9 rtol pin, model level)."""

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from repro.engine.arrays import CsrGraph
 from repro.engine.sweep import csr_sweep, csr_sweep_batch
 from repro.graph.core import Graph
+from tests.conftest import examples
 
 _INF = float("inf")
 
@@ -67,7 +68,7 @@ class TestBucketedParity:
     """Satellite: property test that bucketed == exact, bit for bit."""
 
     @given(random_topologies())
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=examples(80), deadline=None)
     def test_matches_reference_bitwise(self, topo):
         edges, n, alphas = topo
         csr, entry_risk = build_csr(edges, n)
@@ -107,7 +108,7 @@ class TestBucketedParity:
                         assert p == ref.parent[v]
 
     @given(random_topologies())
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=examples(40), deadline=None)
     def test_delta_choice_is_correctness_neutral(self, topo):
         edges, n, alphas = topo
         csr, entry_risk = build_csr(edges, n)

@@ -8,8 +8,9 @@ warm session answers the same question from cache.
 
 This file pins both properties: the warm engine must stay >= 3x faster
 than the seed path on the largest corpus network (Level3, 233 PoPs)
-with byte-identical rr/dr, and must not regress by more than 2x against
-the speedup recorded in ``engine_baseline.json``.
+with byte-identical rr/dr (both sum pairs with targets in node order),
+and must not regress by more than 2x against the speedup recorded in
+``engine_baseline.json``.
 """
 
 from __future__ import annotations
@@ -20,11 +21,12 @@ from pathlib import Path
 
 from repro.core.bitrisk import path_metrics
 from repro.core.ratios import RatioResult
-from repro.core.riskroute import PairRoutes, RouteResult, _risk_dijkstra
+from repro.core.riskroute import PairRoutes, RouteResult
 from repro.graph.shortest_path import dijkstra, reconstruct_path
 from repro.risk.model import RiskModel
 from repro.session import RoutingSession
 from repro.topology.zoo import network_by_name
+from tests.oracles import risk_dijkstra
 
 from .conftest import run_once
 
@@ -35,11 +37,13 @@ MIN_SPEEDUP = 3.0
 
 
 def seed_intradomain_ratios(graph, model):
-    """The seed's all-pairs loop, verbatim modulo module layout.
+    """The seed's all-pairs loop, modulo module layout and target order.
 
     Per-source approximation (Level3 is far above the 60-PoP exact
     cutoff): one plain Dijkstra + one risk-weighted Dijkstra per
-    source, every path re-scored through ``path_metrics``.
+    source, every path re-scored through ``path_metrics``.  Targets are
+    visited in node order, the order the engine sums pairs in; the seed
+    visited them in the order its search first touched them.
     """
     node_risk = {node: model.node_risk(node) for node in graph.nodes()}
     shares = [model.share(node) for node in graph.nodes()]
@@ -57,7 +61,7 @@ def seed_intradomain_ratios(graph, model):
                 source, target, path_metrics(graph, path, model)
             )
         alpha = model.share(source) + mean_share
-        rdist, rparent = _risk_dijkstra(graph, node_risk, alpha, source)
+        rdist, rparent = risk_dijkstra(graph, node_risk, alpha, source)
         risky = {}
         for target in rdist:
             if target == source:
@@ -66,10 +70,12 @@ def seed_intradomain_ratios(graph, model):
             risky[target] = RouteResult(
                 source, target, path_metrics(graph, path, model)
             )
-        for target, base in shortest.items():
-            if target not in risky:
+        for target in graph.nodes():
+            if target not in shortest or target not in risky:
                 continue
-            pair = PairRoutes(shortest=base, riskroute=risky[target])
+            pair = PairRoutes(
+                shortest=shortest[target], riskroute=risky[target]
+            )
             risk_ratios.append(pair.risk_ratio)
             distance_ratios.append(pair.distance_ratio)
     return _aggregate(risk_ratios, distance_ratios)
@@ -101,7 +107,8 @@ def test_engine_speedup_level3(benchmark):
     warm_seconds = max(time.perf_counter() - t0, 1e-9)
 
     # Identical values, not merely close: the engine replicates the
-    # seed's relaxation order, tie-breaks and float-summation order.
+    # seed's relaxation order and tie-breaks, and both loops sum pairs
+    # in the same order.
     assert warm_result.risk_reduction_ratio == seed_result.risk_reduction_ratio
     assert (
         warm_result.distance_increase_ratio

@@ -4,12 +4,14 @@ Three tiers, two of which are the CI smoke tier (``-k smoke``):
 
 * **Level3 kernel parity + speedup (smoke)** — one batched
   :func:`~repro.engine.sweep.csr_sweep_batch` call over every source
-  must beat the per-source heapq reference by the issue's hard 3x floor
-  while reproducing its distances to 1e-9 relative (measured: bitwise)
-  and its parents wherever the shortest-path tree is unique.
-* **Landmark pruning (smoke)** — targeted pair queries on a synthetic
-  1k-PoP continental topology must skip >= 50% of node settlements
-  under the ALT + great-circle bounds, at unchanged distances.
+  must beat one heapq :func:`~repro.engine.sweep.csr_sweep` per source
+  by the hard 3x floor while reproducing its distances to 1e-9
+  relative (measured: bitwise) and its parents wherever the
+  shortest-path tree is unique.
+* **Landmark pruning (smoke)** — targeted pair queries (``csr_sweep``
+  with ``bounds=``) on a synthetic 1k-PoP continental topology must
+  skip >= 50% of node settlements under the ALT + great-circle bounds,
+  at unchanged distances.
 * **5k-PoP budget (full)** — the all-pairs sweep over the 5k-PoP
   synthetic continental backbone must finish under the recorded budget
   in ``sweep_scale_baseline.json``, and engine-level targeted routing
@@ -27,8 +29,9 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.engine import CsrGraph, EngineConfig, RoutingEngine, csr_sweep
-from repro.engine.landmarks import LandmarkIndex, targeted_sweep
+import repro.engine.engine as engine_module
+from repro.engine import CsrGraph, RoutingEngine, csr_sweep
+from repro.engine.landmarks import LandmarkIndex
 from repro.engine.sweep import csr_sweep_batch
 from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
@@ -156,17 +159,17 @@ def test_landmark_pruning_smoke(benchmark):
         settled = 0
         for source, target in pairs:
             alpha = float(shares[source] + shares[target])
-            result = targeted_sweep(
+            result = csr_sweep(
                 csr.indptr_list, csr.indices_list, csr.weights_list,
-                entry_risk, source, target, alpha,
-                bounds=index.lower_bounds(target),
+                entry_risk, source, alpha, target=target,
+                bounds=index.lower_bounds(target).tolist(),
             )
             settled += result.settled
             full = csr_sweep(
                 csr.indptr_list, csr.indices_list, csr.weights_list,
                 entry_risk, source, alpha,
             )
-            assert result.distance == full.dist[target]
+            assert result.dist[target] == full.dist[target]
         return settled
 
     settled = run_once(benchmark, query_all)
@@ -176,7 +179,7 @@ def test_landmark_pruning_smoke(benchmark):
     )
 
 
-def test_continental_scale_budget(benchmark):
+def test_continental_scale_budget(benchmark, monkeypatch):
     baseline = _baseline()["continental"]
     network = continental_network(pop_count=baseline["pops"], seed=0)
     model = _synthetic_model(network)
@@ -209,18 +212,16 @@ def test_continental_scale_budget(benchmark):
     )
 
     # Engine-level targeted routing on the same topology: >= 50% of
-    # settlements skipped, routes identical to the exact kernel.
+    # settlements skipped, routes identical to full sweeps.
     graph = network.distance_graph()
-    pruned = RoutingEngine(
-        graph, model, config=EngineConfig(kernel="auto")
-    )
+    pruned = RoutingEngine(graph, model)
     pruned.set_coordinates(
         [
             (network.pop(node).location.lat, network.pop(node).location.lon)
             for node in pruned.node_ids
         ]
     )
-    exact = RoutingEngine(graph, model, config=EngineConfig(kernel="exact"))
+    exact = RoutingEngine(graph, model)
     rng = np.random.default_rng(13)
     ids = pruned.node_ids
     for _ in range(12):
@@ -229,7 +230,10 @@ def test_continental_scale_budget(benchmark):
         if source == target:
             continue
         a = pruned.risk_route(source, target)
-        b = exact.risk_route(source, target)
+        with monkeypatch.context() as patch:
+            # Full sweeps only: no graph is big enough for A*.
+            patch.setattr(engine_module, "TARGETED_MIN_NODES", n + 1)
+            b = exact.risk_route(source, target)
         assert a.metrics == b.metrics
     stats = pruned.targeted_stats()
     skip = 1.0 - stats["settled"] / (stats["queries"] * n)

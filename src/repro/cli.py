@@ -371,7 +371,7 @@ def _cmd_ratios(
     if workers > 1:
         from .engine import EngineConfig
 
-        config = EngineConfig(workers=workers, executor="process")
+        config = EngineConfig(workers=workers)
     session = RoutingSession(network, model, config=config)
     result = session.all_pairs(strategy=strategy)
     print(f"network     {network.name} ({network.pop_count} PoPs)")

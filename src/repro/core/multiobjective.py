@@ -23,8 +23,8 @@ from typing import Dict, List, Optional, Tuple
 from ..graph.core import Graph, NodeNotFoundError
 from ..risk.model import RiskModel
 from .bitrisk import path_metrics
-from .riskroute import RouteResult, _risk_dijkstra
-from ..graph.shortest_path import NoPathError, reconstruct_path
+from .riskroute import RouteResult
+from ..graph.shortest_path import NoPathError
 
 __all__ = [
     "LatencyModel",
@@ -180,10 +180,18 @@ def composite_route(
 
     Raises:
         ValueError: for a weight outside [0, 1].
+        NodeNotFoundError: for unknown endpoints.
         NoPathError: when disconnected.
     """
+    # Lazy import: the engine layer imports this package.
+    from ..engine.arrays import CsrGraph
+    from ..engine.sweep import csr_sweep
+
     if not 0.0 <= sla_weight <= 1.0:
         raise ValueError("sla_weight must be in [0, 1]")
+    for node in (source, target):
+        if node not in graph:
+            raise NodeNotFoundError(node)
     latency = latency or LatencyModel()
     alpha = model.impact(source, target)
     # Composite edge relaxation: both objectives are additive per hop.
@@ -200,14 +208,16 @@ def composite_route(
         composite.add_node(node)
     for u, v, weight in graph.edges():
         composite.add_edge(u, v, weight * per_mile + per_hop)
-    scaled_risk = {
-        node: (1.0 - sla_weight) * model.node_risk(node)
-        for node in graph.nodes()
-    }
-    dist, parent = _risk_dijkstra(
-        composite, scaled_risk, alpha, source, target=target
+    csr = CsrGraph(composite)
+    scaled_risk = [
+        (1.0 - sla_weight) * model.node_risk(node) for node in csr.node_ids
+    ]
+    t = csr.index[target]
+    sweep = csr_sweep(
+        csr.indptr_list, csr.indices_list, csr.weights_list,
+        csr.neighbor_values(scaled_risk), csr.index[source], alpha, target=t,
     )
-    if target not in dist:
+    if sweep.dist[t] == float("inf"):
         raise NoPathError(source, target)
-    path = reconstruct_path(parent, source, target)
+    path = [csr.node_ids[i] for i in sweep.path_to(t)]
     return RouteResult(source, target, path_metrics(graph, path, model))

@@ -508,9 +508,10 @@ class ProvisioningAnalyzer:
         network: the network to augment.
         model: its risk model.
         config: optional :class:`~repro.engine.parallel.EngineConfig`;
-            a pool-enabled config parallelises both the component-matrix
-            sweeps and candidate scoring (threads — the scoring inner
-            loop is numpy matrix arithmetic, which releases the GIL).
+            with ``workers > 1`` the component-matrix sweeps run on a
+            process pool and candidates are scored on threads (the
+            scoring inner loop is numpy matrix arithmetic, which
+            releases the GIL).
 
     ``stats`` accumulates :class:`ProvisioningStats` counters across
     every query served by this analyzer (sweeps avoided by incremental

@@ -18,11 +18,10 @@ Complexity" (6.4) of the paper glosses over this pair coupling entirely.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict
 
-from ..graph.core import Graph, NodeNotFoundError
+from ..graph.core import Graph
 from ..risk.model import RiskModel
 from .bitrisk import PathMetrics
 from .strategy import SweepStrategy, resolve_strategy
@@ -76,58 +75,6 @@ class PairRoutes:
         if denominator == 0.0:
             return 1.0
         return self.riskroute.bit_miles / denominator
-
-
-def _risk_dijkstra(
-    graph: Graph[str],
-    node_risk: Mapping[str, float],
-    alpha: float,
-    source: str,
-    target: Optional[str] = None,
-) -> Tuple[Dict[str, float], Dict[str, str]]:
-    """Dijkstra with per-node entry costs scaled by ``alpha``.
-
-    This is the dict-based reference implementation; production queries
-    go through the CSR-array engine (:mod:`repro.engine`), which must
-    match it byte for byte — the engine test suite enforces that.
-
-    Raises:
-        NodeNotFoundError: for an unknown endpoint, or when the search
-            enters a node the risk mapping does not cover.
-    """
-    if source not in graph:
-        raise NodeNotFoundError(source)
-    if target is not None and target not in graph:
-        raise NodeNotFoundError(target)
-    dist: Dict[str, float] = {source: 0.0}
-    parent: Dict[str, str] = {}
-    settled: set = set()
-    counter = 0
-    heap: List[Tuple[float, int, str]] = [(0.0, counter, source)]
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            break
-        for neighbor, weight in graph.neighbors(node).items():
-            if neighbor in settled:
-                continue
-            try:
-                risk = node_risk[neighbor]
-            except KeyError:
-                raise NodeNotFoundError(
-                    f"no risk defined for PoP {neighbor!r}; the risk model "
-                    "does not cover the topology"
-                ) from None
-            candidate = d + weight + alpha * risk
-            if candidate < dist.get(neighbor, float("inf")):
-                dist[neighbor] = candidate
-                parent[neighbor] = node
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, neighbor))
-    return dist, parent
 
 
 class RiskRouter:

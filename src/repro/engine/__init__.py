@@ -2,7 +2,7 @@
 
 Freezes a topology into flat CSR arrays once, memoizes per-source
 risk-weighted Dijkstra sweeps keyed by (graph fingerprint, alpha
-bucket), fans all-pairs work across a process/thread pool with a serial
+bucket), fans all-pairs work across a process pool with a serial
 fallback, and invalidates cached sweeps when the risk field changes.
 
 :class:`repro.session.RoutingSession` is the blessed user-facing entry

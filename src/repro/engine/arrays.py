@@ -9,11 +9,12 @@ slices instead of string-keyed dict lookups.
 
 Row order follows ``graph.nodes()`` and, within a row, the graph's own
 neighbour insertion order — so an array sweep relaxes edges in exactly
-the order the dict-based reference implementation does and produces the
-same deterministic tie-breaks.
+the order a Dijkstra over the graph's adjacency dicts would, with the
+same deterministic tie-breaks.  Node index order is also the order
+every engine aggregate sums its targets in.
 
 The canonical storage is numpy; plain-list mirrors are kept for the
-pure-Python Dijkstra inner loop (and for cheap pickling into worker
+pure-Python heapq loop (and for cheap pickling into worker
 processes), where list indexing beats numpy scalar access.
 """
 

@@ -80,6 +80,8 @@ def sweep_component_arrays(
     j)`` — which is the same left-to-right float-summation order as the
     per-path walk in ``RoutingEngine._route``, so the extracted
     components are bit-identical to the per-route materialisation.
+    Each node's value is its parent's plus one edge, so the order in
+    which nodes are visited (node order here) cannot change it.
 
     Returns ``(dist, risk, reached)``; unreached targets hold 0.0 in
     both component arrays (the historical all-pairs convention) and
@@ -95,10 +97,8 @@ def sweep_component_arrays(
     parent = sweep.parent
     sweep_dist = sweep.dist
     edge_weight = csr.edge_weight
-    for start in sweep.order:
-        if done[start]:
-            continue
-        if sweep_dist[start] == _INF:
+    for start in range(n):
+        if done[start] or sweep_dist[start] == _INF:
             continue
         # Walk up to the nearest resolved ancestor, then unwind so every
         # node's components are built strictly parent-first.

@@ -15,9 +15,19 @@ Caching contract:
   cache; a changed field (new forecast advisory, different gammas)
   drops risk-weighted sweeps and all aggregates but keeps the
   ``alpha == 0`` geographic sweeps;
-* results are byte-identical to the dict-based reference implementation
-  in :mod:`repro.core.riskroute` — same relaxation order, same
-  tie-breaks, same float-summation order.
+* answers do not depend on cache history: every aggregate iterates
+  targets in node-index order, so it is the same whichever kernel
+  settled a sweep and whether the sweep was cached alone or in a batch
+  — except between exactly tied optima, where the two kernels'
+  tie-breaks may pick different, equally short paths.
+
+Kernel rule (DESIGN §15): a prefetch bucket of at least
+``BUCKETED_MIN_BATCH`` sources on a graph of at least
+``BUCKETED_MIN_NODES`` nodes runs through the bucketed multi-source
+kernel; smaller buckets run one :func:`~repro.engine.sweep.csr_sweep`
+per source.  On graphs of at least ``TARGETED_MIN_NODES`` nodes a cold
+single-pair query runs :func:`~repro.engine.sweep.csr_sweep` as A*
+under ``LANDMARK_COUNT`` landmark bounds instead of a full sweep.
 
 Module-level :func:`get_engine` is the shared registry: engines are
 keyed by graph fingerprint, so every ``RiskRouter``, ratio sweep and
@@ -28,7 +38,16 @@ caches.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -56,6 +75,12 @@ __all__ = [
 ]
 
 _INF = float("inf")
+
+#: The kernel rule of the module docstring (measured in DESIGN §15).
+BUCKETED_MIN_BATCH = 16
+BUCKETED_MIN_NODES = 64
+TARGETED_MIN_NODES = 1024
+LANDMARK_COUNT = 8
 
 
 class RoutingEngine:
@@ -370,9 +395,7 @@ class RoutingEngine:
             from .landmarks import LandmarkIndex
 
             self._landmarks = LandmarkIndex.build(
-                *self._np_arrays()[:3],
-                k=self._config.landmark_count,
-                latlon=self._latlon,
+                *self._np_arrays()[:3], k=LANDMARK_COUNT, latlon=self._latlon
             )
         return self._landmarks
 
@@ -387,24 +410,6 @@ class RoutingEngine:
             "settled": self._targeted_settled,
             "node_count": self._csr.node_count,
         }
-
-    def _use_bucketed(self, batch_size: int) -> bool:
-        kernel = self._config.kernel
-        if kernel == "exact":
-            return False
-        if kernel == "bucketed":
-            return True
-        return (
-            self._csr.node_count >= self._config.bucketed_min_nodes
-            and batch_size >= self._config.bucketed_min_batch
-        )
-
-    def _use_targeted(self) -> bool:
-        return (
-            self._config.kernel != "exact"
-            and self._config.targeted_min_nodes > 0
-            and self._csr.node_count >= self._config.targeted_min_nodes
-        )
 
     def _sweep_idx(self, source: int, alpha: float) -> SweepResult:
         key = alpha_bucket(alpha, self._config.alpha_resolution)
@@ -436,17 +441,17 @@ class RoutingEngine:
             return 0
         # Alpha-bucket sharing: all coalesced sources under one bucket
         # are answered by a single multi-source call of the bucketed
-        # kernel; buckets too small to vectorize (and the "exact"
-        # kernel) fall through to the per-source reference path.
+        # kernel; buckets too small to vectorize fall through to one
+        # heapq sweep per source.
         buckets: "OrderedDict[float, List[int]]" = OrderedDict()
         for key, source in missing:
             buckets.setdefault(key, []).append(source)
         serial: List[Tuple[int, float]] = []
-        delta = self._config.sweep_delta or None
+        bucketed_graph = self._csr.node_count >= BUCKETED_MIN_NODES
         for key, sources in buckets.items():
-            if self._use_bucketed(len(sources)):
+            if bucketed_graph and len(sources) >= BUCKETED_MIN_BATCH:
                 for result in csr_sweep_batch(
-                    *self._np_arrays(), sources, key, delta=delta
+                    *self._np_arrays(), sources, key
                 ):
                     self._sweeps.put(key, result.source, result)
             else:
@@ -546,9 +551,6 @@ class RoutingEngine:
         under the pair's true impact by :meth:`_route_from_path`, so
         the reported costs match the sweep path exactly.
         """
-        from ..graph.shortest_path import NoPathError
-        from .landmarks import targeted_sweep
-
         key = alpha_bucket(alpha, self._config.alpha_resolution)
         if self._sweeps.peek(key, s):
             return None
@@ -556,16 +558,14 @@ class RoutingEngine:
         cached = self._results.get(cache_key)
         if cached is not None:
             return cached
-        bounds = self.landmark_index().lower_bounds(t)
-        result = targeted_sweep(
-            *self._np_arrays(), s, t, key, bounds=bounds
-        )
+        bounds = self.landmark_index().lower_bounds(t).tolist()
+        result = csr_sweep(*self._arrays(), s, key, target=t, bounds=bounds)
         self._targeted_queries += 1
         self._targeted_settled += result.settled
-        if not result.reachable:
+        if result.dist[t] == _INF:
             names = self._csr.node_ids
             raise NoPathError(names[s], names[t])
-        route = self._route_from_path(result.path)
+        route = self._route(result, t)
         self._results.put(cache_key, route)
         return route
 
@@ -578,7 +578,7 @@ class RoutingEngine:
             NoPathError: when disconnected.
         """
         s, t = self._idx(source), self._idx(target)
-        if self._use_targeted():
+        if self._csr.node_count >= TARGETED_MIN_NODES:
             route = self._targeted_route(s, t, 0.0)
             if route is not None:
                 return route
@@ -590,18 +590,17 @@ class RoutingEngine:
     def risk_route(self, source: str, target: str):
         """The exact Equation 3 optimum for one pair.
 
-        On continental-scale topologies (see
-        ``EngineConfig.targeted_min_nodes``) a cold query runs the
-        landmark-pruned A* search instead of settling the whole graph;
-        the distance is the same bit-for-bit and the path identical up
-        to exactly-tied optima.
+        On continental-scale topologies (``TARGETED_MIN_NODES``) a cold
+        query runs the landmark-pruned A* search instead of settling the
+        whole graph; the distance is the same bit-for-bit and the path
+        identical up to exactly-tied optima.
 
         Raises:
             NoPathError: when disconnected.
         """
         s, t = self._idx(source), self._idx(target)
         alpha = self._shares[s] + self._shares[t]
-        if self._use_targeted():
+        if self._csr.node_count >= TARGETED_MIN_NODES:
             route = self._targeted_route(s, t, alpha)
             if route is not None:
                 return route
@@ -622,44 +621,63 @@ class RoutingEngine:
     # -- per-source sweeps -------------------------------------------------
 
     def shortest_routes_from(self, source: str) -> Dict[str, object]:
-        """Shortest paths from ``source`` to every reachable node."""
+        """Shortest paths from ``source`` to every reachable node, in
+        node order."""
         s = self._idx(source)
         sweep = self._sweep_idx(s, 0.0)
-        return self._routes_of(sweep, s)
-
-    def _routes_of(self, sweep: SweepResult, source: int) -> Dict[str, object]:
         names = self._csr.node_ids
-        out: Dict[str, object] = {}
-        for t in sweep.order:
-            if t == source:
+        return {
+            names[t]: self._route(sweep, t)
+            for t in range(self._csr.node_count)
+            if t != s and sweep.dist[t] != _INF
+        }
+
+    def _risk_sweeps(
+        self,
+        s: int,
+        strategy: SweepStrategy,
+        target_set: Optional[Set[str]] = None,
+    ) -> Iterator[Tuple[int, SweepResult]]:
+        """``(target, risk sweep)`` for every target ``s`` reaches, in
+        node-index order.
+
+        Every per-source aggregate iterates this order, so none depends
+        on the order in which a kernel touched nodes.  ``PER_SOURCE``
+        serves every target from one sweep under the expected impact;
+        ``EXACT`` from one sweep per target under the true pair impact.
+        ``target_set`` (node names) filters the targets.
+        """
+        names = self._csr.node_ids
+        shares = self._shares
+        per_source = None
+        if strategy is SweepStrategy.PER_SOURCE:
+            per_source = self._sweep_idx(s, shares[s] + self._mean_share)
+        for t in range(self._csr.node_count):
+            if t == s or (
+                target_set is not None and names[t] not in target_set
+            ):
                 continue
-            out[names[t]] = self._route(sweep, t)
-        return out
+            sweep = per_source
+            if sweep is None:
+                sweep = self._sweep_idx(s, shares[s] + shares[t])
+            if sweep.dist[t] != _INF:
+                yield t, sweep
 
     def risk_routes_from(
         self, source: str, strategy: SweepStrategy = SweepStrategy.EXACT
     ) -> Dict[str, object]:
-        """RiskRoute paths from ``source`` to every reachable node.
+        """RiskRoute paths from ``source`` to every reachable node, in
+        node order.
 
         ``EXACT`` runs one (cached) search per target under the true
-        pair impact, iterating targets in graph order; ``PER_SOURCE``
-        runs a single search under the expected impact, with each path
-        re-scored exactly.
+        pair impact; ``PER_SOURCE`` runs a single search under the
+        expected impact, with each path re-scored exactly.
         """
-        s = self._idx(source)
-        if strategy is SweepStrategy.PER_SOURCE:
-            alpha = self._shares[s] + self._mean_share
-            return self._routes_of(self._sweep_idx(s, alpha), s)
         names = self._csr.node_ids
-        out: Dict[str, object] = {}
-        for t in range(self._csr.node_count):
-            if t == s:
-                continue
-            sweep = self._sweep_idx(s, self._shares[s] + self._shares[t])
-            if sweep.dist[t] == _INF:
-                continue
-            out[names[t]] = self._route(sweep, t)
-        return out
+        return {
+            names[t]: self._route(sweep, t)
+            for t, sweep in self._risk_sweeps(self._idx(source), strategy)
+        }
 
     # -- batched aggregates ------------------------------------------------
 
@@ -703,9 +721,9 @@ class RoutingEngine:
     ):
         """rr/dr over a (sub)set of the topology's ordered pairs.
 
-        The batched equivalent of the historical per-router loop in
-        ``repro.core.ratios.intradomain_ratios`` — identical values,
-        shared sweeps, memoized aggregate.  ``strategy=None`` picks
+        The batched form of the seed's per-pair loop: shared sweeps, a
+        memoized aggregate, and pairs summed source by source with
+        targets in node order.  ``strategy=None`` picks
         ``EXACT`` for topologies up to 60 nodes, matching the historical
         auto rule.
 
@@ -737,27 +755,13 @@ class RoutingEngine:
         from ..core.riskroute import PairRoutes
 
         self._prefetch_population(source_list, target_set, strategy)
-        names = self._csr.node_ids
         pairs: List[PairRoutes] = []
         for source in source_list:
             s = self._idx(source)
+            # Reachability does not depend on alpha: the geographic
+            # sweep reaches every target the risk sweep does.
             base_sweep = self._sweep_idx(s, 0.0)
-            per_source_sweep = None
-            if strategy is SweepStrategy.PER_SOURCE:
-                per_source_sweep = self._sweep_idx(
-                    s, self._shares[s] + self._mean_share
-                )
-            for t in base_sweep.order:
-                if t == s or names[t] not in target_set:
-                    continue
-                if per_source_sweep is None:
-                    risk_sweep = self._sweep_idx(
-                        s, self._shares[s] + self._shares[t]
-                    )
-                else:
-                    risk_sweep = per_source_sweep
-                if risk_sweep.dist[t] == _INF:
-                    continue
+            for t, risk_sweep in self._risk_sweeps(s, strategy, target_set):
                 pairs.append(
                     PairRoutes(
                         shortest=self._route(base_sweep, t),
@@ -793,26 +797,11 @@ class RoutingEngine:
         self._prefetch_population(
             source_list, target_set, strategy, include_shortest=False
         )
-        names = self._csr.node_ids
         total = 0.0
         for source in source_list:
             s = self._idx(source)
-            if strategy is SweepStrategy.PER_SOURCE:
-                sweep = self._sweep_idx(s, self._shares[s] + self._mean_share)
-                for t in sweep.order:
-                    if t == s or names[t] not in target_set:
-                        continue
-                    total += self._route(sweep, t).bit_risk_miles
-            else:
-                for t in range(self._csr.node_count):
-                    if t == s or names[t] not in target_set:
-                        continue
-                    sweep = self._sweep_idx(
-                        s, self._shares[s] + self._shares[t]
-                    )
-                    if sweep.dist[t] == _INF:
-                        continue
-                    total += self._route(sweep, t).bit_risk_miles
+            for t, sweep in self._risk_sweeps(s, strategy, target_set):
+                total += self._route(sweep, t).bit_risk_miles
         self._results.put(key, total)
         return total
 

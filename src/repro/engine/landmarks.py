@@ -6,7 +6,9 @@ graph before it reaches the target.  Goal-directed A* search with an
 *admissible* heuristic settles only the nodes whose lower-bounded total
 cost does not exceed the true pair distance — on continental-scale
 topologies that skips most of the graph while returning exactly the
-same distance.
+same distance.  The search itself is
+:func:`~repro.engine.sweep.csr_sweep` with ``bounds=`` from
+:meth:`LandmarkIndex.lower_bounds`; this module only builds the bounds.
 
 Why lower bounds built at ``alpha == 0`` stay admissible at every alpha
 ----------------------------------------------------------------------
@@ -49,10 +51,10 @@ difference changes by at most ``dG(u, v) <= d_uv`` between neighbours,
 and great-circle distance by at most ``gc(u, v) <= d_uv``.  With a
 consistent heuristic A* never reopens a settled node and the first
 settling of the target yields the exact Dijkstra distance; since ``g``
-values are accumulated with the same float operations as the reference
-kernel (``(g + w) + alpha * risk``), the returned distance is
-*bit-identical* to the unpruned sweep's whenever the shortest-path tree
-is unique.
+values are accumulated with the same float operations as the unbounded
+search (``(g + w) + alpha * risk``), the returned distance is
+*bit-identical* to the full sweep's whenever the shortest-path tree is
+unique.
 
 Unreachable nodes prune for free: in an undirected graph, if
 ``dG(L, v)`` is infinite but ``dG(L, t)`` is finite (or vice versa)
@@ -63,37 +65,18 @@ then ``v`` and ``t`` lie in different components and the bound is
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from heapq import heappop, heappush
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .sweep import csr_sweep_batch
 
-__all__ = ["LandmarkIndex", "TargetedResult", "targeted_sweep"]
-
-_INF = float("inf")
+__all__ = ["LandmarkIndex"]
 
 #: Mean Earth radius (IUGG) in statute miles — kept in sync with
 #: :mod:`repro.geo.distance` (no import: the engine layer stays
 #: standalone over bare arrays).
 _EARTH_RADIUS_MILES = 3958.7613
-
-
-def _gc_miles_matrix(latlon_deg: np.ndarray) -> np.ndarray:
-    """Pairwise great-circle miles between (lat, lon) degree rows."""
-    rad = np.radians(np.asarray(latlon_deg, dtype=np.float64))
-    lat = rad[:, 0][:, None]
-    lon = rad[:, 1][:, None]
-    dlat = lat - lat.T
-    dlon = lon - lon.T
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + np.cos(lat) * np.cos(lat.T) * np.sin(dlon / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * _EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
 
 
 def _gc_miles_to(latlon_deg: np.ndarray, target: int) -> np.ndarray:
@@ -250,99 +233,3 @@ class LandmarkIndex:
         if self.latlon is not None:
             np.maximum(h, _gc_miles_to(self.latlon, target), out=h)
         return h
-
-
-@dataclass(frozen=True)
-class TargetedResult:
-    """One pruned pair query: the exact distance, path, and how much of
-    the graph the bounds let the search skip."""
-
-    source: int
-    target: int
-    alpha: float
-    distance: float
-    #: Node index path source → target; empty when unreachable.
-    path: List[int]
-    #: Nodes settled by the pruned search (<= the unpruned sweep's).
-    settled: int
-
-    @property
-    def reachable(self) -> bool:
-        """True when a path exists."""
-        return bool(self.path) or self.source == self.target
-
-
-def targeted_sweep(
-    indptr: Sequence[int],
-    indices: Sequence[int],
-    weights: Sequence[float],
-    entry_risk: Sequence[float],
-    source: int,
-    target: int,
-    alpha: float,
-    bounds: Optional[np.ndarray] = None,
-) -> TargetedResult:
-    """Goal-directed risk-weighted search for one pair.
-
-    With ``bounds`` (from :meth:`LandmarkIndex.lower_bounds`) this is A*
-    under a consistent, admissible heuristic: nodes whose bounded total
-    cost exceeds the pair distance are never settled, and the returned
-    distance equals the unpruned sweep's bit-for-bit (``g`` values are
-    accumulated with the reference kernel's exact float operations;
-    only the settle *order* differs, so the path may differ between
-    exactly-tied optima).  Without ``bounds`` it degenerates to plain
-    Dijkstra with target early-exit.
-
-    Raises:
-        ValueError: for a negative alpha (the admissibility proofs need
-            ``alpha >= 0``).
-    """
-    if alpha < 0.0:
-        raise ValueError("alpha must be >= 0 for bounded search")
-    n = len(indptr) - 1
-    if not (0 <= source < n and 0 <= target < n):
-        raise IndexError("source/target index out of range")
-    if bounds is not None:
-        h0 = float(bounds[source])
-        if h0 == _INF:
-            # Provably disconnected — nothing to search.
-            return TargetedResult(source, target, alpha, _INF, [], 0)
-    else:
-        h0 = 0.0
-    dist = {source: 0.0}
-    parent = {}
-    settled = set()
-    counter = 0
-    heap = [(h0, 0, source)]
-    while heap:
-        _, _, node = heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            break
-        d = dist[node]
-        for k in range(indptr[node], indptr[node + 1]):
-            nbr = indices[k]
-            if nbr in settled:
-                continue
-            candidate = d + weights[k] + alpha * entry_risk[k]
-            if candidate < dist.get(nbr, _INF):
-                h = float(bounds[nbr]) if bounds is not None else 0.0
-                if h == _INF:
-                    continue  # cannot reach the target from nbr
-                dist[nbr] = candidate
-                parent[nbr] = node
-                counter += 1
-                heappush(heap, (candidate + h, counter, nbr))
-    if target not in settled:
-        return TargetedResult(source, target, alpha, _INF, [], len(settled))
-    path = [target]
-    node = target
-    while node != source:
-        node = parent[node]
-        path.append(node)
-    path.reverse()
-    return TargetedResult(
-        source, target, alpha, dist[target], path, len(settled)
-    )

@@ -1,23 +1,17 @@
-"""Sweep fan-out across a process or thread pool.
+"""Sweep fan-out across a process pool.
 
 All-pairs evaluations decompose into independent single-source sweeps,
 so the engine batches the sweeps a query needs and maps them across a
-``concurrent.futures`` pool.  Results come back in task order, which
-keeps every downstream aggregation deterministic regardless of worker
-scheduling.
-
-Executor choice:
-
-* ``"serial"`` (default) — no pool; the pure-Python kernel on one core.
-* ``"process"`` — true parallelism.  The CSR arrays are shipped once per
-  worker through the pool initializer, so each task pickles only its
-  ``(source, alpha)`` tuple; sweeps come back as plain-list
-  :class:`~repro.engine.sweep.SweepResult` objects.
-* ``"thread"`` — useful when a free-threaded/GIL-releasing runtime is
-  available, and for exercising the fan-out machinery cheaply in tests.
+``concurrent.futures`` process pool when ``EngineConfig.workers > 1``.
+The CSR arrays are shipped once per worker through the pool
+initializer, so each task pickles only its ``(source, alpha)`` tuple;
+sweeps come back as plain-list
+:class:`~repro.engine.sweep.SweepResult` objects, in task order.
 
 Any pool failure (spawn limits, pickling, sandboxed environments)
 degrades to the serial path rather than failing the query.
+:func:`thread_map` is the generic thread fan-out other layers use
+(KDE chunks, Monte Carlo scenarios).
 """
 
 from __future__ import annotations
@@ -41,78 +35,34 @@ _WORKER_ARRAYS: dict = {}
 class EngineConfig:
     """Tuning knobs for one :class:`~repro.engine.engine.RoutingEngine`.
 
+    Kernel choice is not a knob: see the module constants in
+    :mod:`repro.engine.engine`.
+
     Args:
-        workers: pool size; 0 or 1 means serial (the safe default —
-            sweep caching, not parallelism, is the first-order win).
-        executor: ``"serial"``, ``"thread"`` or ``"process"``.
+        workers: process-pool size for per-source sweeps; 0 or 1 means
+            serial (the safe default — sweep caching, not parallelism,
+            is the first-order win).
         alpha_resolution: sweep-cache alpha bucket width (0 = exact
             keying; see :func:`repro.engine.cache.alpha_bucket`).
         sweep_cache_size: max memoized sweeps per engine.
         result_cache_size: max memoized aggregates per engine.
-        kernel: sweep kernel selection — ``"auto"`` batches prefetches
-            through the bucketed multi-source kernel
-            (:func:`repro.engine.sweep.csr_sweep_batch`) once a
-            topology/batch is big enough, ``"exact"`` always uses the
-            heapq reference (byte-parity with the historical per-pair
-            path, including first-touch order), ``"bucketed"`` always
-            batches.  Corpus-size networks stay on ``"exact"`` under
-            ``"auto"`` — see ``bucketed_min_nodes``.
-        bucketed_min_nodes: under ``"auto"``, the smallest node count
-            that routes prefetches through the bucketed kernel.
-        bucketed_min_batch: under ``"auto"``, the smallest same-alpha
-            batch worth a vectorized call.
-        targeted_min_nodes: the smallest node count where a cold
-            single-pair query runs the landmark-pruned A* search
-            (:mod:`repro.engine.landmarks`) instead of settling a full
-            sweep; cached sweeps are always preferred.  ``0`` disables
-            targeted search entirely.
-        landmark_count: landmarks per topology for the A* lower bounds.
-        sweep_delta: bucket width for the bucketed kernel (0 = the
-            kernel's automatic choice; correctness never depends on it).
     """
 
     workers: int = 0
-    executor: str = "serial"
     alpha_resolution: float = 0.0
     sweep_cache_size: int = 65536
     result_cache_size: int = 256
-    kernel: str = "auto"
-    bucketed_min_nodes: int = 256
-    bucketed_min_batch: int = 4
-    targeted_min_nodes: int = 1024
-    landmark_count: int = 8
-    sweep_delta: float = 0.0
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.executor not in ("serial", "thread", "process"):
-            raise ValueError(
-                f"unknown executor {self.executor!r}; expected 'serial', "
-                "'thread' or 'process'"
-            )
         if self.alpha_resolution < 0:
             raise ValueError("alpha_resolution must be >= 0")
-        if self.kernel not in ("auto", "exact", "bucketed"):
-            raise ValueError(
-                f"unknown kernel {self.kernel!r}; expected 'auto', "
-                "'exact' or 'bucketed'"
-            )
-        if self.bucketed_min_nodes < 0:
-            raise ValueError("bucketed_min_nodes must be >= 0")
-        if self.bucketed_min_batch < 1:
-            raise ValueError("bucketed_min_batch must be >= 1")
-        if self.targeted_min_nodes < 0:
-            raise ValueError("targeted_min_nodes must be >= 0")
-        if self.landmark_count < 1:
-            raise ValueError("landmark_count must be >= 1")
-        if self.sweep_delta < 0:
-            raise ValueError("sweep_delta must be >= 0")
 
     @property
     def parallel(self) -> bool:
         """True when this config asks for a pool at all."""
-        return self.workers > 1 and self.executor != "serial"
+        return self.workers > 1
 
 
 def _init_worker(indptr, indices, weights, entry_risk) -> None:
@@ -130,9 +80,9 @@ def thread_map(
 ) -> List[_R]:
     """Map ``func`` over ``tasks`` on a thread pool, in task order.
 
-    The generic fan-out behind both the engine's thread executor and
-    the KDE chunk evaluation (NumPy releases the GIL inside its
-    kernels).  Falls back to a plain loop when a pool is not worth it
+    The generic thread fan-out behind the KDE chunk evaluation (NumPy
+    releases the GIL inside its kernels) and the Monte Carlo scenario
+    chunks.  Falls back to a plain loop when a pool is not worth it
     or cannot be stood up in this environment, so callers never fail on
     pool availability.
     """
@@ -165,27 +115,15 @@ def sweep_many(
     Falls back to the serial path when the pool is not worth it (one
     task, serial config) or cannot be stood up in this environment.
     """
-    if not tasks:
-        return []
-    if not config.parallel or len(tasks) == 1:
+    if not config.parallel or len(tasks) <= 1:
         return _serial(arrays, tasks)
-    workers = min(config.workers, len(tasks))
     try:
-        if config.executor == "process":
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                initializer=_init_worker,
-                initargs=arrays,
-            ) as pool:
-                return list(pool.map(_process_task, tasks, chunksize=4))
-        indptr, indices, weights, entry_risk = arrays
-        return thread_map(
-            lambda task: csr_sweep(
-                indptr, indices, weights, entry_risk, *task
-            ),
-            tasks,
-            workers,
-        )
+        with ProcessPoolExecutor(
+            max_workers=min(config.workers, len(tasks)),
+            initializer=_init_worker,
+            initargs=arrays,
+        ) as pool:
+            return list(pool.map(_process_task, tasks, chunksize=4))
     except (OSError, ValueError, RuntimeError):
         # Pools can be unavailable (sandboxes, exhausted fds, shutdown
         # interpreters); the serial path always works.

@@ -3,22 +3,25 @@
 Two kernels settle the same search — relaxing ``(u, v)`` costs
 ``d_uv + alpha * risk(v)`` over flat CSR arrays with integer nodes:
 
-* :func:`csr_sweep` — the **exact reference**: a pure-Python heapq
-  Dijkstra whose relaxation order and insertion-counter tie-break match
-  :func:`repro.core.riskroute._risk_dijkstra` exactly.  It settles
-  nodes, assigns parents, and *first-touches* nodes in exactly the same
-  order as the dict-based reference — which is what lets engine results
-  be byte-identical to the historical per-pair path.
+* :func:`csr_sweep` — the one heapq relaxation loop: a pure-Python
+  Dijkstra whose insertion-counter tie-break reproduces the seed's
+  dict-based search.  It optionally stops at a target, and optionally
+  takes per-node lower bounds that turn it into goal-directed A* (see
+  :mod:`repro.engine.landmarks`).
 * :func:`csr_sweep_batch` — the **bucketed multi-source kernel**: a
   vectorized delta-stepping-style search that settles whole frontiers
   with numpy relaxations, running *many sources at once* over one shared
   set of effective edge costs (one alpha bucket).  Distances and
-  parents agree with the reference bit-for-bit whenever the shortest
-  -path tree is unique (candidate costs are accumulated with the exact
-  same float operations, ``(d + w) + alpha * risk``, in path order);
-  only the *first-touch order* is kernel-specific, because a bucketed
-  search discovers nodes frontier-by-frontier rather than one heap pop
-  at a time.
+  parents agree with :func:`csr_sweep` bit-for-bit whenever the
+  shortest-path tree is unique (candidate costs are accumulated with
+  the exact same float operations, ``(d + w) + alpha * risk``, in path
+  order); on exactly tied optima the two kernels may pick different
+  parents.
+
+Neither kernel reports the order in which it touched nodes: every
+engine aggregate iterates targets in node-index order, so the kernel
+choice changes an answer only where the kernels break an exact tie
+differently.
 
 ``alpha == 0`` degenerates to the plain geographic Dijkstra, so shortest
 -path sweeps share these kernels (and their cache) too.
@@ -39,25 +42,20 @@ _INF = float("inf")
 
 @dataclass(frozen=True)
 class SweepResult:
-    """One settled single-source search over the CSR arrays.
+    """One single-source search over the CSR arrays.
 
-    ``order`` lists nodes in first-touch order (source first).  For the
-    exact kernel this is the array analogue of dict insertion order in
-    the reference implementation, which downstream aggregation iterates
-    to reproduce historical float-summation order exactly; for the
-    bucketed kernel it is that kernel's own deterministic discovery
-    order.
-
-    ``dist`` / ``parent`` / ``order`` are plain lists from the exact
-    kernel and numpy arrays from the bucketed kernel; both back the
-    same integer-indexed access pattern.
+    ``dist`` / ``parent`` are plain lists from :func:`csr_sweep` and
+    numpy arrays from :func:`csr_sweep_batch`; both back the same
+    integer-indexed access pattern.  ``settled`` counts the nodes the
+    search settled: every reached node for a full sweep, fewer when it
+    stopped at a target.
     """
 
     source: int
     alpha: float
     dist: Sequence[float]
     parent: Sequence[int]
-    order: Sequence[int]
+    settled: int
 
     def path_to(self, target: int) -> List[int]:
         """Node index path source → target (parent-chain walk).
@@ -84,8 +82,9 @@ def csr_sweep(
     source: int,
     alpha: float,
     target: Optional[int] = None,
+    bounds: Optional[Sequence[float]] = None,
 ) -> SweepResult:
-    """Risk-weighted Dijkstra over CSR arrays (the exact reference).
+    """Risk-weighted Dijkstra over CSR arrays.
 
     Args:
         indptr / indices / weights: the CSR adjacency.
@@ -95,42 +94,65 @@ def csr_sweep(
         alpha: impact scaling (0 → pure geographic shortest path).
         target: optional early-exit node — the search stops as soon as
             the target is *settled*, leaving later nodes unsettled.
-            Early exit is parity-safe: settle order and first-touch
-            order up to (and including) the target are unchanged from
-            the full sweep, so ``dist[target]``, the parent chain to it
-            and the ``order`` prefix are identical.  The full sweep
-            (no target) is what the cache stores, since it serves every
-            later query; targeted pair queries pass ``target`` to skip
-            the rest of the graph.
+            Settle order up to the target is that of the full sweep, so
+            ``dist[target]`` and the parent chain to it are identical.
+            The full sweep (no target) is what the engine caches, since
+            it serves every later query.
+        bounds: optional per-node lower bounds on the remaining cost to
+            ``target`` (``LandmarkIndex.lower_bounds(target)``, see
+            :mod:`repro.engine.landmarks`), which make the search A*:
+            the heap key is ``dist + h``, a neighbour with ``h == inf``
+            (provably cut off from the target) is never entered, and a
+            source whose bound is ``inf`` returns with nothing settled.
+            With an admissible, consistent bound the target settles at
+            exactly the unbounded distance, bit for bit; only the settle
+            order changes, so between exactly-tied optima the path may
+            differ.  Pass a list: numpy scalar indexing is slow here.
+
+    Raises:
+        IndexError: for a source or target outside the graph.
+        ValueError: for a negative alpha with ``bounds`` (the bounds
+            are admissible only for ``alpha >= 0``).
     """
     n = len(indptr) - 1
+    if not 0 <= source < n or (target is not None and not 0 <= target < n):
+        raise IndexError("source/target index out of range")
     dist = [_INF] * n
     parent = [-1] * n
-    order = [source]
-    settled = bytearray(n)
     dist[source] = 0.0
+    if bounds is not None:
+        if alpha < 0.0:
+            raise ValueError("alpha must be >= 0 for bounded search")
+        if bounds[source] == _INF:
+            return SweepResult(source, alpha, dist, parent, 0)
+    settled = bytearray(n)
     counter = 0
     heap = [(0.0, 0, source)]
     while heap:
-        d, _, node = heappop(heap)
+        node = heappop(heap)[2]
         if settled[node]:
             continue
         settled[node] = 1
         if node == target:
             break
+        d = dist[node]
         for k in range(indptr[node], indptr[node + 1]):
             nbr = indices[k]
             if settled[nbr]:
                 continue
             candidate = d + weights[k] + alpha * entry_risk[k]
             if candidate < dist[nbr]:
-                if dist[nbr] == _INF:
-                    order.append(nbr)
+                key = candidate
+                if bounds is not None:
+                    h = bounds[nbr]
+                    if h == _INF:
+                        continue
+                    key = candidate + h
                 dist[nbr] = candidate
                 parent[nbr] = node
                 counter += 1
-                heappush(heap, (candidate, counter, nbr))
-    return SweepResult(source, alpha, dist, parent, order)
+                heappush(heap, (key, counter, nbr))
+    return SweepResult(source, alpha, dist, parent, settled.count(1))
 
 
 def csr_sweep_batch(
@@ -148,7 +170,7 @@ def csr_sweep_batch(
     ``alpha`` — the alpha-bucket-sharing entry point: the engine groups
     all coalesced sweep demands per alpha bucket and answers each bucket
     with a single call.  State is a flat ``(len(sources) * n)`` distance
-    /parent/first-touch tableau; each round relaxes the out-edges of the
+    /parent tableau; each round relaxes the out-edges of the
     whole current frontier (all sources at once) with vectorized numpy
     gather/scatter-min operations.
 
@@ -164,13 +186,12 @@ def csr_sweep_batch(
     each vectorized step amortises; the default is the mean effective
     edge cost.
 
-    Bit-parity contract: candidate costs are accumulated exactly as the
-    reference kernel does — ``(d + w) + alpha * risk`` per edge, in path
-    order — so final distances (and parents) are bitwise identical to
-    :func:`csr_sweep` whenever no two distinct paths tie to the last
-    ulp.  Exact ties resolve deterministically (first achiever in flat
-    CSR order) but may differ from the heapq tie-break; first-touch
-    ``order`` is this kernel's own deterministic discovery order.
+    Bit-parity contract: candidate costs are accumulated exactly as
+    :func:`csr_sweep` does — ``(d + w) + alpha * risk`` per edge, in
+    path order — so final distances (and parents) are bitwise identical
+    to it whenever no two distinct paths tie to the last ulp.  Exact
+    ties resolve deterministically (first achiever in flat CSR order)
+    but may differ from the heapq tie-break.
 
     Returns one numpy-backed :class:`SweepResult` per source, in input
     order.
@@ -203,13 +224,8 @@ def csr_sweep_batch(
     total_cells = s_count * n
     dist = np.full(total_cells, _INF, dtype=np.float64)
     parent = np.full(total_cells, -1, dtype=np.int64)
-    # First-touch sequence number per (source, node); -1 = untouched.
-    touch = np.full(total_cells, -1, dtype=np.int64)
-    row_base = np.arange(s_count, dtype=np.int64) * n
-    start = row_base + src
+    start = np.arange(s_count, dtype=np.int64) * n + src
     dist[start] = 0.0
-    touch[start] = np.arange(s_count, dtype=np.int64)
-    seq = s_count
 
     # Pending entries (flat (source, node) cells with a finite distance
     # not yet settled), maintained incrementally — the tableau is never
@@ -261,7 +277,7 @@ def csr_sweep_batch(
                     np.arange(total, dtype=np.int64) - expanded[0]
                 )
                 vs = indices[epos]
-                # Accumulated exactly as the reference kernel:
+                # Accumulated exactly as csr_sweep does:
                 # (d + w) + alpha * risk, elementwise IEEE float64.
                 cand = (
                     expanded[4].view(np.float64)
@@ -285,12 +301,6 @@ def csr_sweep_batch(
                     keep = scratch[tgt_w] == positions
                     hit = tgt_w[keep]
                     parent[hit] = expanded[3][improving][wins][::-1][keep]
-                    fresh = hit[touch[hit] < 0]
-                    if fresh.size:
-                        touch[fresh] = seq + np.arange(
-                            fresh.size, dtype=np.int64
-                        )
-                        seq += int(fresh.size)
             if hit is None:
                 break
             in_bucket = dist[hit] < limit
@@ -301,23 +311,10 @@ def csr_sweep_batch(
         # later one were settled by the inner fixpoint above.
         pending = pending[dist[pending] >= limit]
 
-    # Materialize per-source views over the shared tableau: one batched
-    # argsort recovers every source's first-touch order at once.
     dist2 = dist.reshape(s_count, n)
     parent2 = parent.reshape(s_count, n)
-    touch2 = touch.reshape(s_count, n)
-    sort_key = np.where(touch2 < 0, np.iinfo(np.int64).max, touch2)
-    order_all = np.argsort(sort_key, axis=1, kind="stable")
-    touched_counts = np.count_nonzero(touch2 >= 0, axis=1)
-    results: List[SweepResult] = []
-    for i in range(s_count):
-        results.append(
-            SweepResult(
-                int(src[i]),
-                alpha,
-                dist2[i],
-                parent2[i],
-                order_all[i, : touched_counts[i]],
-            )
-        )
-    return results
+    reached = np.count_nonzero(dist2 < _INF, axis=1)
+    return [
+        SweepResult(int(src[i]), alpha, dist2[i], parent2[i], int(reached[i]))
+        for i in range(s_count)
+    ]

@@ -3,9 +3,13 @@
 The RiskRoute optimizer is a single-pair shortest path on the risk-weighted
 graph (Section 6.4 of the paper); the evaluation ratios (Equations 5-6)
 need all-pairs results, and the provisioning search (Equation 4) runs the
-all-pairs computation once per candidate edge.  We therefore provide a
-single-source Dijkstra, a single-pair variant with early exit, and an
-all-pairs driver that reuses the single-source routine.
+all-pairs computation once per candidate edge.
+
+Every search here is the routing engine's one heapq loop
+(:func:`repro.engine.sweep.csr_sweep` at ``alpha == 0`` with zero risk)
+over the graph flattened into CSR arrays: a single-source Dijkstra, a
+single-pair variant with early exit, and an all-pairs search that
+flattens the graph once.  Returned dicts list nodes in graph order.
 
 A deterministic tie-break keeps equal-cost paths stable across runs: among
 equally cheap frontier entries the one inserted first wins.
@@ -13,7 +17,6 @@ equally cheap frontier entries the one inserted first wins.
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Hashable, List, Optional, Tuple, TypeVar
 
 from .core import Graph, NodeNotFoundError
@@ -39,6 +42,32 @@ class NoPathError(Exception):
         self.target = target
 
 
+def _sweep(csr, source: int, target: Optional[int] = None):
+    """The alpha-0, zero-risk engine sweep over flattened arrays."""
+    from ..engine.sweep import csr_sweep
+
+    zero_risk = [0.0] * len(csr.indices_list)
+    return csr_sweep(
+        csr.indptr_list, csr.indices_list, csr.weights_list, zero_risk,
+        source, 0.0, target=target,
+    )
+
+
+def _as_dicts(csr, sweep) -> Tuple[Dict, Dict]:
+    """A sweep's ``(dist, parent)`` keyed by node, in node order."""
+    ids = csr.node_ids
+    dist: Dict = {}
+    parent: Dict = {}
+    for v, d in enumerate(sweep.dist):
+        if d == float("inf"):
+            continue
+        dist[ids[v]] = d
+        p = sweep.parent[v]
+        if p >= 0:
+            parent[ids[v]] = ids[p]
+    return dist, parent
+
+
 def dijkstra(
     graph: Graph[N], source: N, target: Optional[N] = None
 ) -> Tuple[Dict[N, float], Dict[N, N]]:
@@ -54,7 +83,8 @@ def dijkstra(
     Returns:
         ``(dist, parent)`` where ``dist`` maps each reached node to its
         distance from ``source`` and ``parent`` maps each reached node
-        (except the source) to its predecessor on a shortest path.
+        (except the source) to its predecessor on a shortest path; both
+        list nodes in graph order.
 
     Raises:
         NodeNotFoundError: if ``source`` (or a given ``target``) is absent.
@@ -63,30 +93,12 @@ def dijkstra(
         raise NodeNotFoundError(source)
     if target is not None and target not in graph:
         raise NodeNotFoundError(target)
+    # Lazy import: the engine layer imports this module.
+    from ..engine.arrays import CsrGraph
 
-    dist: Dict[N, float] = {source: 0.0}
-    parent: Dict[N, N] = {}
-    settled: set = set()
-    counter = 0
-    heap: List[Tuple[float, int, N]] = [(0.0, counter, source)]
-
-    while heap:
-        d, _, node = heapq.heappop(heap)
-        if node in settled:
-            continue
-        settled.add(node)
-        if node == target:
-            break
-        for neighbor, weight in graph.neighbors(node).items():
-            if neighbor in settled:
-                continue
-            candidate = d + weight
-            if candidate < dist.get(neighbor, float("inf")):
-                dist[neighbor] = candidate
-                parent[neighbor] = node
-                counter += 1
-                heapq.heappush(heap, (candidate, counter, neighbor))
-    return dist, parent
+    csr = CsrGraph(graph)
+    t = None if target is None else csr.index[target]
+    return _as_dicts(csr, _sweep(csr, csr.index[source], t))
 
 
 def reconstruct_path(parent: Dict[N, N], source: N, target: N) -> List[N]:
@@ -135,57 +147,17 @@ def shortest_path_length(graph: Graph[N], source: N, target: N) -> float:
 
 def all_pairs_shortest_paths(
     graph: Graph[N],
-    session=None,
 ) -> Dict[N, Tuple[Dict[N, float], Dict[N, N]]]:
     """Run single-source Dijkstra from every node.
 
     Returns a map ``source -> (dist, parent)``.  The framework's ratio
-    computations (Equations 5-6) consume this directly.
-
-    When ``session`` is a :class:`~repro.session.RoutingSession` whose
-    graph matches ``graph``, the computation routes through the
-    engine's batched multi-source sweep core (``alpha == 0`` sweeps,
-    shared with every other geographic consumer of the engine cache);
-    distances are bit-identical to the naive driver because both
-    accumulate ``d + w`` in path order.  A session over a *different*
-    graph — or anything without an engine — falls back to the naive
-    per-source loop, so callers can pass an optional session blindly.
+    computations (Equations 5-6) consume this directly.  The graph is
+    flattened once and every source swept over the same arrays.
     """
-    if session is not None:
-        results = _all_pairs_via_session(graph, session)
-        if results is not None:
-            return results
-    return {node: dijkstra(graph, node) for node in graph.nodes()}
+    from ..engine.arrays import CsrGraph
 
-
-def _all_pairs_via_session(
-    graph: Graph[N], session
-) -> Optional[Dict[N, Tuple[Dict[N, float], Dict[N, N]]]]:
-    """Engine-backed all-pairs, or ``None`` when the session does not
-    cover ``graph`` (fingerprint mismatch, no engine)."""
-    engine = getattr(session, "engine", None)
-    if engine is None:
-        return None
-    # Lazy import: graph.* must stay importable without the engine layer.
-    from ..engine.fingerprint import graph_fingerprint
-
-    if engine.topology_fingerprint != graph_fingerprint(graph):
-        return None
-    ids = engine.node_ids
-    # One batched warm-up: every missing geographic sweep is computed in
-    # as few multi-source kernel calls as the alpha-bucket grouping
-    # allows (a single call here, since every task shares alpha == 0).
-    engine.prefetch((s, 0.0) for s in range(len(ids)))
-    results: Dict[N, Tuple[Dict[N, float], Dict[N, N]]] = {}
-    for s, name in enumerate(ids):
-        sweep = engine.sweep(name, 0.0)
-        dist: Dict[N, float] = {}
-        parent: Dict[N, N] = {}
-        for v in sweep.order:
-            v = int(v)
-            dist[ids[v]] = float(sweep.dist[v])
-            p = int(sweep.parent[v])
-            if p >= 0:
-                parent[ids[v]] = ids[p]
-        results[name] = (dist, parent)
-    return results
+    csr = CsrGraph(graph)
+    return {
+        name: _as_dicts(csr, _sweep(csr, s))
+        for s, name in enumerate(csr.node_ids)
+    }

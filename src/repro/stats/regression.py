@@ -7,6 +7,7 @@ reduction / distance increase ratios.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -76,6 +77,11 @@ def linear_regression(
     ux = dx / x_scale
     uy = dy / y_scale
     slope = (y_scale / x_scale) * float(np.sum(ux * uy) / np.sum(ux * ux))
+    if not math.isfinite(slope):
+        # An x spread near the subnormal floor under a normal y spread
+        # (x [0, 5e-324, 0]): the slope overflows, so the points are a
+        # vertical stack as far as float64 can tell.
+        return LinearFit(slope=0.0, intercept=float(y_mean), r_squared=0.0)
     intercept = float(y_mean - slope * x_mean)
     predictions = slope * x_arr + intercept
     return LinearFit(

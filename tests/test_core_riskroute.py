@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.core.riskroute import RiskRouter, _risk_dijkstra
+from repro.core.riskroute import RiskRouter
 from repro.core.strategy import SweepStrategy
 from repro.graph.core import NodeNotFoundError
 from repro.graph.shortest_path import NoPathError
 from tests.conftest import build_diamond_model, build_diamond_network
+from tests.oracles import risk_dijkstra
 
 
 @pytest.fixture
@@ -114,12 +115,12 @@ class TestRiskDijkstraCoverage:
         node_risk = {n: 1e-3 for n in graph.nodes()}
         del node_risk["diamond:south"]
         with pytest.raises(NodeNotFoundError, match="diamond:south"):
-            _risk_dijkstra(graph, node_risk, 0.5, "diamond:west")
+            risk_dijkstra(graph, node_risk, 0.5, "diamond:west")
 
     def test_full_coverage_still_works(self, diamond_network):
         graph = diamond_network.distance_graph()
         node_risk = {n: 1e-3 for n in graph.nodes()}
-        dist, parent = _risk_dijkstra(graph, node_risk, 0.5, "diamond:west")
+        dist, parent = risk_dijkstra(graph, node_risk, 0.5, "diamond:west")
         assert set(dist) == set(graph.nodes())
 
 

@@ -1,18 +1,19 @@
 """Tests for repro.engine — the batched, cached RoutingEngine.
 
-The engine must be byte-identical to the dict-based reference
-implementation in repro.core.riskroute, warm answers must equal cold
-ones, invalidation must track the risk fingerprint, and the pools must
-agree with the serial path.
+Sweeps must match the seed's dict-based search (tests/oracles.py) bit
+for bit, warm answers must equal cold ones, aggregates must not depend
+on cache history, invalidation must track the risk fingerprint, and
+the pool must agree with the serial path.
 """
 
 from __future__ import annotations
 
 import pickle
 
+import numpy as np
 import pytest
 
-from repro.core.riskroute import _risk_dijkstra
+import repro.engine.engine as engine_module
 from repro.engine import (
     CsrGraph,
     EngineConfig,
@@ -27,7 +28,10 @@ from repro.engine import (
     sweep_many,
 )
 from repro.graph.core import NodeNotFoundError
+from repro.risk.model import RiskModel
+from repro.topology.builders import continental_network
 from tests.conftest import build_diamond_model, build_diamond_network
+from tests.oracles import risk_dijkstra
 
 
 @pytest.fixture(autouse=True)
@@ -49,11 +53,11 @@ def engine(diamond_graph, diamond_model):
 
 def _reference_sweep(graph, model, source, alpha):
     node_risk = {node: model.node_risk(node) for node in graph.nodes()}
-    return _risk_dijkstra(graph, node_risk, alpha, source)
+    return risk_dijkstra(graph, node_risk, alpha, source)
 
 
 class TestCsrParity:
-    """The CSR sweep must match the dict reference byte for byte."""
+    """The CSR sweep must match the dict oracle byte for byte."""
 
     @pytest.mark.parametrize("alpha", [0.0, 0.5, 123.75])
     def test_diamond_all_sources(self, diamond_graph, diamond_model, alpha):
@@ -105,23 +109,6 @@ class TestCsrParity:
             )
             for i, name in enumerate(csr.node_ids):
                 assert sweep.dist[i] == ref_dist[name]
-
-    def test_sweep_order_matches_dict_insertion(self, diamond_graph, diamond_model):
-        """SweepResult.order replicates the reference dict's insertion
-        order, which downstream float accumulation depends on."""
-        csr = CsrGraph(diamond_graph)
-        risk = [diamond_model.node_risk(n) for n in csr.node_ids]
-        source = next(iter(diamond_graph.nodes()))
-        ref_dist, _ = _reference_sweep(diamond_graph, diamond_model, source, 0.4)
-        sweep = csr_sweep(
-            csr.indptr_list,
-            csr.indices_list,
-            csr.weights_list,
-            csr.neighbor_values(risk),
-            csr.index[source],
-            0.4,
-        )
-        assert [csr.node_ids[i] for i in sweep.order] == list(ref_dist)
 
 
 class TestWarmColdParity:
@@ -221,14 +208,11 @@ class TestParallel:
             for s in range(engine.node_count)
         ]
 
-    @pytest.mark.parametrize("executor", ["thread", "process"])
-    def test_pool_matches_serial(self, teliasonera, teliasonera_model, executor):
+    def test_pool_matches_serial(self, teliasonera, teliasonera_model):
         graph = teliasonera.distance_graph()
         serial = RoutingEngine(graph, teliasonera_model)
         pooled = RoutingEngine(
-            graph,
-            teliasonera_model,
-            config=EngineConfig(workers=2, executor=executor),
+            graph, teliasonera_model, config=EngineConfig(workers=2)
         )
         tasks = self._tasks(serial)
         arrays = serial._arrays()
@@ -240,9 +224,7 @@ class TestParallel:
         graph = teliasonera.distance_graph()
         serial = RoutingEngine(graph, teliasonera_model).ratios()
         pooled = RoutingEngine(
-            graph,
-            teliasonera_model,
-            config=EngineConfig(workers=2, executor="thread"),
+            graph, teliasonera_model, config=EngineConfig(workers=2)
         ).ratios()
         assert pooled.risk_reduction_ratio == serial.risk_reduction_ratio
         assert (
@@ -343,47 +325,81 @@ class TestErrors:
             engine.risk_route("diamond:west", "island")
 
 
-class TestKernelSelection:
-    """The bucketed kernel and targeted A* behind EngineConfig gates."""
+def _seeded_model(network, seed=7):
+    """A cheap deterministic risk field for a synthetic topology."""
+    rng = np.random.default_rng(seed)
+    ids = [pop.pop_id for pop in network.pops()]
+    shares = rng.uniform(0.5, 1.5, len(ids))
+    shares /= shares.sum()
+    return RiskModel(
+        dict(zip(ids, shares.tolist())),
+        dict(zip(ids, rng.uniform(0.0, 0.2, len(ids)).tolist())),
+        dict(zip(ids, rng.uniform(0.0, 0.2, len(ids)).tolist())),
+    )
 
-    def _forced(self, kernel="bucketed", **extra):
-        return EngineConfig(
-            kernel=kernel,
-            bucketed_min_nodes=0,
-            bucketed_min_batch=1,
-            **extra,
-        )
+
+def _force_bucketed(monkeypatch):
+    """Send every prefetch bucket through the bucketed kernel."""
+    monkeypatch.setattr(engine_module, "BUCKETED_MIN_BATCH", 1)
+    monkeypatch.setattr(engine_module, "BUCKETED_MIN_NODES", 0)
+
+
+def _force_targeted(monkeypatch):
+    """Answer every cold single-pair query with landmark A*."""
+    monkeypatch.setattr(engine_module, "TARGETED_MIN_NODES", 1)
+
+
+class TestKernelSelection:
+    """The kernel rule's module constants, monkeypatched to force a path."""
 
     def test_forced_bucketed_prefetch_matches_exact(
-        self, diamond_graph, diamond_model
+        self, diamond_graph, diamond_model, monkeypatch
     ):
-        exact = RoutingEngine(
-            diamond_graph, diamond_model, config=EngineConfig(kernel="exact")
-        )
-        forced = RoutingEngine(
-            diamond_graph, diamond_model, config=self._forced()
-        )
+        exact = RoutingEngine(diamond_graph, diamond_model)
+        forced = RoutingEngine(diamond_graph, diamond_model)
         n = forced.node_count
-        for e in (exact, forced):
-            e.prefetch((s, 0.0) for s in range(n))
+        exact.prefetch((s, 0.0) for s in range(n))
+        _force_bucketed(monkeypatch)
+        forced.prefetch((s, 0.0) for s in range(n))
         for source in exact.node_ids:
             a = exact.sweep(source, 0.0)
             b = forced.sweep(source, 0.0)
+            # The two kernels really ran: list- vs numpy-backed.
+            assert isinstance(a.dist, list)
+            assert isinstance(b.dist, np.ndarray)
             assert list(a.dist) == list(b.dist)
             assert list(a.parent) == list(b.parent)
 
-    def test_targeted_route_equals_exact_route(self, diamond_network):
+    def test_small_buckets_stay_on_heapq(self):
+        # 80 nodes clear BUCKETED_MIN_NODES; 15 sources stay below
+        # BUCKETED_MIN_BATCH, 16 reach it.
+        network = continental_network(pop_count=80, seed=0)
+        engine = RoutingEngine(
+            network.distance_graph(), _seeded_model(network)
+        )
+        ids = engine.node_ids
+        engine.prefetch((s, 0.0) for s in range(15))
+        engine.prefetch((s, 0.0) for s in range(20, 36))
+        assert isinstance(engine.sweep(ids[0], 0.0).dist, list)
+        assert isinstance(engine.sweep(ids[20], 0.0).dist, np.ndarray)
+
+    def test_targeted_route_equals_exact_route(
+        self, diamond_network, monkeypatch
+    ):
         model = build_diamond_model()
-        exact = RoutingEngine(
-            diamond_network.distance_graph(),
-            model,
-            config=EngineConfig(kernel="exact"),
-        )
-        targeted = RoutingEngine(
-            diamond_network.distance_graph(),
-            model,
-            config=self._forced(kernel="auto", targeted_min_nodes=1),
-        )
+        exact = RoutingEngine(diamond_network.distance_graph(), model)
+        pairs = [
+            (source, target)
+            for source in exact.node_ids
+            for target in exact.node_ids
+            if source != target
+        ]
+        expected = {
+            pair: (exact.risk_route(*pair), exact.shortest_path(*pair))
+            for pair in pairs
+        }
+        _force_targeted(monkeypatch)
+        targeted = RoutingEngine(diamond_network.distance_graph(), model)
         targeted.set_coordinates(
             [
                 (
@@ -393,24 +409,20 @@ class TestKernelSelection:
                 for node in targeted.node_ids
             ]
         )
-        for source in exact.node_ids:
-            for target in exact.node_ids:
-                if source == target:
-                    continue
-                a = exact.risk_route(source, target)
-                b = targeted.risk_route(source, target)
-                assert a.path == b.path
-                assert a.metrics == b.metrics
-                s = exact.shortest_path(source, target)
-                t = targeted.shortest_path(source, target)
-                assert s.path == t.path
+        for pair in pairs:
+            a, s = expected[pair]
+            b = targeted.risk_route(*pair)
+            assert a.path == b.path
+            assert a.metrics == b.metrics
+            assert s.path == targeted.shortest_path(*pair).path
         stats = targeted.targeted_stats()
         assert stats["queries"] > 0
         assert stats["settled"] <= stats["queries"] * targeted.node_count
 
-    def test_targeted_disconnected_pair_raises(self, diamond_network):
+    def test_targeted_disconnected_pair_raises(
+        self, diamond_network, monkeypatch
+    ):
         from repro.graph.shortest_path import NoPathError
-        from repro.risk.model import RiskModel
 
         graph = diamond_network.distance_graph()
         graph.add_node("island")
@@ -418,22 +430,20 @@ class TestKernelSelection:
         oh = {n: 1e-3 for n in graph.nodes()}
         of = {n: 0.0 for n in graph.nodes()}
         model = RiskModel(shares, oh, of)
-        engine = RoutingEngine(
-            graph, model, config=self._forced(kernel="auto", targeted_min_nodes=1)
-        )
+        _force_targeted(monkeypatch)
+        engine = RoutingEngine(graph, model)
         with pytest.raises(NoPathError):
             engine.risk_route("diamond:west", "island")
         assert engine.targeted_stats()["queries"] >= 1
 
     def test_invalid_kernel_config_rejected(self):
         with pytest.raises(ValueError):
-            EngineConfig(kernel="quantum")
+            EngineConfig(workers=-1)
         with pytest.raises(ValueError):
-            EngineConfig(bucketed_min_batch=0)
-        with pytest.raises(ValueError):
-            EngineConfig(sweep_delta=-1.0)
-        with pytest.raises(ValueError):
-            EngineConfig(landmark_count=0)
+            EngineConfig(alpha_resolution=-0.1)
+        # Kernel choice is the module rule, not a config knob.
+        with pytest.raises(TypeError):
+            EngineConfig(kernel="bucketed")
 
     def test_set_coordinates_validates_and_resets(self, engine):
         with pytest.raises(ValueError):
@@ -447,3 +457,49 @@ class TestKernelSelection:
         coords2 = [(lat + 1.0, lon) for lat, lon in coords]
         engine.set_coordinates(coords2)  # changed: rebuild lazily
         assert engine.landmark_index() is not index
+
+
+class TestKernelIndependence:
+    """On a topology without exact ties, no answer depends on which
+    kernel settled a sweep or on the order sweeps entered the cache."""
+
+    def test_batched_and_one_at_a_time_caches_agree(self):
+        network = continental_network(pop_count=400, seed=0)
+        graph = network.distance_graph()
+        model = _seeded_model(network)
+        per_source = SweepStrategy.PER_SOURCE
+        answers = []
+        for batched in (True, False):
+            engine = RoutingEngine(graph, model)
+            sources = engine.node_ids[:20]
+            if batched:
+                # One prefetch: the 20 geographic sweeps share a bucket
+                # and run through the bucketed kernel.
+                engine.prefetch(
+                    task
+                    for name in sources
+                    for task in (
+                        (engine.index_of(name), 0.0),
+                        (engine.index_of(name), engine.expected_impact(name)),
+                    )
+                )
+                assert isinstance(
+                    engine.sweep(sources[0], 0.0).dist, np.ndarray
+                )
+            else:
+                for name in sources:
+                    engine.sweep(name, 0.0)
+                    engine.sweep(name, engine.expected_impact(name))
+                assert isinstance(engine.sweep(sources[0], 0.0).dist, list)
+            ratios = engine.ratios(sources=sources, strategy=per_source)
+            answers.append(
+                (
+                    ratios.risk_reduction_ratio,
+                    ratios.distance_increase_ratio,
+                    engine.lower_bound_total(
+                        sources, engine.node_ids, per_source
+                    ),
+                    list(engine.risk_routes_from(sources[0], per_source)),
+                )
+            )
+        assert answers[0] == answers[1]

@@ -53,6 +53,12 @@ class TestDijkstra:
         dist, _ = dijkstra(g, "a")
         assert "island" not in dist
 
+    def test_dicts_in_node_order(self):
+        g = grid_graph()
+        dist, parent = dijkstra(g, "f")
+        assert list(dist) == list(g.nodes())
+        assert list(parent) == [n for n in g.nodes() if n != "f"]
+
 
 class TestShortestPath:
     def test_path_endpoints(self):
@@ -96,38 +102,11 @@ class TestAllPairs:
         sweeps = all_pairs_shortest_paths(grid_graph())
         assert sweeps["a"][0]["f"] == pytest.approx(sweeps["f"][0]["a"])
 
-
-class TestAllPairsViaSession:
-    """Satellite: all_pairs routed through the engine's batched sweeps."""
-
-    def _session(self, network):
-        from repro.session import RoutingSession
-
-        return RoutingSession(network)
-
-    def test_matches_naive_bitwise(self, diamond_network):
-        session = self._session(diamond_network)
-        graph = diamond_network.distance_graph()
-        naive = all_pairs_shortest_paths(graph)
-        routed = all_pairs_shortest_paths(graph, session=session)
-        assert set(routed) == set(naive)
-        for source in naive:
-            # Distances bit-identical (same float ops in path order);
-            # reached sets identical.
-            assert routed[source][0] == naive[source][0]
-            assert set(routed[source][1]) == set(naive[source][1])
-
-    def test_mismatched_session_falls_back(self, diamond_network):
-        session = self._session(diamond_network)
-        other = grid_graph()
-        routed = all_pairs_shortest_paths(other, session=session)
-        assert routed == all_pairs_shortest_paths(other)
-
-    def test_sessionless_object_falls_back(self):
+    def test_matches_single_source(self):
         g = grid_graph()
-        assert all_pairs_shortest_paths(g, session=object()) == (
-            all_pairs_shortest_paths(g)
-        )
+        sweeps = all_pairs_shortest_paths(g)
+        for source in g.nodes():
+            assert sweeps[source] == dijkstra(g, source)
 
 
 class TestReconstructPath:

@@ -1,9 +1,9 @@
 """Landmark (ALT) pruning tests.
 
 The acceptance bar for the bound family is *exactness*: a pruned
-targeted query must return the same distance as the unpruned sweep —
-bit-for-bit, since both accumulate ``(d + w) + alpha * risk`` in path
-order.  The hypothesis harness draws random geometric graphs (the
+targeted query (``csr_sweep`` with ``bounds=``) must return the same
+distance as the unpruned sweep — bit-for-bit, since both accumulate
+``(d + w) + alpha * risk`` in path order.  The hypothesis harness draws random geometric graphs (the
 admissible-by-construction case for the great-circle bound: weights are
 at least the great-circle distance) and random alphas, and checks the
 property along with the pruning actually pruning.
@@ -17,11 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.engine.arrays import CsrGraph
-from repro.engine.landmarks import (
-    LandmarkIndex,
-    TargetedResult,
-    targeted_sweep,
-)
+from repro.engine.landmarks import LandmarkIndex
 from repro.engine.sweep import csr_sweep
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import haversine_miles
@@ -112,23 +108,24 @@ class TestLandmarkProperties:
             csr.indptr, csr.indices, csr.weights, k=4, latlon=latlon
         )
         bounds = index.lower_bounds(target)
-        pruned = targeted_sweep(
+        pruned = csr_sweep(
             csr.indptr_list, csr.indices_list, csr.weights_list,
-            entry_risk, source, target, alpha, bounds=bounds,
+            entry_risk, source, alpha, target=target, bounds=bounds,
         )
         full = csr_sweep(
             csr.indptr_list, csr.indices_list, csr.weights_list,
             entry_risk, source, alpha,
         )
         if full.dist[target] == _INF:
-            assert not pruned.reachable
+            assert pruned.dist[target] == _INF
         else:
-            # Bit-for-bit: both kernels accumulate the same float ops.
-            assert pruned.distance == full.dist[target]
-            assert pruned.path[0] == source
-            assert pruned.path[-1] == target
-            assert _path_cost(csr, entry_risk, pruned.path, alpha) == (
-                pruned.distance
+            # Bit-for-bit: both searches accumulate the same float ops.
+            assert pruned.dist[target] == full.dist[target]
+            path = pruned.path_to(target)
+            assert path[0] == source
+            assert path[-1] == target
+            assert _path_cost(csr, entry_risk, path, alpha) == (
+                pruned.dist[target]
             )
 
     @given(geometric_graphs())
@@ -178,16 +175,16 @@ class TestTargetedSweep:
             csr.indptr, csr.indices, csr.weights, k=6, latlon=latlon
         )
         source, target = 0, cols - 1  # corner to corner of the top row
-        plain = targeted_sweep(
+        plain = csr_sweep(
             csr.indptr_list, csr.indices_list, csr.weights_list,
-            entry_risk, source, target, 0.0,
+            entry_risk, source, 0.0, target=target,
         )
-        pruned = targeted_sweep(
+        pruned = csr_sweep(
             csr.indptr_list, csr.indices_list, csr.weights_list,
-            entry_risk, source, target, 0.0,
+            entry_risk, source, 0.0, target=target,
             bounds=index.lower_bounds(target),
         )
-        assert pruned.distance == plain.distance
+        assert pruned.dist[target] == plain.dist[target]
         # Goal-direction must beat plain Dijkstra-with-early-exit.
         assert pruned.settled < plain.settled
         assert pruned.settled < rows * cols // 2
@@ -196,13 +193,13 @@ class TestTargetedSweep:
         csr, entry_risk, latlon = geometric_csr(
             grid_points(2, 2), grid_edges(2, 2)
         )
-        result = targeted_sweep(
+        result = csr_sweep(
             csr.indptr_list, csr.indices_list, csr.weights_list,
-            entry_risk, 1, 1, 0.5,
+            entry_risk, 1, 0.5, target=1,
         )
-        assert result.reachable
-        assert result.distance == 0.0
-        assert result.path == [1]
+        assert result.dist[1] == 0.0
+        assert result.path_to(1) == [1]
+        assert result.settled == 1
 
     def test_disconnected_pair_prunes_to_zero_settles(self):
         # Two 2x2 islands; landmark bounds prove non-reachability
@@ -217,13 +214,13 @@ class TestTargetedSweep:
         index = LandmarkIndex.build(
             csr.indptr, csr.indices, csr.weights, k=4, latlon=latlon
         )
-        result = targeted_sweep(
+        result = csr_sweep(
             csr.indptr_list, csr.indices_list, csr.weights_list,
-            entry_risk, 0, 6, 0.3, bounds=index.lower_bounds(6),
+            entry_risk, 0, 0.3, target=6, bounds=index.lower_bounds(6),
         )
-        assert not result.reachable
-        assert result.distance == _INF
-        assert result.path == []
+        assert result.dist[6] == _INF
+        with pytest.raises(ValueError):
+            result.path_to(6)
         assert result.settled == 0
 
     def test_negative_alpha_rejected(self):
@@ -231,9 +228,9 @@ class TestTargetedSweep:
             grid_points(2, 2), grid_edges(2, 2)
         )
         with pytest.raises(ValueError):
-            targeted_sweep(
+            csr_sweep(
                 csr.indptr_list, csr.indices_list, csr.weights_list,
-                entry_risk, 0, 1, -0.1,
+                entry_risk, 0, -0.1, target=1, bounds=[0.0] * 4,
             )
 
     def test_out_of_range_endpoints_rejected(self):
@@ -242,9 +239,9 @@ class TestTargetedSweep:
         )
         for s, t in ((9, 0), (0, 9), (-1, 0)):
             with pytest.raises(IndexError):
-                targeted_sweep(
+                csr_sweep(
                     csr.indptr_list, csr.indices_list, csr.weights_list,
-                    entry_risk, s, t, 0.0,
+                    entry_risk, s, 0.0, target=t,
                 )
 
 

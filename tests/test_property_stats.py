@@ -142,6 +142,8 @@ class TestRegressionProperties:
 
     @given(xy_lists)
     @settings(max_examples=examples(60), deadline=None)
+    # An x spread of one subnormal: the slope overflowed to inf.
+    @example(pairs=[(0.0, 0.0), (5e-324, 100.0), (0.0, 0.0)])
     def test_r_squared_in_unit_interval(self, pairs):
         x = [a for a, _ in pairs]
         y = [b for _, b in pairs]

@@ -1,5 +1,7 @@
 """Tests for repro.stats.regression."""
 
+import warnings
+
 import pytest
 
 from repro.stats.regression import (
@@ -51,6 +53,17 @@ class TestLinearRegression:
         # spread far below 1e-16 in absolute terms is kept.
         fit = linear_regression([0.0, 1e-200, 2e-200], [1.0, 3.0, 5.0])
         assert fit.slope == pytest.approx(2e200)
+
+    def test_overflowing_slope_is_a_vertical_stack(self):
+        # An x spread of one subnormal under a y spread of 100: the
+        # slope overflows float64, which used to give slope inf,
+        # intercept nan and two RuntimeWarnings.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fit = linear_regression([0.0, 5e-324, 0.0], [0.0, 100.0, 0.0])
+        assert fit.slope == 0.0
+        assert fit.intercept == pytest.approx(100.0 / 3.0)
+        assert fit.r_squared == 0.0
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):

@@ -10,8 +10,8 @@ sweeps come back as plain-list
 
 Any pool failure (spawn limits, pickling, sandboxed environments)
 degrades to the serial path rather than failing the query.
-:func:`thread_map` is the generic thread fan-out other layers use
-(KDE chunks, Monte Carlo scenarios).
+:func:`thread_map` is the thread fan-out of the Monte Carlo scenario
+chunks.
 """
 
 from __future__ import annotations
@@ -80,11 +80,9 @@ def thread_map(
 ) -> List[_R]:
     """Map ``func`` over ``tasks`` on a thread pool, in task order.
 
-    The generic thread fan-out behind the KDE chunk evaluation (NumPy
-    releases the GIL inside its kernels) and the Monte Carlo scenario
-    chunks.  Falls back to a plain loop when a pool is not worth it
-    or cannot be stood up in this environment, so callers never fail on
-    pool availability.
+    The thread fan-out behind the Monte Carlo scenario chunks.  Falls
+    back to a plain loop when a pool is not worth it or cannot be stood
+    up in this environment, so callers never fail on pool availability.
     """
     if workers <= 1 or len(tasks) <= 1:
         return [func(task) for task in tasks]

@@ -3,12 +3,16 @@
 ``alpha_ij = c_i + c_j`` where ``c_i`` is the fraction of population
 served by PoP ``i`` under nearest-neighbour assignment.  This module
 caches per-network assignments so the experiments can ask for impacts
-repeatedly without re-running the census sweep.
+repeatedly without re-running the census sweep, which takes seconds
+on a large network.  The cache is keyed by what the assignment
+reads — tier, footprint states, and each PoP's id and coordinates —
+not by network name, so two networks that share a name never share
+population shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..population.assignment import (
     PopulationAssignment,
@@ -46,21 +50,29 @@ class ImpactModel:
         return self._assignment.shares()
 
 
-_MODEL_CACHE: Dict[str, ImpactModel] = {}
+_MODEL_CACHE: Dict[Tuple, ImpactModel] = {}
 
 
 def network_impact_model(
     network: Network, census: Optional[CensusData] = None
 ) -> ImpactModel:
-    """The impact model of a network (cached per network name).
+    """The impact model of a network (cached per network content).
 
     Uses the default synthetic census when none is supplied; custom
     census data bypasses the cache.
     """
     if census is not None:
         return ImpactModel(network_population_shares(network, census))
-    if network.name not in _MODEL_CACHE:
-        _MODEL_CACHE[network.name] = ImpactModel(
+    key = (
+        network.tier,
+        network.states,
+        tuple(
+            (pop.pop_id, pop.location.lat, pop.location.lon)
+            for pop in network.pops()
+        ),
+    )
+    if key not in _MODEL_CACHE:
+        _MODEL_CACHE[key] = ImpactModel(
             network_population_shares(network, synthetic_census())
         )
-    return _MODEL_CACHE[network.name]
+    return _MODEL_CACHE[key]

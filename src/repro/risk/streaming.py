@@ -25,11 +25,11 @@ exactly ``0.0`` there before and after the patch, so its ``o_h`` is
 bitwise unchanged — that is what lets the engine keep memoized sweeps
 for untouched regions across an ingest.
 
-Persisted ``o_h`` vectors ride the
-:meth:`~repro.stats.fieldcache.RiskFieldCache.put_delta` chain: after
-an ingest, only the rows whose value actually changed are written,
-patched against the previous fingerprint's entry (``scale == 1.0`` —
-bitwise-exact chains).
+``pop_risks`` goes through the base model's memo and
+:mod:`~repro.stats.fieldcache` store, keyed by the new fingerprint:
+after an ingest the first lookup misses, evaluates ``o_h`` through the
+tracked sums (:meth:`StreamingHistoricalModel.risks_array`), and
+persists the whole vector as one entry.
 """
 
 from __future__ import annotations
@@ -41,10 +41,10 @@ import numpy as np
 
 from ..disasters.catalog import PRETRAINED_BANDWIDTHS, catalog_of
 from ..disasters.events import DisasterCatalog, DisasterEvent, EventType
-from ..stats.fieldcache import CacheArg, content_key, resolve_cache
+from ..stats.fieldcache import CacheArg
 from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, points_to_array
-from ..stats.streaming import KdeDelta, StreamingKDE
-from .historical import RISK_UNIT_MILES, HistoricalRiskModel, _MEMO_LIMIT
+from ..stats.streaming import StreamingKDE
+from .historical import RISK_UNIT_MILES, HistoricalRiskModel
 
 __all__ = ["StreamingHistoricalModel", "IngestDelta", "default_streaming_model"]
 
@@ -150,9 +150,6 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             self._ids[event_type] = identities
             self._id_set.update(identities)
         super().__init__(kdes, weights, cache=cache)
-        # Parent links for delta-patched "oh" cache entries, keyed by
-        # the query-point array fingerprint.
-        self._oh_parents: Dict[str, Tuple[str, "np.ndarray"]] = {}
 
     # -- introspection -----------------------------------------------------
 
@@ -313,58 +310,6 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             )
             total += self._weights[event_type] * class_risk
         return total
-
-    def cached_risks_array(self, latlon_deg: "np.ndarray") -> "np.ndarray":
-        """``risks_array`` through the memo and the delta-patch store.
-
-        Same read path as the base model; on write, when the previous
-        fingerprint's vector for these points is known, only the rows
-        that changed are persisted as a ``put_delta`` entry chained off
-        the parent key (``scale == 1.0``: untouched rows are bitwise
-        stable, so chains resolve exactly).
-        """
-        latlon_deg = np.asarray(latlon_deg, dtype=np.float64)
-        store = resolve_cache(self._cache_arg)
-        from ..engine.fingerprint import array_fingerprint
-
-        points_fp = array_fingerprint(latlon_deg)
-        key = content_key(["oh", self.fingerprint, points_fp])
-        with self._memo_lock:
-            memoized = self._memo.get(key)
-        if memoized is not None:
-            return memoized
-        values = None
-        if store is not None:
-            values = store.get("oh", key)
-            if values is not None and values.shape != (latlon_deg.shape[0],):
-                store.invalidate("oh", key)
-                values = None
-        if values is None:
-            values = self.risks_array(latlon_deg)
-            if store is not None:
-                self._store_oh(store, key, points_fp, values)
-        with self._memo_lock:
-            if len(self._memo) >= _MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = values
-        self._oh_parents[points_fp] = (key, values)
-        return values
-
-    def _store_oh(self, store, key, points_fp, values) -> None:
-        parent = self._oh_parents.get(points_fp)
-        if parent is not None:
-            parent_key, parent_values = parent
-            if (
-                parent_key != key
-                and parent_values.shape == values.shape
-            ):
-                dirty = np.flatnonzero(parent_values != values)
-                if dirty.size <= values.shape[0] // 2 and store.put_delta(
-                    "oh", key, parent_key, dirty, values[dirty],
-                    values.shape[0],
-                ):
-                    return
-        store.put("oh", key, values)
 
 
 def default_streaming_model(

@@ -10,10 +10,11 @@ Architecture (all stdlib)::
                                                       |
     clients <-------- replies (written by the worker/handlers)
 
-* **Handlers** frame lines, parse requests, answer ``health`` inline,
-  and enforce admission control: a full queue is an immediate
-  ``overloaded`` reply, a draining daemon answers ``shutting_down``,
-  and each admitted request carries a deadline.
+* **Handlers** frame lines, parse requests, answer ``health`` inline
+  (from the PoP count and risk fingerprint the daemon keeps, never
+  from the engine), and enforce admission control: a full queue is an
+  immediate ``overloaded`` reply, a draining daemon answers
+  ``shutting_down``, and each admitted request carries a deadline.
 * **The worker** is the only consumer: it pulls contiguous batches,
   expires requests past their deadline (``timeout``), runs query
   batches on the one-thread executor (so engine state is touched by
@@ -191,6 +192,11 @@ class RiskRouteServer:
         # write that moved the fingerprint appends one entry.
         self._change_version = 0
         self._changelog: Deque[dict] = deque(maxlen=CHANGELOG_SIZE)
+        # What health, stats and subscribe report about the engine, so
+        # the loop thread never touches it: read once on the executor
+        # in start(), then moved by every write's SwapOutcome.
+        self._pops: Optional[int] = None
+        self._risk_fingerprint: Optional[str] = None
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -198,6 +204,11 @@ class RiskRouteServer:
         """Bind, start serving, and return the actual (host, port)."""
         loop = asyncio.get_running_loop()
         self._started_at = loop.time()
+        engine = await loop.run_in_executor(
+            self._executor, lambda: self.session.engine
+        )
+        self._pops = engine.node_count
+        self._risk_fingerprint = engine.risk_fingerprint
         if self.config.shards > 0:
             pool = ShardPool(
                 self.session,
@@ -442,8 +453,11 @@ class RiskRouteServer:
             op = live[0].request.op
             if op == "stats":
                 item = live[0]
+                engine_stats = await loop.run_in_executor(
+                    self._executor, self.session.stats
+                )
                 item.reply = encode_reply(
-                    item.request.id, self._stats_payload(loop)
+                    item.request.id, self._stats_payload(loop, engine_stats)
                 )
                 item.ok = True
                 self._deliver(loop, item)
@@ -453,6 +467,8 @@ class RiskRouteServer:
                 outcome = await loop.run_in_executor(
                     self._executor, getattr(self.service, apply), item
                 )
+                if outcome.fingerprint is not None:
+                    self._risk_fingerprint = outcome.fingerprint
                 if outcome.changed:
                     self.stats.writes[op] += 1
                 if self._shards is not None and outcome.applied:
@@ -513,11 +529,10 @@ class RiskRouteServer:
     def _handle_subscribe(self, item: PendingRequest) -> None:
         """Answer one ``subscribe`` poll from the bounded changelog.
 
-        Runs on the loop thread while the executor is idle (subscribe
-        is a barrier op, like ``stats``), so the engine fingerprint
-        read here is consistent with the queue position: every change
-        from a write admitted before this request is already in the
-        log.
+        Runs on the loop thread between batches (subscribe is a
+        barrier op, like ``stats``), so the fingerprint reported here
+        is consistent with the queue position: every change from a
+        write admitted before this request is already in the log.
         """
         request = item.request
         try:
@@ -546,7 +561,7 @@ class RiskRouteServer:
                 # remembered one have been evicted: the subscriber
                 # should resync from the current fingerprint.
                 "truncated": since + 1 < oldest_remembered,
-                "fingerprint": self.session.engine.risk_fingerprint,
+                "fingerprint": self._risk_fingerprint,
             },
         )
         item.ok = True
@@ -640,11 +655,10 @@ class RiskRouteServer:
 
     def _network_info(self) -> dict:
         network = getattr(self.session, "network", None)
-        engine = self.session.engine
         return {
             "network": network.name if network is not None else None,
-            "pops": engine.node_count,
-            "risk_fingerprint": engine.risk_fingerprint,
+            "pops": self._pops,
+            "risk_fingerprint": self._risk_fingerprint,
         }
 
     def _health_payload(self, loop: asyncio.AbstractEventLoop) -> dict:
@@ -672,10 +686,11 @@ class RiskRouteServer:
         payload.update(self._network_info())
         return payload
 
-    def _stats_payload(self, loop: asyncio.AbstractEventLoop) -> dict:
-        # Runs on the loop thread while the executor is idle (stats is
-        # a barrier op), so reading engine counters here cannot race a
-        # batch.
+    def _stats_payload(
+        self, loop: asyncio.AbstractEventLoop, engine_stats: dict
+    ) -> dict:
+        # ``engine_stats`` was read on the executor between batches
+        # (stats is a barrier op), so it cannot race a batch.
         payload = self.stats.snapshot(
             queue_depth=len(self.queue),
             uptime=loop.time() - self._started_at,
@@ -685,7 +700,7 @@ class RiskRouteServer:
             payload["faults"] = self._faults.snapshot()
         if self._shards is not None:
             payload["shards"] = self._shards.snapshot()
-        payload["engine"] = self.session.stats()
+        payload["engine"] = engine_stats
         payload["risk_field_cache"] = field_cache_stats()
         payload.update(self._network_info())
         return payload

@@ -374,7 +374,7 @@ def _plan_pair(engine, params: Dict[str, Any]) -> List[Tuple[int, float]]:
     return [(s, 0.0), (s, engine.pair_impact(source, target))]
 
 
-# -- result handlers (the dispatch half of the old _result_for) --------------
+# -- result handlers (what QueryService._dispatch runs) ----------------------
 
 
 def _handle_route(service, params: Dict[str, Any]) -> dict:

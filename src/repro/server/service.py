@@ -147,21 +147,36 @@ class QueryService:
 
     # -- coalescing plan ---------------------------------------------------
 
-    def _sweep_demands(
-        self, engine, request: Request
-    ) -> List[Tuple[int, float]]:
+    @staticmethod
+    def _validate(request: Request):
+        """``(spec, params, None)`` for a valid query request, or
+        ``(None, None, error)`` with the error its reply reports.
+
+        Each request of a batch is validated once, here; planning and
+        dispatch both read the same params dict.
+        """
+        try:
+            spec = ops.get_spec(request.op)
+            if spec.handler is None:
+                raise ProtocolError(
+                    "unknown_op", f"op {request.op!r} is not a query op"
+                )
+            return spec, ops.validate_params(spec, request.params), None
+        except ProtocolError as error:
+            return None, None, error
+
+    @staticmethod
+    def _sweep_demands(engine, spec, params) -> List[Tuple[int, float]]:
         """The (source index, alpha) sweeps one request will consult.
 
         Driven by each op's :attr:`~repro.server.ops.OpSpec.plan`; ops
         without a planner (``ratios``/``provision``) carry their own
-        batched prefetch inside the engine.  Unknown nodes or bad
-        params yield no demands — the dispatch step reports them.
+        batched prefetch inside the engine.  Invalid requests and
+        unknown nodes yield no demands — the dispatch step reports them.
         """
+        if spec is None or spec.plan is None:
+            return []
         try:
-            spec = ops.get_spec(request.op)
-            if spec.plan is None:
-                return []
-            params = ops.validate_params(spec, request.params)
             return spec.plan(engine, params)
         except (ProtocolError, NodeNotFoundError):
             return []
@@ -181,16 +196,17 @@ class QueryService:
         engine = self.session.engine
         fingerprint = engine.risk_fingerprint
         resolution = engine.config.alpha_resolution
+        validated = [self._validate(item.request) for item in batch]
         demands: List[Tuple[int, float]] = []
-        for item in batch:
-            demands.extend(self._sweep_demands(engine, item.request))
+        for spec, params, _ in validated:
+            demands.extend(self._sweep_demands(engine, spec, params))
         unique = {
             (source, alpha_bucket(alpha, resolution))
             for source, alpha in demands
         }
         computed = engine.prefetch(demands) if demands else 0
-        for item in batch:
-            self._dispatch(item, fingerprint)
+        for item, checked in zip(batch, validated):
+            self._dispatch(item, checked, fingerprint)
         return {
             "demands": len(demands),
             "coalesced": len(demands) - len(unique),
@@ -389,11 +405,16 @@ class QueryService:
 
     # -- per-request dispatch ----------------------------------------------
 
-    def _dispatch(self, item: PendingRequest, fingerprint: str) -> None:
+    def _dispatch(
+        self, item: PendingRequest, checked, fingerprint: str
+    ) -> None:
+        """Answer one request from its :meth:`_validate` outcome."""
         request = item.request
+        spec, params, error = checked
         try:
-            result = self._result_for(request)
-            spec = ops.get_spec(request.op)
+            if error is not None:
+                raise error
+            result = spec.handler(self, params)
             item.reply = encode_reply(
                 request.id,
                 result,
@@ -403,16 +424,6 @@ class QueryService:
         except Exception as exc:  # noqa: BLE001 - mapped to wire errors
             item.reply = self._error_reply(request, exc)
             item.ok = False
-
-    def _result_for(self, request: Request) -> dict:
-        """Validate and execute one request through its registry spec."""
-        spec = ops.get_spec(request.op)
-        if spec.handler is None:
-            raise ProtocolError(
-                "unknown_op", f"op {request.op!r} is not a query op"
-            )
-        params = ops.validate_params(spec, request.params)
-        return spec.handler(self, params)
 
     @staticmethod
     def _error_reply(request: Request, exc: Exception) -> bytes:

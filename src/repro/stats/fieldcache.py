@@ -13,14 +13,18 @@ for explicit eviction.
 
 Layout and durability:
 
-* entries are single ``.npy`` files named ``<kind>-<key>.npy`` in one
-  flat directory (``riskroute cache`` is small: one vector per
-  network/model pair, one field per grid),
+* every entry is one whole array in a single ``.npy`` file named
+  ``<kind>-<key>.npy`` in one flat directory (``riskroute cache`` is
+  small: one vector per network/model pair, one field per grid).  The
+  ``o_h`` vector a streaming ingest recomputes is stored the same way,
+  under the new model fingerprint, so a read is always one ``np.load``,
 * writes go through a temp file in the same directory followed by
   ``os.replace``, so readers never observe a torn entry,
 * a corrupted or unreadable file is treated as a miss, deleted
   best-effort, and recomputed — cache I/O can *never* fail a
-  computation; all failures degrade to "compute it again".
+  computation; all failures degrade to "compute it again".  Files of
+  any other name in the directory (such as the patch files older
+  versions chained off a parent entry) are never read.
 
 The directory is resolved per call from ``RISKROUTE_CACHE_DIR`` (else
 ``$XDG_CACHE_HOME/riskroute``, else ``~/.cache/riskroute``);
@@ -28,22 +32,6 @@ The directory is resolved per call from ``RISKROUTE_CACHE_DIR`` (else
 ``RISKROUTE_CACHE_MAX_BYTES`` bounds the directory: after every write
 the oldest-mtime entries are evicted until the total size fits
 (counted in ``stats.evictions``).
-
-Delta-patch entries (streaming ingestion)
------------------------------------------
-
-Streaming ingest produces fields that differ from their predecessor at
-a handful of rows.  :meth:`RiskFieldCache.put_delta` stores such a
-child as ``<kind>-<key>.delta.npz`` — the parent's key, the patched
-row indices and values, and a global ``scale`` — instead of a full
-array.  :meth:`RiskFieldCache.get` resolves the chain transparently:
-it loads the nearest full ``.npy`` ancestor, applies ``base * scale``
-then the row patches of each link, newest-last.  ``scale`` carries the
-KDE normaliser ratio when the event count changed (``1.0`` chains are
-bitwise-exact; a rescale rounds once per cell, exact at zero cells).
-Chains are bounded at :data:`_MAX_DELTA_DEPTH` links — ``put_delta``
-refuses (returns False) beyond that, or when the parent is absent, and
-the caller falls back to a full :meth:`~RiskFieldCache.put`.
 """
 
 from __future__ import annotations
@@ -66,10 +54,6 @@ __all__ = [
 
 #: Bump to orphan every existing entry on a format change.
 _FORMAT_VERSION = "v1"
-
-#: Longest delta chain resolved by ``get`` before ``put_delta`` starts
-#: refusing — bounds both resolution cost and compound rescale error.
-_MAX_DELTA_DEPTH = 8
 
 CacheArg = Union["RiskFieldCache", str, None]
 
@@ -140,130 +124,26 @@ class RiskFieldCache:
             raise ValueError(f"cache kind must be an identifier, got {kind!r}")
         return self.cache_dir / f"{kind}-{key}.npy"
 
-    def _delta_path(self, kind: str, key: str) -> Path:
-        if not kind.isidentifier():
-            raise ValueError(f"cache kind must be an identifier, got {kind!r}")
-        return self.cache_dir / f"{kind}-{key}.delta.npz"
-
     def get(self, kind: str, key: str) -> Optional["np.ndarray"]:
         """The stored array for ``(kind, key)``, or None on a miss.
 
-        Resolves delta-patch chains transparently (see the module
-        docstring).  Unreadable entries (torn by a crash predating
-        atomic writes, truncated disk, wrong format) are deleted and
-        reported as a miss — never raised.
+        Unreadable entries (torn by a crash predating atomic writes,
+        truncated disk, wrong format) are deleted and reported as a
+        miss — never raised.
         """
-        values = self._load_chain(kind, key, _MAX_DELTA_DEPTH + 1)
+        try:
+            values = np.load(self._path(kind, key), allow_pickle=False)
+        except FileNotFoundError:
+            values = None
+        except (OSError, ValueError, EOFError):
+            values = None
+            self.invalidate(kind, key)
         with self._lock:
             if values is None:
                 self.stats.misses += 1
             else:
                 self.stats.hits += 1
         return values
-
-    def _load_chain(
-        self, kind: str, key: str, budget: int
-    ) -> Optional["np.ndarray"]:
-        """Load an entry, following up to ``budget`` delta links."""
-        if budget < 0:
-            return None
-        path = self._path(kind, key)
-        try:
-            return np.load(path, allow_pickle=False)
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError, EOFError):
-            self._drop_corrupt(path)
-            return None
-        delta_path = self._delta_path(kind, key)
-        try:
-            with np.load(delta_path, allow_pickle=False) as entry:
-                parent_key = str(entry["parent"])
-                indices = np.asarray(entry["indices"], dtype=np.int64)
-                values = np.asarray(entry["values"])
-                length = int(entry["length"])
-                scale = float(entry["scale"])
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError, EOFError, KeyError):
-            self._drop_corrupt(delta_path)
-            return None
-        base = self._load_chain(kind, parent_key, budget - 1)
-        if base is None or base.shape != (length,):
-            return None
-        # scale == 1.0 reproduces the base bitwise at unpatched rows.
-        out = base.copy() if scale == 1.0 else base * scale
-        out[indices] = values
-        return out
-
-    def _drop_corrupt(self, path: Path) -> None:
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        with self._lock:
-            self.stats.invalidations += 1
-
-    def chain_depth(self, kind: str, key: str) -> Optional[int]:
-        """Delta links under ``key``: 0 for a full entry, None if absent."""
-        if self._path(kind, key).exists():
-            return 0
-        try:
-            with np.load(
-                self._delta_path(kind, key), allow_pickle=False
-            ) as entry:
-                return int(entry["depth"])
-        except (OSError, ValueError, EOFError, KeyError):
-            return None
-
-    def put_delta(
-        self,
-        kind: str,
-        key: str,
-        parent_key: str,
-        indices: "np.ndarray",
-        values: "np.ndarray",
-        length: int,
-        scale: float = 1.0,
-    ) -> bool:
-        """Store ``(kind, key)`` as a patch against ``parent_key``.
-
-        The child array is ``parent * scale`` with ``values`` written at
-        ``indices`` (child length ``length``).  Returns False — store a
-        full entry instead — when the parent is absent, its chain is
-        already :data:`_MAX_DELTA_DEPTH` deep, or the write failed.
-        """
-        parent_depth = self.chain_depth(kind, parent_key)
-        if parent_depth is None or parent_depth + 1 > _MAX_DELTA_DEPTH:
-            return False
-        path = self._delta_path(kind, key)
-        payload = {
-            "parent": np.array(parent_key),
-            "indices": np.ascontiguousarray(indices, dtype=np.int64),
-            "values": np.ascontiguousarray(values),
-            "length": np.array(int(length)),
-            "scale": np.array(float(scale)),
-            "depth": np.array(parent_depth + 1),
-        }
-        try:
-            self.cache_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp_name = tempfile.mkstemp(
-                dir=str(self.cache_dir), suffix=".tmp"
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    np.savez(handle, **payload)
-                os.replace(tmp_name, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp_name)
-                except OSError:
-                    pass
-                raise
-        except OSError:
-            return False
-        self._enforce_budget()
-        return True
 
     def put(self, kind: str, key: str, values: "np.ndarray") -> None:
         """Store ``values`` under ``(kind, key)``, atomically.
@@ -295,9 +175,7 @@ class RiskFieldCache:
         """Evict oldest-mtime entries past ``RISKROUTE_CACHE_MAX_BYTES``.
 
         Best-effort, like every other cache write: an unreadable or
-        already-removed file is simply skipped.  Evicting a mid-chain
-        parent only degrades its descendants to misses — ``get``
-        refuses to resolve past a missing ancestor.
+        already-removed file is simply skipped.
         """
         limit = _max_cache_bytes()
         if limit is None:
@@ -305,10 +183,7 @@ class RiskFieldCache:
         entries = []
         total = 0
         try:
-            candidates = [
-                *self.cache_dir.glob("*.npy"),
-                *self.cache_dir.glob("*.delta.npz"),
-            ]
+            candidates = list(self.cache_dir.glob("*.npy"))
         except OSError:
             return
         for path in candidates:
@@ -333,27 +208,20 @@ class RiskFieldCache:
                 return
 
     def invalidate(self, kind: str, key: str) -> bool:
-        """Drop one entry (full or delta); True when something was removed."""
-        removed = False
-        for path in (self._path(kind, key), self._delta_path(kind, key)):
-            try:
-                path.unlink()
-            except OSError:
-                continue
-            removed = True
-        if removed:
-            with self._lock:
-                self.stats.invalidations += 1
-        return removed
+        """Drop one entry; True when something was removed."""
+        try:
+            self._path(kind, key).unlink()
+        except OSError:
+            return False
+        with self._lock:
+            self.stats.invalidations += 1
+        return True
 
     def clear(self) -> int:
         """Drop every entry (all kinds); returns the count removed."""
         removed = 0
         try:
-            entries = [
-                *self.cache_dir.glob("*.npy"),
-                *self.cache_dir.glob("*.delta.npz"),
-            ]
+            entries = list(self.cache_dir.glob("*.npy"))
         except OSError:
             return 0
         for path in entries:

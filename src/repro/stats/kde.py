@@ -80,6 +80,10 @@ UNDERFLOW_SIGMAS = 38.7
 #: doubles so huge catalogs (the 143k-event wind class) stay in memory.
 _WORK_BUDGET = 8_000_000
 
+#: Most query rows evaluated per chunk; ``_WORK_BUDGET`` lowers it for
+#: large catalogs.
+_CHUNK_ROWS = 2048
+
 
 def points_to_array(points: Sequence[GeoPoint]) -> "np.ndarray":
     """Convert GeoPoints to an (N, 2) float array of (lat, lon) degrees."""
@@ -259,15 +263,9 @@ class GaussianKDE:
     Args:
         events: the observed event locations (at least one).
         bandwidth_miles: the kernel bandwidth ``sigma`` in miles.
-        chunk_size: queries are processed in chunks of up to this many
-            points to bound peak memory on large catalogs.
         cutoff_sigmas: kernel truncation radius in standard deviations
             (see the module docstring for the error bound); ``None``
             selects the exact dense path.
-        workers: thread fan-out for chunked evaluation (NumPy releases
-            the GIL inside the haversine/exp kernels); 0 or 1 is
-            serial.  Results are identical regardless of scheduling —
-            every task writes a disjoint output slice.
 
     Densities are per square mile, normalised in the flat-Earth (local
     tangent plane) approximation — exact enough at continental scale for
@@ -278,16 +276,10 @@ class GaussianKDE:
         self,
         events: Sequence[GeoPoint],
         bandwidth_miles: float,
-        chunk_size: int = 2048,
         cutoff_sigmas: Optional[float] = DEFAULT_CUTOFF_SIGMAS,
-        workers: int = 0,
     ) -> None:
         self._init_from_array(
-            points_to_array(events),
-            bandwidth_miles,
-            chunk_size=chunk_size,
-            cutoff_sigmas=cutoff_sigmas,
-            workers=workers,
+            points_to_array(events), bandwidth_miles, cutoff_sigmas
         )
 
     @classmethod
@@ -295,18 +287,14 @@ class GaussianKDE:
         cls,
         latlon_deg: "np.ndarray",
         bandwidth_miles: float,
-        chunk_size: int = 2048,
         cutoff_sigmas: Optional[float] = DEFAULT_CUTOFF_SIGMAS,
-        workers: int = 0,
     ) -> "GaussianKDE":
         """Build a KDE directly from an (N, 2) (lat, lon) degree array."""
         kde = cls.__new__(cls)
         kde._init_from_array(
             np.asarray(latlon_deg, dtype=np.float64),
             bandwidth_miles,
-            chunk_size=chunk_size,
-            cutoff_sigmas=cutoff_sigmas,
-            workers=workers,
+            cutoff_sigmas,
         )
         return kde
 
@@ -314,9 +302,7 @@ class GaussianKDE:
         self,
         events: "np.ndarray",
         bandwidth_miles: float,
-        chunk_size: int,
         cutoff_sigmas: Optional[float],
-        workers: int,
     ) -> None:
         if events.ndim != 2 or events.shape[1] != 2:
             raise ValueError("expected an (N, 2) array of (lat, lon)")
@@ -326,31 +312,31 @@ class GaussianKDE:
             raise ValueError(
                 f"bandwidth_miles must be positive, got {bandwidth_miles!r}"
             )
-        if chunk_size < 1:
-            raise ValueError("chunk_size must be >= 1")
         if cutoff_sigmas is not None and (
             not math.isfinite(cutoff_sigmas) or cutoff_sigmas <= 0
         ):
             raise ValueError(
                 f"cutoff_sigmas must be positive or None, got {cutoff_sigmas!r}"
             )
-        if workers < 0:
-            raise ValueError("workers must be >= 0")
         self._events = events
         self.bandwidth_miles = float(bandwidth_miles)
         self.cutoff_sigmas = (
             None if cutoff_sigmas is None else float(cutoff_sigmas)
         )
-        self.workers = int(workers)
-        self._chunk_arg = int(chunk_size)
-        self._chunk_size = max(
-            1, min(self._chunk_arg, _WORK_BUDGET // max(1, len(events)))
-        )
-        # Normalisation of a 2-D Gaussian: 1 / (2 pi sigma^2 N).
-        self._norm = 1.0 / (
-            2.0 * math.pi * self.bandwidth_miles**2 * len(events)
-        )
         self._index: Optional[_BucketIndex] = None
+        self._resize()
+
+    def _resize(self) -> None:
+        """Recompute the state that depends on the event count.
+
+        Chunk rows, the normaliser and the lazily built fingerprint all
+        depend on N.  A streaming patch calls this again, so its state
+        matches a fresh build over the same events exactly.
+        """
+        n = self._events.shape[0]
+        self._chunk_size = max(1, min(_CHUNK_ROWS, _WORK_BUDGET // n))
+        # Normalisation of a 2-D Gaussian: 1 / (2 pi sigma^2 N).
+        self._norm = 1.0 / (2.0 * math.pi * self.bandwidth_miles**2 * n)
         self._fingerprint: Optional[str] = None
 
     # -- identity ----------------------------------------------------------
@@ -515,15 +501,11 @@ class GaussianKDE:
         inv_two_sigma_sq = 1.0 / (2.0 * self.bandwidth_miles**2)
         chunk_rows = max(1, _WORK_BUDGET // events.shape[0])
         chunk_rows = min(chunk_rows, self._chunk_size)
-        tasks = list(range(0, latlon_deg.shape[0], chunk_rows))
-
-        def run(start: int) -> None:
+        for start in range(0, latlon_deg.shape[0], chunk_rows):
             chunk = latlon_deg[start : start + chunk_rows]
             dist = _haversine_matrix_miles(chunk, events)
             kernel = np.exp(-(dist**2) * inv_two_sigma_sq)
             out[start : start + chunk.shape[0]] = kernel.sum(axis=1)
-
-        self._fan_out(run, tasks)
         return out
 
     def _truncated_sums(
@@ -550,17 +532,13 @@ class GaussianKDE:
         )
         starts = np.concatenate(([0], boundaries + 1))
         ends = np.concatenate((boundaries + 1, [len(order)]))
-        groups = [
-            (tuple(sorted_keys[s]), order[s:e]) for s, e in zip(starts, ends)
-        ]
-
-        def run(group) -> None:
-            key, query_rows = group
-            cand = index.candidates(key, reach)
+        for s, e in zip(starts, ends):
+            query_rows = order[s:e]
+            cand = index.candidates(tuple(sorted_keys[s]), reach)
             if exclude is not None and cand.size:
                 cand = cand[~exclude[cand]]
             if cand.size == 0:
-                return  # out already zero
+                continue  # out already zero
             events = self._events[cand]
             chunk_rows = max(1, _WORK_BUDGET // cand.size)
             chunk_rows = min(chunk_rows, self._chunk_size)
@@ -569,22 +547,4 @@ class GaussianKDE:
                 dist = _haversine_matrix_miles(latlon_deg[rows], events)
                 kernel = np.exp(-(dist**2) * inv_two_sigma_sq)
                 out[rows] = kernel.sum(axis=1)
-
-        self._fan_out(run, groups)
         return out
-
-    def _fan_out(self, run, tasks) -> None:
-        """Run every task, across threads when configured.
-
-        Each task writes a disjoint slice of the output, so the result
-        is identical whatever the scheduling.
-        """
-        if self.workers > 1 and len(tasks) > 1:
-            # Lazy: repro.engine imports the risk layer, which imports
-            # this module — resolve the fan-out helper at call time.
-            from ..engine.parallel import thread_map
-
-            thread_map(run, tasks, self.workers)
-            return
-        for task in tasks:
-            run(task)

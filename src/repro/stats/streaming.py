@@ -11,9 +11,14 @@ the event's cell.  :class:`StreamingKDE` exploits that:
   :class:`~repro.stats.kde._BucketIndex` buckets in place (cells are
   independent, and both patches preserve the ascending-index gather
   order), and
-* *tracked* query-point sets (PoP coordinate arrays, grid centres) keep
+* *tracked* query-point sets (a network's PoP coordinate array) keep
   their unnormalised kernel-sum vectors resident, so an update only
   recomputes the rows inside the delta's dirty-cell neighborhood.
+
+Only the per-PoP ``o_h`` vectors an ingest re-evaluates ride the
+tracked sums.  A grid field (Figure 4) goes through the inherited
+:meth:`~repro.stats.kde.GaussianKDE.evaluate_grid`: a full sweep over
+the current events, bit for bit what a fresh ``GaussianKDE`` returns.
 
 Parity contract — **bitwise**, not approximate
 ----------------------------------------------
@@ -43,23 +48,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, Tuple
 
 import numpy as np
 
-from ..geo.grid import GeoGrid, GridField
-from .kde import (
-    DEFAULT_CUTOFF_SIGMAS,
-    GaussianKDE,
-    _chord_of_miles,
-    _unit_xyz,
-    _WORK_BUDGET,
-)
+from .kde import GaussianKDE, _chord_of_miles, _unit_xyz
 
 __all__ = ["StreamingKDE", "KdeDelta"]
 
 #: Tracked point-set bound: each entry holds the point array plus one
-#: float per row (a Level3 PoP set is ~2KB; a Figure-4 grid ~130KB).
+#: float per row (a Level3 PoP set is about 6KB).
 _TRACKED_LIMIT = 8
 
 _CellKey = Tuple[int, int, int]
@@ -101,35 +99,15 @@ class KdeDelta:
                 out[row] = True
         return out
 
-    def merged(self, other: "KdeDelta") -> "KdeDelta":
-        """Compose two consecutive deltas (append then window retire)."""
-        if other.parent_fingerprint != self.fingerprint:
-            raise ValueError("deltas are not consecutive")
-        return KdeDelta(
-            parent_fingerprint=self.parent_fingerprint,
-            fingerprint=other.fingerprint,
-            appended=self.appended + other.appended,
-            retired=self.retired + other.retired,
-            cell=self.cell,
-            reach=max(self.reach, other.reach),
-            hot_cells=self.hot_cells | other.hot_cells,
-        )
-
 
 class _TrackedPoints:
     """A registered query-point set with resident kernel sums."""
 
-    __slots__ = ("latlon", "sums", "pending", "last_key", "last_norm")
+    __slots__ = ("latlon", "sums")
 
     def __init__(self, latlon: "np.ndarray", sums: "np.ndarray") -> None:
         self.latlon = latlon
         self.sums = sums
-        # Rows dirtied since the grid cache last saw this set, plus the
-        # key/normaliser of that last write — the parent link for
-        # delta-patch cache entries.
-        self.pending = np.zeros(latlon.shape[0], dtype=bool)
-        self.last_key: Optional[str] = None
-        self.last_norm: Optional[float] = None
 
 
 class StreamingKDE(GaussianKDE):
@@ -143,16 +121,13 @@ class StreamingKDE(GaussianKDE):
     consistent across the streaming and rebuild paths.
     """
 
-    def _init_from_array(self, events, bandwidth_miles, chunk_size,
-                         cutoff_sigmas, workers) -> None:
+    def _init_from_array(self, events, bandwidth_miles, cutoff_sigmas) -> None:
         if cutoff_sigmas is None:
             raise ValueError(
                 "StreamingKDE requires a truncation radius (the dense "
                 "path has no cells to patch); pass cutoff_sigmas"
             )
-        super()._init_from_array(
-            events, bandwidth_miles, chunk_size, cutoff_sigmas, workers
-        )
+        super()._init_from_array(events, bandwidth_miles, cutoff_sigmas)
         self._tracked: Dict[str, _TrackedPoints] = {}
 
     # -- geometry ----------------------------------------------------------
@@ -255,19 +230,6 @@ class StreamingKDE(GaussianKDE):
             reach=self._reach(),
         )
 
-    def _resize(self) -> None:
-        """Recompute the N-dependent derived state after a patch.
-
-        Same expressions as ``_init_from_array``, so the normaliser and
-        chunking match a from-scratch build exactly.
-        """
-        n = self._events.shape[0]
-        self._norm = 1.0 / (2.0 * math.pi * self.bandwidth_miles**2 * n)
-        self._chunk_size = max(
-            1, min(self._chunk_arg, _WORK_BUDGET // max(1, n))
-        )
-        self._fingerprint = None
-
     # -- tracked point sets ------------------------------------------------
 
     def _track(self, latlon_deg: "np.ndarray") -> _TrackedPoints:
@@ -305,61 +267,3 @@ class StreamingKDE(GaussianKDE):
             tracked.sums[rows] = self._truncated_sums(
                 tracked.latlon[rows], self.cutoff_sigmas, None
             )
-            tracked.pending |= mask
-
-    # -- grid fields through the delta-patch cache -------------------------
-
-    def evaluate_grid(self, grid: GeoGrid, cache="default") -> GridField:
-        """Incremental ``evaluate_grid`` with delta-patch persistence.
-
-        A tracked grid recomputes only dirty cells; on write, when the
-        cache holds the parent field, only the dirtied cells (plus the
-        global normaliser rescale) are persisted as a
-        :meth:`~repro.stats.fieldcache.RiskFieldCache.put_delta` entry
-        chained off the parent key.
-        """
-        from .fieldcache import grid_field_key, resolve_cache
-
-        store = resolve_cache(cache)
-        key = None
-        if store is not None:
-            key = grid_field_key(self.fingerprint, grid)
-            values = store.get("grid", key)
-            if values is not None and values.shape == (
-                grid.n_lat * grid.n_lon,
-            ):
-                return GridField(grid, values.reshape(grid.shape))
-        tracked = self._track(grid.centers_array())
-        values = tracked.sums * self._norm
-        if store is not None:
-            self._store_grid(store, key, tracked, values)
-        return GridField(grid, values.reshape(grid.shape))
-
-    def _store_grid(self, store, key, tracked, values) -> None:
-        wrote = False
-        if (
-            tracked.last_key is not None
-            and tracked.last_key != key
-            and tracked.last_norm
-        ):
-            dirty = np.flatnonzero(tracked.pending)
-            # A delta bigger than half the field saves nothing.
-            if dirty.size <= values.shape[0] // 2:
-                # Clean cells carry over from the parent *densities* via
-                # the normaliser ratio (exact at sum==0 cells, one
-                # rounding elsewhere — see fieldcache docs).
-                scale = self._norm / tracked.last_norm
-                wrote = store.put_delta(
-                    "grid",
-                    key,
-                    tracked.last_key,
-                    dirty,
-                    values[dirty],
-                    values.shape[0],
-                    scale=scale,
-                )
-        if not wrote:
-            store.put("grid", key, values)
-        tracked.last_key = key
-        tracked.last_norm = self._norm
-        tracked.pending[:] = False

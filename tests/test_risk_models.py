@@ -5,6 +5,8 @@ import pytest
 
 from repro.forecast.risk import ForecastSnapshot
 from repro.geo.coords import GeoPoint
+from repro.population.assignment import network_population_shares
+from repro.population.census import synthetic_census
 from repro.risk.forecasted import ForecastedRiskModel, no_forecast
 from repro.risk.historical import RISK_UNIT_MILES, HistoricalRiskModel
 from repro.risk.impact import ImpactModel, network_impact_model
@@ -188,6 +190,39 @@ class TestImpact:
         assert network_impact_model(teliasonera) is network_impact_model(
             teliasonera
         )
+
+    @staticmethod
+    def _named(name, locations) -> Network:
+        """A network called ``name`` with one PoP per location."""
+        network = Network(name)
+        for i, location in enumerate(locations):
+            network.add_pop(PoP(f"{name}:{i}", f"PoP {i}", location))
+        return network
+
+    def test_same_name_different_coordinates_get_own_shares(self):
+        east = self._named(
+            "Twin", [GeoPoint(40.7, -74.0), GeoPoint(25.8, -80.2)]
+        )
+        west = self._named(
+            "Twin", [GeoPoint(47.6, -122.3), GeoPoint(34.0, -118.2)]
+        )
+        east_shares = network_impact_model(east).shares()
+        west_shares = network_impact_model(west).shares()
+        assert east_shares != west_shares
+        assert west_shares == network_population_shares(
+            west, synthetic_census()
+        ).shares()
+
+    def test_same_name_with_one_more_pop_gets_every_share(self):
+        locations = [GeoPoint(40.7, -74.0), GeoPoint(34.0, -118.2)]
+        smaller = self._named("Grower", locations)
+        larger = self._named("Grower", locations + [GeoPoint(41.9, -87.6)])
+        network_impact_model(smaller)
+        shares = network_impact_model(larger).shares()
+        assert set(shares) == set(larger.pop_ids())
+        model = RiskModel.for_network(larger, historical=toy_historical())
+        for pop_id in larger.pop_ids():
+            assert model.share(pop_id) == shares[pop_id]
 
 
 class TestRiskModel:

@@ -123,6 +123,45 @@ class TestBasicOps:
         assert stats["engine"]["sweeps"]["hits"] >= 1
         assert stats["risk_fingerprint"]
 
+    def test_health_probe_stays_off_the_engine(
+        self, monkeypatch, diamond_server, diamond_network
+    ):
+        """Only the service thread touches the engine: a health probe
+        answered on the event-loop thread neither hashes the graph nor
+        rebinds the engine's model, yet still reports the fingerprint
+        of the latest write."""
+        import repro.engine.engine as engine_module
+
+        calls = []
+        fingerprint = engine_module.graph_fingerprint
+        update_model = RoutingEngine.update_model
+
+        def traced_fingerprint(graph):
+            calls.append(("graph_fingerprint", threading.current_thread()))
+            return fingerprint(graph)
+
+        def traced_update_model(engine, model):
+            calls.append(("update_model", threading.current_thread()))
+            return update_model(engine, model)
+
+        monkeypatch.setattr(
+            engine_module, "graph_fingerprint", traced_fingerprint
+        )
+        monkeypatch.setattr(RoutingEngine, "update_model", traced_update_model)
+        _, host, port = diamond_server
+        forecast = {pop: 0.0 for pop in diamond_network.pop_ids()}
+        forecast["diamond:north"] = 10.0
+        with RiskRouteClient(host, port) as client:
+            before = client.health()["risk_fingerprint"]
+            assert client.update_forecast(forecast)["changed"] is True
+            written = client.last_fingerprint
+            after = client.health()["risk_fingerprint"]
+        assert before != after == written
+        assert calls  # the write went through the engine...
+        # ...on the service thread, never on the loop thread.
+        loop_thread = diamond_server[0]._thread
+        assert [c for c in calls if c[1] is loop_thread] == []
+
     def test_per_source_strategy(self, diamond_server, diamond_network,
                                  diamond_model):
         _, host, port = diamond_server

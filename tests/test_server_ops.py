@@ -277,6 +277,71 @@ class TestHandlerRoundTrip:
             assert reply["ok"] is True
 
 
+class TestBatchValidation:
+    """Each request of a batch is validated once; a bad one fails
+    only itself."""
+
+    @staticmethod
+    def _pair(request_id, params) -> PendingRequest:
+        return PendingRequest(
+            request=Request(
+                op="pair", id=request_id, params=params,
+                v=PROTOCOL_VERSION,
+            ),
+            writer=None, arrived=0.0,
+        )
+
+    @staticmethod
+    def _service() -> QueryService:
+        return QueryService(
+            RoutingSession(build_diamond_network(), build_diamond_model())
+        )
+
+    def test_each_request_validated_once(self, monkeypatch):
+        service = self._service()
+        calls = []
+        validate = ops.validate_params
+
+        def counting(spec, params):
+            calls.append(spec.name)
+            return validate(spec, params)
+
+        monkeypatch.setattr(ops, "validate_params", counting)
+        params = {"source": "diamond:west", "target": "diamond:east"}
+        batch = [self._pair(i, params) for i in range(3)]
+        service.execute_batch(batch)
+        assert all(item.ok for item in batch)
+        assert calls == ["pair"] * 3
+
+    def test_bad_request_fails_only_itself(self):
+        good = {"source": "diamond:west", "target": "diamond:east"}
+        back = {"source": "diamond:east", "target": "diamond:west"}
+        batch = [
+            self._pair("good", good),
+            self._pair("unknown", {**good, "target": "diamond:atlantis"}),
+            self._pair("missing", {"source": "diamond:west"}),
+            self._pair("extra", {**good, "bogus": 1}),
+            self._pair("back", back),
+        ]
+        self._service().execute_batch(batch)
+        replies = {item.request.id: item for item in batch}
+        errors = {
+            rid: json.loads(replies[rid].reply)["error"]["code"]
+            for rid in ("unknown", "missing", "extra")
+        }
+        assert errors == {
+            "unknown": "unknown_node",
+            "missing": "bad_request",
+            "extra": "bad_request",
+        }
+        # The valid requests answer exactly as in a batch of their own.
+        clean = [self._pair("good", good), self._pair("back", back)]
+        self._service().execute_batch(clean)
+        for item in clean:
+            assert replies[item.request.id].ok
+            assert replies[item.request.id].reply == item.reply
+
+
 class TestWireVersioning:
     """The daemon's half of the version contract (satellite 3's peer)."""
 

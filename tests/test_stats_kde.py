@@ -7,6 +7,7 @@ import pytest
 
 from repro.geo.coords import CONTINENTAL_US, GeoPoint
 from repro.geo.grid import GeoGrid
+from repro.stats import kde as kde_module
 from repro.stats.kde import GaussianKDE, points_to_array
 
 CLUSTER = [
@@ -31,10 +32,6 @@ class TestConstruction:
     def test_nan_bandwidth_rejected(self):
         with pytest.raises(ValueError):
             GaussianKDE(CLUSTER, float("nan"))
-
-    def test_invalid_chunk_size(self):
-        with pytest.raises(ValueError):
-            GaussianKDE(CLUSTER, 10.0, chunk_size=0)
 
     def test_n_events(self):
         assert GaussianKDE(CLUSTER, 10.0).n_events == 3
@@ -61,10 +58,12 @@ class TestDensity:
     def test_density_many_empty(self):
         assert GaussianKDE(CLUSTER, 30.0).density_many([]).shape == (0,)
 
-    def test_chunking_consistent(self):
+    def test_chunking_consistent(self, monkeypatch):
         points = [GeoPoint(30.0 + i * 0.1, -100.0) for i in range(50)]
-        small = GaussianKDE(CLUSTER, 30.0, chunk_size=7)
-        large = GaussianKDE(CLUSTER, 30.0, chunk_size=1000)
+        monkeypatch.setattr(kde_module, "_CHUNK_ROWS", 7)
+        small = GaussianKDE(CLUSTER, 30.0)
+        monkeypatch.setattr(kde_module, "_CHUNK_ROWS", 1000)
+        large = GaussianKDE(CLUSTER, 30.0)
         np.testing.assert_allclose(
             small.density_many(points), large.density_many(points)
         )
@@ -148,22 +147,6 @@ class TestTruncation:
         # zero (the dense value itself underflows to 0 there too).
         kde = GaussianKDE(CLUSTER, 5.0)
         assert kde.density(GeoPoint(48.0, -70.0)) == 0.0
-
-    def test_workers_do_not_change_results(self):
-        rng = np.random.default_rng(3)
-        events = np.column_stack(
-            [rng.uniform(30.0, 45.0, 200), rng.uniform(-110.0, -80.0, 200)]
-        )
-        queries = np.column_stack(
-            [rng.uniform(30.0, 45.0, 64), rng.uniform(-110.0, -80.0, 64)]
-        )
-        serial = GaussianKDE.from_array(events, 25.0, workers=0)
-        threaded = GaussianKDE.from_array(
-            events, 25.0, workers=4, chunk_size=16
-        )
-        np.testing.assert_array_equal(
-            serial.density_array(queries), threaded.density_array(queries)
-        )
 
     def test_holdout_log_density_matches_refit(self):
         rng = np.random.default_rng(5)

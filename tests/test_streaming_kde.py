@@ -6,9 +6,10 @@ event set was grown and shrunk through ``append_events`` /
 :class:`GaussianKDE` built over the surviving events — the rebuild path
 is the parity oracle.  The hypothesis test drives random interleavings
 of appends and retirements (the shape of live ingest plus rolling
-window slides) and pins tracked densities, grid fields and
-fingerprints against the oracle at 1e-9 relative tolerance (and in
-fact exact equality, which the implementation guarantees).
+window slides) and pins tracked densities and fingerprints against the
+oracle at 1e-9 relative tolerance (and in fact exact equality, which
+the implementation guarantees); a grid field evaluated after patches
+matches the oracle's too.
 """
 
 from __future__ import annotations
@@ -145,8 +146,7 @@ class TestIncrementalParity:
 
 class TestGridFieldsAndDeltaCache:
     # Wide enough that one appended event's truncation-reach
-    # neighborhood dirties well under half the cells — the threshold
-    # below which the cache persists a delta instead of a full field.
+    # neighborhood covers only part of the grid.
     GRID = GeoGrid(BoundingBox(25.0, -115.0, 48.0, -70.0), 12, 16)
 
     def test_evaluate_grid_matches_rebuild_after_patches(self, tmp_path):
@@ -163,27 +163,4 @@ class TestGridFieldsAndDeltaCache:
         expected = oracle.evaluate_grid(self.GRID, cache=None)
         np.testing.assert_allclose(
             field.values, expected.values, rtol=1e-9, atol=0.0
-        )
-
-    def test_incremental_write_is_a_delta_chained_off_parent(self, tmp_path):
-        from repro.stats.fieldcache import grid_field_key
-
-        store = RiskFieldCache(tmp_path / "chain-cache")
-        kde = StreamingKDE.from_array(
-            _array([(34.0, -97.0), (35.0, -95.0)]), BANDWIDTH
-        )
-        kde.evaluate_grid(self.GRID, cache=store)
-        parent_key = grid_field_key(kde.fingerprint, self.GRID)
-        assert store.chain_depth("grid", parent_key) == 0
-        kde.append_events(_array([(34.5, -96.0)]))
-        field = kde.evaluate_grid(self.GRID, cache=store)
-        child_key = grid_field_key(kde.fingerprint, self.GRID)
-        assert store.chain_depth("grid", child_key) == 1
-        # The chained entry resolves to the live field up to the one
-        # documented rounding on rescaled clean cells (dirty cells are
-        # stored verbatim; clean ones carry over via the normaliser
-        # ratio, exact where the kernel sum is 0).
-        resolved = store.get("grid", child_key)
-        np.testing.assert_allclose(
-            resolved, field.values.ravel(), rtol=1e-12, atol=0.0
         )

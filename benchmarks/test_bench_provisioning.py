@@ -27,7 +27,7 @@ import pytest
 
 from repro.core.provisioning import ProvisioningAnalyzer
 from repro.core.strategy import SweepStrategy
-from repro.engine import clear_engine_registry, get_engine
+from repro.engine import RoutingEngine
 from repro.geo.distance import haversine_miles
 from repro.graph.shortest_path import all_pairs_shortest_paths
 from repro.risk.model import RiskModel
@@ -77,13 +77,13 @@ def seed_candidate_links(
 
 class _SeedMatrices:
     """The rebuild-era component matrices: per-route dict loops in, four
-    n x n temporaries per scored candidate out."""
+    n x n temporaries per scored candidate out.  ``engine`` is the one
+    engine of ``network``'s current topology."""
 
-    def __init__(self, network, model):
+    def __init__(self, network, model, engine):
         pop_ids = network.pop_ids()
         index = {pop_id: i for i, pop_id in enumerate(pop_ids)}
         n = len(pop_ids)
-        engine = get_engine(network.distance_graph(), model)
         engine.prefetch_per_source(pop_ids)
         dist = np.zeros((n, n), dtype=np.float64)
         risk = np.zeros((n, n), dtype=np.float64)
@@ -136,22 +136,26 @@ class _SeedMatrices:
 def seed_greedy_links(network, model, count):
     """The rebuild-per-iteration greedy loop: fresh candidates, a fresh
     matrix build for scoring, and a fresh build for the actual total —
-    every single iteration."""
+    every single iteration.  Each working graph gets one engine, shared
+    by the build after its link lands and the next round's scoring
+    build, so each graph is swept once."""
     working = network.copy()
-    original = _SeedMatrices(working, model).baseline_total()
+    engine = RoutingEngine(working.distance_graph(), model)
+    original = _SeedMatrices(working, model, engine).baseline_total()
     out = []
     for _ in range(count):
         candidates = seed_candidate_links(working)
         if not candidates:
             break
-        matrices = _SeedMatrices(working, model)
+        matrices = _SeedMatrices(working, model, engine)
         totals = [matrices.candidate_total(c) for c in candidates]
         scored = sorted(
             zip(totals, candidates), key=lambda t: (t[0], t[1][0], t[1][1])
         )
         _, choice = scored[0]
         working.add_link(choice[0], choice[1])
-        actual = _SeedMatrices(working, model).baseline_total()
+        engine = RoutingEngine(working.distance_graph(), model)
+        actual = _SeedMatrices(working, model, engine).baseline_total()
         out.append((choice, actual, original))
     return out
 
@@ -160,12 +164,10 @@ def test_provisioning_speedup_level3(benchmark):
     network = network_by_name("Level3")
     model = RiskModel.for_network(network)
 
-    clear_engine_registry()
     t0 = time.perf_counter()
     seed = seed_greedy_links(network, model, LINKS)
     seed_seconds = time.perf_counter() - t0
 
-    clear_engine_registry()
     analyzer = ProvisioningAnalyzer(network, model)
     t0 = time.perf_counter()
     fast = run_once(benchmark, lambda: analyzer.greedy_links(LINKS))

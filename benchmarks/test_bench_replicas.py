@@ -30,7 +30,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.engine import clear_engine_registry
 from repro.engine.parallel import EngineConfig
 from repro.risk.model import RiskModel
 from repro.server import RiskRouteClient, ServerConfig, ServerThread
@@ -77,7 +76,6 @@ def _measure(network, model, shards, replicas, queries):
     slot (index, pair) to its payload and tagged fingerprint, so parity
     is asserted per reply even when a pair repeats.
     """
-    clear_engine_registry()
     thread = ServerThread(
         RoutingSession(network, model, config=BENCH_ENGINE),
         ServerConfig(batch_linger=0.002, request_timeout=600.0,

@@ -24,7 +24,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.engine import clear_engine_registry
 from repro.risk.model import RiskModel
 from repro.server import RiskRouteClient, ServerConfig, ServerThread
 from repro.session import RoutingSession
@@ -55,7 +54,6 @@ def _measure(network, model, shards, queries):
     Returns ``(seconds, replies)`` where ``replies`` maps each query
     to its full reply payload plus the fingerprint it was tagged with.
     """
-    clear_engine_registry()
     thread = ServerThread(
         RoutingSession(network, model),
         ServerConfig(batch_linger=0.002, request_timeout=600.0,

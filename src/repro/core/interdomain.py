@@ -79,9 +79,10 @@ class InterdomainRouter:
 
     @property
     def engine(self):
-        """The merged graph's :class:`~repro.engine.RoutingEngine` —
-        shared sweep/cache state for batched consumers (the Figure 11
-        peering search scores every candidate against it)."""
+        """The merged graph's :class:`~repro.engine.RoutingEngine`,
+        owned by this router — batched consumers reuse its sweeps and
+        caches (the Figure 11 peering search scores every candidate
+        against it)."""
         return self._router.engine
 
     def bounds(self, source: str, target: str) -> BoundsResult:
@@ -104,7 +105,7 @@ class InterdomainRouter:
         source; destinations are the supplied PoP set (the paper uses all
         PoPs of the 16 regional networks).  Runs as one batched engine
         query over the merged topology, sharing sweeps with every other
-        evaluation of the same merge.
+        evaluation on this router.
 
         Args:
             regional_name: the source network.

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..engine import ProvisioningStats, get_engine, peek_engine
+from ..engine import ProvisioningStats, RoutingEngine
 from ..geo.distance import haversine_miles, pairwise_distance_matrix
 from ..risk.model import RiskModel
 from ..topology.interdomain import InterdomainTopology
@@ -192,24 +192,23 @@ def candidate_links(
     reduction_threshold: float = DEFAULT_REDUCTION_THRESHOLD,
     max_length_miles: float = DEFAULT_MAX_LENGTH_MILES,
     *,
-    model: Optional[RiskModel] = None,
-    config=None,
+    engine: Optional[RoutingEngine] = None,
 ) -> List[CandidateLink]:
     """The set ``E_C`` of Equation 4 for one network.
 
     Current route mileage comes from the engine's cached geographic
-    (``alpha == 0``) sweeps — shared with every other query over the
-    same topology — and the direct-span matrix is one vectorized
-    haversine evaluation, so no standalone all-pairs Dijkstra runs here.
+    (``alpha == 0``) sweeps — shared with every other query on the same
+    engine — and the direct-span matrix is one vectorized haversine
+    evaluation, so no standalone all-pairs Dijkstra runs here.
 
     Args:
         network: the network to augment.
         reduction_threshold: minimum fractional mileage reduction the new
             link must offer its endpoints (paper: 0.5).
         max_length_miles: hard cap on new-link length.
-        model: optional risk model used only if no engine exists yet for
-            this topology (geographic sweeps are model-independent).
-        config: optional engine tuning for a cold engine.
+        engine: an engine over ``network``'s topology, bound to any
+            risk model (geographic sweeps are model-independent); a
+            zero-risk engine is built when omitted.
 
     Raises:
         ValueError: for a threshold outside [0, 1) or non-positive cap.
@@ -222,14 +221,8 @@ def candidate_links(
     if len(pops) < 2:
         return []
     graph = network.distance_graph()
-    # Ride an existing engine without touching its bound model; only
-    # bootstrap a fresh one (with the caller's model, or a zero-risk
-    # stand-in) when this topology has never been swept.
-    engine = peek_engine(graph)
     if engine is None:
-        engine = get_engine(
-            graph, model if model is not None else _geo_model(network), config
-        )
+        engine = RoutingEngine(graph, _geo_model(network))
     pop_ids = [p.pop_id for p in pops]
     perm = np.array([engine.index_of(p) for p in pop_ids], dtype=np.intp)
     current = _geo_rows(engine, pop_ids, perm)
@@ -244,10 +237,10 @@ def candidate_links(
 class _ComponentMatrices:
     """All-pairs (mileage, risk-sum, impact) arrays for one topology.
 
-    Route components come from the shared routing engine's O(n)
-    parent-tree extraction, so the per-source sweeps behind them are
-    memoized and never materialise per-target path objects.  The arrays
-    support three operations:
+    Route components come from the routing engine's O(n) parent-tree
+    extraction, under the engine's bound model, so the per-source sweeps
+    behind them are memoized and never materialise per-target path
+    objects.  The arrays support three operations:
 
     * ``candidate_total`` — via-edge scoring of one candidate link as a
       rank-4 matrix product over preallocated (thread-local) buffers;
@@ -260,16 +253,15 @@ class _ComponentMatrices:
     def __init__(
         self,
         network: Network,
-        model: RiskModel,
-        config=None,
+        engine: RoutingEngine,
         *,
         with_candidates: bool = False,
         stats: Optional[ProvisioningStats] = None,
     ) -> None:
+        model = engine.model
         pop_ids = network.pop_ids()
         index = {pop_id: i for i, pop_id in enumerate(pop_ids)}
         n = len(pop_ids)
-        engine = get_engine(network.distance_graph(), model, config)
         engine.prefetch_per_source(pop_ids)
         perm = np.array(
             [engine.index_of(p) for p in pop_ids], dtype=np.intp
@@ -295,8 +287,6 @@ class _ComponentMatrices:
         self.node_risk = np.array([model.node_risk(p) for p in pop_ids])
         self.row_alpha = row_alpha
         self.connected = bool(reached.all()) if n else True
-        self.model = model
-        self._config = config
         self._upper = np.triu_indices(n, k=1)
         self._tril = np.tril_indices(n, k=0)
         self._uniq_alphas, self._alpha_inv = np.unique(
@@ -474,18 +464,18 @@ class _ComponentMatrices:
     def verify(
         self,
         network: Network,
+        engine: RoutingEngine,
         *,
         stats: Optional[ProvisioningStats] = None,
     ) -> float:
-        """Cross-check against a from-scratch rebuild of ``network``.
+        """Cross-check against a from-scratch rebuild of ``network``
+        from ``engine``, which must be bound to its current topology.
 
         Adopts the rebuilt risk-weighted matrices (so verification also
         re-anchors any accumulated float drift) and returns the maximum
         absolute element-wise deviation observed.
         """
-        fresh = _ComponentMatrices(
-            network, self.model, self._config, stats=stats
-        )
+        fresh = _ComponentMatrices(network, engine, stats=stats)
         deviation = max(
             float(np.abs(self.dist - fresh.dist).max(initial=0.0)),
             float(np.abs(self.risk - fresh.risk).max(initial=0.0)),
@@ -512,6 +502,11 @@ class ProvisioningAnalyzer:
             process pool and candidates are scored on threads (the
             scoring inner loop is numpy matrix arithmetic, which
             releases the GIL).
+        engine: an engine over ``network``'s topology bound to ``model``
+            (a session passes its own, so scoring reuses its sweeps).
+            Without one, every call builds an engine from
+            ``network.distance_graph()``, so a network mutated between
+            calls is seen.
 
     ``stats`` accumulates :class:`ProvisioningStats` counters across
     every query served by this analyzer (sweeps avoided by incremental
@@ -519,21 +514,32 @@ class ProvisioningAnalyzer:
     """
 
     def __init__(
-        self, network: Network, model: RiskModel, config=None
+        self,
+        network: Network,
+        model: RiskModel,
+        config=None,
+        *,
+        engine: Optional[RoutingEngine] = None,
     ) -> None:
         self.network = network
         self.model = model
         self.config = config
+        self.engine = engine
         self.stats = ProvisioningStats()
+
+    def _engine_for(self, network: Network) -> RoutingEngine:
+        """The analyzer's engine for its own network; otherwise a fresh
+        engine over ``network``'s current distance graph."""
+        if self.engine is not None and network is self.network:
+            return self.engine
+        return RoutingEngine(network.distance_graph(), self.model, self.config)
 
     def aggregate_bit_risk(self, working: Optional[Network] = None) -> float:
         """Total min bit-risk miles over all unordered PoP pairs (the
         objective of Equation 4)."""
+        network = working or self.network
         return _ComponentMatrices(
-            working or self.network,
-            self.model,
-            config=self.config,
-            stats=self.stats,
+            network, self._engine_for(network), stats=self.stats
         ).baseline_total()
 
     def _score_candidates(
@@ -559,6 +565,23 @@ class ProvisioningAnalyzer:
                 pass  # pool unavailable: score serially below
         return [matrices.candidate_total(c) for c in candidates]
 
+    def _best_candidate(
+        self,
+        matrices: _ComponentMatrices,
+        candidates: Sequence[CandidateLink],
+    ) -> CandidateLink:
+        """The Equation 4 argmin (ties broken by endpoint names)."""
+        totals = self._score_candidates(matrices, candidates)
+        best_i = min(
+            range(len(candidates)),
+            key=lambda i: (
+                totals[i],
+                candidates[i].pop_a,
+                candidates[i].pop_b,
+            ),
+        )
+        return candidates[best_i]
+
     def rank_candidates(
         self,
         candidates: Optional[Sequence[CandidateLink]] = None,
@@ -572,14 +595,11 @@ class ProvisioningAnalyzer:
                 :func:`candidate_links`.
             top: truncate the ranking (None = all).
         """
+        engine = self._engine_for(self.network)
         if candidates is None:
-            candidates = candidate_links(
-                self.network, model=self.model, config=self.config
-            )
+            candidates = candidate_links(self.network, engine=engine)
         candidates = list(candidates)
-        matrices = _ComponentMatrices(
-            self.network, self.model, config=self.config, stats=self.stats
-        )
+        matrices = _ComponentMatrices(self.network, engine, stats=self.stats)
         baseline = matrices.baseline_total()
         totals = self._score_candidates(matrices, candidates)
         scored = [
@@ -631,35 +651,25 @@ class ProvisioningAnalyzer:
         if verify_every is not None and verify_every < 1:
             raise ValueError("verify_every must be >= 1")
         working = self.network.copy()
+        # The copy has the analyzed network's topology, so its engine
+        # serves the copy until the first link is added.
+        engine = self._engine_for(self.network)
         if not incremental:
-            return self._greedy_rebuild(count, working)
+            return self._greedy_rebuild(count, working, engine)
         matrices = _ComponentMatrices(
-            working,
-            self.model,
-            config=self.config,
-            with_candidates=True,
-            stats=self.stats,
+            working, engine, with_candidates=True, stats=self.stats
         )
         if not matrices.connected:
-            return self._greedy_rebuild(count, working)
+            return self._greedy_rebuild(count, working, engine)
         original = matrices.baseline_total()
         out: List[LinkRecommendation] = []
         for step in range(1, count + 1):
             candidates = matrices.candidate_list()
             if not candidates:
                 break
-            totals = self._score_candidates(matrices, candidates)
-            best_i = min(
-                range(len(candidates)),
-                key=lambda i: (
-                    totals[i],
-                    candidates[i].pop_a,
-                    candidates[i].pop_b,
-                ),
-            )
-            choice = candidates[best_i]
+            choice = self._best_candidate(matrices, candidates)
             link = working.add_link(choice.pop_a, choice.pop_b)
-            engine = get_engine(
+            engine = RoutingEngine(
                 working.distance_graph(), self.model, self.config
             )
             matrices.commit_link(
@@ -670,7 +680,7 @@ class ProvisioningAnalyzer:
                 stats=self.stats,
             )
             if verify_every is not None and step % verify_every == 0:
-                matrices.verify(working, stats=self.stats)
+                matrices.verify(working, engine, stats=self.stats)
             out.append(
                 LinkRecommendation(
                     candidate=choice,
@@ -681,30 +691,32 @@ class ProvisioningAnalyzer:
         return out
 
     def _greedy_rebuild(
-        self, count: int, working: Network
+        self, count: int, working: Network, engine: RoutingEngine
     ) -> List[LinkRecommendation]:
         """The historical greedy loop: full candidate regeneration and
-        component-matrix rebuild every iteration."""
-        original = self.aggregate_bit_risk(working)
+        component-matrix rebuild every iteration.
+
+        ``engine`` serves ``working``'s current topology.  Each added
+        link gets a new engine and matrices, whose total is the step's
+        result and which the next round's candidates and scoring reuse.
+        """
+        matrices = _ComponentMatrices(working, engine, stats=self.stats)
+        original = matrices.baseline_total()
         out: List[LinkRecommendation] = []
         for _ in range(count):
-            candidates = candidate_links(
-                working, model=self.model, config=self.config
-            )
+            candidates = candidate_links(working, engine=engine)
             if not candidates:
                 break
-            analyzer = ProvisioningAnalyzer(working, self.model, self.config)
-            analyzer.stats = self.stats
-            best = analyzer.rank_candidates(candidates, top=1)
-            if not best:
-                break
-            choice = best[0]
-            working.add_link(choice.candidate.pop_a, choice.candidate.pop_b)
-            actual = analyzer.aggregate_bit_risk(working)
+            choice = self._best_candidate(matrices, candidates)
+            working.add_link(choice.pop_a, choice.pop_b)
+            engine = RoutingEngine(
+                working.distance_graph(), self.model, self.config
+            )
+            matrices = _ComponentMatrices(working, engine, stats=self.stats)
             out.append(
                 LinkRecommendation(
-                    candidate=choice.candidate,
-                    aggregate_bit_risk=actual,
+                    candidate=choice,
+                    aggregate_bit_risk=matrices.baseline_total(),
                     baseline_bit_risk=original,
                 )
             )

@@ -78,9 +78,9 @@ def intradomain_ratios(
     """rr/dr over a (sub)set of a topology's PoP pairs.
 
     A thin wrapper over the batched engine behind the router: sweeps
-    are memoized and shared with every other query against the same
-    topology, and the finished aggregate itself is cached until the
-    risk field changes.
+    are memoized and shared with every other query on the same router,
+    and the finished aggregate itself is cached until the risk field
+    changes.
 
     Args:
         router: the routing engine for the network under study.

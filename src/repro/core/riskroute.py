@@ -82,7 +82,7 @@ class RiskRouter:
 
     Historically this class ran a cold Dijkstra per query; it is now a
     thin wrapper over :class:`repro.session.RoutingSession` (and through
-    it the shared, cached :class:`~repro.engine.engine.RoutingEngine`),
+    it the session's cached :class:`~repro.engine.engine.RoutingEngine`),
     kept for API compatibility.  New code should construct a
     ``RoutingSession`` directly.
     """
@@ -103,7 +103,7 @@ class RiskRouter:
 
     @property
     def engine(self):
-        """The shared routing engine behind this router."""
+        """The routing engine of this router's session."""
         return self._session.engine
 
     # -- single-pair routing --------------------------------------------------

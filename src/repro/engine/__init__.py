@@ -1,9 +1,10 @@
 """The batched routing engine subsystem.
 
 Freezes a topology into flat CSR arrays once, memoizes per-source
-risk-weighted Dijkstra sweeps keyed by (graph fingerprint, alpha
-bucket), fans all-pairs work across a process pool with a serial
-fallback, and invalidates cached sweeps when the risk field changes.
+risk-weighted Dijkstra sweeps keyed by (alpha bucket, source) on the
+engine that owns the topology, fans all-pairs work across a process
+pool with a serial fallback, and invalidates cached sweeps when the
+risk field changes.
 
 :class:`repro.session.RoutingSession` is the blessed user-facing entry
 point; this package is the machinery underneath it.
@@ -17,14 +18,8 @@ from .components import (
     parametric_component_table,
     sweep_component_arrays,
 )
-from .engine import (
-    RoutingEngine,
-    adopt_engine,
-    clear_engine_registry,
-    get_engine,
-    peek_engine,
-)
-from .fingerprint import graph_fingerprint, risk_fingerprint
+from .engine import RoutingEngine
+from .fingerprint import risk_fingerprint
 from .parallel import EngineConfig, sweep_many
 from .sweep import SweepResult, csr_sweep
 
@@ -33,14 +28,9 @@ __all__ = [
     "EngineConfig",
     "SweepStrategy",
     "resolve_strategy",
-    "get_engine",
-    "peek_engine",
-    "adopt_engine",
-    "clear_engine_registry",
     "ProvisioningStats",
     "sweep_component_arrays",
     "parametric_component_table",
-    "graph_fingerprint",
     "risk_fingerprint",
     "CsrGraph",
     "SweepCache",

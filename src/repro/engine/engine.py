@@ -29,10 +29,10 @@ per source.  On graphs of at least ``TARGETED_MIN_NODES`` nodes a cold
 single-pair query runs :func:`~repro.engine.sweep.csr_sweep` as A*
 under ``LANDMARK_COUNT`` landmark bounds instead of a full sweep.
 
-Module-level :func:`get_engine` is the shared registry: engines are
-keyed by graph fingerprint, so every ``RiskRouter``, ratio sweep and
-provisioning analysis over the same topology lands on the same warm
-caches.
+Whoever owns a topology owns its engine and passes it to whatever
+should share its warm caches: a :class:`~repro.session.RoutingSession`
+builds one and keeps it, and a provisioning analysis is handed its
+session's engine or builds one per working graph.
 """
 
 from __future__ import annotations
@@ -62,17 +62,11 @@ from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from .arrays import CsrGraph
 from .cache import ResultCache, SweepCache, alpha_bucket
-from .fingerprint import graph_fingerprint, risk_fingerprint
+from .fingerprint import risk_fingerprint
 from .parallel import EngineConfig, sweep_many
 from .sweep import SweepResult, csr_sweep, csr_sweep_batch
 
-__all__ = [
-    "RoutingEngine",
-    "get_engine",
-    "peek_engine",
-    "adopt_engine",
-    "clear_engine_registry",
-]
+__all__ = ["RoutingEngine"]
 
 _INF = float("inf")
 
@@ -89,8 +83,8 @@ class RoutingEngine:
     Args:
         graph: the distance-weighted topology (snapshotted into CSR
             arrays at construction — later graph mutations are not seen;
-            build a new engine, or go through :func:`get_engine`, which
-            fingerprints the live graph).
+            build a new engine, as a session does when its graph's
+            ``version`` moves).
         model: the risk model; must cover every graph node (fail fast,
             matching the historical ``RiskRouter`` contract).
         config: pool and cache tuning; defaults to serial + exact alpha
@@ -102,11 +96,9 @@ class RoutingEngine:
         graph: Graph[str],
         model: RiskModel,
         config: Optional[EngineConfig] = None,
-        _fingerprint: Optional[str] = None,
     ) -> None:
         self._config = config or EngineConfig()
         self._csr = CsrGraph(graph)
-        self.topology_fingerprint = _fingerprint or graph_fingerprint(graph)
         self._sweeps = SweepCache(self._config.sweep_cache_size)
         self._results = ResultCache(self._config.result_cache_size)
         self.risk_fingerprint = ""
@@ -124,18 +116,14 @@ class RoutingEngine:
         model: RiskModel,
         config: Optional[EngineConfig] = None,
         *,
-        fingerprint: str,
         risk_state: Optional[tuple] = None,
     ) -> "RoutingEngine":
         """Build an engine over pre-flattened CSR arrays.
 
         The shard-process constructor (see :mod:`repro.engine.shm`): a
         child that mapped the parent's CSR segments rebuilds the engine
-        without ever materialising a :class:`~repro.graph.core.Graph`.
-        ``fingerprint`` must be the topology fingerprint of the graph
-        the arrays were flattened from — it is what keys the engine in
-        the shared registry (:func:`adopt_engine`), so sessions in the
-        child resolve to this engine instead of rebuilding.
+        without flattening a :class:`~repro.graph.core.Graph`, and hands
+        it to its session's constructor.
 
         ``risk_state`` — ``(risk, entry_risk, shares, risk_fingerprint)``
         per-node/per-entry vectors already bound by the exporting
@@ -146,7 +134,6 @@ class RoutingEngine:
         self = cls.__new__(cls)
         self._config = config or EngineConfig()
         self._csr = csr
-        self.topology_fingerprint = fingerprint
         self._sweeps = SweepCache(self._config.sweep_cache_size)
         self._results = ResultCache(self._config.result_cache_size)
         self.risk_fingerprint = ""
@@ -273,11 +260,6 @@ class RoutingEngine:
                 label += 1
             self._components = labels
         return self._components
-
-    def configure(self, config: EngineConfig) -> None:
-        """Replace pool/bucketing tuning; caches stay valid (keys are
-        self-describing: a cached sweep's alpha always equals its key)."""
-        self._config = config
 
     @property
     def config(self) -> EngineConfig:
@@ -804,81 +786,3 @@ class RoutingEngine:
                 total += self._route(sweep, t).bit_risk_miles
         self._results.put(key, total)
         return total
-
-
-# -- shared engine registry -------------------------------------------------
-
-#: Engines keyed by topology fingerprint, LRU-bounded.  Keeping the
-#: registry small bounds memory while letting the common pattern — many
-#: routers/analyzers over the same handful of corpus networks — share
-#: warm caches.
-_REGISTRY_MAX = 16
-_REGISTRY: "OrderedDict[str, RoutingEngine]" = OrderedDict()
-
-
-def get_engine(
-    graph: Graph[str],
-    model: RiskModel,
-    config: Optional[EngineConfig] = None,
-) -> RoutingEngine:
-    """The shared engine for ``graph``, bound to ``model``.
-
-    The live graph is fingerprinted on every call, so a mutated graph
-    maps to a fresh engine rather than stale caches.  When the
-    fingerprint matches an existing engine, its model is swapped via
-    :meth:`RoutingEngine.update_model` — invalidating sweeps only when
-    the risk field actually changed.
-    """
-    fingerprint = graph_fingerprint(graph)
-    engine = _REGISTRY.get(fingerprint)
-    if engine is None:
-        engine = RoutingEngine(
-            graph, model, config=config, _fingerprint=fingerprint
-        )
-        _REGISTRY[fingerprint] = engine
-        while len(_REGISTRY) > _REGISTRY_MAX:
-            _REGISTRY.popitem(last=False)
-    else:
-        _REGISTRY.move_to_end(fingerprint)
-        engine.update_model(model)
-        if config is not None:
-            engine.configure(config)
-    return engine
-
-
-def peek_engine(graph: Graph[str]) -> Optional[RoutingEngine]:
-    """The registered engine for ``graph``, if any — *without* swapping
-    its bound model.
-
-    Model-independent consumers (geographic ``alpha == 0`` sweeps, e.g.
-    candidate-link generation) use this to ride an existing engine's
-    warm caches without invalidating the risk-weighted sweeps its real
-    model owns.
-    """
-    fingerprint = graph_fingerprint(graph)
-    engine = _REGISTRY.get(fingerprint)
-    if engine is not None:
-        _REGISTRY.move_to_end(fingerprint)
-    return engine
-
-
-def adopt_engine(engine: RoutingEngine) -> RoutingEngine:
-    """Register a pre-built engine under its topology fingerprint.
-
-    The shard-process entry point: a child that reconstructed an engine
-    from shared-memory arrays (:meth:`RoutingEngine.from_csr`) adopts
-    it so every :class:`~repro.session.RoutingSession` over the same
-    topology — which fingerprints its live graph and calls
-    :func:`get_engine` — resolves to the shared-memory engine instead
-    of flattening its own copy.
-    """
-    _REGISTRY[engine.topology_fingerprint] = engine
-    _REGISTRY.move_to_end(engine.topology_fingerprint)
-    while len(_REGISTRY) > _REGISTRY_MAX:
-        _REGISTRY.popitem(last=False)
-    return engine
-
-
-def clear_engine_registry() -> None:
-    """Drop every shared engine (tests and long-lived processes)."""
-    _REGISTRY.clear()

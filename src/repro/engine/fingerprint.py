@@ -4,13 +4,14 @@ The :class:`~repro.engine.engine.RoutingEngine` memoizes per-source
 Dijkstra sweeps.  A sweep's result is fully determined by
 
 * the **topology** — node set, adjacency, and edge weights — and
-* the **risk field** — the gamma-scaled per-node risk charged on entry,
+* the **risk field** — the gamma-scaled per-node risk charged on entry.
 
-so those two are hashed separately: the topology fingerprint keys the
-engine registry (one engine per distinct graph), while the risk
-fingerprint decides whether cached risk-weighted sweeps survive a model
-swap (a new forecast advisory changes the risk field; shortest-path
-sweeps at ``alpha == 0`` never depend on it and are always kept).
+An engine freezes its topology at construction, so only the risk field
+is hashed: the risk fingerprint decides whether cached risk-weighted
+sweeps survive a model swap (a new forecast advisory changes the risk
+field; shortest-path sweeps at ``alpha == 0`` never depend on it and
+are always kept).  A topology change is seen by the graph's owner
+instead, through :attr:`repro.graph.core.Graph.version`.
 
 Floats are hashed via ``float.hex`` — exact, platform-stable, and with
 no false merges from decimal rounding.
@@ -21,13 +22,10 @@ from __future__ import annotations
 import hashlib
 from typing import TYPE_CHECKING, Iterable, Sequence
 
-from ..graph.core import Graph
-
 if TYPE_CHECKING:  # risk.model imports back into the engine package
     from ..risk.model import RiskModel
 
 __all__ = [
-    "graph_fingerprint",
     "risk_fingerprint",
     "array_fingerprint",
     "combine_fingerprints",
@@ -69,19 +67,6 @@ def array_fingerprint(arr) -> str:
     h.update(b"\x00")
     h.update(arr.tobytes())
     return h.hexdigest()
-
-
-def graph_fingerprint(graph: Graph[str]) -> str:
-    """Hash of the node list plus every edge and its weight."""
-
-    def parts():
-        for node in graph.nodes():
-            yield f"n:{node}"
-        for u, v, w in graph.edges():
-            a, b = (u, v) if u <= v else (v, u)
-            yield f"e:{a}|{b}|{float(w).hex()}"
-
-    return _digest(parts())
 
 
 def risk_fingerprint(model: RiskModel, node_ids: Sequence[str]) -> str:

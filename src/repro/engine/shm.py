@@ -6,9 +6,10 @@ A sharded daemon (:mod:`repro.server.shards`) runs one
 into every child would copy them N times; instead the parent exports
 them once into named :class:`multiprocessing.shared_memory` segments
 and hands children a small picklable :class:`ShmManifest` (segment
-names + dtypes + shapes + fingerprints).  Each child maps the segments
-and rebuilds its engine directly over the views — the numpy arrays in
-the child are zero-copy windows onto the parent's pages.
+names + dtypes + shapes + the risk fingerprint).  Each child maps the
+segments and rebuilds its engine directly over the views — the numpy
+arrays in the child are zero-copy windows onto the parent's pages — and
+hands that engine to its :class:`~repro.session.RoutingSession`.
 
 What is shared vs. local:
 
@@ -42,7 +43,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .arrays import CsrGraph
-from .engine import RoutingEngine, adopt_engine
+from .engine import RoutingEngine
 from .parallel import EngineConfig
 
 __all__ = ["ShmManifest", "SharedEngineState", "attach_engine"]
@@ -52,14 +53,12 @@ __all__ = ["ShmManifest", "SharedEngineState", "attach_engine"]
 class ShmManifest:
     """Everything a child needs to map and rebuild an engine.
 
-    Picklable by construction: segment *names*, not handles.  The
-    topology fingerprint keys the rebuilt engine into the child's
-    engine registry; the risk fingerprint lets the parent assert the
-    child came up bound to the same field it exported.
+    Picklable by construction: segment *names*, not handles.  The risk
+    fingerprint lets the parent assert the child came up bound to the
+    same field it exported.
     """
 
     node_ids: Tuple[str, ...]
-    topology_fingerprint: str
     risk_fingerprint: str
     #: name -> (shared-memory segment name, dtype string, shape)
     segments: Dict[str, Tuple[str, str, Tuple[int, ...]]] = field(
@@ -129,7 +128,6 @@ class SharedEngineState:
             raise
         manifest = ShmManifest(
             node_ids=tuple(engine._csr.node_ids),
-            topology_fingerprint=engine.topology_fingerprint,
             risk_fingerprint=engine.risk_fingerprint,
             segments=entries,
         )
@@ -208,11 +206,10 @@ def attach_engine(
 ) -> RoutingEngine:
     """Child-side: map the segments and rebuild the engine over them.
 
-    The CSR arrays stay zero-copy views; the engine is registered under
-    the manifest's topology fingerprint (:func:`adopt_engine`), so a
-    :class:`~repro.session.RoutingSession` built in the child resolves
-    to it.  ``model`` must be the same risk model the parent exported
-    under — asserted via the manifest's risk fingerprint by the caller
+    The CSR arrays stay zero-copy views; the caller passes the engine
+    to the :class:`~repro.session.RoutingSession` it serves from.
+    ``model`` must be the same risk model the parent exported under —
+    asserted via the manifest's risk fingerprint by the caller
     (:mod:`repro.server.shards` pings each shard for its fingerprint
     after warm-up).
     """
@@ -237,7 +234,6 @@ def attach_engine(
         csr,
         model,
         config,
-        fingerprint=manifest.topology_fingerprint,
         risk_state=(
             views["risk"],
             views["entry_risk"],
@@ -250,4 +246,4 @@ def attach_engine(
     # Keep the mappings alive exactly as long as the engine: the numpy
     # views borrow the segments' buffers.
     engine._shm_segments = segments
-    return adopt_engine(engine)
+    return engine

@@ -41,11 +41,17 @@ class Graph(Generic[N]):
     Nodes and edges iterate in insertion order, which keeps every
     downstream computation (routing, provisioning search, ratio
     aggregation) fully deterministic.
+
+    ``version`` counts topology changes: every mutator that changes the
+    node set, the edge set or a weight bumps it, so a holder of derived
+    state (a session's routing engine) can tell whether the graph moved
+    since it last looked.
     """
 
     def __init__(self) -> None:
         self._adj: Dict[N, Dict[N, float]] = {}
         self._edge_count = 0
+        self.version = 0
 
     # -- construction -----------------------------------------------------
 
@@ -61,7 +67,9 @@ class Graph(Generic[N]):
 
     def add_node(self, node: N) -> None:
         """Add ``node`` if not already present (idempotent)."""
-        self._adj.setdefault(node, {})
+        if node not in self._adj:
+            self._adj[node] = {}
+            self.version += 1
 
     def add_edge(self, u: N, v: N, weight: float) -> None:
         """Add an undirected edge; endpoints are created as needed.
@@ -83,6 +91,7 @@ class Graph(Generic[N]):
         self._adj[u][v] = weight
         self._adj[v][u] = weight
         self._edge_count += 1
+        self.version += 1
 
     def set_weight(self, u: N, v: N, weight: float) -> None:
         """Update the weight of an existing edge.
@@ -102,6 +111,7 @@ class Graph(Generic[N]):
             raise KeyError(f"edge ({u!r}, {v!r}) does not exist")
         self._adj[u][v] = weight
         self._adj[v][u] = weight
+        self.version += 1
 
     def remove_edge(self, u: N, v: N) -> None:
         """Remove the edge between ``u`` and ``v``.
@@ -114,6 +124,7 @@ class Graph(Generic[N]):
         del self._adj[u][v]
         del self._adj[v][u]
         self._edge_count -= 1
+        self.version += 1
 
     def remove_node(self, node: N) -> None:
         """Remove ``node`` and all incident edges.
@@ -126,6 +137,7 @@ class Graph(Generic[N]):
         for neighbor in list(self._adj[node]):
             self.remove_edge(node, neighbor)
         del self._adj[node]
+        self.version += 1
 
     # -- queries -----------------------------------------------------------
 

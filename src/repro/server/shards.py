@@ -248,13 +248,9 @@ def _shard_main(shard_id: int, conn, spec: ShardSpec) -> None:
     engine = attach_engine(
         spec.manifest, spec.model, config=spec.engine_config
     )
-    # The session fingerprints its live graph and resolves to the
-    # adopted shared-memory engine through the registry.
     session = RoutingSession(
-        spec.topology, spec.model, config=spec.engine_config
+        spec.topology, spec.model, config=spec.engine_config, engine=engine
     )
-    if session.engine is not engine:  # pragma: no cover - defensive
-        raise RuntimeError("shard session did not adopt the shm engine")
     for name, values in spec.fields.items():
         apply_field(session, name, values)
     service = QueryService(session, faults=spec.faults)

@@ -20,10 +20,7 @@ from repro.engine import (
     RoutingEngine,
     SweepStrategy,
     alpha_bucket,
-    clear_engine_registry,
     csr_sweep,
-    get_engine,
-    graph_fingerprint,
     risk_fingerprint,
     sweep_many,
 )
@@ -32,13 +29,6 @@ from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
 from tests.conftest import build_diamond_model, build_diamond_network
 from tests.oracles import risk_dijkstra
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 @pytest.fixture
@@ -271,30 +261,6 @@ class TestAlphaBucketing:
             diamond_graph, list(route.path), diamond_model
         )
         assert route.bit_risk_miles == recomputed.bit_risk_miles
-
-
-class TestRegistry:
-    def test_same_topology_shares_engine(self, diamond_network, diamond_model):
-        g1 = diamond_network.distance_graph()
-        g2 = diamond_network.distance_graph()
-        assert get_engine(g1, diamond_model) is get_engine(g2, diamond_model)
-
-    def test_mutated_graph_gets_fresh_engine(self, diamond_network, diamond_model):
-        graph = diamond_network.distance_graph()
-        first = get_engine(graph, diamond_model)
-        graph.add_edge("diamond:west", "diamond:east", 1.0)
-        second = get_engine(graph, diamond_model)
-        assert second is not first
-        assert graph_fingerprint(graph) == second.topology_fingerprint
-
-    def test_registry_swaps_model_in_place(self, diamond_graph, diamond_model):
-        engine = get_engine(diamond_graph, diamond_model)
-        engine.ratios()
-        flipped = build_diamond_model(south_risk=1e-3, north_risk=5e-2)
-        again = get_engine(diamond_graph, flipped)
-        assert again is engine
-        assert engine.model is flipped
-        assert engine.stats()["sweeps"]["invalidations"] > 0
 
 
 class TestErrors:

@@ -15,7 +15,6 @@ from __future__ import annotations
 import pytest
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
 from repro.topology.network import Network, NetworkTier, PoP
@@ -50,13 +49,6 @@ def build_two_island_model(west_risk: float = 2e-2) -> RiskModel:
         oh[pop_id] = west_risk
     of = {pop_id: 0.0 for pop_id in pops}
     return RiskModel(shares, oh, of, gamma_h=1e5, gamma_f=1e3)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 @pytest.fixture
@@ -109,7 +101,6 @@ class TestComponentScopedInvalidation:
         warm_west = session.pair("isles:sf", "isles:fresno")
         warm_east = session.pair("isles:nyc", "isles:albany")
 
-        clear_engine_registry()
         cold = RoutingSession(
             build_two_island_network(),
             build_two_island_model().with_historical_risk(new_oh),

@@ -28,16 +28,8 @@ import numpy as np
 import pytest
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.engine.shm import SharedEngineState, attach_engine
 from tests.conftest import build_diamond_model, build_diamond_network
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 def _export() -> SharedEngineState:
@@ -65,7 +57,6 @@ class TestExportAttach:
             assert manifest.risk_fingerprint == (
                 session.engine.risk_fingerprint
             )
-            clear_engine_registry()
             child = attach_engine(manifest, build_diamond_model())
             assert child.risk_fingerprint == manifest.risk_fingerprint
             np.testing.assert_array_equal(

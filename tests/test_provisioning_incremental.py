@@ -19,7 +19,7 @@ from repro.core.provisioning import (
     _ComponentMatrices,
     candidate_links,
 )
-from repro.engine import clear_engine_registry, get_engine
+from repro.engine import RoutingEngine
 from repro.geo.distance import haversine_miles
 from repro.graph.shortest_path import all_pairs_shortest_paths
 from repro.risk.model import RiskModel
@@ -27,6 +27,11 @@ from repro.topology.builders import build_network
 from repro.topology.cities import ALL_CITIES
 from repro.topology.zoo import network_by_name
 from tests.conftest import examples
+
+
+def _engine(network, model):
+    return RoutingEngine(network.distance_graph(), model)
+
 
 city_subsets = st.lists(
     st.sampled_from(list(ALL_CITIES[:60])), min_size=6, max_size=14, unique=True
@@ -39,7 +44,6 @@ class TestIncrementalExactness:
     def test_incremental_matches_rebuild_on_gabriel_meshes(
         self, cities, k, seed
     ):
-        clear_engine_registry()
         network = build_network("prop", cities, len(cities), 3.0)
         pop_ids = network.pop_ids()
         weight = sum(range(1, len(pop_ids) + 1))
@@ -48,7 +52,7 @@ class TestIncrementalExactness:
             {p: 0.01 * ((i * 7) % 5) for i, p in enumerate(pop_ids)},
             {p: 0.02 * ((i * 3) % 7) for i, p in enumerate(pop_ids)},
         )
-        matrices = _ComponentMatrices(network, model)
+        matrices = _ComponentMatrices(network, _engine(network, model))
         assert matrices.connected
         rng = random.Random(seed)
         pop_ids = network.pop_ids()
@@ -60,10 +64,11 @@ class TestIncrementalExactness:
             if network.has_link(pop_a, pop_b):
                 continue
             link = network.add_link(pop_a, pop_b)
-            engine = get_engine(network.distance_graph(), model)
-            matrices.commit_link(engine, pop_a, pop_b, link.length_miles)
+            matrices.commit_link(
+                _engine(network, model), pop_a, pop_b, link.length_miles
+            )
             committed += 1
-        fresh = _ComponentMatrices(network, model)
+        fresh = _ComponentMatrices(network, _engine(network, model))
         np.testing.assert_allclose(
             matrices.dist, fresh.dist, rtol=1e-9, atol=1e-9
         )
@@ -72,20 +77,21 @@ class TestIncrementalExactness:
         )
 
     def test_verify_reports_tiny_deviation(self):
-        clear_engine_registry()
         network = network_by_name("Sprint")
         model = RiskModel.for_network(network)
         working = network.copy()
-        matrices = _ComponentMatrices(working, model, with_candidates=True)
+        matrices = _ComponentMatrices(
+            working, _engine(working, model), with_candidates=True
+        )
         stats = ProvisioningStats()
         choice = matrices.candidate_list()[0]
         link = working.add_link(choice.pop_a, choice.pop_b)
-        engine = get_engine(working.distance_graph(), model)
+        engine = _engine(working, model)
         matrices.commit_link(
             engine, choice.pop_a, choice.pop_b, link.length_miles,
             stats=stats,
         )
-        deviation = matrices.verify(working, stats=stats)
+        deviation = matrices.verify(working, engine, stats=stats)
         assert deviation < 1e-8
         assert stats.verifications == 1
         assert stats.max_verify_deviation == deviation
@@ -99,9 +105,7 @@ class TestGreedyParity:
         count = 4 if name == "Level3" else 6
         network = network_by_name(name)
         model = RiskModel.for_network(network)
-        clear_engine_registry()
         fast = ProvisioningAnalyzer(network, model).greedy_links(count)
-        clear_engine_registry()
         slow = ProvisioningAnalyzer(network, model).greedy_links(
             count, incremental=False
         )
@@ -119,10 +123,8 @@ class TestGreedyParity:
     def test_verify_every_knob_matches_default(self):
         network = network_by_name("Sprint")
         model = RiskModel.for_network(network)
-        clear_engine_registry()
         analyzer = ProvisioningAnalyzer(network, model)
         checked = analyzer.greedy_links(5, verify_every=2)
-        clear_engine_registry()
         plain = ProvisioningAnalyzer(network, model).greedy_links(5)
         assert [r.candidate for r in checked] == [r.candidate for r in plain]
         assert analyzer.stats.verifications == 2
@@ -131,7 +133,6 @@ class TestGreedyParity:
 
 class TestCandidateLinksVectorized:
     def test_matches_scalar_reference(self):
-        clear_engine_registry()
         network = network_by_name("Sprint")
         got = candidate_links(network)
         # The historical scalar implementation, inlined as the oracle.
@@ -163,7 +164,6 @@ class TestCandidateLinksVectorized:
             assert c.current_route_miles == pytest.approx(current, rel=1e-9)
 
     def test_candidate_total_matches_recomputation(self):
-        clear_engine_registry()
         network = network_by_name("Sprint")
         model = RiskModel.for_network(network)
         analyzer = ProvisioningAnalyzer(network, model)
@@ -177,10 +177,9 @@ class TestCandidateLinksVectorized:
 
 class TestComponentArrays:
     def test_bit_equal_to_materialised_routes(self):
-        clear_engine_registry()
         network = network_by_name("Sprint")
         model = RiskModel.for_network(network)
-        engine = get_engine(network.distance_graph(), model)
+        engine = _engine(network, model)
         source = network.pop_ids()[0]
         from repro.core.strategy import SweepStrategy
 
@@ -198,7 +197,6 @@ class TestComponentArrays:
 
 class TestStatsAccounting:
     def test_greedy_counts_avoided_sweeps(self):
-        clear_engine_registry()
         network = network_by_name("Sprint")
         analyzer = ProvisioningAnalyzer(
             network, RiskModel.for_network(network)

@@ -18,7 +18,7 @@ import time
 import pytest
 
 from repro import RoutingSession
-from repro.engine import RoutingEngine, clear_engine_registry
+from repro.engine import RoutingEngine
 from repro.graph.core import Graph
 from repro.risk.model import RiskModel
 from repro.server import (
@@ -32,13 +32,6 @@ from repro.server import (
 )
 from repro.server.protocol import pair_to_dict, ratios_to_dict, route_to_dict
 from tests.conftest import build_diamond_model, build_diamond_network
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 @pytest.fixture
@@ -127,26 +120,22 @@ class TestBasicOps:
         self, monkeypatch, diamond_server, diamond_network
     ):
         """Only the service thread touches the engine: a health probe
-        answered on the event-loop thread neither hashes the graph nor
-        rebinds the engine's model, yet still reports the fingerprint
+        answered on the event-loop thread neither reaches the session's
+        engine nor rebinds its model, yet still reports the fingerprint
         of the latest write."""
-        import repro.engine.engine as engine_module
-
         calls = []
-        fingerprint = engine_module.graph_fingerprint
+        engine_property = RoutingSession.engine
         update_model = RoutingEngine.update_model
 
-        def traced_fingerprint(graph):
-            calls.append(("graph_fingerprint", threading.current_thread()))
-            return fingerprint(graph)
+        def traced_engine(session):
+            calls.append(("engine", threading.current_thread()))
+            return engine_property.fget(session)
 
         def traced_update_model(engine, model):
             calls.append(("update_model", threading.current_thread()))
             return update_model(engine, model)
 
-        monkeypatch.setattr(
-            engine_module, "graph_fingerprint", traced_fingerprint
-        )
+        monkeypatch.setattr(RoutingSession, "engine", property(traced_engine))
         monkeypatch.setattr(RoutingEngine, "update_model", traced_update_model)
         _, host, port = diamond_server
         forecast = {pop: 0.0 for pop in diamond_network.pop_ids()}

@@ -28,7 +28,7 @@ import random
 import pytest
 
 from repro import RoutingSession
-from repro.engine import RoutingEngine, clear_engine_registry
+from repro.engine import RoutingEngine
 from repro.server import (
     FaultPlane,
     FaultRule,
@@ -40,13 +40,6 @@ from repro.server import (
 )
 from repro.server.protocol import pair_to_dict, route_to_dict
 from tests.conftest import build_diamond_model, build_diamond_network
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 def _fast_retry(attempts: int = 5, seed: int = 0) -> RetryPolicy:
@@ -435,7 +428,6 @@ class TestTransactionalIngest:
                 never_failed = client.last_fingerprint
         finally:
             clean.stop()
-        clear_engine_registry()
 
         faults = FaultPlane([FaultRule("apply_update", hits=(1,))])
         thread = _serve(diamond_network, diamond_model, faults)

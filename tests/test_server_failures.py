@@ -16,7 +16,6 @@ import time
 import pytest
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.server import (
     RetryPolicy,
     RiskRouteClient,
@@ -24,13 +23,6 @@ from repro.server import (
     ServerError,
     ServerThread,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 class _Slow:

@@ -23,7 +23,6 @@ from __future__ import annotations
 import pytest
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
 from repro.server import (
@@ -45,13 +44,6 @@ TORNADO = "fema-tornado"
 # leaves these PoPs' o_h bitwise unchanged.  Island B: Kansas.
 MAINE = ("isles:caribou", "isles:houlton")
 KANSAS = ("isles:wichita", "isles:topeka")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 @pytest.fixture
@@ -225,7 +217,6 @@ class TestDeltaInvalidationAcrossIngest:
         """Cache-served answers after the delta swap equal a cold
         server started on the equivalent state (no stale replies)."""
         def collect(warm_between):
-            clear_engine_registry()
             thread = ServerThread(
                 RoutingSession(
                     build_two_island_network(), build_two_island_model()
@@ -344,7 +335,6 @@ class TestShardedIngest:
         ]
         assert len(replaced) == 1 and replaced[0]["batches"] > 0
 
-        clear_engine_registry()
         network = build_diamond_network()
         reference = RoutingSession(network, build_diamond_model())
         streaming = default_streaming_model()

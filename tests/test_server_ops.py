@@ -20,7 +20,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.server import (
     REGISTRY,
     RiskRouteClient,
@@ -43,13 +42,6 @@ from tests.conftest import (
     build_diamond_network,
     examples,
 )
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 def _example_params(spec: ops.OpSpec) -> dict:

@@ -36,7 +36,6 @@ from itertools import permutations
 import pytest
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.server import (
     FaultPlane,
     FaultRule,
@@ -52,13 +51,6 @@ from tests.conftest import build_diamond_model, build_diamond_network
 
 WEST, EAST = "diamond:west", "diamond:east"
 POPS = ("diamond:west", "diamond:east", "diamond:north", "diamond:south")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 def _session() -> RoutingSession:

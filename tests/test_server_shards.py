@@ -30,7 +30,6 @@ from itertools import permutations
 import pytest
 
 from repro import RoutingSession
-from repro.engine import clear_engine_registry
 from repro.server import (
     FaultPlane,
     FaultRule,
@@ -45,13 +44,6 @@ from tests.conftest import build_diamond_model, build_diamond_network
 
 WEST, EAST = "diamond:west", "diamond:east"
 POPS = ("diamond:west", "diamond:east", "diamond:north", "diamond:south")
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
 
 
 def _pair_request(source: str, target: str, op: str = "pair") -> Request:
@@ -135,7 +127,6 @@ class TestShardedParity:
         direct_fp = session.engine.risk_fingerprint
 
         def serve_and_collect(shards):
-            clear_engine_registry()
             thread = ServerThread(
                 RoutingSession(
                     build_diamond_network(), build_diamond_model()
@@ -210,7 +201,6 @@ class TestSwapBarrier:
         assert post_fp != pre_fp
         expected[post_fp] = pair_to_dict(reference.pair(WEST, EAST))
 
-        clear_engine_registry()
         thread = ServerThread(
             RoutingSession(build_diamond_network(), build_diamond_model()),
             ServerConfig(batch_linger=0.002, shards=2),

@@ -6,19 +6,17 @@ import warnings
 
 import pytest
 
-from repro import RoutingSession
+from repro import RiskModel, RoutingSession
+from repro.core.mrc import build_mrc
 from repro.core.ratios import intradomain_ratios
 from repro.core.riskroute import RiskRouter
 from repro.core.strategy import SweepStrategy, resolve_strategy
-from repro.engine import clear_engine_registry
+from repro.topology.zoo import network_by_name
 from tests.conftest import build_diamond_model, build_diamond_network
 
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    clear_engine_registry()
-    yield
-    clear_engine_registry()
+WEST, NORTH, EAST, SOUTH = (
+    "diamond:west", "diamond:north", "diamond:east", "diamond:south"
+)
 
 
 @pytest.fixture
@@ -244,11 +242,87 @@ class TestInvalidationBoundary:
 
 
 class TestSharedCaches:
-    def test_two_sessions_share_engine(self, diamond_network, diamond_model):
-        a = RoutingSession(diamond_network, diamond_model)
-        b = RoutingSession(diamond_network, build_diamond_model())
-        assert a.engine is b.engine
-
     def test_warm_all_pairs_is_memoized(self, session):
         first = session.all_pairs()
         assert session.all_pairs() is first
+
+
+def _sweep_counters(engine):
+    sweeps = engine.stats()["sweeps"]
+    return sweeps["misses"], sweeps["invalidations"]
+
+
+class TestOwnEngine:
+    """Each session builds one engine and keeps it: sessions over one
+    topology never swap models on a shared engine, and only a mutation
+    of the session's own graph replaces it."""
+
+    def test_mrc_configurations_keep_their_sweeps(self):
+        network = network_by_name("Sprint")
+        scheme = build_mrc(
+            network.distance_graph(), RiskModel.for_network(network)
+        )
+        first, second = scheme.configurations()[:2]
+        source, target = network.pop_ids()[0], network.pop_ids()[-1]
+        for _ in range(3):
+            first.route(source, target)
+            second.route(source, target)
+        for config in (first, second):
+            assert _sweep_counters(config.router.engine) == (1, 0)
+        assert first.router.engine is not second.router.engine
+
+    def test_with_gammas_sibling_keeps_its_sweeps(self):
+        network = network_by_name("Sprint")
+        base = RoutingSession(network)
+        sibling = base.with_gammas(0.0, 0.0)
+        source, target = network.pop_ids()[0], network.pop_ids()[-1]
+        for _ in range(3):
+            base.route(source, target)
+            sibling.route(source, target)
+        for session in (base, sibling):
+            assert _sweep_counters(session.engine) == (1, 0)
+        assert base.engine is not sibling.engine
+
+    def test_greedy_provision_keeps_the_session_engine(self):
+        session = RoutingSession(network_by_name("Sprint"))
+        engine = session.engine
+        session.provision(k=17)
+        assert session.engine is engine
+        assert engine.stats()["cached_sweeps"] > 0
+
+    def test_repeat_provision_reuses_session_sweeps(self, teliasonera):
+        session = RoutingSession(teliasonera)
+        first = session.provision(top=3)
+        misses, _ = _sweep_counters(session.engine)
+        assert session.provision(top=3) == first
+        assert _sweep_counters(session.engine)[0] == misses
+
+    def test_update_model_swaps_in_place(self, session):
+        engine = session.engine
+        session.all_pairs()
+        flipped = build_diamond_model(south_risk=1e-3, north_risk=5e-2)
+        assert session.update_model(flipped) is True
+        assert session.engine is engine
+        assert engine.model is flipped
+        assert engine.stats()["sweeps"]["invalidations"] > 0
+
+    @pytest.mark.parametrize(
+        "mutate, path",
+        [
+            (lambda g: g.add_edge(WEST, EAST, 1.0), (WEST, EAST)),
+            (lambda g: g.set_weight(WEST, SOUTH, 1e6), (WEST, NORTH, EAST)),
+            (lambda g: g.remove_edge(SOUTH, EAST), (WEST, NORTH, EAST)),
+        ],
+        ids=["add_edge", "set_weight", "remove_edge"],
+    )
+    def test_mutated_graph_gets_fresh_engine(
+        self, diamond_network, diamond_model, mutate, path
+    ):
+        graph = diamond_network.distance_graph()
+        session = RoutingSession(graph, diamond_model)
+        engine = session.engine
+        assert session.shortest(WEST, EAST).path == (WEST, SOUTH, EAST)
+        mutate(graph)
+        assert session.engine is not engine
+        assert session.shortest(WEST, EAST).path == path
+        assert session.engine is session.engine

@@ -21,12 +21,13 @@ import numpy as np
 
 from ..disasters.catalog import catalog_of
 from ..disasters.events import DisasterEvent, EventType
+from ..engine import RoutingEngine
 from ..geo.coords import GeoPoint
 from ..geo.distance import distances_to_latlon_array
 from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from ..topology.network import Network
-from .riskroute import RiskRouter, RouteResult
+from .riskroute import RouteResult
 
 __all__ = [
     "SimulatedDisaster",
@@ -185,6 +186,8 @@ def sampled_pair_routes(
     network: Network,
     model: RiskModel,
     sample_pairs: int = 60,
+    *,
+    engine: Optional[RoutingEngine] = None,
 ) -> List[Tuple[RouteResult, RouteResult]]:
     """Precompute (shortest, riskroute) routes for a strided pair sample.
 
@@ -192,7 +195,10 @@ def sampled_pair_routes(
     behind :func:`route_survival` — factored out so the cascade
     scenario plane scores survival over the *same* route sample, which
     is what makes its no-defense/infinite-capacity degenerate case
-    reduce to :func:`route_survival` bit for bit.
+    reduce to :func:`route_survival` bit for bit.  ``engine`` is an
+    engine over ``network`` already bound to ``model`` (the cascade
+    simulator passes its own, so the sample reuses its sweeps); one is
+    built when omitted.
 
     Raises:
         ValueError: for a non-positive pair sample or when no pair in
@@ -200,7 +206,8 @@ def sampled_pair_routes(
     """
     if sample_pairs < 1:
         raise ValueError("sample_pairs must be positive")
-    router = RiskRouter(network.distance_graph(), model)
+    if engine is None:
+        engine = RoutingEngine(network.distance_graph(), model)
     pop_ids = network.pop_ids()
     pairs = [
         (a, b) for i, a in enumerate(pop_ids) for b in pop_ids[i + 1 :]
@@ -209,8 +216,8 @@ def sampled_pair_routes(
     routes: List[Tuple[RouteResult, RouteResult]] = []
     for source, target in pairs[::stride]:
         try:
-            shortest = router.shortest_path(source, target)
-            risky = router.risk_route(source, target)
+            shortest = engine.shortest_path(source, target)
+            risky = engine.risk_route(source, target)
         except NoPathError:
             continue
         routes.append((shortest, risky))

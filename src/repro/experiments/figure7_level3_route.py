@@ -21,10 +21,12 @@ GAMMAS = (1e4, 1e5)
 def run() -> ExperimentResult:
     """Regenerate the Figure 7 route comparison."""
     network = network_by_name("Level3")
-    session = RoutingSession(network, RiskModel.for_network(network))
+    base_model = RiskModel.for_network(network)
+    session = RoutingSession(network, base_model)
     rows = []
     for gamma_h in GAMMAS:
-        pair = session.with_gammas(gamma_h, 0.0).pair(SOURCE, TARGET)
+        session.update_model(base_model.with_gammas(gamma_h, 0.0))
+        pair = session.pair(SOURCE, TARGET)
         shared = set(pair.shortest.path) & set(pair.riskroute.path)
         rows.append(
             {

@@ -36,6 +36,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.simulation import sampled_pair_routes
+from ..engine import RoutingEngine
 from ..risk.model import RiskModel
 from ..session import RoutingSession
 from ..topology.network import Network
@@ -132,6 +133,9 @@ class CascadeSimulator:
         traffic: demand matrix; defaults to the gravity model.
         sample_pairs: size of the survival route sample (matches
             :func:`repro.core.simulation.route_survival`).
+        engine: an engine over ``network`` to route on (the daemon
+            passes its session's, so a request reuses its warm
+            sweeps); built when omitted.
 
     Raises:
         ValueError: when the traffic matrix covers different PoPs than
@@ -145,10 +149,11 @@ class CascadeSimulator:
         *,
         traffic: Optional[TrafficMatrix] = None,
         sample_pairs: int = 60,
+        engine: Optional[RoutingEngine] = None,
     ) -> None:
         self.network = network
         self.model = model
-        session = RoutingSession(network, model)
+        session = RoutingSession(network, model, engine=engine)
         pops = network.pops()
         self.pop_ids: List[str] = [p.pop_id for p in pops]
         self._pop_index = {pid: i for i, pid in enumerate(self.pop_ids)}
@@ -199,7 +204,7 @@ class CascadeSimulator:
             "riskroute": [],
         }
         for shortest, risky in sampled_pair_routes(
-            network, model, sample_pairs
+            network, model, sample_pairs, engine=session.engine
         ):
             self._routes["shortest"].append(self._route_arrays(shortest.path))
             self._routes["riskroute"].append(self._route_arrays(risky.path))

@@ -21,6 +21,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.simulation import damage_mask, sample_disasters
+from ..engine import RoutingEngine
 from ..engine.parallel import thread_map
 from ..risk.model import RiskModel
 from ..topology.network import Network
@@ -234,13 +235,16 @@ def run_monte_carlo(
     network: Network,
     model: Optional[RiskModel] = None,
     config: Optional[ScenarioConfig] = None,
+    *,
+    engine: Optional[RoutingEngine] = None,
 ) -> ScenarioReport:
     """Run one seeded Monte Carlo and compare provisioning policies.
 
     Every drawn scenario is played to cascade fixpoint twice — once
     over the shortest-path baseline loads and routes, once over the
     risk-aware ones — so the two policies face the same exogenous
-    damage in their own worlds.
+    damage in their own worlds.  ``engine`` is handed to the
+    :class:`CascadeSimulator`.
 
     Raises:
         ValueError: for invalid configuration.
@@ -248,7 +252,7 @@ def run_monte_carlo(
     config = config or ScenarioConfig()
     model = model or RiskModel.for_network(network)
     simulator = CascadeSimulator(
-        network, model, sample_pairs=config.sample_pairs
+        network, model, sample_pairs=config.sample_pairs, engine=engine
     )
     srgs = infer_srgs(
         network, model, corridor_miles=config.corridor_miles

@@ -436,7 +436,12 @@ def _handle_scenario(service, params: Dict[str, Any]) -> dict:
         cascade=cascade,
         workers=params["workers"],
     )
-    report = run_monte_carlo(network, service.session.model, config)
+    # Route on the serving session's engine so the request reuses its
+    # sweeps instead of building and warming a second engine.
+    report = run_monte_carlo(
+        network, service.session.model, config,
+        engine=service.session.engine,
+    )
     return report.as_dict()
 
 

@@ -15,7 +15,9 @@ from repro.core.simulation import (
     SimulatedDisaster,
     failed_pops,
     route_survival,
+    sampled_pair_routes,
 )
+from repro.engine import RoutingEngine
 from repro.geo.coords import GeoPoint
 from repro.scenario import CascadeConfig, CascadeSimulator
 from repro.traffic.gravity import TrafficMatrix
@@ -156,6 +158,21 @@ class TestCascadeMechanics:
         assert result.served_demand == 0.0
         assert result.partitioned
         assert result.route_hits == 0
+
+
+class TestEngineHandOff:
+    def test_survival_sample_routes_on_the_simulator_engine(self):
+        """Baseline loads and the survival sample share one engine, so
+        re-sampling on it afterwards is all cache hits."""
+        network, model = build_diamond_network(), build_diamond_model()
+        engine = RoutingEngine(network.distance_graph(), model)
+        CascadeSimulator(
+            network, model, sample_pairs=SAMPLE_PAIRS, engine=engine
+        )
+        misses = engine.stats()["sweeps"]["misses"]
+        assert misses > 0
+        sampled_pair_routes(network, model, SAMPLE_PAIRS, engine=engine)
+        assert engine.stats()["sweeps"]["misses"] == misses
 
 
 class TestValidation:

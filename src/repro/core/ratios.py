@@ -10,12 +10,20 @@ Equation 5/6 write the mean as ``1/N^2`` over all ordered pairs; the
 diagonal terms are degenerate (0/0), so we average over the ordered pairs
 with ``i != j`` — with symmetric routing this equals the unordered-pair
 mean the tables effectively report.
+
+Zero-denominator rule: a pair whose shortest path costs 0 (bit-risk
+miles for ``rr``, miles for ``dr``) counts as ratio 1.0.  Two places
+apply it — the scalar :class:`~repro.core.riskroute.PairRoutes`
+properties, and :func:`_ratio_terms`, the vector form the engine's
+aggregates use — and both give the same bits for every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
+
+import numpy as np
 
 from .riskroute import PairRoutes, RiskRouter
 from .strategy import EXACT_PAIR_LIMIT
@@ -52,6 +60,23 @@ def _aggregate(
         distance_increase_ratio=mean_dist - 1.0,
         pair_count=len(risk_ratios),
     )
+
+
+def _ratio_terms(
+    numerator: np.ndarray, denominator: np.ndarray
+) -> List[float]:
+    """Per-pair Equation 5/6 terms ``numerator / denominator``.
+
+    The vector form of :attr:`PairRoutes.risk_ratio` and
+    :attr:`PairRoutes.distance_ratio`: one IEEE division per pair, and a
+    pair whose shortest path costs 0 (``denominator == 0``) counts as
+    ratio 1.0.  Returned as Python floats, ready for the in-order sums
+    of :func:`_aggregate`.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = numerator / denominator
+    terms[denominator == 0.0] = 1.0
+    return terms.tolist()
 
 
 def ratios_over_pairs(pairs: Iterable[PairRoutes]) -> RatioResult:

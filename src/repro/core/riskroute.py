@@ -62,7 +62,12 @@ class PairRoutes:
 
     @property
     def risk_ratio(self) -> float:
-        """``r(p_rr) / r(p_shortest)`` — the per-pair term of Equation 5."""
+        """``r(p_rr) / r(p_shortest)`` — the per-pair term of Equation 5.
+
+        A pair whose shortest path costs 0 bit-risk miles counts as
+        1.0; :func:`repro.core.ratios._ratio_terms` applies the same
+        rule to whole arrays.
+        """
         denominator = self.shortest.bit_risk_miles
         if denominator == 0.0:
             return 1.0
@@ -70,7 +75,12 @@ class PairRoutes:
 
     @property
     def distance_ratio(self) -> float:
-        """``d(p_rr) / d(p_shortest)`` — the per-pair term of Equation 6."""
+        """``d(p_rr) / d(p_shortest)`` — the per-pair term of Equation 6.
+
+        A pair whose shortest path is 0 miles long counts as 1.0;
+        :func:`repro.core.ratios._ratio_terms` applies the same rule to
+        whole arrays.
+        """
         denominator = self.shortest.bit_miles
         if denominator == 0.0:
             return 1.0

@@ -3,10 +3,10 @@
 Two memoization layers sit behind the engine:
 
 * :class:`SweepCache` — per-source Dijkstra sweeps keyed by
-  ``(alpha bucket, source index)``.  The engine registry already keys
-  engines by graph fingerprint, so within one cache the topology is
-  fixed; the alpha bucket is what lets repeated pair queries, ratio
-  sweeps and provisioning scoring share a search.
+  ``(alpha bucket, source index)``.  Each cache belongs to one engine,
+  and an engine's topology is frozen at construction, so the key needs
+  no topology part; the alpha bucket is what lets repeated pair
+  queries, ratio sweeps and provisioning scoring share a search.
 * :class:`ResultCache` — finished aggregates (ratio results,
   lower-bound totals) keyed by the full query signature, so repeating an
   identical all-pairs evaluation is a dictionary lookup.

@@ -78,7 +78,7 @@ def sweep_component_arrays(
 
     Accumulates down the parent tree — ``d[j] = d[parent] + w(parent,
     j)`` — which is the same left-to-right float-summation order as the
-    per-path walk in ``RoutingEngine._route``, so the extracted
+    per-path walk in ``RoutingEngine._path_sums``, so the extracted
     components are bit-identical to the per-route materialisation.
     Each node's value is its parent's plus one edge, so the order in
     which nodes are visited (node order here) cannot change it.
@@ -87,24 +87,26 @@ def sweep_component_arrays(
     both component arrays (the historical all-pairs convention) and
     False in ``reached``.
     """
-    n = len(sweep.dist)
-    dist = np.zeros(n, dtype=np.float64)
-    risk = np.zeros(n, dtype=np.float64)
-    reached = np.zeros(n, dtype=bool)
-    reached[sweep.source] = True
-    done = bytearray(n)
-    done[sweep.source] = 1
+    # Plain lists in the loop, where numpy scalar access is several
+    # times slower; the same float additions, converted once at the end.
     parent = sweep.parent
     sweep_dist = sweep.dist
+    if isinstance(parent, np.ndarray):  # a csr_sweep_batch row
+        parent, sweep_dist = parent.tolist(), sweep_dist.tolist()
+    n = len(sweep_dist)
+    dist = [0.0] * n
+    risk = [0.0] * n
+    reached = [False] * n
+    reached[sweep.source] = True
     edge_weight = csr.edge_weight
     for start in range(n):
-        if done[start] or sweep_dist[start] == _INF:
+        if reached[start] or sweep_dist[start] == _INF:
             continue
         # Walk up to the nearest resolved ancestor, then unwind so every
         # node's components are built strictly parent-first.
         stack = []
         node = start
-        while not done[node]:
+        while not reached[node]:
             stack.append(node)
             node = parent[node]
         while stack:
@@ -112,9 +114,12 @@ def sweep_component_arrays(
             p = parent[node]
             dist[node] = dist[p] + edge_weight(p, node)
             risk[node] = risk[p] + node_risk[node]
-            done[node] = 1
             reached[node] = True
-    return dist, risk, reached
+    return (
+        np.array(dist, dtype=np.float64),
+        np.array(risk, dtype=np.float64),
+        np.array(reached, dtype=bool),
+    )
 
 
 def parametric_component_table(

@@ -62,6 +62,7 @@ from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from .arrays import CsrGraph
 from .cache import ResultCache, SweepCache, alpha_bucket
+from .components import sweep_component_arrays
 from .fingerprint import risk_fingerprint
 from .parallel import EngineConfig, sweep_many
 from .sweep import SweepResult, csr_sweep, csr_sweep_batch
@@ -477,8 +478,6 @@ class RoutingEngine:
         cached = self._results.get(key)
         if cached is not None:
             return cached
-        from .components import sweep_component_arrays
-
         result = sweep_component_arrays(
             self._sweep_idx(s, alpha), self._csr, self._risk
         )
@@ -500,24 +499,31 @@ class RoutingEngine:
         """Materialise one RouteResult from a settled sweep."""
         return self._route_from_path(sweep.path_to(target))
 
-    def _route_from_path(self, path_idx: Sequence[int]):
-        """Score one node-index path into a RouteResult.
+    def _path_sums(self, path_idx: Sequence[int]) -> Tuple[float, float]:
+        """Mileage and risk sums of one node-index path.
 
-        Accumulates mileage and risk in forward path order — the exact
-        float-summation order of
-        :func:`repro.core.bitrisk.path_metrics` — under the pair's true
-        impact, regardless of the alpha the path was found at.
+        Accumulates in forward path order — the exact float-summation
+        order of :func:`repro.core.bitrisk.path_metrics`.
         """
-        from ..core.riskroute import RouteResult
-
-        names = self._csr.node_ids
+        edge_weight = self._csr.edge_weight
+        node_risk = self._risk
         distance = 0.0
         risk = 0.0
         prev = path_idx[0]
         for curr in path_idx[1:]:
-            distance += self._csr.edge_weight(prev, curr)
-            risk += self._risk[curr]
+            distance += edge_weight(prev, curr)
+            risk += node_risk[curr]
             prev = curr
+        return distance, risk
+
+    def _route_from_path(self, path_idx: Sequence[int]):
+        """Score one node-index path into a RouteResult, under the
+        pair's true impact regardless of the alpha the path was found
+        at."""
+        from ..core.riskroute import RouteResult
+
+        names = self._csr.node_ids
+        distance, risk = self._path_sums(path_idx)
         alpha = self._shares[path_idx[0]] + self._shares[path_idx[-1]]
         path = tuple(names[i] for i in path_idx)
         metrics = PathMetrics(path, distance, risk, alpha)
@@ -618,26 +624,22 @@ class RoutingEngine:
         self,
         s: int,
         strategy: SweepStrategy,
-        target_set: Optional[Set[str]] = None,
+        target_mask: Optional[np.ndarray] = None,
     ) -> Iterator[Tuple[int, SweepResult]]:
         """``(target, risk sweep)`` for every target ``s`` reaches, in
         node-index order.
 
-        Every per-source aggregate iterates this order, so none depends
-        on the order in which a kernel touched nodes.  ``PER_SOURCE``
-        serves every target from one sweep under the expected impact;
-        ``EXACT`` from one sweep per target under the true pair impact.
-        ``target_set`` (node names) filters the targets.
+        ``PER_SOURCE`` serves every target from one sweep under the
+        expected impact; ``EXACT`` from one sweep per target under the
+        true pair impact.  ``target_mask`` (per node index) filters the
+        targets.
         """
-        names = self._csr.node_ids
         shares = self._shares
         per_source = None
         if strategy is SweepStrategy.PER_SOURCE:
             per_source = self._sweep_idx(s, shares[s] + self._mean_share)
         for t in range(self._csr.node_count):
-            if t == s or (
-                target_set is not None and names[t] not in target_set
-            ):
+            if t == s or (target_mask is not None and not target_mask[t]):
                 continue
             sweep = per_source
             if sweep is None:
@@ -667,32 +669,82 @@ class RoutingEngine:
         self,
         sources: Optional[Sequence[str]],
         targets: Optional[Sequence[str]],
-    ) -> Tuple[List[str], Set[str]]:
-        nodes = self._csr.node_ids
-        source_list = list(sources) if sources is not None else list(nodes)
-        target_set = set(targets) if targets is not None else set(nodes)
-        return source_list, target_set
+    ) -> Tuple[List[int], np.ndarray]:
+        """Source indices as given, and the target set as a node mask.
+
+        Raises:
+            NodeNotFoundError: for a source or target outside the
+                topology.
+        """
+        n = self._csr.node_count
+        if sources is None:
+            source_idx = list(range(n))
+        else:
+            source_idx = [self._idx(name) for name in sources]
+        if targets is None:
+            target_mask = np.ones(n, dtype=bool)
+        else:
+            target_mask = np.zeros(n, dtype=bool)
+            target_mask[[self._idx(name) for name in targets]] = True
+        return source_idx, target_mask
 
     def _prefetch_population(
         self,
-        source_list: Sequence[str],
-        target_set: Set[str],
+        source_idx: Sequence[int],
+        target_mask: np.ndarray,
         strategy: SweepStrategy,
         include_shortest: bool = True,
     ) -> None:
+        shares = self._shares
+        targets = np.flatnonzero(target_mask).tolist()
         tasks: List[Tuple[int, float]] = []
-        for source in source_list:
-            s = self._idx(source)
+        for s in source_idx:
             if include_shortest:
                 tasks.append((s, 0.0))
             if strategy is SweepStrategy.PER_SOURCE:
-                tasks.append((s, self._shares[s] + self._mean_share))
+                tasks.append((s, shares[s] + self._mean_share))
             else:
-                for name in target_set:
-                    t = self._idx(name)
-                    if t != s:
-                        tasks.append((s, self._shares[s] + self._shares[t]))
+                tasks.extend(
+                    (s, shares[s] + shares[t]) for t in targets if t != s
+                )
         self.prefetch(tasks)
+
+    def _risk_rows(
+        self,
+        source_idx: Sequence[int],
+        target_mask: np.ndarray,
+        strategy: SweepStrategy,
+    ) -> Iterator[tuple]:
+        """Per source, in the given order: ``(s, t, alpha, dist, risk)``.
+
+        ``t`` holds the targets that count — in ``target_mask``, not
+        ``s``, reached by the risk sweep — in node order; ``alpha`` their
+        pair impacts ``c_s + c_t``; ``dist`` and ``risk`` the mileage
+        and risk sums of their RiskRoute paths.  ``PER_SOURCE`` reads
+        every target off its one sweep with the O(n) parent-tree pass
+        :func:`~repro.engine.components.sweep_component_arrays`;
+        ``EXACT`` sums the one path to each target in that target's own
+        sweep.  Both sum in the order the materialised routes do, so
+        the values are bit-identical to theirs.
+        """
+        shares = np.asarray(self._shares)
+        n = self._csr.node_count
+        for s in source_idx:
+            if strategy is SweepStrategy.PER_SOURCE:
+                sweep = self._sweep_idx(s, self._shares[s] + self._mean_share)
+                dist, risk, counted = sweep_component_arrays(
+                    sweep, self._csr, self._risk
+                )
+                counted &= target_mask
+                counted[s] = False
+            else:
+                dist, risk = np.zeros(n), np.zeros(n)
+                counted = np.zeros(n, dtype=bool)
+                for t, sweep in self._risk_sweeps(s, strategy, target_mask):
+                    dist[t], risk[t] = self._path_sums(sweep.path_to(t))
+                    counted[t] = True
+            t = np.flatnonzero(counted)
+            yield s, t, self._shares[s] + shares[t], dist[t], risk[t]
 
     def ratios(
         self,
@@ -703,13 +755,20 @@ class RoutingEngine:
     ):
         """rr/dr over a (sub)set of the topology's ordered pairs.
 
-        The batched form of the seed's per-pair loop: shared sweeps, a
-        memoized aggregate, and pairs summed source by source with
-        targets in node order.  ``strategy=None`` picks
-        ``EXACT`` for topologies up to 60 nodes, matching the historical
-        auto rule.
+        The batched form of the seed's per-pair loop, building no route
+        objects.  Each source's shortest and RiskRoute (mileage, risk)
+        sums come off its memoized sweeps (:meth:`_risk_rows`; the
+        geographic side through the same parent-tree pass).  Equation 1
+        and the per-pair ratio terms are numpy expressions; a pair whose
+        shortest path costs 0 counts as ratio 1.0, as in
+        :class:`~repro.core.riskroute.PairRoutes`.  The terms are summed
+        source by source, targets in node order, and the aggregate is
+        memoized.  ``strategy=None`` picks ``EXACT`` for topologies up
+        to 60 nodes, matching the historical auto rule.
 
         Raises:
+            NodeNotFoundError: for a source or target outside the
+                topology.
             ValueError: when no valid pair exists.
         """
         # `exact` here is the documented intradomain_ratios parameter.
@@ -722,35 +781,36 @@ class RoutingEngine:
         strategy = resolve_strategy(
             strategy, default=auto_strategy(self._csr.node_count)
         )
-        source_list, target_set = self._resolve_population(sources, targets)
+        source_idx, target_mask = self._resolve_population(sources, targets)
         key = (
             "ratios",
-            tuple(source_list),
-            tuple(sorted(target_set)),
+            tuple(source_idx),
+            target_mask.tobytes(),
             strategy.value,
             self._config.alpha_resolution,
         )
         cached = self._results.get(key)
         if cached is not None:
             return cached
-        from ..core.ratios import ratios_over_pairs
-        from ..core.riskroute import PairRoutes
+        from ..core.ratios import _aggregate, _ratio_terms
 
-        self._prefetch_population(source_list, target_set, strategy)
-        pairs: List[PairRoutes] = []
-        for source in source_list:
-            s = self._idx(source)
+        self._prefetch_population(source_idx, target_mask, strategy)
+        risk_terms: List[float] = []
+        distance_terms: List[float] = []
+        for s, t, alpha, dist, risk in self._risk_rows(
+            source_idx, target_mask, strategy
+        ):
             # Reachability does not depend on alpha: the geographic
             # sweep reaches every target the risk sweep does.
-            base_sweep = self._sweep_idx(s, 0.0)
-            for t, risk_sweep in self._risk_sweeps(s, strategy, target_set):
-                pairs.append(
-                    PairRoutes(
-                        shortest=self._route(base_sweep, t),
-                        riskroute=self._route(risk_sweep, t),
-                    )
-                )
-        result = ratios_over_pairs(pairs)
+            base_dist, base_risk, _ = sweep_component_arrays(
+                self._sweep_idx(s, 0.0), self._csr, self._risk
+            )
+            base_dist, base_risk = base_dist[t], base_risk[t]
+            risk_terms += _ratio_terms(
+                dist + alpha * risk, base_dist + alpha * base_risk
+            )
+            distance_terms += _ratio_terms(dist, base_dist)
+        result = _aggregate(risk_terms, distance_terms)
         self._results.put(key, result)
         return result
 
@@ -762,14 +822,20 @@ class RoutingEngine:
     ) -> float:
         """Sum of RiskRoute bit-risk miles over ``sources x targets``.
 
-        The aggregate behind the Figure 11 peering search; memoized per
-        population signature.
+        The aggregate behind the Figure 11 peering search: Equation 1
+        over the (mileage, risk) sums of :meth:`_risk_rows`, added one
+        at a time, source by source with targets in node order.
+        Memoized per population signature.
+
+        Raises:
+            NodeNotFoundError: for a source or target outside the
+                topology.
         """
-        source_list, target_set = self._resolve_population(sources, targets)
+        source_idx, target_mask = self._resolve_population(sources, targets)
         key = (
             "lower-bound",
-            tuple(source_list),
-            tuple(sorted(target_set)),
+            tuple(source_idx),
+            target_mask.tobytes(),
             strategy.value,
             self._config.alpha_resolution,
         )
@@ -777,12 +843,15 @@ class RoutingEngine:
         if cached is not None:
             return cached
         self._prefetch_population(
-            source_list, target_set, strategy, include_shortest=False
+            source_idx, target_mask, strategy, include_shortest=False
         )
         total = 0.0
-        for source in source_list:
-            s = self._idx(source)
-            for t, sweep in self._risk_sweeps(s, strategy, target_set):
-                total += self._route(sweep, t).bit_risk_miles
+        for _, _, alpha, dist, risk in self._risk_rows(
+            source_idx, target_mask, strategy
+        ):
+            # In-order addition; np.sum's pairwise sum would change the
+            # last bits.
+            for cost in (dist + alpha * risk).tolist():
+                total += cost
         self._results.put(key, total)
         return total

@@ -1,20 +1,69 @@
-"""Reference searches the engine is tested against.
+"""References the engine is tested against.
 
 :func:`risk_dijkstra` is the seed's dict-based risk-weighted Dijkstra
 (Equation 3's relaxation, ``d_uv + alpha * node_risk(v)``).  The
 library has no copy of it: every production search is
 :func:`repro.engine.sweep.csr_sweep` or
 :func:`repro.engine.sweep.csr_sweep_batch`.
+
+:func:`reference_aggregates` is the scalar form of the engine's
+Equation 5-6 and lower-bound aggregates: explicit
+:class:`~repro.core.riskroute.PairRoutes`, one per counted pair.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
+from repro.core.ratios import RatioResult, ratios_over_pairs
+from repro.core.riskroute import PairRoutes
+from repro.core.strategy import SweepStrategy
 from repro.graph.core import Graph, NodeNotFoundError
+from repro.graph.shortest_path import NoPathError
 
-__all__ = ["risk_dijkstra"]
+__all__ = ["reference_aggregates", "risk_dijkstra"]
+
+
+def reference_aggregates(
+    engine,
+    sources: Sequence[str],
+    targets: Sequence[str],
+    strategy: SweepStrategy,
+) -> Tuple[Optional[RatioResult], float]:
+    """``(ratios, lower-bound total)`` from explicit per-pair routes.
+
+    Sources as given, targets in node order, unreachable targets
+    skipped: the pair order the engine's aggregates sum in.  The
+    shortest route comes from ``shortest_path``; the RiskRoute from
+    ``risk_route`` under ``EXACT`` and from ``risk_routes_from`` under
+    ``PER_SOURCE``.  The ratios are ``None`` when no pair counts.
+    """
+    wanted = set(targets)
+    pairs: List[PairRoutes] = []
+    for source in sources:
+        if strategy is SweepStrategy.PER_SOURCE:
+            risky = engine.risk_routes_from(source, strategy)
+        for target in engine.node_ids:
+            if target == source or target not in wanted:
+                continue
+            try:
+                if strategy is SweepStrategy.PER_SOURCE:
+                    riskroute = risky[target]
+                else:
+                    riskroute = engine.risk_route(source, target)
+            except (KeyError, NoPathError):
+                continue
+            pairs.append(
+                PairRoutes(
+                    shortest=engine.shortest_path(source, target),
+                    riskroute=riskroute,
+                )
+            )
+    total = 0.0
+    for pair in pairs:
+        total += pair.riskroute.bit_risk_miles
+    return (ratios_over_pairs(pairs) if pairs else None), total
 
 
 def risk_dijkstra(

@@ -24,11 +24,11 @@ from repro.engine import (
     risk_fingerprint,
     sweep_many,
 )
-from repro.graph.core import NodeNotFoundError
+from repro.graph.core import Graph, NodeNotFoundError
 from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
 from tests.conftest import build_diamond_model, build_diamond_network
-from tests.oracles import risk_dijkstra
+from tests.oracles import reference_aggregates, risk_dijkstra
 
 
 @pytest.fixture
@@ -123,27 +123,114 @@ class TestWarmColdParity:
         assert warm is cold  # memoized aggregate, not a recomputation
         assert pickle.dumps(warm) == pickle.dumps(cold)
 
+    @pytest.mark.parametrize("strategy", list(SweepStrategy))
     def test_engine_matches_reference_router_loop(
-        self, teliasonera, teliasonera_model
+        self, teliasonera, teliasonera_model, strategy
     ):
-        """Engine ratios equal the values the seed computed pair by pair."""
-        from repro.core.ratios import ratios_over_pairs
-
+        """Engine ratios equal the values computed pair by pair."""
         graph = teliasonera.distance_graph()
-        engine = RoutingEngine(graph, teliasonera_model)
-        pairs = []
         nodes = list(graph.nodes())[:6]
-        for s in nodes:
-            for t in nodes:
-                if s != t:
-                    pairs.append(engine.route_pair(s, t))
-        reference = ratios_over_pairs(pairs)
-        batched = engine.ratios(sources=nodes, targets=nodes)
-        assert batched.risk_reduction_ratio == reference.risk_reduction_ratio
-        assert (
-            batched.distance_increase_ratio
-            == reference.distance_increase_ratio
+        _assert_matches_reference(
+            graph, teliasonera_model, nodes, nodes, strategy
         )
+
+
+def _assert_matches_reference(graph, model, sources, targets, strategy):
+    """The engine's aggregates equal :func:`reference_aggregates` on a
+    separate engine, bit for bit: rr, dr and pair count, and a
+    ``lower_bound_total`` equal to the in-order sum of the reference
+    routes' bit-risk miles.  Returns the engine's ratios."""
+    engine = RoutingEngine(graph, model)
+    ratios = engine.ratios(sources=sources, targets=targets, strategy=strategy)
+    reference, total = reference_aggregates(
+        RoutingEngine(graph, model), sources, targets, strategy
+    )
+    assert ratios == reference  # rr, dr and pair_count, exact floats
+    assert engine.lower_bound_total(sources, targets, strategy) == total
+    return ratios
+
+
+def _zero_mile_world(b_risk):
+    """a -(0 mi)- b -(100 mi)- c, plus a 150-mile a-c chord."""
+    graph = Graph()
+    for node in ("a", "b", "c"):
+        graph.add_node(node)
+    graph.add_edge("a", "b", 0.0)
+    graph.add_edge("b", "c", 100.0)
+    graph.add_edge("a", "c", 150.0)
+    nodes = list(graph.nodes())
+    model = RiskModel(
+        {node: 1.0 / 3.0 for node in nodes},
+        {"a": 0.0, "b": b_risk, "c": 0.02},
+        {node: 0.0 for node in nodes},
+        gamma_h=1e4,
+    )
+    return graph, model
+
+
+@pytest.mark.parametrize("strategy", list(SweepStrategy))
+class TestVectorParity:
+    """Aggregates summed from sweep component arrays equal the scalar
+    per-pair reference on the edge cases of the pair population."""
+
+    def test_targets_outside_the_sources(
+        self, teliasonera, teliasonera_model, strategy
+    ):
+        graph = teliasonera.distance_graph()
+        nodes = list(graph.nodes())
+        sources = [nodes[5], nodes[0], nodes[9]]  # not in node order
+        targets = nodes[3:12] + nodes[3:5]  # overlaps, repeats
+        ratios = _assert_matches_reference(
+            graph, teliasonera_model, sources, targets, strategy
+        )
+        assert ratios.pair_count == 3 * 9 - 2  # 9 distinct, 2 diagonal
+
+    def test_unreachable_targets_are_not_counted(
+        self, diamond_network, strategy
+    ):
+        graph = diamond_network.distance_graph()
+        for node in ("island:a", "island:b"):
+            graph.add_node(node)
+        graph.add_edge("island:a", "island:b", 80.0)
+        nodes = list(graph.nodes())
+        model = RiskModel(
+            {node: 1.0 / len(nodes) for node in nodes},
+            {node: 1e-3 * (i + 1) for i, node in enumerate(nodes)},
+            {node: 0.0 for node in nodes},
+            gamma_h=1e5,
+        )
+        sources = ["island:a", "diamond:west"]
+        ratios = _assert_matches_reference(
+            graph, model, sources, nodes, strategy
+        )
+        # Each source reaches only its own component.
+        assert ratios.pair_count == 1 + 3
+
+    @pytest.mark.parametrize("b_risk", [0.0, 0.01])
+    def test_zero_cost_shortest_path_counts_as_ratio_one(
+        self, strategy, b_risk
+    ):
+        graph, model = _zero_mile_world(b_risk)
+        nodes = list(graph.nodes())
+        _assert_matches_reference(graph, model, nodes, nodes, strategy)
+        # a -> b costs 0 miles, so dr's term is 1.0; with a risk-free
+        # b it also costs 0 bit-risk miles, so rr's term is 1.0 too.
+        only = RoutingEngine(graph, model).ratios(
+            sources=["a"], targets=["b"], strategy=strategy
+        )
+        assert only.distance_increase_ratio == 0.0
+        assert only.pair_count == 1
+        if b_risk == 0.0:
+            assert only.risk_reduction_ratio == 0.0
+
+    def test_unknown_target_raises(self, engine, strategy):
+        for call in (engine.ratios, engine.lower_bound_total):
+            with pytest.raises(NodeNotFoundError):
+                call(
+                    ["diamond:west"],
+                    ["diamond:east", "nowhere"],
+                    strategy=strategy,
+                )
 
 
 class TestInvalidation:

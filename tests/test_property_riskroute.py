@@ -1,14 +1,18 @@
 """Property-based tests for the RiskRoute core invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitrisk import path_metrics
 from repro.core.riskroute import RiskRouter
+from repro.core.strategy import SweepStrategy
+from repro.engine import RoutingEngine
 from repro.graph.core import Graph
 from repro.graph.shortest_path import NoPathError
 from repro.risk.model import RiskModel
 from tests.conftest import examples
+from tests.oracles import reference_aggregates
 
 
 @st.composite
@@ -101,3 +105,31 @@ class TestOptimizerInvariants:
         routes = router.risk_routes_from(nodes[0], strategy="exact")
         for route in routes.values():
             assert len(route.path) == len(set(route.path))
+
+
+class TestAggregateParity:
+    @given(routed_worlds(), st.data())
+    @settings(max_examples=examples(40), deadline=None)
+    def test_aggregates_equal_scalar_reference(self, world, data):
+        """rr, dr, pair_count and the lower-bound total summed from
+        sweep component arrays equal the per-pair reference exactly,
+        for random source and target subsets under both strategies."""
+        g, model = world
+        nodes = list(g.nodes())
+        subset = st.lists(
+            st.sampled_from(nodes), min_size=1, max_size=len(nodes)
+        )
+        sources = data.draw(subset, label="sources")
+        targets = data.draw(subset, label="targets")
+        for strategy in SweepStrategy:
+            engine = RoutingEngine(g, model)
+            reference, total = reference_aggregates(
+                RoutingEngine(g, model), sources, targets, strategy
+            )
+            if reference is None:
+                with pytest.raises(ValueError):
+                    engine.ratios(sources, targets, strategy=strategy)
+            else:
+                assert engine.ratios(sources, targets, strategy) == reference
+            lower_bound = engine.lower_bound_total(sources, targets, strategy)
+            assert lower_bound == total

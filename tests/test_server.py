@@ -31,6 +31,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import pair_to_dict, ratios_to_dict, route_to_dict
+from repro.topology.zoo import network_by_name
 from tests.conftest import build_diamond_model, build_diamond_network
 
 
@@ -72,6 +73,28 @@ class TestBasicOps:
                 session.pair("diamond:west", "diamond:east")
             )
             assert client.ratios() == ratios_to_dict(session.all_pairs())
+
+    def test_ratios_unknown_target_maps_to_unknown_node(self):
+        """On Level3 (per-source by default) as under ``exact``, an
+        unknown target name is an error, not a silently dropped pair."""
+        network = network_by_name("Level3")
+        sources = network.pop_ids()[:2]
+        targets = [network.pop_ids()[5], "no-such-pop"]
+        thread = ServerThread(RoutingSession(network))
+        host, port = thread.start()
+        try:
+            with RiskRouteClient(host, port) as client:
+                for strategy in (None, "per-source", "exact"):
+                    with pytest.raises(ServerError) as excinfo:
+                        client.ratios(
+                            sources=sources,
+                            targets=targets,
+                            strategy=strategy,
+                        )
+                    assert excinfo.value.code == "unknown_node"
+                    assert "no-such-pop" in excinfo.value.message
+        finally:
+            thread.stop()
 
     def test_provision(self, diamond_server):
         _, host, port = diamond_server

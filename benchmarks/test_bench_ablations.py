@@ -14,11 +14,10 @@ place:
 import pytest
 
 from repro.core.ospf import ospf_fidelity
-from repro.core.ratios import intradomain_ratios
-from repro.core.riskroute import RiskRouter
 from repro.core.simulation import route_survival, sample_disasters
 from repro.disasters.seasonal import seasonal_historical_model
 from repro.risk.model import RiskModel
+from repro.session import RoutingSession
 from repro.topology.zoo import network_by_name
 
 from .conftest import run_once
@@ -39,8 +38,8 @@ def test_ablation_population_impact(benchmark):
 
     def run():
         graph = network.distance_graph()
-        weighted = intradomain_ratios(RiskRouter(graph, model))
-        uniform = intradomain_ratios(RiskRouter(graph, uniform_model))
+        weighted = RoutingSession(graph, model).all_pairs()
+        uniform = RoutingSession(graph, uniform_model).all_pairs()
         return weighted, uniform
 
     weighted, uniform = run_once(benchmark, run)
@@ -65,9 +64,9 @@ def test_ablation_approximation_quality(benchmark):
     model = RiskModel.for_network(network, gamma_h=1e6)
 
     def run():
-        router = RiskRouter(network.distance_graph(), model)
-        exact = intradomain_ratios(router, exact=True)
-        approx = intradomain_ratios(router, exact=False)
+        session = RoutingSession(network.distance_graph(), model)
+        exact = session.all_pairs(strategy="exact")
+        approx = session.all_pairs(strategy="per-source")
         return exact, approx
 
     exact, approx = run_once(benchmark, run)
@@ -108,9 +107,9 @@ def test_ablation_seasonal_risk(benchmark):
                 historical=seasonal_historical_model(month),
                 gamma_h=1e6,
             )
-            results[month] = intradomain_ratios(
-                RiskRouter(network.distance_graph(), model)
-            )
+            results[month] = RoutingSession(
+                network.distance_graph(), model
+            ).all_pairs()
         return results
 
     results = run_once(benchmark, run)

@@ -39,7 +39,7 @@ BASELINE_PATH = Path(__file__).with_name("engine_baseline.json")
 MIN_SPEEDUP = 3.0
 
 
-def seed_intradomain_ratios(graph, model):
+def seed_all_pairs_ratios(graph, model):
     """The seed's all-pairs loop, modulo module layout and target order.
 
     Per-source approximation (Level3 is far above the 60-PoP exact
@@ -99,7 +99,7 @@ def test_engine_speedup_level3(benchmark):
     graph = network.distance_graph()
 
     t0 = time.perf_counter()
-    seed_result = seed_intradomain_ratios(graph, model)
+    seed_result = seed_all_pairs_ratios(graph, model)
     seed_seconds = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -16,7 +16,7 @@ Run:
     python examples/custom_network.py
 """
 
-from repro import RiskModel, RiskRouter, network_by_name
+from repro import RiskModel, RoutingSession, network_by_name
 from repro.core import frr_backup_next_hops
 from repro.disasters import EventType, all_event_kdes
 from repro.geo import GeoPoint
@@ -56,7 +56,7 @@ def main() -> None:
     print(f"{isp.name}: {isp.pop_count} PoPs, {isp.link_count} links\n")
 
     default_model = RiskModel.for_network(isp, gamma_h=1e6)
-    default_router = RiskRouter(isp.distance_graph(), default_model)
+    default_session = RoutingSession(isp, default_model)
 
     # A Gulf operator that fears hurricanes above all else.
     weights = {event_type: 1.0 for event_type in EventType.ALL}
@@ -65,16 +65,16 @@ def main() -> None:
     averse_model = RiskModel.for_network(
         isp, historical=hurricane_averse, gamma_h=1e6
     )
-    averse_router = RiskRouter(isp.distance_graph(), averse_model)
+    averse_session = RoutingSession(isp, averse_model)
 
     src, dst = "GulfNet:hou", "GulfNet:atl"
     print("Houston -> Atlanta:")
-    print(f"  default hazard mix : {route_description(default_router.risk_route(src, dst))}")
-    print(f"  hurricanes x10     : {route_description(averse_router.risk_route(src, dst))}")
+    print(f"  default hazard mix : {route_description(default_session.route(src, dst))}")
+    print(f"  hurricanes x10     : {route_description(averse_session.route(src, dst))}")
     print("  (the hurricane-averse model abandons the coastal corridor)\n")
 
     print("IP Fast Reroute backup next hops from Houston (risk-aware):")
-    table = frr_backup_next_hops(averse_router, src)
+    table = frr_backup_next_hops(averse_session, src)
     for target, hop in sorted(table.items()):
         target_city = target.split(":", 1)[1].split(",")[0]
         hop_city = hop.split(":", 1)[1].split(",")[0] if hop else "(no alternative)"

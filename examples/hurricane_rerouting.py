@@ -3,15 +3,16 @@
 
 Before Hurricane Sandy, NTT, Level3 and Verizon manually rerouted around
 risky PoPs.  This example automates that: advisory by advisory, the NHC
-forecast text is parsed into a wind field, PoP forecast risk is updated,
-and RiskRoute recomputes paths.  We follow one flow (Atlanta -> Boston on
+forecast text is parsed into a wind field, PoP forecast risk is swapped
+into one long-lived routing session, and RiskRoute recomputes paths
+(the session keeps its geographic sweeps across advisories).  We follow one flow (Atlanta -> Boston on
 Tinet) and the network-wide risk-reduction ratio through the storm.
 
 Run:
     python examples/hurricane_rerouting.py
 """
 
-from repro import RiskModel, RiskRouter, intradomain_ratios, network_by_name
+from repro import RiskModel, RoutingSession, network_by_name
 from repro.forecast import advisory_text, snapshot_from_text, storm_advisories
 from repro.risk import ForecastedRiskModel
 
@@ -22,8 +23,8 @@ TARGET = f"{NETWORK}:Boston, MA"
 
 def main() -> None:
     network = network_by_name(NETWORK)
-    graph = network.distance_graph()
-    base_model = RiskModel.for_network(network)  # gamma_h=1e5, gamma_f=1e3
+    # gamma_h=1e5, gamma_f=1e3
+    session = RoutingSession(network, RiskModel.for_network(network))
 
     print(f"Tracking {SOURCE.split(':')[1]} -> {TARGET.split(':')[1]} on "
           f"{NETWORK} through Hurricane Sandy\n")
@@ -37,11 +38,10 @@ def main() -> None:
         snapshot = snapshot_from_text(advisory_text(advisory))
         forecast = ForecastedRiskModel([snapshot])
         of_map = forecast.pop_risks(network)
-        model = base_model.with_forecast_risk(of_map)
-        router = RiskRouter(graph, model)
+        session.update_forecast(of_map)
 
-        route = router.risk_route(SOURCE, TARGET)
-        ratios = intradomain_ratios(router)
+        route = session.route(SOURCE, TARGET)
+        ratios = session.all_pairs()
         in_scope = sum(1 for v in of_map.values() if v > 0)
         cities = " > ".join(
             p.split(":", 1)[1].split(",")[0] for p in route.path

@@ -19,7 +19,7 @@ Run:
     python examples/operator_planning.py
 """
 
-from repro import RiskModel, RiskRouter, intradomain_ratios, network_by_name
+from repro import RiskModel, RoutingSession, network_by_name
 from repro.core import (
     place_monitors,
     route_survival,
@@ -38,7 +38,7 @@ def seasonal_review(network) -> None:
         model = RiskModel.for_network(
             network, historical=seasonal_historical_model(month), gamma_h=1e6
         )
-        result = intradomain_ratios(RiskRouter(network.distance_graph(), model))
+        result = RoutingSession(network, model).all_pairs()
         print(f"  {label:10s} rr={result.risk_reduction_ratio:.3f} "
               f"dr={result.distance_increase_ratio:.3f}")
     print()
@@ -46,9 +46,9 @@ def seasonal_review(network) -> None:
 
 def traffic_review(network, model) -> None:
     print("== 2. Traffic-weighted gains ==")
-    router = RiskRouter(network.distance_graph(), model)
-    uniform = intradomain_ratios(router)
-    weighted = traffic_weighted_ratios(router, gravity_matrix(network))
+    session = RoutingSession(network, model)
+    uniform = session.all_pairs()
+    weighted = traffic_weighted_ratios(session, gravity_matrix(network))
     print(f"  uniform pairs    rr={uniform.risk_reduction_ratio:.3f}")
     print(f"  demand-weighted  rr={weighted.ratios.risk_reduction_ratio:.3f}  "
           f"(bit-risk volume cut {weighted.volume_reduction:.1%})")

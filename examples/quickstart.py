@@ -10,7 +10,7 @@ Run:
     python examples/quickstart.py
 """
 
-from repro import RiskModel, RiskRouter, intradomain_ratios, network_by_name
+from repro import RiskModel, RoutingSession, network_by_name
 
 
 def describe(route, label: str) -> None:
@@ -27,11 +27,11 @@ def main() -> None:
 
     # gamma_h tunes risk-averseness (the paper studies 1e5 and 1e6).
     model = RiskModel.for_network(network, gamma_h=1e6)
-    router = RiskRouter(network.distance_graph(), model)
+    session = RoutingSession(network, model)
 
     source = "Teliasonera:Miami, FL"
     target = "Teliasonera:Seattle, WA"
-    pair = router.route_pair(source, target)
+    pair = session.pair(source, target)
     print(f"Miami -> Seattle at gamma_h = 1e6:")
     describe(pair.shortest, "shortest")
     describe(pair.riskroute, "riskroute")
@@ -40,7 +40,7 @@ def main() -> None:
     print(f"\nThis flow: {reduction:.1%} less outage risk for "
           f"{inflation:.1%} more miles.\n")
 
-    result = intradomain_ratios(router)
+    result = session.all_pairs()
     print(f"All {result.pair_count} PoP pairs:")
     print(f"  risk reduction ratio   rr = {result.risk_reduction_ratio:.3f}")
     print(f"  distance increase ratio dr = {result.distance_increase_ratio:.3f}")

@@ -17,9 +17,6 @@ cached routing engine::
     pair = session.pair(*session.network.pop_ids()[:2])
     ratios = session.all_pairs()          # Equations 5-6
     links = session.provision(k=3)        # Equation 4, greedy
-
-The historical ``RiskRouter`` / ``intradomain_ratios`` API remains as a
-thin wrapper over the same engine.
 """
 
 from .core import (
@@ -27,14 +24,12 @@ from .core import (
     PairRoutes,
     ProvisioningAnalyzer,
     RatioResult,
-    RiskRouter,
     RouteResult,
     SweepStrategy,
     best_new_peering,
     bit_miles,
     bit_risk_miles,
     candidate_links,
-    intradomain_ratios,
 )
 from .engine import EngineConfig, RoutingEngine
 from .session import RoutingSession
@@ -82,7 +77,6 @@ __all__ = [
     "no_forecast",
     "DEFAULT_GAMMA_H",
     "DEFAULT_GAMMA_F",
-    "RiskRouter",
     "RouteResult",
     "PairRoutes",
     "RatioResult",
@@ -90,7 +84,6 @@ __all__ = [
     "RoutingEngine",
     "EngineConfig",
     "SweepStrategy",
-    "intradomain_ratios",
     "InterdomainRouter",
     "ProvisioningAnalyzer",
     "candidate_links",

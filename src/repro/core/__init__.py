@@ -36,8 +36,8 @@ from .multiobjective import (
     pareto_paths,
 )
 from .ospf import OspfWeightTable, export_ospf_weights, ospf_fidelity
-from .ratios import RatioResult, intradomain_ratios, ratios_over_pairs
-from .riskroute import PairRoutes, RiskRouter, RouteResult
+from .ratios import RatioResult, ratios_over_pairs
+from .riskroute import PairRoutes, RouteResult
 from .strategy import SweepStrategy, resolve_strategy
 from .sharedrisk import SharedRiskReport, shared_risk_report, storm_shared_fate
 from .simulation import (
@@ -53,13 +53,11 @@ __all__ = [
     "path_metrics",
     "bit_risk_miles",
     "bit_miles",
-    "RiskRouter",
     "RouteResult",
     "PairRoutes",
     "SweepStrategy",
     "resolve_strategy",
     "RatioResult",
-    "intradomain_ratios",
     "ratios_over_pairs",
     "InterdomainRouter",
     "BoundsResult",

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 from ..graph.shortest_path import NoPathError
-from .riskroute import RiskRouter, RouteResult
+from ..session import RoutingSession
+from .riskroute import RouteResult
 
 __all__ = ["BackupPath", "mpls_link_failover", "mpls_node_failover", "frr_backup_next_hops"]
 
@@ -32,40 +33,42 @@ class BackupPath:
         return self.route.path
 
 
-def _router_without_edge(
-    router: RiskRouter, edge: Tuple[str, str]
-) -> RiskRouter:
-    graph = router.graph.copy()
+def _session_without_edge(
+    session: RoutingSession, edge: Tuple[str, str]
+) -> RoutingSession:
+    graph = session.graph.copy()
     if graph.has_edge(*edge):
         graph.remove_edge(*edge)
-    return RiskRouter(graph, router.model)
+    return RoutingSession(graph, session.model)
 
 
-def _router_without_node(router: RiskRouter, node: str) -> RiskRouter:
-    graph = router.graph.copy()
+def _session_without_node(
+    session: RoutingSession, node: str
+) -> RoutingSession:
+    graph = session.graph.copy()
     if node in graph:
         graph.remove_node(node)
-    # The removed node is still in the model, which is fine: RiskRouter
+    # The removed node is still in the model, which is fine: a session
     # only validates nodes present in the graph.
-    return RiskRouter(graph, router.model)
+    return RoutingSession(graph, session.model)
 
 
 def mpls_link_failover(
-    router: RiskRouter, source: str, target: str, link: Tuple[str, str]
+    session: RoutingSession, source: str, target: str, link: Tuple[str, str]
 ) -> Optional[BackupPath]:
     """Min-bit-risk path from source to target avoiding one link.
 
     Returns None when removing the link disconnects the pair.
     """
     try:
-        backup = _router_without_edge(router, link).risk_route(source, target)
+        backup = _session_without_edge(session, link).route(source, target)
     except NoPathError:
         return None
     return BackupPath(failed=tuple(link), route=backup)
 
 
 def mpls_node_failover(
-    router: RiskRouter, source: str, target: str, node: str
+    session: RoutingSession, source: str, target: str, node: str
 ) -> Optional[BackupPath]:
     """Min-bit-risk path avoiding one transit node.
 
@@ -75,14 +78,14 @@ def mpls_node_failover(
     if node in (source, target):
         raise ValueError("cannot fail over around an endpoint")
     try:
-        backup = _router_without_node(router, node).risk_route(source, target)
+        backup = _session_without_node(session, node).route(source, target)
     except NoPathError:
         return None
     return BackupPath(failed=(node,), route=backup)
 
 
 def frr_backup_next_hops(
-    router: RiskRouter, source: str
+    session: RoutingSession, source: str
 ) -> Dict[str, Optional[str]]:
     """IP Fast Reroute table: for each destination, the backup next hop to
     use when the primary next hop's link fails.
@@ -93,10 +96,10 @@ def frr_backup_next_hops(
     alternative (the first link is a bridge).
     """
     table: Dict[str, Optional[str]] = {}
-    primaries = router.risk_routes_from(source, strategy="per-source")
+    primaries = session.routes_from(source, strategy="per-source")
     for target, primary in primaries.items():
         first_link = (primary.path[0], primary.path[1])
-        backup = mpls_link_failover(router, source, target, first_link)
+        backup = mpls_link_failover(session, source, target, first_link)
         if backup is None or len(backup.path) < 2:
             table[target] = None
         else:

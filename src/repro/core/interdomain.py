@@ -17,11 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from ..graph.core import Graph
 from ..risk.model import RiskModel
+from ..session import RoutingSession
 from ..topology.interdomain import InterdomainTopology
 from .ratios import RatioResult
-from .riskroute import PairRoutes, RiskRouter
+from .riskroute import PairRoutes
+from .strategy import SweepStrategy
 
 __all__ = ["InterdomainRouter", "BoundsResult", "regional_pair_population"]
 
@@ -59,6 +60,12 @@ class InterdomainRouter:
             (see :meth:`RiskModel.for_interdomain`).
         extra_peerings: optional what-if peering relationships added on
             top of the topology's AS graph (the Figure 11 knob).
+
+    Attributes:
+        session: the :class:`~repro.session.RoutingSession` over the
+            merged graph; it holds the current model (``session.model``)
+            and takes forecast swaps (``session.update_forecast``) that
+            re-evaluate on warm caches.
     """
 
     def __init__(
@@ -68,22 +75,17 @@ class InterdomainRouter:
         extra_peerings: Optional[Sequence[tuple]] = None,
     ) -> None:
         self.topology = topology
-        self.model = model
-        graph: Graph[str] = topology.merged_graph(extra_peerings=extra_peerings)
-        self._router = RiskRouter(graph, model)
-
-    @property
-    def router(self) -> RiskRouter:
-        """The underlying single-graph routing engine."""
-        return self._router
+        self.session = RoutingSession(
+            topology.merged_graph(extra_peerings=extra_peerings), model
+        )
 
     @property
     def engine(self):
         """The merged graph's :class:`~repro.engine.RoutingEngine`,
-        owned by this router — batched consumers reuse its sweeps and
-        caches (the Figure 11 peering search scores every candidate
-        against it)."""
-        return self._router.engine
+        owned by this router's session — batched consumers reuse its
+        sweeps and caches (the Figure 11 peering search scores every
+        candidate against it)."""
+        return self.session.engine
 
     def bounds(self, source: str, target: str) -> BoundsResult:
         """Upper and lower bit-risk-mile bounds for one pair.
@@ -91,13 +93,13 @@ class InterdomainRouter:
         Raises:
             NoPathError: when the merged topology does not connect them.
         """
-        return BoundsResult(self._router.route_pair(source, target))
+        return BoundsResult(self.session.pair(source, target))
 
     def regional_ratios(
         self,
         regional_name: str,
         destination_pops: Sequence[str],
-        exact: bool = False,
+        strategy=SweepStrategy.PER_SOURCE,
     ) -> RatioResult:
         """rr/dr for one regional network's interdomain traffic.
 
@@ -110,8 +112,9 @@ class InterdomainRouter:
         Args:
             regional_name: the source network.
             destination_pops: target PoPs (sources themselves excluded).
-            exact: per-pair optimization instead of the per-source
-                approximation (slow on the ~800-PoP merge).
+            strategy: ``"per-source"`` (default, whatever the merge's
+                size) or ``"exact"`` per-pair optimization (slow on the
+                ~800-PoP merge).
 
         Raises:
             KeyError: for a network not in the merge.
@@ -120,8 +123,8 @@ class InterdomainRouter:
         if regional_name not in self.topology.networks:
             raise KeyError(f"unknown network {regional_name!r}")
         sources = self.topology.networks[regional_name].pop_ids()
-        return self._router.engine.ratios(
-            sources=sources, targets=destination_pops, exact=exact
+        return self.session.all_pairs(
+            sources=sources, targets=destination_pops, strategy=strategy
         )
 
     def aggregate_lower_bound(
@@ -136,7 +139,7 @@ class InterdomainRouter:
         if regional_name not in self.topology.networks:
             raise KeyError(f"unknown network {regional_name!r}")
         sources = self.topology.networks[regional_name].pop_ids()
-        return self._router.engine.lower_bound_total(
+        return self.session.engine.lower_bound_total(
             sources, destination_pops
         )
 

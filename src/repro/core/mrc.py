@@ -24,7 +24,8 @@ from ..graph.components import is_connected
 from ..graph.core import Graph
 from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
-from .riskroute import RiskRouter, RouteResult
+from ..session import RoutingSession
+from .riskroute import RouteResult
 
 __all__ = ["RoutingConfiguration", "MrcScheme", "build_mrc"]
 
@@ -39,7 +40,7 @@ class RoutingConfiguration:
 
     index: int
     isolated: Tuple[str, ...]
-    router: RiskRouter
+    session: RoutingSession
 
     def route(self, source: str, target: str) -> RouteResult:
         """Risk-route under this configuration.
@@ -51,7 +52,7 @@ class RoutingConfiguration:
         Raises:
             NoPathError: when disconnected.
         """
-        return self.router.risk_route(source, target)
+        return self.session.route(source, target)
 
     def transits_isolated(self, path: Sequence[str]) -> bool:
         """True when the path uses an isolated node as transit."""
@@ -218,7 +219,7 @@ def build_mrc(
             RoutingConfiguration(
                 index=index,
                 isolated=tuple(sorted(isolated)),
-                router=RiskRouter(graph, config_model),
+                session=RoutingSession(graph, config_model),
             )
         )
     return MrcScheme(graph, model, configurations)

@@ -15,8 +15,8 @@ from typing import Dict, List, Tuple
 
 from ..graph.core import Graph
 from ..risk.model import RiskModel
+from ..session import RoutingSession
 from ..topology.network import Network
-from .riskroute import RiskRouter
 
 __all__ = ["OspfWeightTable", "export_ospf_weights", "ospf_fidelity"]
 
@@ -112,8 +112,8 @@ def ospf_fidelity(
     if sample_pairs < 1:
         raise ValueError("sample_pairs must be positive")
     table = export_ospf_weights(network, model)
-    ospf_router = RiskRouter(table.as_graph(), model)
-    true_router = RiskRouter(network.distance_graph(), model)
+    ospf_session = RoutingSession(table.as_graph(), model)
+    true_session = RoutingSession(network.distance_graph(), model)
 
     pop_ids = network.pop_ids()
     pairs: List[Tuple[str, str]] = [
@@ -124,11 +124,11 @@ def ospf_fidelity(
     from .bitrisk import path_metrics
 
     for source, target in pairs[::stride]:
-        ospf_path = ospf_router.shortest_path(source, target).path
+        ospf_path = ospf_session.shortest(source, target).path
         ospf_cost = path_metrics(
-            true_router.graph, list(ospf_path), model
+            true_session.graph, list(ospf_path), model
         ).bit_risk_miles
-        optimum = true_router.risk_route(source, target).bit_risk_miles
+        optimum = true_session.route(source, target).bit_risk_miles
         if optimum > 0:
             ratios.append(ospf_cost / optimum)
     return sum(ratios) / len(ratios) if ratios else 1.0

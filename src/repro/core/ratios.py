@@ -14,25 +14,22 @@ mean the tables effectively report.
 Zero-denominator rule: a pair whose shortest path costs 0 (bit-risk
 miles for ``rr``, miles for ``dr``) counts as ratio 1.0.  Two places
 apply it — the scalar :class:`~repro.core.riskroute.PairRoutes`
-properties, and :func:`_ratio_terms`, the vector form the engine's
-aggregates use — and both give the same bits for every pair.
+properties (which the demand-weighted ratios of
+:mod:`repro.traffic.weighted` also use), and :func:`_ratio_terms`, the
+vector form the engine's aggregates use — and both give the same bits
+for every pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence
+from typing import Iterable, List, Sequence
 
 import numpy as np
 
-from .riskroute import PairRoutes, RiskRouter
-from .strategy import EXACT_PAIR_LIMIT
+from .riskroute import PairRoutes
 
-__all__ = ["RatioResult", "ratios_over_pairs", "intradomain_ratios"]
-
-#: Above this PoP count the all-pairs sweep switches to the per-source
-#: approximation (see :meth:`RiskRouter.approx_risk_routes_from`).
-_EXACT_PAIR_LIMIT = EXACT_PAIR_LIMIT
+__all__ = ["RatioResult", "ratios_over_pairs"]
 
 
 @dataclass(frozen=True)
@@ -91,39 +88,3 @@ def ratios_over_pairs(pairs: Iterable[PairRoutes]) -> RatioResult:
         risk_ratios.append(pair.risk_ratio)
         distance_ratios.append(pair.distance_ratio)
     return _aggregate(risk_ratios, distance_ratios)
-
-
-def intradomain_ratios(
-    router: RiskRouter,
-    sources: Optional[Sequence[str]] = None,
-    targets: Optional[Sequence[str]] = None,
-    exact: Optional[bool] = None,
-    strategy=None,
-) -> RatioResult:
-    """rr/dr over a (sub)set of a topology's PoP pairs.
-
-    A thin wrapper over the batched engine behind the router: sweeps
-    are memoized and shared with every other query on the same router,
-    and the finished aggregate itself is cached until the risk field
-    changes.
-
-    Args:
-        router: the routing engine for the network under study.
-        sources: source PoPs; all PoPs when omitted.
-        targets: target PoPs; all PoPs when omitted.
-        exact: force exact per-pair optimization (True) or the
-            per-source approximation (False); ``None`` picks exact for
-            topologies up to 60 PoPs.
-        strategy: ``"exact"`` / ``"per-source"`` — the preferred
-            spelling of ``exact``.
-
-    Returns:
-        The aggregated ratios over every ordered reachable pair with
-        source != target.
-
-    Raises:
-        ValueError: when no valid pair exists.
-    """
-    return router.engine.ratios(
-        sources=sources, targets=targets, strategy=strategy, exact=exact
-    )

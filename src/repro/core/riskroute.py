@@ -1,13 +1,16 @@
-"""The RiskRoute optimizer (Equation 3).
+"""RiskRoute route results (Equation 3) and their Equation 5/6 terms.
 
 Finding the minimum-bit-risk-miles route between PoPs ``i`` and ``j``
 reduces to a shortest-path search where relaxing an edge ``(u, v)``
 toward ``v`` costs ``d_uv + alpha_ij * node_risk(v)`` — the risk of a PoP
 is charged on *entering* it, so the source is free and the target is
-charged, exactly as Equation 1 sums over ``x = 2..K``.
+charged, exactly as Equation 1 sums over ``x = 2..K``.  The searches run
+in :class:`~repro.engine.engine.RoutingEngine`, reached through
+:class:`~repro.session.RoutingSession`; this module holds what they
+return.
 
 Because ``alpha_ij = c_i + c_j`` depends on both endpoints, the exact
-optimum needs one search per pair.  For all-targets sweeps the module
+optimum needs one search per pair.  For all-targets sweeps the engine
 also offers a *per-source approximation*: a single search from ``i``
 using the expected impact ``alpha_i = c_i + mean(c)``, whose paths are
 then re-scored exactly under each target's true ``alpha_ij``.  The
@@ -19,14 +22,10 @@ Complexity" (6.4) of the paper glosses over this pair coupling entirely.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
 
-from ..graph.core import Graph
-from ..risk.model import RiskModel
 from .bitrisk import PathMetrics
-from .strategy import SweepStrategy, resolve_strategy
 
-__all__ = ["RouteResult", "PairRoutes", "RiskRouter", "SweepStrategy"]
+__all__ = ["RouteResult", "PairRoutes"]
 
 
 @dataclass(frozen=True)
@@ -85,83 +84,3 @@ class PairRoutes:
         if denominator == 0.0:
             return 1.0
         return self.riskroute.bit_miles / denominator
-
-
-class RiskRouter:
-    """Routes one distance graph under one risk model.
-
-    Historically this class ran a cold Dijkstra per query; it is now a
-    thin wrapper over :class:`repro.session.RoutingSession` (and through
-    it the session's cached :class:`~repro.engine.engine.RoutingEngine`),
-    kept for API compatibility.  New code should construct a
-    ``RoutingSession`` directly.
-    """
-
-    def __init__(self, graph: Graph[str], model: RiskModel) -> None:
-        from ..session import RoutingSession
-
-        self.graph = graph
-        self.model = model
-        # Session construction fails fast on a model/topology mismatch,
-        # preserving the historical constructor contract.
-        self._session = RoutingSession(graph, model)
-
-    @property
-    def session(self) -> "RoutingSession":
-        """The facade this router delegates to."""
-        return self._session
-
-    @property
-    def engine(self):
-        """The routing engine of this router's session."""
-        return self._session.engine
-
-    # -- single-pair routing --------------------------------------------------
-
-    def shortest_path(self, source: str, target: str) -> RouteResult:
-        """Pure geographic shortest path (the paper's baseline).
-
-        Raises:
-            NoPathError: when disconnected.
-        """
-        return self._session.shortest(source, target)
-
-    def risk_route(self, source: str, target: str) -> RouteResult:
-        """The exact Equation 3 optimum for one pair.
-
-        Raises:
-            NoPathError: when disconnected.
-        """
-        return self._session.route(source, target)
-
-    def route_pair(self, source: str, target: str) -> PairRoutes:
-        """Both routes for a pair, ready for ratio evaluation."""
-        return self._session.pair(source, target)
-
-    # -- per-source sweeps ------------------------------------------------------
-
-    def shortest_from(self, source: str) -> Dict[str, RouteResult]:
-        """Shortest paths from ``source`` to every reachable PoP."""
-        return self._session.shortest_from(source)
-
-    def approx_risk_routes_from(self, source: str) -> Dict[str, RouteResult]:
-        """Near-optimal RiskRoute paths from ``source`` to all targets.
-
-        One search under the expected impact ``alpha_i = c_i + mean(c)``;
-        each returned route is re-scored exactly under its true pair
-        impact, so reported costs are exact for the paths chosen.
-        """
-        return self._session.routes_from(source, SweepStrategy.PER_SOURCE)
-
-    def risk_routes_from(
-        self, source: str, strategy=None
-    ) -> Dict[str, RouteResult]:
-        """RiskRoute paths from ``source`` to every reachable PoP.
-
-        Args:
-            source: the source PoP.
-            strategy: ``"exact"`` (default — one search per target, the
-                true Equation 3) or ``"per-source"`` (single-search
-                approximation, re-scored exactly).
-        """
-        return self._session.routes_from(source, resolve_strategy(strategy))

@@ -22,7 +22,7 @@ __all__ = [
 ]
 
 #: Above this PoP count auto strategy selection switches from ``EXACT``
-#: to ``PER_SOURCE`` (the historical ``intradomain_ratios`` behaviour).
+#: to ``PER_SOURCE``.
 EXACT_PAIR_LIMIT = 60
 
 
@@ -61,7 +61,8 @@ def resolve_strategy(
 
 
 def auto_strategy(node_count: int) -> SweepStrategy:
-    """The historical size-based default: exact for small topologies."""
+    """The size-based default: ``EXACT`` up to ``EXACT_PAIR_LIMIT``
+    nodes, ``PER_SOURCE`` above."""
     if node_count <= EXACT_PAIR_LIMIT:
         return SweepStrategy.EXACT
     return SweepStrategy.PER_SOURCE

@@ -1,7 +1,7 @@
 """The batched routing engine subsystem.
 
 Freezes a topology into flat CSR arrays once, memoizes per-source
-risk-weighted Dijkstra sweeps keyed by (alpha bucket, source) on the
+risk-weighted Dijkstra sweeps keyed by (alpha, source) on the
 engine that owns the topology, fans all-pairs work across a process
 pool with a serial fallback, and invalidates cached sweeps when the
 risk field changes.
@@ -12,7 +12,7 @@ point; this package is the machinery underneath it.
 
 from ..core.strategy import SweepStrategy, resolve_strategy
 from .arrays import CsrGraph
-from .cache import ResultCache, SweepCache, alpha_bucket
+from .cache import ResultCache, SweepCache
 from .components import (
     ProvisioningStats,
     parametric_component_table,
@@ -35,7 +35,6 @@ __all__ = [
     "CsrGraph",
     "SweepCache",
     "ResultCache",
-    "alpha_bucket",
     "SweepResult",
     "csr_sweep",
     "sweep_many",

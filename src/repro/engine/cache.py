@@ -3,10 +3,10 @@
 Two memoization layers sit behind the engine:
 
 * :class:`SweepCache` — per-source Dijkstra sweeps keyed by
-  ``(alpha bucket, source index)``.  Each cache belongs to one engine,
-  and an engine's topology is frozen at construction, so the key needs
-  no topology part; the alpha bucket is what lets repeated pair
-  queries, ratio sweeps and provisioning scoring share a search.
+  ``(alpha, source index)``.  Each cache belongs to one engine, and an
+  engine's topology is frozen at construction, so the key needs no
+  topology part; the alpha is what lets repeated pair queries, ratio
+  sweeps and provisioning scoring share a search.
 * :class:`ResultCache` — finished aggregates (ratio results,
   lower-bound totals) keyed by the full query signature, so repeating an
   identical all-pairs evaluation is a dictionary lookup.
@@ -31,23 +31,7 @@ from typing import AbstractSet, Callable, Hashable, Optional, Tuple
 
 from .sweep import SweepResult
 
-__all__ = ["SweepCache", "ResultCache", "CacheStats", "alpha_bucket"]
-
-
-def alpha_bucket(alpha: float, resolution: float = 0.0) -> float:
-    """Quantize an impact value for cache keying.
-
-    ``resolution == 0`` keys by the exact float (lossless: every
-    distinct alpha gets its own sweep).  A positive resolution rounds to
-    the nearest multiple, merging near-equal impacts onto one search —
-    the chosen paths then come from a slightly perturbed objective, but
-    the engine always re-scores them under the true pair impact, so
-    reported costs stay exact (the same contract as the per-source
-    approximation).
-    """
-    if resolution <= 0.0:
-        return alpha
-    return round(alpha / resolution) * resolution
+__all__ = ["SweepCache", "ResultCache", "CacheStats"]
 
 
 class CacheStats:
@@ -72,7 +56,7 @@ class CacheStats:
 
 
 class SweepCache:
-    """LRU cache of :class:`SweepResult` keyed by (alpha bucket, source)."""
+    """LRU cache of :class:`SweepResult` keyed by (alpha, source)."""
 
     def __init__(self, max_entries: int = 65536) -> None:
         if max_entries < 1:

@@ -9,7 +9,7 @@ candidate scoring share work instead of recomputing it.
 
 Caching contract:
 
-* sweeps are keyed by ``(alpha bucket, source)`` — see
+* sweeps are keyed by ``(alpha, source)`` — see
   :mod:`repro.engine.cache`;
 * a model swap with the same risk field (fingerprint match) keeps every
   cache; a changed field (new forecast advisory, different gammas)
@@ -61,7 +61,7 @@ from ..graph.core import Graph, NodeNotFoundError
 from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from .arrays import CsrGraph
-from .cache import ResultCache, SweepCache, alpha_bucket
+from .cache import ResultCache, SweepCache
 from .components import sweep_component_arrays
 from .fingerprint import risk_fingerprint
 from .parallel import EngineConfig, sweep_many
@@ -86,10 +86,8 @@ class RoutingEngine:
             arrays at construction — later graph mutations are not seen;
             build a new engine, as a session does when its graph's
             ``version`` moves).
-        model: the risk model; must cover every graph node (fail fast,
-            matching the historical ``RiskRouter`` contract).
-        config: pool and cache tuning; defaults to serial + exact alpha
-            keying.
+        model: the risk model; must cover every graph node (fail fast).
+        config: pool and cache tuning; defaults to serial.
     """
 
     def __init__(
@@ -395,12 +393,11 @@ class RoutingEngine:
         }
 
     def _sweep_idx(self, source: int, alpha: float) -> SweepResult:
-        key = alpha_bucket(alpha, self._config.alpha_resolution)
-        cached = self._sweeps.get(key, source)
+        cached = self._sweeps.get(alpha, source)
         if cached is not None:
             return cached
-        result = csr_sweep(*self._arrays(), source, key)
-        self._sweeps.put(key, source, result)
+        result = csr_sweep(*self._arrays(), source, alpha)
+        self._sweeps.put(alpha, source, result)
         return result
 
     def sweep(self, source: str, alpha: float) -> SweepResult:
@@ -410,35 +407,32 @@ class RoutingEngine:
     def prefetch(self, tasks: Iterable[Tuple[int, float]]) -> int:
         """Batch-compute missing sweeps, through the pool when enabled.
 
-        ``tasks`` are ``(source index, alpha)`` pairs; alphas are
-        bucketed before the cache is consulted.  Returns the number of
-        sweeps actually computed.
+        ``tasks`` are ``(source index, alpha)`` pairs.  Returns the
+        number of sweeps actually computed.
         """
-        resolution = self._config.alpha_resolution
         missing: "OrderedDict[Tuple[float, int], None]" = OrderedDict()
         for source, alpha in tasks:
-            key = alpha_bucket(alpha, resolution)
-            if not self._sweeps.peek(key, source):
-                missing[(key, source)] = None
+            if not self._sweeps.peek(alpha, source):
+                missing[(alpha, source)] = None
         if not missing:
             return 0
-        # Alpha-bucket sharing: all coalesced sources under one bucket
-        # are answered by a single multi-source call of the bucketed
-        # kernel; buckets too small to vectorize fall through to one
-        # heapq sweep per source.
-        buckets: "OrderedDict[float, List[int]]" = OrderedDict()
-        for key, source in missing:
-            buckets.setdefault(key, []).append(source)
+        # Alpha sharing: all coalesced sources under one alpha are
+        # answered by a single multi-source call of the bucketed kernel;
+        # groups too small to vectorize fall through to one heapq sweep
+        # per source.
+        groups: "OrderedDict[float, List[int]]" = OrderedDict()
+        for alpha, source in missing:
+            groups.setdefault(alpha, []).append(source)
         serial: List[Tuple[int, float]] = []
         bucketed_graph = self._csr.node_count >= BUCKETED_MIN_NODES
-        for key, sources in buckets.items():
+        for alpha, sources in groups.items():
             if bucketed_graph and len(sources) >= BUCKETED_MIN_BATCH:
                 for result in csr_sweep_batch(
-                    *self._np_arrays(), sources, key
+                    *self._np_arrays(), sources, alpha
                 ):
-                    self._sweeps.put(key, result.source, result)
+                    self._sweeps.put(alpha, result.source, result)
             else:
-                serial.extend((source, key) for source in sources)
+                serial.extend((source, alpha) for source in sources)
         for result in sweep_many(self._arrays(), serial, self._config):
             self._sweeps.put(result.alpha, result.source, result)
         return len(missing)
@@ -470,11 +464,7 @@ class RoutingEngine:
         read-only.
         """
         s = self._idx(source)
-        key = (
-            "components",
-            s,
-            alpha_bucket(alpha, self._config.alpha_resolution),
-        )
+        key = ("components", s, alpha)
         cached = self._results.get(key)
         if cached is not None:
             return cached
@@ -534,20 +524,18 @@ class RoutingEngine:
 
         Returns None when the full sweep should be used instead (it is
         already cached, so pruning would only discard work).  The A*
-        search runs at the *bucketed* alpha — the same objective the
-        cached sweep would have used — and the chosen path is re-scored
-        under the pair's true impact by :meth:`_route_from_path`, so
+        search runs at the same alpha the full sweep would have used,
+        and the chosen path is scored by :meth:`_route_from_path`, so
         the reported costs match the sweep path exactly.
         """
-        key = alpha_bucket(alpha, self._config.alpha_resolution)
-        if self._sweeps.peek(key, s):
+        if self._sweeps.peek(alpha, s):
             return None
-        cache_key = ("targeted", s, t, key)
+        cache_key = ("targeted", s, t, alpha)
         cached = self._results.get(cache_key)
         if cached is not None:
             return cached
         bounds = self.landmark_index().lower_bounds(t).tolist()
-        result = csr_sweep(*self._arrays(), s, key, target=t, bounds=bounds)
+        result = csr_sweep(*self._arrays(), s, alpha, target=t, bounds=bounds)
         self._targeted_queries += 1
         self._targeted_settled += result.settled
         if result.dist[t] == _INF:
@@ -575,23 +563,35 @@ class RoutingEngine:
             raise NoPathError(source, target)
         return self._route(sweep, t)
 
-    def risk_route(self, source: str, target: str):
-        """The exact Equation 3 optimum for one pair.
+    def risk_route(
+        self,
+        source: str,
+        target: str,
+        strategy: SweepStrategy = SweepStrategy.EXACT,
+    ):
+        """The RiskRoute path for one pair.
 
-        On continental-scale topologies (``TARGETED_MIN_NODES``) a cold
-        query runs the landmark-pruned A* search instead of settling the
-        whole graph; the distance is the same bit-for-bit and the path
-        identical up to exactly-tied optima.
+        ``EXACT`` is the true Equation 3 optimum.  On continental-scale
+        topologies (``TARGETED_MIN_NODES``) a cold ``EXACT`` query runs
+        the landmark-pruned A* search instead of settling the whole
+        graph; the distance is the same bit-for-bit and the path
+        identical up to exactly-tied optima.  ``PER_SOURCE`` reads the
+        target off the source's expected-impact sweep — the route
+        :meth:`risk_routes_from` reports for it — re-scored exactly.
 
         Raises:
+            NodeNotFoundError: for an endpoint outside the topology.
             NoPathError: when disconnected.
         """
         s, t = self._idx(source), self._idx(target)
-        alpha = self._shares[s] + self._shares[t]
-        if self._csr.node_count >= TARGETED_MIN_NODES:
-            route = self._targeted_route(s, t, alpha)
-            if route is not None:
-                return route
+        if strategy is SweepStrategy.PER_SOURCE:
+            alpha = self._shares[s] + self._mean_share
+        else:
+            alpha = self._shares[s] + self._shares[t]
+            if self._csr.node_count >= TARGETED_MIN_NODES:
+                route = self._targeted_route(s, t, alpha)
+                if route is not None:
+                    return route
         sweep = self._sweep_idx(s, alpha)
         if sweep.dist[t] == _INF:
             raise NoPathError(source, target)
@@ -751,7 +751,6 @@ class RoutingEngine:
         sources: Optional[Sequence[str]] = None,
         targets: Optional[Sequence[str]] = None,
         strategy=None,
-        exact: Optional[bool] = None,
     ):
         """rr/dr over a (sub)set of the topology's ordered pairs.
 
@@ -763,21 +762,15 @@ class RoutingEngine:
         shortest path costs 0 counts as ratio 1.0, as in
         :class:`~repro.core.riskroute.PairRoutes`.  The terms are summed
         source by source, targets in node order, and the aggregate is
-        memoized.  ``strategy=None`` picks ``EXACT`` for topologies up
-        to 60 nodes, matching the historical auto rule.
+        memoized.  ``strategy=None`` picks by size
+        (:func:`~repro.core.strategy.auto_strategy`: ``EXACT`` up to 60
+        nodes, ``PER_SOURCE`` above).
 
         Raises:
             NodeNotFoundError: for a source or target outside the
                 topology.
             ValueError: when no valid pair exists.
         """
-        # `exact` here is the documented intradomain_ratios parameter.
-        if exact is not None:
-            if strategy is not None:
-                raise ValueError("pass either strategy= or exact=, not both")
-            strategy = (
-                SweepStrategy.EXACT if exact else SweepStrategy.PER_SOURCE
-            )
         strategy = resolve_strategy(
             strategy, default=auto_strategy(self._csr.node_count)
         )
@@ -787,7 +780,6 @@ class RoutingEngine:
             tuple(source_idx),
             target_mask.tobytes(),
             strategy.value,
-            self._config.alpha_resolution,
         )
         cached = self._results.get(key)
         if cached is not None:
@@ -837,7 +829,6 @@ class RoutingEngine:
             tuple(source_idx),
             target_mask.tobytes(),
             strategy.value,
-            self._config.alpha_resolution,
         )
         cached = self._results.get(key)
         if cached is not None:

@@ -21,7 +21,7 @@ so ``w_alpha(u, v) >= d_uv = w_0(u, v)`` for every edge, and summing
 along any path, ``dist_alpha(s, t) >= dist_0(s, t)``.  Any lower bound
 on the *geographic* (``alpha == 0``) distance is therefore a lower
 bound on the risk-weighted distance for **every** alpha — one landmark
-table serves every alpha bucket and survives every forecast swap,
+table serves every alpha and survives every forecast swap,
 because it never looks at the risk field.
 
 Two bound families are combined (pointwise maximum; the max of lower

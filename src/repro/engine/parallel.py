@@ -42,22 +42,17 @@ class EngineConfig:
         workers: process-pool size for per-source sweeps; 0 or 1 means
             serial (the safe default — sweep caching, not parallelism,
             is the first-order win).
-        alpha_resolution: sweep-cache alpha bucket width (0 = exact
-            keying; see :func:`repro.engine.cache.alpha_bucket`).
         sweep_cache_size: max memoized sweeps per engine.
         result_cache_size: max memoized aggregates per engine.
     """
 
     workers: int = 0
-    alpha_resolution: float = 0.0
     sweep_cache_size: int = 65536
     result_cache_size: int = 256
 
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError("workers must be >= 0")
-        if self.alpha_resolution < 0:
-            raise ValueError("alpha_resolution must be >= 0")
 
     @property
     def parallel(self) -> bool:

@@ -11,7 +11,7 @@ Two kernels settle the same search — relaxing ``(u, v)`` costs
 * :func:`csr_sweep_batch` — the **bucketed multi-source kernel**: a
   vectorized delta-stepping-style search that settles whole frontiers
   with numpy relaxations, running *many sources at once* over one shared
-  set of effective edge costs (one alpha bucket).  Distances and
+  set of effective edge costs (one alpha).  Distances and
   parents agree with :func:`csr_sweep` bit-for-bit whenever the
   shortest-path tree is unique (candidate costs are accumulated with
   the exact same float operations, ``(d + w) + alpha * risk``, in path
@@ -167,9 +167,9 @@ def csr_sweep_batch(
     """Batched multi-source risk-weighted sweep (bucketed kernel).
 
     Runs every source in ``sources`` simultaneously under one shared
-    ``alpha`` — the alpha-bucket-sharing entry point: the engine groups
-    all coalesced sweep demands per alpha bucket and answers each bucket
-    with a single call.  State is a flat ``(len(sources) * n)`` distance
+    ``alpha`` — the alpha-sharing entry point: the engine groups all
+    coalesced sweep demands per alpha and answers each group with a
+    single call.  State is a flat ``(len(sources) * n)`` distance
     /parent tableau; each round relaxes the out-edges of the
     whole current frontier (all sources at once) with vectorized numpy
     gather/scatter-min operations.

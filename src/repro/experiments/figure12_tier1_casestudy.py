@@ -73,8 +73,7 @@ def run(
                 network = session.network
                 of_map = forecast.pop_risks(network)
                 session.update_forecast(of_map)
-                exact = None if network.pop_count <= 60 else False
-                result = session.all_pairs(exact=exact)
+                result = session.all_pairs()
                 row[f"rr_{name}"] = result.risk_reduction_ratio
                 row[f"in_scope_{name}"] = sum(
                     1 for v in of_map.values() if v > 0

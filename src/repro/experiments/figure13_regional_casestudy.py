@@ -72,7 +72,7 @@ def run(
             of_map: Dict[str, float] = {}
             for network in topology.networks.values():
                 of_map.update(forecast.pop_risks(network))
-            router.router.session.update_forecast(of_map)
+            router.session.update_forecast(of_map)
             row = {
                 "storm": storm,
                 "advisory": advisory.number,

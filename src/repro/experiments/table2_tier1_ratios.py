@@ -31,13 +31,12 @@ def run() -> ExperimentResult:
     for network in tier1_networks():
         base_model = RiskModel.for_network(network)
         session = RoutingSession(network, base_model)
-        exact = None if network.pop_count <= 60 else False
         measured = {}
         for gamma_h in GAMMAS:
             # One session per network: swapping the gammas drops only
             # the risk-weighted sweeps, so the geographic ones run once.
             session.update_model(base_model.with_gammas(gamma_h, 1e3))
-            measured[gamma_h] = session.all_pairs(exact=exact)
+            measured[gamma_h] = session.all_pairs()
         paper = PAPER_TABLE2[network.name]
         rows.append(
             {

@@ -39,15 +39,14 @@ PAPER_TABLE3: Dict[str, tuple] = {
 }
 
 
-def regional_intradomain_ratios(
+def regional_network_ratios(
     gamma_h: float = 1e5,
 ) -> Dict[str, Tuple[float, float]]:
     """(rr, dr) of each regional network's own (intradomain) routing."""
     out: Dict[str, Tuple[float, float]] = {}
     for network in regional_networks():
         model = RiskModel.for_network(network, gamma_h=gamma_h)
-        exact = None if network.pop_count <= 60 else False
-        result = RoutingSession(network, model).all_pairs(exact=exact)
+        result = RoutingSession(network, model).all_pairs()
         out[network.name] = (
             result.risk_reduction_ratio,
             result.distance_increase_ratio,
@@ -59,7 +58,7 @@ def regional_intradomain_ratios(
 def run() -> ExperimentResult:
     """Regenerate Table 3."""
     peering = corpus_peering()
-    ratios = regional_intradomain_ratios()
+    ratios = regional_network_ratios()
     features = []
     for network in regional_networks():
         model = RiskModel.for_network(network)

@@ -10,7 +10,7 @@ into.
 Service semantics, not a toy loop:
 
 * request **coalescing** — concurrent single-source queries that demand
-  the same ``(alpha bucket, source)`` sweep share one engine search;
+  the same ``(alpha, source)`` sweep share one engine search;
 * **admission control / backpressure** — a bounded pending queue with
   per-request deadlines and typed ``overloaded`` / ``timeout`` replies;
 * **hot risk-field writes** — ``update_forecast`` swaps ``o_f`` and

@@ -16,7 +16,7 @@ returns either
   ``linger`` lets a just-started batch wait a few milliseconds for
   concurrent requests to land, widening the coalescing window (the
   service then shares one engine sweep across every request in the
-  batch that demands the same ``(alpha bucket, source)``).
+  batch that demands the same ``(alpha, source)``).
 
 FIFO order is never reordered — batches are contiguous runs — so the
 barrier guarantee is positional, not probabilistic.

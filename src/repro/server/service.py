@@ -18,7 +18,7 @@ same specs against a shared-memory engine, which is what makes sharded
 replies byte-identical to single-process ones.
 
 Coalescing happens here too: before dispatching, the batch's sweep
-demands — the ``(alpha bucket, source)`` searches each request will
+demands — the ``(alpha, source)`` searches each request will
 need — are collected, deduplicated and prefetched in one engine call.
 Requests that demand the same sweep share one computation; the surplus
 is reported back as ``coalesced`` and surfaces in server stats.
@@ -49,7 +49,6 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from ..engine.cache import alpha_bucket
 from ..graph.core import NodeNotFoundError
 from ..graph.shortest_path import NoPathError
 from . import ops
@@ -195,15 +194,11 @@ class QueryService:
             time.sleep(rule.delay)
         engine = self.session.engine
         fingerprint = engine.risk_fingerprint
-        resolution = engine.config.alpha_resolution
         validated = [self._validate(item.request) for item in batch]
         demands: List[Tuple[int, float]] = []
         for spec, params, _ in validated:
             demands.extend(self._sweep_demands(engine, spec, params))
-        unique = {
-            (source, alpha_bucket(alpha, resolution))
-            for source, alpha in demands
-        }
+        unique = set(demands)
         computed = engine.prefetch(demands) if demands else 0
         for item, checked in zip(batch, validated):
             self._dispatch(item, checked, fingerprint)

@@ -21,7 +21,7 @@ Topology of one sharded daemon::
 **Placement** is registry-driven.  With ``replicas=1`` (the default),
 :func:`shard_of` pins each key to exactly one shard: pair ops
 (``route`` / ``pair``) hash ``network|source|target`` so a pair always
-lands on the same shard — its ``(alpha bucket, source)`` sweep cache
+lands on the same shard — its ``(alpha, source)`` sweep cache
 stays hot — while params-routed ops (``ratios`` / ``provision``) hash
 their canonical parameter dict, so repeats of the same heavy query hit
 the same shard's memoized result cache.  With ``replicas=R >= 2``,

@@ -49,7 +49,7 @@ class RoutingSession:
             or a distance :class:`Graph`.
         model: the risk model; defaults to ``RiskModel.for_network`` in
             network mode, required in graph mode.
-        config: engine tuning (pool, alpha bucketing, cache sizes).
+        config: engine tuning (pool, cache sizes).
         engine: an engine already built over this topology (a shard
             process passes the one it mapped from shared memory); it is
             bound to ``model``.  Built from the graph when omitted.
@@ -187,15 +187,9 @@ class RoutingSession:
         the source's expected-impact sweep (cheaper across many targets,
         paths re-scored exactly).
         """
-        strategy = resolve_strategy(strategy)
-        if strategy is SweepStrategy.PER_SOURCE:
-            routes = self.engine.risk_routes_from(source, strategy)
-            if target not in routes:
-                from .graph.shortest_path import NoPathError
-
-                raise NoPathError(source, target)
-            return routes[target]
-        return self.engine.risk_route(source, target)
+        return self.engine.risk_route(
+            source, target, resolve_strategy(strategy)
+        )
 
     def pair(self, source: str, target: str) -> PairRoutes:
         """Baseline and RiskRoute for one pair, ready for Eq. 5/6."""
@@ -220,17 +214,16 @@ class RoutingSession:
         sources: Optional[Sequence[str]] = None,
         targets: Optional[Sequence[str]] = None,
         strategy=None,
-        exact: Optional[bool] = None,
     ):
         """rr/dr ratios over the (sub)population of ordered pairs.
 
-        ``strategy=None`` auto-selects: exact per-pair optimization up
-        to 60 PoPs, the per-source approximation above (the historical
-        rule).  Results are memoized on the engine until the risk field
-        changes.
+        ``strategy=None`` auto-selects by size
+        (:func:`~repro.core.strategy.auto_strategy`): exact per-pair
+        optimization up to 60 PoPs, the per-source approximation above.
+        Results are memoized on the engine until the risk field changes.
         """
         return self.engine.ratios(
-            sources=sources, targets=targets, strategy=strategy, exact=exact
+            sources=sources, targets=targets, strategy=strategy
         )
 
     # -- provisioning ------------------------------------------------------

@@ -11,10 +11,11 @@ route costs), the quantity a capacity planner would minimise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
 
-from ..core.riskroute import RiskRouter
 from ..core.ratios import RatioResult
+from ..core.riskroute import PairRoutes
+from ..core.strategy import SweepStrategy, auto_strategy, resolve_strategy
+from ..session import RoutingSession
 from .gravity import TrafficMatrix
 
 __all__ = ["TrafficWeightedResult", "traffic_weighted_ratios", "bit_risk_volume"]
@@ -37,25 +38,26 @@ class TrafficWeightedResult:
 
 
 def traffic_weighted_ratios(
-    router: RiskRouter,
+    session: RoutingSession,
     matrix: TrafficMatrix,
-    exact: Optional[bool] = None,
+    strategy=None,
 ) -> TrafficWeightedResult:
     """Demand-weighted Equations 5-6 over a network.
 
     Args:
-        router: the routing engine.
-        matrix: demand between the router's PoPs.
-        exact: per-pair optimization (None = auto by size, as in
-            :func:`repro.core.ratios.intradomain_ratios`).
+        session: the routing session for the network.
+        matrix: demand between the session's PoPs.
+        strategy: ``"exact"`` / ``"per-source"``; ``None`` picks by
+            size, as :meth:`RoutingSession.all_pairs` does
+            (:func:`~repro.core.strategy.auto_strategy`).
 
     Raises:
         ValueError: when no pair carries demand.
-        KeyError: when the matrix covers PoPs the router does not.
+        KeyError: when the matrix covers PoPs the session does not.
     """
-    nodes = list(router.graph.nodes())
-    if exact is None:
-        exact = len(nodes) <= 60
+    strategy = resolve_strategy(
+        strategy, default=auto_strategy(session.engine.node_count)
+    )
 
     weighted_risk = 0.0
     weighted_dist = 0.0
@@ -65,40 +67,20 @@ def traffic_weighted_ratios(
     pair_count = 0
 
     for source in matrix.pop_ids:
-        shortest = router.shortest_from(source)
-        if exact:
-            risky: Dict[str, object] = {}
-        else:
-            risky = router.approx_risk_routes_from(source)
-        for target, base in shortest.items():
-            if target == source:
-                continue
+        for target, base in session.shortest_from(source).items():
             try:
                 demand = matrix.demand(source, target)
             except KeyError:
                 continue
             if demand <= 0.0:
                 continue
-            if exact:
-                optimum = router.risk_route(source, target)
-            else:
-                if target not in risky:
-                    continue
-                optimum = risky[target]
+            pair = PairRoutes(base, session.route(source, target, strategy))
             pair_count += 1
             weight_total += demand
-            if base.bit_risk_miles > 0:
-                weighted_risk += demand * (
-                    optimum.bit_risk_miles / base.bit_risk_miles
-                )
-            else:
-                weighted_risk += demand
-            if base.bit_miles > 0:
-                weighted_dist += demand * (optimum.bit_miles / base.bit_miles)
-            else:
-                weighted_dist += demand
+            weighted_risk += demand * pair.risk_ratio
+            weighted_dist += demand * pair.distance_ratio
             shortest_volume += demand * base.bit_risk_miles
-            riskroute_volume += demand * optimum.bit_risk_miles
+            riskroute_volume += demand * pair.riskroute.bit_risk_miles
 
     if weight_total <= 0.0:
         raise ValueError("no demand-carrying pairs to evaluate")
@@ -115,15 +97,16 @@ def traffic_weighted_ratios(
 
 
 def bit_risk_volume(
-    router: RiskRouter, matrix: TrafficMatrix, risk_aware: bool = True
+    session: RoutingSession, matrix: TrafficMatrix, risk_aware: bool = True
 ) -> float:
-    """Total demand-weighted bit-risk miles under one routing policy."""
+    """Total demand-weighted bit-risk miles under one routing policy
+    (per-source RiskRoute paths, or shortest paths)."""
     total = 0.0
     for source in matrix.pop_ids:
         routes = (
-            router.approx_risk_routes_from(source)
+            session.routes_from(source, SweepStrategy.PER_SOURCE)
             if risk_aware
-            else router.shortest_from(source)
+            else session.shortest_from(source)
         )
         for target, route in routes.items():
             try:

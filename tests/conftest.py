@@ -14,6 +14,7 @@ import pytest
 from hypothesis import settings
 
 from repro.geo.coords import GeoPoint
+from repro.graph.core import Graph
 from repro.risk.model import RiskModel
 from repro.topology.network import Network, NetworkTier, PoP
 
@@ -107,6 +108,25 @@ def build_diamond_model(
     }
     of = {pop_id: 0.0 for pop_id in shares}
     return RiskModel(shares, oh, of, gamma_h=gamma_h, gamma_f=gamma_f)
+
+
+def build_zero_mile_world(b_risk: float):
+    """a -(0 mi)- b -(100 mi)- c, plus a 150-mile a-c chord: the
+    graph and model of the zero-denominator edge cases."""
+    graph = Graph()
+    for node in ("a", "b", "c"):
+        graph.add_node(node)
+    graph.add_edge("a", "b", 0.0)
+    graph.add_edge("b", "c", 100.0)
+    graph.add_edge("a", "c", 150.0)
+    nodes = list(graph.nodes())
+    model = RiskModel(
+        {node: 1.0 / 3.0 for node in nodes},
+        {"a": 0.0, "b": b_risk, "c": 0.02},
+        {node: 0.0 for node in nodes},
+        gamma_h=1e4,
+    )
+    return graph, model
 
 
 @pytest.fixture

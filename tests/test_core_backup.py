@@ -7,20 +7,20 @@ from repro.core.backup import (
     mpls_link_failover,
     mpls_node_failover,
 )
-from repro.core.riskroute import RiskRouter
+from repro.session import RoutingSession
 
 
 @pytest.fixture
-def router(diamond_network, diamond_model):
-    return RiskRouter(diamond_network.distance_graph(), diamond_model)
+def session(diamond_network, diamond_model):
+    return RoutingSession(diamond_network.distance_graph(), diamond_model)
 
 
 class TestMplsLinkFailover:
-    def test_failover_avoids_link(self, router):
-        primary = router.risk_route("diamond:west", "diamond:east")
+    def test_failover_avoids_link(self, session):
+        primary = session.route("diamond:west", "diamond:east")
         first_link = (primary.path[0], primary.path[1])
         backup = mpls_link_failover(
-            router, "diamond:west", "diamond:east", first_link
+            session, "diamond:west", "diamond:east", first_link
         )
         assert backup is not None
         backup_edges = {
@@ -31,9 +31,9 @@ class TestMplsLinkFailover:
     def test_none_when_bridge(self, diamond_network, diamond_model):
         net = diamond_network.copy()
         net.remove_link("diamond:west", "diamond:south")
-        router = RiskRouter(net.distance_graph(), diamond_model)
+        session = RoutingSession(net.distance_graph(), diamond_model)
         backup = mpls_link_failover(
-            router,
+            session,
             "diamond:west",
             "diamond:north",
             ("diamond:west", "diamond:north"),
@@ -44,39 +44,39 @@ class TestMplsLinkFailover:
 
 
 class TestMplsNodeFailover:
-    def test_failover_avoids_node(self, router):
+    def test_failover_avoids_node(self, session):
         backup = mpls_node_failover(
-            router, "diamond:west", "diamond:east", "diamond:north"
+            session, "diamond:west", "diamond:east", "diamond:north"
         )
         assert backup is not None
         assert "diamond:north" not in backup.path
         assert backup.path[0] == "diamond:west"
         assert backup.path[-1] == "diamond:east"
 
-    def test_endpoint_failure_rejected(self, router):
+    def test_endpoint_failure_rejected(self, session):
         with pytest.raises(ValueError):
             mpls_node_failover(
-                router, "diamond:west", "diamond:east", "diamond:west"
+                session, "diamond:west", "diamond:east", "diamond:west"
             )
 
     def test_none_when_disconnecting(self, diamond_network, diamond_model):
         net = diamond_network.copy()
         net.remove_link("diamond:west", "diamond:south")
-        router = RiskRouter(net.distance_graph(), diamond_model)
+        session = RoutingSession(net.distance_graph(), diamond_model)
         backup = mpls_node_failover(
-            router, "diamond:west", "diamond:east", "diamond:north"
+            session, "diamond:west", "diamond:east", "diamond:north"
         )
         assert backup is None
 
 
 class TestFrrTable:
-    def test_table_covers_all_destinations(self, router):
-        table = frr_backup_next_hops(router, "diamond:west")
+    def test_table_covers_all_destinations(self, session):
+        table = frr_backup_next_hops(session, "diamond:west")
         assert set(table) == {"diamond:north", "diamond:south", "diamond:east"}
 
-    def test_backup_next_hop_differs_from_primary(self, router):
-        table = frr_backup_next_hops(router, "diamond:west")
-        primaries = router.risk_routes_from(
+    def test_backup_next_hop_differs_from_primary(self, session):
+        table = frr_backup_next_hops(session, "diamond:west")
+        primaries = session.routes_from(
             "diamond:west", strategy="per-source"
         )
         for target, backup_hop in table.items():
@@ -87,7 +87,7 @@ class TestFrrTable:
     def test_no_alternative_marked_none(self, diamond_network, diamond_model):
         net = diamond_network.copy()
         net.remove_link("diamond:west", "diamond:south")
-        router = RiskRouter(net.distance_graph(), diamond_model)
-        table = frr_backup_next_hops(router, "diamond:west")
+        session = RoutingSession(net.distance_graph(), diamond_model)
+        table = frr_backup_next_hops(session, "diamond:west")
         # Only the north link leaves west: every backup is None.
         assert all(v is None for v in table.values())

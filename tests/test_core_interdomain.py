@@ -69,7 +69,7 @@ class TestBounds:
     def test_risk_averse_interdomain_route(self):
         topology, model = build_two_domain_world()
         router = InterdomainRouter(topology, model)
-        route = router.router.risk_route("R:bos", "T:den")
+        route = router.session.route("R:bos", "T:den")
         assert "T:atl" not in route.path  # risky Atlanta avoided
         assert "T:chi" in route.path
 
@@ -94,7 +94,9 @@ class TestRegionalRatios:
         topology, model = build_two_domain_world()
         router = InterdomainRouter(topology, model)
         approx = router.regional_ratios("R", ["T:den", "T:atl"])
-        exact = router.regional_ratios("R", ["T:den", "T:atl"], exact=True)
+        exact = router.regional_ratios(
+            "R", ["T:den", "T:atl"], strategy="exact"
+        )
         assert approx.risk_reduction_ratio == pytest.approx(
             exact.risk_reduction_ratio, abs=0.05
         )

@@ -95,9 +95,9 @@ class TestCorpusIntegration:
             teliasonera.distance_graph()
         )
         # Recover an arbitrary transit failure on a real route.
-        router_route = scheme.configurations()[0].router
+        session = scheme.configurations()[0].session
         source, target = "Teliasonera:Miami, FL", "Teliasonera:Seattle, WA"
-        primary = router_route.risk_route(source, target)
+        primary = session.route(source, target)
         transit = [n for n in primary.path[1:-1]]
         if transit:
             recovered = scheme.recover(source, target, transit[0])

@@ -8,7 +8,7 @@ from repro.core.multiobjective import (
     composite_route,
     pareto_paths,
 )
-from repro.core.riskroute import RiskRouter
+from repro.session import RoutingSession
 from repro.graph.shortest_path import NoPathError
 from tests.conftest import build_diamond_model, build_diamond_network
 
@@ -60,11 +60,11 @@ class TestParetoPaths:
 
     def test_contains_both_extremes(self, world):
         graph, model = world
-        router = RiskRouter(graph, model)
+        session = RoutingSession(graph, model)
         frontier = pareto_paths(graph, model, "diamond:west", "diamond:east")
-        shortest = router.shortest_path("diamond:west", "diamond:east")
+        shortest = session.shortest("diamond:west", "diamond:east")
         assert frontier[0].distance_miles == pytest.approx(shortest.bit_miles)
-        risky = router.risk_route("diamond:west", "diamond:east")
+        risky = session.route("diamond:west", "diamond:east")
         best_risk = min(p.risk_sum for p in frontier)
         assert path_metrics(graph, list(risky.path), model).risk_sum >= (
             best_risk - 1e-9
@@ -88,7 +88,7 @@ class TestParetoPaths:
             frontier = pareto_paths(
                 graph, model, "diamond:west", "diamond:east"
             )
-            optimum = RiskRouter(graph, model).risk_route(
+            optimum = RoutingSession(graph, model).route(
                 "diamond:west", "diamond:east"
             )
             assert optimum.path in [p.path for p in frontier]
@@ -112,7 +112,7 @@ class TestParetoPaths:
 class TestCompositeRoute:
     def test_extremes(self, world):
         graph, model = world
-        router = RiskRouter(graph, model)
+        session = RoutingSession(graph, model)
         pure_sla = composite_route(
             graph, model, "diamond:west", "diamond:east", sla_weight=1.0
         )
@@ -121,7 +121,7 @@ class TestCompositeRoute:
         )
         assert pure_sla.bit_miles <= pure_risk.bit_miles + 1e-6
         assert pure_risk.bit_risk_miles <= pure_sla.bit_risk_miles + 1e-6
-        assert pure_risk.path == router.risk_route(
+        assert pure_risk.path == session.route(
             "diamond:west", "diamond:east"
         ).path
 

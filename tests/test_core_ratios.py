@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.core.ratios import RatioResult, intradomain_ratios, ratios_over_pairs
-from repro.core.riskroute import RiskRouter
+from repro.core.ratios import RatioResult, ratios_over_pairs
+from repro.session import RoutingSession
 from tests.conftest import build_diamond_model, build_diamond_network
 
 
 @pytest.fixture
-def router(diamond_network, diamond_model):
-    return RiskRouter(diamond_network.distance_graph(), diamond_model)
+def session(diamond_network, diamond_model):
+    return RoutingSession(diamond_network.distance_graph(), diamond_model)
 
 
 class TestRatioResult:
@@ -23,21 +23,21 @@ class TestRatiosOverPairs:
         with pytest.raises(ValueError):
             ratios_over_pairs([])
 
-    def test_identity_routes_zero_ratios(self, router):
+    def test_identity_routes_zero_ratios(self, session):
         """When RiskRoute picks the same paths, rr = dr = 0."""
         from repro.core.riskroute import PairRoutes
 
-        base = router.shortest_path("diamond:west", "diamond:north")
+        base = session.shortest("diamond:west", "diamond:north")
         pair = PairRoutes(shortest=base, riskroute=base)
         result = ratios_over_pairs([pair])
         assert result.risk_reduction_ratio == pytest.approx(0.0)
         assert result.distance_increase_ratio == pytest.approx(0.0)
         assert result.pair_count == 1
 
-    def test_aggregation(self, router):
+    def test_aggregation(self, session):
         pairs = [
-            router.route_pair("diamond:west", "diamond:east"),
-            router.route_pair("diamond:north", "diamond:south"),
+            session.pair("diamond:west", "diamond:east"),
+            session.pair("diamond:north", "diamond:south"),
         ]
         result = ratios_over_pairs(pairs)
         assert result.pair_count == 2
@@ -46,29 +46,29 @@ class TestRatiosOverPairs:
 
 
 class TestIntradomainRatios:
-    def test_all_pairs(self, router):
-        result = intradomain_ratios(router)
+    def test_all_pairs(self, session):
+        result = session.all_pairs()
         assert result.pair_count == 12  # 4 * 3 ordered pairs
         assert 0.0 <= result.risk_reduction_ratio < 1.0
         assert result.distance_increase_ratio >= 0.0
 
-    def test_riskroute_reduces_risk_on_diamond(self, router):
-        result = intradomain_ratios(router)
+    def test_riskroute_reduces_risk_on_diamond(self, session):
+        result = session.all_pairs()
         assert result.risk_reduction_ratio > 0.0
 
-    def test_restricted_sources(self, router):
-        result = intradomain_ratios(router, sources=["diamond:west"])
+    def test_restricted_sources(self, session):
+        result = session.all_pairs(sources=["diamond:west"])
         assert result.pair_count == 3
 
-    def test_restricted_targets(self, router):
-        result = intradomain_ratios(
-            router, sources=["diamond:west"], targets=["diamond:east"]
+    def test_restricted_targets(self, session):
+        result = session.all_pairs(
+            sources=["diamond:west"], targets=["diamond:east"]
         )
         assert result.pair_count == 1
 
-    def test_exact_vs_approx_consistent(self, router):
-        exact = intradomain_ratios(router, exact=True)
-        approx = intradomain_ratios(router, exact=False)
+    def test_exact_vs_approx_consistent(self, session):
+        exact = session.all_pairs(strategy="exact")
+        approx = session.all_pairs(strategy="per-source")
         assert approx.risk_reduction_ratio == pytest.approx(
             exact.risk_reduction_ratio, abs=0.05
         )
@@ -79,7 +79,7 @@ class TestIntradomainRatios:
         results = []
         for gamma in (0.0, 1e5, 1e6):
             model = build_diamond_model(gamma_h=gamma)
-            results.append(intradomain_ratios(RiskRouter(graph, model)))
+            results.append(RoutingSession(graph, model).all_pairs())
         assert results[0].risk_reduction_ratio == pytest.approx(0.0)
         assert (
             results[0].risk_reduction_ratio
@@ -92,8 +92,10 @@ class TestIntradomainRatios:
         )
 
     def test_corpus_network(self, teliasonera, teliasonera_model):
-        router = RiskRouter(teliasonera.distance_graph(), teliasonera_model)
-        result = intradomain_ratios(router)
+        session = RoutingSession(
+            teliasonera.distance_graph(), teliasonera_model
+        )
+        result = session.all_pairs()
         assert result.pair_count == 15 * 14
         assert 0.0 < result.risk_reduction_ratio < 0.5
         assert 0.0 <= result.distance_increase_ratio < 0.5

@@ -19,15 +19,18 @@ from repro.engine import (
     EngineConfig,
     RoutingEngine,
     SweepStrategy,
-    alpha_bucket,
     csr_sweep,
     risk_fingerprint,
     sweep_many,
 )
-from repro.graph.core import Graph, NodeNotFoundError
+from repro.graph.core import NodeNotFoundError
 from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import (
+    build_diamond_model,
+    build_diamond_network,
+    build_zero_mile_world,
+)
 from tests.oracles import reference_aggregates, risk_dijkstra
 
 
@@ -150,24 +153,6 @@ def _assert_matches_reference(graph, model, sources, targets, strategy):
     return ratios
 
 
-def _zero_mile_world(b_risk):
-    """a -(0 mi)- b -(100 mi)- c, plus a 150-mile a-c chord."""
-    graph = Graph()
-    for node in ("a", "b", "c"):
-        graph.add_node(node)
-    graph.add_edge("a", "b", 0.0)
-    graph.add_edge("b", "c", 100.0)
-    graph.add_edge("a", "c", 150.0)
-    nodes = list(graph.nodes())
-    model = RiskModel(
-        {node: 1.0 / 3.0 for node in nodes},
-        {"a": 0.0, "b": b_risk, "c": 0.02},
-        {node: 0.0 for node in nodes},
-        gamma_h=1e4,
-    )
-    return graph, model
-
-
 @pytest.mark.parametrize("strategy", list(SweepStrategy))
 class TestVectorParity:
     """Aggregates summed from sweep component arrays equal the scalar
@@ -210,7 +195,7 @@ class TestVectorParity:
     def test_zero_cost_shortest_path_counts_as_ratio_one(
         self, strategy, b_risk
     ):
-        graph, model = _zero_mile_world(b_risk)
+        graph, model = build_zero_mile_world(b_risk)
         nodes = list(graph.nodes())
         _assert_matches_reference(graph, model, nodes, nodes, strategy)
         # a -> b costs 0 miles, so dr's term is 1.0; with a risk-free
@@ -312,42 +297,6 @@ class TestParallel:
         tasks = self._tasks(engine)
         assert engine.prefetch(tasks) == engine.node_count
         assert engine.prefetch(tasks) == 0  # all cached now
-
-
-class TestAlphaBucketing:
-    def test_zero_resolution_is_exact(self):
-        assert alpha_bucket(0.123456, 0.0) == 0.123456
-
-    def test_bucketing_quantizes(self):
-        assert alpha_bucket(0.123456, 0.01) == pytest.approx(0.12)
-        assert alpha_bucket(0.128, 0.01) == pytest.approx(0.13)
-
-    def test_bucketed_engine_shares_sweeps(self, diamond_graph, diamond_model):
-        engine = RoutingEngine(
-            diamond_graph,
-            diamond_model,
-            config=EngineConfig(alpha_resolution=10.0),
-        )
-        # All pair alphas land in one bucket at this coarse resolution,
-        # so the exact strategy needs one risk sweep per source.
-        engine.ratios(strategy=SweepStrategy.EXACT)
-        # node_count geographic + node_count bucketed risk sweeps.
-        assert engine.stats()["cached_sweeps"] <= 2 * engine.node_count
-
-    def test_bucketed_costs_still_exact(self, diamond_graph, diamond_model):
-        """Bucketing may perturb path choice, never reported costs."""
-        from repro.core.bitrisk import path_metrics
-
-        engine = RoutingEngine(
-            diamond_graph,
-            diamond_model,
-            config=EngineConfig(alpha_resolution=0.05),
-        )
-        route = engine.risk_route("diamond:west", "diamond:east")
-        recomputed = path_metrics(
-            diamond_graph, list(route.path), diamond_model
-        )
-        assert route.bit_risk_miles == recomputed.bit_risk_miles
 
 
 class TestErrors:
@@ -492,8 +441,6 @@ class TestKernelSelection:
     def test_invalid_kernel_config_rejected(self):
         with pytest.raises(ValueError):
             EngineConfig(workers=-1)
-        with pytest.raises(ValueError):
-            EngineConfig(alpha_resolution=-0.1)
         # Kernel choice is the module rule, not a config knob.
         with pytest.raises(TypeError):
             EngineConfig(kernel="bucketed")

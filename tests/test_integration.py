@@ -9,40 +9,37 @@ import pytest
 
 from repro.core.interdomain import InterdomainRouter, regional_pair_population
 from repro.core.provisioning import ProvisioningAnalyzer, best_new_peering
-from repro.core.ratios import intradomain_ratios
-from repro.core.riskroute import RiskRouter
 from repro.forecast.advisory import advisory_text
 from repro.forecast.risk import snapshot_from_text
 from repro.forecast.storms import storm_advisories
 from repro.risk.forecasted import ForecastedRiskModel
 from repro.risk.model import RiskModel
+from repro.session import RoutingSession
 from repro.topology.interdomain import InterdomainTopology
 from repro.topology.peering import corpus_peering
 from repro.topology.zoo import network_by_name, regional_networks, tier1_networks
 
 
 @pytest.fixture(scope="module")
-def deutsche_router():
+def deutsche_session():
     network = network_by_name("Deutsche")
     model = RiskModel.for_network(network)
-    return network, model, RiskRouter(network.distance_graph(), model)
+    return network, model, RoutingSession(network.distance_graph(), model)
 
 
 class TestTable2Shape:
-    def test_gamma_monotonicity_on_deutsche(self, deutsche_router):
-        network, model, _ = deutsche_router
+    def test_gamma_monotonicity_on_deutsche(self, deutsche_session):
+        network, model, _ = deutsche_session
         graph = network.distance_graph()
-        r5 = intradomain_ratios(RiskRouter(graph, model))
-        r6 = intradomain_ratios(
-            RiskRouter(graph, model.with_gammas(1e6, 1e3))
-        )
+        r5 = RoutingSession(graph, model).all_pairs()
+        r6 = RoutingSession(graph, model.with_gammas(1e6, 1e3)).all_pairs()
         assert r6.risk_reduction_ratio >= r5.risk_reduction_ratio
         assert r6.distance_increase_ratio >= r5.distance_increase_ratio
         assert r5.risk_reduction_ratio > 0.0
 
-    def test_ratios_in_sane_range(self, deutsche_router):
-        _, _, router = deutsche_router
-        result = intradomain_ratios(router)
+    def test_ratios_in_sane_range(self, deutsche_session):
+        _, _, session = deutsche_session
+        result = session.all_pairs()
         assert 0.0 < result.risk_reduction_ratio < 0.6
         assert 0.0 <= result.distance_increase_ratio < 0.6
 
@@ -56,17 +53,19 @@ class TestForecastResponse:
         network = network_by_name("Tinet")
         model = RiskModel.for_network(network)
         graph = network.distance_graph()
-        calm = intradomain_ratios(RiskRouter(graph, model))
+        calm = RoutingSession(graph, model).all_pairs()
 
         mid_track = storm_advisories("Irene")[55]
         snapshot = snapshot_from_text(advisory_text(mid_track))
         forecast = ForecastedRiskModel([snapshot])
         stormy_model = model.with_forecast_risk(forecast.pop_risks(network))
-        stormy = intradomain_ratios(RiskRouter(graph, stormy_model))
+        stormy = RoutingSession(graph, stormy_model).all_pairs()
         assert stormy.risk_reduction_ratio > calm.risk_reduction_ratio
 
-    def test_forecast_risk_zero_before_storm_reaches_us(self, deutsche_router):
-        network, _, _ = deutsche_router
+    def test_forecast_risk_zero_before_storm_reaches_us(
+        self, deutsche_session
+    ):
+        network, _, _ = deutsche_session
         early = storm_advisories("Sandy")[0]
         snapshot = snapshot_from_text(advisory_text(early))
         forecast = ForecastedRiskModel([snapshot])

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.bitrisk import path_metrics
-from repro.core.riskroute import RiskRouter
+from repro.session import RoutingSession
 from repro.core.strategy import SweepStrategy
 from repro.engine import RoutingEngine
 from repro.graph.core import Graph
@@ -52,18 +52,18 @@ class TestOptimizerInvariants:
     @settings(max_examples=examples(50), deadline=None)
     def test_riskroute_never_beats_shortest_on_miles(self, world):
         g, model = world
-        router = RiskRouter(g, model)
+        session = RoutingSession(g, model)
         nodes = list(g.nodes())
-        pair = router.route_pair(nodes[0], nodes[-1])
+        pair = session.pair(nodes[0], nodes[-1])
         assert pair.shortest.bit_miles <= pair.riskroute.bit_miles + 1e-6
 
     @given(routed_worlds())
     @settings(max_examples=examples(50), deadline=None)
     def test_shortest_never_beats_riskroute_on_bit_risk(self, world):
         g, model = world
-        router = RiskRouter(g, model)
+        session = RoutingSession(g, model)
         nodes = list(g.nodes())
-        pair = router.route_pair(nodes[0], nodes[-1])
+        pair = session.pair(nodes[0], nodes[-1])
         assert (
             pair.riskroute.bit_risk_miles
             <= pair.shortest.bit_risk_miles + 1e-6
@@ -75,11 +75,11 @@ class TestOptimizerInvariants:
         """The exact per-pair route is no worse than any per-source
         approximate route for the same pair."""
         g, model = world
-        router = RiskRouter(g, model)
+        session = RoutingSession(g, model)
         nodes = list(g.nodes())
         source = nodes[0]
-        exact = router.risk_routes_from(source, strategy="exact")
-        approx = router.risk_routes_from(source, strategy="per-source")
+        exact = session.routes_from(source, strategy="exact")
+        approx = session.routes_from(source, strategy="per-source")
         for target, route in approx.items():
             assert (
                 exact[target].bit_risk_miles <= route.bit_risk_miles + 1e-6
@@ -89,9 +89,9 @@ class TestOptimizerInvariants:
     @settings(max_examples=examples(50), deadline=None)
     def test_reported_costs_match_path_re_evaluation(self, world):
         g, model = world
-        router = RiskRouter(g, model)
+        session = RoutingSession(g, model)
         nodes = list(g.nodes())
-        routes = router.risk_routes_from(nodes[0], strategy="exact")
+        routes = session.routes_from(nodes[0], strategy="exact")
         for target, route in routes.items():
             metrics = path_metrics(g, list(route.path), model)
             assert abs(metrics.bit_risk_miles - route.bit_risk_miles) < 1e-9
@@ -100,9 +100,9 @@ class TestOptimizerInvariants:
     @settings(max_examples=examples(30), deadline=None)
     def test_paths_are_simple(self, world):
         g, model = world
-        router = RiskRouter(g, model)
+        session = RoutingSession(g, model)
         nodes = list(g.nodes())
-        routes = router.risk_routes_from(nodes[0], strategy="exact")
+        routes = session.routes_from(nodes[0], strategy="exact")
         for route in routes.values():
             assert len(route.path) == len(set(route.path))
 

@@ -2,12 +2,11 @@
 
 import pytest
 
-from repro.core.ratios import intradomain_ratios
-from repro.core.riskroute import RiskRouter
 from repro.disasters.seasonal import seasonal_historical_model
 from repro.forecast.projection import AnticipatoryRiskField
 from repro.forecast.storms import storm_advisories
 from repro.risk.model import RiskModel
+from repro.session import RoutingSession
 from repro.topology.zoo import network_by_name
 
 
@@ -24,7 +23,7 @@ class TestSeasonalRouting:
                 historical=seasonal_historical_model(month),
                 gamma_h=1e6,
             )
-            result = intradomain_ratios(RiskRouter(graph, model))
+            result = RoutingSession(graph, model).all_pairs()
             assert 0.0 <= result.risk_reduction_ratio < 1.0
             assert result.distance_increase_ratio >= 0.0
 
@@ -60,12 +59,12 @@ class TestAnticipatoryRouting:
 
         assert sum(anticipatory_of.values()) >= sum(reactive_of.values())
 
-        reactive = intradomain_ratios(
-            RiskRouter(graph, base.with_forecast_risk(reactive_of))
-        )
-        anticipatory = intradomain_ratios(
-            RiskRouter(graph, base.with_forecast_risk(anticipatory_of))
-        )
+        reactive = RoutingSession(
+            graph, base.with_forecast_risk(reactive_of)
+        ).all_pairs()
+        anticipatory = RoutingSession(
+            graph, base.with_forecast_risk(anticipatory_of)
+        ).all_pairs()
         # Both are valid ratio results; anticipatory sees >= exposure.
         assert anticipatory.risk_reduction_ratio >= 0.0
         assert reactive.risk_reduction_ratio >= 0.0

@@ -182,10 +182,27 @@ class TestBasicOps:
                 "diamond:west", "diamond:east", strategy="per-source"
             )
         )
+        # Per-source answers every endpoint case as exact does: a
+        # one-node route for source == target, unknown_node for a name
+        # outside the topology.
+        own = route_to_dict(
+            RoutingSession(diamond_network, diamond_model).route(
+                "diamond:west", "diamond:west"
+            )
+        )
+        assert own["path"] == ["diamond:west"]
         with RiskRouteClient(host, port) as client:
             served = client.route(
                 "diamond:west", "diamond:east", strategy="per-source"
             )
+            assert client.route(
+                "diamond:west", "diamond:west", strategy="per-source"
+            ) == own
+            with pytest.raises(ServerError) as excinfo:
+                client.route(
+                    "diamond:west", "diamond:atlantis", strategy="per-source"
+                )
+            assert excinfo.value.code == "unknown_node"
         assert served == expected
 
 

@@ -8,8 +8,6 @@ import pytest
 
 from repro import RiskModel, RoutingSession
 from repro.core.mrc import build_mrc
-from repro.core.ratios import intradomain_ratios
-from repro.core.riskroute import RiskRouter
 from repro.core.strategy import SweepStrategy, resolve_strategy
 from repro.topology.zoo import network_by_name
 from tests.conftest import build_diamond_model, build_diamond_network
@@ -54,38 +52,7 @@ class TestConstruction:
 
 
 class TestFacadeParity:
-    """The facade must agree with the historical API it wraps."""
-
-    def test_pair_matches_riskrouter(self, diamond_network, diamond_model):
-        session = RoutingSession(diamond_network, diamond_model)
-        router = RiskRouter(diamond_network.distance_graph(), diamond_model)
-        assert session.pair("diamond:west", "diamond:east") == (
-            router.route_pair("diamond:west", "diamond:east")
-        )
-
-    def test_all_pairs_matches_intradomain_ratios(
-        self, teliasonera, teliasonera_model
-    ):
-        session = RoutingSession(teliasonera, teliasonera_model)
-        router = RiskRouter(teliasonera.distance_graph(), teliasonera_model)
-        legacy = intradomain_ratios(router)
-        assert session.all_pairs() == legacy
-
-    def test_routes_from_matches_router(self, session, diamond_network, diamond_model):
-        router = RiskRouter(diamond_network.distance_graph(), diamond_model)
-        assert session.routes_from("diamond:west") == (
-            router.risk_routes_from("diamond:west")
-        )
-        assert session.shortest_from("diamond:west") == (
-            router.shortest_from("diamond:west")
-        )
-
-    def test_router_exposes_session_and_engine(
-        self, diamond_network, diamond_model
-    ):
-        router = RiskRouter(diamond_network.distance_graph(), diamond_model)
-        assert isinstance(router.session, RoutingSession)
-        assert router.engine is router.session.engine
+    """The facade must agree with the analysis it fronts."""
 
     def test_provision_matches_analyzer(self, diamond_network, diamond_model):
         from repro.core.provisioning import ProvisioningAnalyzer
@@ -151,9 +118,12 @@ class TestStrategyCoercion:
         with pytest.raises(ValueError):
             session.routes_from("diamond:west", strategy="fastest")
 
-    def test_all_pairs_rejects_conflicting_args(self, session):
-        with pytest.raises(ValueError):
-            session.all_pairs(strategy="exact", exact=False)
+    def test_strategy_is_the_one_spelling(self, session):
+        # No exact= alias: strategy= is the only way to pick a sweep.
+        with pytest.raises(TypeError):
+            session.all_pairs(exact=False)
+        with pytest.raises(TypeError):
+            session.engine.ratios(exact=True)
 
     def test_resolve_strategy_bool_positional_warns(self):
         # The one-release bool shim is gone: a bool is not a strategy.
@@ -168,6 +138,9 @@ class TestStrategyCoercion:
         )
         assert approx.path[0] == exact.path[0]
         assert approx.path[-1] == exact.path[-1]
+        assert approx == session.routes_from(
+            "diamond:west", strategy="per-source"
+        )["diamond:east"]
 
 
 class TestInvalidationBoundary:
@@ -268,8 +241,8 @@ class TestOwnEngine:
             first.route(source, target)
             second.route(source, target)
         for config in (first, second):
-            assert _sweep_counters(config.router.engine) == (1, 0)
-        assert first.router.engine is not second.router.engine
+            assert _sweep_counters(config.session.engine) == (1, 0)
+        assert first.session.engine is not second.session.engine
 
     def test_with_gammas_sibling_keeps_its_sweeps(self):
         network = network_by_name("Sprint")

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.riskroute import RiskRouter
+from repro.session import RoutingSession
 from repro.traffic.gravity import TrafficMatrix, gravity_matrix
 from repro.traffic.weighted import bit_risk_volume, traffic_weighted_ratios
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import (
+    build_diamond_model,
+    build_diamond_network,
+    build_zero_mile_world,
+)
 
 
 class TestTrafficMatrix:
@@ -102,29 +106,26 @@ class TestGravity:
 
 class TestWeightedEvaluation:
     def test_weighted_ratios_on_diamond(self, diamond_network, diamond_model):
-        router = RiskRouter(diamond_network.distance_graph(), diamond_model)
+        session = RoutingSession(diamond_network, diamond_model)
         matrix = gravity_matrix(diamond_network)
-        result = traffic_weighted_ratios(router, matrix)
+        result = traffic_weighted_ratios(session, matrix)
         assert result.ratios.pair_count > 0
         assert 0.0 <= result.ratios.risk_reduction_ratio < 1.0
         assert result.volume_reduction >= 0.0
 
     def test_volume_ordering(self, diamond_network, diamond_model):
-        router = RiskRouter(diamond_network.distance_graph(), diamond_model)
+        session = RoutingSession(diamond_network, diamond_model)
         matrix = gravity_matrix(diamond_network)
-        risky = bit_risk_volume(router, matrix, risk_aware=True)
-        baseline = bit_risk_volume(router, matrix, risk_aware=False)
+        risky = bit_risk_volume(session, matrix, risk_aware=True)
+        baseline = bit_risk_volume(session, matrix, risk_aware=False)
         assert risky <= baseline + 1e-9
 
     def test_weighted_vs_uniform_differ(self, teliasonera, teliasonera_model):
-        from repro.core.ratios import intradomain_ratios
-
-        router = RiskRouter(
-            teliasonera.distance_graph(),
-            teliasonera_model.with_gammas(1e6, 1e3),
+        session = RoutingSession(
+            teliasonera, teliasonera_model.with_gammas(1e6, 1e3)
         )
-        uniform = intradomain_ratios(router)
-        weighted = traffic_weighted_ratios(router, gravity_matrix(teliasonera))
+        uniform = session.all_pairs()
+        weighted = traffic_weighted_ratios(session, gravity_matrix(teliasonera))
         # Same ballpark, but the weighting genuinely changes the answer.
         assert weighted.ratios.risk_reduction_ratio != pytest.approx(
             uniform.risk_reduction_ratio, abs=1e-4
@@ -135,3 +136,29 @@ class TestWeightedEvaluation:
             / max(uniform.risk_reduction_ratio, 1e-9)
             < 5.0
         )
+
+    @pytest.mark.parametrize("strategy", ["exact", "per-source"])
+    @pytest.mark.parametrize("b_risk", [0.0, 0.01])
+    def test_zero_cost_shortest_path_counts_as_ratio_one(
+        self, b_risk, strategy
+    ):
+        graph, model = build_zero_mile_world(b_risk)
+        demands = np.array(
+            [
+                [0.0, 1.0, 0.0],
+                [1.0, 0.0, 0.0],
+                [0.0, 0.0, 0.0],
+            ]
+        )
+        result = traffic_weighted_ratios(
+            RoutingSession(graph, model),
+            TrafficMatrix(["a", "b", "c"], demands),
+            strategy=strategy,
+        )
+        # a <-> b costs 0 miles, so both dr terms are 1.0.  b -> a also
+        # costs 0 bit-risk miles (a is risk-free), so its rr term is
+        # 1.0; a -> b keeps the direct link, whose ratio is 1.0 too.
+        assert result.ratios.pair_count == 2
+        assert result.ratios.distance_increase_ratio == 0.0
+        assert result.ratios.risk_reduction_ratio == 0.0
+        assert result.riskroute_volume == result.shortest_volume

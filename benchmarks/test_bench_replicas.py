@@ -30,7 +30,7 @@ import threading
 import time
 from pathlib import Path
 
-from repro.engine.parallel import EngineConfig
+from repro.engine import EngineConfig
 from repro.risk.model import RiskModel
 from repro.server import RiskRouteClient, ServerConfig, ServerThread
 from repro.session import RoutingSession

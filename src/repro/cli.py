@@ -7,10 +7,10 @@ Subcommands::
     riskroute run all             # regenerate everything
     riskroute corpus              # summarize the 23-network corpus
     riskroute route Level3 "Houston, TX" "Boston, MA" [--gamma-h 1e5]
-    riskroute ratios Level3 [--strategy per-source] [--workers 4]
+    riskroute ratios Level3 [--strategy per-source]
     riskroute scenario Level3 --scenarios 500 [--no-defense]
     riskroute serve Level3 --port 4174 [--shards 4]
-    riskroute ingest events.json --port 4174 [--now-year 2012]
+    riskroute query --port 4174 ingest events.json [--now-year 2012]
     riskroute query --port 4174 route "Level3:Houston, TX" "Level3:Boston, MA"
 
 The ``riskroute query`` subcommands are generated from the server's op
@@ -92,12 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     ratios_p.add_argument(
         "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
     )
-    ratios_p.add_argument(
-        "--workers",
-        type=int,
-        default=0,
-        help="fan sweeps across this many processes (default: serial)",
-    )
 
     prov_p = sub.add_parser(
         "provision",
@@ -164,10 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shared-risk corridor cell size in miles (default: 50)",
     )
     scen_p.add_argument(
-        "--workers", type=int, default=0,
-        help="thread fan-out width (default: serial)",
-    )
-    scen_p.add_argument(
         "--json", action="store_true", dest="as_json",
         help="emit the full report as JSON instead of the summary table",
     )
@@ -216,28 +206,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="shards serving each read key (default: 1 = single-owner "
         "affinity; >= 2 adds load-balanced routing and transparent "
         "failover; clamped to --shards)",
-    )
-
-    ingest_p = sub.add_parser(
-        "ingest",
-        help="stream disaster events into a running daemon's risk field",
-    )
-    ingest_p.add_argument(
-        "events",
-        metavar="events_file",
-        help="JSON file of [{event_type, lat, lon, year}] records "
-        "('-' reads stdin)",
-    )
-    ingest_p.add_argument("--host", default="127.0.0.1")
-    ingest_p.add_argument("--port", type=int, default=4174)
-    ingest_p.add_argument("--timeout", type=float, default=30.0)
-    ingest_p.add_argument(
-        "--now-year", type=int, default=None, dest="now_year",
-        help="reference year advancing the rolling window edge",
-    )
-    ingest_p.add_argument(
-        "--token", default=None,
-        help="idempotency token (a retried ingest applies at most once)",
     )
 
     query_p = sub.add_parser("query", help="query a running daemon")
@@ -359,7 +327,7 @@ def _cmd_route(
 
 def _cmd_ratios(
     network_name: str, strategy: Optional[str],
-    gamma_h: float, gamma_f: float, workers: int,
+    gamma_h: float, gamma_f: float,
 ) -> int:
     try:
         network = network_by_name(network_name)
@@ -367,13 +335,7 @@ def _cmd_ratios(
         print(exc, file=sys.stderr)
         return 2
     model = RiskModel.for_network(network, gamma_h=gamma_h, gamma_f=gamma_f)
-    config = None
-    if workers > 1:
-        from .engine import EngineConfig
-
-        config = EngineConfig(workers=workers)
-    session = RoutingSession(network, model, config=config)
-    result = session.all_pairs(strategy=strategy)
+    result = RoutingSession(network, model).all_pairs(strategy=strategy)
     print(f"network     {network.name} ({network.pop_count} PoPs)")
     print(f"pairs       {result.pair_count}")
     print(f"rr (Eq. 5)  {result.risk_reduction_ratio:.4f}")
@@ -387,10 +349,10 @@ def _cmd_provision(args) -> int:
     except KeyError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if args.k < 1 or (
+    if args.k < 1 or args.top < 1 or (
         args.verify_every is not None and args.verify_every < 1
     ):
-        print("--k and --verify-every must be >= 1", file=sys.stderr)
+        print("--k, --top and --verify-every must be >= 1", file=sys.stderr)
         return 2
     from .core.provisioning import ProvisioningAnalyzer
 
@@ -448,7 +410,6 @@ def _cmd_scenario(args) -> int:
                 redistribute=not args.no_defense,
                 alternates=args.alternates,
             ),
-            workers=args.workers,
         )
         report = run_monte_carlo(network, model, config)
     except ValueError as exc:
@@ -581,39 +542,6 @@ def _cmd_serve(args) -> int:
     return 0
 
 
-def _cmd_ingest(args) -> int:
-    from .server import RiskRouteClient, ServerError
-    from .server.ops import _load_events_file
-
-    try:
-        events = _load_events_file(args.events)
-    except (OSError, ValueError) as exc:
-        print(f"cannot read {args.events}: {exc}", file=sys.stderr)
-        return 2
-    try:
-        client = RiskRouteClient(args.host, args.port, timeout=args.timeout)
-    except OSError as exc:
-        print(f"cannot connect to {args.host}:{args.port}: {exc}",
-              file=sys.stderr)
-        return 2
-    try:
-        with client:
-            result = client.ingest(
-                events, now_year=args.now_year, token=args.token
-            )
-            print(json.dumps(result, indent=2, sort_keys=True))
-    except ServerError as exc:
-        print(f"server error [{exc.code}]: {exc.message}", file=sys.stderr)
-        return 1
-    except (OSError, ConnectionError) as exc:
-        print(
-            f"connection to {args.host}:{args.port} failed: {exc}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 def _cmd_query(args) -> int:
     import socket
 
@@ -691,8 +619,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
     if args.command == "ratios":
         return _cmd_ratios(
-            args.network, args.strategy,
-            args.gamma_h, args.gamma_f, args.workers,
+            args.network, args.strategy, args.gamma_h, args.gamma_f
         )
     if args.command == "provision":
         return _cmd_provision(args)
@@ -700,8 +627,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_scenario(args)
     if args.command == "serve":
         return _cmd_serve(args)
-    if args.command == "ingest":
-        return _cmd_ingest(args)
     if args.command == "query":
         return _cmd_query(args)
     raise AssertionError(f"unhandled command {args.command!r}")

@@ -29,7 +29,6 @@ available as a parameter.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -243,7 +242,7 @@ class _ComponentMatrices:
     objects.  The arrays support three operations:
 
     * ``candidate_total`` — via-edge scoring of one candidate link as a
-      rank-4 matrix product over preallocated (thread-local) buffers;
+      rank-4 matrix product over preallocated buffers;
     * ``commit_link`` — the exact in-place edge-insertion update, using
       the engine's parametric-alpha suffix components;
     * ``verify`` — cross-check against a from-scratch rebuild (the
@@ -292,7 +291,7 @@ class _ComponentMatrices:
         self._uniq_alphas, self._alpha_inv = np.unique(
             row_alpha, return_inverse=True
         )
-        self._local = threading.local()
+        self._buf = None
         self._with_candidates = with_candidates
         if with_candidates:
             self.direct = pairwise_distance_matrix(
@@ -319,19 +318,17 @@ class _ComponentMatrices:
         self._baseline = float(self._base[self._upper].sum())
 
     def _buffers(self):
-        """Preallocated scoring buffers, one set per scoring thread."""
-        n = len(self.pop_ids)
-        buf = getattr(self._local, "buf", None)
-        if buf is None or buf[2].shape[0] != n:
-            buf = (
+        """Preallocated scoring buffers, allocated on first use."""
+        if self._buf is None:
+            n = len(self.pop_ids)
+            self._buf = (
                 np.empty((n, 4), dtype=np.float64),
                 np.empty((4, n), dtype=np.float64),
                 np.empty((n, n), dtype=np.float64),
                 np.empty((n, n), dtype=np.float64),
                 np.empty((n, n), dtype=np.float64),
             )
-            self._local.buf = buf
-        return buf
+        return self._buf
 
     # -- aggregates ---------------------------------------------------------
 
@@ -497,11 +494,9 @@ class ProvisioningAnalyzer:
     Args:
         network: the network to augment.
         model: its risk model.
-        config: optional :class:`~repro.engine.parallel.EngineConfig`;
-            with ``workers > 1`` the component-matrix sweeps run on a
-            process pool and candidates are scored on threads (the
-            scoring inner loop is numpy matrix arithmetic, which
-            releases the GIL).
+        config: optional :class:`~repro.engine.EngineConfig`, the
+            cache sizes of the engines this analyzer builds (one per
+            working graph of a greedy search).
         engine: an engine over ``network``'s topology bound to ``model``
             (a session passes its own, so scoring reuses its sweeps).
             Without one, every call builds an engine from
@@ -548,21 +543,6 @@ class ProvisioningAnalyzer:
         candidates: Sequence[CandidateLink],
     ) -> List[float]:
         self.stats.candidates_scored += len(candidates)
-        if (
-            self.config is not None
-            and self.config.parallel
-            and len(candidates) > 1
-        ):
-            from concurrent.futures import ThreadPoolExecutor
-
-            workers = min(self.config.workers, len(candidates))
-            try:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    return list(
-                        pool.map(matrices.candidate_total, candidates)
-                    )
-            except (OSError, RuntimeError):
-                pass  # pool unavailable: score serially below
         return [matrices.candidate_total(c) for c in candidates]
 
     def _best_candidate(
@@ -594,7 +574,12 @@ class ProvisioningAnalyzer:
             candidates: explicit candidate set; defaults to
                 :func:`candidate_links`.
             top: truncate the ranking (None = all).
+
+        Raises:
+            ValueError: for a ``top`` below 1.
         """
+        if top is not None and top < 1:
+            raise ValueError("top must be >= 1")
         engine = self._engine_for(self.network)
         if candidates is None:
             candidates = candidate_links(self.network, engine=engine)

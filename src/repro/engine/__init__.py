@@ -2,8 +2,7 @@
 
 Freezes a topology into flat CSR arrays once, memoizes per-source
 risk-weighted Dijkstra sweeps keyed by (alpha, source) on the
-engine that owns the topology, fans all-pairs work across a process
-pool with a serial fallback, and invalidates cached sweeps when the
+engine that owns the topology, and invalidates cached sweeps when the
 risk field changes.
 
 :class:`repro.session.RoutingSession` is the blessed user-facing entry
@@ -12,7 +11,7 @@ point; this package is the machinery underneath it.
 
 from ..core.strategy import SweepStrategy, resolve_strategy
 from .arrays import CsrGraph
-from .cache import ResultCache, SweepCache
+from .cache import EngineConfig, ResultCache, SweepCache
 from .components import (
     ProvisioningStats,
     parametric_component_table,
@@ -20,7 +19,6 @@ from .components import (
 )
 from .engine import RoutingEngine
 from .fingerprint import risk_fingerprint
-from .parallel import EngineConfig, sweep_many
 from .sweep import SweepResult, csr_sweep
 
 __all__ = [
@@ -37,5 +35,4 @@ __all__ = [
     "ResultCache",
     "SweepResult",
     "csr_sweep",
-    "sweep_many",
 ]

@@ -14,8 +14,7 @@ same deterministic tie-breaks.  Node index order is also the order
 every engine aggregate sums its targets in.
 
 The canonical storage is numpy; plain-list mirrors are kept for the
-pure-Python heapq loop (and for cheap pickling into worker
-processes), where list indexing beats numpy scalar access.
+pure-Python heapq loop, where list indexing beats numpy scalar access.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class CsrGraph:
         index: name → row index.
         indptr / indices / weights: CSR adjacency (numpy arrays).
         indptr_list / indices_list / weights_list: list mirrors used by
-            the sweep inner loop and shipped to worker processes.
+            the sweep inner loop.
     """
 
     def __init__(self, graph: Graph[str]) -> None:

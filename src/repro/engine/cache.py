@@ -22,16 +22,35 @@ sweep can only ever observe its source's component, so those entries
 stay exact; per-source result aggregates survive the same way through
 :meth:`ResultCache.retain`, while multi-source aggregates are dropped on
 any risk change.
+
+:class:`EngineConfig` sizes both layers for one engine.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
 from typing import AbstractSet, Callable, Hashable, Optional, Tuple
 
 from .sweep import SweepResult
 
-__all__ = ["SweepCache", "ResultCache", "CacheStats"]
+__all__ = ["EngineConfig", "SweepCache", "ResultCache", "CacheStats"]
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """Cache sizes for one :class:`~repro.engine.engine.RoutingEngine`.
+
+    Kernel choice is not a knob: see the module constants in
+    :mod:`repro.engine.engine`.
+
+    Args:
+        sweep_cache_size: max memoized sweeps per engine.
+        result_cache_size: max memoized aggregates per engine.
+    """
+
+    sweep_cache_size: int = 65536
+    result_cache_size: int = 256
 
 
 class CacheStats:

@@ -61,10 +61,9 @@ from ..graph.core import Graph, NodeNotFoundError
 from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from .arrays import CsrGraph
-from .cache import ResultCache, SweepCache
+from .cache import EngineConfig, ResultCache, SweepCache
 from .components import sweep_component_arrays
 from .fingerprint import risk_fingerprint
-from .parallel import EngineConfig, sweep_many
 from .sweep import SweepResult, csr_sweep, csr_sweep_batch
 
 __all__ = ["RoutingEngine"]
@@ -87,7 +86,7 @@ class RoutingEngine:
             build a new engine, as a session does when its graph's
             ``version`` moves).
         model: the risk model; must cover every graph node (fail fast).
-        config: pool and cache tuning; defaults to serial.
+        config: cache sizes; defaults to :class:`EngineConfig`'s.
     """
 
     def __init__(
@@ -405,7 +404,7 @@ class RoutingEngine:
         return self._sweep_idx(self._idx(source), alpha)
 
     def prefetch(self, tasks: Iterable[Tuple[int, float]]) -> int:
-        """Batch-compute missing sweeps, through the pool when enabled.
+        """Batch-compute missing sweeps.
 
         ``tasks`` are ``(source index, alpha)`` pairs.  Returns the
         number of sweeps actually computed.
@@ -433,8 +432,9 @@ class RoutingEngine:
                     self._sweeps.put(alpha, result.source, result)
             else:
                 serial.extend((source, alpha) for source in sources)
-        for result in sweep_many(self._arrays(), serial, self._config):
-            self._sweeps.put(result.alpha, result.source, result)
+        arrays = self._arrays()
+        for source, alpha in serial:
+            self._sweeps.put(alpha, source, csr_sweep(*arrays, source, alpha))
         return len(missing)
 
     def prefetch_per_source(
@@ -443,7 +443,7 @@ class RoutingEngine:
         """Ensure every source's expected-impact sweep is cached.
 
         The batched warm-up for per-source all-pairs work (component
-        matrices, lower bounds); fans out across the pool when enabled.
+        matrices, lower bounds).
         """
         names = sources if sources is not None else self._csr.node_ids
         tasks = []

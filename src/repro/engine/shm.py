@@ -43,8 +43,8 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from .arrays import CsrGraph
+from .cache import EngineConfig
 from .engine import RoutingEngine
-from .parallel import EngineConfig
 
 __all__ = ["ShmManifest", "SharedEngineState", "attach_engine"]
 

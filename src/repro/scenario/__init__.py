@@ -5,11 +5,10 @@ correlated twice over: links that share a conduit corridor fail
 together (:mod:`repro.scenario.srg`), and the traffic a failed element
 was carrying lands on its neighbors, which can overload and trip in
 turn (:mod:`repro.scenario.cascade`).  The Monte Carlo driver
-(:mod:`repro.scenario.montecarlo`) fans seeded scenario batches across
-the engine's thread fan-out and reports resilience metrics — route and
-demand survival, expected unserved demand, cascade-depth distribution,
-and an MTTF-style time-to-partition — for RiskRoute versus
-shortest-path provisioning.
+(:mod:`repro.scenario.montecarlo`) plays a seeded scenario draw and
+reports resilience metrics — route and demand survival, expected
+unserved demand, cascade-depth distribution, and an MTTF-style
+time-to-partition — for RiskRoute versus shortest-path provisioning.
 """
 
 from .cascade import CascadeConfig, CascadeResult, CascadeSimulator

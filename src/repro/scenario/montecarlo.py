@@ -1,4 +1,4 @@
-"""Seeded, chunked Monte Carlo over correlated-failure scenarios.
+"""Seeded Monte Carlo over correlated-failure scenarios.
 
 One run draws ``scenarios`` correlated-failure events — KDE-bootstrap
 disasters (:func:`repro.core.simulation.sample_disasters`) interleaved
@@ -8,9 +8,8 @@ one shared :class:`~repro.scenario.cascade.CascadeSimulator`.
 
 Determinism is the design center: every random draw happens up front
 from a single :class:`numpy.random.Generator`, after which scenarios
-are pure computation.  The chunked fan-out through
-:func:`repro.engine.parallel.thread_map` therefore returns identical
-metrics at any worker count — the property the determinism tests pin.
+are pure computation played in one loop in draw order, so one seed
+replays the same report — the property the determinism tests pin.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import numpy as np
 
 from ..core.simulation import damage_mask, sample_disasters
 from ..engine import RoutingEngine
-from ..engine.parallel import thread_map
 from ..risk.model import RiskModel
 from ..topology.network import Network
 from .cascade import POLICIES, CascadeConfig, CascadeResult, CascadeSimulator
@@ -50,8 +48,6 @@ class ScenarioConfig:
         sample_pairs: survival route sample size (as in
             :func:`repro.core.simulation.route_survival`).
         cascade: cascade tuning applied to every scenario.
-        workers: thread fan-out width; 0/1 runs serially.
-        chunk_size: scenarios per fan-out task.
     """
 
     scenarios: int = 500
@@ -60,18 +56,12 @@ class ScenarioConfig:
     corridor_miles: float = 50.0
     sample_pairs: int = 60
     cascade: CascadeConfig = field(default_factory=CascadeConfig)
-    workers: int = 0
-    chunk_size: int = 32
 
     def __post_init__(self) -> None:
         if self.scenarios < 1:
             raise ValueError("scenarios must be positive")
         if not 0.0 <= self.srg_fraction <= 1.0:
             raise ValueError("srg_fraction must be within [0, 1]")
-        if self.chunk_size < 1:
-            raise ValueError("chunk_size must be positive")
-        if self.workers < 0:
-            raise ValueError("workers must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -180,7 +170,7 @@ def _draw_scenarios(
     """Materialise every scenario's initial failure set up front.
 
     All randomness is consumed here, in a fixed order from one
-    generator, so the execution phase is pure and fan-out-invariant.
+    generator, so the execution phase is pure.
     """
     rng = np.random.default_rng(config.seed)
     n = config.scenarios
@@ -260,29 +250,13 @@ def run_monte_carlo(
     scenarios = _draw_scenarios(simulator, srgs, config)
     srg_activations = sum(1 for _, _, from_srg in scenarios if from_srg)
 
-    chunks: List[List[_Scenario]] = [
-        list(scenarios[i : i + config.chunk_size])
-        for i in range(0, len(scenarios), config.chunk_size)
+    per_scenario: List[Dict[str, CascadeResult]] = [
+        {
+            policy: simulator.run(pops, links, policy, config.cascade)
+            for policy in POLICIES
+        }
+        for pops, links, _ in scenarios
     ]
-
-    def run_chunk(
-        chunk: List[_Scenario],
-    ) -> List[Dict[str, CascadeResult]]:
-        out: List[Dict[str, CascadeResult]] = []
-        for pops, links, _ in chunk:
-            out.append(
-                {
-                    policy: simulator.run(
-                        pops, links, policy, config.cascade
-                    )
-                    for policy in POLICIES
-                }
-            )
-        return out
-
-    per_scenario: List[Dict[str, CascadeResult]] = []
-    for chunk_results in thread_map(run_chunk, chunks, config.workers):
-        per_scenario.extend(chunk_results)
 
     by_policy = {
         policy: _aggregate(

@@ -77,7 +77,7 @@ from .protocol import (
     parse_request,
 )
 from .service import QueryService, SwapOutcome
-from .shards import ShardPool, replicas_of, shard_of
+from .shards import ShardPool, replicas_of
 from .stats import ServerStats
 
 __all__ = [
@@ -95,7 +95,6 @@ __all__ = [
     "QueryService",
     "SwapOutcome",
     "ShardPool",
-    "shard_of",
     "replicas_of",
     "OpSpec",
     "Param",

@@ -8,10 +8,10 @@ immediately instead of accumulating unbounded latency, and a closed
 The single worker consumes the queue through :meth:`next_batch`, which
 returns either
 
-* one **control** request (``update_forecast`` / ``stats``) alone —
-  controls are barriers: every query admitted before one is served
-  under the pre-barrier state, every query after under the post-barrier
-  state; or
+* one **barrier** request alone — every write and control op
+  (``update_forecast``, ``ingest``, ``stats``, ``subscribe``) is one:
+  every query admitted before it is served under the pre-barrier
+  state, every query after under the post-barrier state; or
 * up to ``max_batch`` consecutive **query** requests.  An optional
   ``linger`` lets a just-started batch wait a few milliseconds for
   concurrent requests to land, widening the coalescing window (the

@@ -116,11 +116,11 @@ class ServerConfig:
             broadcast behind a fingerprint barrier.
         shard_timeout: seconds the shard watchdog waits for one shard's
             batch, write ack or warm-up ping before declaring it hung.
-        replicas: shards serving each read key (clamped to ``shards``).
-            1 (the default) keeps PR 6 single-owner affinity
-            bit-for-bit; R >= 2 rendezvous-replicates every pair/params
-            key over R shards with load-balanced routing and
-            transparent one-hop failover for reads.
+        replicas: shards serving each read key (clamped to ``shards``),
+            ranked by rendezvous hashing.  1 (the default) gives every
+            pair/params key one owner; R >= 2 replicates it over R
+            shards with load-balanced routing and transparent one-hop
+            failover for reads.
     """
 
     host: str = "127.0.0.1"

@@ -13,7 +13,7 @@ chain is derived from this table:
   :class:`~repro.server.coalesce.CoalescingQueue`),
 * request validation and dispatch in
   :class:`~repro.server.service.QueryService`,
-* shard routing (:func:`repro.server.shards.shard_of` reads
+* shard routing (:func:`repro.server.shards.replicas_of` reads
   :attr:`OpSpec.routing`),
 * client retry-safety (:data:`~repro.server.client.RETRY_SAFE_OPS`) and
   the typed per-op wrapper methods generated onto
@@ -434,7 +434,6 @@ def _handle_scenario(service, params: Dict[str, Any]) -> dict:
         corridor_miles=params["corridor_miles"],
         sample_pairs=params["sample_pairs"],
         cascade=cascade,
-        workers=params["workers"],
     )
     # Route on the serving session's engine so the request reuses its
     # sweeps instead of building and warming a second engine.
@@ -477,16 +476,9 @@ def _handle_shared_risk(service, params: Dict[str, Any]) -> dict:
     }
 
 
-def _load_risk_file(path: str) -> Dict[str, Any]:
-    """CLI loader for ``update-forecast``: JSON file path or ``-``."""
-    if path == "-":
-        return json.load(sys.stdin)
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
-def _load_events_file(path: str) -> List[Dict[str, Any]]:
-    """CLI loader for ``ingest``: JSON event list, file path or ``-``."""
+def _load_json_file(path: str) -> Any:
+    """CLI loader for ``update-forecast`` and ``ingest``: JSON file
+    path or ``-``."""
     if path == "-":
         return json.load(sys.stdin)
     with open(path, encoding="utf-8") as handle:
@@ -614,9 +606,6 @@ _register(OpSpec(
               default=50.0, check=_check_non_negative_number,
               cli={"flag": "--corridor-miles", "type": float},
               example=50.0),
-        Param("workers", "thread fan-out width (0 = serial)",
-              default=0, check=_check_non_negative_int,
-              cli={"flag": "--workers", "type": int}, example=0),
     ),
     handler=_handle_scenario,
     routing="params",
@@ -648,7 +637,7 @@ _register(OpSpec(
               cli={"positional": True, "metavar": "risk_file",
                    "dest": "risk",
                    "help": "JSON file of {pop_id: o_f} ('-' reads stdin)",
-                   "loader": _load_risk_file},
+                   "loader": _load_json_file},
               example={}),
         Param("default", "forecast risk for PoPs absent from 'risk'",
               default=0.0, check=_check_number, example=0.0),
@@ -671,7 +660,7 @@ _register(OpSpec(
                    "dest": "events",
                    "help": "JSON file of [{event_type, lat, lon, year}] "
                            "records ('-' reads stdin)",
-                   "loader": _load_events_file},
+                   "loader": _load_json_file},
               example=[{"event_type": "fema-hurricane",
                         "lat": 29.95, "lon": -90.07, "year": 2005}]),
         Param("now_year",
@@ -679,7 +668,7 @@ _register(OpSpec(
               check=_check_int,
               cli={"flag": "--now-year", "type": int}, example=2005),
         Param("token", "idempotency token (applied at most once)",
-              check=_check_str),
+              check=_check_str, cli={"flag": "--token"}),
     ),
     routing="parent",
 ))

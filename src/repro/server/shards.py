@@ -18,21 +18,20 @@ Topology of one sharded daemon::
                                    | engine   | engine   |
                                    +----------+----------+
 
-**Placement** is registry-driven.  With ``replicas=1`` (the default),
-:func:`shard_of` pins each key to exactly one shard: pair ops
-(``route`` / ``pair``) hash ``network|source|target`` so a pair always
-lands on the same shard — its ``(alpha, source)`` sweep cache
-stays hot — while params-routed ops (``ratios`` / ``provision``) hash
-their canonical parameter dict, so repeats of the same heavy query hit
-the same shard's memoized result cache.  With ``replicas=R >= 2``,
-:func:`replicas_of` widens each key to its top-R shards under
-**rendezvous (highest-random-weight) hashing** over the same blake2b
-affinity key: every replica of a key is a full substitute for the
-others (identical arrays, identical service code), adding a shard
-moves only the keys that shard wins, and growing R keeps the first
-R-1 replicas unchanged.  Only shard-routed reads reach the pool: the
-daemon applies writes and answers ``stats``, ``subscribe`` and
-``health`` itself, so any replica of a key can answer any of its items.
+**Placement** is registry-driven.  :func:`replicas_of` ranks every
+shard for a key under **rendezvous (highest-random-weight) hashing**
+of a blake2b affinity key and serves the key from its top ``replicas``
+shards.  Pair ops (``route`` / ``pair``) key ``network|source|target``
+so a pair always lands on the same shards — their ``(alpha, source)``
+sweep caches stay hot — while params-routed ops (``ratios`` /
+``provision``) key their canonical parameter dict, so repeats of the
+same heavy query hit the same shards' memoized result caches.  Every
+replica of a key is a full substitute for the others (identical
+arrays, identical service code), adding a shard moves only the keys
+that shard wins, and growing R keeps the first R-1 replicas
+unchanged.  Only shard-routed reads reach the pool: the daemon applies
+writes and answers ``stats``, ``subscribe`` and ``health`` itself, so
+any replica of a key can answer any of its items.
 
 **Balancing**: the parent picks among a key's live replicas by
 **power of two choices** — sample two candidates (seeded, so the pick
@@ -109,7 +108,6 @@ __all__ = [
     "ShardPool",
     "ShardSpec",
     "replicas_of",
-    "shard_of",
 ]
 
 
@@ -139,39 +137,20 @@ def _affinity_key(request: Request) -> Optional[str]:
         return None
 
 
-def shard_of(request: Request, nshards: int) -> int:
-    """The primary shard index one request routes to (deterministic).
-
-    This is the PR 6 placement — blake2b of the affinity key, modulo
-    the shard count — and stays the *only* placement when
-    ``replicas=1``.  Malformed requests fall through to shard 0, whose
-    service produces the typed error reply.
-    """
-    if nshards <= 1:
-        return 0
-    key = _affinity_key(request)
-    if key is None:
-        return 0
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big") % nshards
-
-
 def replicas_of(
     request: Request, nshards: int, replicas: int
 ) -> Tuple[int, ...]:
     """The ordered replica set (placement map row) for one request.
 
-    ``replicas <= 1`` returns ``(shard_of(request, nshards),)`` —
-    bit-for-bit the PR 6 modulo placement, so single-replica configs
-    cannot move a single key.  ``replicas >= 2`` ranks every shard by
-    ``blake2b(key + "#" + sid)`` (rendezvous hashing) and takes the
-    top ``min(replicas, nshards)``:
+    Ranks every shard by ``blake2b(key + "#" + sid)`` (rendezvous
+    hashing) and takes the top ``min(replicas, nshards)``, at least
+    one; the first is the key's primary owner:
 
     * stable under shard-count growth — adding shard N only claims the
       keys N now wins; all other placements are untouched;
     * prefix-stable under replica growth — the R-replica set is a
       prefix of the (R+1)-replica set;
-    * deterministic and key-order independent, like :func:`shard_of`.
+    * deterministic and key-order independent.
 
     Malformed requests pin to ``(0,)`` so the typed error reply comes
     from one place.
@@ -179,8 +158,6 @@ def replicas_of(
     if nshards <= 1:
         return (0,)
     replicas = max(1, min(replicas, nshards))
-    if replicas == 1:
-        return (shard_of(request, nshards),)
     key = _affinity_key(request)
     if key is None:
         return (0,)
@@ -334,7 +311,7 @@ class ShardPool:
             (its engine is exported; its model seeds the shards).
         shards: shard processes to run.
         replicas: shards serving each key, clamped to ``shards``;
-            1 keeps single-owner :func:`shard_of` affinity.
+            1 serves every key from its rendezvous primary alone.
         timeout: seconds to wait for one shard batch, write ack or
             warm-up ping before the shard is declared hung and killed.
         faults: fault plane — ``shard_exit`` / ``replica_crash`` are
@@ -503,7 +480,7 @@ class ShardPool:
         shard, so the choice sees the load it is itself creating; no
         other load exists, since the previous batch was collected in
         full before this one is routed.  Single-replica keys
-        short-circuit to the :func:`shard_of` owner.  Dead slots are
+        short-circuit to their one owner.  Dead slots are
         skipped while any replica lives; when *every* replica is down,
         the pick is made over the whole set so the send path pays for
         (and gates on) a respawn.

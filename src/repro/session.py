@@ -23,13 +23,12 @@ shows a mutation.  Swapping the model — :meth:`update_model` /
 :meth:`update_forecast`, the advisory-by-advisory loop — invalidates
 exactly the sweeps the new risk field touches, and :meth:`provision`
 hands the engine to the analysis so its scoring reuses the session's
-sweeps.  Two sessions never share an engine, so a :meth:`with_gammas`
-sibling keeps its own warm caches.
+sweeps.  Two sessions never share an engine, so a second session over
+the same topology keeps its own warm caches.
 """
 
 from __future__ import annotations
 
-import copy
 from typing import Dict, List, Optional, Sequence
 
 from .core.riskroute import PairRoutes, RouteResult
@@ -49,7 +48,7 @@ class RoutingSession:
             or a distance :class:`Graph`.
         model: the risk model; defaults to ``RiskModel.for_network`` in
             network mode, required in graph mode.
-        config: engine tuning (pool, cache sizes).
+        config: engine cache sizes.
         engine: an engine already built over this topology (a shard
             process passes the one it mapped from shared memory); it is
             bound to ``model``.  Built from the graph when omitted.
@@ -161,14 +160,6 @@ class RoutingSession:
             self.model.with_historical_risk(historical_risk)
         )
 
-    def with_gammas(self, gamma_h: float, gamma_f: float) -> "RoutingSession":
-        """A sibling session over the same topology, different gammas,
-        with an engine of its own."""
-        sibling = copy.copy(self)
-        sibling.model = self.model.with_gammas(gamma_h, gamma_f)
-        sibling._bind(RoutingEngine(self._graph, sibling.model, self._config))
-        return sibling
-
     # -- single-pair queries -----------------------------------------------
 
     def shortest(self, source: str, target: str) -> RouteResult:
@@ -247,7 +238,8 @@ class RoutingSession:
 
         Raises:
             ValueError: in graph mode (candidate generation needs PoP
-                coordinates), for ``k < 1``, or ``verify_every < 1``.
+                coordinates), for ``k < 1``, for ``top < 1`` when
+                ranking, or for ``verify_every < 1`` in a greedy run.
         """
         if self.network is None:
             raise ValueError(

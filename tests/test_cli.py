@@ -99,6 +99,28 @@ class TestServeQueryParser:
         )
         assert args.retries == 3
 
+    def test_query_ingest_flags(self):
+        args = build_parser().parse_args(
+            ["query", "ingest", "events.json", "--now-year", "2005",
+             "--token", "t1"]
+        )
+        assert args.query_op == "ingest"
+        assert args.events == "events.json"
+        assert args.now_year == 2005
+        assert args.token == "t1"
+
+    @pytest.mark.parametrize("argv", [
+        ["ratios", "Level3", "--workers", "2"],
+        ["scenario", "Level3", "--workers", "2"],
+        ["ingest", "events.json"],
+    ])
+    def test_removed_commands_and_flags_are_errors(self, argv):
+        # Sweeps and scenarios run serially, and ingest is one command
+        # (`query ingest`): no alias, no silently ignored flag.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        assert excinfo.value.code == 2
+
 
 class _FakeQueryClient:
     """Stands in for RiskRouteClient to drive `_cmd_query` error paths."""
@@ -193,3 +215,8 @@ class TestCommands:
 
     def test_route_unknown_pop(self, capsys):
         assert main(["route", "Teliasonera", "Nowhere, ZZ", "Miami, FL"]) == 2
+
+    @pytest.mark.parametrize("top", ["0", "-2"])
+    def test_provision_rejects_top_below_one(self, capsys, top):
+        assert main(["provision", "Teliasonera", "--top", top]) == 2
+        assert "--top" in capsys.readouterr().err

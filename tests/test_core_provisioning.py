@@ -10,6 +10,7 @@ from repro.core.provisioning import (
 )
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
+from repro.session import RoutingSession
 from repro.topology.interdomain import InterdomainTopology
 from repro.topology.network import Network, PoP
 from repro.topology.peering import PeeringGraph
@@ -136,6 +137,15 @@ class TestAnalyzer:
         analyzer = ProvisioningAnalyzer(chain_network(), chain_model())
         with pytest.raises(ValueError):
             analyzer.greedy_links(0)
+
+    @pytest.mark.parametrize("top", [0, -1])
+    def test_rank_invalid_top(self, top):
+        # A top below 1 is an error, not a silently truncated ranking.
+        net, model = chain_network(), chain_model()
+        with pytest.raises(ValueError):
+            ProvisioningAnalyzer(net, model).rank_candidates(top=top)
+        with pytest.raises(ValueError):
+            RoutingSession(net, model).provision(top=top)
 
     def test_greedy_does_not_mutate_original(self):
         net = chain_network()

@@ -2,8 +2,7 @@
 
 Sweeps must match the seed's dict-based search (tests/oracles.py) bit
 for bit, warm answers must equal cold ones, aggregates must not depend
-on cache history, invalidation must track the risk fingerprint, and
-the pool must agree with the serial path.
+on cache history, and invalidation must track the risk fingerprint.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ from repro.engine import (
     SweepStrategy,
     csr_sweep,
     risk_fingerprint,
-    sweep_many,
 )
 from repro.graph.core import NodeNotFoundError
 from repro.risk.model import RiskModel
@@ -264,34 +262,13 @@ class TestInvalidation:
 
 
 class TestParallel:
+    """Batched prefetch of many per-source sweeps."""
+
     def _tasks(self, engine):
         return [
             (s, engine._shares[s] + engine._mean_share)
             for s in range(engine.node_count)
         ]
-
-    def test_pool_matches_serial(self, teliasonera, teliasonera_model):
-        graph = teliasonera.distance_graph()
-        serial = RoutingEngine(graph, teliasonera_model)
-        pooled = RoutingEngine(
-            graph, teliasonera_model, config=EngineConfig(workers=2)
-        )
-        tasks = self._tasks(serial)
-        arrays = serial._arrays()
-        serial_results = sweep_many(arrays, tasks, serial.config)
-        pooled_results = sweep_many(arrays, tasks, pooled.config)
-        assert serial_results == pooled_results
-
-    def test_pooled_ratios_equal_serial(self, teliasonera, teliasonera_model):
-        graph = teliasonera.distance_graph()
-        serial = RoutingEngine(graph, teliasonera_model).ratios()
-        pooled = RoutingEngine(
-            graph, teliasonera_model, config=EngineConfig(workers=2)
-        ).ratios()
-        assert pooled.risk_reduction_ratio == serial.risk_reduction_ratio
-        assert (
-            pooled.distance_increase_ratio == serial.distance_increase_ratio
-        )
 
     def test_prefetch_counts_and_dedupes(self, engine):
         tasks = self._tasks(engine)
@@ -439,11 +416,12 @@ class TestKernelSelection:
         assert engine.targeted_stats()["queries"] >= 1
 
     def test_invalid_kernel_config_rejected(self):
-        with pytest.raises(ValueError):
-            EngineConfig(workers=-1)
-        # Kernel choice is the module rule, not a config knob.
+        # Kernel choice is the module rule, and sweeps run serially:
+        # neither is a config knob.
         with pytest.raises(TypeError):
             EngineConfig(kernel="bucketed")
+        with pytest.raises(TypeError):
+            EngineConfig(workers=2)
 
     def test_set_coordinates_validates_and_resets(self, engine):
         with pytest.raises(ValueError):

@@ -122,6 +122,11 @@ class TestOpValidation:
                     with pytest.raises(ServerError) as err:
                         client.scenario(**params)
                     assert err.value.code == "bad_request"
+                # Scenarios play serially: a fan-out width is an
+                # unknown param like any other.
+                with pytest.raises(ServerError) as err:
+                    client.call("scenario", workers=2)
+                assert err.value.code == "bad_request"
                 with pytest.raises(ServerError) as err:
                     client.shared_risk(other="atlantis-net")
                 assert err.value.code == "bad_request"

@@ -1,8 +1,8 @@
 """End-to-end daemon smoke: ``riskroute serve`` + ``riskroute query``.
 
 Run as real subprocesses: start the daemon on an ephemeral port, drive
-it through route / update_forecast / stats queries, then SIGINT it and
-assert a clean drain.  This is the server smoke CI runs.
+it through route / update_forecast / ingest / stats queries, then
+SIGINT it and assert a clean drain.  This is the server smoke CI runs.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def test_cli_version():
     assert "riskroute" in result.stdout
 
 
-def test_serve_query_smoke(daemon):
+def test_serve_query_smoke(daemon, tmp_path):
     process, port = daemon
 
     result = _cli("query", "--port", str(port), "health")
@@ -90,10 +90,26 @@ def test_serve_query_smoke(daemon):
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout)["changed"] is True
 
+    # A tokened ingest applies once; the same call again is answered
+    # from the token ledger.
+    events = tmp_path / "events.json"
+    events.write_text(json.dumps([{
+        "event_type": "fema-hurricane", "lat": 25.77, "lon": -80.19,
+        "year": 2005,
+    }]))
+    for duplicate in (False, True):
+        result = _cli(
+            "query", "--port", str(port), "ingest", str(events),
+            "--token", "t1",
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout)["duplicate"] is duplicate
+
     result = _cli("query", "--port", str(port), "stats")
     assert result.returncode == 0, result.stderr
     stats = json.loads(result.stdout)
     assert stats["forecast_swaps"] == 1
+    assert stats["ingests"] == 1
     assert stats["replies"] >= 3
     assert stats["network"] == "Teliasonera"
 

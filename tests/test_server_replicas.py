@@ -46,7 +46,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import PROTOCOL_VERSION, Request, pair_to_dict
-from repro.server.shards import replicas_of, shard_of
+from repro.server.shards import replicas_of
 from tests.conftest import build_diamond_model, build_diamond_network
 
 WEST, EAST = "diamond:west", "diamond:east"
@@ -395,7 +395,7 @@ class TestHungShard:
             thread.stop()
         stopped = {
             i for i, (s, t) in ALL_PAIRS.items()
-            if shard_of(_pair_request(s, t), 2) == 0
+            if replicas_of(_pair_request(s, t), 2, 1)[0] == 0
         }
         assert 0 < len(stopped) < len(ALL_PAIRS)
         reference = _session()

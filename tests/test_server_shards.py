@@ -2,7 +2,8 @@
 
 Covers the sharded-serving issue's acceptance tests:
 
-* :func:`~repro.server.shards.shard_of` is deterministic with
+* the primary owner, ``replicas_of(request, n, 1)[0]``
+  (:func:`~repro.server.shards.replicas_of`), is deterministic with
   per-network, per-pair affinity — the same pair always lands on the
   same shard, so its sweep caches stay hot;
 * a sharded server's replies are *identical* (payload and fingerprint)
@@ -39,7 +40,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import PROTOCOL_VERSION, Request, pair_to_dict
-from repro.server.shards import shard_of
+from repro.server.shards import replicas_of
 from tests.conftest import build_diamond_model, build_diamond_network
 
 WEST, EAST = "diamond:west", "diamond:east"
@@ -53,14 +54,19 @@ def _pair_request(source: str, target: str, op: str = "pair") -> Request:
     )
 
 
+def _owner(request: Request, nshards: int) -> int:
+    """The shard a single-replica pool routes ``request`` to."""
+    return replicas_of(request, nshards, 1)[0]
+
+
 class TestShardOf:
     def test_same_pair_always_same_shard(self):
         for nshards in (2, 3, 8):
             for source, target in permutations(POPS, 2):
-                first = shard_of(_pair_request(source, target), nshards)
+                first = _owner(_pair_request(source, target), nshards)
                 assert 0 <= first < nshards
                 for _ in range(5):
-                    assert shard_of(
+                    assert _owner(
                         _pair_request(source, target), nshards
                     ) == first
 
@@ -68,8 +74,8 @@ class TestShardOf:
         # Affinity is per endpoint pair, not per op: a route and a pair
         # for the same endpoints share sweep caches on one shard.
         for source, target in permutations(POPS, 2):
-            assert shard_of(_pair_request(source, target, "route"), 4) == \
-                shard_of(_pair_request(source, target, "pair"), 4)
+            assert _owner(_pair_request(source, target, "route"), 4) == \
+                _owner(_pair_request(source, target, "pair"), 4)
 
     def test_strategy_param_does_not_move_the_pair(self):
         base = Request(
@@ -81,13 +87,13 @@ class TestShardOf:
             params={"source": WEST, "target": EAST, "strategy": "exact"},
             v=2,
         )
-        assert shard_of(base, 8) == shard_of(tuned, 8)
+        assert _owner(base, 8) == _owner(tuned, 8)
 
     def test_network_prefix_keys_the_hash(self):
         # Same city suffix under different network prefixes must be
         # free to land on different shards (per-network affinity).
         spread = {
-            shard_of(_pair_request(f"net{i}:a", f"net{i}:b"), 8)
+            _owner(_pair_request(f"net{i}:a", f"net{i}:b"), 8)
             for i in range(32)
         }
         assert len(spread) > 1
@@ -95,7 +101,7 @@ class TestShardOf:
     def test_pairs_spread_across_shards(self):
         pops = [f"zoo:pop{i}" for i in range(16)]
         hits = {
-            shard_of(_pair_request(s, t), 2)
+            _owner(_pair_request(s, t), 2)
             for s, t in permutations(pops, 2)
         }
         assert hits == {0, 1}
@@ -105,14 +111,14 @@ class TestShardOf:
                     params={"sources": [WEST], "targets": [EAST]}, v=2)
         b = Request(op="ratios", id=2,
                     params={"targets": [EAST], "sources": [WEST]}, v=2)
-        assert shard_of(a, 8) == shard_of(b, 8)
+        assert _owner(a, 8) == _owner(b, 8)
 
     def test_single_shard_and_malformed_requests_pin_to_zero(self):
-        assert shard_of(_pair_request(WEST, EAST), 1) == 0
-        assert shard_of(_pair_request(WEST, EAST), 0) == 0
+        assert _owner(_pair_request(WEST, EAST), 1) == 0
+        assert _owner(_pair_request(WEST, EAST), 0) == 0
         broken = Request(op="pair", id=1,
                          params={"source": 7, "target": None}, v=2)
-        assert shard_of(broken, 4) == 0
+        assert _owner(broken, 4) == 0
 
 
 @pytest.mark.timeout(180)
@@ -265,7 +271,7 @@ class TestShardChaos:
             }
             by_shard = {0: 0, 1: 0}
             for s, t in requests.values():
-                by_shard[shard_of(_pair_request(s, t), 2)] += 1
+                by_shard[_owner(_pair_request(s, t), 2)] += 1
             assert by_shard[0] and by_shard[1], by_shard
 
             sock = socket.create_connection((host, port), timeout=60)

@@ -95,7 +95,9 @@ class TestModelLifecycle:
         ).path
 
     def test_with_gammas_sibling(self, session):
-        relaxed = session.with_gammas(0.0, 0.0)
+        relaxed = RoutingSession(
+            session.network, session.model.with_gammas(0.0, 0.0)
+        )
         assert relaxed is not session
         assert relaxed.network is session.network
         pair = relaxed.pair("diamond:west", "diamond:east")
@@ -186,7 +188,9 @@ class TestInvalidationBoundary:
         # A gamma-free sibling must not be served the gamma-weighted
         # cached sweep: with risk switched off the geometrically
         # shorter (risky) south corridor wins.
-        relaxed = base.with_gammas(0.0, 0.0)
+        relaxed = RoutingSession(
+            diamond_network, base.model.with_gammas(0.0, 0.0)
+        )
         relaxed_route = relaxed.route("diamond:west", "diamond:east")
         assert "diamond:south" in relaxed_route.path
         assert relaxed_route.bit_miles == pytest.approx(
@@ -201,7 +205,9 @@ class TestInvalidationBoundary:
     def test_with_gammas_result_cache_isolated(self, diamond_network):
         base = RoutingSession(diamond_network, build_diamond_model())
         base_ratios = base.all_pairs()
-        sibling = base.with_gammas(0.0, 0.0)
+        sibling = RoutingSession(
+            diamond_network, base.model.with_gammas(0.0, 0.0)
+        )
         sibling_ratios = sibling.all_pairs()
         # Different gammas, different aggregates — a leaked result
         # cache entry would have returned the identical object.
@@ -247,7 +253,7 @@ class TestOwnEngine:
     def test_with_gammas_sibling_keeps_its_sweeps(self):
         network = network_by_name("Sprint")
         base = RoutingSession(network)
-        sibling = base.with_gammas(0.0, 0.0)
+        sibling = RoutingSession(network, base.model.with_gammas(0.0, 0.0))
         source, target = network.pop_ids()[0], network.pop_ids()[-1]
         for _ in range(3):
             base.route(source, target)

@@ -1,26 +1,21 @@
-"""Placement-map properties: rendezvous replication vs PR 6 affinity.
+"""Placement-map properties: rendezvous hashing at every replica count.
 
-Pure-function tests over :func:`repro.server.shards.shard_of` and
-:func:`repro.server.shards.replicas_of` — no processes, no sockets.
-The hypothesis suites pin the two contracts replication rests on:
-
-* ``replicas=1`` *is* PR 6 — the modulo placement, bit for bit, so
-  existing single-replica deployments cannot see a single key move;
-* ``replicas>=2`` is rendezvous (highest-random-weight) hashing —
-  adding a shard moves only the keys the new shard wins, and growing
-  the replica count only appends to each key's replica set.
+Pure-function tests over :func:`repro.server.shards.replicas_of` — no
+processes, no sockets.  The hypothesis suites pin the contracts
+placement rests on: rendezvous (highest-random-weight) hashing, so
+adding a shard moves only the keys the new shard wins, and growing the
+replica count only appends to each key's replica set; malformed
+requests pin to shard 0.
 """
 
 from __future__ import annotations
-
-import hashlib
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.server.protocol import Request
-from repro.server.shards import replicas_of, shard_of
+from repro.server.shards import replicas_of
 from tests.conftest import examples
 
 pytestmark = pytest.mark.timeout(60)
@@ -43,48 +38,12 @@ _pop_ids = st.text(
 )
 
 
-class TestSingleReplicaIsLegacyRouting:
-    @given(
-        source=_pop_ids,
-        target=_pop_ids,
-        nshards=st.integers(min_value=1, max_value=16),
-    )
-    @settings(max_examples=examples(200), deadline=None)
-    def test_replicas_1_reproduces_modulo_placement(
-        self, source, target, nshards
-    ):
-        request = _pair_request(source, target)
-        assert replicas_of(request, nshards, 1) == (
-            shard_of(request, nshards),
-        )
-
-    def test_modulo_placement_pinned_against_the_hash(self):
-        # The PR 6 formula, spelled out: any change to the key layout
-        # or digest parameters is a placement change for deployed
-        # multi-shard daemons and must fail here.
-        request = _pair_request("diamond:west", "diamond:east")
-        key = "diamond|diamond:west|diamond:east"
-        digest = hashlib.blake2b(key.encode(), digest_size=8).digest()
-        for nshards in (2, 3, 8):
-            expected = int.from_bytes(digest, "big") % nshards
-            assert shard_of(request, nshards) == expected
-            assert replicas_of(request, nshards, 1) == (expected,)
-
-    @given(nshards=st.integers(min_value=1, max_value=16))
-    @settings(max_examples=examples(32), deadline=None)
-    def test_malformed_requests_pin_to_shard_zero(self, nshards):
-        malformed = Request(op="pair", id=1, params={"source": 3}, v=2)
-        assert shard_of(malformed, nshards) == 0
-        for replicas in (1, 2, 4):
-            assert replicas_of(malformed, nshards, replicas) == (0,)
-
-
 class TestRendezvousPlacement:
     @given(
         source=_pop_ids,
         target=_pop_ids,
         nshards=st.integers(min_value=2, max_value=12),
-        replicas=st.integers(min_value=2, max_value=4),
+        replicas=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=examples(200), deadline=None)
     def test_replica_sets_are_valid(self, source, target, nshards, replicas):
@@ -101,7 +60,7 @@ class TestRendezvousPlacement:
         source=_pop_ids,
         target=_pop_ids,
         nshards=st.integers(min_value=2, max_value=12),
-        replicas=st.integers(min_value=2, max_value=4),
+        replicas=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=examples(200), deadline=None)
     def test_adding_a_shard_moves_only_the_minimal_keys(
@@ -131,7 +90,7 @@ class TestRendezvousPlacement:
         source=_pop_ids,
         target=_pop_ids,
         nshards=st.integers(min_value=3, max_value=12),
-        replicas=st.integers(min_value=2, max_value=4),
+        replicas=st.integers(min_value=1, max_value=4),
     )
     @settings(max_examples=examples(200), deadline=None)
     def test_growing_replicas_only_appends(
@@ -152,6 +111,13 @@ class TestRendezvousPlacement:
         b = replicas_of(_params_request(list(sources)), nshards, 2)
         assert a == b
 
+    @given(nshards=st.integers(min_value=1, max_value=16))
+    @settings(max_examples=examples(32), deadline=None)
+    def test_malformed_requests_pin_to_shard_zero(self, nshards):
+        malformed = Request(op="pair", id=1, params={"source": 3}, v=2)
+        for replicas in (1, 2, 4):
+            assert replicas_of(malformed, nshards, replicas) == (0,)
+
     def test_route_and_pair_share_a_replica_set(self):
         # Same affinity key => same replica set: the two pair-routed
         # ops stay colocated under replication exactly as they were
@@ -164,7 +130,7 @@ class TestRendezvousPlacement:
         )
         pair = _pair_request("net:a", "net:b")
         for nshards in (2, 4, 8):
-            for replicas in (2, 3):
+            for replicas in (1, 2, 3):
                 assert replicas_of(route, nshards, replicas) == replicas_of(
                     pair, nshards, replicas
                 )

@@ -1,5 +1,6 @@
 """Benchmark: regenerate Table 1 (trained kernel bandwidths)."""
 
+from repro.disasters.catalog import PRETRAINED_BANDWIDTHS
 from repro.disasters.events import EventType
 from repro.experiments.table1_bandwidths import run
 
@@ -21,3 +22,7 @@ def test_table1_bandwidths(benchmark):
     entries = {row["event_type"]: row["entries"] for row in result.rows}
     assert entries["NOAA Wind"] == 143_847
     assert entries["FEMA Hurricane"] == 2_805
+    # The shipped constants that drive every o_h field are this training
+    # run, rounded to 2 decimals (rows come in EventType.ALL order).
+    for event_type, row in zip(EventType.ALL, result.rows):
+        assert round(row["bandwidth_miles"], 2) == PRETRAINED_BANDWIDTHS[event_type], row

@@ -1,11 +1,6 @@
 """The paper's contribution: bit-risk miles, RiskRoute, provisioning."""
 
-from .backup import (
-    BackupPath,
-    frr_backup_next_hops,
-    mpls_link_failover,
-    mpls_node_failover,
-)
+from .backup import BackupPath, frr_backup_next_hops, mpls_link_failover
 from .bitrisk import PathMetrics, bit_miles, bit_risk_miles, path_metrics
 from .characteristics import (
     CHARACTERISTIC_NAMES,
@@ -28,18 +23,11 @@ from .provisioning import (
     candidate_links,
 )
 from .monitoring import MonitorPlacement, coverage_of, place_monitors
-from .mrc import MrcScheme, RoutingConfiguration, build_mrc
-from .multiobjective import (
-    LatencyModel,
-    ParetoPath,
-    composite_route,
-    pareto_paths,
-)
 from .ospf import OspfWeightTable, export_ospf_weights, ospf_fidelity
 from .ratios import RatioResult, ratios_over_pairs
 from .riskroute import PairRoutes, RouteResult
 from .strategy import SweepStrategy, resolve_strategy
-from .sharedrisk import SharedRiskReport, shared_risk_report, storm_shared_fate
+from .sharedrisk import SharedRiskReport, shared_risk_report
 from .simulation import (
     SimulatedDisaster,
     SurvivalReport,
@@ -75,18 +63,12 @@ __all__ = [
     "CHARACTERISTIC_NAMES",
     "BackupPath",
     "mpls_link_failover",
-    "mpls_node_failover",
     "frr_backup_next_hops",
-    "LatencyModel",
-    "ParetoPath",
-    "pareto_paths",
-    "composite_route",
     "OspfWeightTable",
     "export_ospf_weights",
     "ospf_fidelity",
     "SharedRiskReport",
     "shared_risk_report",
-    "storm_shared_fate",
     "SimulatedDisaster",
     "SurvivalReport",
     "sample_disasters",
@@ -95,7 +77,4 @@ __all__ = [
     "MonitorPlacement",
     "place_monitors",
     "coverage_of",
-    "MrcScheme",
-    "RoutingConfiguration",
-    "build_mrc",
 ]

@@ -2,8 +2,8 @@
 
 The paper positions RiskRoute as the path-selection brain inside
 existing mechanisms: IP Fast Reroute wants a precomputed backup next hop
-per (destination, failed component); MPLS fast reroute wants an explicit
-failover path around a single link or node.  This module computes both
+per (destination, failed link); MPLS fast reroute wants an explicit
+failover path around a single link.  This module computes both
 using the bit-risk-miles metric, so the backup that gets installed is the
 risk-averse one.
 """
@@ -17,7 +17,7 @@ from ..graph.shortest_path import NoPathError
 from ..session import RoutingSession
 from .riskroute import RouteResult
 
-__all__ = ["BackupPath", "mpls_link_failover", "mpls_node_failover", "frr_backup_next_hops"]
+__all__ = ["BackupPath", "mpls_link_failover", "frr_backup_next_hops"]
 
 
 @dataclass(frozen=True)
@@ -42,17 +42,6 @@ def _session_without_edge(
     return RoutingSession(graph, session.model)
 
 
-def _session_without_node(
-    session: RoutingSession, node: str
-) -> RoutingSession:
-    graph = session.graph.copy()
-    if node in graph:
-        graph.remove_node(node)
-    # The removed node is still in the model, which is fine: a session
-    # only validates nodes present in the graph.
-    return RoutingSession(graph, session.model)
-
-
 def mpls_link_failover(
     session: RoutingSession, source: str, target: str, link: Tuple[str, str]
 ) -> Optional[BackupPath]:
@@ -65,23 +54,6 @@ def mpls_link_failover(
     except NoPathError:
         return None
     return BackupPath(failed=tuple(link), route=backup)
-
-
-def mpls_node_failover(
-    session: RoutingSession, source: str, target: str, node: str
-) -> Optional[BackupPath]:
-    """Min-bit-risk path avoiding one transit node.
-
-    Raises:
-        ValueError: when the failed node is the source or target.
-    """
-    if node in (source, target):
-        raise ValueError("cannot fail over around an endpoint")
-    try:
-        backup = _session_without_node(session, node).route(source, target)
-    except NoPathError:
-        return None
-    return BackupPath(failed=(node,), route=backup)
 
 
 def frr_backup_next_hops(

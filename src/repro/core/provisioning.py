@@ -600,11 +600,6 @@ class ProvisioningAnalyzer:
         )
         return scored[:top] if top is not None else scored
 
-    def best_single_link(self) -> Optional[LinkRecommendation]:
-        """Equation 4: the argmin candidate (None if no candidates)."""
-        ranked = self.rank_candidates(top=1)
-        return ranked[0] if ranked else None
-
     def greedy_links(
         self,
         count: int,

@@ -10,27 +10,24 @@ quantifies that:
 * **risk profile divergence** — the Jensen-Shannon divergence between
   the two networks' normalised per-PoP historical risk mass, evaluated
   on a common metro grid (0 = identical exposure),
-* **storm shared fate** — given one forecast snapshot, the populations
-  both networks would lose simultaneously.
+* **shared metro risk** — the risk mass the two profiles have in common.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
-from ..forecast.risk import ForecastSnapshot
 from ..geo.coords import CONTINENTAL_US
 from ..geo.distance import haversine_miles
 from ..geo.grid import GeoGrid
 from ..risk.historical import HistoricalRiskModel, default_historical_model
-from ..risk.impact import network_impact_model
 from ..stats.divergence import jensen_shannon_discrete
 from ..topology.network import Network
 
-__all__ = ["SharedRiskReport", "shared_risk_report", "storm_shared_fate"]
+__all__ = ["SharedRiskReport", "shared_risk_report"]
 
 #: Grid used to compare risk profiles (~1.7 degree metro-scale cells).
 _PROFILE_GRID = GeoGrid(CONTINENTAL_US, n_lat=15, n_lon=35)
@@ -113,29 +110,3 @@ def shared_risk_report(
         risk_profile_divergence=float(divergence),
         shared_metro_risk=shared,
     )
-
-
-def storm_shared_fate(
-    a: Network, b: Network, snapshot: ForecastSnapshot
-) -> Dict[str, float]:
-    """Population both networks lose simultaneously under one storm.
-
-    Returns a dict with each network's in-scope population share and the
-    joint share (the population served by storm-covered PoPs in *both*
-    networks' assignments).
-    """
-    def exposed_share(network: Network) -> float:
-        impact = network_impact_model(network)
-        return sum(
-            impact.share(pop.pop_id)
-            for pop in network.pops()
-            if snapshot.risk_at(pop.location) > 0
-        )
-
-    share_a = exposed_share(a)
-    share_b = exposed_share(b)
-    return {
-        "exposed_share_a": share_a,
-        "exposed_share_b": share_b,
-        "joint_exposure": min(share_a, share_b),
-    }

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 import numpy as np
 
 from ..disasters.catalog import catalog_of
-from ..disasters.events import DisasterEvent, EventType
+from ..disasters.events import EventType
 from ..engine import RoutingEngine
 from ..geo.coords import GeoPoint
 from ..geo.distance import distances_to_latlon_array
@@ -51,34 +51,11 @@ DAMAGE_RADIUS_MILES: Dict[str, float] = {
 
 @dataclass(frozen=True)
 class SimulatedDisaster:
-    """One sampled disaster occurrence.
-
-    ``year`` and ``identity`` carry the provenance of the historical
-    record the occurrence was resampled from (``identity`` is the
-    source :attr:`~repro.disasters.events.DisasterEvent.identity`), so
-    sampled disasters can be round-tripped into streaming ingest and
-    retired deterministically by a window slide.  Both default to
-    "unknown" for hand-built disasters.
-    """
+    """One sampled disaster occurrence."""
 
     event_type: str
     center: GeoPoint
     radius_miles: float
-    year: int = 0
-    identity: str = ""
-
-    def as_event(self, year: Optional[int] = None) -> "DisasterEvent":
-        """The occurrence as an ingestible :class:`DisasterEvent`.
-
-        Raises:
-            ValueError: when no plausible year is known (hand-built
-                disasters must pass one).
-        """
-        return DisasterEvent(
-            event_type=self.event_type,
-            location=self.center,
-            year=self.year if year is None else int(year),
-        )
 
 
 @dataclass(frozen=True)
@@ -142,8 +119,6 @@ def sample_disasters(
                 event_type=event_type,
                 center=event.location,
                 radius_miles=DAMAGE_RADIUS_MILES[event_type],
-                year=event.year,
-                identity=event.identity,
             )
         )
     return out

@@ -7,7 +7,6 @@ from .catalog import (
     event_kde,
     full_catalog,
     train_bandwidth,
-    trained_bandwidths,
 )
 from .events import (
     PAPER_EVENT_COUNTS,
@@ -44,7 +43,6 @@ __all__ = [
     "full_catalog",
     "catalog_of",
     "train_bandwidth",
-    "trained_bandwidths",
     "event_kde",
     "all_event_kdes",
     "PAPER_BANDWIDTHS",

@@ -25,7 +25,6 @@ __all__ = [
     "full_catalog",
     "catalog_of",
     "train_bandwidth",
-    "trained_bandwidths",
     "event_kde",
     "all_event_kdes",
     "PAPER_BANDWIDTHS",
@@ -44,9 +43,10 @@ PAPER_BANDWIDTHS: Dict[str, float] = {
 
 #: Bandwidths (miles) trained by :func:`train_bandwidth` on the default
 #: synthetic corpus, shipped as constants so the risk pipeline does not
-#: pay the ~20 s cross-validation on every import.  Regenerate with
-#: :func:`trained_bandwidths` (the Table 1 experiment asserts the two
-#: agree).
+#: pay the ~20 s cross-validation on every import.  Regenerate with the
+#: Table 1 experiment (``riskroute run table1``);
+#: ``benchmarks/test_bench_table1.py`` asserts that its training run
+#: rounds to these constants.
 PRETRAINED_BANDWIDTHS: Dict[str, float] = {
     EventType.FEMA_HURRICANE: 59.08,
     EventType.FEMA_TORNADO: 49.72,
@@ -113,14 +113,6 @@ def train_bandwidth(
         max_events=max_events,
         seed=seed,
     )
-
-
-def trained_bandwidths() -> Dict[str, float]:
-    """Trained bandwidth (miles) per event class."""
-    return {
-        event_type: train_bandwidth(event_type).best_bandwidth_miles
-        for event_type in EventType.ALL
-    }
 
 
 @lru_cache(maxsize=None)

@@ -108,18 +108,6 @@ class DisasterCatalog:
         """Stable per-event identities in catalog order."""
         return [event.identity for event in self._events]
 
-    def deduplicated(self) -> "DisasterCatalog":
-        """First occurrence of each identity, catalog order preserved."""
-        seen = set()
-        unique: List[DisasterEvent] = []
-        for event in self._events:
-            identity = event.identity
-            if identity in seen:
-                continue
-            seen.add(identity)
-            unique.append(event)
-        return DisasterCatalog(unique)
-
     def event_types(self) -> List[str]:
         """Distinct event types present, sorted."""
         return sorted({event.event_type for event in self._events})

@@ -7,9 +7,7 @@ Irene, 8 for Katrina and 115 for Sandy.
 
 from __future__ import annotations
 
-import numpy as np
-
-from ..forecast.risk import snapshot_from_advisory
+from ..forecast.risk import storm_scope
 from ..forecast.storms import case_study_storms, storm_advisories
 from ..topology.zoo import regional_networks, tier1_networks
 from .base import ExperimentResult, register
@@ -19,29 +17,11 @@ PAPER_HURRICANE_POPS = {"Irene": 86, "Katrina": 8, "Sandy": 115}
 
 
 def _scope_counts(advisories, pops):
-    if not pops:
-        return 0, 0
-    latlon = np.array(
-        [(p.location.lat, p.location.lon) for p in pops], dtype=np.float64
-    )
-    # One vectorised pass per advisory over every PoP at once.
-    best = np.zeros(len(pops), dtype=np.int64)
-    for advisory in advisories:
-        snapshot = snapshot_from_advisory(advisory)
-        np.maximum(best, snapshot.zone_levels_many(latlon), out=best)
-        if best.min() == 2:
-            break
-    # Collapse duplicate pop_ids (shared sites across networks) to the
-    # strongest level seen, matching the per-pop_id dict of the scalar
-    # implementation this replaced.
-    strongest = {}
-    for pop, level in zip(pops, best):
-        key = pop.pop_id
-        if int(level) > strongest.get(key, 0):
-            strongest[key] = int(level)
-    hurricane = sum(1 for level in strongest.values() if level == 2)
-    tropical = sum(1 for level in strongest.values() if level == 1)
-    return hurricane, tropical
+    scope = storm_scope(advisories, [p.location for p in pops])
+    # A pop_id shared by several sites counts once, at its strongest zone.
+    hurricane = {p.pop_id for p in pops if scope[p.location] == "hurricane"}
+    tropical = {p.pop_id for p in pops if scope[p.location] == "tropical"}
+    return len(hurricane), len(tropical - hurricane)
 
 
 @register("figure6")

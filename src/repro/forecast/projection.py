@@ -160,11 +160,6 @@ class AnticipatoryRiskField:
     ) -> None:
         self._weighted = anticipatory_snapshots(advisory, leads_hours)
 
-    @property
-    def field_count(self) -> int:
-        """Number of (current + projected) fields in play."""
-        return len(self._weighted)
-
     def risks_many(self, latlon_deg: "np.ndarray") -> "np.ndarray":
         """Max weighted forecast risk per (lat, lon) degree row.
 

@@ -5,7 +5,6 @@ from .distance import (
     EARTH_RADIUS_KM,
     EARTH_RADIUS_MILES,
     destination_point,
-    distances_to_point,
     haversine_km,
     haversine_miles,
     interpolate_great_circle,
@@ -24,7 +23,6 @@ from .regions import (
     STATE_BOXES,
     WEST_COAST,
     Region,
-    state_of,
     states_region,
 )
 
@@ -38,7 +36,6 @@ __all__ = [
     "haversine_km",
     "path_length_miles",
     "pairwise_distance_matrix",
-    "distances_to_point",
     "interpolate_great_circle",
     "destination_point",
     "GeoGrid",
@@ -53,6 +50,5 @@ __all__ = [
     "SOUTHEAST",
     "MOUNTAIN_WEST",
     "STATE_BOXES",
-    "state_of",
     "states_region",
 ]

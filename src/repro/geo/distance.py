@@ -25,7 +25,6 @@ __all__ = [
     "haversine_km",
     "path_length_miles",
     "pairwise_distance_matrix",
-    "distances_to_point",
     "distances_to_latlon_array",
     "interpolate_great_circle",
     "destination_point",
@@ -96,32 +95,13 @@ def pairwise_distance_matrix(points: Sequence[GeoPoint]) -> "np.ndarray":
     return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
 
 
-def distances_to_point(
-    points: Sequence[GeoPoint], target: GeoPoint
-) -> "np.ndarray":
-    """Return a length-N vector of haversine miles from each point to target."""
-    if not points:
-        return np.zeros(0, dtype=np.float64)
-    rad = _to_radian_arrays(points)
-    tlat, tlon = target.as_radians()
-    dlat = rad[:, 0] - tlat
-    dlon = rad[:, 1] - tlon
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + np.cos(rad[:, 0]) * math.cos(tlat) * np.sin(dlon / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
-
-
 def distances_to_latlon_array(
     latlon_deg: "np.ndarray", target: GeoPoint
 ) -> "np.ndarray":
     """Haversine miles from each (lat, lon) degree row to ``target``.
 
-    The array-native sibling of :func:`distances_to_point`, for callers
-    (forecast fields, KDE sweeps) that already hold coordinates as an
-    (M, 2) array rather than a GeoPoint sequence.
+    For callers (forecast fields, KDE sweeps) that already hold
+    coordinates as an (M, 2) array rather than a GeoPoint sequence.
     """
     latlon_deg = np.asarray(latlon_deg, dtype=np.float64)
     if latlon_deg.ndim != 2 or latlon_deg.shape[1] != 2:

@@ -26,7 +26,6 @@ __all__ = [
     "SOUTHEAST",
     "MOUNTAIN_WEST",
     "STATE_BOXES",
-    "state_of",
     "states_region",
 ]
 
@@ -111,9 +110,7 @@ MOUNTAIN_WEST = Region(
 )
 
 #: Coarse bounding boxes for the continental US states.  These are the
-#: axis-aligned extents of each state; neighbouring boxes overlap, so
-#: :func:`state_of` resolves a point to the state whose box centre is
-#: nearest among the candidates that contain it.
+#: axis-aligned extents of each state; neighbouring boxes overlap.
 STATE_BOXES: Dict[str, BoundingBox] = {
     "AL": BoundingBox(30.2, -88.5, 35.0, -84.9),
     "AR": BoundingBox(33.0, -94.6, 36.5, -89.6),
@@ -165,27 +162,6 @@ STATE_BOXES: Dict[str, BoundingBox] = {
     "WV": BoundingBox(37.2, -82.6, 40.6, -77.7),
     "WY": BoundingBox(41.0, -111.1, 45.0, -104.0),
 }
-
-
-def state_of(point: GeoPoint) -> str:
-    """Return the two-letter code of the state most plausibly containing
-    ``point``.
-
-    Where the coarse state boxes overlap, the candidate whose box centre is
-    closest in degrees wins.  Returns ``""`` for points outside every box
-    (e.g. offshore hurricane positions).
-    """
-    best_code = ""
-    best_dist = float("inf")
-    for code, box in STATE_BOXES.items():
-        if not box.contains(point):
-            continue
-        center = box.center
-        dist = (center.lat - point.lat) ** 2 + (center.lon - point.lon) ** 2
-        if dist < best_dist:
-            best_dist = dist
-            best_code = code
-    return best_code
 
 
 def states_region(codes: Iterable[str]) -> Region:

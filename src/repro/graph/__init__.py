@@ -1,19 +1,12 @@
-"""Graph substrate: weighted graphs, shortest paths, path enumeration."""
+"""Graph substrate: weighted graphs, shortest paths, connectivity."""
 
 from .components import (
-    articulation_points,
     bridges,
     connected_components,
     is_connected,
     largest_component,
 )
 from .core import EdgeExistsError, Graph, NodeNotFoundError
-from .paths import (
-    edge_disjoint_backup,
-    k_shortest_paths,
-    path_avoiding_edge,
-    path_avoiding_nodes,
-)
 from .shortest_path import (
     NoPathError,
     all_pairs_shortest_paths,
@@ -33,13 +26,8 @@ __all__ = [
     "shortest_path_length",
     "all_pairs_shortest_paths",
     "reconstruct_path",
-    "k_shortest_paths",
-    "path_avoiding_nodes",
-    "path_avoiding_edge",
-    "edge_disjoint_backup",
     "connected_components",
     "is_connected",
     "largest_component",
-    "articulation_points",
     "bridges",
 ]

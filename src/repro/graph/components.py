@@ -3,7 +3,8 @@
 Topology builders must emit connected networks (a disconnected ISP map
 would make all-pairs bit-risk miles undefined), and the disaster case
 studies ask which PoPs become unreachable when the storm-covered nodes
-fail.  Both needs reduce to connected components and articulation points.
+fail.  Both needs reduce to connected components; the topology builders
+also ask for bridges, the links they must never prune.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ __all__ = [
     "connected_components",
     "is_connected",
     "largest_component",
-    "articulation_points",
     "bridges",
 ]
 
@@ -64,56 +64,6 @@ def largest_component(graph: Graph[N]) -> List[N]:
     if not components:
         return []
     return max(components, key=len)
-
-
-def articulation_points(graph: Graph[N]) -> Set[N]:
-    """Nodes whose removal increases the number of components.
-
-    Iterative Hopcroft-Tarjan DFS (no recursion limit issues on the
-    233-PoP Level3 topology).
-    """
-    visited: Set[N] = set()
-    disc: Dict[N, int] = {}
-    low: Dict[N, int] = {}
-    parent: Dict[N, N] = {}
-    points: Set[N] = set()
-    timer = 0
-
-    for root in graph.nodes():
-        if root in visited:
-            continue
-        stack = [(root, iter(graph.neighbors(root)))]
-        visited.add(root)
-        disc[root] = low[root] = timer
-        timer += 1
-        root_children = 0
-
-        while stack:
-            node, neighbors = stack[-1]
-            advanced = False
-            for neighbor in neighbors:
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    disc[neighbor] = low[neighbor] = timer
-                    timer += 1
-                    parent[neighbor] = node
-                    if node == root:
-                        root_children += 1
-                    stack.append((neighbor, iter(graph.neighbors(neighbor))))
-                    advanced = True
-                    break
-                elif neighbor != parent.get(node):
-                    low[node] = min(low[node], disc[neighbor])
-            if not advanced:
-                stack.pop()
-                if stack:
-                    above = stack[-1][0]
-                    low[above] = min(low[above], low[node])
-                    if above != root and low[node] >= disc[above]:
-                        points.add(above)
-        if root_children > 1:
-            points.add(root)
-    return points
 
 
 def bridges(graph: Graph[N]) -> List[tuple]:

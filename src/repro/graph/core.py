@@ -126,19 +126,6 @@ class Graph(Generic[N]):
         self._edge_count -= 1
         self.version += 1
 
-    def remove_node(self, node: N) -> None:
-        """Remove ``node`` and all incident edges.
-
-        Raises:
-            NodeNotFoundError: if the node is absent.
-        """
-        if node not in self._adj:
-            raise NodeNotFoundError(node)
-        for neighbor in list(self._adj[node]):
-            self.remove_edge(node, neighbor)
-        del self._adj[node]
-        self.version += 1
-
     # -- queries -----------------------------------------------------------
 
     def __contains__(self, node: N) -> bool:
@@ -226,22 +213,6 @@ class Graph(Generic[N]):
         clone._adj = {node: dict(neighbors) for node, neighbors in self._adj.items()}
         clone._edge_count = self._edge_count
         return clone
-
-    def subgraph(self, nodes: Iterable[N]) -> "Graph[N]":
-        """Return the induced subgraph on ``nodes``.
-
-        Unknown nodes are ignored so callers can pass over-approximate
-        node sets (e.g. "PoPs not under the storm").
-        """
-        keep = {n for n in nodes if n in self._adj}
-        sub: Graph[N] = Graph()
-        for node in self._adj:
-            if node in keep:
-                sub.add_node(node)
-        for u, v, weight in self.edges():
-            if u in keep and v in keep:
-                sub.add_edge(u, v, weight)
-        return sub
 
     def __repr__(self) -> str:
         return f"Graph(nodes={self.node_count}, edges={self.edge_count})"

@@ -193,10 +193,6 @@ class RiskModel:
             + self.gamma_f * self.forecast_risk(pop_id)
         )
 
-    def node_risks(self) -> Dict[str, float]:
-        """``node_risk`` for every PoP."""
-        return {pop_id: self.node_risk(pop_id) for pop_id in self._shares}
-
     def mean_pop_risk(self) -> float:
         """Mean o_h across PoPs (Table 3's "average PoP risk")."""
         if not self._oh:

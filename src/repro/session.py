@@ -238,8 +238,9 @@ class RoutingSession:
 
         Raises:
             ValueError: in graph mode (candidate generation needs PoP
-                coordinates), for ``k < 1``, for ``top < 1`` when
-                ranking, or for ``verify_every < 1`` in a greedy run.
+                coordinates), for ``k``, ``top`` or ``verify_every``
+                below 1 (at any ``k``), or for ``candidates`` with
+                ``k > 1`` (the greedy run draws its own).
         """
         if self.network is None:
             raise ValueError(
@@ -247,6 +248,12 @@ class RoutingSession:
             )
         if k < 1:
             raise ValueError("k must be >= 1")
+        if top is not None and top < 1:
+            raise ValueError("top must be >= 1")
+        if verify_every is not None and verify_every < 1:
+            raise ValueError("verify_every must be >= 1")
+        if candidates is not None and k > 1:
+            raise ValueError("candidates apply only to k == 1")
         from .core.provisioning import ProvisioningAnalyzer
 
         analyzer = ProvisioningAnalyzer(

@@ -5,24 +5,10 @@ from .bandwidth import (
     cross_validate_bandwidth,
     log_space_candidates,
 )
-from .divergence import (
-    empirical_kl_from_loglik,
-    jensen_shannon_discrete,
-    kl_divergence_discrete,
-)
+from .divergence import empirical_kl_from_loglik, jensen_shannon_discrete
 from .kde import GaussianKDE, points_to_array
-from .regression import (
-    LinearFit,
-    linear_regression,
-    pearson_correlation,
-    r_squared,
-)
-from .sampling import (
-    sample_gaussian_cluster,
-    sample_mixture,
-    sample_uniform_box,
-    weighted_choice_indices,
-)
+from .regression import LinearFit, linear_regression, r_squared
+from .sampling import sample_gaussian_cluster, sample_mixture
 
 __all__ = [
     "GaussianKDE",
@@ -30,15 +16,11 @@ __all__ = [
     "BandwidthSearchResult",
     "cross_validate_bandwidth",
     "log_space_candidates",
-    "kl_divergence_discrete",
     "empirical_kl_from_loglik",
     "jensen_shannon_discrete",
     "LinearFit",
     "linear_regression",
     "r_squared",
-    "pearson_correlation",
-    "sample_uniform_box",
     "sample_gaussian_cluster",
     "sample_mixture",
-    "weighted_choice_indices",
 ]

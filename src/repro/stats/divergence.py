@@ -4,7 +4,8 @@ The paper selects kernel bandwidths by 5-way cross validation with the
 Kullback-Leibler divergence as the distance metric (Section 5.2).  For a
 held-out empirical sample, minimising the KL divergence from the sample to
 the fitted density is equivalent to maximising the mean held-out
-log-likelihood; both forms are provided.
+log-likelihood, which is the form provided here.  The Jensen-Shannon
+divergence compares two discrete risk profiles (shared-risk analysis).
 """
 
 from __future__ import annotations
@@ -14,38 +15,9 @@ from typing import Sequence
 import numpy as np
 
 __all__ = [
-    "kl_divergence_discrete",
     "empirical_kl_from_loglik",
     "jensen_shannon_discrete",
 ]
-
-
-def kl_divergence_discrete(
-    p: Sequence[float], q: Sequence[float]
-) -> float:
-    """KL(P || Q) for two discrete distributions on the same support.
-
-    Zero cells in ``p`` contribute nothing; zero cells in ``q`` where
-    ``p`` has mass yield ``inf``, as usual.
-
-    Raises:
-        ValueError: on length mismatch, negative entries, or when either
-            vector does not sum to ~1.
-    """
-    p_arr = np.asarray(p, dtype=np.float64)
-    q_arr = np.asarray(q, dtype=np.float64)
-    if p_arr.shape != q_arr.shape:
-        raise ValueError("p and q must have the same shape")
-    if (p_arr < 0).any() or (q_arr < 0).any():
-        raise ValueError("probabilities must be non-negative")
-    for name, arr in (("p", p_arr), ("q", q_arr)):
-        total = arr.sum()
-        if not np.isclose(total, 1.0, atol=1e-6):
-            raise ValueError(f"{name} must sum to 1, sums to {total}")
-    mask = p_arr > 0
-    if (q_arr[mask] == 0).any():
-        return float("inf")
-    return float(np.sum(p_arr[mask] * np.log(p_arr[mask] / q_arr[mask])))
 
 
 def empirical_kl_from_loglik(log_likelihoods: Sequence[float]) -> float:

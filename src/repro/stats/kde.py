@@ -347,11 +347,6 @@ class GaussianKDE:
         return self._events.shape[0]
 
     @property
-    def events_array(self) -> "np.ndarray":
-        """The (N, 2) (lat, lon) event array (do not mutate)."""
-        return self._events
-
-    @property
     def fingerprint(self) -> str:
         """Content fingerprint of the estimate: events x bandwidth x
         truncation.  Keys the persistent risk-field cache."""

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["LinearFit", "linear_regression", "r_squared", "pearson_correlation"]
+__all__ = ["LinearFit", "linear_regression", "r_squared"]
 
 
 @dataclass(frozen=True)
@@ -113,29 +113,3 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
     with np.errstate(over="ignore"):  # an infinite residual is R^2 = 0
         ss_res = float(np.sum(((obs - pred) / spread) ** 2))
     return max(0.0, 1.0 - ss_res / ss_tot)
-
-
-def pearson_correlation(x: Sequence[float], y: Sequence[float]) -> float:
-    """Pearson correlation coefficient in [-1, 1].
-
-    Returns 0.0 when either vector is constant.
-    """
-    x_arr = np.asarray(x, dtype=np.float64)
-    y_arr = np.asarray(y, dtype=np.float64)
-    if x_arr.shape != y_arr.shape:
-        raise ValueError("x and y must have the same length")
-    if x_arr.size < 2:
-        raise ValueError("need at least two points")
-    dx = x_arr - x_arr.mean()
-    dy = y_arr - y_arr.mean()
-    x_scale = _spread(x_arr, dx)
-    y_scale = _spread(y_arr, dy)
-    if x_scale == 0.0 or y_scale == 0.0:
-        return 0.0
-    # Rescaled to O(1) like linear_regression: squares of deviations
-    # below ~1e-154 underflow, losing the variance or its precision.
-    ux = dx / x_scale
-    uy = dy / y_scale
-    rho = float(np.sum(ux * uy) / np.sqrt(np.sum(ux * ux) * np.sum(uy * uy)))
-    # Rounding can carry a perfect correlation a few ulps past +-1.
-    return min(1.0, max(-1.0, rho))

@@ -15,25 +15,12 @@ import numpy as np
 from ..geo.coords import BoundingBox, GeoPoint
 
 __all__ = [
-    "sample_uniform_box",
     "sample_gaussian_cluster",
     "sample_mixture",
-    "weighted_choice_indices",
 ]
 
 #: Degrees of latitude per statute mile (1 degree latitude ~ 69.05 miles).
 _DEGREES_PER_MILE_LAT = 1.0 / 69.05
-
-
-def sample_uniform_box(
-    rng: "np.random.Generator", box: BoundingBox, count: int
-) -> List[GeoPoint]:
-    """Sample ``count`` points uniformly inside a bounding box."""
-    if count < 0:
-        raise ValueError("count must be non-negative")
-    lats = rng.uniform(box.south, box.north, size=count)
-    lons = rng.uniform(box.west, box.east, size=count)
-    return [GeoPoint(float(lat), float(lon)) for lat, lon in zip(lats, lons)]
 
 
 def sample_gaussian_cluster(
@@ -111,18 +98,3 @@ def sample_mixture(
             sample_gaussian_cluster(rng, center, spread, int(n), clamp=clamp)
         )
     return points
-
-
-def weighted_choice_indices(
-    rng: "np.random.Generator", weights: Sequence[float], count: int
-) -> "np.ndarray":
-    """Draw ``count`` indices with probability proportional to weights."""
-    arr = np.asarray(weights, dtype=np.float64)
-    if arr.size == 0:
-        raise ValueError("weights must be non-empty")
-    if (arr < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = arr.sum()
-    if total <= 0:
-        raise ValueError("weights must have positive total")
-    return rng.choice(arr.size, size=count, p=arr / total)

@@ -1,8 +1,8 @@
-"""Topology substrate: the 23-network corpus, peering, GraphML IO."""
+"""Topology substrate: the 23-network corpus, peering, GraphML input."""
 
 from .builders import build_network, mesh_links, place_pops
 from .cities import ALL_CITIES, City, cities_in_states, city_by_name, top_cities
-from .graphml import read_graphml, write_graphml
+from .graphml import read_graphml
 from .interdomain import (
     CO_LOCATION_MILES,
     CandidatePeering,
@@ -51,5 +51,4 @@ __all__ = [
     "CandidatePeering",
     "CO_LOCATION_MILES",
     "read_graphml",
-    "write_graphml",
 ]

@@ -1,9 +1,8 @@
-"""GraphML input/output compatible with the Internet Topology Zoo.
+"""GraphML input compatible with the Internet Topology Zoo.
 
 Topology Zoo files are GraphML with per-node ``label``, ``Latitude`` and
 ``Longitude`` attributes.  This module lets a real Zoo map drop into the
-reproduction in place of a synthetic network, and lets any synthetic
-network round-trip to the same format for external tooling.
+reproduction in place of a synthetic network.
 
 Nodes without coordinates (a handful of Zoo maps have satellite or
 unlabeled nodes) are skipped, along with their incident edges, matching
@@ -18,7 +17,7 @@ from typing import Dict, IO, Optional, Union
 from ..geo.coords import GeoPoint
 from .network import Network, NetworkTier, PoP
 
-__all__ = ["read_graphml", "write_graphml"]
+__all__ = ["read_graphml"]
 
 _NS = "http://graphml.graphdrawing.org/xmlns"
 
@@ -100,54 +99,3 @@ def read_graphml(
             continue
         network.add_link(pop_a, pop_b)
     return network
-
-
-def write_graphml(network: Network, destination: Union[str, IO[bytes]]) -> None:
-    """Serialize a network to Topology Zoo-style GraphML.
-
-    Args:
-        network: the network to write.
-        destination: a filename or a binary file-like object.
-    """
-    ET.register_namespace("", _NS)
-    root = ET.Element(_tag("graphml"))
-    keys = {
-        "label": ("d_label", "string"),
-        "Latitude": ("d_lat", "double"),
-        "Longitude": ("d_lon", "double"),
-        "Network": ("d_net", "string"),
-    }
-    for attr_name, (key_id, attr_type) in keys.items():
-        key_el = ET.SubElement(root, _tag("key"))
-        key_el.set("id", key_id)
-        key_el.set("for", "graph" if attr_name == "Network" else "node")
-        key_el.set("attr.name", attr_name)
-        key_el.set("attr.type", attr_type)
-
-    graph_el = ET.SubElement(root, _tag("graph"))
-    graph_el.set("edgedefault", "undirected")
-    net_data = ET.SubElement(graph_el, _tag("data"))
-    net_data.set("key", keys["Network"][0])
-    net_data.text = network.name
-
-    index_of: Dict[str, str] = {}
-    for i, pop in enumerate(network.pops()):
-        node_el = ET.SubElement(graph_el, _tag("node"))
-        node_el.set("id", str(i))
-        index_of[pop.pop_id] = str(i)
-        for attr_name, value in (
-            ("label", pop.city),
-            ("Latitude", repr(pop.location.lat)),
-            ("Longitude", repr(pop.location.lon)),
-        ):
-            data_el = ET.SubElement(node_el, _tag("data"))
-            data_el.set("key", keys[attr_name][0])
-            data_el.text = value
-
-    for link in network.links():
-        edge_el = ET.SubElement(graph_el, _tag("edge"))
-        edge_el.set("source", index_of[link.pop_a])
-        edge_el.set("target", index_of[link.pop_b])
-
-    tree = ET.ElementTree(root)
-    tree.write(destination, xml_declaration=True, encoding="UTF-8")

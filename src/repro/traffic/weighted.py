@@ -14,11 +14,11 @@ from dataclasses import dataclass
 
 from ..core.ratios import RatioResult
 from ..core.riskroute import PairRoutes
-from ..core.strategy import SweepStrategy, auto_strategy, resolve_strategy
+from ..core.strategy import auto_strategy, resolve_strategy
 from ..session import RoutingSession
 from .gravity import TrafficMatrix
 
-__all__ = ["TrafficWeightedResult", "traffic_weighted_ratios", "bit_risk_volume"]
+__all__ = ["TrafficWeightedResult", "traffic_weighted_ratios"]
 
 
 @dataclass(frozen=True)
@@ -94,24 +94,3 @@ def traffic_weighted_ratios(
         shortest_volume=shortest_volume,
         riskroute_volume=riskroute_volume,
     )
-
-
-def bit_risk_volume(
-    session: RoutingSession, matrix: TrafficMatrix, risk_aware: bool = True
-) -> float:
-    """Total demand-weighted bit-risk miles under one routing policy
-    (per-source RiskRoute paths, or shortest paths)."""
-    total = 0.0
-    for source in matrix.pop_ids:
-        routes = (
-            session.routes_from(source, SweepStrategy.PER_SOURCE)
-            if risk_aware
-            else session.shortest_from(source)
-        )
-        for target, route in routes.items():
-            try:
-                demand = matrix.demand(source, target)
-            except KeyError:
-                continue
-            total += demand * route.bit_risk_miles
-    return total

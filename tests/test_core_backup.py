@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.core.backup import (
-    frr_backup_next_hops,
-    mpls_link_failover,
-    mpls_node_failover,
-)
+from repro.core.backup import frr_backup_next_hops, mpls_link_failover
 from repro.session import RoutingSession
 
 
@@ -40,32 +36,6 @@ class TestMplsLinkFailover:
         )
         # west now reaches north only via ... actually south link removed,
         # west-north removed too => west is isolated.
-        assert backup is None
-
-
-class TestMplsNodeFailover:
-    def test_failover_avoids_node(self, session):
-        backup = mpls_node_failover(
-            session, "diamond:west", "diamond:east", "diamond:north"
-        )
-        assert backup is not None
-        assert "diamond:north" not in backup.path
-        assert backup.path[0] == "diamond:west"
-        assert backup.path[-1] == "diamond:east"
-
-    def test_endpoint_failure_rejected(self, session):
-        with pytest.raises(ValueError):
-            mpls_node_failover(
-                session, "diamond:west", "diamond:east", "diamond:west"
-            )
-
-    def test_none_when_disconnecting(self, diamond_network, diamond_model):
-        net = diamond_network.copy()
-        net.remove_link("diamond:west", "diamond:south")
-        session = RoutingSession(net.distance_graph(), diamond_model)
-        backup = mpls_node_failover(
-            session, "diamond:west", "diamond:east", "diamond:north"
-        )
         assert backup is None
 
 

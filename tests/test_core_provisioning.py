@@ -93,16 +93,15 @@ class TestAnalyzer:
         totals = [r.aggregate_bit_risk for r in ranked]
         assert totals == sorted(totals)
 
-    def test_best_single_link_bridges_the_detour(self):
+    def test_top_ranked_link_bridges_the_detour(self):
         analyzer = ProvisioningAnalyzer(chain_network(), chain_model())
-        best = analyzer.best_single_link()
-        assert best is not None
+        (best,) = analyzer.rank_candidates(top=1)
         assert {best.candidate.pop_a, best.candidate.pop_b} == {
             "chain:a",
             "chain:d",
         }
 
-    def test_best_single_link_none_when_no_candidates(self):
+    def test_ranking_empty_when_no_candidates(self):
         net = Network("tiny")
         net.add_pop(PoP("tiny:a", "A", GeoPoint(39.0, -100.0)))
         net.add_pop(PoP("tiny:b", "B", GeoPoint(39.0, -99.0)))
@@ -110,7 +109,7 @@ class TestAnalyzer:
         shares = {"tiny:a": 0.5, "tiny:b": 0.5}
         model = RiskModel(shares, dict.fromkeys(shares, 1e-3), dict.fromkeys(shares, 0.0))
         analyzer = ProvisioningAnalyzer(net, model)
-        assert analyzer.best_single_link() is None
+        assert analyzer.rank_candidates(top=1) == []
 
     def test_via_edge_score_matches_recomputation(self):
         """The via-edge composition must match a full re-analysis after
@@ -118,7 +117,7 @@ class TestAnalyzer:
         net = chain_network()
         model = chain_model()
         analyzer = ProvisioningAnalyzer(net, model)
-        best = analyzer.best_single_link()
+        (best,) = analyzer.rank_candidates(top=1)
         augmented = net.copy()
         augmented.add_link(best.candidate.pop_a, best.candidate.pop_b)
         recomputed = ProvisioningAnalyzer(augmented, model).aggregate_bit_risk()

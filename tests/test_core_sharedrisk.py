@@ -4,8 +4,7 @@ import math
 
 import pytest
 
-from repro.core.sharedrisk import shared_risk_report, storm_shared_fate
-from repro.forecast.risk import ForecastSnapshot
+from repro.core.sharedrisk import shared_risk_report
 from repro.geo.coords import GeoPoint
 from repro.risk.historical import HistoricalRiskModel
 from repro.stats.kde import GaussianKDE
@@ -64,26 +63,3 @@ class TestSharedRiskReport:
         # Heavy metro overlap between two nationwide tier-1s.
         assert report.colocation_fraction_a > 0.5
         assert report.shared_metro_risk > 0.3
-
-
-class TestStormSharedFate:
-    def test_joint_exposure(self, teliasonera):
-        from repro.topology.zoo import network_by_name
-
-        snapshot = ForecastSnapshot(GeoPoint(40.5, -74.0), 150.0, 400.0)
-        fate = storm_shared_fate(
-            teliasonera, network_by_name("NTT"), snapshot
-        )
-        assert 0.0 < fate["exposed_share_a"] <= 1.0
-        assert 0.0 < fate["exposed_share_b"] <= 1.0
-        assert fate["joint_exposure"] <= min(
-            fate["exposed_share_a"], fate["exposed_share_b"]
-        ) + 1e-9
-
-    def test_clear_weather_zero(self, teliasonera):
-        from repro.topology.zoo import network_by_name
-
-        snapshot = ForecastSnapshot(GeoPoint(25.0, -60.0), 50.0, 100.0)
-        fate = storm_shared_fate(teliasonera, network_by_name("NTT"), snapshot)
-        assert fate["exposed_share_a"] == 0.0
-        assert fate["joint_exposure"] == 0.0

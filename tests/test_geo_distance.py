@@ -7,7 +7,6 @@ from repro.geo.coords import GeoPoint
 from repro.geo.distance import (
     EARTH_RADIUS_MILES,
     destination_point,
-    distances_to_point,
     haversine_km,
     haversine_miles,
     interpolate_great_circle,
@@ -81,14 +80,6 @@ class TestMatrixForms:
         matrix = pairwise_distance_matrix([NYC, LA])
         assert matrix[0, 0] == 0.0
         assert matrix[1, 1] == 0.0
-
-    def test_distances_to_point(self):
-        out = distances_to_point([NYC, LA], CHICAGO)
-        assert out[0] == pytest.approx(haversine_miles(NYC, CHICAGO))
-        assert out[1] == pytest.approx(haversine_miles(LA, CHICAGO))
-
-    def test_distances_to_point_empty(self):
-        assert distances_to_point([], NYC).shape == (0,)
 
 
 class TestInterpolation:

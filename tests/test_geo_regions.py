@@ -9,7 +9,6 @@ from repro.geo.regions import (
     Region,
     STATE_BOXES,
     WEST_COAST,
-    state_of,
     states_region,
 )
 
@@ -56,13 +55,6 @@ class TestStates:
         for code in STATE_BOXES:
             assert len(code) == 2
             assert code.isupper()
-
-    def test_state_of_known_cities(self):
-        assert state_of(GeoPoint(30.27, -97.74)) == "TX"   # Austin
-        assert state_of(GeoPoint(44.94, -93.09)) == "MN"   # St. Paul
-
-    def test_state_of_offshore_empty(self):
-        assert state_of(GeoPoint(25.0, -60.0)) == ""
 
     def test_states_region_contains_member_states(self):
         region = states_region(["TX", "OK"])

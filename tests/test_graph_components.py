@@ -3,7 +3,6 @@
 import pytest
 
 from repro.graph.components import (
-    articulation_points,
     bridges,
     connected_components,
     is_connected,
@@ -61,28 +60,6 @@ class TestLargestComponent:
 
     def test_empty(self):
         assert largest_component(Graph()) == []
-
-
-class TestArticulationPoints:
-    def test_bridge_endpoints_are_articulation(self):
-        points = articulation_points(two_triangles_with_bridge())
-        assert points == {"c", "d"}
-
-    def test_cycle_has_none(self):
-        g = Graph.from_edges(
-            [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]
-        )
-        assert articulation_points(g) == set()
-
-    def test_path_interior_nodes(self):
-        g = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("c", "d", 1.0)])
-        assert articulation_points(g) == {"b", "c"}
-
-    def test_star_center(self):
-        g = Graph.from_edges(
-            [("hub", "s1", 1.0), ("hub", "s2", 1.0), ("hub", "s3", 1.0)]
-        )
-        assert articulation_points(g) == {"hub"}
 
 
 class TestBridges:

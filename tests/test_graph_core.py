@@ -80,18 +80,6 @@ class TestMutation:
         with pytest.raises(KeyError):
             g.remove_edge("a", "b")
 
-    def test_remove_node_removes_incident_edges(self):
-        g = triangle()
-        g.remove_node("a")
-        assert g.node_count == 2
-        assert g.edge_count == 1
-        assert g.has_edge("b", "c")
-
-    def test_remove_missing_node(self):
-        g = triangle()
-        with pytest.raises(NodeNotFoundError):
-            g.remove_node("zzz")
-
 
 class TestQueries:
     def test_contains(self):
@@ -154,17 +142,6 @@ class TestCopies:
         clone = g.copy()
         clone.remove_edge("a", "b")
         assert g.has_edge("a", "b")
-
-    def test_subgraph_keeps_internal_edges(self):
-        g = triangle()
-        sub = g.subgraph(["a", "b"])
-        assert sub.node_count == 2
-        assert sub.has_edge("a", "b")
-        assert not sub.has_edge("a", "c")
-
-    def test_subgraph_ignores_unknown_nodes(self):
-        sub = triangle().subgraph(["a", "ghost"])
-        assert sub.node_count == 1
 
     def test_repr(self):
         assert "nodes=3" in repr(triangle())

@@ -6,8 +6,7 @@ import warnings
 
 import pytest
 
-from repro import RiskModel, RoutingSession
-from repro.core.mrc import build_mrc
+from repro import RoutingSession
 from repro.core.strategy import SweepStrategy, resolve_strategy
 from repro.topology.zoo import network_by_name
 from tests.conftest import build_diamond_model, build_diamond_network
@@ -70,9 +69,19 @@ class TestFacadeParity:
         with pytest.raises(ValueError):
             session.provision()
 
-    def test_provision_bad_k(self, session):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"k": 0},
+            {"k": 2, "top": -5},
+            {"k": 1, "verify_every": 0},
+            {"k": 2, "candidates": []},
+        ],
+        ids=["k0", "k2-top", "k1-verify", "k2-candidates"],
+    )
+    def test_provision_bad_k(self, session, kwargs):
         with pytest.raises(ValueError):
-            session.provision(k=0)
+            session.provision(**kwargs)
 
 
 class TestModelLifecycle:
@@ -235,20 +244,6 @@ class TestOwnEngine:
     """Each session builds one engine and keeps it: sessions over one
     topology never swap models on a shared engine, and only a mutation
     of the session's own graph replaces it."""
-
-    def test_mrc_configurations_keep_their_sweeps(self):
-        network = network_by_name("Sprint")
-        scheme = build_mrc(
-            network.distance_graph(), RiskModel.for_network(network)
-        )
-        first, second = scheme.configurations()[:2]
-        source, target = network.pop_ids()[0], network.pop_ids()[-1]
-        for _ in range(3):
-            first.route(source, target)
-            second.route(source, target)
-        for config in (first, second):
-            assert _sweep_counters(config.session.engine) == (1, 0)
-        assert first.session.engine is not second.session.engine
 
     def test_with_gammas_sibling_keeps_its_sweeps(self):
         network = network_by_name("Sprint")

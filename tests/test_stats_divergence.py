@@ -4,50 +4,7 @@ import math
 
 import pytest
 
-from repro.stats.divergence import (
-    empirical_kl_from_loglik,
-    jensen_shannon_discrete,
-    kl_divergence_discrete,
-)
-
-
-class TestKLDiscrete:
-    def test_identical_distributions_zero(self):
-        p = [0.25, 0.25, 0.5]
-        assert kl_divergence_discrete(p, p) == pytest.approx(0.0)
-
-    def test_known_value(self):
-        p = [0.5, 0.5]
-        q = [0.9, 0.1]
-        expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-        assert kl_divergence_discrete(p, q) == pytest.approx(expected)
-
-    def test_asymmetry(self):
-        p = [0.5, 0.5]
-        q = [0.9, 0.1]
-        assert kl_divergence_discrete(p, q) != pytest.approx(
-            kl_divergence_discrete(q, p)
-        )
-
-    def test_zero_in_p_ignored(self):
-        assert kl_divergence_discrete([0.0, 1.0], [0.5, 0.5]) == pytest.approx(
-            math.log(2.0)
-        )
-
-    def test_zero_in_q_infinite(self):
-        assert kl_divergence_discrete([0.5, 0.5], [1.0, 0.0]) == float("inf")
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            kl_divergence_discrete([1.0], [0.5, 0.5])
-
-    def test_unnormalized_rejected(self):
-        with pytest.raises(ValueError):
-            kl_divergence_discrete([0.5, 0.2], [0.5, 0.5])
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            kl_divergence_discrete([-0.5, 1.5], [0.5, 0.5])
+from repro.stats.divergence import empirical_kl_from_loglik, jensen_shannon_discrete
 
 
 class TestEmpiricalKL:

@@ -5,35 +5,10 @@ import pytest
 
 from repro.geo.coords import BoundingBox, GeoPoint
 from repro.geo.distance import haversine_miles
-from repro.stats.sampling import (
-    sample_gaussian_cluster,
-    sample_mixture,
-    sample_uniform_box,
-    weighted_choice_indices,
-)
+from repro.stats.sampling import sample_gaussian_cluster, sample_mixture
 
 BOX = BoundingBox(30.0, -100.0, 40.0, -90.0)
 CENTER = GeoPoint(35.0, -95.0)
-
-
-class TestUniform:
-    def test_count_and_containment(self):
-        rng = np.random.default_rng(0)
-        points = sample_uniform_box(rng, BOX, 200)
-        assert len(points) == 200
-        assert all(BOX.contains(p) for p in points)
-
-    def test_deterministic(self):
-        a = sample_uniform_box(np.random.default_rng(5), BOX, 10)
-        b = sample_uniform_box(np.random.default_rng(5), BOX, 10)
-        assert a == b
-
-    def test_negative_count(self):
-        with pytest.raises(ValueError):
-            sample_uniform_box(np.random.default_rng(0), BOX, -1)
-
-    def test_zero_count(self):
-        assert sample_uniform_box(np.random.default_rng(0), BOX, 0) == []
 
 
 class TestGaussianCluster:
@@ -99,22 +74,3 @@ class TestMixture:
                 [(CENTER, 10.0, 0.0)],
                 10,
             )
-
-
-class TestWeightedChoice:
-    def test_respects_weights(self):
-        rng = np.random.default_rng(6)
-        picks = weighted_choice_indices(rng, [0.0, 1.0, 0.0], 50)
-        assert set(picks.tolist()) == {1}
-
-    def test_empty_weights(self):
-        with pytest.raises(ValueError):
-            weighted_choice_indices(np.random.default_rng(0), [], 5)
-
-    def test_negative_weights(self):
-        with pytest.raises(ValueError):
-            weighted_choice_indices(np.random.default_rng(0), [1.0, -1.0], 5)
-
-    def test_zero_total(self):
-        with pytest.raises(ValueError):
-            weighted_choice_indices(np.random.default_rng(0), [0.0, 0.0], 5)

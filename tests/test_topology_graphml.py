@@ -1,11 +1,11 @@
-"""Tests for repro.topology.graphml round-tripping."""
+"""Tests for repro.topology.graphml."""
 
 import io
 
 import pytest
 
-from repro.topology.graphml import read_graphml, write_graphml
-from repro.topology.zoo import network_by_name
+from repro.geo.distance import haversine_miles
+from repro.topology.graphml import read_graphml
 
 ZOO_SAMPLE = """<?xml version="1.0" encoding="utf-8"?>
 <graphml xmlns="http://graphml.graphdrawing.org/xmlns">
@@ -47,6 +47,15 @@ class TestRead:
         madison = net.pop("SampleNet:Madison")
         assert madison.location.lat == pytest.approx(43.07)
 
+    def test_link_length_is_great_circle(self):
+        net = read_graphml(io.StringIO(ZOO_SAMPLE))
+        (link,) = net.links()
+        expected = haversine_miles(
+            net.pop("SampleNet:Madison").location,
+            net.pop("SampleNet:Chicago").location,
+        )
+        assert link.length_miles == pytest.approx(expected, rel=1e-12)
+
     def test_name_override(self):
         net = read_graphml(io.StringIO(ZOO_SAMPLE), name="Override")
         assert net.name == "Override"
@@ -56,30 +65,3 @@ class TestRead:
         bad = '<?xml version="1.0"?><graphml xmlns="http://graphml.graphdrawing.org/xmlns"/>'
         with pytest.raises(ValueError):
             read_graphml(io.StringIO(bad))
-
-
-class TestRoundTrip:
-    def test_corpus_network_round_trips(self, tmp_path):
-        original = network_by_name("Deutsche")
-        path = tmp_path / "deutsche.graphml"
-        write_graphml(original, str(path))
-        restored = read_graphml(str(path))
-        assert restored.pop_count == original.pop_count
-        assert restored.link_count == original.link_count
-        # Locations survive exactly (repr round-trip).
-        for pop in original.pops():
-            match = [
-                p
-                for p in restored.pops()
-                if p.location == pop.location
-            ]
-            assert match, pop.pop_id
-
-    def test_round_trip_preserves_lengths(self, tmp_path):
-        original = network_by_name("NTT")
-        path = tmp_path / "ntt.graphml"
-        write_graphml(original, str(path))
-        restored = read_graphml(str(path))
-        assert restored.total_link_miles() == pytest.approx(
-            original.total_link_miles(), rel=1e-9
-        )

@@ -5,7 +5,7 @@ import pytest
 
 from repro.session import RoutingSession
 from repro.traffic.gravity import TrafficMatrix, gravity_matrix
-from repro.traffic.weighted import bit_risk_volume, traffic_weighted_ratios
+from repro.traffic.weighted import traffic_weighted_ratios
 from tests.conftest import (
     build_diamond_model,
     build_diamond_network,
@@ -112,13 +112,6 @@ class TestWeightedEvaluation:
         assert result.ratios.pair_count > 0
         assert 0.0 <= result.ratios.risk_reduction_ratio < 1.0
         assert result.volume_reduction >= 0.0
-
-    def test_volume_ordering(self, diamond_network, diamond_model):
-        session = RoutingSession(diamond_network, diamond_model)
-        matrix = gravity_matrix(diamond_network)
-        risky = bit_risk_volume(session, matrix, risk_aware=True)
-        baseline = bit_risk_volume(session, matrix, risk_aware=False)
-        assert risky <= baseline + 1e-9
 
     def test_weighted_vs_uniform_differ(self, teliasonera, teliasonera_model):
         session = RoutingSession(

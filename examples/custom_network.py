@@ -16,7 +16,7 @@ Run:
     python examples/custom_network.py
 """
 
-from repro import RiskModel, RoutingSession, network_by_name
+from repro import RiskModel, RoutingSession
 from repro.core import frr_backup_next_hops
 from repro.disasters import EventType, all_event_kdes
 from repro.geo import GeoPoint

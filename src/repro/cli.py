@@ -6,17 +6,26 @@ Subcommands::
     riskroute run table2          # regenerate one table/figure
     riskroute run all             # regenerate everything
     riskroute corpus              # summarize the 23-network corpus
-    riskroute route Level3 "Houston, TX" "Boston, MA" [--gamma-h 1e5]
-    riskroute ratios Level3 [--strategy per-source]
-    riskroute scenario Level3 --scenarios 500 [--no-defense]
+    riskroute pair Level3 "Level3:Houston, TX" "Level3:Boston, MA"
+    riskroute ratios Level3 [--strategy per-source] [--gamma-h 1e6]
+    riskroute scenario Level3 --scenarios 500 [--defense 0]
     riskroute serve Level3 --port 4174 [--shards 4]
     riskroute query --port 4174 ingest events.json [--now-year 2012]
     riskroute query --port 4174 route "Level3:Houston, TX" "Level3:Boston, MA"
 
-The ``riskroute query`` subcommands are generated from the server's op
-registry (:mod:`repro.server.ops`): each registered op contributes one
-subcommand whose arguments come from the op's declared parameters, so
-the CLI cannot drift from the wire protocol.
+Both the local op subcommands and the ``riskroute query`` subcommands
+are generated from the server's op registry (:mod:`repro.server.ops`):
+each registered op contributes one ``query`` subcommand whose arguments
+come from the op's declared parameters, and every op with a batch
+handler (``route``, ``pair``, ``ratios``, ``provision``, ``scenario``,
+``shared-risk``) also runs locally as ``riskroute <command> <network>
+[--gamma-h] [--gamma-f] <op params>``.  A local command builds a
+session and runs the request through
+:meth:`~repro.server.service.QueryService.execute_batch` — the daemon's
+own validation, dispatch and error mapping — and prints the reply's
+``result`` exactly as ``riskroute query`` does, so the CLI cannot drift
+from the wire protocol.  A reply error prints ``error [<code>]:
+<message>`` and exits 2.
 """
 
 from __future__ import annotations
@@ -29,6 +38,10 @@ from typing import List, Optional
 from . import __version__
 from .experiments import get_experiment, registered_experiments
 from .risk.model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
+from .server import ops
+from .server.coalesce import PendingRequest
+from .server.protocol import PROTOCOL_VERSION, Request
+from .server.service import QueryService
 from .session import RoutingSession
 from .topology.zoo import all_networks, network_by_name
 
@@ -65,123 +78,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub.add_parser("corpus", help="summarize the network corpus")
 
-    route_p = sub.add_parser("route", help="route one PoP pair")
-    route_p.add_argument("network", help="network name, e.g. Level3")
-    route_p.add_argument("source", help='source city key, e.g. "Houston, TX"')
-    route_p.add_argument("target", help='target city key, e.g. "Boston, MA"')
-    route_p.add_argument(
-        "--gamma-h", type=float, default=DEFAULT_GAMMA_H, dest="gamma_h"
-    )
-    route_p.add_argument(
-        "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
-    )
-
-    ratios_p = sub.add_parser(
-        "ratios", help="all-pairs rr/dr ratios for one network (Eq. 5/6)"
-    )
-    ratios_p.add_argument("network", help="network name, e.g. Level3")
-    ratios_p.add_argument(
-        "--strategy",
-        choices=("exact", "per-source"),
-        default=None,
-        help="sweep strategy (default: auto by network size)",
-    )
-    ratios_p.add_argument(
-        "--gamma-h", type=float, default=DEFAULT_GAMMA_H, dest="gamma_h"
-    )
-    ratios_p.add_argument(
-        "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
-    )
-
-    prov_p = sub.add_parser(
-        "provision",
-        help="Equation 4 link recommendations for one network",
-    )
-    prov_p.add_argument("network", help="network name, e.g. Level3")
-    prov_p.add_argument(
-        "--k", type=int, default=1,
-        help="links to add greedily (1 = rank candidates; default: 1)",
-    )
-    prov_p.add_argument(
-        "--top", type=int, default=10,
-        help="recommendations to print when ranking (default: 10)",
-    )
-    prov_p.add_argument(
-        "--verify-every", type=int, default=None, dest="verify_every",
-        help="re-verify incremental matrices against a rebuild every N "
-        "committed links (default: never)",
-    )
-    prov_p.add_argument(
-        "--gamma-h", type=float, default=DEFAULT_GAMMA_H, dest="gamma_h"
-    )
-    prov_p.add_argument(
-        "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
-    )
-
-    scen_p = sub.add_parser(
-        "scenario",
-        help="Monte Carlo cascading-failure comparison for one network",
-    )
-    scen_p.add_argument("network", help="network name, e.g. Level3")
-    scen_p.add_argument(
-        "--scenarios", type=int, default=500,
-        help="correlated-failure events to draw (default: 500)",
-    )
-    scen_p.add_argument(
-        "--seed", type=int, default=2013,
-        help="replay seed for the whole run (default: 2013)",
-    )
-    scen_p.add_argument(
-        "--srg-fraction", type=float, default=0.5, dest="srg_fraction",
-        help="probability a scenario activates a shared-risk group "
-        "(default: 0.5)",
-    )
-    scen_p.add_argument(
-        "--headroom", type=float, default=1.5,
-        help="capacity multiplier over baseline load, 0 = unlimited "
-        "(default: 1.5)",
-    )
-    scen_p.add_argument(
-        "--no-defense", action="store_true", dest="no_defense",
-        help="disable dynamic load redistribution (naive failover)",
-    )
-    scen_p.add_argument(
-        "--alternates", type=int, default=3,
-        help="alternates a defended shed is split across (default: 3)",
-    )
-    scen_p.add_argument(
-        "--sample-pairs", type=int, default=60, dest="sample_pairs",
-        help="survival route sample size (default: 60)",
-    )
-    scen_p.add_argument(
-        "--corridor-miles", type=float, default=50.0, dest="corridor_miles",
-        help="shared-risk corridor cell size in miles (default: 50)",
-    )
-    scen_p.add_argument(
-        "--json", action="store_true", dest="as_json",
-        help="emit the full report as JSON instead of the summary table",
-    )
-    scen_p.add_argument(
-        "--gamma-h", type=float, default=DEFAULT_GAMMA_H, dest="gamma_h"
-    )
-    scen_p.add_argument(
-        "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
-    )
+    for spec in ops.registered_ops():
+        if spec.handler is not None:
+            op_p = sub.add_parser(spec.command, help=spec.doc)
+            _add_session_args(op_p)
+            _add_op_args(op_p, spec)
 
     serve_p = sub.add_parser(
         "serve", help="run the async query daemon for one network"
     )
-    serve_p.add_argument("network", help="network name, e.g. Level3")
+    _add_session_args(serve_p)
     serve_p.add_argument("--host", default="127.0.0.1")
     serve_p.add_argument(
         "--port", type=int, default=4174,
         help="TCP port (0 picks an ephemeral port, printed on startup)",
-    )
-    serve_p.add_argument(
-        "--gamma-h", type=float, default=DEFAULT_GAMMA_H, dest="gamma_h"
-    )
-    serve_p.add_argument(
-        "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
     )
     serve_p.add_argument(
         "--max-pending", type=int, default=256, dest="max_pending",
@@ -218,37 +128,75 @@ def build_parser() -> argparse.ArgumentParser:
         "this many times with backoff (default: 0)",
     )
     qsub = query_p.add_subparsers(dest="query_op", required=True)
-    _add_query_subcommands(qsub)
+    for spec in ops.registered_ops():
+        _add_op_args(qsub.add_parser(spec.command, help=spec.doc), spec)
     return parser
 
 
-def _add_query_subcommands(qsub) -> None:
-    """One ``riskroute query`` subcommand per registered op.
+def _add_session_args(parser: argparse.ArgumentParser) -> None:
+    """The network and Eq. 1 gamma arguments a session is built from."""
+    parser.add_argument("network", help="network name, e.g. Level3")
+    parser.add_argument(
+        "--gamma-h", type=float, default=DEFAULT_GAMMA_H, dest="gamma_h"
+    )
+    parser.add_argument(
+        "--gamma-f", type=float, default=DEFAULT_GAMMA_F, dest="gamma_f"
+    )
 
-    Each op's CLI-exposed parameters (``Param.cli`` hints) become
-    argparse arguments — positionals for required endpoints, flags with
-    the declared type/choices otherwise.  Ops with no CLI-exposed
-    params (``stats``, ``health``) get bare subcommands.
+
+def _add_op_args(parser: argparse.ArgumentParser, spec: ops.OpSpec) -> None:
+    """One argparse argument per CLI-exposed param of ``spec``.
+
+    ``Param.cli`` hints give positionals for required endpoints and
+    flags with the declared type/choices otherwise.  Flags default to
+    None, so an unset flag leaves the param to the op's own default.
     """
-    from .server import ops
+    for param in spec.params:
+        if param.cli is None:
+            continue
+        hints = dict(param.cli)
+        hints.pop("loader", None)
+        positional = hints.pop("positional", False)
+        flag = hints.pop("flag", None)
+        help_text = param.doc
+        if param.default is not None:
+            help_text += f" (default: {param.default})"
+        hints.setdefault("help", help_text)
+        if positional:
+            parser.add_argument(param.name, **hints)
+        else:
+            parser.add_argument(flag, dest=param.name, default=None, **hints)
 
-    for spec in ops.registered_ops():
-        sub_parser = qsub.add_parser(spec.command, help=spec.doc)
-        for param in spec.params:
-            if param.cli is None:
-                continue
-            hints = dict(param.cli)
-            hints.pop("loader", None)
-            hints.pop("dest", None)
-            positional = hints.pop("positional", False)
-            flag = hints.pop("flag", None)
-            hints.setdefault("help", param.doc)
-            if positional:
-                sub_parser.add_argument(param.name, **hints)
-            else:
-                sub_parser.add_argument(
-                    flag, dest=param.name, default=None, **hints
-                )
+
+def _op_params(spec: ops.OpSpec, args: argparse.Namespace) -> dict:
+    """The wire params of ``spec`` that were given on the command line,
+    with any declared loader (e.g. the update-forecast JSON file) run."""
+    params = {}
+    for param in spec.params:
+        if param.cli is None:
+            continue
+        value = getattr(args, param.name, None)
+        if value is None:
+            continue
+        loader = param.cli.get("loader")
+        if loader is not None:
+            value = loader(value)
+        params[param.name] = value
+    return params
+
+
+def _session(args: argparse.Namespace) -> Optional[RoutingSession]:
+    """The session for ``args.network`` at the requested gammas, or
+    None after one stderr line for a network outside the corpus."""
+    try:
+        network = network_by_name(args.network)
+    except KeyError as exc:
+        print(exc, file=sys.stderr)
+        return None
+    model = RiskModel.for_network(
+        network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
+    )
+    return RoutingSession(network, model)
 
 
 def _cmd_list() -> int:
@@ -296,167 +244,25 @@ def _cmd_corpus() -> int:
     return 0
 
 
-def _cmd_route(
-    network_name: str, source_city: str, target_city: str,
-    gamma_h: float, gamma_f: float,
-) -> int:
-    try:
-        network = network_by_name(network_name)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
+def _cmd_op(spec: ops.OpSpec, args: argparse.Namespace) -> int:
+    """Run one op locally, through the daemon's batch executor."""
+    session = _session(args)
+    if session is None:
         return 2
-    source = f"{network_name}:{source_city}"
-    target = f"{network_name}:{target_city}"
-    if not network.has_pop(source) or not network.has_pop(target):
-        print(
-            f"PoP not found; available cities: "
-            f"{sorted({p.city for p in network.pops()})[:20]} ...",
-            file=sys.stderr,
-        )
+    item = PendingRequest(
+        request=Request(
+            op=spec.name, params=_op_params(spec, args), v=PROTOCOL_VERSION
+        ),
+        writer=None,
+        arrived=0.0,
+    )
+    QueryService(session).execute_batch([item])
+    reply = json.loads(item.reply)
+    if not reply["ok"]:
+        error = reply["error"]
+        print(f"error [{error['code']}]: {error['message']}", file=sys.stderr)
         return 2
-    model = RiskModel.for_network(network, gamma_h=gamma_h, gamma_f=gamma_f)
-    pair = RoutingSession(network, model).pair(source, target)
-    print(f"shortest  ({pair.shortest.bit_miles:8.1f} mi, "
-          f"{pair.shortest.bit_risk_miles:10.1f} brm): "
-          + " > ".join(p.split(":", 1)[1] for p in pair.shortest.path))
-    print(f"riskroute ({pair.riskroute.bit_miles:8.1f} mi, "
-          f"{pair.riskroute.bit_risk_miles:10.1f} brm): "
-          + " > ".join(p.split(":", 1)[1] for p in pair.riskroute.path))
-    return 0
-
-
-def _cmd_ratios(
-    network_name: str, strategy: Optional[str],
-    gamma_h: float, gamma_f: float,
-) -> int:
-    try:
-        network = network_by_name(network_name)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    model = RiskModel.for_network(network, gamma_h=gamma_h, gamma_f=gamma_f)
-    result = RoutingSession(network, model).all_pairs(strategy=strategy)
-    print(f"network     {network.name} ({network.pop_count} PoPs)")
-    print(f"pairs       {result.pair_count}")
-    print(f"rr (Eq. 5)  {result.risk_reduction_ratio:.4f}")
-    print(f"dr (Eq. 6)  {result.distance_increase_ratio:.4f}")
-    return 0
-
-
-def _cmd_provision(args) -> int:
-    try:
-        network = network_by_name(args.network)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.k < 1 or args.top < 1 or (
-        args.verify_every is not None and args.verify_every < 1
-    ):
-        print("--k, --top and --verify-every must be >= 1", file=sys.stderr)
-        return 2
-    from .core.provisioning import ProvisioningAnalyzer
-
-    model = RiskModel.for_network(
-        network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
-    )
-    analyzer = ProvisioningAnalyzer(network, model)
-    if args.k == 1:
-        recs = analyzer.rank_candidates(top=args.top)
-    else:
-        recs = analyzer.greedy_links(
-            args.k, verify_every=args.verify_every
-        )
-    for rank, rec in enumerate(recs, start=1):
-        print(
-            f"{rank:2d}. {rec.candidate.pop_a.split(':', 1)[-1]} <-> "
-            f"{rec.candidate.pop_b.split(':', 1)[-1]} "
-            f"({rec.candidate.length_miles:7.1f} mi, "
-            f"{rec.fraction_of_baseline:.4f} of baseline)"
-        )
-    stats = analyzer.stats
-    print(
-        f"sweeps: {stats.sweeps_run} run, {stats.sweeps_avoided} avoided; "
-        f"{stats.candidates_scored} candidates scored, "
-        f"{stats.matrix_updates} incremental updates"
-        + (
-            f"; max verify deviation {stats.max_verify_deviation:.3e}"
-            if stats.verifications
-            else ""
-        )
-    )
-    return 0
-
-
-def _cmd_scenario(args) -> int:
-    try:
-        network = network_by_name(args.network)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    from .scenario import CascadeConfig, ScenarioConfig, run_monte_carlo
-
-    model = RiskModel.for_network(
-        network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
-    )
-    try:
-        config = ScenarioConfig(
-            scenarios=args.scenarios,
-            seed=args.seed,
-            srg_fraction=args.srg_fraction,
-            corridor_miles=args.corridor_miles,
-            sample_pairs=args.sample_pairs,
-            cascade=CascadeConfig(
-                headroom=None if args.headroom == 0 else args.headroom,
-                redistribute=not args.no_defense,
-                alternates=args.alternates,
-            ),
-        )
-        report = run_monte_carlo(network, model, config)
-    except ValueError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    if args.as_json:
-        print(json.dumps(report.as_dict(), indent=2, sort_keys=True))
-        return 0
-    print(
-        f"network          {report.network} "
-        f"({network.pop_count} PoPs, {network.link_count} links)"
-    )
-    print(
-        f"scenarios        {report.scenarios} "
-        f"({report.srg_activations} SRG activations over "
-        f"{report.srg_groups} groups, "
-        f"{report.disaster_events} disasters), seed {report.seed}"
-    )
-    print(f"{'metric':24s} {'shortest':>10s} {'riskroute':>10s}")
-    rows = [
-        ("route survival", "route_survival", "{:10.4f}"),
-        ("demand survival", "demand_survival", "{:10.4f}"),
-        ("unserved demand", "unserved_demand", "{:10.4f}"),
-        ("mean cascade depth", "mean_cascade_depth", "{:10.2f}"),
-        ("max cascade depth", "max_cascade_depth", "{:10d}"),
-        ("partitions", "partitions", "{:10d}"),
-    ]
-    for label, attr, fmt in rows:
-        print(
-            f"{label:24s} "
-            + fmt.format(getattr(report.shortest, attr))
-            + " "
-            + fmt.format(getattr(report.riskroute, attr))
-        )
-    mttf = (
-        "-" if report.riskroute.mttf_events is None
-        else f"{report.riskroute.mttf_events:.2f}"
-    )
-    mttf_sp = (
-        "-" if report.shortest.mttf_events is None
-        else f"{report.shortest.mttf_events:.2f}"
-    )
-    print(f"{'mttf (events)':24s} {mttf_sp:>10s} {mttf:>10s}")
-    print(
-        f"riskroute gain: +{report.survival_improvement:.4f} route "
-        f"survival, -{report.unserved_reduction:.4f} unserved demand"
-    )
+    print(json.dumps(reply["result"], indent=2, sort_keys=True))
     return 0
 
 
@@ -465,19 +271,28 @@ def _cmd_serve(args) -> int:
     import signal
 
     from .server import RiskRouteServer, ServerConfig
+    from .stats.fieldcache import default_field_cache
 
+    # Checked before the session is built: a bad flag costs no model
+    # build and ends in one line, not a traceback.
     try:
-        network = network_by_name(args.network)
-    except KeyError as exc:
+        config = ServerConfig(
+            host=args.host,
+            port=args.port,
+            max_pending=args.max_pending,
+            request_timeout=args.request_timeout,
+            batch_linger=args.batch_linger,
+            shards=args.shards,
+            replicas=args.replicas,
+        )
+    except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
     # Building the model pays the o_h KDE sweep on a cold cache; with a
     # warm persistent cache it is a fingerprint lookup.
-    from .stats.fieldcache import default_field_cache
-
-    model = RiskModel.for_network(
-        network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
-    )
+    session = _session(args)
+    if session is None:
+        return 2
     field_cache = default_field_cache()
     if field_cache is not None:
         hits = field_cache.stats.hits
@@ -488,22 +303,6 @@ def _cmd_serve(args) -> int:
             file=sys.stderr,
             flush=True,
         )
-    session = RoutingSession(network, model)
-    if args.shards < 0:
-        print("--shards must be >= 0", file=sys.stderr)
-        return 2
-    if args.replicas < 1:
-        print("--replicas must be >= 1", file=sys.stderr)
-        return 2
-    config = ServerConfig(
-        host=args.host,
-        port=args.port,
-        max_pending=args.max_pending,
-        request_timeout=args.request_timeout,
-        batch_linger=args.batch_linger,
-        shards=args.shards,
-        replicas=args.replicas,
-    )
 
     async def _amain() -> None:
         server = RiskRouteServer(session, config)
@@ -518,8 +317,8 @@ def _cmd_serve(args) -> int:
                 flush=True,
             )
         print(
-            f"serving {network.name} ({network.pop_count} PoPs) "
-            f"on {host}:{port}",
+            f"serving {session.network.name} "
+            f"({session.network.pop_count} PoPs) on {host}:{port}",
             flush=True,
         )
         stop = asyncio.Event()
@@ -560,27 +359,10 @@ def _cmd_query(args) -> int:
         print(f"cannot connect to {args.host}:{args.port}: {exc}",
               file=sys.stderr)
         return 2
-    from .server import ops
-
     try:
         with client:
-            # Registry-driven dispatch: recover the spec behind the
-            # subcommand, collect its CLI-exposed params (running any
-            # declared loader, e.g. the update-forecast JSON file), and
-            # call the generated client method.
             spec = ops.spec_for_cli(args.query_op)
-            params = {}
-            for param in spec.params:
-                if param.cli is None:
-                    continue
-                value = getattr(args, param.name, None)
-                if value is None:
-                    continue
-                loader = param.cli.get("loader")
-                if loader is not None:
-                    value = loader(value)
-                params[param.name] = value
-            result = getattr(client, spec.name)(**params)
+            result = getattr(client, spec.name)(**_op_params(spec, args))
             print(json.dumps(result, indent=2, sort_keys=True))
     except ServerError as exc:
         print(f"server error [{exc.code}]: {exc.message}", file=sys.stderr)
@@ -613,23 +395,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _cmd_run(args.experiment, fmt=args.fmt, output=args.output)
     if args.command == "corpus":
         return _cmd_corpus()
-    if args.command == "route":
-        return _cmd_route(
-            args.network, args.source, args.target, args.gamma_h, args.gamma_f
-        )
-    if args.command == "ratios":
-        return _cmd_ratios(
-            args.network, args.strategy, args.gamma_h, args.gamma_f
-        )
-    if args.command == "provision":
-        return _cmd_provision(args)
-    if args.command == "scenario":
-        return _cmd_scenario(args)
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "query":
         return _cmd_query(args)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    return _cmd_op(ops.spec_for_cli(args.command), args)
 
 
 if __name__ == "__main__":

@@ -35,7 +35,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..engine import ProvisioningStats, RoutingEngine
-from ..geo.distance import haversine_miles, pairwise_distance_matrix
+from ..geo.distance import pairwise_distance_matrix
 from ..risk.model import RiskModel
 from ..topology.interdomain import InterdomainTopology
 from ..topology.network import Network

@@ -60,8 +60,14 @@ class ScenarioConfig:
     def __post_init__(self) -> None:
         if self.scenarios < 1:
             raise ValueError("scenarios must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 <= self.srg_fraction <= 1.0:
             raise ValueError("srg_fraction must be within [0, 1]")
+        if self.corridor_miles <= 0:
+            raise ValueError("corridor_miles must be positive")
+        if self.sample_pairs < 1:
+            raise ValueError("sample_pairs must be >= 1")
 
 
 @dataclass(frozen=True)

@@ -18,10 +18,19 @@ chain is derived from this table:
 * client retry-safety (:data:`~repro.server.client.RETRY_SAFE_OPS`) and
   the typed per-op wrapper methods generated onto
   :class:`~repro.server.client.RiskRouteClient`,
-* the ``riskroute query`` CLI subcommands.
+* the ``riskroute query`` CLI subcommands, and the local ``riskroute
+  <command> <network>`` subcommand of every op with a handler.
 
 Adding an op is one table entry; the wire protocol, the coalescing
 plan, the shard router, the client and the CLI all pick it up.
+
+The checks here pin JSON types and shapes only.  A value's range is
+checked once, by the library the handler calls
+(:meth:`~repro.session.RoutingSession.provision`,
+:class:`~repro.scenario.ScenarioConfig`,
+:class:`~repro.scenario.cascade.CascadeConfig`); its ``ValueError`` is
+answered as ``bad_request``.  ``subscribe``'s ``since`` is the one range
+checked here, because the daemon itself is its only consumer.
 
 Classification semantics (:attr:`OpSpec.kind`):
 
@@ -44,7 +53,7 @@ from __future__ import annotations
 
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -118,28 +127,11 @@ def _check_int(name: str, value: Any) -> int:
         )
     return value
 
-def _check_positive_int(name: str, value: Any) -> int:
-    value = _check_int(name, value)
-    if value < 1:
-        raise ProtocolError(
-            "bad_request", f"param {name!r} must be >= 1, got {value!r}"
-        )
-    return value
-
 
 def _check_number(name: str, value: Any) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ProtocolError(
             "bad_request", f"param {name!r} must be a number, got {value!r}"
-        )
-    return value
-
-
-def _check_non_negative_number(name: str, value: Any) -> float:
-    value = _check_number(name, value)
-    if value < 0:
-        raise ProtocolError(
-            "bad_request", f"param {name!r} must be >= 0, got {value!r}"
         )
     return value
 
@@ -237,8 +229,9 @@ class Param:
         required: missing/None on the wire is a ``bad_request``.
         default: wire-level default applied during validation.
         check: ``(name, value) -> normalized`` validator; raises
-            :class:`ProtocolError` on a type/shape violation.  Run only
-            on present, non-None values.
+            :class:`ProtocolError` on a type/shape violation (ranges
+            are the library's to check).  Run only on present,
+            non-None values.
         cli: argparse exposure — ``None`` keeps the parameter off the
             CLI; otherwise a mapping of hints (``positional``, ``flag``,
             ``type``, ``choices``, ``metavar``, ``loader``).
@@ -275,8 +268,8 @@ class OpSpec:
             (``health``) — they bypass admission control entirely.
         fingerprint_reply: tag successful replies with the engine's
             risk fingerprint.
-        cli_name: ``riskroute query`` subcommand name when it differs
-            from the op name (e.g. ``update-forecast``).
+        cli_name: CLI subcommand name when it differs from the op
+            name (e.g. ``update-forecast``).
     """
 
     name: str
@@ -315,7 +308,8 @@ class OpSpec:
 
     @property
     def command(self) -> str:
-        """The ``riskroute query`` subcommand name."""
+        """The CLI subcommand name (``riskroute query <command>``, and
+        ``riskroute <command>`` for an op with a handler)."""
         return self.cli_name or self.name
 
     def param(self, name: str) -> Param:
@@ -401,13 +395,9 @@ def _handle_ratios(service, params: Dict[str, Any]) -> dict:
 
 
 def _handle_provision(service, params: Dict[str, Any]) -> dict:
-    try:
-        recs = service.session.provision(
-            k=params["k"], top=params["top"],
-            verify_every=params["verify_every"],
-        )
-    except ValueError as exc:
-        raise ProtocolError("bad_request", str(exc))
+    recs = service.session.provision(
+        k=params["k"], top=params["top"], verify_every=params["verify_every"],
+    )
     return {"recommendations": [recommendation_to_dict(r) for r in recs]}
 
 
@@ -487,11 +477,7 @@ def _load_json_file(path: str) -> Any:
 
 # -- the registry ------------------------------------------------------------
 
-_STRATEGY_CLI = {
-    "flag": "--strategy",
-    "choices": ("exact", "per-source"),
-    "help": "sweep strategy (default: server-side auto)",
-}
+_STRATEGY_CLI = {"flag": "--strategy", "choices": ("exact", "per-source")}
 
 REGISTRY: "Dict[str, OpSpec]" = {}
 
@@ -514,7 +500,8 @@ _register(OpSpec(
               example="diamond:west"),
         Param("target", "target PoP id", required=True, check=_check_str,
               cli={"positional": True}, example="diamond:east"),
-        Param("strategy", "sweep strategy (exact | per-source)",
+        Param("strategy",
+              "sweep strategy (exact | per-source; unset = exact)",
               check=_check_strategy, cli=_STRATEGY_CLI, example="exact"),
     ),
     handler=_handle_route,
@@ -544,7 +531,9 @@ _register(OpSpec(
     params=(
         Param("sources", "restrict source PoPs", check=_check_name_list),
         Param("targets", "restrict target PoPs", check=_check_name_list),
-        Param("strategy", "sweep strategy (exact | per-source)",
+        Param("strategy",
+              "sweep strategy (exact | per-source; unset = exact up to "
+              "60 PoPs, per-source above)",
               check=_check_strategy, cli=_STRATEGY_CLI, example="exact"),
     ),
     handler=_handle_ratios,
@@ -557,15 +546,15 @@ _register(OpSpec(
     doc="Equation 4 link recommendations.",
     params=(
         Param("k", "links to add greedily (1 = rank candidates)",
-              default=1, check=_check_positive_int,
+              default=1, check=_check_int,
               cli={"flag": "--k", "type": int}, example=2),
         Param("top", "truncate the ranking (ignored for k > 1)",
-              check=_check_positive_int,
+              check=_check_int,
               cli={"flag": "--top", "type": int}, example=3),
         Param("verify_every",
               "re-verify incremental matrices every N committed links "
               "(unset = never)",
-              check=_check_positive_int,
+              check=_check_int,
               cli={"flag": "--verify-every", "type": int}, example=1),
     ),
     handler=_handle_provision,
@@ -578,18 +567,18 @@ _register(OpSpec(
     doc="Monte Carlo cascading-failure comparison of both policies.",
     params=(
         Param("scenarios", "correlated-failure events to draw",
-              default=200, check=_check_positive_int,
+              default=200, check=_check_int,
               cli={"flag": "--scenarios", "type": int}, example=4),
         Param("seed", "replay seed for the whole run",
               default=2013, check=_check_int,
               cli={"flag": "--seed", "type": int}, example=7),
         Param("srg_fraction",
               "probability a scenario activates a shared-risk group",
-              default=0.5, check=_check_non_negative_number,
+              default=0.5, check=_check_number,
               cli={"flag": "--srg-fraction", "type": float}, example=0.5),
         Param("headroom",
               "capacity multiplier over baseline load (0 = unlimited)",
-              default=1.5, check=_check_non_negative_number,
+              default=1.5, check=_check_number,
               cli={"flag": "--headroom", "type": float}, example=1.2),
         Param("defense",
               "dynamic load redistribution across risk-aware alternates",
@@ -597,13 +586,13 @@ _register(OpSpec(
               cli={"flag": "--defense", "type": int, "choices": (0, 1)},
               example=1),
         Param("alternates", "alternates a defended shed is split across",
-              default=3, check=_check_positive_int,
+              default=3, check=_check_int,
               cli={"flag": "--alternates", "type": int}, example=2),
         Param("sample_pairs", "survival route sample size",
-              default=60, check=_check_positive_int,
+              default=60, check=_check_int,
               cli={"flag": "--sample-pairs", "type": int}, example=6),
         Param("corridor_miles", "shared-risk corridor cell size",
-              default=50.0, check=_check_non_negative_number,
+              default=50.0, check=_check_number,
               cli={"flag": "--corridor-miles", "type": float},
               example=50.0),
     ),
@@ -635,7 +624,6 @@ _register(OpSpec(
         Param("risk", "object of {pop_id: forecast_risk}", required=True,
               check=_check_risk_map,
               cli={"positional": True, "metavar": "risk_file",
-                   "dest": "risk",
                    "help": "JSON file of {pop_id: o_f} ('-' reads stdin)",
                    "loader": _load_json_file},
               example={}),
@@ -657,7 +645,6 @@ _register(OpSpec(
               "list of {event_type, lat, lon, year} disaster records",
               required=True, check=_check_event_list,
               cli={"positional": True, "metavar": "events_file",
-                   "dest": "events",
                    "help": "JSON file of [{event_type, lat, lon, year}] "
                            "records ('-' reads stdin)",
                    "loader": _load_json_file},

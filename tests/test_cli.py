@@ -1,8 +1,15 @@
 """Tests for the riskroute CLI."""
 
+import json
+
 import pytest
 
+from repro import RiskModel, RoutingSession
 from repro.cli import build_parser, main
+from repro.server import RiskRouteClient, ServerConfig, ServerThread, ops
+
+MIAMI = "Teliasonera:Miami, FL"
+SEATTLE = "Teliasonera:Seattle, WA"
 
 
 class TestParser:
@@ -87,6 +94,25 @@ class TestServeQueryParser:
     def test_serve_unknown_network(self, capsys):
         assert main(["serve", "Atlantisnet"]) == 2
 
+    @pytest.mark.parametrize("flag", [
+        ["--max-pending", "0"],
+        ["--batch-linger", "-1"],
+        ["--request-timeout", "-1"],
+        ["--shards", "-1"],
+        ["--replicas", "0"],
+    ])
+    def test_serve_bad_flag_exits_2_before_building(
+        self, capsys, monkeypatch, flag
+    ):
+        def no_build(*args, **kwargs):
+            raise AssertionError("serve built the model for a bad flag")
+
+        monkeypatch.setattr(RiskModel, "for_network", no_build)
+        assert main(["serve", "Teliasonera", *flag]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_query_connection_refused(self, capsys):
         # A port in TEST-NET territory nothing listens on.
         code = main(["query", "--port", "1", "--timeout", "2", "health"])
@@ -113,10 +139,14 @@ class TestServeQueryParser:
         ["ratios", "Level3", "--workers", "2"],
         ["scenario", "Level3", "--workers", "2"],
         ["ingest", "events.json"],
+        ["scenario", "Level3", "--no-defense"],
+        ["scenario", "Level3", "--json"],
     ])
     def test_removed_commands_and_flags_are_errors(self, argv):
-        # Sweeps and scenarios run serially, and ingest is one command
-        # (`query ingest`): no alias, no silently ignored flag.
+        # Sweeps and scenarios run serially, ingest is one command
+        # (`query ingest`), and the local commands take exactly the
+        # op's params (`--defense 0`; the reply is always JSON): no
+        # alias, no silently ignored flag.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2
@@ -200,15 +230,12 @@ class TestCommands:
 
     def test_route_roundtrip(self, capsys, teliasonera_model):
         code = main(
-            [
-                "route", "Teliasonera", "Miami, FL", "Seattle, WA",
-                "--gamma-h", "1e6",
-            ]
+            ["route", "Teliasonera", MIAMI, SEATTLE, "--gamma-h", "1e6"]
         )
         assert code == 0
-        out = capsys.readouterr().out
-        assert "shortest" in out
-        assert "riskroute" in out
+        route = json.loads(capsys.readouterr().out)
+        assert route["path"][0] == MIAMI
+        assert route["path"][-1] == SEATTLE
 
     def test_route_unknown_network(self, capsys):
         assert main(["route", "Comcast", "A", "B"]) == 2
@@ -219,4 +246,64 @@ class TestCommands:
     @pytest.mark.parametrize("top", ["0", "-2"])
     def test_provision_rejects_top_below_one(self, capsys, top):
         assert main(["provision", "Teliasonera", "--top", top]) == 2
-        assert "--top" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error [bad_request]: ")
+        assert err.count("\n") == 1
+        assert "top" in err
+
+
+#: One case per op with a handler: the local command's arguments after
+#: the network, and the same request as client keywords.  Provision and
+#: scenario leave their counts to the op's defaults.
+LOCAL_CASES = [
+    ("route", [MIAMI, SEATTLE, "--strategy", "per-source"],
+     {"source": MIAMI, "target": SEATTLE, "strategy": "per-source"}),
+    ("pair", [MIAMI, SEATTLE], {"source": MIAMI, "target": SEATTLE}),
+    ("ratios", [], {}),
+    ("provision", [], {}),
+    ("scenario", ["--defense", "0"], {"defense": 0}),
+    ("shared-risk", ["Sprint"], {"other": "Sprint"}),
+]
+
+
+@pytest.fixture(scope="module")
+def teliasonera_client(teliasonera, teliasonera_model):
+    """A client of an in-process daemon serving Teliasonera at the
+    default gammas."""
+    thread = ServerThread(
+        RoutingSession(teliasonera, teliasonera_model), ServerConfig()
+    )
+    host, port = thread.start()
+    try:
+        with RiskRouteClient(host, port, timeout=120) as client:
+            yield client
+    finally:
+        thread.stop()
+
+
+class TestLocalOps:
+    """The local op commands are generated from the registry and answer
+    exactly what the daemon answers."""
+
+    @pytest.mark.parametrize(
+        "command, argv, params", LOCAL_CASES, ids=[c[0] for c in LOCAL_CASES]
+    )
+    def test_local_stdout_is_the_wire_result(
+        self, capsys, teliasonera_client, command, argv, params
+    ):
+        handled = {s.command for s in ops.registered_ops() if s.handler}
+        assert {case[0] for case in LOCAL_CASES} == handled
+        assert main([command, "Teliasonera", *argv]) == 0
+        spec = ops.spec_for_cli(command)
+        result = getattr(teliasonera_client, spec.name)(**params)
+        expected = json.dumps(result, indent=2, sort_keys=True) + "\n"
+        assert capsys.readouterr().out == expected
+
+    def test_unset_flags_leave_the_op_defaults(self):
+        # scenario draws the op's 200 scenarios (not 500) and provision
+        # returns every recommendation (not the top 10).
+        scenario = build_parser().parse_args(["scenario", "Teliasonera"])
+        provision = build_parser().parse_args(["provision", "Teliasonera"])
+        assert scenario.scenarios is None and provision.top is None
+        assert ops.get_spec("scenario").param("scenarios").default == 200
+        assert ops.get_spec("provision").param("top").default is None

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.bitrisk import bit_miles, bit_risk_miles, path_metrics
-from tests.conftest import build_diamond_model, build_diamond_network
 
 
 @pytest.fixture

@@ -9,7 +9,6 @@ from repro.core.characteristics import (
     characteristics_of,
 )
 from repro.topology.peering import PeeringGraph
-from tests.conftest import build_diamond_model, build_diamond_network
 
 
 def make_features(count=5):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.monitoring import coverage_of, place_monitors
-from tests.conftest import build_diamond_model, build_diamond_network
 
 
 class TestPlacement:

@@ -13,7 +13,6 @@ from repro.core.simulation import (
 from repro.disasters.events import EventType
 from repro.geo.coords import GeoPoint
 from repro.topology.network import Network, PoP
-from tests.conftest import build_diamond_model, build_diamond_network
 
 
 class TestOspfExport:

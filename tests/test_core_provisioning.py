@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core.provisioning import (
-    CandidateLink,
     ProvisioningAnalyzer,
     best_new_peering,
     candidate_links,

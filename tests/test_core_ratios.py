@@ -4,7 +4,7 @@ import pytest
 
 from repro.core.ratios import RatioResult, ratios_over_pairs
 from repro.session import RoutingSession
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import build_diamond_model
 
 
 @pytest.fixture

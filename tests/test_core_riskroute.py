@@ -5,8 +5,7 @@ import pytest
 from repro.session import RoutingSession
 from repro.core.strategy import SweepStrategy
 from repro.graph.core import NodeNotFoundError
-from repro.graph.shortest_path import NoPathError
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import build_diamond_model
 from tests.oracles import risk_dijkstra
 
 

@@ -19,7 +19,7 @@ from repro.disasters.fema import FEMA_TOTAL_DECLARATIONS, fema_catalog
 from repro.disasters.generators import EVENT_MODELS, generate_events
 from repro.disasters.noaa import noaa_catalog
 from repro.geo.coords import CONTINENTAL_US, BoundingBox, GeoPoint
-from repro.geo.regions import CENTRAL_PLAINS, GULF_COAST, WEST_COAST
+from repro.geo.regions import CENTRAL_PLAINS, GULF_COAST
 
 
 class TestEvents:

@@ -24,11 +24,7 @@ from repro.engine import (
 from repro.graph.core import NodeNotFoundError
 from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
-from tests.conftest import (
-    build_diamond_model,
-    build_diamond_network,
-    build_zero_mile_world,
-)
+from tests.conftest import build_diamond_model, build_zero_mile_world
 from tests.oracles import reference_aggregates, risk_dijkstra
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.forecast.advisory import advisories_for_track, advisory_text
+from repro.forecast.advisory import advisory_text
 from repro.forecast.risk import (
     RHO_HURRICANE,
     RHO_TROPICAL,

@@ -1,7 +1,5 @@
 """Tests for repro.graph.components."""
 
-import pytest
-
 from repro.graph.components import (
     bridges,
     connected_components,

@@ -17,7 +17,7 @@ from repro.risk.model import RiskModel
 from repro.session import RoutingSession
 from repro.topology.interdomain import InterdomainTopology
 from repro.topology.peering import corpus_peering
-from repro.topology.zoo import network_by_name, regional_networks, tier1_networks
+from repro.topology.zoo import network_by_name, regional_networks
 
 
 @pytest.fixture(scope="module")

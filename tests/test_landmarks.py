@@ -9,8 +9,6 @@ at least the great-circle distance) and random alphas, and checks the
 property along with the pruning actually pruning.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings

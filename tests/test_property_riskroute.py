@@ -9,7 +9,6 @@ from repro.session import RoutingSession
 from repro.core.strategy import SweepStrategy
 from repro.engine import RoutingEngine
 from repro.graph.core import Graph
-from repro.graph.shortest_path import NoPathError
 from repro.risk.model import RiskModel
 from tests.conftest import examples
 from tests.oracles import reference_aggregates

@@ -9,7 +9,7 @@ from repro.population.assignment import network_population_shares
 from repro.population.census import synthetic_census
 from repro.risk.forecasted import ForecastedRiskModel, no_forecast
 from repro.risk.historical import RISK_UNIT_MILES, HistoricalRiskModel
-from repro.risk.impact import ImpactModel, network_impact_model
+from repro.risk.impact import network_impact_model
 from repro.risk.model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
 from repro.stats.kde import GaussianKDE
 from repro.topology.network import Network, PoP

@@ -83,6 +83,9 @@ class TestValidation:
         {"scenarios": 0},
         {"srg_fraction": 1.5},
         {"srg_fraction": -0.1},
+        {"seed": -1},
+        {"corridor_miles": 0},
+        {"sample_pairs": 0},
     ])
     def test_bad_config_rejected(self, overrides):
         with pytest.raises(ValueError):

@@ -32,7 +32,7 @@ from repro.server import (
 )
 from repro.server.protocol import pair_to_dict, ratios_to_dict, route_to_dict
 from repro.topology.zoo import network_by_name
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import build_diamond_model
 
 
 @pytest.fixture

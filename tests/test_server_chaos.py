@@ -39,7 +39,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import pair_to_dict, route_to_dict
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import build_diamond_model
 
 
 def _fast_retry(attempts: int = 5, seed: int = 0) -> RetryPolicy:

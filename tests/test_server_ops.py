@@ -334,6 +334,39 @@ class TestBatchValidation:
             assert replies[item.request.id].reply == item.reply
 
 
+class TestRangeChecks:
+    """Ranges are checked once, in the library the handler calls; the
+    service answers its ValueError as a bad_request naming the param."""
+
+    @pytest.mark.parametrize("op, params", [
+        ("provision", {"k": 0}),
+        ("provision", {"top": 0}),
+        ("provision", {"verify_every": 0}),
+        ("scenario", {"scenarios": 0}),
+        ("scenario", {"alternates": 0}),
+        ("scenario", {"sample_pairs": 0}),
+        ("scenario", {"srg_fraction": -0.1}),
+        ("scenario", {"srg_fraction": 1.5}),
+        ("scenario", {"headroom": -1}),
+        ("scenario", {"corridor_miles": 0}),
+        ("scenario", {"corridor_miles": -1}),
+        ("scenario", {"seed": -1}),
+    ])
+    def test_out_of_range_is_bad_request(self, op, params):
+        item = PendingRequest(
+            request=Request(op=op, id=1, params=params, v=PROTOCOL_VERSION),
+            writer=None, arrived=0.0,
+        )
+        QueryService(
+            RoutingSession(build_diamond_network(), build_diamond_model())
+        ).execute_batch([item])
+        assert item.ok is False
+        error = json.loads(item.reply)["error"]
+        assert error["code"] == "bad_request"
+        (name,) = params
+        assert name in error["message"]
+
+
 class TestWireVersioning:
     """The daemon's half of the version contract (satellite 3's peer)."""
 
@@ -429,9 +462,9 @@ class TestGeneratedClientWrappers:
             names = list(signature.parameters)
             assert names[0] == "self"
             declared = [p.name for p in spec.params]
-            # Hand-written methods (provision's deprecation shim,
-            # update_forecast's token plumbing) may extend the declared
-            # surface but never drop a declared param.
+            # Hand-written methods (update_forecast's and ingest's
+            # token plumbing) may extend the declared surface but never
+            # drop a declared param.
             for name in declared:
                 assert name in names, (spec.name, name)
 

@@ -2,14 +2,12 @@
 
 from __future__ import annotations
 
-import warnings
-
 import pytest
 
 from repro import RoutingSession
 from repro.core.strategy import SweepStrategy, resolve_strategy
 from repro.topology.zoo import network_by_name
-from tests.conftest import build_diamond_model, build_diamond_network
+from tests.conftest import build_diamond_model
 
 WEST, NORTH, EAST, SOUTH = (
     "diamond:west", "diamond:north", "diamond:east", "diamond:south"

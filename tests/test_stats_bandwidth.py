@@ -5,7 +5,6 @@ import pytest
 
 from repro.geo.coords import GeoPoint
 from repro.stats.bandwidth import (
-    BandwidthSearchResult,
     cross_validate_bandwidth,
     log_space_candidates,
 )

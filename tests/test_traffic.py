@@ -6,11 +6,7 @@ import pytest
 from repro.session import RoutingSession
 from repro.traffic.gravity import TrafficMatrix, gravity_matrix
 from repro.traffic.weighted import traffic_weighted_ratios
-from tests.conftest import (
-    build_diamond_model,
-    build_diamond_network,
-    build_zero_mile_world,
-)
+from tests.conftest import build_zero_mile_world
 
 
 class TestTrafficMatrix:

@@ -12,27 +12,6 @@ micro-benchmark statistic.
 
 from __future__ import annotations
 
-import os
-
-import pytest
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_field_cache(tmp_path_factory):
-    """Point the persistent risk-field cache at a per-session tmp dir.
-
-    Benchmarks measure real compute: a warm ~/.cache/riskroute would
-    silently skip the sweeps under test.
-    """
-    cache_dir = tmp_path_factory.mktemp("riskroute-cache")
-    previous = os.environ.get("RISKROUTE_CACHE_DIR")
-    os.environ["RISKROUTE_CACHE_DIR"] = str(cache_dir)
-    yield
-    if previous is None:
-        os.environ.pop("RISKROUTE_CACHE_DIR", None)
-    else:
-        os.environ["RISKROUTE_CACHE_DIR"] = previous
-
 
 def run_once(benchmark, func, *args, **kwargs):
     """Run an experiment exactly once under the benchmark timer."""

@@ -16,9 +16,8 @@ This file pins, on the full five-class corpus over Level3:
 * the incremental ``pop_risks`` match the rebuilt model's within 1e-9
   relative tolerance (the issue's parity oracle).
 
-Both paths run with ``cache=None``: the fingerprint-keyed disk cache
-is shared state, and a rebuild hitting fields the incremental path
-just wrote would measure the cache, not the sweep.
+Each path builds its own model, so neither reads an ``o_h`` vector the
+other memoized: the rebuild measures the sweep.
 """
 
 from __future__ import annotations
@@ -68,7 +67,7 @@ def test_ingest_vs_rebuild_level3(benchmark):
     network = network_by_name("Level3")
 
     streaming = StreamingHistoricalModel(
-        {et: catalog_of(et) for et in EventType.ALL}, cache=None
+        {et: catalog_of(et) for et in EventType.ALL}
     )
     # Warm: register the PoP rows as the tracked set, the state a
     # long-lived server is in when an ingest batch arrives.
@@ -94,8 +93,7 @@ def test_ingest_vs_rebuild_level3(benchmark):
             {
                 et: GaussianKDE.from_array(arr, PRETRAINED_BANDWIDTHS[et])
                 for et, arr in arrays.items()
-            },
-            cache=None,
+            }
         )
         return model.pop_risks(network)
 

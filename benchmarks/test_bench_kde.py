@@ -7,14 +7,12 @@ each query against only the events within 8 standard deviations, which
 for the trained bandwidths drops >90% of the kernel pairs while staying
 within ``exp(-32)/(2 pi sigma^2)`` of the dense value.
 
-This file pins three properties on the full five-class corpus over the
+This file pins two properties on the full five-class corpus over the
 largest network (Level3, 233 PoPs):
 
 * the truncated full-corpus ``pop_risks`` sweep is >= 5x faster than
-  the exact dense path (and within 2x of ``kde_baseline.json``),
-* truncated o_h matches exact o_h within 1e-9 relative tolerance, and
-* a second evaluation through a warm disk cache performs **zero** KDE
-  evaluations (instrumented: density_array raises if called).
+  the exact dense path (and within 2x of ``kde_baseline.json``), and
+* truncated o_h matches exact o_h within 1e-9 relative tolerance.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ import numpy as np
 
 from repro.disasters.catalog import PRETRAINED_BANDWIDTHS, catalog_of
 from repro.risk.historical import HistoricalRiskModel
-from repro.stats.fieldcache import RiskFieldCache
 from repro.stats.kde import GaussianKDE, points_to_array
 from repro.topology.zoo import network_by_name
 
@@ -39,7 +36,7 @@ BASELINE_PATH = Path(__file__).with_name("kde_baseline.json")
 MIN_SPEEDUP = 5.0
 
 
-def _models(tmp_path):
+def _models():
     """Exact and truncated five-class models over the same event arrays."""
     arrays = {
         event_type: points_to_array(catalog_of(event_type).locations())
@@ -51,23 +48,21 @@ def _models(tmp_path):
                 arr, PRETRAINED_BANDWIDTHS[et], cutoff_sigmas=None
             )
             for et, arr in arrays.items()
-        },
-        cache=None,
+        }
     )
     truncated = HistoricalRiskModel(
         {
             et: GaussianKDE.from_array(arr, PRETRAINED_BANDWIDTHS[et])
             for et, arr in arrays.items()
-        },
-        cache=RiskFieldCache(tmp_path / "kde-bench-cache"),
+        }
     )
     return exact, truncated
 
 
-def test_kde_truncation_speedup_level3(benchmark, tmp_path):
+def test_kde_truncation_speedup_level3(benchmark):
     network = network_by_name("Level3")
     latlon = points_to_array([p.location for p in network.pops()])
-    exact_model, truncated_model = _models(tmp_path)
+    exact_model, truncated_model = _models()
 
     t0 = time.perf_counter()
     dense = exact_model.risks_array(latlon)
@@ -93,31 +88,3 @@ def test_kde_truncation_speedup_level3(benchmark, tmp_path):
             f"baseline records {recorded:.1f}x"
         )
 
-
-def test_warm_cache_skips_kde_entirely(tmp_path, monkeypatch):
-    """With a warm disk cache, pop_risks never touches the kernels."""
-    network = network_by_name("Level3")
-    events = [p.location for p in network.pops()][:40]
-    cache_dir = tmp_path / "warm-cache"
-    kde_args = (points_to_array(events), 40.0)
-
-    cold_model = HistoricalRiskModel(
-        {"storm": GaussianKDE.from_array(*kde_args)},
-        cache=RiskFieldCache(cache_dir),
-    )
-    cold = cold_model.pop_risks(network)
-
-    # Fresh model (empty in-process memo), same fingerprint, same disk
-    # cache — and a KDE whose evaluation path is booby-trapped.
-    warm_model = HistoricalRiskModel(
-        {"storm": GaussianKDE.from_array(*kde_args)},
-        cache=RiskFieldCache(cache_dir),
-    )
-
-    def boom(*args, **kwargs):  # pragma: no cover - must never run
-        raise AssertionError("KDE evaluated despite a warm disk cache")
-
-    for kde in warm_model._kdes.values():
-        monkeypatch.setattr(kde.__class__, "density_array", boom)
-    warm = warm_model.pop_risks(network)
-    assert warm == cold

@@ -191,7 +191,7 @@ def _session(args: argparse.Namespace) -> Optional[RoutingSession]:
     try:
         network = network_by_name(args.network)
     except KeyError as exc:
-        print(exc, file=sys.stderr)
+        print(exc.args[0], file=sys.stderr)
         return None
     model = RiskModel.for_network(
         network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
@@ -218,7 +218,7 @@ def _cmd_run(experiment: str, fmt: str = "text", output: str = None) -> int:
         try:
             run = get_experiment(experiment_id)
         except KeyError as exc:
-            print(exc, file=sys.stderr)
+            print(exc.args[0], file=sys.stderr)
             return 2
         result = run()
         if output is not None:
@@ -271,7 +271,6 @@ def _cmd_serve(args) -> int:
     import signal
 
     from .server import RiskRouteServer, ServerConfig
-    from .stats.fieldcache import default_field_cache
 
     # Checked before the session is built: a bad flag costs no model
     # build and ends in one line, not a traceback.
@@ -288,21 +287,9 @@ def _cmd_serve(args) -> int:
     except ValueError as exc:
         print(exc, file=sys.stderr)
         return 2
-    # Building the model pays the o_h KDE sweep on a cold cache; with a
-    # warm persistent cache it is a fingerprint lookup.
     session = _session(args)
     if session is None:
         return 2
-    field_cache = default_field_cache()
-    if field_cache is not None:
-        hits = field_cache.stats.hits
-        # stderr: stdout carries the machine-read "serving ..." banner.
-        print(
-            f"risk-field cache at {field_cache.cache_dir}: "
-            f"{'warm (o_h loaded from disk)' if hits else 'cold (o_h computed)'}",
-            file=sys.stderr,
-            flush=True,
-        )
 
     async def _amain() -> None:
         server = RiskRouteServer(session, config)

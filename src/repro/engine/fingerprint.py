@@ -44,8 +44,9 @@ def combine_fingerprints(parts: Iterable[str]) -> str:
     """Hash a sequence of fingerprint/tag strings into one key.
 
     The same ``\\x00``-separated blake2b scheme as every other key in
-    this module, so composite cache keys (catalog x bandwidth x grid
-    spec) stay collision-resistant and platform-stable.
+    this module, so composite keys (the KDE and historical-model
+    fingerprints, the ``o_h`` memo key) stay collision-resistant and
+    platform-stable.
     """
     return _digest(parts)
 
@@ -53,9 +54,10 @@ def combine_fingerprints(parts: Iterable[str]) -> str:
 def array_fingerprint(arr) -> str:
     """Content hash of a NumPy array: dtype, shape, and raw bytes.
 
-    Used to key persistent risk-field caches by the exact event catalog
-    and query-point contents — ~10ms for the full 176k-event corpus,
-    negligible next to the sweep it guards.
+    Used to key the in-process ``o_h`` memo and the streaming KDE's
+    tracked point sets by the exact event catalog and query-point
+    contents — ~10ms for the full 176k-event corpus, negligible next
+    to the sweep it guards.
     """
     import numpy as np
 

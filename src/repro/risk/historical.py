@@ -16,12 +16,11 @@ gamma values (1e5, 1e6) in the regime where impact-scaled risk competes
 with route mileage: it was calibrated so the Level3 risk-reduction
 ratios at gamma_h = 1e5 and 1e6 land on the paper's Table 2 values.
 
-Computed ``o_h`` vectors are cached through the persistent
-:mod:`~repro.stats.fieldcache`, keyed by the model's content fingerprint
-(every event catalog, bandwidth, truncation, and class weight) times the
-query-point contents — so a warm cache answers ``pop_risks`` without
-evaluating a single kernel, and two different models (or two different
-networks that happen to share a name) can never collide.
+Each model memoizes the ``o_h`` vectors it computes, keyed by its
+content fingerprint (every event catalog, bandwidth, truncation, and
+class weight) times the query-point contents — so a repeated
+``pop_risks`` evaluates no kernel, and two different models (or two
+different networks that happen to share a name) can never collide.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 
 from ..disasters.catalog import all_event_kdes
 from ..geo.coords import GeoPoint
-from ..stats.fieldcache import CacheArg, content_key, resolve_cache
 from ..stats.kde import GaussianKDE, points_to_array
 from ..topology.network import Network
 
@@ -55,11 +53,6 @@ class HistoricalRiskModel:
         kdes: event-class -> fitted KDE.
         weights: optional per-class emphasis (Section 5.2's operator
             weights); defaults to 1.0 for every class present.
-        cache: persistent store for computed ``o_h`` vectors —
-            ``"default"`` resolves the process-wide
-            :func:`~repro.stats.fieldcache.default_field_cache`,
-            ``None`` disables persistence, or pass a
-            :class:`~repro.stats.fieldcache.RiskFieldCache` directly.
 
     Raises:
         ValueError: for empty models or negative weights.
@@ -69,7 +62,6 @@ class HistoricalRiskModel:
         self,
         kdes: Mapping[str, GaussianKDE],
         weights: Optional[Mapping[str, float]] = None,
-        cache: CacheArg = "default",
     ) -> None:
         if not kdes:
             raise ValueError("need at least one event-class KDE")
@@ -80,7 +72,6 @@ class HistoricalRiskModel:
             if weight < 0:
                 raise ValueError(f"negative weight for {event_type!r}")
             self._weights[event_type] = weight
-        self._cache_arg: CacheArg = cache
         self._fingerprint: Optional[str] = None
         self._memo: Dict[str, "np.ndarray"] = {}
         self._memo_lock = Lock()
@@ -91,15 +82,18 @@ class HistoricalRiskModel:
 
         Any change to the event catalog, a bandwidth, the truncation
         setting, or a class weight produces a different fingerprint —
-        this is what keys persisted ``o_h`` vectors.
+        this is what keys memoized ``o_h`` vectors.
         """
         if self._fingerprint is None:
+            # Lazy: repro.engine's package init imports this module.
+            from ..engine.fingerprint import combine_fingerprints
+
             parts = ["oh-model:v1"]
             for event_type in sorted(self._kdes):
                 parts.append(event_type)
                 parts.append(self._kdes[event_type].fingerprint)
                 parts.append(float(self._weights[event_type]).hex())
-            self._fingerprint = content_key(parts)
+            self._fingerprint = combine_fingerprints(parts)
         return self._fingerprint
 
     def event_types(self) -> Sequence[str]:
@@ -153,55 +147,38 @@ class HistoricalRiskModel:
         """Aggregate ``o_h`` at one location."""
         return float(self.risk_many([point])[0])
 
-    def cached_risks_array(self, latlon_deg: "np.ndarray") -> "np.ndarray":
-        """``risks_array`` through the in-process memo and disk cache.
-
-        The key covers the model fingerprint and the exact point
-        contents; a hit skips KDE evaluation entirely.
-        """
-        latlon_deg = np.asarray(latlon_deg, dtype=np.float64)
-        store = resolve_cache(self._cache_arg)
-        # Lazy: repro.engine's package init imports this module.
-        from ..engine.fingerprint import array_fingerprint
-
-        key = content_key(
-            ["oh", self.fingerprint, array_fingerprint(latlon_deg)]
-        )
-        with self._memo_lock:
-            memoized = self._memo.get(key)
-        if memoized is not None:
-            return memoized
-        values = None
-        if store is not None:
-            values = store.get("oh", key)
-            if values is not None and values.shape != (latlon_deg.shape[0],):
-                store.invalidate("oh", key)
-                values = None
-        if values is None:
-            values = self.risks_array(latlon_deg)
-            if store is not None:
-                store.put("oh", key, values)
-        with self._memo_lock:
-            if len(self._memo) >= _MEMO_LIMIT:
-                self._memo.clear()
-            self._memo[key] = values
-        return values
-
     def pop_risks(self, network: Network) -> Dict[str, float]:
         """``o_h`` for every PoP of a network, keyed by PoP id.
 
-        Served from the persistent risk-field cache when warm: the key
-        is the model fingerprint times the PoP coordinates, so renamed
-        or same-named-but-different networks always get correct values.
+        Memoized per model: the key is the model fingerprint times the
+        PoP coordinates, so a repeated call evaluates no kernel, and
+        renamed or same-named-but-different networks always get
+        correct values.
         """
+        # Lazy: repro.engine's package init imports this module.
+        from ..engine.fingerprint import (
+            array_fingerprint,
+            combine_fingerprints,
+        )
+
         pops = network.pops()
         latlon = points_to_array([p.location for p in pops])
-        risks = self.cached_risks_array(latlon)
+        key = combine_fingerprints(
+            ["oh", self.fingerprint, array_fingerprint(latlon)]
+        )
+        with self._memo_lock:
+            risks = self._memo.get(key)
+        if risks is None:
+            risks = self.risks_array(latlon)
+            with self._memo_lock:
+                if len(self._memo) >= _MEMO_LIMIT:
+                    self._memo.clear()
+                self._memo[key] = risks
         return {pop.pop_id: float(risk) for pop, risk in zip(pops, risks)}
 
     def reweighted(self, weights: Mapping[str, float]) -> "HistoricalRiskModel":
         """A copy with different per-class weights (operator extension)."""
-        return HistoricalRiskModel(self._kdes, weights, cache=self._cache_arg)
+        return HistoricalRiskModel(self._kdes, weights)
 
 
 @lru_cache(maxsize=1)

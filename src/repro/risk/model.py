@@ -28,10 +28,10 @@ DEFAULT_GAMMA_F = 1e3
 
 
 def _default_pop_risks(network: Network) -> Dict[str, float]:
-    # The historical model caches o_h vectors under its content
-    # fingerprint x the PoP coordinates (in process and on disk), so
-    # repeated builds are lookups and two distinct networks sharing a
-    # name can never collide (the old per-name cache here could).
+    # The historical model memoizes o_h vectors under its content
+    # fingerprint x the PoP coordinates, so repeated builds are lookups
+    # and two distinct networks sharing a name can never collide (the
+    # old per-name cache here could).
     return default_historical_model().pop_risks(network)
 
 

@@ -19,17 +19,16 @@ Parity: every density evaluated through the tracked-point path is
 bitwise identical to a from-scratch ``GaussianKDE`` rebuild over the
 surviving events (see :mod:`repro.stats.streaming`), so ``pop_risks``
 and the model :attr:`fingerprint` are exactly what a cold process would
-compute — streaming never forks the cache-key space.  A PoP outside the
+compute — streaming never forks the memo-key space.  A PoP outside the
 truncation reach of every event of the touched classes has kernel sum
 exactly ``0.0`` there before and after the patch, so its ``o_h`` is
 bitwise unchanged — that is what lets the engine keep memoized sweeps
 for untouched regions across an ingest.
 
-``pop_risks`` goes through the base model's memo and
-:mod:`~repro.stats.fieldcache` store, keyed by the new fingerprint:
-after an ingest the first lookup misses, evaluates ``o_h`` through the
-tracked sums (:meth:`StreamingHistoricalModel.risks_array`), and
-persists the whole vector as one entry.
+``pop_risks`` goes through the base model's memo, keyed by the new
+fingerprint: after an ingest the first lookup misses and evaluates
+``o_h`` through the tracked sums
+(:meth:`StreamingHistoricalModel.risks_array`).
 """
 
 from __future__ import annotations
@@ -41,7 +40,6 @@ import numpy as np
 
 from ..disasters.catalog import PRETRAINED_BANDWIDTHS, catalog_of
 from ..disasters.events import DisasterCatalog, DisasterEvent, EventType
-from ..stats.fieldcache import CacheArg
 from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, points_to_array
 from ..stats.streaming import StreamingKDE
 from .historical import RISK_UNIT_MILES, HistoricalRiskModel
@@ -91,7 +89,6 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             events with ``year > latest - window_years`` participate,
             where ``latest`` advances as newer events are ingested;
             events crossing the trailing edge are retired incrementally.
-        cache: persistent risk-field store (see the base model).
         cutoff_sigmas: kernel truncation radius (must not be None —
             streaming requires the cell-binned path).
     """
@@ -102,7 +99,6 @@ class StreamingHistoricalModel(HistoricalRiskModel):
         bandwidths: Optional[Mapping[str, float]] = None,
         weights: Optional[Mapping[str, float]] = None,
         window_years: Optional[int] = None,
-        cache: CacheArg = "default",
         cutoff_sigmas: float = DEFAULT_CUTOFF_SIGMAS,
     ) -> None:
         if not catalogs:
@@ -149,7 +145,7 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             identities = [e.identity for e in events]
             self._ids[event_type] = identities
             self._id_set.update(identities)
-        super().__init__(kdes, weights, cache=cache)
+        super().__init__(kdes, weights)
 
     # -- introspection -----------------------------------------------------
 
@@ -314,7 +310,6 @@ class StreamingHistoricalModel(HistoricalRiskModel):
 
 def default_streaming_model(
     window_years: Optional[int] = None,
-    cache: CacheArg = "default",
 ) -> StreamingHistoricalModel:
     """A streaming corpus model: all five classes, trained bandwidths.
 
@@ -327,5 +322,4 @@ def default_streaming_model(
             for event_type in EventType.ALL
         },
         window_years=window_years,
-        cache=cache,
     )

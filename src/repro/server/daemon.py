@@ -65,7 +65,7 @@ from .protocol import (
     encode_reply,
     parse_request,
 )
-from .service import QueryService, field_cache_stats
+from .service import QueryService
 from .shards import ShardPool
 from .stats import ServerStats
 
@@ -141,8 +141,10 @@ class ServerConfig:
             raise ValueError("max_pending must be >= 1")
         if self.max_batch < 1:
             raise ValueError("max_batch must be >= 1")
-        if self.batch_linger < 0 or self.request_timeout < 0:
-            raise ValueError("linger/timeout must be >= 0")
+        if self.batch_linger < 0:
+            raise ValueError("batch_linger must be >= 0")
+        if self.request_timeout < 0:
+            raise ValueError("request_timeout must be >= 0")
         if self.max_line_bytes < 1024:
             raise ValueError("max_line_bytes must be >= 1024")
         if self.shards < 0:
@@ -701,7 +703,6 @@ class RiskRouteServer:
         if self._shards is not None:
             payload["shards"] = self._shards.snapshot()
         payload["engine"] = engine_stats
-        payload["risk_field_cache"] = field_cache_stats()
         payload.update(self._network_info())
         return payload
 

@@ -450,10 +450,8 @@ def _handle_shared_risk(service, params: Dict[str, Any]) -> dict:
         # serving networks outside the zoo corpus).
         other = network
     else:
-        try:
-            other = network_by_name(other_name)
-        except KeyError as exc:
-            raise ProtocolError("bad_request", str(exc))
+        # An unknown name raises KeyError: a bad_request reply.
+        other = network_by_name(other_name)
     report = shared_risk_report(network, other)
     return {
         "network_a": report.network_a,

@@ -47,7 +47,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..graph.core import NodeNotFoundError
 from ..graph.shortest_path import NoPathError
@@ -101,27 +101,6 @@ def apply_field(session, name: str, values: Dict[str, float]) -> bool:
     if name == "forecast":
         return session.update_forecast(values)
     return session.update_historical(values)
-
-
-def field_cache_stats() -> Dict[str, Any]:
-    """Hit/miss counters of the persistent risk-field cache.
-
-    Server cold starts pay the o_h KDE sweep only on a cold cache —
-    building the session's :class:`~repro.risk.model.RiskModel` routes
-    ``pop_risks`` through the fingerprinted disk cache, so a warm
-    restart loads the vector instead of evaluating kernels.  This
-    surfaces the counters (and the cache directory) in the ``stats``
-    op; ``{"enabled": False}`` when ``RISKROUTE_CACHE_DISABLE`` is set.
-    """
-    from ..stats.fieldcache import default_field_cache
-
-    cache = default_field_cache()
-    if cache is None:
-        return {"enabled": False}
-    stats = cache.stats.as_dict()
-    stats["enabled"] = True
-    stats["dir"] = str(cache.cache_dir)
-    return stats
 
 
 class QueryService:
@@ -431,7 +410,11 @@ class QueryService:
             )
         if isinstance(exc, NoPathError):
             return encode_error(request.id, "no_path", str(exc))
-        if isinstance(exc, (TypeError, ValueError, KeyError)):
+        if isinstance(exc, KeyError):
+            # str(KeyError(m)) is repr(m): send the message unquoted.
+            message = str(exc.args[0]) if exc.args else str(exc)
+            return encode_error(request.id, "bad_request", message)
+        if isinstance(exc, (TypeError, ValueError)):
             return encode_error(request.id, "bad_request", str(exc))
         return encode_error(
             request.id, "internal", f"{type(exc).__name__}: {exc}"

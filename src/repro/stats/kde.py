@@ -46,6 +46,11 @@ therefore widens the truncation to :data:`UNDERFLOW_SIGMAS` (~38.6
 deviations), beyond which ``exp`` underflows to an exact float zero:
 the events it skips contribute literal ``0.0`` terms to the dense sum,
 so truncation there is lossless, not approximate.
+
+**Memo.**  ``density_array`` and ``evaluate_grid`` sweep the kernels
+on every call.  The content :attr:`GaussianKDE.fingerprint` keys the
+memo in front of them: :class:`~repro.risk.historical.HistoricalRiskModel`
+keeps the ``o_h`` vectors it computed, in process.
 """
 
 from __future__ import annotations
@@ -349,7 +354,8 @@ class GaussianKDE:
     @property
     def fingerprint(self) -> str:
         """Content fingerprint of the estimate: events x bandwidth x
-        truncation.  Keys the persistent risk-field cache."""
+        truncation.  Keys the historical model's in-process ``o_h``
+        memo."""
         if self._fingerprint is None:
             # Lazy: repro.engine pulls in the risk layer at package
             # import, which imports this module.
@@ -429,29 +435,12 @@ class GaussianKDE:
         norm = 1.0 / (2.0 * math.pi * self.bandwidth_miles**2 * n_train)
         return np.log(np.maximum(sums * norm, 1e-300))
 
-    def evaluate_grid(self, grid: GeoGrid, cache="default") -> GridField:
+    def evaluate_grid(self, grid: GeoGrid) -> GridField:
         """Evaluate the density at every cell centre of ``grid``.
 
         This is the computation behind the likelihood maps in Figure 4.
-        ``cache`` is a :class:`~repro.stats.fieldcache.RiskFieldCache`
-        (``"default"`` resolves the process-wide one, ``None`` disables
-        persistence): the field is stored under the KDE's content
-        fingerprint x the grid spec, so a warm cache skips the sweep.
         """
-        from .fieldcache import grid_field_key, resolve_cache
-
-        store = resolve_cache(cache)
-        key = None
-        if store is not None:
-            key = grid_field_key(self.fingerprint, grid)
-            values = store.get("grid", key)
-            if values is not None and values.shape == (
-                grid.n_lat * grid.n_lon,
-            ):
-                return GridField(grid, values.reshape(grid.shape))
         values = self.density_array(grid.centers_array())
-        if store is not None:
-            store.put("grid", key, values)
         return GridField(grid, values.reshape(grid.shape))
 
     # -- kernel machinery --------------------------------------------------

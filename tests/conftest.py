@@ -44,23 +44,6 @@ def examples(budget: int) -> int:
     return budget * EXPLORE_SCALE if PROFILE == "explore" else budget
 
 
-@pytest.fixture(scope="session", autouse=True)
-def _isolated_field_cache(tmp_path_factory):
-    """Point the persistent risk-field cache at a per-session tmp dir.
-
-    Keeps the suite hermetic: runs never read stale fields from (or
-    leak entries into) the developer's ~/.cache/riskroute.
-    """
-    cache_dir = tmp_path_factory.mktemp("riskroute-cache")
-    previous = os.environ.get("RISKROUTE_CACHE_DIR")
-    os.environ["RISKROUTE_CACHE_DIR"] = str(cache_dir)
-    yield
-    if previous is None:
-        os.environ.pop("RISKROUTE_CACHE_DIR", None)
-    else:
-        os.environ["RISKROUTE_CACHE_DIR"] = previous
-
-
 def build_diamond_network() -> Network:
     """Four PoPs in a diamond; two routes between west and east.
 

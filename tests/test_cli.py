@@ -93,6 +93,7 @@ class TestServeQueryParser:
 
     def test_serve_unknown_network(self, capsys):
         assert main(["serve", "Atlantisnet"]) == 2
+        assert capsys.readouterr().err == "unknown network 'Atlantisnet'\n"
 
     @pytest.mark.parametrize("flag", [
         ["--max-pending", "0"],
@@ -112,6 +113,8 @@ class TestServeQueryParser:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert "Traceback" not in err
+        # The line names the ServerConfig field the flag sets.
+        assert flag[0][2:].replace("-", "_") + " must be" in err
 
     def test_query_connection_refused(self, capsys):
         # A port in TEST-NET territory nothing listens on.
@@ -227,6 +230,8 @@ class TestCommands:
 
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "table99"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown experiment 'table99'")
 
     def test_route_roundtrip(self, capsys, teliasonera_model):
         code = main(
@@ -239,6 +244,10 @@ class TestCommands:
 
     def test_route_unknown_network(self, capsys):
         assert main(["route", "Comcast", "A", "B"]) == 2
+
+    def test_pair_unknown_network(self, capsys):
+        assert main(["pair", "Atlantisnet", "a", "b"]) == 2
+        assert capsys.readouterr().err == "unknown network 'Atlantisnet'\n"
 
     def test_route_unknown_pop(self, capsys):
         assert main(["route", "Teliasonera", "Nowhere, ZZ", "Miami, FL"]) == 2

@@ -1,10 +1,13 @@
 """Tests for repro.risk (historical, forecasted, impact, composed)."""
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.forecast.risk import ForecastSnapshot
-from repro.geo.coords import GeoPoint
+from repro.geo.coords import CONTINENTAL_US, GeoPoint
+from repro.geo.grid import GeoGrid
 from repro.population.assignment import network_population_shares
 from repro.population.census import synthetic_census
 from repro.risk.forecasted import ForecastedRiskModel, no_forecast
@@ -96,20 +99,31 @@ class TestHistorical:
         assert base.fingerprint == toy_historical().fingerprint
         assert base.fingerprint != base.reweighted({"storm": 2.0}).fingerprint
 
-    def test_pop_risks_cached_on_disk(self, tmp_path):
-        from repro.stats.fieldcache import RiskFieldCache
-
-        events = [GeoPoint(30.0 + d, -90.0 + d) for d in (-0.1, 0.0, 0.1)]
-        kdes = {"storm": GaussianKDE(events, 40.0)}
+    def test_repeated_pop_risks_evaluates_no_kernel(self, monkeypatch):
+        """The second call on one model is a memo hit."""
         net = toy_network()
-        cold_cache = RiskFieldCache(tmp_path)
-        cold = HistoricalRiskModel(kdes, cache=cold_cache).pop_risks(net)
-        assert cold_cache.stats.misses == 1 and cold_cache.stats.hits == 0
-        # A fresh model instance (no in-process memo) hits the disk.
-        warm_cache = RiskFieldCache(tmp_path)
-        warm = HistoricalRiskModel(kdes, cache=warm_cache).pop_risks(net)
-        assert warm_cache.stats.hits == 1 and warm_cache.stats.misses == 0
-        assert warm == cold
+        model = toy_historical()
+        first = model.pop_risks(net)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("KDE evaluated despite a memo hit")
+
+        monkeypatch.setattr(GaussianKDE, "density_array", boom)
+        assert model.pop_risks(net) == first
+        # The trap is live: a fresh model (empty memo) trips it.
+        with pytest.raises(AssertionError, match="memo hit"):
+            toy_historical().pop_risks(net)
+
+    def test_fields_leave_no_files_behind(self, tmp_path, monkeypatch):
+        """o_h vectors and grid fields live in process memory only."""
+        for name in [k for k in os.environ if k.startswith("RISKROUTE_")]:
+            monkeypatch.delenv(name)
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        toy_historical().pop_risks(toy_network())
+        kde = GaussianKDE([RISKY_SPOT, SAFE_SPOT], 40.0)
+        kde.evaluate_grid(GeoGrid(CONTINENTAL_US, 4, 5))
+        assert list(tmp_path.rglob("*")) == []
 
 
 class TestDefaultOhCacheRegression:

@@ -8,6 +8,8 @@ mode-independent.  `shared_risk` rides the same parity harness.
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.server import (
@@ -17,6 +19,8 @@ from repro.server import (
     ServerThread,
 )
 from repro.server import ops
+from repro.server.coalesce import PendingRequest
+from repro.server.protocol import PROTOCOL_VERSION, Request
 from repro.server.service import QueryService
 from repro.session import RoutingSession
 from tests.conftest import build_diamond_model, build_diamond_network
@@ -132,6 +136,21 @@ class TestOpValidation:
                 assert err.value.code == "bad_request"
         finally:
             thread.stop()
+
+    def test_unknown_other_network_message_is_unquoted(self):
+        item = PendingRequest(
+            request=Request(
+                op="shared_risk", id=1, params={"other": "Atlantisnet"},
+                v=PROTOCOL_VERSION,
+            ),
+            writer=None, arrived=0.0,
+        )
+        QueryService(
+            RoutingSession(build_diamond_network(), build_diamond_model())
+        ).execute_batch([item])
+        error = json.loads(item.reply)["error"]
+        assert error["code"] == "bad_request"
+        assert error["message"] == "unknown network 'Atlantisnet'"
 
     def test_srg_fraction_above_one_rejected(self):
         with pytest.raises(ValueError):

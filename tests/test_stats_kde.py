@@ -205,18 +205,3 @@ class TestHelpers:
         # Peak cell should be near the cluster.
         assert abs(peak_location.lat - 35.0) < 2.0
         assert abs(peak_location.lon + 95.0) < 2.0
-
-    def test_evaluate_grid_uses_cache(self, tmp_path):
-        from repro.stats.fieldcache import RiskFieldCache
-
-        cache = RiskFieldCache(tmp_path)
-        grid = GeoGrid(CONTINENTAL_US, 6, 9)
-        kde = GaussianKDE(CLUSTER, 50.0)
-        cold = kde.evaluate_grid(grid, cache=cache)
-        assert cache.stats.misses == 1 and cache.stats.hits == 0
-        warm = kde.evaluate_grid(grid, cache=cache)
-        assert cache.stats.hits == 1
-        np.testing.assert_array_equal(cold.values, warm.values)
-        # A different bandwidth misses: the key covers KDE identity.
-        GaussianKDE(CLUSTER, 51.0).evaluate_grid(grid, cache=cache)
-        assert cache.stats.misses == 2

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 
 from repro.geo.coords import BoundingBox
 from repro.geo.grid import GeoGrid
-from repro.stats.fieldcache import RiskFieldCache
 from repro.stats.kde import GaussianKDE
 from repro.stats.streaming import StreamingKDE
 from tests.conftest import examples
@@ -149,18 +148,17 @@ class TestGridFieldsAndDeltaCache:
     # neighborhood covers only part of the grid.
     GRID = GeoGrid(BoundingBox(25.0, -115.0, 48.0, -70.0), 12, 16)
 
-    def test_evaluate_grid_matches_rebuild_after_patches(self, tmp_path):
-        store = RiskFieldCache(tmp_path / "grid-cache")
+    def test_evaluate_grid_matches_rebuild_after_patches(self):
         events = [(34.0, -97.0), (35.0, -95.0), (36.5, -93.0)]
         kde = StreamingKDE.from_array(_array(events), BANDWIDTH)
-        kde.evaluate_grid(self.GRID, cache=store)  # parent entry
+        kde.evaluate_grid(self.GRID)  # builds the index patched below
         kde.append_events(_array([(35.5, -94.5)]))
         events.append((35.5, -94.5))
         kde.retire_events([0])
         events.pop(0)
-        field = kde.evaluate_grid(self.GRID, cache=store)
+        field = kde.evaluate_grid(self.GRID)
         oracle = GaussianKDE.from_array(_array(events), BANDWIDTH)
-        expected = oracle.evaluate_grid(self.GRID, cache=None)
+        expected = oracle.evaluate_grid(self.GRID)
         np.testing.assert_allclose(
             field.values, expected.values, rtol=1e-9, atol=0.0
         )

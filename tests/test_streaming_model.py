@@ -20,12 +20,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.disasters.events import DisasterCatalog, DisasterEvent, EventType
-from repro.engine.fingerprint import array_fingerprint
 from repro.geo.coords import GeoPoint
 from repro.risk.streaming import StreamingHistoricalModel
-from repro.stats.fieldcache import RiskFieldCache, content_key
-from repro.stats.kde import points_to_array
-from repro.topology.network import Network, PoP
 from tests.conftest import build_diamond_network, examples
 
 HURRICANE = EventType.FEMA_HURRICANE
@@ -52,15 +48,12 @@ def _seed_events():
     }
 
 
-def _build(
-    events=None, window_years=None, cache=None
-) -> StreamingHistoricalModel:
+def _build(events=None, window_years=None) -> StreamingHistoricalModel:
     events = _seed_events() if events is None else events
     return StreamingHistoricalModel(
         {et: DisasterCatalog(batch) for et, batch in events.items()},
         bandwidths=BANDWIDTHS,
         window_years=window_years,
-        cache=cache,
     )
 
 
@@ -261,75 +254,3 @@ class TestIngestParityProperty:
             np.testing.assert_allclose(
                 incremental[pop_id], rebuilt[pop_id], rtol=1e-9
             )
-
-
-class TestSingleFormatCache:
-    """An ingest persists the new ``o_h`` as one whole ``.npy`` entry."""
-
-    #: Near the Miami PoP and far from the others, so the ingest below
-    #: changes only some rows of the PoP vector.
-    MIAMI_STORM = _event(HURRICANE, 25.9, -80.3, 2005)
-
-    @staticmethod
-    def _coasts() -> Network:
-        network = Network("coasts")
-        for i, (lat, lon) in enumerate(
-            [(47.6, -122.3), (25.8, -80.2), (42.4, -71.1), (39.7, -105.0)]
-        ):
-            location = GeoPoint(lat, lon)
-            network.add_pop(PoP(f"coasts:{i}", f"PoP {i}", location))
-        return network
-
-    @staticmethod
-    def _oh_key(model, network) -> str:
-        latlon = points_to_array([pop.location for pop in network.pops()])
-        return content_key(
-            ["oh", model.fingerprint, array_fingerprint(latlon)]
-        )
-
-    def test_ingest_stores_whole_npy_entries(self, tmp_path):
-        network = self._coasts()
-        store = RiskFieldCache(tmp_path)
-        model = _build(cache=store)
-        before = model.pop_risks(network)
-        model.ingest([self.MIAMI_STORM])
-        risks = model.pop_risks(network)
-        assert risks != before
-        names = sorted(path.name for path in tmp_path.iterdir())
-        assert len(names) == 2
-        assert all(
-            name.startswith("oh-") and name.endswith(".npy")
-            for name in names
-        )
-        stored = store.get("oh", self._oh_key(model, network))
-        expected = np.array([risks[pop_id] for pop_id in network.pop_ids()])
-        assert stored.dtype == expected.dtype
-        assert stored.tobytes() == expected.tobytes()
-
-    def test_leftover_delta_entry_is_ignored(self, tmp_path):
-        network = self._coasts()
-        store = RiskFieldCache(tmp_path)
-        model = _build(cache=store)
-        parent_key = self._oh_key(model, network)
-        model.pop_risks(network)
-        model.ingest([self.MIAMI_STORM])
-        key = self._oh_key(model, network)
-        # A patch in the format older versions wrote, chained off the
-        # parent entry: resolving it would serve these bogus values.
-        with open(tmp_path / f"oh-{key}.delta.npz", "wb") as handle:
-            np.savez(
-                handle,
-                parent=np.array(parent_key),
-                indices=np.arange(4, dtype=np.int64),
-                values=np.full(4, 7.0),
-                length=np.array(4),
-                scale=np.array(1.0),
-                depth=np.array(1),
-            )
-        misses = store.stats.misses
-        risks = model.pop_risks(network)
-        assert store.stats.misses == misses + 1
-        seeds = _seed_events()
-        seeds[HURRICANE].append(self.MIAMI_STORM)
-        assert risks == _build(seeds).pop_risks(network)
-        assert (tmp_path / f"oh-{key}.npy").exists()

@@ -10,7 +10,7 @@ Subcommands::
     riskroute ratios Level3 [--strategy per-source] [--gamma-h 1e6]
     riskroute scenario Level3 --scenarios 500 [--defense 0]
     riskroute serve Level3 --port 4174 [--shards 4]
-    riskroute query --port 4174 ingest events.json [--now-year 2012]
+    riskroute query --port 4174 ingest events.json [--token T]
     riskroute query --port 4174 route "Level3:Houston, TX" "Level3:Boston, MA"
 
 Both the local op subcommands and the ``riskroute query`` subcommands
@@ -31,6 +31,7 @@ from the wire protocol.  A reply error prints ``error [<code>]:
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from typing import List, Optional
@@ -40,6 +41,7 @@ from .experiments import get_experiment, registered_experiments
 from .risk.model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
 from .server import ops
 from .server.coalesce import PendingRequest
+from .server.daemon import ServerConfig
 from .server.protocol import PROTOCOL_VERSION, Request
 from .server.service import QueryService
 from .session import RoutingSession
@@ -93,19 +95,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=4174,
         help="TCP port (0 picks an ephemeral port, printed on startup)",
     )
-    serve_p.add_argument(
-        "--max-pending", type=int, default=256, dest="max_pending",
-        help="admission-control bound on queued requests (default: 256)",
-    )
-    serve_p.add_argument(
-        "--request-timeout", type=float, default=30.0, dest="request_timeout",
-        help="per-request deadline in seconds, 0 disables (default: 30)",
-    )
-    serve_p.add_argument(
-        "--batch-linger", type=float, default=0.002, dest="batch_linger",
-        help="seconds a batch waits for concurrent requests to coalesce "
-        "(default: 0.002)",
-    )
+    for config_field in dataclasses.fields(ServerConfig):
+        if "help" in config_field.metadata:
+            serve_p.add_argument(
+                "--" + config_field.name.replace("_", "-"),
+                type=type(config_field.default),
+                default=config_field.default,
+                help=config_field.metadata["help"] + " (default: %(default)s)",
+            )
     serve_p.add_argument(
         "--shards", type=int, default=0,
         help="fan query batches across this many shard processes over a "
@@ -270,7 +267,7 @@ def _cmd_serve(args) -> int:
     import asyncio
     import signal
 
-    from .server import RiskRouteServer, ServerConfig
+    from .server import RiskRouteServer
 
     # Checked before the session is built: a bad flag costs no model
     # build and ends in one line, not a traceback.

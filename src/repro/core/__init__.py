@@ -9,7 +9,6 @@ from .characteristics import (
     characteristics_of,
 )
 from .interdomain import (
-    BoundsResult,
     InterdomainRouter,
     regional_pair_population,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "RatioResult",
     "ratios_over_pairs",
     "InterdomainRouter",
-    "BoundsResult",
     "regional_pair_population",
     "CandidateLink",
     "LinkRecommendation",

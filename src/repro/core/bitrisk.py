@@ -42,12 +42,6 @@ class PathMetrics:
         """Equation 1 for this path."""
         return self.distance_miles + self.alpha * self.risk_sum
 
-    def with_alpha(self, alpha: float) -> "PathMetrics":
-        """The same path re-scored under a different pair impact."""
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        return PathMetrics(self.path, self.distance_miles, self.risk_sum, alpha)
-
 
 def path_metrics(
     graph: Graph[str], path: Sequence[str], model: RiskModel

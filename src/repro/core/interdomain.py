@@ -14,41 +14,15 @@ The ratio between the two is what Figure 8 plots per regional network.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ..risk.model import RiskModel
 from ..session import RoutingSession
 from ..topology.interdomain import InterdomainTopology
 from .ratios import RatioResult
-from .riskroute import PairRoutes
 from .strategy import SweepStrategy
 
-__all__ = ["InterdomainRouter", "BoundsResult", "regional_pair_population"]
-
-
-@dataclass(frozen=True)
-class BoundsResult:
-    """Upper/lower bit-risk-mile bounds for one PoP pair."""
-
-    pair: PairRoutes
-
-    @property
-    def upper_bound(self) -> float:
-        """Bit-risk miles of shortest-path routing (no risk control)."""
-        return self.pair.shortest.bit_risk_miles
-
-    @property
-    def lower_bound(self) -> float:
-        """Bit-risk miles with full RiskRoute control everywhere."""
-        return self.pair.riskroute.bit_risk_miles
-
-    @property
-    def bound_ratio(self) -> float:
-        """``upper / lower`` — how much control could buy (>= 1)."""
-        if self.lower_bound == 0.0:
-            return 1.0
-        return self.upper_bound / self.lower_bound
+__all__ = ["InterdomainRouter", "regional_pair_population"]
 
 
 class InterdomainRouter:
@@ -86,14 +60,6 @@ class InterdomainRouter:
         sweeps and caches (the Figure 11 peering search scores every
         candidate against it)."""
         return self.session.engine
-
-    def bounds(self, source: str, target: str) -> BoundsResult:
-        """Upper and lower bit-risk-mile bounds for one pair.
-
-        Raises:
-            NoPathError: when the merged topology does not connect them.
-        """
-        return BoundsResult(self.session.pair(source, target))
 
     def regional_ratios(
         self,

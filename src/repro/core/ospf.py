@@ -32,31 +32,12 @@ class OspfWeightTable:
     costs: Dict[Tuple[str, str], int]
     scale_miles_per_unit: float
 
-    def cost_of(self, pop_a: str, pop_b: str) -> int:
-        """Cost of a link (order-insensitive).
-
-        Raises:
-            KeyError: for a link not in the table.
-        """
-        key = tuple(sorted((pop_a, pop_b)))
-        if key not in self.costs:
-            raise KeyError(f"no OSPF cost for link {key}")
-        return self.costs[key]
-
     def as_graph(self) -> Graph[str]:
         """The weighted graph OSPF would route on."""
         graph: Graph[str] = Graph()
         for (pop_a, pop_b), cost in self.costs.items():
             graph.add_edge(pop_a, pop_b, float(cost))
         return graph
-
-    def config_text(self) -> str:
-        """Render a vendor-neutral interface-cost configuration block."""
-        lines = [f"! RiskRoute OSPF weights for {self.network}"]
-        for (pop_a, pop_b), cost in sorted(self.costs.items()):
-            lines.append(f"interface {pop_a} -- {pop_b}")
-            lines.append(f"  ip ospf cost {cost}")
-        return "\n".join(lines)
 
 
 def export_ospf_weights(

@@ -73,13 +73,6 @@ class CandidateLink:
     length_miles: float
     current_route_miles: float
 
-    @property
-    def mileage_reduction(self) -> float:
-        """Fractional bit-mile reduction between the endpoints."""
-        if self.current_route_miles == 0.0:
-            return 0.0
-        return 1.0 - self.length_miles / self.current_route_miles
-
 
 @dataclass(frozen=True)
 class LinkRecommendation:

@@ -5,7 +5,6 @@ from .catalog import (
     all_event_kdes,
     catalog_of,
     event_kde,
-    full_catalog,
     train_bandwidth,
 )
 from .events import (
@@ -16,13 +15,12 @@ from .events import (
 )
 from .fema import (
     FEMA_TOTAL_DECLARATIONS,
-    fema_catalog,
     fema_hurricanes,
     fema_storms,
     fema_tornadoes,
 )
 from .generators import EVENT_MODELS, EventModel, generate_events
-from .noaa import noaa_catalog, noaa_earthquakes, noaa_wind
+from .noaa import noaa_earthquakes, noaa_wind
 
 __all__ = [
     "EventType",
@@ -35,12 +33,9 @@ __all__ = [
     "fema_hurricanes",
     "fema_tornadoes",
     "fema_storms",
-    "fema_catalog",
     "FEMA_TOTAL_DECLARATIONS",
     "noaa_wind",
     "noaa_earthquakes",
-    "noaa_catalog",
-    "full_catalog",
     "catalog_of",
     "train_bandwidth",
     "event_kde",

@@ -22,7 +22,6 @@ from .fema import fema_hurricanes, fema_storms, fema_tornadoes
 from .noaa import noaa_earthquakes, noaa_wind
 
 __all__ = [
-    "full_catalog",
     "catalog_of",
     "train_bandwidth",
     "event_kde",
@@ -83,14 +82,6 @@ def catalog_of(event_type: str) -> DisasterCatalog:
     if event_type not in _CATALOG_BUILDERS:
         raise ValueError(f"unknown event type {event_type!r}")
     return _CATALOG_BUILDERS[event_type]()
-
-
-def full_catalog() -> DisasterCatalog:
-    """All five classes merged (~176k events)."""
-    merged = catalog_of(EventType.ALL[0])
-    for event_type in EventType.ALL[1:]:
-        merged = merged.merged_with(catalog_of(event_type))
-    return merged
 
 
 @lru_cache(maxsize=None)

@@ -13,8 +13,7 @@ import hashlib
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Tuple
 
-from ..geo.coords import BoundingBox, GeoPoint
-from ..geo.regions import Region
+from ..geo.coords import GeoPoint
 
 __all__ = ["EventType", "DisasterEvent", "DisasterCatalog", "PAPER_EVENT_COUNTS"]
 
@@ -68,9 +67,8 @@ class DisasterEvent:
         Two records are the same event iff they agree on all three —
         coordinates are hashed via ``float.hex`` so no decimal rounding
         can merge distinct locations.  This is what makes streaming
-        dedup and retire-by-window deterministic: ingesting the same
-        record twice is a no-op, and a window slide retires exactly the
-        records appended for those years.
+        dedup deterministic: ingesting the same record twice is a
+        no-op.
         """
         h = hashlib.blake2b(digest_size=12)
         for part in (
@@ -104,49 +102,6 @@ class DisasterCatalog:
         """Event locations in catalog order."""
         return [event.location for event in self._events]
 
-    def identities(self) -> List[str]:
-        """Stable per-event identities in catalog order."""
-        return [event.identity for event in self._events]
-
     def event_types(self) -> List[str]:
         """Distinct event types present, sorted."""
         return sorted({event.event_type for event in self._events})
-
-    def of_type(self, event_type: str) -> "DisasterCatalog":
-        """Sub-catalog of one event class.
-
-        Raises:
-            ValueError: for an unknown event type.
-        """
-        if event_type not in EventType.ALL:
-            raise ValueError(f"unknown event type {event_type!r}")
-        return DisasterCatalog(
-            e for e in self._events if e.event_type == event_type
-        )
-
-    def between_years(self, first: int, last: int) -> "DisasterCatalog":
-        """Events with ``first <= year <= last`` (inclusive)."""
-        if first > last:
-            raise ValueError("first year must not exceed last year")
-        return DisasterCatalog(
-            e for e in self._events if first <= e.year <= last
-        )
-
-    def within(self, area) -> "DisasterCatalog":
-        """Events inside a :class:`BoundingBox` or :class:`Region`."""
-        if isinstance(area, (BoundingBox, Region)):
-            return DisasterCatalog(
-                e for e in self._events if area.contains(e.location)
-            )
-        raise TypeError(f"expected BoundingBox or Region, got {type(area)}")
-
-    def counts_by_type(self) -> Dict[str, int]:
-        """Event count per class."""
-        counts: Dict[str, int] = {}
-        for event in self._events:
-            counts[event.event_type] = counts.get(event.event_type, 0) + 1
-        return counts
-
-    def merged_with(self, other: "DisasterCatalog") -> "DisasterCatalog":
-        """Concatenate two catalogs."""
-        return DisasterCatalog(self._events + other.events())

@@ -17,7 +17,6 @@ __all__ = [
     "fema_hurricanes",
     "fema_tornadoes",
     "fema_storms",
-    "fema_catalog",
     "FEMA_TOTAL_DECLARATIONS",
 ]
 
@@ -58,13 +57,4 @@ def fema_storms() -> DisasterCatalog:
         EventType.FEMA_STORM,
         PAPER_EVENT_COUNTS[EventType.FEMA_STORM],
         _SEEDS[EventType.FEMA_STORM],
-    )
-
-
-def fema_catalog() -> DisasterCatalog:
-    """All 29,865 FEMA declarations in one catalog."""
-    return (
-        fema_hurricanes()
-        .merged_with(fema_tornadoes())
-        .merged_with(fema_storms())
     )

@@ -12,7 +12,7 @@ from functools import lru_cache
 from .events import DisasterCatalog, EventType, PAPER_EVENT_COUNTS
 from .generators import generate_events
 
-__all__ = ["noaa_wind", "noaa_earthquakes", "noaa_catalog"]
+__all__ = ["noaa_wind", "noaa_earthquakes"]
 
 _SEEDS = {
     EventType.NOAA_WIND: 2001,
@@ -38,8 +38,3 @@ def noaa_earthquakes() -> DisasterCatalog:
         PAPER_EVENT_COUNTS[EventType.NOAA_EARTHQUAKE],
         _SEEDS[EventType.NOAA_EARTHQUAKE],
     )
-
-
-def noaa_catalog() -> DisasterCatalog:
-    """Both NOAA classes in one catalog."""
-    return noaa_wind().merged_with(noaa_earthquakes())

@@ -11,7 +11,7 @@ point; this package is the machinery underneath it.
 
 from ..core.strategy import SweepStrategy, resolve_strategy
 from .arrays import CsrGraph
-from .cache import EngineConfig, ResultCache, SweepCache
+from .cache import EngineConfig
 from .components import (
     ProvisioningStats,
     parametric_component_table,
@@ -31,8 +31,6 @@ __all__ = [
     "parametric_component_table",
     "risk_fingerprint",
     "CsrGraph",
-    "SweepCache",
-    "ResultCache",
     "SweepResult",
     "csr_sweep",
 ]

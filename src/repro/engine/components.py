@@ -56,18 +56,6 @@ class ProvisioningStats:
     verifications: int = 0     # verify_every rebuild cross-checks
     max_verify_deviation: float = field(default=0.0)
 
-    def as_dict(self) -> dict:
-        """Counter snapshot (CLI / experiment notes)."""
-        return {
-            "sweeps_run": self.sweeps_run,
-            "sweeps_avoided": self.sweeps_avoided,
-            "matrix_builds": self.matrix_builds,
-            "matrix_updates": self.matrix_updates,
-            "candidates_scored": self.candidates_scored,
-            "verifications": self.verifications,
-            "max_verify_deviation": self.max_verify_deviation,
-        }
-
 
 def sweep_component_arrays(
     sweep: SweepResult,
@@ -87,12 +75,10 @@ def sweep_component_arrays(
     both component arrays (the historical all-pairs convention) and
     False in ``reached``.
     """
-    # Plain lists in the loop, where numpy scalar access is several
-    # times slower; the same float additions, converted once at the end.
+    # Plain lists in the loop (a sweep holds lists too), where numpy
+    # scalar access is several times slower; converted once at the end.
     parent = sweep.parent
     sweep_dist = sweep.dist
-    if isinstance(parent, np.ndarray):  # a csr_sweep_batch row
-        parent, sweep_dist = parent.tolist(), sweep_dist.tolist()
     n = len(sweep_dist)
     dist = [0.0] * n
     risk = [0.0] * n

@@ -61,7 +61,7 @@ from ..graph.core import Graph, NodeNotFoundError
 from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from .arrays import CsrGraph
-from .cache import EngineConfig, ResultCache, SweepCache
+from .cache import EngineConfig, LruCache
 from .components import sweep_component_arrays
 from .fingerprint import risk_fingerprint
 from .sweep import SweepResult, csr_sweep, csr_sweep_batch
@@ -97,8 +97,8 @@ class RoutingEngine:
     ) -> None:
         self._config = config or EngineConfig()
         self._csr = CsrGraph(graph)
-        self._sweeps = SweepCache(self._config.sweep_cache_size)
-        self._results = ResultCache(self._config.result_cache_size)
+        self._sweeps = LruCache(self._config.sweep_cache_size)
+        self._results = LruCache(self._config.result_cache_size)
         self.risk_fingerprint = ""
         self._latlon: Optional[np.ndarray] = None
         self._landmarks = None
@@ -132,8 +132,8 @@ class RoutingEngine:
         self = cls.__new__(cls)
         self._config = config or EngineConfig()
         self._csr = csr
-        self._sweeps = SweepCache(self._config.sweep_cache_size)
-        self._results = ResultCache(self._config.result_cache_size)
+        self._sweeps = LruCache(self._config.sweep_cache_size)
+        self._results = LruCache(self._config.result_cache_size)
         self.risk_fingerprint = ""
         self._latlon = None
         self._landmarks = None
@@ -201,7 +201,7 @@ class RoutingEngine:
         old_shares = self._shares
         self._bind_model(model)
         clean = self._clean_sources(old_risk, old_shares)
-        self._sweeps.invalidate_risk(keep_sources=clean or None)
+        self._sweeps.retain(lambda key: key[0] == 0.0 or key[1] in clean)
         if clean:
             self._results.retain(
                 lambda key: key[0] in ("components", "targeted")
@@ -392,11 +392,11 @@ class RoutingEngine:
         }
 
     def _sweep_idx(self, source: int, alpha: float) -> SweepResult:
-        cached = self._sweeps.get(alpha, source)
+        cached = self._sweeps.get((alpha, source))
         if cached is not None:
             return cached
         result = csr_sweep(*self._arrays(), source, alpha)
-        self._sweeps.put(alpha, source, result)
+        self._sweeps.put((alpha, source), result)
         return result
 
     def sweep(self, source: str, alpha: float) -> SweepResult:
@@ -411,7 +411,7 @@ class RoutingEngine:
         """
         missing: "OrderedDict[Tuple[float, int], None]" = OrderedDict()
         for source, alpha in tasks:
-            if not self._sweeps.peek(alpha, source):
+            if not self._sweeps.peek((alpha, source)):
                 missing[(alpha, source)] = None
         if not missing:
             return 0
@@ -429,12 +429,12 @@ class RoutingEngine:
                 for result in csr_sweep_batch(
                     *self._np_arrays(), sources, alpha
                 ):
-                    self._sweeps.put(alpha, result.source, result)
+                    self._sweeps.put((alpha, result.source), result)
             else:
                 serial.extend((source, alpha) for source in sources)
         arrays = self._arrays()
         for source, alpha in serial:
-            self._sweeps.put(alpha, source, csr_sweep(*arrays, source, alpha))
+            self._sweeps.put((alpha, source), csr_sweep(*arrays, source, alpha))
         return len(missing)
 
     def prefetch_per_source(
@@ -528,7 +528,7 @@ class RoutingEngine:
         and the chosen path is scored by :meth:`_route_from_path`, so
         the reported costs match the sweep path exactly.
         """
-        if self._sweeps.peek(alpha, s):
+        if self._sweeps.peek((alpha, s)):
             return None
         cache_key = ("targeted", s, t, alpha)
         cached = self._results.get(cache_key)

@@ -44,11 +44,9 @@ _INF = float("inf")
 class SweepResult:
     """One single-source search over the CSR arrays.
 
-    ``dist`` / ``parent`` are plain lists from :func:`csr_sweep` and
-    numpy arrays from :func:`csr_sweep_batch`; both back the same
-    integer-indexed access pattern.  ``settled`` counts the nodes the
-    search settled: every reached node for a full sweep, fewer when it
-    stopped at a target.
+    ``dist`` / ``parent`` are plain lists.  ``settled`` counts the
+    nodes the search settled: every reached node for a full sweep,
+    fewer when it stopped at a target.
     """
 
     source: int
@@ -193,8 +191,7 @@ def csr_sweep_batch(
     ties resolve deterministically (first achiever in flat CSR order)
     but may differ from the heapq tie-break.
 
-    Returns one numpy-backed :class:`SweepResult` per source, in input
-    order.
+    Returns one :class:`SweepResult` per source, in input order.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)
@@ -312,9 +309,11 @@ def csr_sweep_batch(
         pending = pending[dist[pending] >= limit]
 
     dist2 = dist.reshape(s_count, n)
-    parent2 = parent.reshape(s_count, n)
-    reached = np.count_nonzero(dist2 < _INF, axis=1)
+    reached = np.count_nonzero(dist2 < _INF, axis=1).tolist()
+    dist_rows = dist2.tolist()
+    parent_rows = parent.reshape(s_count, n).tolist()
     return [
-        SweepResult(int(src[i]), alpha, dist2[i], parent2[i], int(reached[i]))
+        SweepResult(int(src[i]), alpha, dist_rows[i], parent_rows[i],
+                    reached[i])
         for i in range(s_count)
     ]

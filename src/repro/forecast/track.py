@@ -71,31 +71,6 @@ class StormTrack:
     def __len__(self) -> int:
         return len(self._fixes)
 
-    @property
-    def start_time(self) -> datetime:
-        """Time of the first fix."""
-        return self._fixes[0].time
-
-    @property
-    def end_time(self) -> datetime:
-        """Time of the last fix."""
-        return self._fixes[-1].time
-
-    def track_length_miles(self) -> float:
-        """Total great-circle length of the centre track."""
-        total = 0.0
-        for prev, curr in zip(self._fixes, self._fixes[1:]):
-            total += haversine_miles(prev.center, curr.center)
-        return total
-
-    def peak_intensity(self) -> TrackFix:
-        """The fix with the highest sustained wind (earliest on ties)."""
-        best = self._fixes[0]
-        for fix in self._fixes[1:]:
-            if fix.max_wind_mph > best.max_wind_mph:
-                best = fix
-        return best
-
 
 def interpolate_waypoints(
     waypoints: Sequence[Tuple[float, float, float, float, float, float]],

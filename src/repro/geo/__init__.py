@@ -2,14 +2,11 @@
 
 from .coords import CONTINENTAL_US, BoundingBox, GeoPoint
 from .distance import (
-    EARTH_RADIUS_KM,
     EARTH_RADIUS_MILES,
     destination_point,
-    haversine_km,
     haversine_miles,
     interpolate_great_circle,
     pairwise_distance_matrix,
-    path_length_miles,
 )
 from .grid import GeoGrid, GridField
 from .regions import (
@@ -31,10 +28,7 @@ __all__ = [
     "BoundingBox",
     "CONTINENTAL_US",
     "EARTH_RADIUS_MILES",
-    "EARTH_RADIUS_KM",
     "haversine_miles",
-    "haversine_km",
-    "path_length_miles",
     "pairwise_distance_matrix",
     "interpolate_great_circle",
     "destination_point",

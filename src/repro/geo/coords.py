@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence, Tuple
+from typing import Iterable, Iterator, Tuple
 
 __all__ = [
     "GeoPoint",
@@ -63,10 +63,6 @@ class GeoPoint:
     def __post_init__(self) -> None:
         object.__setattr__(self, "lat", validate_latitude(self.lat))
         object.__setattr__(self, "lon", validate_longitude(self.lon))
-
-    def as_tuple(self) -> Tuple[float, float]:
-        """Return the point as a plain ``(lat, lon)`` tuple."""
-        return (self.lat, self.lon)
 
     def as_radians(self) -> Tuple[float, float]:
         """Return ``(lat, lon)`` converted to radians."""
@@ -148,15 +144,6 @@ class BoundingBox:
             west=max(-180.0, self.west - margin_degrees),
             north=min(90.0, self.north + margin_degrees),
             east=min(180.0, self.east + margin_degrees),
-        )
-
-    def corners(self) -> Sequence[GeoPoint]:
-        """Return the four corners (SW, SE, NE, NW)."""
-        return (
-            GeoPoint(self.south, self.west),
-            GeoPoint(self.south, self.east),
-            GeoPoint(self.north, self.east),
-            GeoPoint(self.north, self.west),
         )
 
 

@@ -20,10 +20,7 @@ from .coords import GeoPoint
 
 __all__ = [
     "EARTH_RADIUS_MILES",
-    "EARTH_RADIUS_KM",
     "haversine_miles",
-    "haversine_km",
-    "path_length_miles",
     "pairwise_distance_matrix",
     "distances_to_latlon_array",
     "interpolate_great_circle",
@@ -32,8 +29,6 @@ __all__ = [
 
 #: Mean Earth radius (IUGG) in statute miles.
 EARTH_RADIUS_MILES = 3958.7613
-#: Mean Earth radius (IUGG) in kilometres.
-EARTH_RADIUS_KM = 6371.0088
 
 
 def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
@@ -47,22 +42,6 @@ def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
         + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
     )
     return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(h)))
-
-
-def haversine_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points in kilometres."""
-    return haversine_miles(a, b) * (EARTH_RADIUS_KM / EARTH_RADIUS_MILES)
-
-
-def path_length_miles(points: Sequence[GeoPoint]) -> float:
-    """Total great-circle length of a polyline through ``points``.
-
-    An empty or single-point path has length zero.
-    """
-    total = 0.0
-    for prev, curr in zip(points, points[1:]):
-        total += haversine_miles(prev, curr)
-    return total
 
 
 def _to_radian_arrays(points: Sequence[GeoPoint]) -> "np.ndarray":

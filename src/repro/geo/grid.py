@@ -106,11 +106,6 @@ class GridField:
                 f"values shape {self.values.shape} != grid shape {self.grid.shape}"
             )
 
-    def value_at(self, point: GeoPoint) -> float:
-        """Field value of the cell containing ``point``."""
-        i, j = self.grid.cell_of(point)
-        return float(self.values[i, j])
-
     def peak(self) -> Tuple[GeoPoint, float]:
         """Return (location, value) of the maximum cell."""
         flat_index = int(np.argmax(self.values))
@@ -131,11 +126,3 @@ class GridField:
         if mass <= 0:
             raise ValueError("cannot normalise a field with non-positive mass")
         return GridField(self.grid, self.values / mass)
-
-    def mass_in_box(self, box: BoundingBox) -> float:
-        """Sum of the values of cells whose centres fall inside ``box``."""
-        total = 0.0
-        for i, j, center in self.grid:
-            if box.contains(center):
-                total += float(self.values[i, j])
-        return total

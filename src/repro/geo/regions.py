@@ -11,7 +11,7 @@ population assignment (Section 5.1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from .coords import BoundingBox, GeoPoint
 
@@ -44,10 +44,6 @@ class Region:
     def contains(self, point: GeoPoint) -> bool:
         """True when any member box contains the point."""
         return any(box.contains(point) for box in self.boxes)
-
-    def filter(self, points: Iterable[GeoPoint]) -> Sequence[GeoPoint]:
-        """Return the points that fall inside the region."""
-        return [p for p in points if self.contains(p)]
 
 
 GULF_COAST = Region(

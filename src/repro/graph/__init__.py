@@ -4,7 +4,6 @@ from .components import (
     bridges,
     connected_components,
     is_connected,
-    largest_component,
 )
 from .core import EdgeExistsError, Graph, NodeNotFoundError
 from .shortest_path import (
@@ -13,7 +12,6 @@ from .shortest_path import (
     dijkstra,
     reconstruct_path,
     shortest_path,
-    shortest_path_length,
 )
 
 __all__ = [
@@ -23,11 +21,9 @@ __all__ = [
     "NoPathError",
     "dijkstra",
     "shortest_path",
-    "shortest_path_length",
     "all_pairs_shortest_paths",
     "reconstruct_path",
     "connected_components",
     "is_connected",
-    "largest_component",
     "bridges",
 ]

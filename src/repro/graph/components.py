@@ -16,7 +16,6 @@ from .core import Graph
 __all__ = [
     "connected_components",
     "is_connected",
-    "largest_component",
     "bridges",
 ]
 
@@ -56,14 +55,6 @@ def is_connected(graph: Graph[N]) -> bool:
     if graph.node_count == 0:
         return False
     return len(connected_components(graph)) == 1
-
-
-def largest_component(graph: Graph[N]) -> List[N]:
-    """Nodes of the largest connected component (ties broken by order)."""
-    components = connected_components(graph)
-    if not components:
-        return []
-    return max(components, key=len)
 
 
 def bridges(graph: Graph[N]) -> List[tuple]:

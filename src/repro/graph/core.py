@@ -14,7 +14,6 @@ from typing import (
     Dict,
     Generic,
     Hashable,
-    Iterable,
     Iterator,
     List,
     Mapping,
@@ -43,7 +42,7 @@ class Graph(Generic[N]):
     aggregation) fully deterministic.
 
     ``version`` counts topology changes: every mutator that changes the
-    node set, the edge set or a weight bumps it, so a holder of derived
+    node set or the edge set bumps it, so a holder of derived
     state (a session's routing engine) can tell whether the graph moved
     since it last looked.
     """
@@ -54,16 +53,6 @@ class Graph(Generic[N]):
         self.version = 0
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_edges(cls, edges: Iterable[Tuple[N, N, float]]) -> "Graph[N]":
-        """Build a graph from ``(u, v, weight)`` triples."""
-        graph: Graph[N] = cls()
-        for u, v, weight in edges:
-            graph.add_node(u)
-            graph.add_node(v)
-            graph.add_edge(u, v, weight)
-        return graph
 
     def add_node(self, node: N) -> None:
         """Add ``node`` if not already present (idempotent)."""
@@ -76,8 +65,8 @@ class Graph(Generic[N]):
 
         Raises:
             ValueError: for self-loops, negative or non-numeric weights.
-            EdgeExistsError: when the edge already exists (use
-                :meth:`set_weight` to change a weight).
+            EdgeExistsError: when the edge already exists (remove it
+                first to change its weight).
         """
         if u == v:
             raise ValueError(f"self-loop on {u!r} not allowed")
@@ -91,26 +80,6 @@ class Graph(Generic[N]):
         self._adj[u][v] = weight
         self._adj[v][u] = weight
         self._edge_count += 1
-        self.version += 1
-
-    def set_weight(self, u: N, v: N, weight: float) -> None:
-        """Update the weight of an existing edge.
-
-        Raises:
-            NodeNotFoundError: if either endpoint is absent.
-            KeyError: if the edge is absent.
-        """
-        weight = float(weight)
-        if weight < 0 or weight != weight:
-            raise ValueError(f"edge weight must be >= 0, got {weight!r}")
-        if u not in self._adj:
-            raise NodeNotFoundError(u)
-        if v not in self._adj:
-            raise NodeNotFoundError(v)
-        if v not in self._adj[u]:
-            raise KeyError(f"edge ({u!r}, {v!r}) does not exist")
-        self._adj[u][v] = weight
-        self._adj[v][u] = weight
         self.version += 1
 
     def remove_edge(self, u: N, v: N) -> None:
@@ -187,12 +156,6 @@ class Graph(Generic[N]):
         if node not in self._adj:
             raise NodeNotFoundError(node)
         return len(self._adj[node])
-
-    def average_degree(self) -> float:
-        """Mean node degree (0.0 for the empty graph)."""
-        if not self._adj:
-            return 0.0
-        return 2.0 * self._edge_count / len(self._adj)
 
     def path_weight(self, path: List[N]) -> float:
         """Total weight of a node path.

@@ -25,7 +25,6 @@ __all__ = [
     "NoPathError",
     "dijkstra",
     "shortest_path",
-    "shortest_path_length",
     "all_pairs_shortest_paths",
     "reconstruct_path",
 ]
@@ -131,18 +130,6 @@ def shortest_path(graph: Graph[N], source: N, target: N) -> List[N]:
     if target not in dist:
         raise NoPathError(source, target)
     return reconstruct_path(parent, source, target)
-
-
-def shortest_path_length(graph: Graph[N], source: N, target: N) -> float:
-    """Return only the minimum path weight from ``source`` to ``target``.
-
-    Raises:
-        NoPathError: when the endpoints are disconnected.
-    """
-    dist, _ = dijkstra(graph, source, target=target)
-    if target not in dist:
-        raise NoPathError(source, target)
-    return dist[target]
 
 
 def all_pairs_shortest_paths(

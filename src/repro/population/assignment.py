@@ -11,7 +11,7 @@ the paper specifies.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -55,15 +55,6 @@ class PopulationAssignment:
     def shares(self) -> Dict[str, float]:
         """All shares as a plain dict (copy)."""
         return dict(self._shares)
-
-    def population_of(self, pop_id: str) -> float:
-        """Absolute population served by the PoP."""
-        return self.share(pop_id) * self.total_population
-
-    def heaviest(self, count: int = 5) -> List[str]:
-        """PoP ids with the largest shares, descending, ties by id."""
-        ranked = sorted(self._shares.items(), key=lambda kv: (-kv[1], kv[0]))
-        return [pop_id for pop_id, _ in ranked[:count]]
 
 
 def assign_population(

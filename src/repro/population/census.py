@@ -17,11 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
-
 import numpy as np
 
-from ..geo.coords import CONTINENTAL_US, BoundingBox, GeoPoint
+from ..geo.coords import CONTINENTAL_US, GeoPoint
 from ..geo.regions import Region
 from ..topology.cities import ALL_CITIES
 
@@ -89,11 +87,6 @@ class CensusData:
             float(self.population[index]),
         )
 
-    def blocks(self) -> Iterator[CensusBlock]:
-        """Iterate all blocks (convenience; prefer the arrays at scale)."""
-        for i in range(self.block_count):
-            yield self.block(i)
-
     def restricted_to(self, region: Region) -> "CensusData":
         """Blocks whose location falls inside ``region``.
 
@@ -109,10 +102,6 @@ class CensusData:
                 & (self.lon <= box.east)
             )
         return CensusData(self.lat[mask], self.lon[mask], self.population[mask])
-
-    def restricted_to_box(self, box: BoundingBox) -> "CensusData":
-        """Blocks inside a single bounding box."""
-        return self.restricted_to(Region("box", (box,)))
 
 
 @lru_cache(maxsize=4)

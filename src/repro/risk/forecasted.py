@@ -23,11 +23,6 @@ class ForecastedRiskModel:
     def __init__(self, snapshots: Iterable[ForecastSnapshot] = ()) -> None:
         self._snapshots: List[ForecastSnapshot] = list(snapshots)
 
-    @property
-    def snapshot_count(self) -> int:
-        """Number of active snapshots."""
-        return len(self._snapshots)
-
     def risk_at(self, point: GeoPoint) -> float:
         """``o_f`` at a location: max over active snapshots, 0 if none."""
         best = 0.0
@@ -54,16 +49,6 @@ class ForecastedRiskModel:
             for pop in network.pops()
             if self.risk_at(pop.location) > 0.0
         ]
-
-    def pops_under_hurricane(self, network: Network) -> List[str]:
-        """PoPs inside any snapshot's hurricane-force zone."""
-        out: List[str] = []
-        for pop in network.pops():
-            for snapshot in self._snapshots:
-                if snapshot.zone_of(pop.location) == "hurricane":
-                    out.append(pop.pop_id)
-                    break
-        return out
 
 
 def no_forecast() -> ForecastedRiskModel:

@@ -100,16 +100,6 @@ class HistoricalRiskModel:
         """The event classes in the model, sorted."""
         return sorted(self._kdes)
 
-    def class_risk_many(
-        self, event_type: str, points: Sequence[GeoPoint]
-    ) -> "np.ndarray":
-        """Per-class paper-normalised likelihood at each point.
-
-        Raises:
-            KeyError: for an event class not in the model.
-        """
-        return self._class_risk_array(event_type, points_to_array(points))
-
     def _class_risk_array(
         self, event_type: str, latlon_deg: "np.ndarray"
     ) -> "np.ndarray":
@@ -175,10 +165,6 @@ class HistoricalRiskModel:
                     self._memo.clear()
                 self._memo[key] = risks
         return {pop.pop_id: float(risk) for pop, risk in zip(pops, risks)}
-
-    def reweighted(self, weights: Mapping[str, float]) -> "HistoricalRiskModel":
-        """A copy with different per-class weights (operator extension)."""
-        return HistoricalRiskModel(self._kdes, weights)
 
 
 @lru_cache(maxsize=1)

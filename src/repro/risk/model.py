@@ -192,9 +192,3 @@ class RiskModel:
             self.gamma_h * self.historical_risk(pop_id)
             + self.gamma_f * self.forecast_risk(pop_id)
         )
-
-    def mean_pop_risk(self) -> float:
-        """Mean o_h across PoPs (Table 3's "average PoP risk")."""
-        if not self._oh:
-            return 0.0
-        return sum(self._oh.values()) / len(self._oh)

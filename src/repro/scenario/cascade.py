@@ -522,8 +522,3 @@ class CascadeSimulator:
             ):
                 hits += 1
         return hits, len(routes)
-
-    @property
-    def sampled_route_count(self) -> int:
-        """Routes in the survival sample (matches ``route_survival``)."""
-        return len(self._routes["shortest"])

@@ -138,12 +138,6 @@ class SrgIndex:
     def __len__(self) -> int:
         return len(self._groups)
 
-    def group_at(self, point: GeoPoint) -> Optional[SharedRiskGroup]:
-        """The group whose corridor cell contains ``point``, if any."""
-        if not self.grid.box.contains(point):
-            return None
-        return self._by_cell.get(self.grid.cell_of(point))
-
     def activation_weights(self) -> "np.ndarray":
         """Per-group sampling weights, normalised to sum 1.
 

@@ -322,12 +322,7 @@ class RiskRouteClient:
             "update_forecast", risk=dict(risk), default=default, token=token
         )
 
-    def ingest(
-        self,
-        events,
-        now_year: Optional[int] = None,
-        token: Optional[str] = None,
-    ) -> dict:
+    def ingest(self, events, token: Optional[str] = None) -> dict:
         """Stream disaster events into the historical field (``o_h``).
 
         ``events`` is an iterable of ``{event_type, lat, lon, year}``
@@ -339,9 +334,7 @@ class RiskRouteClient:
         """
         if token is None and self._retry is not None:
             token = f"auto-{self._rng.getrandbits(64):016x}"
-        return self.call(
-            "ingest", events=list(events), now_year=now_year, token=token
-        )
+        return self.call("ingest", events=list(events), token=token)
 
 
 # -- registry-generated op wrappers ------------------------------------------

@@ -65,7 +65,6 @@ class CoalescingQueue:
         self._cond = asyncio.Condition()
         self._closed = False
         self._controls = 0
-        self.high_water = 0
 
     def __len__(self) -> int:
         return len(self._items)
@@ -90,8 +89,6 @@ class CoalescingQueue:
             self._items.append(item)
             if item.request.op in CONTROL_OPS:
                 self._controls += 1
-            if len(self._items) > self.high_water:
-                self.high_water = len(self._items)
             self._cond.notify_all()
             return "ok"
 

@@ -52,7 +52,7 @@ import asyncio
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Deque, List, Optional, Set, Tuple
 
 from . import ops
@@ -98,7 +98,6 @@ class ServerConfig:
         host, port: bind address; port 0 picks an ephemeral port
             (read it back from :meth:`RiskRouteServer.start`).
         max_pending: admission-control bound on queued requests.
-        max_batch: most query requests served per worker batch.
         batch_linger: seconds a just-started batch waits for concurrent
             requests to join it (0 = serve immediately; a few
             milliseconds widens the coalescing window under load).
@@ -106,7 +105,6 @@ class ServerConfig:
             requests get a ``timeout`` reply (0 = no deadline).
         max_line_bytes: request-line cap; longer lines are answered
             ``too_large`` and the connection closes.
-        latency_window: service-time samples kept for p50/p99.
         faults: optional :class:`FaultPlane` for chaos tests; ``None``
             (production) disables every injection site.
         shards: query-serving shard processes.  0 (the default) serves
@@ -121,16 +119,21 @@ class ServerConfig:
             pair/params key one owner; R >= 2 replicates it over R
             shards with load-balanced routing and transparent one-hop
             failover for reads.
+
+    A field with a ``help`` entry in its metadata is also a
+    ``riskroute serve`` flag, which takes its default from here.
     """
 
     host: str = "127.0.0.1"
     port: int = 0
-    max_pending: int = 256
-    max_batch: int = 64
-    batch_linger: float = 0.0
-    request_timeout: float = 30.0
+    max_pending: int = field(default=256, metadata={
+        "help": "admission-control bound on queued requests"})
+    batch_linger: float = field(default=0.0, metadata={
+        "help": "seconds a batch waits for concurrent requests to "
+                "coalesce"})
+    request_timeout: float = field(default=30.0, metadata={
+        "help": "per-request deadline in seconds, 0 disables"})
     max_line_bytes: int = MAX_LINE_BYTES
-    latency_window: int = 2048
     faults: Optional[FaultPlane] = None
     shards: int = 0
     shard_timeout: float = 120.0
@@ -139,8 +142,6 @@ class ServerConfig:
     def __post_init__(self) -> None:
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         if self.batch_linger < 0:
             raise ValueError("batch_linger must be >= 0")
         if self.request_timeout < 0:
@@ -170,10 +171,8 @@ class RiskRouteServer:
     def __init__(self, session, config: Optional[ServerConfig] = None) -> None:
         self.session = session
         self.config = config or ServerConfig()
-        self.stats = ServerStats(self.config.latency_window)
-        self.queue = CoalescingQueue(
-            self.config.max_pending, self.config.max_batch
-        )
+        self.stats = ServerStats()
+        self.queue = CoalescingQueue(self.config.max_pending)
         self._faults = self.config.faults
         self.service = QueryService(session, faults=self._faults)
         self._executor = ThreadPoolExecutor(

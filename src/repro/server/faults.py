@@ -136,11 +136,6 @@ class FaultPlane:
         self.visits: Dict[str, int] = {site: 0 for site in FAULT_SITES}
         self.fires: Dict[str, int] = {site: 0 for site in FAULT_SITES}
 
-    @property
-    def enabled(self) -> bool:
-        """Whether any rule is scheduled at all."""
-        return bool(self._rules)
-
     def check(self, site: str) -> Optional[FaultRule]:
         """Count one visit to ``site``; return the rule to fire, if any.
 

@@ -648,10 +648,6 @@ _register(OpSpec(
                    "loader": _load_json_file},
               example=[{"event_type": "fema-hurricane",
                         "lat": 29.95, "lon": -90.07, "year": 2005}]),
-        Param("now_year",
-              "reference year advancing the rolling window edge",
-              check=_check_int,
-              cli={"flag": "--now-year", "type": int}, example=2005),
         Param("token", "idempotency token (applied at most once)",
               check=_check_str, cli={"flag": "--token"}),
     ),

@@ -116,7 +116,7 @@ class QueryService:
         # batches lets a rolled-back (discarded) model be rebuilt to
         # exactly the last good state.
         self._streaming = None
-        self._ingest_log: List[Tuple[tuple, Optional[int]]] = []
+        self._ingest_log: List[tuple] = []
 
     def _fault(self, site: str):
         if self._faults is None:
@@ -211,9 +211,9 @@ class QueryService:
     def apply_ingest(self, item: PendingRequest) -> SwapOutcome:
         """Apply one ``ingest``: disaster events in, the new ``o_h`` out.
 
-        The batch is folded into the streaming model (duplicates and
-        stale records dropped, window retires applied) and the per-PoP
-        ``o_h`` field is recomputed through the incremental KDE path.
+        The batch is folded into the streaming model (duplicates
+        dropped) and the per-PoP ``o_h`` field is recomputed through the
+        incremental KDE path.
         The reply carries the :class:`~repro.risk.streaming.IngestDelta`
         summary.  The rest is the shared write path (:meth:`_write`),
         which also rolls a failed ingest's streaming model back.
@@ -228,15 +228,13 @@ class QueryService:
                     "ingest requires a network-backed session "
                     "(o_h evaluation needs PoP coordinates)",
                 )
-            now_year = params["now_year"]
 
             def compute():
                 model = self.streaming_model()
-                # Ingest validates the whole batch (classes, window
-                # slides) before mutating, so a raise here leaves the
-                # model intact.
-                delta = model.ingest(events, now_year=now_year)
-                self._ingest_log.append((tuple(events), now_year))
+                # Ingest validates the whole batch's classes before
+                # mutating, so a raise here leaves the model intact.
+                delta = model.ingest(events)
+                self._ingest_log.append(tuple(events))
                 return model.pop_risks(network), delta.as_dict()
 
             return compute
@@ -343,8 +341,8 @@ class QueryService:
             from ..risk.streaming import default_streaming_model
 
             model = default_streaming_model()
-            for events, now_year in self._ingest_log:
-                model.ingest(events, now_year=now_year)
+            for events in self._ingest_log:
+                model.ingest(events)
             self._streaming = model
         return self._streaming
 

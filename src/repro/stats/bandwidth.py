@@ -57,14 +57,6 @@ class BandwidthSearchResult:
     n_events_used: int
     n_folds: int
 
-    def score_of(self, bandwidth: float) -> float:
-        """Cross-validation score of one of the searched candidates."""
-        try:
-            index = self.candidates.index(bandwidth)
-        except ValueError:
-            raise KeyError(f"{bandwidth} was not among the candidates")
-        return self.scores[index]
-
 
 def _fold_indices(
     n: int, n_folds: int, rng: "np.random.Generator"

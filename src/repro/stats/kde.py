@@ -177,11 +177,11 @@ class _BucketIndex:
 
     # -- in-place patching (streaming ingest) ------------------------------
     #
-    # Cells are independent sums, so appending or retiring K events only
-    # has to touch the buckets those K events live in.  Both patches
-    # preserve the ascending-index invariant the truncated kernel path
-    # relies on, so a patched index gathers candidates in exactly the
-    # order a from-scratch index over the same event array would.
+    # Cells are independent sums, so appending K events only has to
+    # touch the buckets those K events live in.  The patch preserves the
+    # ascending-index invariant the truncated kernel path relies on, so
+    # a patched index gathers candidates in exactly the order a
+    # from-scratch index over the same event array would.
 
     def add_events(self, xyz: "np.ndarray") -> None:
         """Bin K new events, assigned indices ``n_events..n_events+K-1``.
@@ -204,29 +204,6 @@ class _BucketIndex:
             else:
                 self._buckets[key] = np.append(bucket, index)
         self.n_events += cells.shape[0]
-
-    def remove_events(self, indices: "np.ndarray") -> None:
-        """Drop event indices and renumber the survivors in place.
-
-        ``indices`` must be sorted unique indices into the *current*
-        event array.  Every bucket is renumbered to match the compacted
-        array (``np.delete`` semantics): a surviving index drops by the
-        number of removed indices below it, which preserves relative —
-        hence ascending — order.
-        """
-        removed = np.asarray(indices, dtype=np.int64)
-        if removed.size == 0:
-            return
-        for key in list(self._buckets):
-            bucket = self._buckets[key]
-            keep = bucket[np.isin(bucket, removed, invert=True)]
-            if keep.size == 0:
-                del self._buckets[key]
-                continue
-            if keep.size != bucket.size or removed[0] < keep[-1]:
-                keep = keep - np.searchsorted(removed, keep, side="left")
-            self._buckets[key] = keep
-        self.n_events -= removed.size
 
     def candidates(self, key: Tuple[int, int, int], reach: int) -> "np.ndarray":
         """Ascending event indices within ``reach`` cells of ``key``.
@@ -381,12 +358,6 @@ class GaussianKDE:
     def density(self, point: GeoPoint) -> float:
         """Estimated density (per square mile) at a single point."""
         return float(self.density_array(np.array([[point.lat, point.lon]]))[0])
-
-    def density_many(self, points: Sequence[GeoPoint]) -> "np.ndarray":
-        """Estimated density at each of ``points``."""
-        if not points:
-            return np.zeros(0, dtype=np.float64)
-        return self.density_array(points_to_array(points))
 
     def density_array(self, latlon_deg: "np.ndarray") -> "np.ndarray":
         """Estimated density at each row of an (M, 2) (lat, lon) array."""

@@ -24,10 +24,6 @@ class LinearFit:
     intercept: float
     r_squared: float
 
-    def predict(self, x: float) -> float:
-        """Predicted y at ``x``."""
-        return self.slope * x + self.intercept
-
 
 def _spread(values: np.ndarray, deviations: np.ndarray) -> float:
     """Largest absolute deviation from the mean; 0.0 for rounding noise.

@@ -3,13 +3,13 @@
 A :class:`~repro.stats.kde.GaussianKDE` is immutable: appending one
 event to a 143k-event class means rebuilding the bucket index and
 re-sweeping every query point.  But the truncated evaluation path is a
-sum over *independent* cells — an appended (or retired) event can only
+sum over *independent* cells — an appended event can only
 change kernel sums at query points whose bucket neighborhood contains
 the event's cell.  :class:`StreamingKDE` exploits that:
 
-* ``append_events`` / ``retire_events`` patch the
+* ``append_events`` patches the
   :class:`~repro.stats.kde._BucketIndex` buckets in place (cells are
-  independent, and both patches preserve the ascending-index gather
+  independent, and the patch preserves the ascending-index gather
   order), and
 * *tracked* query-point sets (a network's PoP coordinate array) keep
   their unnormalised kernel-sum vectors resident, so an update only
@@ -32,14 +32,14 @@ criterion — so a clean row's candidate set (as coordinate values, in
 order) is unchanged by the patch and its sum is bitwise unchanged.
 Dirty rows are recomputed through the ordinary ``_truncated_sums``
 machinery against the patched index, whose buckets match a
-from-scratch index over the compacted event array.  Densities are
+from-scratch index over the grown event array.  Densities are
 always produced as ``sums * norm`` with the normaliser recomputed for
 the new event count, so every tracked density equals a full
 ``GaussianKDE`` rebuild **bit for bit** — the full-rebuild path stays
 the parity oracle, not an approximation target.
 
 Kernel sums are stored rather than densities because the normaliser
-``1 / (2 pi sigma^2 N)`` changes with every append/retire: patching
+``1 / (2 pi sigma^2 N)`` changes with every append: patching
 densities in place would need a global rescale (one rounding per cell);
 sums are invariant for clean rows.
 """
@@ -65,7 +65,7 @@ _CellKey = Tuple[int, int, int]
 
 @dataclass(frozen=True)
 class KdeDelta:
-    """One append/retire patch: what changed, and where it can matter.
+    """One append patch: what changed, and where it can matter.
 
     ``hot_cells`` is the union of the delta events' bucket cells
     expanded by the gather ``reach`` — a query point's kernel sum can
@@ -75,7 +75,6 @@ class KdeDelta:
     parent_fingerprint: str
     fingerprint: str
     appended: int
-    retired: int
     cell: float
     reach: int
     hot_cells: FrozenSet[_CellKey] = field(default_factory=frozenset)
@@ -180,42 +179,9 @@ class StreamingKDE(GaussianKDE):
             parent_fingerprint=parent,
             fingerprint=self.fingerprint,
             appended=latlon.shape[0],
-            retired=0,
             cell=self._cell_edge(),
             reach=self._reach(),
             hot_cells=self._hot_cells(latlon),
-        )
-        self._patch_tracked(delta)
-        return delta
-
-    def retire_events(self, indices) -> KdeDelta:
-        """Remove events by index; the retire half of a window slide.
-
-        Raises:
-            ValueError: for out-of-range indices, or a retirement that
-                would leave the estimate empty.
-        """
-        removed = np.unique(np.asarray(indices, dtype=np.int64))
-        parent = self.fingerprint
-        if removed.size == 0:
-            return self._noop_delta(parent)
-        if removed[0] < 0 or removed[-1] >= self.n_events:
-            raise ValueError("retire index out of range")
-        if removed.size >= self.n_events:
-            raise ValueError("cannot retire every event")
-        retired_latlon = self._events[removed].copy()
-        if self._index is not None:
-            self._index.remove_events(removed)
-        self._events = np.delete(self._events, removed, axis=0)
-        self._resize()
-        delta = KdeDelta(
-            parent_fingerprint=parent,
-            fingerprint=self.fingerprint,
-            appended=0,
-            retired=int(removed.size),
-            cell=self._cell_edge(),
-            reach=self._reach(),
-            hot_cells=self._hot_cells(retired_latlon),
         )
         self._patch_tracked(delta)
         return delta
@@ -225,7 +191,6 @@ class StreamingKDE(GaussianKDE):
             parent_fingerprint=fingerprint,
             fingerprint=fingerprint,
             appended=0,
-            retired=0,
             cell=self._cell_edge(),
             reach=self._reach(),
         )
@@ -250,7 +215,7 @@ class StreamingKDE(GaussianKDE):
         """``density_array`` through the resident kernel sums.
 
         First call for a point set pays the full sweep; every later
-        call — including after append/retire patches — is O(dirty
+        call — including after append patches — is O(dirty
         rows).  Bitwise equal to :meth:`density_array`.
         """
         latlon_deg = np.asarray(latlon_deg, dtype=np.float64)

@@ -86,13 +86,6 @@ class InterdomainTopology:
         """Look up a PoP anywhere in the merged topology."""
         return self.networks[self.owner_of(pop_id)].pop(pop_id)
 
-    def all_pops(self) -> List[PoP]:
-        """Every PoP of every member network, network order preserved."""
-        out: List[PoP] = []
-        for network in self.networks.values():
-            out.extend(network.pops())
-        return out
-
     def _co_located_pairs(
         self, net_a: Network, net_b: Network
     ) -> List[Tuple[str, str, float]]:
@@ -117,10 +110,6 @@ class InterdomainTopology:
                     )
                 )
         return edges
-
-    def peering_edges(self) -> List[Tuple[str, str, float]]:
-        """The cross-network edges as ``(pop_a, pop_b, miles)``."""
-        return list(self._peering_edges)
 
     def merged_graph(
         self,

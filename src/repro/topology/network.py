@@ -211,10 +211,6 @@ class Network:
             return 0.0
         return 2.0 * len(self._links) / len(self._pops)
 
-    def total_link_miles(self) -> float:
-        """Sum of all link lengths."""
-        return sum(link.length_miles for link in self._links.values())
-
     def copy(self, name: Optional[str] = None) -> "Network":
         """Deep copy, optionally renamed — used by what-if provisioning."""
         clone = Network(name or self.name, tier=self.tier, states=self.states)

@@ -10,7 +10,6 @@ tier-1s, mirroring the structure visible in Figure 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
 
 __all__ = [
@@ -19,16 +18,6 @@ __all__ = [
     "parse_caida_as_rel",
     "CORPUS_TRANSIT",
 ]
-
-
-@dataclass(frozen=True)
-class _Edge:
-    a: str
-    b: str
-
-    @property
-    def key(self) -> FrozenSet[str]:
-        return frozenset((self.a, self.b))
 
 
 class PeeringGraph:

@@ -15,7 +15,7 @@ distance-discounted mix observed in inter-metro traffic studies.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -70,23 +70,6 @@ class TrafficMatrix:
         if pop_j not in self._index:
             raise KeyError(f"unknown PoP {pop_j!r}")
         return float(self._demands[self._index[pop_i], self._index[pop_j]])
-
-    def total_demand(self) -> float:
-        """Always 1.0 (the matrix is normalised); exposed for clarity."""
-        return float(self._demands.sum())
-
-    def heaviest_pairs(self, count: int = 5) -> List[Tuple[str, str, float]]:
-        """The largest-demand unordered pairs, descending."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        n = len(self._pop_ids)
-        entries = [
-            (self._pop_ids[i], self._pop_ids[j], float(self._demands[i, j]))
-            for i in range(n)
-            for j in range(i + 1, n)
-        ]
-        entries.sort(key=lambda e: (-e[2], e[0], e[1]))
-        return entries[:count]
 
     def as_array(self) -> "np.ndarray":
         """Copy of the normalised demand matrix."""

@@ -44,6 +44,14 @@ def examples(budget: int) -> int:
     return budget * EXPLORE_SCALE if PROFILE == "explore" else budget
 
 
+def graph_from_edges(edges) -> Graph:
+    """A graph built by ``add_edge`` from ``(u, v, weight)`` triples."""
+    graph: Graph = Graph()
+    for u, v, weight in edges:
+        graph.add_edge(u, v, weight)
+    return graph
+
+
 def build_diamond_network() -> Network:
     """Four PoPs in a diamond; two routes between west and east.
 

@@ -1,0 +1,123 @@
+"""Every def in ``src/`` has a caller outside the tests: a stdlib-``ast``
+scan of the repository.
+
+A function, method or class defined under ``src/`` must be referenced
+from ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.  A
+reference is a ``Name`` or ``Attribute`` node spelling the def's name,
+or a string constant equal to it (``getattr`` targets), except the
+entries of ``__all__``, which export a name without using it.  Dunder
+methods are called by the interpreter and are not scanned.  The scan
+goes by name only, so a def shares its references with every def of
+the same name.
+
+:data:`KEPT` names the defs that stay without such a caller.
+"""
+
+from __future__ import annotations
+
+import ast
+
+from .test_imports import ROOT, _trees
+
+CALLERS = ("src", "benchmarks", "examples", "perfbench")
+
+#: ``path::qualified name`` -> why it stays.  A reference implementation
+#: names the test that holds another implementation against it.
+KEPT = {
+    "src/repro/core/ratios.py::ratios_over_pairs":
+        "tests/test_property_riskroute.py::TestAggregateParity::"
+        "test_aggregates_equal_scalar_reference",
+    "src/repro/core/monitoring.py::coverage_of":
+        "tests/test_core_monitoring.py::TestCoverageOf::"
+        "test_greedy_beats_or_ties_naive",
+    "src/repro/graph/core.py::Graph.path_weight":
+        "tests/test_property_graph.py::TestDijkstraProperties::"
+        "test_path_weight_matches_distance",
+    "src/repro/geo/grid.py::GeoGrid.centers":
+        "tests/test_geo_grid.py::TestGeoGrid::"
+        "test_centers_array_matches_centers",
+    "src/repro/stats/kde.py::GaussianKDE.density":
+        "tests/test_property_stats.py::TestKdeProperties::"
+        "test_batch_matches_scalar",
+    "src/repro/stats/kde.py::GaussianKDE.log_density_many":
+        "tests/test_stats_kde.py::TestTruncation::"
+        "test_holdout_log_density_matches_refit",
+    # The real-data readers of PAPER.md section 2.
+    "src/repro/topology/graphml.py::read_graphml":
+        "reads a Topology Zoo GraphML file",
+    "src/repro/topology/peering.py::parse_caida_as_rel":
+        "reads a CAIDA AS-relationship file",
+}
+
+
+def _defs(node: ast.AST, prefix: str = ""):
+    """``(qualified name, name)`` of every function, method and class."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+        ):
+            yield prefix + child.name, child.name
+            yield from _defs(child, prefix + child.name + ".")
+        else:
+            yield from _defs(child, prefix)
+
+
+def _references(tree: ast.AST) -> set:
+    """Every name ``tree`` references (see the module docstring)."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AugAssign):
+            targets = [node.target]
+        else:
+            continue
+        if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+            exported.update(id(constant) for constant in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif (
+            isinstance(node, ast.Constant)
+            and isinstance(node.value, str)
+            and node.value.isidentifier()
+            and id(node) not in exported
+        ):
+            names.add(node.value)
+    return names
+
+
+def _src_defs():
+    """``(path::qualified name, name)`` of every non-dunder def in src."""
+    for path, tree in _trees(("src",)):
+        for qualified, name in _defs(tree):
+            if not (name.startswith("__") and name.endswith("__")):
+                yield f"{path.relative_to(ROOT)}::{qualified}", name
+
+
+def test_every_def_has_a_caller_outside_tests():
+    called = set()
+    for _, tree in _trees(CALLERS):
+        called |= _references(tree)
+    orphans = [
+        key for key, name in _src_defs()
+        if name not in called and key not in KEPT
+    ]
+    assert not orphans, "defs only tests reach:\n" + "\n".join(orphans)
+
+
+def test_every_kept_def_and_its_test_exist():
+    defs = {key for key, _ in _src_defs()}
+    tests = {
+        f"{path.relative_to(ROOT)}::{qualified.replace('.', '::')}"
+        for path, tree in _trees(("tests",))
+        for qualified, _ in _defs(tree)
+    }
+    missing = [
+        f"{key} ({why})" for key, why in KEPT.items()
+        if key not in defs or (why.startswith("tests/") and why not in tests)
+    ]
+    assert not missing, "stale KEPT entries:\n" + "\n".join(missing)

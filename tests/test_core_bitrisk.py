@@ -59,14 +59,6 @@ class TestPathMetrics:
         assert south.distance_miles < north.distance_miles
         assert south.bit_risk_miles > north.bit_risk_miles
 
-    def test_with_alpha_rescoring(self, graph, diamond_model):
-        path = ["diamond:west", "diamond:north", "diamond:east"]
-        metrics = path_metrics(graph, path, diamond_model)
-        rescored = metrics.with_alpha(0.0)
-        assert rescored.bit_risk_miles == pytest.approx(metrics.distance_miles)
-        with pytest.raises(ValueError):
-            metrics.with_alpha(-0.1)
-
     def test_broken_path_rejected(self, graph, diamond_model):
         with pytest.raises(KeyError):
             path_metrics(

@@ -55,16 +55,18 @@ class TestBounds:
     def test_bound_ordering(self):
         topology, model = build_two_domain_world()
         router = InterdomainRouter(topology, model)
-        bounds = router.bounds("R:bos", "T:den")
-        assert bounds.lower_bound <= bounds.upper_bound + 1e-9
-        assert bounds.bound_ratio >= 1.0
+        pair = router.session.pair("R:bos", "T:den")
+        assert (
+            pair.riskroute.bit_risk_miles
+            <= pair.shortest.bit_risk_miles + 1e-9
+        )
 
     def test_riskroute_crosses_peering(self):
         topology, model = build_two_domain_world()
         router = InterdomainRouter(topology, model)
-        bounds = router.bounds("R:bos", "T:den")
+        pair = router.session.pair("R:bos", "T:den")
         # The path must transit the co-located NYC peering point.
-        assert "T:nyc" in bounds.pair.riskroute.path
+        assert "T:nyc" in pair.riskroute.path
 
     def test_risk_averse_interdomain_route(self):
         topology, model = build_two_domain_world()

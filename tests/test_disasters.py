@@ -7,18 +7,15 @@ from repro.disasters.catalog import (
     PRETRAINED_BANDWIDTHS,
     catalog_of,
     event_kde,
-    full_catalog,
 )
 from repro.disasters.events import (
     PAPER_EVENT_COUNTS,
-    DisasterCatalog,
     DisasterEvent,
     EventType,
 )
-from repro.disasters.fema import FEMA_TOTAL_DECLARATIONS, fema_catalog
+from repro.disasters.fema import FEMA_TOTAL_DECLARATIONS
 from repro.disasters.generators import EVENT_MODELS, generate_events
-from repro.disasters.noaa import noaa_catalog
-from repro.geo.coords import CONTINENTAL_US, BoundingBox, GeoPoint
+from repro.geo.coords import CONTINENTAL_US, GeoPoint
 from repro.geo.regions import CENTRAL_PLAINS, GULF_COAST
 
 
@@ -30,48 +27,6 @@ class TestEvents:
     def test_implausible_year_rejected(self):
         with pytest.raises(ValueError):
             DisasterEvent(EventType.FEMA_STORM, GeoPoint(30.0, -90.0), 1492)
-
-    def test_catalog_filters(self):
-        events = [
-            DisasterEvent(EventType.FEMA_STORM, GeoPoint(35.0, -95.0), 1980),
-            DisasterEvent(EventType.FEMA_TORNADO, GeoPoint(36.0, -96.0), 1990),
-            DisasterEvent(EventType.FEMA_STORM, GeoPoint(45.0, -70.0), 2000),
-        ]
-        catalog = DisasterCatalog(events)
-        assert len(catalog.of_type(EventType.FEMA_STORM)) == 2
-        assert len(catalog.between_years(1985, 1995)) == 1
-        box = BoundingBox(30.0, -100.0, 40.0, -90.0)
-        assert len(catalog.within(box)) == 2
-
-    def test_of_type_unknown(self):
-        with pytest.raises(ValueError):
-            DisasterCatalog([]).of_type("typhoon")
-
-    def test_between_years_inverted(self):
-        with pytest.raises(ValueError):
-            DisasterCatalog([]).between_years(2000, 1990)
-
-    def test_within_bad_type(self):
-        with pytest.raises(TypeError):
-            DisasterCatalog([]).within("texas")
-
-    def test_counts_by_type(self):
-        events = [
-            DisasterEvent(EventType.FEMA_STORM, GeoPoint(35.0, -95.0), 1980),
-            DisasterEvent(EventType.FEMA_STORM, GeoPoint(36.0, -96.0), 1981),
-        ]
-        assert DisasterCatalog(events).counts_by_type() == {
-            EventType.FEMA_STORM: 2
-        }
-
-    def test_merged_with(self):
-        a = DisasterCatalog(
-            [DisasterEvent(EventType.FEMA_STORM, GeoPoint(35.0, -95.0), 1980)]
-        )
-        b = DisasterCatalog(
-            [DisasterEvent(EventType.NOAA_WIND, GeoPoint(36.0, -96.0), 1981)]
-        )
-        assert len(a.merged_with(b)) == 2
 
 
 class TestGenerators:
@@ -139,16 +94,24 @@ class TestCorpusCatalogs:
             assert len(catalog_of(event_type)) == count
 
     def test_fema_total(self):
-        assert len(fema_catalog()) == FEMA_TOTAL_DECLARATIONS
+        fema = (
+            EventType.FEMA_HURRICANE,
+            EventType.FEMA_TORNADO,
+            EventType.FEMA_STORM,
+        )
+        assert sum(len(catalog_of(t)) for t in fema) == FEMA_TOTAL_DECLARATIONS
 
     def test_noaa_total(self):
-        assert len(noaa_catalog()) == (
+        noaa = (EventType.NOAA_WIND, EventType.NOAA_EARTHQUAKE)
+        assert sum(len(catalog_of(t)) for t in noaa) == (
             PAPER_EVENT_COUNTS[EventType.NOAA_WIND]
             + PAPER_EVENT_COUNTS[EventType.NOAA_EARTHQUAKE]
         )
 
     def test_full_catalog_total(self):
-        assert len(full_catalog()) == sum(PAPER_EVENT_COUNTS.values())
+        assert sum(len(catalog_of(t)) for t in EventType.ALL) == sum(
+            PAPER_EVENT_COUNTS.values()
+        )
 
     def test_unknown_catalog(self):
         with pytest.raises(ValueError):

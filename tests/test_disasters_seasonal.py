@@ -89,24 +89,25 @@ class TestSeasonalCatalogs:
     def test_seasonal_risk_contrast(self):
         """September hurricane *risk* on the Gulf coast dwarfs
         February's once rate multipliers are applied."""
-        from repro.disasters.seasonal import seasonal_historical_model
+        from repro.disasters.seasonal import (
+            seasonal_kdes,
+            seasonal_rate_multiplier,
+        )
         from repro.geo.coords import GeoPoint
+        from repro.risk.historical import HistoricalRiskModel
 
         new_orleans = GeoPoint(29.95, -90.07)
-        september = seasonal_historical_model(9)
-        february = seasonal_historical_model(2)
-        september_risk = september.class_risk_many(
-            EventType.FEMA_HURRICANE, [new_orleans]
-        )[0]
-        february_risk = february.class_risk_many(
-            EventType.FEMA_HURRICANE, [new_orleans]
-        )[0]
-        # class_risk_many excludes per-class weights; apply rates.
-        from repro.disasters.seasonal import seasonal_rate_multiplier
+        hurricane = EventType.FEMA_HURRICANE
 
-        september_risk *= seasonal_rate_multiplier(EventType.FEMA_HURRICANE, 9)
-        february_risk *= seasonal_rate_multiplier(EventType.FEMA_HURRICANE, 2)
-        assert september_risk > 5.0 * february_risk
+        def hurricane_risk(month):
+            # The hurricane term of seasonal_historical_model(month).
+            model = HistoricalRiskModel(
+                {hurricane: seasonal_kdes(month)[hurricane]},
+                {hurricane: seasonal_rate_multiplier(hurricane, month)},
+            )
+            return model.risk_at(new_orleans)
+
+        assert hurricane_risk(9) > 5.0 * hurricane_risk(2)
 
     def test_rate_multipliers_average_to_one(self):
         from repro.disasters.seasonal import seasonal_rate_multiplier

@@ -319,6 +319,20 @@ def _force_bucketed(monkeypatch):
     monkeypatch.setattr(engine_module, "BUCKETED_MIN_NODES", 0)
 
 
+def _record_batched(monkeypatch):
+    """The sources every ``csr_sweep_batch`` call settles, in order."""
+    batched = []
+    kernel = engine_module.csr_sweep_batch
+
+    def recording(*args, **kwargs):
+        results = kernel(*args, **kwargs)
+        batched.extend(result.source for result in results)
+        return results
+
+    monkeypatch.setattr(engine_module, "csr_sweep_batch", recording)
+    return batched
+
+
 def _force_targeted(monkeypatch):
     """Answer every cold single-pair query with landmark A*."""
     monkeypatch.setattr(engine_module, "TARGETED_MIN_NODES", 1)
@@ -333,30 +347,30 @@ class TestKernelSelection:
         exact = RoutingEngine(diamond_graph, diamond_model)
         forced = RoutingEngine(diamond_graph, diamond_model)
         n = forced.node_count
+        batched = _record_batched(monkeypatch)
         exact.prefetch((s, 0.0) for s in range(n))
+        assert batched == []  # heapq only
         _force_bucketed(monkeypatch)
         forced.prefetch((s, 0.0) for s in range(n))
+        assert batched == list(range(n))  # the bucketed kernel only
         for source in exact.node_ids:
             a = exact.sweep(source, 0.0)
             b = forced.sweep(source, 0.0)
-            # The two kernels really ran: list- vs numpy-backed.
-            assert isinstance(a.dist, list)
-            assert isinstance(b.dist, np.ndarray)
-            assert list(a.dist) == list(b.dist)
-            assert list(a.parent) == list(b.parent)
+            assert a.dist == b.dist
+            assert a.parent == b.parent
 
-    def test_small_buckets_stay_on_heapq(self):
+    def test_small_buckets_stay_on_heapq(self, monkeypatch):
         # 80 nodes clear BUCKETED_MIN_NODES; 15 sources stay below
         # BUCKETED_MIN_BATCH, 16 reach it.
         network = continental_network(pop_count=80, seed=0)
         engine = RoutingEngine(
             network.distance_graph(), _seeded_model(network)
         )
-        ids = engine.node_ids
+        batched = _record_batched(monkeypatch)
         engine.prefetch((s, 0.0) for s in range(15))
+        assert batched == []
         engine.prefetch((s, 0.0) for s in range(20, 36))
-        assert isinstance(engine.sweep(ids[0], 0.0).dist, list)
-        assert isinstance(engine.sweep(ids[20], 0.0).dist, np.ndarray)
+        assert batched == list(range(20, 36))
 
     def test_targeted_route_equals_exact_route(
         self, diamond_network, monkeypatch
@@ -437,15 +451,17 @@ class TestKernelIndependence:
     """On a topology without exact ties, no answer depends on which
     kernel settled a sweep or on the order sweeps entered the cache."""
 
-    def test_batched_and_one_at_a_time_caches_agree(self):
+    def test_batched_and_one_at_a_time_caches_agree(self, monkeypatch):
         network = continental_network(pop_count=400, seed=0)
         graph = network.distance_graph()
         model = _seeded_model(network)
         per_source = SweepStrategy.PER_SOURCE
         answers = []
+        kernel_sources = _record_batched(monkeypatch)
         for batched in (True, False):
             engine = RoutingEngine(graph, model)
             sources = engine.node_ids[:20]
+            kernel_sources.clear()
             if batched:
                 # One prefetch: the 20 geographic sweeps share a bucket
                 # and run through the bucketed kernel.
@@ -457,14 +473,12 @@ class TestKernelIndependence:
                         (engine.index_of(name), engine.expected_impact(name)),
                     )
                 )
-                assert isinstance(
-                    engine.sweep(sources[0], 0.0).dist, np.ndarray
-                )
+                assert engine.index_of(sources[0]) in kernel_sources
             else:
                 for name in sources:
                     engine.sweep(name, 0.0)
                     engine.sweep(name, engine.expected_impact(name))
-                assert isinstance(engine.sweep(sources[0], 0.0).dist, list)
+                assert kernel_sources == []
             ratios = engine.ratios(sources=sources, strategy=per_source)
             answers.append(
                 (

@@ -55,21 +55,10 @@ class TestStormTrack:
 
     def test_time_range(self):
         track = StormTrack("X", [fix(0), fix(6), fix(12)])
-        assert track.start_time == T0
-        assert track.end_time == T0 + timedelta(hours=12)
+        assert [f.time for f in track.fixes()] == [
+            T0 + timedelta(hours=h) for h in (0, 6, 12)
+        ]
         assert len(track) == 3
-
-    def test_track_length(self):
-        track = StormTrack(
-            "X", [fix(0, lat=25.0), fix(6, lat=26.0), fix(12, lat=27.0)]
-        )
-        assert track.track_length_miles() == pytest.approx(2 * 69.05, rel=0.01)
-
-    def test_peak_intensity(self):
-        track = StormTrack(
-            "X", [fix(0, wind=60.0), fix(6, wind=120.0), fix(12, wind=90.0)]
-        )
-        assert track.peak_intensity().max_wind_mph == 120.0
 
 
 class TestInterpolation:

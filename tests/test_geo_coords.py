@@ -66,9 +66,6 @@ class TestGeoPoint:
         assert GeoPoint(1.0, 5.0) < GeoPoint(2.0, 0.0)
         assert GeoPoint(1.0, 1.0) < GeoPoint(1.0, 2.0)
 
-    def test_as_tuple(self):
-        assert GeoPoint(3.5, -7.25).as_tuple() == (3.5, -7.25)
-
     def test_as_radians(self):
         lat, lon = GeoPoint(90.0, -180.0).as_radians()
         assert lat == pytest.approx(math.pi / 2)
@@ -132,11 +129,6 @@ class TestBoundingBox:
     def test_expanded_negative_margin_rejected(self):
         with pytest.raises(ValueError):
             BoundingBox(0.0, 0.0, 1.0, 1.0).expanded(-1.0)
-
-    def test_corners_order(self):
-        corners = BoundingBox(0.0, 0.0, 1.0, 2.0).corners()
-        assert corners[0] == GeoPoint(0.0, 0.0)   # SW
-        assert corners[2] == GeoPoint(1.0, 2.0)   # NE
 
     def test_continental_us_contains_known_cities(self):
         assert CONTINENTAL_US.contains(GeoPoint(40.71, -74.01))   # NYC

@@ -7,11 +7,9 @@ from repro.geo.coords import GeoPoint
 from repro.geo.distance import (
     EARTH_RADIUS_MILES,
     destination_point,
-    haversine_km,
     haversine_miles,
     interpolate_great_circle,
     pairwise_distance_matrix,
-    path_length_miles,
 )
 
 NYC = GeoPoint(40.71, -74.01)
@@ -37,30 +35,12 @@ class TestHaversine:
         via = haversine_miles(NYC, CHICAGO) + haversine_miles(CHICAGO, LA)
         assert direct <= via + 1e-9
 
-    def test_km_conversion(self):
-        miles = haversine_miles(NYC, LA)
-        km = haversine_km(NYC, LA)
-        assert km == pytest.approx(miles * 1.609344, rel=1e-3)
-
     def test_antipodal_is_half_circumference(self):
         a = GeoPoint(0.0, 0.0)
         b = GeoPoint(0.0, 180.0)
         assert haversine_miles(a, b) == pytest.approx(
             np.pi * EARTH_RADIUS_MILES, rel=1e-6
         )
-
-
-class TestPathLength:
-    def test_empty_path(self):
-        assert path_length_miles([]) == 0.0
-
-    def test_single_point(self):
-        assert path_length_miles([NYC]) == 0.0
-
-    def test_two_hops_additive(self):
-        total = path_length_miles([NYC, CHICAGO, LA])
-        expected = haversine_miles(NYC, CHICAGO) + haversine_miles(CHICAGO, LA)
-        assert total == pytest.approx(expected)
 
 
 class TestMatrixForms:

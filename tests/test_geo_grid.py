@@ -81,10 +81,6 @@ class TestGridField:
         with pytest.raises(ValueError):
             GridField(grid, np.zeros((3, 2)))
 
-    def test_value_at(self):
-        field = self.make_field()
-        assert field.value_at(GeoPoint(7.5, 15.0)) == 4.0
-
     def test_peak(self):
         field = self.make_field()
         location, value = field.peak()
@@ -103,8 +99,3 @@ class TestGridField:
         field = GridField(grid, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             field.normalized()
-
-    def test_mass_in_box(self):
-        field = self.make_field()
-        south = BoundingBox(0.0, 0.0, 5.0, 20.0)
-        assert field.mass_in_box(south) == 3.0

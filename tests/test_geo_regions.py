@@ -30,11 +30,6 @@ class TestRegion:
         assert region.contains(GeoPoint(5.5, 5.5))
         assert not region.contains(GeoPoint(3.0, 3.0))
 
-    def test_filter(self):
-        region = Region("one", (BoundingBox(0.0, 0.0, 1.0, 1.0),))
-        points = [GeoPoint(0.5, 0.5), GeoPoint(2.0, 2.0)]
-        assert region.filter(points) == [GeoPoint(0.5, 0.5)]
-
 
 class TestNamedRegions:
     def test_new_orleans_in_gulf(self):

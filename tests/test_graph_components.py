@@ -1,17 +1,13 @@
 """Tests for repro.graph.components."""
 
-from repro.graph.components import (
-    bridges,
-    connected_components,
-    is_connected,
-    largest_component,
-)
+from repro.graph.components import bridges, connected_components, is_connected
 from repro.graph.core import Graph
+from tests.conftest import graph_from_edges
 
 
 def two_triangles_with_bridge() -> Graph:
     """Triangles a-b-c and d-e-f joined by bridge c-d."""
-    return Graph.from_edges(
+    return graph_from_edges(
         [
             ("a", "b", 1.0), ("b", "c", 1.0), ("a", "c", 1.0),
             ("d", "e", 1.0), ("e", "f", 1.0), ("d", "f", 1.0),
@@ -25,7 +21,7 @@ class TestComponents:
         assert len(connected_components(two_triangles_with_bridge())) == 1
 
     def test_two_components(self):
-        g = Graph.from_edges([("a", "b", 1.0), ("c", "d", 1.0)])
+        g = graph_from_edges([("a", "b", 1.0), ("c", "d", 1.0)])
         comps = connected_components(g)
         assert sorted(sorted(c) for c in comps) == [["a", "b"], ["c", "d"]]
 
@@ -43,21 +39,12 @@ class TestIsConnected:
         assert is_connected(two_triangles_with_bridge())
 
     def test_disconnected(self):
-        g = Graph.from_edges([("a", "b", 1.0)])
+        g = graph_from_edges([("a", "b", 1.0)])
         g.add_node("island")
         assert not is_connected(g)
 
     def test_empty_graph_not_connected(self):
         assert not is_connected(Graph())
-
-
-class TestLargestComponent:
-    def test_picks_largest(self):
-        g = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0), ("x", "y", 1.0)])
-        assert sorted(largest_component(g)) == ["a", "b", "c"]
-
-    def test_empty(self):
-        assert largest_component(Graph()) == []
 
 
 class TestBridges:
@@ -66,11 +53,11 @@ class TestBridges:
         assert [frozenset(e) for e in found] == [frozenset(("c", "d"))]
 
     def test_tree_all_edges_are_bridges(self):
-        g = Graph.from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
+        g = graph_from_edges([("a", "b", 1.0), ("b", "c", 1.0)])
         assert len(bridges(g)) == 2
 
     def test_cycle_has_no_bridges(self):
-        g = Graph.from_edges(
+        g = graph_from_edges(
             [("a", "b", 1.0), ("b", "c", 1.0), ("c", "a", 1.0)]
         )
         assert bridges(g) == []

@@ -2,11 +2,12 @@
 
 import pytest
 
-from repro.graph.core import EdgeExistsError, Graph, NodeNotFoundError
+from repro.graph.core import EdgeExistsError, Graph
+from tests.conftest import graph_from_edges
 
 
 def triangle() -> Graph:
-    return Graph.from_edges([("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 4.0)])
+    return graph_from_edges([("a", "b", 1.0), ("b", "c", 2.0), ("a", "c", 4.0)])
 
 
 class TestConstruction:
@@ -50,23 +51,6 @@ class TestConstruction:
 
 
 class TestMutation:
-    def test_set_weight(self):
-        g = triangle()
-        g.set_weight("a", "b", 7.0)
-        assert g.weight("a", "b") == 7.0
-        assert g.weight("b", "a") == 7.0
-
-    def test_set_weight_missing_edge(self):
-        g = Graph()
-        g.add_node("a")
-        g.add_node("b")
-        with pytest.raises(KeyError):
-            g.set_weight("a", "b", 1.0)
-
-    def test_set_weight_missing_node(self):
-        g = triangle()
-        with pytest.raises(NodeNotFoundError):
-            g.set_weight("a", "zzz", 1.0)
 
     def test_remove_edge(self):
         g = triangle()
@@ -114,10 +98,6 @@ class TestQueries:
     def test_degree(self):
         g = triangle()
         assert g.degree("a") == 2
-
-    def test_average_degree(self):
-        assert triangle().average_degree() == pytest.approx(2.0)
-        assert Graph().average_degree() == 0.0
 
     def test_path_weight(self):
         g = triangle()

@@ -9,8 +9,8 @@ from repro.graph.shortest_path import (
     dijkstra,
     reconstruct_path,
     shortest_path,
-    shortest_path_length,
 )
+from tests.conftest import graph_from_edges
 
 
 def grid_graph() -> Graph:
@@ -76,18 +76,9 @@ class TestShortestPath:
         with pytest.raises(NoPathError):
             shortest_path(g, "a", "island")
 
-    def test_length_only(self):
-        assert shortest_path_length(grid_graph(), "a", "f") == pytest.approx(3.0)
-
-    def test_length_no_path(self):
-        g = grid_graph()
-        g.add_node("island")
-        with pytest.raises(NoPathError):
-            shortest_path_length(g, "a", "island")
-
     def test_deterministic_tie_break(self):
         # Two equal-cost routes a->b->d and a->c->d: first-inserted wins.
-        g = Graph.from_edges(
+        g = graph_from_edges(
             [("a", "b", 1.0), ("b", "d", 1.0), ("a", "c", 1.0), ("c", "d", 1.0)]
         )
         assert shortest_path(g, "a", "d") == ["a", "b", "d"]

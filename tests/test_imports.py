@@ -46,17 +46,22 @@ def _names_read(tree: ast.AST) -> set:
     return names
 
 
+def _trees(tops):
+    """``(path, module AST)`` for every ``.py`` file under ``tops``."""
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
 def test_no_unused_imports():
     unused = []
-    for top in SCANNED:
-        for path in sorted((ROOT / top).rglob("*.py")):
-            if path.name == "__init__.py":
-                continue
-            tree = ast.parse(path.read_text(encoding="utf-8"))
-            read = _names_read(tree)
-            unused.extend(
-                f"{path.relative_to(ROOT)}:{line}: {name}"
-                for line, name in _imported(tree)
-                if name not in read
-            )
+    for path, tree in _trees(SCANNED):
+        if path.name == "__init__.py":
+            continue
+        read = _names_read(tree)
+        unused.extend(
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for line, name in _imported(tree)
+            if name not in read
+        )
     assert not unused, "unused imports:\n" + "\n".join(unused)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.geo.coords import CONTINENTAL_US, GeoPoint
-from repro.geo.regions import states_region
+from repro.geo.coords import CONTINENTAL_US, BoundingBox, GeoPoint
+from repro.geo.regions import Region, states_region
 from repro.population.assignment import (
     PopulationAssignment,
     assign_population,
@@ -48,9 +48,6 @@ class TestCensusData:
         assert block.population == 400.0
         assert block.location.lat == pytest.approx(39.7)
 
-    def test_blocks_iterator(self):
-        assert len(list(tiny_census().blocks())) == 5
-
     def test_restricted_to_region(self):
         census = tiny_census()
         illinois = census.restricted_to(states_region(["IL"]))
@@ -75,8 +72,8 @@ class TestSyntheticCensus:
 
     def test_big_cities_dominate(self):
         census = synthetic_census()
-        nyc_region = census.restricted_to_box(
-            type(CONTINENTAL_US)(40.0, -75.0, 41.5, -73.0)
+        nyc_region = census.restricted_to(
+            Region("nyc", (BoundingBox(40.0, -75.0, 41.5, -73.0),))
         )
         wyoming = census.restricted_to(states_region(["WY"]))
         assert nyc_region.total_population > wyoming.total_population
@@ -102,7 +99,8 @@ class TestAssignment:
 
     def test_population_of(self):
         result = assign_population(tiny_census(), two_pop_network().pops())
-        assert result.population_of("t:chi") == pytest.approx(400.0)
+        served = result.share("t:chi") * result.total_population
+        assert served == pytest.approx(400.0)
 
     def test_unknown_pop(self):
         result = assign_population(tiny_census(), two_pop_network().pops())
@@ -112,14 +110,6 @@ class TestAssignment:
     def test_no_pops_rejected(self):
         with pytest.raises(ValueError):
             assign_population(tiny_census(), [])
-
-    def test_heaviest(self):
-        census = tiny_census()
-        net = two_pop_network()
-        net.add_pop(PoP("t:far", "Far", GeoPoint(47.0, -122.0)))
-        result = assign_population(census, net.pops())
-        assert result.heaviest(1) in (["t:chi"], ["t:den"])
-        assert len(result.heaviest(5)) == 3
 
     def test_validation_of_shares(self):
         with pytest.raises(ValueError):

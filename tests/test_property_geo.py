@@ -76,5 +76,6 @@ class TestBoundingBoxProperties:
         )
         grown = box.expanded(margin)
         assert grown.contains(p)
-        for corner in box.corners():
-            assert grown.contains(corner)
+        for lat in (box.south, box.north):
+            for lon in (box.west, box.east):
+                assert grown.contains(GeoPoint(lat, lon))

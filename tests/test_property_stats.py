@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from repro.geo.coords import GeoPoint
 from repro.stats.divergence import jensen_shannon_discrete
-from repro.stats.kde import GaussianKDE
+from repro.stats.kde import GaussianKDE, points_to_array
 from repro.stats.regression import linear_regression, r_squared
 from tests.conftest import examples
 
@@ -31,7 +31,7 @@ class TestKdeProperties:
     def test_peak_at_events(self, events, bandwidth):
         """Density at some event location >= density far away."""
         kde = GaussianKDE(events, bandwidth)
-        at_events = kde.density_many(events)
+        at_events = kde.density_array(points_to_array(events))
         far = kde.density(GeoPoint(25.0, -67.0))
         assert at_events.max() >= far - 1e-15
 
@@ -52,7 +52,7 @@ class TestKdeProperties:
     @settings(max_examples=examples(40), deadline=None)
     def test_batch_matches_scalar(self, events, bandwidth, queries):
         kde = GaussianKDE(events, bandwidth)
-        batch = kde.density_many(queries)
+        batch = kde.density_array(points_to_array(queries))
         for query, value in zip(queries, batch):
             assert math.isclose(
                 kde.density(query), value, rel_tol=1e-9, abs_tol=1e-300
@@ -76,8 +76,9 @@ class TestKdeProperties:
         """
         exact = GaussianKDE(events, bandwidth, cutoff_sigmas=None)
         truncated = GaussianKDE(events, bandwidth, cutoff_sigmas=cutoff)
-        dense = exact.density_many(queries)
-        fast = truncated.density_many(queries)
+        latlon = points_to_array(queries)
+        dense = exact.density_array(latlon)
+        fast = truncated.density_array(latlon)
         bound = math.exp(-(cutoff**2) / 2.0) / (
             2.0 * math.pi * bandwidth**2
         )

@@ -95,7 +95,7 @@ class TestTrafficMatrixProperties:
         if demands.sum() == 0.0:
             demands[0, 1] = demands[1, 0] = 1.0
         matrix = TrafficMatrix([f"p{i}" for i in range(n)], demands)
-        assert abs(matrix.total_demand() - 1.0) < 1e-12
+        assert abs(matrix.as_array().sum() - 1.0) < 1e-12
         total = sum(
             matrix.demand(f"p{i}", f"p{j}")
             for i in range(n)

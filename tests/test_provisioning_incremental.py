@@ -203,10 +203,10 @@ class TestStatsAccounting:
         )
         recs = analyzer.greedy_links(3)
         assert len(recs) == 3
-        stats = analyzer.stats.as_dict()
-        assert stats["matrix_builds"] == 1
-        assert stats["matrix_updates"] == 3
-        assert stats["sweeps_run"] > 0
-        assert stats["sweeps_avoided"] > 0
-        assert stats["candidates_scored"] > 0
-        assert stats["verifications"] == 0
+        stats = analyzer.stats
+        assert stats.matrix_builds == 1
+        assert stats.matrix_updates == 3
+        assert stats.sweeps_run > 0
+        assert stats.sweeps_avoided > 0
+        assert stats.candidates_scored > 0
+        assert stats.verifications == 0

@@ -21,11 +21,11 @@ RISKY_SPOT = GeoPoint(30.0, -90.0)
 SAFE_SPOT = GeoPoint(45.0, -110.0)
 
 
-def toy_historical() -> HistoricalRiskModel:
+def toy_historical(weights=None) -> HistoricalRiskModel:
     events = [
         GeoPoint(30.0 + d, -90.0 + d) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)
     ]
-    return HistoricalRiskModel({"storm": GaussianKDE(events, 40.0)})
+    return HistoricalRiskModel({"storm": GaussianKDE(events, 40.0)}, weights)
 
 
 def toy_network() -> Network:
@@ -64,24 +64,19 @@ class TestHistorical:
 
     def test_weights_scale_risk(self):
         base = toy_historical()
-        doubled = base.reweighted({"storm": 2.0})
+        doubled = toy_historical({"storm": 2.0})
         assert doubled.risk_at(RISKY_SPOT) == pytest.approx(
             2.0 * base.risk_at(RISKY_SPOT)
         )
 
     def test_zero_weight_removes_class(self):
-        base = toy_historical()
-        muted = base.reweighted({"storm": 0.0})
+        muted = toy_historical({"storm": 0.0})
         assert muted.risk_at(RISKY_SPOT) == 0.0
 
     def test_pop_risks(self):
         risks = toy_historical().pop_risks(toy_network())
         assert set(risks) == {"toy:risky", "toy:safe"}
         assert risks["toy:risky"] > risks["toy:safe"]
-
-    def test_unknown_class(self):
-        with pytest.raises(KeyError):
-            toy_historical().class_risk_many("quake", [RISKY_SPOT])
 
     def test_risk_many_empty(self):
         assert toy_historical().risk_many([]).shape == (0,)
@@ -97,7 +92,7 @@ class TestHistorical:
     def test_fingerprint_tracks_weights_and_kdes(self):
         base = toy_historical()
         assert base.fingerprint == toy_historical().fingerprint
-        assert base.fingerprint != base.reweighted({"storm": 2.0}).fingerprint
+        assert base.fingerprint != toy_historical({"storm": 2.0}).fingerprint
 
     def test_repeated_pop_risks_evaluates_no_kernel(self, monkeypatch):
         """The second call on one model is a memo hit."""
@@ -157,7 +152,6 @@ class TestForecasted:
     def test_no_forecast_zero(self):
         model = no_forecast()
         assert model.risk_at(RISKY_SPOT) == 0.0
-        assert model.snapshot_count == 0
 
     def test_single_snapshot(self):
         model = ForecastedRiskModel([self.snapshot()])
@@ -177,7 +171,6 @@ class TestForecasted:
         assert risks["toy:risky"] == 100.0
         assert risks["toy:safe"] == 0.0
         assert model.pops_in_scope(net) == ["toy:risky"]
-        assert model.pops_under_hurricane(net) == ["toy:risky"]
 
     def test_risk_many(self):
         model = ForecastedRiskModel([self.snapshot()])
@@ -286,9 +279,6 @@ class TestRiskModel:
     def test_with_forecast_risk_mismatch(self):
         with pytest.raises(ValueError):
             self.toy_model().with_forecast_risk({"a": 0.0})
-
-    def test_mean_pop_risk(self):
-        assert self.toy_model().mean_pop_risk() == pytest.approx(0.006)
 
     def test_for_network_integration(self, teliasonera, teliasonera_model):
         model = teliasonera_model

@@ -62,7 +62,7 @@ class TestDegeneracy:
                 assert result.overload_trips == 0
                 assert set(result.failed_pops) == failed
                 hits[policy] += result.route_hits
-            trials += simulator.sampled_route_count
+            trials += result.route_trials
 
         report = route_survival(
             network, model, disasters, sample_pairs=SAMPLE_PAIRS

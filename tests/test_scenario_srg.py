@@ -86,13 +86,6 @@ class TestInferSrgs:
         assert all(g.risk > 0 for g in weighted.groups)
         assert any(g.risk != 1.0 for g in weighted.groups)
 
-    def test_group_at_locates_corridors(self, diamond_network):
-        srgs = infer_srgs(diamond_network)
-        west = srgs.group_at(GeoPoint(39.0, -100.0))
-        assert west is not None
-        assert "diamond:west" in west.pops
-        assert srgs.group_at(GeoPoint(60.0, -100.0)) is None
-
     def test_min_links_filters_groups(self, diamond_network):
         all_groups = infer_srgs(diamond_network, min_links=1)
         shared_only = infer_srgs(diamond_network, min_links=2)
@@ -111,7 +104,6 @@ class TestInferSrgs:
         srgs = SrgIndex(corridor_grid(50.0), [])
         assert len(srgs) == 0
         assert srgs.activation_weights().shape == (0,)
-        assert srgs.group_at(GeoPoint(39.0, -100.0)) is None
 
     def test_uniform_fallback_for_zero_risk(self, diamond_network):
         srgs = infer_srgs(diamond_network)

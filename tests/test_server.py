@@ -582,7 +582,7 @@ class TestCoalescingQueue:
             assert await queue.submit(self._item("route")) == "overloaded"
             await queue.close()
             assert await queue.submit(self._item("route")) == "closed"
-            assert queue.high_water == 2
+            assert len(queue) == 2
 
         asyncio.run(scenario())
 

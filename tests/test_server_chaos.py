@@ -110,7 +110,6 @@ class TestFaultPlaneUnit:
 
     def test_disabled_plane(self):
         plane = FaultPlane()
-        assert not plane.enabled
         assert plane.check("partial_write") is None
 
 
@@ -534,7 +533,7 @@ class TestSeededMixedChaos:
                 stats_server.worker_restarts
             )
             assert len(crash_errors) <= stats_server.worker_crashes * (
-                thread.server.config.max_batch
+                thread.server.queue.max_batch
             )
         finally:
             thread.stop()

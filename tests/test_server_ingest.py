@@ -115,6 +115,24 @@ class TestIngestOp:
 
             assert client.stats()["ingests"] == 1
 
+    def test_reply_keys_and_no_now_year(self, diamond_server):
+        """Ingest is append plus dedup: the reply has no window
+        counters, and ``now_year`` is not a parameter."""
+        host, port = diamond_server
+        with RiskRouteClient(host, port) as client:
+            reply = client.ingest([_tornado(37.5, -97.5, 2005)])
+            assert set(reply) == {
+                "appended", "duplicates", "touched_types", "changed",
+                "duplicate",
+            }
+            with pytest.raises(ServerError) as excinfo:
+                client.call(
+                    "ingest", events=[_tornado(38.5, -96.5, 2006)],
+                    now_year=2010,
+                )
+            assert excinfo.value.code == "bad_request"
+            assert "now_year" in excinfo.value.message
+
     def test_duplicate_token_replays_without_reapplying(self, diamond_server):
         host, port = diamond_server
         events = [_tornado(37.5, -97.5, 2005)]

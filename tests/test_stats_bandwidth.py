@@ -82,13 +82,6 @@ class TestCrossValidation:
         with pytest.raises(ValueError):
             cross_validate_bandwidth(clustered_events(), [10.0], n_folds=1)
 
-    def test_result_score_lookup(self):
-        events = clustered_events(n=60)
-        result = cross_validate_bandwidth(events, [20.0, 80.0], seed=1)
-        assert result.score_of(20.0) == result.scores[0]
-        with pytest.raises(KeyError):
-            result.score_of(999.0)
-
     def test_scores_cover_all_candidates(self):
         events = clustered_events(n=60)
         candidates = [10.0, 50.0, 200.0]
@@ -101,4 +94,5 @@ class TestCrossValidation:
         result = cross_validate_bandwidth(
             events, log_space_candidates(3.0, 800.0, 8), seed=2
         )
-        assert result.score_of(result.best_bandwidth_miles) == min(result.scores)
+        best = result.candidates.index(result.best_bandwidth_miles)
+        assert result.scores[best] == min(result.scores)

@@ -51,12 +51,13 @@ class TestDensity:
 
     def test_density_many_matches_scalar(self):
         kde = GaussianKDE(CLUSTER, 30.0)
-        many = kde.density_many([CLUSTER[0], FAR_AWAY])
+        many = kde.density_array(points_to_array([CLUSTER[0], FAR_AWAY]))
         assert many[0] == pytest.approx(kde.density(CLUSTER[0]))
         assert many[1] == pytest.approx(kde.density(FAR_AWAY))
 
     def test_density_many_empty(self):
-        assert GaussianKDE(CLUSTER, 30.0).density_many([]).shape == (0,)
+        kde = GaussianKDE(CLUSTER, 30.0)
+        assert kde.density_array(points_to_array([])).shape == (0,)
 
     def test_chunking_consistent(self, monkeypatch):
         points = [GeoPoint(30.0 + i * 0.1, -100.0) for i in range(50)]
@@ -64,8 +65,9 @@ class TestDensity:
         small = GaussianKDE(CLUSTER, 30.0)
         monkeypatch.setattr(kde_module, "_CHUNK_ROWS", 1000)
         large = GaussianKDE(CLUSTER, 30.0)
+        latlon = points_to_array(points)
         np.testing.assert_allclose(
-            small.density_many(points), large.density_many(points)
+            small.density_array(latlon), large.density_array(latlon)
         )
 
     def test_density_array_shape_validation(self):

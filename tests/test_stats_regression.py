@@ -23,7 +23,7 @@ class TestLinearRegression:
     def test_intercept(self):
         fit = linear_regression([0.0, 1.0], [5.0, 7.0])
         assert fit.intercept == pytest.approx(5.0)
-        assert fit.predict(2.0) == pytest.approx(9.0)
+        assert fit.slope == pytest.approx(2.0)
 
     def test_no_trend_low_r2(self):
         x = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]

@@ -1,15 +1,13 @@
-"""Incremental KDE parity: append/retire patches vs from-scratch rebuild.
+"""Incremental KDE parity: append patches vs from-scratch rebuild.
 
-The streaming issue's core contract: a :class:`StreamingKDE` whose
-event set was grown and shrunk through ``append_events`` /
-``retire_events`` evaluates **bit for bit** like a fresh
-:class:`GaussianKDE` built over the surviving events — the rebuild path
-is the parity oracle.  The hypothesis test drives random interleavings
-of appends and retirements (the shape of live ingest plus rolling
-window slides) and pins tracked densities and fingerprints against the
-oracle at 1e-9 relative tolerance (and in fact exact equality, which
-the implementation guarantees); a grid field evaluated after patches
-matches the oracle's too.
+The streaming contract: a :class:`StreamingKDE` whose event set was
+grown through ``append_events`` evaluates **bit for bit** like a fresh
+:class:`GaussianKDE` built over the same events — the rebuild path is
+the parity oracle.  The hypothesis test drives random sequences of
+append batches (the shape of live ingest) and pins tracked densities
+and fingerprints against the oracle at 1e-9 relative tolerance (and in
+fact exact equality, which the implementation guarantees); a grid field
+evaluated after a patch matches the oracle's too.
 """
 
 from __future__ import annotations
@@ -47,35 +45,18 @@ class TestConstruction:
                 _array([(35.0, -95.0)]), BANDWIDTH, cutoff_sigmas=None
             )
 
-    def test_retire_out_of_range(self):
-        kde = StreamingKDE.from_array(
-            _array([(35.0, -95.0), (36.0, -96.0)]), BANDWIDTH
-        )
-        with pytest.raises(ValueError):
-            kde.retire_events([5])
-        with pytest.raises(ValueError):
-            kde.retire_events([-1])
-
-    def test_cannot_retire_every_event(self):
-        kde = StreamingKDE.from_array(
-            _array([(35.0, -95.0), (36.0, -96.0)]), BANDWIDTH
-        )
-        with pytest.raises(ValueError):
-            kde.retire_events([0, 1])
-
     def test_empty_batches_are_noop_deltas(self):
         kde = StreamingKDE.from_array(_array([(35.0, -95.0)]), BANDWIDTH)
         before = kde.fingerprint
         assert not kde.append_events(_array([])).changed
-        assert not kde.retire_events([]).changed
         assert kde.fingerprint == before
 
 
 class TestIncrementalParity:
     @given(data=st.data())
     @settings(max_examples=examples(25), deadline=None)
-    def test_random_appends_and_retires_match_rebuild(self, data):
-        """Any interleaving of appends/retires == rebuild, bitwise."""
+    def test_random_appends_match_rebuild(self, data):
+        """Any sequence of append batches == rebuild, bitwise."""
         events = data.draw(
             st.lists(coords, min_size=4, max_size=16), label="initial"
         )
@@ -88,28 +69,11 @@ class TestIncrementalParity:
         # dirty-row patch path, not a fresh sweep.
         kde.tracked_density(queries)
         for _ in range(data.draw(st.integers(1, 4), label="ops")):
-            retire = len(events) > 4 and data.draw(
-                st.booleans(), label="retire?"
+            batch = data.draw(
+                st.lists(coords, min_size=1, max_size=5), label="append"
             )
-            if retire:
-                indices = data.draw(
-                    st.lists(
-                        st.integers(0, len(events) - 1),
-                        min_size=1,
-                        max_size=len(events) - 2,
-                        unique=True,
-                    ),
-                    label="retire-rows",
-                )
-                kde.retire_events(indices)
-                for row in sorted(set(indices), reverse=True):
-                    events.pop(row)
-            else:
-                batch = data.draw(
-                    st.lists(coords, min_size=1, max_size=5), label="append"
-                )
-                kde.append_events(_array(batch))
-                events.extend(batch)
+            kde.append_events(_array(batch))
+            events.extend(batch)
         oracle = GaussianKDE.from_array(_array(events), BANDWIDTH)
         incremental = kde.tracked_density(queries)
         rebuilt = oracle.density_array(queries)
@@ -124,7 +88,7 @@ class TestIncrementalParity:
         kde = StreamingKDE.from_array(_array(base), BANDWIDTH)
         delta = kde.append_events(_array([(35.1, -94.9)]))
         assert delta.changed
-        assert delta.appended == 1 and delta.retired == 0
+        assert delta.appended == 1
         # A row next to the new event is dirty; one far outside the
         # truncation reach is not.
         mask = delta.dirty_mask(_array([(35.05, -95.0), (46.5, -68.0)]))
@@ -154,8 +118,6 @@ class TestGridFieldsAndDeltaCache:
         kde.evaluate_grid(self.GRID)  # builds the index patched below
         kde.append_events(_array([(35.5, -94.5)]))
         events.append((35.5, -94.5))
-        kde.retire_events([0])
-        events.pop(0)
         field = kde.evaluate_grid(self.GRID)
         oracle = GaussianKDE.from_array(_array(events), BANDWIDTH)
         expected = oracle.evaluate_grid(self.GRID)

@@ -1,15 +1,13 @@
-"""StreamingHistoricalModel: ingest, dedup, window slides, parity.
+"""StreamingHistoricalModel: ingest, dedup, parity.
 
 Small hand-built catalogs (two classes, explicit bandwidths) keep these
-fast while pinning the issue's model-level contracts:
+fast while pinning the model-level contracts:
 
 * duplicate delivery is safe — re-ingesting a record (same identity) is
   a no-op, for at-least-once upstream pipelines;
-* a rolling ``window_years`` retires events crossing the trailing edge
-  and drops too-old incoming records as stale;
 * after any ingest sequence, ``pop_risks`` and the model fingerprint
-  equal those of a model rebuilt from scratch over the surviving
-  events — streaming never forks the cache-key space.
+  equal those of a model rebuilt from scratch over the same events —
+  streaming never forks the cache-key space.
 """
 
 from __future__ import annotations
@@ -48,12 +46,11 @@ def _seed_events():
     }
 
 
-def _build(events=None, window_years=None) -> StreamingHistoricalModel:
+def _build(events=None) -> StreamingHistoricalModel:
     events = _seed_events() if events is None else events
     return StreamingHistoricalModel(
         {et: DisasterCatalog(batch) for et, batch in events.items()},
         bandwidths=BANDWIDTHS,
-        window_years=window_years,
     )
 
 
@@ -69,7 +66,7 @@ class TestIngest:
         delta = model.ingest(fresh)
         assert delta.changed
         assert delta.appended == 2
-        assert delta.duplicates == 0 and delta.retired == 0
+        assert delta.duplicates == 0
         assert delta.touched_types == (HURRICANE, QUAKE)
 
         seeds = _seed_events()
@@ -118,77 +115,14 @@ class TestIngest:
     def test_unknown_class_rejected_before_mutation(self):
         model = _build()
         before = model.fingerprint
-        counts = model.event_counts()
+        valid = _event(HURRICANE, 29.0, -90.0, 2006)
         with pytest.raises(ValueError):
             model.ingest([
-                _event(HURRICANE, 29.0, -90.0, 2006),
+                valid,
                 _event(EventType.FEMA_TORNADO, 35.0, -97.0, 2006),
             ])
         assert model.fingerprint == before
-        assert model.event_counts() == counts
-
-
-class TestRollingWindow:
-    def test_window_slide_retires_and_matches_rebuild(self):
-        network = build_diamond_network()
-        model = _build(window_years=5)  # latest 2004 -> keeps >= 2000
-        model.pop_risks(network)
-        # A 2007 hurricane advances the edge to >= 2003: the 2000-2002
-        # events across both classes retire.
-        delta = model.ingest([_event(HURRICANE, 28.5, -96.0, 2007)])
-        assert delta.appended == 1
-        assert delta.retired == 4
-        assert model.event_counts() == {HURRICANE: 2, QUAKE: 1}
-
-        survivors = {
-            et: [e for e in batch if e.year >= 2003]
-            for et, batch in _seed_events().items()
-        }
-        survivors[HURRICANE].append(_event(HURRICANE, 28.5, -96.0, 2007))
-        oracle = _build(survivors)
-        assert model.fingerprint == oracle.fingerprint
-        incremental = model.pop_risks(network)
-        rebuilt = oracle.pop_risks(network)
-        for pop_id in incremental:
-            np.testing.assert_allclose(
-                incremental[pop_id], rebuilt[pop_id], rtol=1e-9
-            )
-
-    def test_stale_incoming_records_dropped(self):
-        model = _build(window_years=5)
-        delta = model.ingest([
-            _event(HURRICANE, 28.5, -96.0, 2007),   # advances edge to 2003
-            _event(HURRICANE, 29.0, -91.0, 1999),   # behind the new edge
-        ])
-        assert delta.appended == 1
-        assert delta.stale == 1
-
-    def test_now_year_advances_edge_without_events(self):
-        model = _build(window_years=5)
-        delta = model.ingest(
-            [_event(HURRICANE, 28.5, -96.0, 2004)], now_year=2008
-        )
-        # Edge moves to >= 2004: the 2000-2003 events retire.
-        assert delta.appended == 1
-        assert delta.retired == 5
-        assert model.event_counts() == {HURRICANE: 1, QUAKE: 1}
-        assert model.latest_year() == 2004
-
-    def test_slide_that_would_empty_a_class_rejected(self):
-        model = _build(window_years=5)
-        counts = model.event_counts()
-        fingerprint = model.fingerprint
-        # now_year=2030 would retire every event of both classes.
-        with pytest.raises(ValueError):
-            model.ingest(
-                [_event(HURRICANE, 28.5, -96.0, 2004)], now_year=2030
-            )
-        assert model.event_counts() == counts
-        assert model.fingerprint == fingerprint
-
-    def test_bad_window_rejected(self):
-        with pytest.raises(ValueError):
-            _build(window_years=0)
+        assert valid.identity not in model
 
 
 class TestIngestParityProperty:
@@ -200,14 +134,11 @@ class TestIngestParityProperty:
 
     @given(data=st.data())
     @settings(max_examples=examples(10), deadline=None)
-    def test_random_batches_and_slides_match_rebuild(self, data):
-        """pop_risks parity under random ingest sequences (the issue's
-        1e-9 rtol pin, model level)."""
+    def test_random_batches_match_rebuild(self, data):
+        """pop_risks parity under random ingest sequences (the 1e-9
+        rtol pin, model level)."""
         network = build_diamond_network()
-        window = data.draw(
-            st.one_of(st.none(), st.integers(6, 12)), label="window"
-        )
-        model = _build(window_years=window)
+        model = _build()
         model.pop_risks(network)
         survivors = {
             et: list(batch) for et, batch in _seed_events().items()
@@ -221,10 +152,7 @@ class TestIngestParityProperty:
                 )
                 for _ in range(data.draw(st.integers(1, 4), label="size"))
             ]
-            try:
-                model.ingest(batch)
-            except ValueError:
-                continue  # a slide would have emptied a class
+            model.ingest(batch)
             seen = {
                 e.identity
                 for batch_events in survivors.values()
@@ -235,18 +163,7 @@ class TestIngestParityProperty:
                     continue
                 seen.add(event.identity)
                 survivors[event.event_type].append(event)
-            if window is not None:
-                latest = max(
-                    e.year
-                    for batch_events in survivors.values()
-                    for e in batch_events
-                )
-                cutoff = latest - window + 1
-                survivors = {
-                    et: [e for e in batch_events if e.year >= cutoff]
-                    for et, batch_events in survivors.items()
-                }
-        oracle = _build(survivors, window_years=None)
+        oracle = _build(survivors)
         assert model.fingerprint == oracle.fingerprint
         incremental = model.pop_risks(network)
         rebuilt = oracle.pop_risks(network)

@@ -108,11 +108,6 @@ class TestNetworkQueries:
             haversine_miles(BOSTON, DC), rel=1e-9
         )
 
-    def test_total_link_miles(self):
-        net = small_network()
-        expected = haversine_miles(NYC, BOSTON) + haversine_miles(NYC, DC)
-        assert net.total_link_miles() == pytest.approx(expected)
-
 
 class TestDerivedStructure:
     def test_distance_graph(self):

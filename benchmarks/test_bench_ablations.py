@@ -123,7 +123,7 @@ def test_ablation_seasonal_risk(benchmark):
 def test_ablation_anticipatory_forecast(benchmark):
     """Anticipatory routing (cone-projected o_f) must start pricing the
     storm's path *before* the reactive wind field reaches it."""
-    from repro.forecast.projection import AnticipatoryRiskField
+    from repro.forecast.projection import anticipatory_snapshots
     from repro.forecast.storms import storm_advisories
     from repro.risk.forecasted import ForecastedRiskModel
     from repro.forecast.risk import snapshot_from_advisory
@@ -136,9 +136,9 @@ def test_ablation_anticipatory_forecast(benchmark):
             reactive = ForecastedRiskModel(
                 [snapshot_from_advisory(advisory)]
             ).pops_in_scope(network)
-            anticipatory = AnticipatoryRiskField(advisory).pops_threatened(
-                network
-            )
+            anticipatory = ForecastedRiskModel(
+                anticipatory_snapshots(advisory)
+            ).pops_in_scope(network)
             rows.append((advisory.number, len(reactive), len(anticipatory)))
         return rows
 

@@ -40,7 +40,6 @@ from .risk import (
     HistoricalRiskModel,
     RiskModel,
     default_historical_model,
-    no_forecast,
 )
 from .topology import (
     InterdomainTopology,
@@ -74,7 +73,6 @@ __all__ = [
     "HistoricalRiskModel",
     "ForecastedRiskModel",
     "default_historical_model",
-    "no_forecast",
     "DEFAULT_GAMMA_H",
     "DEFAULT_GAMMA_F",
     "RouteResult",

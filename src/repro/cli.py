@@ -184,15 +184,20 @@ def _op_params(spec: ops.OpSpec, args: argparse.Namespace) -> dict:
 
 def _session(args: argparse.Namespace) -> Optional[RoutingSession]:
     """The session for ``args.network`` at the requested gammas, or
-    None after one stderr line for a network outside the corpus."""
+    None after one stderr line for a network outside the corpus or a
+    gamma the model rejects."""
     try:
         network = network_by_name(args.network)
     except KeyError as exc:
         print(exc.args[0], file=sys.stderr)
         return None
-    model = RiskModel.for_network(
-        network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
-    )
+    try:
+        model = RiskModel.for_network(
+            network, gamma_h=args.gamma_h, gamma_f=args.gamma_f
+        )
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return None
     return RoutingSession(network, model)
 
 

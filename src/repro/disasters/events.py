@@ -101,7 +101,3 @@ class DisasterCatalog:
     def locations(self) -> List[GeoPoint]:
         """Event locations in catalog order."""
         return [event.location for event in self._events]
-
-    def event_types(self) -> List[str]:
-        """Distinct event types present, sorted."""
-        return sorted({event.event_type for event in self._events})

@@ -15,13 +15,8 @@ Each :class:`~repro.engine.engine.RoutingEngine` holds two
 
 Both are risk-scoped: when the risk field changes (a new forecast
 advisory hour, different gammas, a streaming event ingest) the engine
-calls :meth:`LruCache.retain` on each.  Sweeps keep the ``alpha == 0``
-geographic entries — those depend only on the topology — and, for a
-*localized* change, every entry whose source's connected component the
-change does not touch (a sweep can only ever observe its source's
-component, so those entries stay exact).  Per-source result aggregates
-survive the same way, while multi-source aggregates are dropped on any
-risk change.
+keeps the ``alpha == 0`` sweeps — those depend only on the topology —
+through :meth:`LruCache.retain`, and clears the results.
 
 :class:`EngineConfig` sizes both caches for one engine.
 """

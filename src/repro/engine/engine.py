@@ -12,9 +12,9 @@ Caching contract:
 * sweeps are keyed by ``(alpha, source)`` — see
   :mod:`repro.engine.cache`;
 * a model swap with the same risk field (fingerprint match) keeps every
-  cache; a changed field (new forecast advisory, different gammas)
-  drops risk-weighted sweeps and all aggregates but keeps the
-  ``alpha == 0`` geographic sweeps;
+  cache; a changed field (a new forecast advisory, an event ingest,
+  different gammas) keeps the ``alpha == 0`` geographic sweeps and
+  drops every other sweep and every memoized result;
 * answers do not depend on cache history: every aggregate iterates
   targets in node-index order, so it is the same whichever kernel
   settled a sweep and whether the sweep was cached alone or in a batch
@@ -45,7 +45,6 @@ from typing import (
     List,
     Optional,
     Sequence,
-    Set,
     Tuple,
 )
 
@@ -104,8 +103,7 @@ class RoutingEngine:
         self._landmarks = None
         self._targeted_queries = 0
         self._targeted_settled = 0
-        self._components: Optional[np.ndarray] = None
-        self._bind_model(model)
+        self._bind_model(model, risk_fingerprint(model, self._csr.node_ids))
 
     @classmethod
     def from_csr(
@@ -139,9 +137,8 @@ class RoutingEngine:
         self._landmarks = None
         self._targeted_queries = 0
         self._targeted_settled = 0
-        self._components = None
         if risk_state is None:
-            self._bind_model(model)
+            self._bind_model(model, risk_fingerprint(model, csr.node_ids))
             return self
         risk, entry_risk, shares, risk_fp = risk_state
         self.model = model
@@ -159,11 +156,9 @@ class RoutingEngine:
 
     # -- model binding and invalidation -----------------------------------
 
-    def _bind_model(self, model: RiskModel) -> None:
+    def _bind_model(self, model: RiskModel, fingerprint: str) -> None:
+        """Bind ``model``, whose risk field hashes to ``fingerprint``."""
         node_ids = self._csr.node_ids
-        for node in node_ids:
-            # Fail fast on a model/topology mismatch.
-            model.node_risk(node)
         self.model = model
         self._risk = [model.node_risk(node) for node in node_ids]
         self._entry_risk = self._csr.neighbor_values(self._risk)
@@ -172,92 +167,29 @@ class RoutingEngine:
         self._mean_share = (
             sum(self._shares) / len(self._shares) if self._shares else 0.0
         )
-        self.risk_fingerprint = risk_fingerprint(model, node_ids)
+        self.risk_fingerprint = fingerprint
 
     def update_model(self, model: RiskModel) -> bool:
         """Swap in a model, invalidating caches only when it matters.
 
         A model with an unchanged risk field (same per-node entry risk
         and shares — e.g. a fresh but equivalent ``RiskModel`` object)
-        keeps every cache warm.  A changed field drops cached results
-        by *delta invalidation*: a per-source sweep (or per-source
-        aggregate) can only observe risk inside its source's connected
-        component, so entries whose component contains no changed node
-        survive the swap — a localized change (a streaming event ingest
-        touching one region) keeps memoized work for every untouched
-        island, on top of the geographic ``alpha == 0`` sweeps, which
-        risk can never affect.  Multi-source aggregates (ratio and
-        lower-bound totals) are dropped on any risk change.
+        keeps every cache warm.  A changed field keeps the geographic
+        ``alpha == 0`` sweeps, which risk can never affect, and drops
+        every other sweep and every memoized result.
 
         Returns True when caches were invalidated.
         """
         if model is self.model:
             return False
-        new_fingerprint = risk_fingerprint(model, self._csr.node_ids)
-        if new_fingerprint == self.risk_fingerprint:
+        fingerprint = risk_fingerprint(model, self._csr.node_ids)
+        if fingerprint == self.risk_fingerprint:
             self.model = model
             return False
-        old_risk = self._risk
-        old_shares = self._shares
-        self._bind_model(model)
-        clean = self._clean_sources(old_risk, old_shares)
-        self._sweeps.retain(lambda key: key[0] == 0.0 or key[1] in clean)
-        if clean:
-            self._results.retain(
-                lambda key: key[0] in ("components", "targeted")
-                and key[1] in clean
-            )
-        else:
-            self._results.clear()
+        self._bind_model(model, fingerprint)
+        self._sweeps.retain(lambda key: key[0] == 0.0)
+        self._results.clear()
         return True
-
-    def _clean_sources(
-        self, old_risk: Sequence[float], old_shares: Sequence[float]
-    ) -> Set[int]:
-        """Source indices the risk change cannot affect.
-
-        A node is *dirty* when its entry risk or share moved; a source
-        is clean when its connected component holds no dirty node (the
-        sweep frontier never leaves the component).  Share changes also
-        shift alpha values, but alpha is part of every cache key, so
-        stale-alpha entries are merely unused, never wrong.
-        """
-        components = self._component_ids()
-        dirty_components = {
-            components[i]
-            for i in range(self._csr.node_count)
-            if self._risk[i] != old_risk[i]
-            or self._shares[i] != old_shares[i]
-        }
-        return {
-            i
-            for i in range(self._csr.node_count)
-            if components[i] not in dirty_components
-        }
-
-    def _component_ids(self) -> "np.ndarray":
-        """Connected-component id per CSR node (lazy; topology is frozen)."""
-        if self._components is None:
-            n = self._csr.node_count
-            labels = np.full(n, -1, dtype=np.int64)
-            indptr = self._csr.indptr
-            indices = self._csr.indices
-            label = 0
-            for start in range(n):
-                if labels[start] >= 0:
-                    continue
-                stack = [start]
-                labels[start] = label
-                while stack:
-                    u = stack.pop()
-                    for e in range(indptr[u], indptr[u + 1]):
-                        v = int(indices[e])
-                        if labels[v] < 0:
-                            labels[v] = label
-                            stack.append(v)
-                label += 1
-            self._components = labels
-        return self._components
 
     @property
     def config(self) -> EngineConfig:

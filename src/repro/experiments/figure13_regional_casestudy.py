@@ -38,17 +38,15 @@ def _shared_state():
 
 def networks_in_scope(storm: str) -> List[str]:
     """Regional networks with >20% of PoPs in the storm's final scope."""
-    advisories = storm_advisories(storm)
-    snapshots = [snapshot_from_advisory(a) for a in advisories]
-    out: List[str] = []
-    for network in regional_networks():
-        covered = 0
-        for pop in network.pops():
-            if any(s.risk_at(pop.location) > 0 for s in snapshots):
-                covered += 1
-        if covered / network.pop_count > SCOPE_FRACTION:
-            out.append(network.name)
-    return out
+    field = ForecastedRiskModel(
+        snapshot_from_advisory(a) for a in storm_advisories(storm)
+    )
+    return [
+        network.name
+        for network in regional_networks()
+        if len(field.pops_in_scope(network)) / network.pop_count
+        > SCOPE_FRACTION
+    ]
 
 
 @register("figure13")

@@ -16,7 +16,6 @@ from typing import List
 from ..forecast.advisory import advisory_text
 from ..forecast.risk import snapshot_from_text
 from ..forecast.storms import storm_advisories
-from ..risk.forecasted import ForecastedRiskModel
 from ..topology.zoo import tier1_networks
 from .base import ExperimentResult, register
 
@@ -42,7 +41,6 @@ def run() -> ExperimentResult:
         advisory = _closest_advisory(advisories, when)
         # Full pipeline: structured advisory -> NHC text -> NLP parse.
         snapshot = snapshot_from_text(advisory_text(advisory))
-        forecast = ForecastedRiskModel([snapshot])
         tropical = 0
         hurricane = 0
         for network in networks:
@@ -64,7 +62,6 @@ def run() -> ExperimentResult:
                 "tier1_pops_tropical_zone": tropical,
             }
         )
-        del forecast
     return ExperimentResult(
         experiment_id="figure5",
         title="Hurricane Irene forecast wind zones at three advisory times",

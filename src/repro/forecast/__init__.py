@@ -3,7 +3,6 @@
 from .advisory import Advisory, advisories_for_track, advisory_text, compass_name
 from .parser import AdvisoryParseError, ParsedAdvisory, parse_advisory_text
 from .projection import (
-    AnticipatoryRiskField,
     ProjectedPosition,
     anticipatory_snapshots,
     project_advisory,
@@ -40,7 +39,6 @@ __all__ = [
     "ProjectedPosition",
     "project_advisory",
     "anticipatory_snapshots",
-    "AnticipatoryRiskField",
     "ForecastSnapshot",
     "snapshot_from_advisory",
     "snapshot_from_text",

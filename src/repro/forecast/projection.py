@@ -5,29 +5,31 @@ advisories also carry forecast positions at 12/24/48/72-hour leads, and
 an operator pre-positioning backup routes cares about the storm's future
 scope.  This module projects an advisory forward along its reported
 motion vector, grows the threatened area with the standard cone of
-uncertainty (forecast error increasing with lead time), and produces an
-*anticipatory* risk field — the union of the current wind field and the
-projected ones, with risk discounted by lead time.
+uncertainty (forecast error increasing with lead time), and produces the
+snapshots of an *anticipatory* risk field — the current wind field and
+the projected ones, with risk discounted by lead time.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
-
-import numpy as np
+from typing import List, Sequence
 
 from ..geo.coords import GeoPoint
 from ..geo.distance import destination_point
 from .advisory import Advisory
-from .risk import RHO_HURRICANE, RHO_TROPICAL, ForecastSnapshot
+from .risk import (
+    RHO_HURRICANE,
+    RHO_TROPICAL,
+    ForecastSnapshot,
+    snapshot_from_advisory,
+)
 
 __all__ = [
     "CONE_GROWTH_MILES_PER_HOUR",
     "ProjectedPosition",
     "project_advisory",
     "anticipatory_snapshots",
-    "AnticipatoryRiskField",
 ]
 
 #: Growth of the NHC cone of uncertainty, ~linearised: the official
@@ -98,104 +100,33 @@ def project_advisory(
 def anticipatory_snapshots(
     advisory: Advisory,
     leads_hours: Sequence[float] = DEFAULT_LEADS_HOURS,
-    rho_tropical: float = RHO_TROPICAL,
-    rho_hurricane: float = RHO_HURRICANE,
-) -> List[Tuple[float, ForecastSnapshot]]:
-    """The current plus projected wind fields with per-lead risk weights.
+) -> List[ForecastSnapshot]:
+    """The current plus projected wind fields, discounted by lead time.
 
-    Returns ``(weight, snapshot)`` pairs: the advisory's own field at
-    weight 1.0, then each projection's field (cone-inflated) at the
-    lead-time discount.
+    The advisory's own field comes first, at full risk.  Each
+    projection's field (cone-inflated) follows with its lead-time
+    weight multiplied into ``rho_tropical`` and ``rho_hurricane``; a
+    projection whose weight reaches zero is dropped.  A
+    :class:`~repro.risk.forecasted.ForecastedRiskModel` over the list is
+    the anticipatory ``o_f``: the maximum over the weighted fields, so
+    infrastructure in the storm's *projected* path is already priced
+    before the winds arrive.
     """
-    pairs: List[Tuple[float, ForecastSnapshot]] = [
-        (
-            1.0,
-            ForecastSnapshot(
-                center=advisory.center,
-                hurricane_radius_miles=advisory.hurricane_radius_miles,
-                tropical_radius_miles=advisory.tropical_radius_miles,
-                rho_tropical=rho_tropical,
-                rho_hurricane=rho_hurricane,
-            ),
-        )
-    ]
+    snapshots = [snapshot_from_advisory(advisory)]
     for projection in project_advisory(advisory, leads_hours):
-        weight = max(
-            0.0, 1.0 - LEAD_DISCOUNT_PER_HOUR * projection.lead_hours
-        )
+        weight = 1.0 - LEAD_DISCOUNT_PER_HOUR * projection.lead_hours
         if weight <= 0.0:
             continue
-        pairs.append(
-            (
-                weight,
-                ForecastSnapshot(
-                    center=projection.center,
-                    hurricane_radius_miles=(
-                        projection.hurricane_radius_miles
-                        + projection.cone_radius_miles
-                    ),
-                    tropical_radius_miles=projection.threatened_radius_miles,
-                    rho_tropical=rho_tropical,
-                    rho_hurricane=rho_hurricane,
+        snapshots.append(
+            ForecastSnapshot(
+                center=projection.center,
+                hurricane_radius_miles=(
+                    projection.hurricane_radius_miles
+                    + projection.cone_radius_miles
                 ),
+                tropical_radius_miles=projection.threatened_radius_miles,
+                rho_tropical=weight * RHO_TROPICAL,
+                rho_hurricane=weight * RHO_HURRICANE,
             )
         )
-    return pairs
-
-
-class AnticipatoryRiskField:
-    """``o_f`` combining current and projected threat.
-
-    A drop-in alternative to
-    :class:`~repro.risk.forecasted.ForecastedRiskModel`: the risk at a
-    location is the maximum over the weighted fields, so infrastructure
-    in the storm's *projected* path is already priced before the winds
-    arrive.
-    """
-
-    def __init__(
-        self,
-        advisory: Advisory,
-        leads_hours: Sequence[float] = DEFAULT_LEADS_HOURS,
-    ) -> None:
-        self._weighted = anticipatory_snapshots(advisory, leads_hours)
-
-    def risks_many(self, latlon_deg: "np.ndarray") -> "np.ndarray":
-        """Max weighted forecast risk per (lat, lon) degree row.
-
-        One vectorised pass per field over all points at once.
-        """
-        latlon_deg = np.asarray(latlon_deg, dtype=np.float64)
-        best = np.zeros(latlon_deg.shape[0], dtype=np.float64)
-        for weight, snapshot in self._weighted:
-            np.maximum(best, weight * snapshot.risks_many(latlon_deg), out=best)
-        return best
-
-    def risk_at(self, point: GeoPoint) -> float:
-        """Max weighted forecast risk over all fields."""
-        return float(self.risks_many(np.array([[point.lat, point.lon]]))[0])
-
-    def _network_risks(self, network) -> "np.ndarray":
-        pops = network.pops()
-        latlon = np.array(
-            [(p.location.lat, p.location.lon) for p in pops],
-            dtype=np.float64,
-        ).reshape(len(pops), 2)
-        return self.risks_many(latlon)
-
-    def pop_risks(self, network) -> Dict[str, float]:
-        """``o_f`` per PoP of a network."""
-        risks = self._network_risks(network)
-        return {
-            pop.pop_id: float(risk)
-            for pop, risk in zip(network.pops(), risks)
-        }
-
-    def pops_threatened(self, network) -> List[str]:
-        """PoPs with any current or projected exposure."""
-        risks = self._network_risks(network)
-        return [
-            pop.pop_id
-            for pop, risk in zip(network.pops(), risks)
-            if risk > 0.0
-        ]
+    return snapshots

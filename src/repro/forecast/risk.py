@@ -60,9 +60,9 @@ class ForecastSnapshot:
         2 hurricane.
 
         One vectorised haversine pass against the storm centre — the
-        kernel behind :meth:`risks_many`, :func:`storm_scope`, and the
-        anticipatory field, where per-point Python loops used to
-        dominate Figure 6.
+        kernel behind :meth:`risks_many` (so behind every forecast
+        field) and :func:`storm_scope`, where per-point Python loops
+        used to dominate Figure 6.
         """
         distances = distances_to_latlon_array(latlon_deg, self.center)
         levels = np.zeros(distances.shape[0], dtype=np.int64)
@@ -77,12 +77,6 @@ class ForecastSnapshot:
         risks[levels == 1] = self.rho_tropical
         risks[levels == 2] = self.rho_hurricane
         return risks
-
-    def risk_at(self, location: GeoPoint) -> float:
-        """Forecast outage risk ``o_f`` at a location."""
-        return float(
-            self.risks_many(np.array([[location.lat, location.lon]]))[0]
-        )
 
     def zone_of(self, location: GeoPoint) -> str:
         """"hurricane", "tropical" or "clear" for a location."""

@@ -132,20 +132,6 @@ class BoundingBox:
             if self.contains(point):
                 yield point
 
-    def expanded(self, margin_degrees: float) -> "BoundingBox":
-        """Return a new box grown by ``margin_degrees`` on every side.
-
-        The result is clamped to valid latitude/longitude ranges.
-        """
-        if margin_degrees < 0:
-            raise ValueError("margin_degrees must be non-negative")
-        return BoundingBox(
-            south=max(-90.0, self.south - margin_degrees),
-            west=max(-180.0, self.west - margin_degrees),
-            north=min(90.0, self.north + margin_degrees),
-            east=min(180.0, self.east + margin_degrees),
-        )
-
 
 #: The study area of the paper: the continental United States.
 CONTINENTAL_US = BoundingBox(south=24.5, west=-125.0, north=49.5, east=-66.5)

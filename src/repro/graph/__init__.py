@@ -1,10 +1,6 @@
 """Graph substrate: weighted graphs, shortest paths, connectivity."""
 
-from .components import (
-    bridges,
-    connected_components,
-    is_connected,
-)
+from .components import bridges, connected_components
 from .core import EdgeExistsError, Graph, NodeNotFoundError
 from .shortest_path import (
     NoPathError,
@@ -24,6 +20,5 @@ __all__ = [
     "all_pairs_shortest_paths",
     "reconstruct_path",
     "connected_components",
-    "is_connected",
     "bridges",
 ]

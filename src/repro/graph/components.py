@@ -1,10 +1,10 @@
 """Connectivity analysis.
 
 Topology builders must emit connected networks (a disconnected ISP map
-would make all-pairs bit-risk miles undefined), and the disaster case
-studies ask which PoPs become unreachable when the storm-covered nodes
-fail.  Both needs reduce to connected components; the topology builders
-also ask for bridges, the links they must never prune.
+would make all-pairs bit-risk miles undefined), so they never prune a
+bridge: a link whose removal disconnects its endpoints.
+:func:`connected_components` is the reference the tests hold Dijkstra
+reachability against.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ from .core import Graph
 
 __all__ = [
     "connected_components",
-    "is_connected",
     "bridges",
 ]
 
@@ -48,13 +47,6 @@ def connected_components(graph: Graph[N]) -> List[List[N]]:
         component.sort(key=lambda n: order[n])
         components.append(component)
     return components
-
-
-def is_connected(graph: Graph[N]) -> bool:
-    """True when the graph has exactly one component (empty graph: False)."""
-    if graph.node_count == 0:
-        return False
-    return len(connected_components(graph)) == 1
 
 
 def bridges(graph: Graph[N]) -> List[tuple]:

@@ -17,7 +17,6 @@ from typing import (
     Iterator,
     List,
     Mapping,
-    Tuple,
     TypeVar,
 )
 
@@ -116,16 +115,6 @@ class Graph(Generic[N]):
     def nodes(self) -> Iterator[N]:
         """Iterate nodes in insertion order."""
         return iter(self._adj)
-
-    def edges(self) -> Iterator[Tuple[N, N, float]]:
-        """Iterate edges once each as ``(u, v, weight)`` in insertion order."""
-        seen = set()
-        for u, neighbors in self._adj.items():
-            for v, weight in neighbors.items():
-                if (v, u) in seen:
-                    continue
-                seen.add((u, v))
-                yield (u, v, weight)
 
     def has_edge(self, u: N, v: N) -> bool:
         """True when an edge between ``u`` and ``v`` exists."""

@@ -1,18 +1,12 @@
 """Population substrate: synthetic census data and PoP assignment."""
 
-from .assignment import (
-    PopulationAssignment,
-    assign_population,
-    network_population_shares,
-)
-from .census import PAPER_BLOCK_COUNT, CensusBlock, CensusData, synthetic_census
+from .assignment import assign_population, network_population_shares
+from .census import PAPER_BLOCK_COUNT, CensusData, synthetic_census
 
 __all__ = [
-    "CensusBlock",
     "CensusData",
     "synthetic_census",
     "PAPER_BLOCK_COUNT",
-    "PopulationAssignment",
     "assign_population",
     "network_population_shares",
 ]

@@ -7,60 +7,36 @@ the outage impact of a PoP pair is ``alpha_ij = c_i + c_j``.
 For geographically constrained regional networks, only the population of
 the states where the network has infrastructure is considered, exactly as
 the paper specifies.
+
+Shares under the default synthetic census are memoized, because the
+census sweep takes seconds on a large network.  The memo is keyed by
+what the assignment reads — tier, footprint states, and each PoP's id
+and coordinates — not by network name, so two networks that share a
+name never share population shares.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geo.regions import states_region
 from ..topology.network import Network, PoP
-from .census import CensusData
+from .census import CensusData, synthetic_census
 
-__all__ = ["PopulationAssignment", "assign_population", "network_population_shares"]
+__all__ = ["assign_population", "network_population_shares"]
 
 _CHUNK = 16_384
 
-
-class PopulationAssignment:
-    """The result of assigning a census corpus to a set of PoPs."""
-
-    def __init__(
-        self, shares: Dict[str, float], total_population: float
-    ) -> None:
-        if total_population < 0:
-            raise ValueError("total_population must be non-negative")
-        for pop_id, share in shares.items():
-            if share < 0 or share > 1.0 + 1e-9:
-                raise ValueError(f"share of {pop_id!r} out of [0,1]: {share}")
-        self._shares = dict(shares)
-        self.total_population = float(total_population)
-
-    def share(self, pop_id: str) -> float:
-        """Fraction ``c_i`` of population served by ``pop_id``.
-
-        Raises:
-            KeyError: for a PoP that was not part of the assignment.
-        """
-        if pop_id not in self._shares:
-            raise KeyError(f"no share recorded for PoP {pop_id!r}")
-        return self._shares[pop_id]
-
-    def impact(self, pop_i: str, pop_j: str) -> float:
-        """Outage impact ``alpha_ij = c_i + c_j`` of a PoP pair."""
-        return self.share(pop_i) + self.share(pop_j)
-
-    def shares(self) -> Dict[str, float]:
-        """All shares as a plain dict (copy)."""
-        return dict(self._shares)
+#: Network content -> its shares under the default synthetic census.
+_SHARES_MEMO: Dict[Tuple, Dict[str, float]] = {}
 
 
 def assign_population(
     census: CensusData, pops: Sequence[PoP]
-) -> PopulationAssignment:
-    """Assign each census block to the nearest PoP, returning shares.
+) -> Dict[str, float]:
+    """Assign each census block to the nearest PoP: ``{pop_id: c_i}``.
 
     Distance is great-circle; the computation is chunked so the block ×
     PoP distance matrix never exceeds ~16k x N.
@@ -97,21 +73,43 @@ def assign_population(
         np.add.at(served, nearest, census.population[start:end])
 
     total = census.total_population
-    shares = {
+    return {
         pop.pop_id: float(served[i] / total) for i, pop in enumerate(pops)
     }
-    return PopulationAssignment(shares, total)
 
 
 def network_population_shares(
-    network: Network, census: CensusData
-) -> PopulationAssignment:
-    """Population shares for one network, honouring regional footprints.
+    network: Network, census: Optional[CensusData] = None
+) -> Dict[str, float]:
+    """``{pop_id: c_i}`` for one network, honouring regional footprints.
 
     Tier-1 networks are assigned the full continental population;
     regional networks only the population of their footprint states
-    (Section 5.1).
+    (Section 5.1).  Without ``census`` the default synthetic census is
+    used and the shares are memoized (see the module docstring); a
+    custom census bypasses the memo.  Returns a copy the caller may
+    alter.
     """
+    if census is not None:
+        return _footprint_shares(network, census)
+    key = (
+        network.tier,
+        network.states,
+        tuple(
+            (pop.pop_id, pop.location.lat, pop.location.lon)
+            for pop in network.pops()
+        ),
+    )
+    shares = _SHARES_MEMO.get(key)
+    if shares is None:
+        shares = _footprint_shares(network, synthetic_census())
+        _SHARES_MEMO[key] = shares
+    return dict(shares)
+
+
+def _footprint_shares(
+    network: Network, census: CensusData
+) -> Dict[str, float]:
     working = census
     if network.tier == "regional" and network.states:
         working = census.restricted_to(states_region(list(network.states)))

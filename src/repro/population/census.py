@@ -15,15 +15,14 @@ the gazetteer weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 import numpy as np
 
-from ..geo.coords import CONTINENTAL_US, GeoPoint
+from ..geo.coords import CONTINENTAL_US
 from ..geo.regions import Region
 from ..topology.cities import ALL_CITIES
 
-__all__ = ["CensusBlock", "CensusData", "synthetic_census", "PAPER_BLOCK_COUNT"]
+__all__ = ["CensusData", "synthetic_census", "PAPER_BLOCK_COUNT"]
 
 #: Number of census blocks in the paper's dataset.
 PAPER_BLOCK_COUNT = 215_932
@@ -37,20 +36,11 @@ _URBAN_SPREAD_MILES = 18.0
 _DEGREES_PER_MILE_LAT = 1.0 / 69.05
 
 
-@dataclass(frozen=True)
-class CensusBlock:
-    """One census block: a location and its resident population."""
-
-    location: GeoPoint
-    population: float
-
-
 class CensusData:
     """A columnar store of census blocks.
 
     Holds the blocks as numpy arrays (lat, lon, population) for the
-    vectorised nearest-neighbour assignment; individual
-    :class:`CensusBlock` views are available for small-scale use.
+    vectorised nearest-neighbour assignment.
     """
 
     def __init__(
@@ -79,13 +69,6 @@ class CensusData:
     def total_population(self) -> float:
         """Sum of all block populations."""
         return float(self.population.sum())
-
-    def block(self, index: int) -> CensusBlock:
-        """Materialise block ``index`` as a :class:`CensusBlock`."""
-        return CensusBlock(
-            GeoPoint(float(self.lat[index]), float(self.lon[index])),
-            float(self.population[index]),
-        )
 
     def restricted_to(self, region: Region) -> "CensusData":
         """Blocks whose location falls inside ``region``.

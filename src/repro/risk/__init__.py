@@ -1,17 +1,14 @@
-"""Risk layer: historical, forecasted and impact models composed."""
+"""Risk layer: historical and forecasted models, composed with the
+population shares."""
 
-from .forecasted import ForecastedRiskModel, no_forecast
+from .forecasted import ForecastedRiskModel
 from .historical import HistoricalRiskModel, default_historical_model
-from .impact import ImpactModel, network_impact_model
 from .model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
 
 __all__ = [
     "HistoricalRiskModel",
     "default_historical_model",
     "ForecastedRiskModel",
-    "no_forecast",
-    "ImpactModel",
-    "network_impact_model",
     "RiskModel",
     "DEFAULT_GAMMA_H",
     "DEFAULT_GAMMA_F",

@@ -96,10 +96,6 @@ class HistoricalRiskModel:
             self._fingerprint = combine_fingerprints(parts)
         return self._fingerprint
 
-    def event_types(self) -> Sequence[str]:
-        """The event classes in the model, sorted."""
-        return sorted(self._kdes)
-
     def _class_risk_array(
         self, event_type: str, latlon_deg: "np.ndarray"
     ) -> "np.ndarray":
@@ -132,10 +128,6 @@ class HistoricalRiskModel:
         if not points:
             return np.zeros(0, dtype=np.float64)
         return self.risks_array(points_to_array(points))
-
-    def risk_at(self, point: GeoPoint) -> float:
-        """Aggregate ``o_h`` at one location."""
-        return float(self.risk_many([point])[0])
 
     def pop_risks(self, network: Network) -> Dict[str, float]:
         """``o_h`` for every PoP of a network, keyed by PoP id.

@@ -11,13 +11,13 @@ graph.
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Mapping, Optional, Sequence
 
+from ..population.assignment import network_population_shares
 from ..topology.interdomain import InterdomainTopology
 from ..topology.network import Network
-from .forecasted import ForecastedRiskModel, no_forecast
 from .historical import HistoricalRiskModel, default_historical_model
-from .impact import network_impact_model
 
 __all__ = ["RiskModel", "DEFAULT_GAMMA_H", "DEFAULT_GAMMA_F"]
 
@@ -27,20 +27,25 @@ DEFAULT_GAMMA_H = 1e5
 DEFAULT_GAMMA_F = 1e3
 
 
-def _default_pop_risks(network: Network) -> Dict[str, float]:
-    # The historical model memoizes o_h vectors under its content
-    # fingerprint x the PoP coordinates, so repeated builds are lookups
-    # and two distinct networks sharing a name can never collide (the
-    # old per-name cache here could).
-    return default_historical_model().pop_risks(network)
+def _check_input(name: str, value: float) -> None:
+    # NaN fails both comparisons, so it is caught with the infinities.
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 class RiskModel:
     """Per-PoP risk state plus the gamma knobs.
 
     Instances are cheap value objects: derive variants with
-    :meth:`with_gammas` / :meth:`with_forecast` instead of rebuilding the
-    underlying KDE and census machinery.
+    :meth:`with_gammas`, :meth:`with_forecast_risk` and
+    :meth:`with_historical_risk` instead of rebuilding the underlying
+    KDE and census machinery.  Calm weather (``o_f = 0``) is the
+    built models' forecast; a forecast field enters by swap.
+
+    Raises:
+        ValueError: when a gamma, share, ``o_h`` or ``o_f`` is negative
+            or not finite (the message names the gamma or the PoP), or
+            when the three maps cover different PoP ids.
     """
 
     def __init__(
@@ -51,14 +56,19 @@ class RiskModel:
         gamma_h: float = DEFAULT_GAMMA_H,
         gamma_f: float = DEFAULT_GAMMA_F,
     ) -> None:
-        if gamma_h < 0 or gamma_f < 0:
-            raise ValueError("gamma_h and gamma_f must be non-negative")
+        _check_input("gamma_h", gamma_h)
+        _check_input("gamma_f", gamma_f)
         keys = set(shares)
         if set(historical_risk) != keys or set(forecast_risk) != keys:
             raise ValueError(
                 "shares, historical_risk and forecast_risk must cover the "
                 "same PoP ids"
             )
+        for name, values in (
+            ("share", shares), ("o_h", historical_risk), ("o_f", forecast_risk)
+        ):
+            for pop_id, value in values.items():
+                _check_input(f"{name} of PoP {pop_id!r}", value)
         self._shares = dict(shares)
         self._oh = dict(historical_risk)
         self._of = dict(forecast_risk)
@@ -72,25 +82,20 @@ class RiskModel:
         cls,
         network: Network,
         historical: Optional[HistoricalRiskModel] = None,
-        forecast: Optional[ForecastedRiskModel] = None,
         gamma_h: float = DEFAULT_GAMMA_H,
         gamma_f: float = DEFAULT_GAMMA_F,
     ) -> "RiskModel":
         """Build the intradomain model of one network.
 
-        ``historical`` defaults to the five-class corpus model;
-        ``forecast`` defaults to calm weather.
+        ``historical`` defaults to the five-class corpus model, whose
+        ``o_h`` vectors are memoized per network content.
         """
         if historical is None:
-            oh = _default_pop_risks(network)
-        else:
-            oh = historical.pop_risks(network)
-        forecast = forecast or no_forecast()
-        impact = network_impact_model(network)
+            historical = default_historical_model()
         return cls(
-            shares=impact.shares(),
-            historical_risk=oh,
-            forecast_risk=forecast.pop_risks(network),
+            shares=network_population_shares(network),
+            historical_risk=historical.pop_risks(network),
+            forecast_risk=dict.fromkeys(network.pop_ids(), 0.0),
             gamma_h=gamma_h,
             gamma_f=gamma_f,
         )
@@ -100,7 +105,6 @@ class RiskModel:
         cls,
         topology: InterdomainTopology,
         historical: Optional[HistoricalRiskModel] = None,
-        forecast: Optional[ForecastedRiskModel] = None,
         gamma_h: float = DEFAULT_GAMMA_H,
         gamma_f: float = DEFAULT_GAMMA_F,
     ) -> "RiskModel":
@@ -110,19 +114,17 @@ class RiskModel:
         population assignment, so a regional PoP's impact reflects the
         population it actually serves.
         """
-        forecast = forecast or no_forecast()
+        if historical is None:
+            historical = default_historical_model()
         shares: Dict[str, float] = {}
         oh: Dict[str, float] = {}
-        of: Dict[str, float] = {}
         for network in topology.networks.values():
-            impact = network_impact_model(network)
-            shares.update(impact.shares())
-            if historical is None:
-                oh.update(_default_pop_risks(network))
-            else:
-                oh.update(historical.pop_risks(network))
-            of.update(forecast.pop_risks(network))
-        return cls(shares, oh, of, gamma_h=gamma_h, gamma_f=gamma_f)
+            shares.update(network_population_shares(network))
+            oh.update(historical.pop_risks(network))
+        return cls(
+            shares, oh, dict.fromkeys(shares, 0.0),
+            gamma_h=gamma_h, gamma_f=gamma_f,
+        )
 
     # -- variants --------------------------------------------------------
 
@@ -136,7 +138,8 @@ class RiskModel:
         """Same shares and history, new per-PoP forecast risk.
 
         Raises:
-            ValueError: if the new map does not cover the same PoPs.
+            ValueError: if the new map does not cover the same PoPs, or
+                holds a negative or non-finite value.
         """
         return RiskModel(
             self._shares, self._oh, forecast_risk, self.gamma_h, self.gamma_f
@@ -151,7 +154,8 @@ class RiskModel:
         an ingest recomputes ``o_h`` incrementally and swaps it in here.
 
         Raises:
-            ValueError: if the new map does not cover the same PoPs.
+            ValueError: if the new map does not cover the same PoPs, or
+                holds a negative or non-finite value.
         """
         return RiskModel(
             self._shares, historical_risk, self._of, self.gamma_h, self.gamma_f

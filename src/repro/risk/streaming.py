@@ -19,8 +19,7 @@ and the model :attr:`fingerprint` are exactly what a cold process would
 compute — streaming never forks the memo-key space.  A PoP outside the
 truncation reach of every event of the touched classes has kernel sum
 exactly ``0.0`` there before and after the patch, so its ``o_h`` is
-bitwise unchanged — that is what lets the engine keep memoized sweeps
-for untouched regions across an ingest.
+bitwise unchanged: only the rows near the new events are recomputed.
 
 ``pop_risks`` goes through the base model's memo, keyed by the new
 fingerprint: after an ingest the first lookup misses and evaluates
@@ -109,9 +108,6 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             )
             self._id_set.update(e.identity for e in events)
         super().__init__(kdes, weights)
-
-    def __contains__(self, identity: str) -> bool:
-        return identity in self._id_set
 
     # -- ingest ------------------------------------------------------------
 

@@ -12,7 +12,7 @@ returns either
   (``update_forecast``, ``ingest``, ``stats``, ``subscribe``) is one:
   every query admitted before it is served under the pre-barrier
   state, every query after under the post-barrier state; or
-* up to ``max_batch`` consecutive **query** requests.  An optional
+* up to :data:`MAX_BATCH` consecutive **query** requests.  An optional
   ``linger`` lets a just-started batch wait a few milliseconds for
   concurrent requests to land, widening the coalescing window (the
   service then shares one engine sweep across every request in the
@@ -31,7 +31,10 @@ from typing import Any, Deque, List, Optional
 
 from .protocol import CONTROL_OPS, Request
 
-__all__ = ["PendingRequest", "CoalescingQueue"]
+__all__ = ["PendingRequest", "CoalescingQueue", "MAX_BATCH"]
+
+#: Most query requests one batch holds.
+MAX_BATCH = 64
 
 
 @dataclass
@@ -54,13 +57,10 @@ class PendingRequest:
 class CoalescingQueue:
     """Bounded FIFO of :class:`PendingRequest` with barrier batching."""
 
-    def __init__(self, max_pending: int = 256, max_batch: int = 64) -> None:
+    def __init__(self, max_pending: int = 256) -> None:
         if max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if max_batch < 1:
-            raise ValueError("max_batch must be >= 1")
         self.max_pending = max_pending
-        self.max_batch = max_batch
         self._items: Deque[PendingRequest] = deque()
         self._cond = asyncio.Condition()
         self._closed = False
@@ -117,7 +117,7 @@ class CoalescingQueue:
             batch: List[PendingRequest] = []
             while (
                 self._items
-                and len(batch) < self.max_batch
+                and len(batch) < MAX_BATCH
                 and self._items[0].request.op not in CONTROL_OPS
             ):
                 batch.append(self._items.popleft())
@@ -133,7 +133,7 @@ class CoalescingQueue:
         loop = asyncio.get_running_loop()
         end = loop.time() + linger
         while (
-            len(self._items) < self.max_batch
+            len(self._items) < MAX_BATCH
             and self._controls == 0
             and not self._closed
         ):

@@ -312,13 +312,6 @@ class OpSpec:
         ``riskroute <command>`` for an op with a handler)."""
         return self.cli_name or self.name
 
-    def param(self, name: str) -> Param:
-        """The declared parameter called ``name``."""
-        for param in self.params:
-            if param.name == name:
-                return param
-        raise KeyError(name)
-
 
 def validate_params(spec: OpSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
     """Validate and normalise one request's parameters against ``spec``.

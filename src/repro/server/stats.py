@@ -11,7 +11,10 @@ from __future__ import annotations
 from collections import Counter, deque
 from typing import Deque, Dict, Optional
 
-__all__ = ["ServerStats"]
+__all__ = ["ServerStats", "LATENCY_WINDOW"]
+
+#: Latency samples kept per window (the blended one and each op's).
+LATENCY_WINDOW = 2048
 
 
 def _percentile(samples: list, fraction: float) -> float:
@@ -31,7 +34,7 @@ class ServerStats:
     sweeps but trigger one).
     """
 
-    def __init__(self, latency_window: int = 2048) -> None:
+    def __init__(self) -> None:
         self.connections = 0
         self.requests = 0          # admitted to the queue
         self.replies = 0           # successful replies sent
@@ -47,8 +50,7 @@ class ServerStats:
         self.worker_restarts = 0   # supervisor restarts after a crash
         self.read_failovers = 0    # reads answered by a surviving replica
         self.queue_high_water = 0  # max pending depth observed
-        self._latency_window = latency_window
-        self._latencies: Deque[float] = deque(maxlen=latency_window)
+        self._latencies: Deque[float] = deque(maxlen=LATENCY_WINDOW)
         # Per-op latency windows, created on first observation.  Batched
         # ops (``provision``, ``ratios``) are far heavier than the
         # single-pair ones, so one blended histogram would hide both.
@@ -66,7 +68,7 @@ class ServerStats:
         if op is not None:
             window = self._op_latencies.get(op)
             if window is None:
-                window = deque(maxlen=self._latency_window)
+                window = deque(maxlen=LATENCY_WINDOW)
                 self._op_latencies[op] = window
             window.append(seconds)
 

@@ -153,8 +153,7 @@ class RoutingSession:
         """Swap in a new per-PoP ``o_h`` field (streaming event ingest),
         keeping shares, forecast and gammas.
 
-        Returns True when cached sweeps were invalidated; the engine
-        drops only the sweeps whose components the new field touches.
+        Returns True when cached sweeps were invalidated.
         """
         return self.update_model(
             self.model.with_historical_risk(historical_risk)

@@ -79,11 +79,6 @@ class KdeDelta:
     reach: int
     hot_cells: FrozenSet[_CellKey] = field(default_factory=frozenset)
 
-    @property
-    def changed(self) -> bool:
-        """False for a no-op delta (empty batch)."""
-        return self.fingerprint != self.parent_fingerprint
-
     def dirty_mask(self, latlon_deg: "np.ndarray") -> "np.ndarray":
         """Boolean mask of (lat, lon) rows whose kernel sums may differ."""
         latlon_deg = np.asarray(latlon_deg, dtype=np.float64)

@@ -14,7 +14,6 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..geo.coords import GeoPoint
 from ..geo.distance import haversine_miles
-from ..graph.components import is_connected
 from ..graph.core import Graph
 
 __all__ = ["PoP", "Link", "Network", "NetworkTier"]
@@ -189,10 +188,6 @@ class Network:
         for link in self._links.values():
             graph.add_edge(link.pop_a, link.pop_b, link.length_miles)
         return graph
-
-    def is_connected(self) -> bool:
-        """True when every PoP can reach every other PoP."""
-        return is_connected(self.distance_graph())
 
     def geographic_footprint_miles(self) -> float:
         """Largest great-circle distance between any two PoPs (Table 3)."""

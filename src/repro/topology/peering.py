@@ -10,7 +10,7 @@ tier-1s, mirroring the structure visible in Figure 2.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 __all__ = [
     "PeeringGraph",
@@ -70,20 +70,6 @@ class PeeringGraph:
         if name not in self._adj:
             raise KeyError(f"unknown network {name!r}")
         return len(self._adj[name])
-
-    def edges(self) -> List[Tuple[str, str]]:
-        """All relationships once each, canonically ordered and sorted."""
-        seen: Set[FrozenSet[str]] = set()
-        out: List[Tuple[str, str]] = []
-        for a in sorted(self._adj):
-            for b in sorted(self._adj[a]):
-                key = frozenset((a, b))
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(tuple(sorted((a, b))))
-        out.sort()
-        return out
 
     def copy(self) -> "PeeringGraph":
         """Independent copy (used by the what-if peering search)."""

@@ -20,7 +20,7 @@ from typing import List, Sequence
 import numpy as np
 
 from ..geo.distance import pairwise_distance_matrix
-from ..risk.impact import network_impact_model
+from ..population.assignment import network_population_shares
 from ..topology.network import Network
 
 __all__ = ["TrafficMatrix", "gravity_matrix"]
@@ -99,8 +99,8 @@ def gravity_matrix(
     pops = network.pops()
     if len(pops) < 2:
         raise ValueError("need at least two PoPs for a traffic matrix")
-    impact = network_impact_model(network)
-    shares = np.array([impact.share(p.pop_id) for p in pops])
+    share_of = network_population_shares(network)
+    shares = np.array([share_of[p.pop_id] for p in pops])
     # Zero-population PoPs still attract a trickle of traffic.
     shares = np.maximum(shares, 1e-6)
     distance = pairwise_distance_matrix([p.location for p in pops])

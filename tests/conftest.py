@@ -8,11 +8,14 @@ integration tests.
 
 from __future__ import annotations
 
+import math
 import os
 
 import pytest
 from hypothesis import settings
 
+from repro.engine.arrays import CsrGraph
+from repro.engine.sweep import csr_sweep
 from repro.geo.coords import GeoPoint
 from repro.graph.core import Graph
 from repro.risk.model import RiskModel
@@ -50,6 +53,23 @@ def graph_from_edges(edges) -> Graph:
     for u, v, weight in edges:
         graph.add_edge(u, v, weight)
     return graph
+
+
+def reaches_every_node(graph: Graph) -> bool:
+    """True when a ``csr_sweep`` from node 0 reaches every node, i.e.
+    the graph is one connected component (an empty graph is not)."""
+    csr = CsrGraph(graph)
+    if csr.node_count == 0:
+        return False
+    sweep = csr_sweep(
+        csr.indptr_list,
+        csr.indices_list,
+        csr.weights_list,
+        [0.0] * len(csr.indices_list),
+        0,
+        0.0,
+    )
+    return all(d < math.inf for d in sweep.dist)
 
 
 def build_diamond_network() -> Network:

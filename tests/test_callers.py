@@ -3,12 +3,14 @@ scan of the repository.
 
 A function, method or class defined under ``src/`` must be referenced
 from ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.  A
-reference is a ``Name`` or ``Attribute`` node spelling the def's name,
-or a string constant equal to it (``getattr`` targets), except the
-entries of ``__all__``, which export a name without using it.  Dunder
-methods are called by the interpreter and are not scanned.  The scan
-goes by name only, so a def shares its references with every def of
-the same name.
+reference is an ``Attribute`` node spelling the def's name, or a string
+constant equal to it (``getattr`` targets), except the entries of
+``__all__``, which export a name without using it.  A ``Name`` node
+counts too, but only for a def outside a class body: a bare name can
+never reach a method, so a same-named local or parameter must not keep
+a method alive.  Dunder methods are called by the interpreter and are
+not scanned.  The scan goes by name only, so a def shares its
+references with every def of the same name.
 
 :data:`KEPT` names the defs that stay without such a caller.
 """
@@ -30,6 +32,9 @@ KEPT = {
     "src/repro/core/monitoring.py::coverage_of":
         "tests/test_core_monitoring.py::TestCoverageOf::"
         "test_greedy_beats_or_ties_naive",
+    "src/repro/graph/components.py::connected_components":
+        "tests/test_property_graph.py::TestComponentProperties::"
+        "test_reachability_matches_components",
     "src/repro/graph/core.py::Graph.path_weight":
         "tests/test_property_graph.py::TestDijkstraProperties::"
         "test_path_weight_matches_distance",
@@ -50,20 +55,27 @@ KEPT = {
 }
 
 
-def _defs(node: ast.AST, prefix: str = ""):
-    """``(qualified name, name)`` of every function, method and class."""
+def _defs(node: ast.AST, prefix: str = "", in_class: bool = False):
+    """``(qualified name, name, in_class)`` of every function, method
+    and class; ``in_class`` is true for a def in a class body."""
     for child in ast.iter_child_nodes(node):
         if isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
-            yield prefix + child.name, child.name
-            yield from _defs(child, prefix + child.name + ".")
+            yield prefix + child.name, child.name, in_class
+            yield from _defs(
+                child,
+                prefix + child.name + ".",
+                isinstance(child, ast.ClassDef),
+            )
         else:
-            yield from _defs(child, prefix)
+            yield from _defs(child, prefix, in_class)
 
 
-def _references(tree: ast.AST) -> set:
-    """Every name ``tree`` references (see the module docstring)."""
+def _references(tree: ast.AST):
+    """``(names, members)`` that ``tree`` references: ``Name`` ids, and
+    ``Attribute`` names plus identifier strings (see the module
+    docstring)."""
     exported = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign):
@@ -74,47 +86,52 @@ def _references(tree: ast.AST) -> set:
             continue
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
             exported.update(id(constant) for constant in ast.walk(node.value))
-    names = set()
+    names, members = set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            members.add(node.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
             and node.value.isidentifier()
             and id(node) not in exported
         ):
-            names.add(node.value)
-    return names
+            members.add(node.value)
+    return names, members
 
 
 def _src_defs():
-    """``(path::qualified name, name)`` of every non-dunder def in src."""
+    """``(path::qualified name, name, in_class)`` of every non-dunder
+    def in src."""
     for path, tree in _trees(("src",)):
-        for qualified, name in _defs(tree):
+        for qualified, name, in_class in _defs(tree):
             if not (name.startswith("__") and name.endswith("__")):
-                yield f"{path.relative_to(ROOT)}::{qualified}", name
+                yield f"{path.relative_to(ROOT)}::{qualified}", name, in_class
 
 
 def test_every_def_has_a_caller_outside_tests():
-    called = set()
+    names, members = set(), set()
     for _, tree in _trees(CALLERS):
-        called |= _references(tree)
+        tree_names, tree_members = _references(tree)
+        names |= tree_names
+        members |= tree_members
     orphans = [
-        key for key, name in _src_defs()
-        if name not in called and key not in KEPT
+        key for key, name, in_class in _src_defs()
+        if name not in members
+        and (in_class or name not in names)
+        and key not in KEPT
     ]
     assert not orphans, "defs only tests reach:\n" + "\n".join(orphans)
 
 
 def test_every_kept_def_and_its_test_exist():
-    defs = {key for key, _ in _src_defs()}
+    defs = {key for key, _, _ in _src_defs()}
     tests = {
         f"{path.relative_to(ROOT)}::{qualified.replace('.', '::')}"
         for path, tree in _trees(("tests",))
-        for qualified, _ in _defs(tree)
+        for qualified, _, _ in _defs(tree)
     }
     missing = [
         f"{key} ({why})" for key, why in KEPT.items()

@@ -260,6 +260,19 @@ class TestCommands:
     def test_route_unknown_pop(self, capsys):
         assert main(["route", "Teliasonera", "Nowhere, ZZ", "Miami, FL"]) == 2
 
+    @pytest.mark.parametrize(
+        "flag, value", [("--gamma-h", "nan"), ("--gamma-f", "-1")]
+    )
+    def test_bad_gamma_exits_2_with_one_line(
+        self, capsys, teliasonera_model, flag, value
+    ):
+        assert main(["pair", "Teliasonera", MIAMI, SEATTLE, flag, value]) == 2
+        captured = capsys.readouterr()
+        gamma = flag[2:].replace("-", "_")
+        assert captured.err.startswith(f"{gamma} must be finite")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize("top", ["0", "-2"])
     def test_provision_rejects_top_below_one(self, capsys, top):
         assert main(["provision", "Teliasonera", "--top", top]) == 2
@@ -322,5 +335,10 @@ class TestLocalOps:
         scenario = build_parser().parse_args(["scenario", "Teliasonera"])
         provision = build_parser().parse_args(["provision", "Teliasonera"])
         assert scenario.scenarios is None and provision.top is None
-        assert ops.get_spec("scenario").param("scenarios").default == 200
-        assert ops.get_spec("provision").param("top").default is None
+        defaults = {
+            (spec.name, param.name): param.default
+            for spec in (ops.get_spec("scenario"), ops.get_spec("provision"))
+            for param in spec.params
+        }
+        assert defaults["scenario", "scenarios"] == 200
+        assert defaults["provision", "top"] is None

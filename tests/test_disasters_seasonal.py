@@ -105,7 +105,9 @@ class TestSeasonalCatalogs:
                 {hurricane: seasonal_kdes(month)[hurricane]},
                 {hurricane: seasonal_rate_multiplier(hurricane, month)},
             )
-            return model.risk_at(new_orleans)
+            return model.risks_array(
+                np.array([[new_orleans.lat, new_orleans.lon]])
+            )[0]
 
         assert hurricane_risk(9) > 5.0 * hurricane_risk(2)
 
@@ -121,12 +123,11 @@ class TestSeasonalCatalogs:
     def test_seasonal_model_total_risk(self):
         """The seasonal model's aggregate risk responds to the season."""
         from repro.disasters.seasonal import seasonal_historical_model
-        from repro.geo.coords import GeoPoint
 
-        new_orleans = GeoPoint(29.95, -90.07)
-        september = seasonal_historical_model(9).risk_at(new_orleans)
-        february = seasonal_historical_model(2).risk_at(new_orleans)
-        assert september > february
+        new_orleans = np.array([[29.95, -90.07]])
+        september = seasonal_historical_model(9).risks_array(new_orleans)
+        february = seasonal_historical_model(2).risks_array(new_orleans)
+        assert september[0] > february[0]
 
     def test_seasonal_kdes_cover_active_classes(self):
         kdes = seasonal_kdes(9)

@@ -1,13 +1,16 @@
-"""Component-scoped delta invalidation: ingest keeps untouched islands.
+"""The engine's one swap rule.
 
-The streaming-ingest issue's engine half: ``update_model`` computes the
-set of *dirty* nodes (entry risk or share moved), maps them to
-connected components, and drops only the sweeps and per-source results
-whose source lives in a dirty component.  A localized ``o_h`` change —
-one region's events moved — therefore keeps every memoized sweep for
-sources in untouched islands, served from cache with their hit
-counters advancing, while touched sources recompute and answer from
-the new field.
+When the risk field changes (a forecast swap, an ingest, new gammas),
+``RoutingEngine.update_model`` keeps the geographic ``alpha == 0``
+sweeps and drops every other sweep and every memoized result; a model
+whose field hashes to the current fingerprint keeps everything.  The
+rule scopes nothing to connected components: every topology anything
+serves is one component, which ``test_topology_zoo.py::
+TestCorpusQuality::test_every_network_connected`` and
+``test_topology_interdomain.py::TestCorpusIntegration::
+test_corpus_merge_is_connected`` check by ``csr_sweep`` reachability.
+A two-island network shows that answers stay exact on a topology with
+more than one component too.
 """
 
 from __future__ import annotations
@@ -56,6 +59,11 @@ def session():
     return RoutingSession(build_two_island_network(), build_two_island_model())
 
 
+@pytest.fixture
+def corpus_session(teliasonera, teliasonera_model):
+    return RoutingSession(teliasonera, teliasonera_model)
+
+
 def _warm(session):
     """One risk-weighted pair per island; returns the two answers."""
     west = session.pair("isles:sf", "isles:fresno")
@@ -63,33 +71,58 @@ def _warm(session):
     return west, east
 
 
-class TestComponentScopedInvalidation:
-    def test_untouched_island_keeps_sweeps_and_results(self, session):
-        _warm(session)
-        engine = session.engine
-        before = engine.stats()
-        assert before["cached_sweeps"] > 0
+def _warm_corpus(session):
+    """Fill both caches: geographic and risk-weighted sweeps, results."""
+    ids = session.network.pop_ids()
+    session.pair(ids[0], ids[-1])
+    session.all_pairs()
+    engine = session.engine
+    sweeps = list(engine._sweeps._entries)
+    assert any(key[0] == 0.0 for key in sweeps)
+    assert any(key[0] != 0.0 for key in sweeps)
+    assert len(engine._results) > 0
+    return sweeps
 
-        # Ingest-shaped change: only the west island's o_h moves.
-        changed = session.update_historical(
-            {
-                pop_id: (5e-2 if pop_id in WEST_ISLAND else 1e-3)
-                for pop_id in WEST_ISLAND + EAST_ISLAND
-            }
+
+class TestSwapRule:
+    def test_changed_field_keeps_exactly_the_geographic_sweeps(
+        self, corpus_session
+    ):
+        sweeps = _warm_corpus(corpus_session)
+        engine = corpus_session.engine
+        fingerprint = engine.risk_fingerprint
+        forecast = dict.fromkeys(corpus_session.model.pop_ids(), 0.0)
+        forecast[corpus_session.network.pop_ids()[0]] = 50.0
+        assert corpus_session.update_forecast(forecast) is True
+        assert engine.risk_fingerprint != fingerprint
+        assert list(engine._sweeps._entries) == [
+            key for key in sweeps if key[0] == 0.0
+        ]
+        assert len(engine._results) == 0
+
+    def test_equal_fingerprint_keeps_everything(self, corpus_session):
+        sweeps = _warm_corpus(corpus_session)
+        engine = corpus_session.engine
+        results = list(engine._results._entries)
+        model = corpus_session.model
+        equal = RiskModel(
+            {p: model.share(p) for p in model.pop_ids()},
+            {p: model.historical_risk(p) for p in model.pop_ids()},
+            {p: model.forecast_risk(p) for p in model.pop_ids()},
+            model.gamma_h,
+            model.gamma_f,
         )
-        assert changed is True
+        assert equal is not model
+        assert corpus_session.update_model(equal) is False
+        assert engine.model is equal
+        assert list(engine._sweeps._entries) == sweeps
+        assert list(engine._results._entries) == results
 
-        # Re-serving the east pair is pure cache: no new sweeps run.
-        misses_before = engine.stats()["sweeps"]["misses"]
-        hits_before = engine.stats()["sweeps"]["hits"]
-        session.pair("isles:nyc", "isles:albany")
-        after = engine.stats()
-        assert after["sweeps"]["misses"] == misses_before
-        assert after["sweeps"]["hits"] >= hits_before
 
-        # The west pair recomputes (its component is dirty).
-        session.pair("isles:sf", "isles:fresno")
-        assert engine.stats()["sweeps"]["misses"] > misses_before
+class TestComponentScopedInvalidation:
+    """Nothing is scoped to a component: on a topology with two
+    islands, a change to one island's risk clears the other's
+    risk-weighted sweeps too, and answers stay exact."""
 
     def test_untouched_island_answers_match_cold_engine(self, session):
         _warm(session)
@@ -122,6 +155,23 @@ class TestComponentScopedInvalidation:
         )
         assert session.engine.risk_fingerprint != fingerprint
 
+    def test_localized_change_clears_every_island(self, session):
+        """Only the west island's o_h moves, and the east island's
+        risk-weighted sweeps go too: nothing is scoped to components."""
+        _warm(session)
+        engine = session.engine
+        session.update_historical(
+            {
+                pop_id: (5e-2 if pop_id in WEST_ISLAND else 1e-3)
+                for pop_id in WEST_ISLAND + EAST_ISLAND
+            }
+        )
+        assert all(key[0] == 0.0 for key in engine._sweeps._entries)
+        assert len(engine._results) == 0
+        misses = engine.stats()["sweeps"]["misses"]
+        session.pair("isles:nyc", "isles:albany")
+        assert engine.stats()["sweeps"]["misses"] > misses
+
     def test_global_change_still_clears_everything(self, session):
         _warm(session)
         engine = session.engine
@@ -132,6 +182,6 @@ class TestComponentScopedInvalidation:
             }
         )
         stats = engine.stats()
-        # Both components dirty: only geographic (alpha == 0) sweeps
-        # may survive, and no per-source results do.
+        # Only geographic (alpha == 0) sweeps may survive, and no
+        # results do.
         assert stats["cached_results"] == 0

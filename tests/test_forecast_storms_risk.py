@@ -1,5 +1,6 @@
 """Tests for repro.forecast.storms and repro.forecast.risk."""
 
+import numpy as np
 import pytest
 
 from repro.forecast.advisory import advisory_text
@@ -87,11 +88,12 @@ class TestForecastSnapshot:
 
     def test_risk_values(self):
         snap = self.snapshot()
-        assert snap.risk_at(self.CENTER) == RHO_HURRICANE
         edge_t = destination_point(self.CENTER, 0.0, 100.0)
-        assert snap.risk_at(edge_t) == RHO_TROPICAL
         far = destination_point(self.CENTER, 0.0, 500.0)
-        assert snap.risk_at(far) == 0.0
+        latlon = np.array([(p.lat, p.lon) for p in (self.CENTER, edge_t, far)])
+        assert snap.risks_many(latlon).tolist() == [
+            RHO_HURRICANE, RHO_TROPICAL, 0.0
+        ]
 
     def test_paper_rho_values(self):
         assert RHO_TROPICAL == 50.0

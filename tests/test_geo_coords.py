@@ -114,22 +114,6 @@ class TestBoundingBox:
         points = [GeoPoint(5.0, 5.0), GeoPoint(20.0, 20.0)]
         assert list(box.clip(points)) == [GeoPoint(5.0, 5.0)]
 
-    def test_expanded(self):
-        box = BoundingBox(10.0, 10.0, 20.0, 20.0).expanded(1.0)
-        assert box.south == 9.0
-        assert box.east == 21.0
-
-    def test_expanded_clamps_to_valid_range(self):
-        box = BoundingBox(-89.5, -179.5, 89.5, 179.5).expanded(5.0)
-        assert box.south == -90.0
-        assert box.north == 90.0
-        assert box.west == -180.0
-        assert box.east == 180.0
-
-    def test_expanded_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            BoundingBox(0.0, 0.0, 1.0, 1.0).expanded(-1.0)
-
     def test_continental_us_contains_known_cities(self):
         assert CONTINENTAL_US.contains(GeoPoint(40.71, -74.01))   # NYC
         assert CONTINENTAL_US.contains(GeoPoint(47.61, -122.33))  # Seattle

@@ -1,6 +1,6 @@
 """Tests for repro.graph.components."""
 
-from repro.graph.components import bridges, connected_components, is_connected
+from repro.graph.components import bridges, connected_components
 from repro.graph.core import Graph
 from tests.conftest import graph_from_edges
 
@@ -32,19 +32,6 @@ class TestComponents:
 
     def test_empty_graph(self):
         assert connected_components(Graph()) == []
-
-
-class TestIsConnected:
-    def test_connected(self):
-        assert is_connected(two_triangles_with_bridge())
-
-    def test_disconnected(self):
-        g = graph_from_edges([("a", "b", 1.0)])
-        g.add_node("island")
-        assert not is_connected(g)
-
-    def test_empty_graph_not_connected(self):
-        assert not is_connected(Graph())
 
 
 class TestBridges:

@@ -74,12 +74,6 @@ class TestQueries:
     def test_len(self):
         assert len(triangle()) == 3
 
-    def test_edges_yields_each_once(self):
-        edges = list(triangle().edges())
-        assert len(edges) == 3
-        seen = {frozenset((u, v)) for u, v, _ in edges}
-        assert len(seen) == 3
-
     def test_weight_lookup(self):
         g = triangle()
         assert g.weight("b", "c") == 2.0

@@ -5,7 +5,7 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geo.coords import BoundingBox, GeoPoint
+from repro.geo.coords import GeoPoint
 from repro.geo.distance import (
     EARTH_RADIUS_MILES,
     destination_point,
@@ -61,21 +61,3 @@ class TestInterpolationProperties:
         d1 = haversine_miles(a, mid)
         d2 = haversine_miles(mid, b)
         assert abs((d1 + d2) - total) < 1e-4 * max(1.0, total)
-
-
-class TestBoundingBoxProperties:
-    @given(points, st.floats(0.1, 5.0))
-    @settings(max_examples=examples(50))
-    def test_expanded_contains_original_center(self, p, margin):
-        lat_pad = min(1.0, 89.0 - abs(p.lat))
-        box = BoundingBox(
-            max(-90.0, p.lat - lat_pad),
-            max(-180.0, p.lon - 1.0),
-            min(90.0, p.lat + lat_pad),
-            min(180.0, p.lon + 1.0),
-        )
-        grown = box.expanded(margin)
-        assert grown.contains(p)
-        for lat in (box.south, box.north):
-            for lon in (box.west, box.east):
-                assert grown.contains(GeoPoint(lat, lon))

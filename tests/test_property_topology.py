@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from repro.topology.builders import build_network, gabriel_pairs
 from repro.topology.cities import ALL_CITIES
 from repro.traffic.gravity import TrafficMatrix
-from tests.conftest import examples
+from tests.conftest import examples, reaches_every_node
 
 
 city_subsets = st.lists(
@@ -21,7 +21,7 @@ class TestBuilderProperties:
     def test_built_networks_always_connected(self, cities, degree, count):
         network = build_network("prop", cities, count, degree)
         assert network.pop_count == count
-        assert network.is_connected()
+        assert reaches_every_node(network.distance_graph())
 
     @given(city_subsets, st.floats(2.0, 4.0))
     @settings(max_examples=examples(30), deadline=None)

@@ -1,5 +1,7 @@
-"""Tests for repro.risk (historical, forecasted, impact, composed)."""
+"""Tests for repro.risk (historical, forecasted, composed) and the
+population shares it composes."""
 
+import math
 import os
 
 import numpy as np
@@ -10,9 +12,9 @@ from repro.geo.coords import CONTINENTAL_US, GeoPoint
 from repro.geo.grid import GeoGrid
 from repro.population.assignment import network_population_shares
 from repro.population.census import synthetic_census
-from repro.risk.forecasted import ForecastedRiskModel, no_forecast
+from repro.population import assignment
+from repro.risk.forecasted import ForecastedRiskModel
 from repro.risk.historical import RISK_UNIT_MILES, HistoricalRiskModel
-from repro.risk.impact import network_impact_model
 from repro.risk.model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
 from repro.stats.kde import GaussianKDE
 from repro.topology.network import Network, PoP
@@ -26,6 +28,11 @@ def toy_historical(weights=None) -> HistoricalRiskModel:
         GeoPoint(30.0 + d, -90.0 + d) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)
     ]
     return HistoricalRiskModel({"storm": GaussianKDE(events, 40.0)}, weights)
+
+
+def latlon(*points: GeoPoint) -> np.ndarray:
+    """The (lat, lon) rows ``risks_array`` and ``risks_many`` take."""
+    return np.array([(p.lat, p.lon) for p in points])
 
 
 def toy_network() -> Network:
@@ -49,8 +56,8 @@ class TestHistorical:
             )
 
     def test_risk_higher_near_events(self):
-        model = toy_historical()
-        assert model.risk_at(RISKY_SPOT) > model.risk_at(SAFE_SPOT)
+        risky, safe = toy_historical().risks_array(latlon(RISKY_SPOT, SAFE_SPOT))
+        assert risky > safe
 
     def test_equation2_normalisation(self):
         """Risk = density * sigma * unit, per the module's convention."""
@@ -60,18 +67,18 @@ class TestHistorical:
             40.0,
         )
         expected = kde.density(RISKY_SPOT) * 40.0 * RISK_UNIT_MILES
-        assert model.risk_at(RISKY_SPOT) == pytest.approx(expected)
+        assert model.risks_array(latlon(RISKY_SPOT))[0] == pytest.approx(
+            expected
+        )
 
     def test_weights_scale_risk(self):
-        base = toy_historical()
-        doubled = toy_historical({"storm": 2.0})
-        assert doubled.risk_at(RISKY_SPOT) == pytest.approx(
-            2.0 * base.risk_at(RISKY_SPOT)
-        )
+        base = toy_historical().risks_array(latlon(RISKY_SPOT))
+        doubled = toy_historical({"storm": 2.0}).risks_array(latlon(RISKY_SPOT))
+        assert doubled[0] == pytest.approx(2.0 * base[0])
 
     def test_zero_weight_removes_class(self):
         muted = toy_historical({"storm": 0.0})
-        assert muted.risk_at(RISKY_SPOT) == 0.0
+        assert muted.risks_array(latlon(RISKY_SPOT))[0] == 0.0
 
     def test_pop_risks(self):
         risks = toy_historical().pop_risks(toy_network())
@@ -84,9 +91,8 @@ class TestHistorical:
     def test_risks_array_matches_risk_many(self):
         model = toy_historical()
         points = [RISKY_SPOT, SAFE_SPOT]
-        latlon = np.array([(p.lat, p.lon) for p in points])
         np.testing.assert_array_equal(
-            model.risks_array(latlon), model.risk_many(points)
+            model.risks_array(latlon(*points)), model.risk_many(points)
         )
 
     def test_fingerprint_tracks_weights_and_kdes(self):
@@ -150,19 +156,22 @@ class TestForecasted:
         return ForecastSnapshot(RISKY_SPOT, 50.0, 150.0)
 
     def test_no_forecast_zero(self):
-        model = no_forecast()
-        assert model.risk_at(RISKY_SPOT) == 0.0
+        model = ForecastedRiskModel([])
+        net = toy_network()
+        assert model.pop_risks(net) == {"toy:risky": 0.0, "toy:safe": 0.0}
+        assert model.pops_in_scope(net) == []
 
     def test_single_snapshot(self):
         model = ForecastedRiskModel([self.snapshot()])
-        assert model.risk_at(RISKY_SPOT) == 100.0
-        assert model.risk_at(SAFE_SPOT) == 0.0
+        risks = model.pop_risks(toy_network())
+        assert risks == {"toy:risky": 100.0, "toy:safe": 0.0}
 
     def test_max_over_snapshots(self):
         weak = ForecastSnapshot(RISKY_SPOT, 0.0, 150.0)
         strong = self.snapshot()
-        model = ForecastedRiskModel([weak, strong])
-        assert model.risk_at(RISKY_SPOT) == 100.0
+        for order in ([weak, strong], [strong, weak]):
+            risks = ForecastedRiskModel(order).pop_risks(toy_network())
+            assert risks["toy:risky"] == 100.0
 
     def test_pop_risks_and_scope(self):
         model = ForecastedRiskModel([self.snapshot()])
@@ -172,31 +181,31 @@ class TestForecasted:
         assert risks["toy:safe"] == 0.0
         assert model.pops_in_scope(net) == ["toy:risky"]
 
-    def test_risk_many(self):
-        model = ForecastedRiskModel([self.snapshot()])
-        assert model.risk_many([RISKY_SPOT, SAFE_SPOT]) == [100.0, 0.0]
-
 
 class TestImpact:
     def test_network_impact_shares_sum_to_one(self, teliasonera):
-        impact = network_impact_model(teliasonera)
-        assert sum(impact.shares().values()) == pytest.approx(1.0)
+        shares = network_population_shares(teliasonera)
+        assert sum(shares.values()) == pytest.approx(1.0)
 
-    def test_impact_sum(self, teliasonera):
-        impact = network_impact_model(teliasonera)
+    def test_impact_sum(self, teliasonera, teliasonera_model):
+        shares = network_population_shares(teliasonera)
         ids = teliasonera.pop_ids()
-        assert impact.impact(ids[0], ids[1]) == pytest.approx(
-            impact.share(ids[0]) + impact.share(ids[1])
+        assert teliasonera_model.impact(ids[0], ids[1]) == (
+            shares[ids[0]] + shares[ids[1]]
         )
 
-    def test_mean_share(self, teliasonera):
-        impact = network_impact_model(teliasonera)
-        assert impact.mean_share() == pytest.approx(1.0 / 15.0)
+    def test_cached_by_name(self, teliasonera, monkeypatch):
+        """A repeat is a memo hit, and every caller gets its own copy."""
+        first = network_population_shares(teliasonera)
 
-    def test_cached_by_name(self, teliasonera):
-        assert network_impact_model(teliasonera) is network_impact_model(
-            teliasonera
-        )
+        def boom(*args, **kwargs):
+            raise AssertionError("census swept despite a memo hit")
+
+        monkeypatch.setattr(assignment, "assign_population", boom)
+        first[teliasonera.pop_ids()[0]] = 5.0
+        second = network_population_shares(teliasonera)
+        assert second is not first
+        assert sum(second.values()) == pytest.approx(1.0)
 
     @staticmethod
     def _named(name, locations) -> Network:
@@ -213,19 +222,19 @@ class TestImpact:
         west = self._named(
             "Twin", [GeoPoint(47.6, -122.3), GeoPoint(34.0, -118.2)]
         )
-        east_shares = network_impact_model(east).shares()
-        west_shares = network_impact_model(west).shares()
+        east_shares = network_population_shares(east)
+        west_shares = network_population_shares(west)
         assert east_shares != west_shares
         assert west_shares == network_population_shares(
             west, synthetic_census()
-        ).shares()
+        )
 
     def test_same_name_with_one_more_pop_gets_every_share(self):
         locations = [GeoPoint(40.7, -74.0), GeoPoint(34.0, -118.2)]
         smaller = self._named("Grower", locations)
         larger = self._named("Grower", locations + [GeoPoint(41.9, -87.6)])
-        network_impact_model(smaller)
-        shares = network_impact_model(larger).shares()
+        network_population_shares(smaller)
+        shares = network_population_shares(larger)
         assert set(shares) == set(larger.pop_ids())
         model = RiskModel.for_network(larger, historical=toy_historical())
         for pop_id in larger.pop_ids():
@@ -246,6 +255,24 @@ class TestRiskModel:
     def test_negative_gamma_rejected(self):
         with pytest.raises(ValueError):
             self.toy_model(gamma_h=-1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -1e9])
+    @pytest.mark.parametrize("gamma", ["gamma_h", "gamma_f"])
+    def test_bad_gamma_named(self, gamma, bad):
+        with pytest.raises(ValueError, match=f"^{gamma} must be finite"):
+            self.toy_model(**{gamma: bad})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1e9])
+    @pytest.mark.parametrize("field", ["share", "o_h", "o_f"])
+    def test_bad_pop_input_named(self, field, bad):
+        maps = {
+            "share": {"a": 0.5, "b": 0.5},
+            "o_h": {"a": 0.01, "b": 0.002},
+            "o_f": {"a": 0.0, "b": 100.0},
+        }
+        maps[field]["b"] = bad
+        with pytest.raises(ValueError, match=f"^{field} of PoP 'b' must be"):
+            RiskModel(maps["share"], maps["o_h"], maps["o_f"])
 
     def test_key_mismatch_rejected(self):
         with pytest.raises(ValueError):

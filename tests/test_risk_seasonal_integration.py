@@ -3,8 +3,9 @@
 import pytest
 
 from repro.disasters.seasonal import seasonal_historical_model
-from repro.forecast.projection import AnticipatoryRiskField
+from repro.forecast.projection import anticipatory_snapshots
 from repro.forecast.storms import storm_advisories
+from repro.risk.forecasted import ForecastedRiskModel
 from repro.risk.model import RiskModel
 from repro.session import RoutingSession
 from repro.topology.zoo import network_by_name
@@ -50,12 +51,13 @@ class TestAnticipatoryRouting:
 
         advisory = storm_advisories("Sandy")[40]  # storm still offshore
         from repro.forecast.risk import snapshot_from_advisory
-        from repro.risk.forecasted import ForecastedRiskModel
 
         reactive_of = ForecastedRiskModel(
             [snapshot_from_advisory(advisory)]
         ).pop_risks(network)
-        anticipatory_of = AnticipatoryRiskField(advisory).pop_risks(network)
+        anticipatory_of = ForecastedRiskModel(
+            anticipatory_snapshots(advisory)
+        ).pop_risks(network)
 
         assert sum(anticipatory_of.values()) >= sum(reactive_of.values())
 
@@ -73,7 +75,9 @@ class TestAnticipatoryRouting:
         network = network_by_name("NTT")
         base = RiskModel.for_network(network)
         advisory = storm_advisories("Irene")[50]
-        of_map = AnticipatoryRiskField(advisory).pop_risks(network)
+        of_map = ForecastedRiskModel(
+            anticipatory_snapshots(advisory)
+        ).pop_risks(network)
         model = base.with_forecast_risk(of_map)
         for pop_id in model.pop_ids():
             assert model.forecast_risk(pop_id) == of_map[pop_id]

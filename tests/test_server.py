@@ -318,6 +318,42 @@ class TestProtocolEdgeCases:
             assert excinfo.value.code == "bad_request"
 
 
+class TestRiskInputValidation:
+    """A non-finite or negative ``o_f`` is a ``bad_request`` that
+    rolls back: the next read answers exactly as before the write."""
+
+    @pytest.mark.parametrize(
+        "risk, default",
+        [
+            ({}, float("nan")),
+            ({}, float("inf")),
+            ({"Teliasonera:Chicago, IL": -1e9}, 0.0),
+        ],
+        ids=["nan", "infinity", "negative"],
+    )
+    def test_bad_forecast_is_rejected_and_rolled_back(
+        self, teliasonera, teliasonera_model, risk, default
+    ):
+        thread = ServerThread(
+            RoutingSession(teliasonera, teliasonera_model), ServerConfig()
+        )
+        host, port = thread.start()
+        pair = ("Teliasonera:New York, NY", "Teliasonera:Chicago, IL")
+        try:
+            with RiskRouteClient(host, port) as client:
+                before = client.pair(*pair)
+                fingerprint = client.last_fingerprint
+                with pytest.raises(ServerError) as excinfo:
+                    client.update_forecast(risk, default=default)
+                assert excinfo.value.code == "bad_request"
+                assert excinfo.value.message.startswith("o_f of PoP ")
+                assert client.pair(*pair) == before
+                assert client.last_fingerprint == fingerprint
+                assert client.stats()["forecast_swaps"] == 0
+        finally:
+            thread.stop()
+
+
 class _Slow:
     """Wrap a service's execute_batch with a fixed delay (on the
     service thread), to hold the worker busy deterministically."""
@@ -619,12 +655,14 @@ class TestCoalescingQueue:
         asyncio.run(scenario())
 
     def test_max_batch_cap(self):
+        from repro.server.coalesce import MAX_BATCH
+
         async def scenario():
-            queue = CoalescingQueue(max_batch=3)
-            for _ in range(5):
+            queue = CoalescingQueue()
+            for _ in range(MAX_BATCH + 1):
                 await queue.submit(self._item("route"))
-            assert len(await queue.next_batch()) == 3
-            assert len(await queue.next_batch()) == 2
+            assert len(await queue.next_batch()) == MAX_BATCH == 64
+            assert len(await queue.next_batch()) == 1
 
         asyncio.run(scenario())
 
@@ -635,7 +673,7 @@ class TestServerStatsUnit:
     def test_latency_bucketed_by_op(self):
         from repro.server.stats import ServerStats
 
-        stats = ServerStats(latency_window=4)
+        stats = ServerStats()
         stats.observe_latency(0.010, op="route")
         stats.observe_latency(0.030, op="route")
         stats.observe_latency(0.500, op="provision")
@@ -651,10 +689,11 @@ class TestServerStatsUnit:
         assert snap["p99_ms"] == pytest.approx(500.0)
 
     def test_op_windows_are_bounded(self):
-        from repro.server.stats import ServerStats
+        from repro.server.stats import LATENCY_WINDOW, ServerStats
 
-        stats = ServerStats(latency_window=3)
-        for i in range(10):
+        stats = ServerStats()
+        for i in range(LATENCY_WINDOW + 1):
             stats.observe_latency(float(i), op="ratios")
         snap = stats.snapshot(queue_depth=0, uptime=1.0)
-        assert snap["latency_by_op"]["ratios"]["count"] == 3
+        assert snap["latency_by_op"]["ratios"]["count"] == LATENCY_WINDOW
+        assert LATENCY_WINDOW == 2048

@@ -38,6 +38,7 @@ from repro.server import (
     ServerError,
     ServerThread,
 )
+from repro.server.coalesce import MAX_BATCH
 from repro.server.protocol import pair_to_dict, route_to_dict
 from tests.conftest import build_diamond_model
 
@@ -532,8 +533,8 @@ class TestSeededMixedChaos:
             assert stats_server.worker_crashes == (
                 stats_server.worker_restarts
             )
-            assert len(crash_errors) <= stats_server.worker_crashes * (
-                thread.server.queue.max_batch
+            assert len(crash_errors) <= (
+                stats_server.worker_crashes * MAX_BATCH
             )
         finally:
             thread.stop()

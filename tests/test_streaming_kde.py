@@ -48,7 +48,8 @@ class TestConstruction:
     def test_empty_batches_are_noop_deltas(self):
         kde = StreamingKDE.from_array(_array([(35.0, -95.0)]), BANDWIDTH)
         before = kde.fingerprint
-        assert not kde.append_events(_array([])).changed
+        delta = kde.append_events(_array([]))
+        assert delta.fingerprint == delta.parent_fingerprint == before
         assert kde.fingerprint == before
 
 
@@ -87,7 +88,7 @@ class TestIncrementalParity:
         base = [(35.0, -95.0), (35.2, -95.1), (43.0, -78.0)]
         kde = StreamingKDE.from_array(_array(base), BANDWIDTH)
         delta = kde.append_events(_array([(35.1, -94.9)]))
-        assert delta.changed
+        assert delta.fingerprint != delta.parent_fingerprint
         assert delta.appended == 1
         # A row next to the new event is dirty; one far outside the
         # truncation reach is not.

@@ -106,11 +106,10 @@ class TestIngest:
     def test_identity_membership(self):
         model = _build()
         seeded = _seed_events()[HURRICANE][0]
-        assert seeded.identity in model
+        assert model.ingest([seeded]).duplicates == 1
         fresh = _event(HURRICANE, 25.0, -80.0, 2006)
-        assert fresh.identity not in model
-        model.ingest([fresh])
-        assert fresh.identity in model
+        assert model.ingest([fresh]).appended == 1
+        assert model.ingest([fresh]).duplicates == 1
 
     def test_unknown_class_rejected_before_mutation(self):
         model = _build()
@@ -122,7 +121,7 @@ class TestIngest:
                 _event(EventType.FEMA_TORNADO, 35.0, -97.0, 2006),
             ])
         assert model.fingerprint == before
-        assert valid.identity not in model
+        assert model.ingest([valid]).appended == 1
 
 
 class TestIngestParityProperty:

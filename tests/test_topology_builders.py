@@ -15,6 +15,7 @@ from repro.topology.builders import (
 )
 from repro.topology.cities import ALL_CITIES, top_cities
 from repro.topology.network import Network
+from tests.conftest import reaches_every_node
 
 
 class TestPlacePops:
@@ -97,7 +98,7 @@ class TestMeshLinks:
         net = Network("t")
         place_pops(net, top_cities(20), 20)
         mesh_links(net, 3.0)
-        assert net.is_connected()
+        assert reaches_every_node(net.distance_graph())
 
     def test_average_degree_near_target(self):
         net = Network("t")
@@ -131,7 +132,7 @@ class TestBuildNetwork:
     def test_full_build(self):
         net = build_network("demo", top_cities(12), 12, 2.5)
         assert net.pop_count == 12
-        assert net.is_connected()
+        assert reaches_every_node(net.distance_graph())
 
     def test_regional_states_recorded(self):
         net = build_network(
@@ -150,7 +151,7 @@ class TestContinentalNetwork:
     def test_small_build_connected_and_sized(self):
         net = continental_network(pop_count=120, seed=3)
         assert net.pop_count == 120
-        assert net.is_connected()
+        assert reaches_every_node(net.distance_graph())
         target_links = round(3.2 * 120 / 2)
         assert net.link_count >= 119  # at least spanning
         assert abs(net.link_count - target_links) <= 2

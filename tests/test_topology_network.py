@@ -5,6 +5,7 @@ import pytest
 from repro.geo.coords import GeoPoint
 from repro.geo.distance import haversine_miles
 from repro.topology.network import Link, Network, NetworkTier, PoP
+from tests.conftest import reaches_every_node
 
 NYC = GeoPoint(40.71, -74.01)
 BOSTON = GeoPoint(42.36, -71.06)
@@ -120,9 +121,9 @@ class TestDerivedStructure:
 
     def test_is_connected(self):
         net = small_network()
-        assert net.is_connected()
+        assert reaches_every_node(net.distance_graph())
         net.remove_link("test:nyc", "test:dc")
-        assert not net.is_connected()
+        assert not reaches_every_node(net.distance_graph())
 
     def test_copy_independent(self):
         net = small_network()

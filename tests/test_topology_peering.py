@@ -47,12 +47,6 @@ class TestPeeringGraph:
         with pytest.raises(KeyError):
             g.peer_count("ghost")
 
-    def test_edges_unique_and_sorted(self):
-        g = PeeringGraph()
-        g.add_peering("B", "A")
-        g.add_peering("C", "A")
-        assert g.edges() == [("A", "B"), ("A", "C")]
-
     def test_copy_independent(self):
         g = PeeringGraph()
         g.add_peering("A", "B")

@@ -11,6 +11,7 @@ from repro.topology.zoo import (
     regional_networks,
     tier1_networks,
 )
+from tests.conftest import reaches_every_node
 
 #: Tier-1 PoP counts from Table 2 of the paper.
 PAPER_TIER1_POPS = {
@@ -50,7 +51,7 @@ class TestCorpusShape:
 class TestCorpusQuality:
     def test_every_network_connected(self):
         for network in all_networks():
-            assert network.is_connected(), network.name
+            assert reaches_every_node(network.distance_graph()), network.name
 
     def test_all_pops_in_continental_us(self):
         for network in all_networks():

@@ -76,12 +76,10 @@ class TestGravity:
         i, j = np.unravel_index(np.argmax(demands), demands.shape)
         top_pair = (matrix.pop_ids[i], matrix.pop_ids[j])
         # With beta=0 the top pair joins the two most-populous PoPs.
-        from repro.risk.impact import network_impact_model
+        from repro.population.assignment import network_population_shares
 
-        impact = network_impact_model(teliasonera)
-        ranked = sorted(
-            teliasonera.pop_ids(), key=lambda p: -impact.share(p)
-        )
+        shares = network_population_shares(teliasonera)
+        ranked = sorted(teliasonera.pop_ids(), key=lambda p: -shares[p])
         assert set(top_pair) == set(ranked[:2])
 
     def test_distance_attenuation(self, teliasonera):

@@ -83,7 +83,7 @@ def test_ingest_vs_rebuild_level3(benchmark):
 
     def rebuild_and_sweep():
         arrays = {
-            et: points_to_array(catalog_of(et).locations())
+            et: catalog_of(et).latlon()
             for et in EventType.ALL
         }
         hurricane = EventType.FEMA_HURRICANE

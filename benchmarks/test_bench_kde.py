@@ -39,7 +39,7 @@ MIN_SPEEDUP = 5.0
 def _models():
     """Exact and truncated five-class models over the same event arrays."""
     arrays = {
-        event_type: points_to_array(catalog_of(event_type).locations())
+        event_type: catalog_of(event_type).latlon()
         for event_type in PRETRAINED_BANDWIDTHS
     }
     exact = HistoricalRiskModel(

@@ -103,21 +103,22 @@ def sample_disasters(
         rng = seed
     else:
         rng = np.random.default_rng(seed)
-    catalogs = {c: catalog_of(c).events() for c in classes}
+    catalogs = {c: catalog_of(c) for c in classes}
     weights = np.array([len(catalogs[c]) for c in classes], dtype=np.float64)
     weights /= weights.sum()
     picks = rng.choice(len(classes), size=count, p=weights)
     out: List[SimulatedDisaster] = []
     for class_index in picks:
         event_type = classes[int(class_index)]
-        events = catalogs[event_type]
+        catalog = catalogs[event_type]
         # Same rng draw sequence as the historical locations-only
         # sampler: one integers(len) call per pick.
-        event = events[int(rng.integers(len(events)))]
+        row = int(rng.integers(len(catalog)))
+        center = GeoPoint(float(catalog.lat[row]), float(catalog.lon[row]))
         out.append(
             SimulatedDisaster(
                 event_type=event_type,
-                center=event.location,
+                center=center,
                 radius_miles=DAMAGE_RADIUS_MILES[event_type],
             )
         )

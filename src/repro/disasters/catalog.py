@@ -16,7 +16,7 @@ from ..stats.bandwidth import (
     cross_validate_bandwidth,
     log_space_candidates,
 )
-from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, GaussianKDE, points_to_array
+from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, GaussianKDE
 from .events import DisasterCatalog, EventType
 from .fema import fema_hurricanes, fema_storms, fema_tornadoes
 from .noaa import noaa_earthquakes, noaa_wind
@@ -98,7 +98,7 @@ def train_bandwidth(
     """
     low, high, count = _CANDIDATE_RANGES[event_type]
     return cross_validate_bandwidth(
-        catalog_of(event_type).locations(),
+        catalog_of(event_type).latlon(),
         log_space_candidates(low, high, count),
         n_folds=n_folds,
         max_events=max_events,
@@ -126,7 +126,7 @@ def event_kde(
     if bandwidth_miles is None:
         bandwidth_miles = PRETRAINED_BANDWIDTHS[event_type]
     return GaussianKDE.from_array(
-        points_to_array(catalog_of(event_type).locations()),
+        catalog_of(event_type).latlon(),
         bandwidth_miles,
         cutoff_sigmas=cutoff_sigmas,
     )

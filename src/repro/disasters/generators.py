@@ -28,7 +28,7 @@ import numpy as np
 from ..geo.coords import CONTINENTAL_US, GeoPoint
 from ..stats.sampling import sample_mixture
 from ..topology.cities import ALL_CITIES, City
-from .events import DisasterCatalog, DisasterEvent, EventType
+from .events import DisasterCatalog, EventType
 
 __all__ = ["EVENT_MODELS", "generate_events", "EventModel"]
 
@@ -90,16 +90,13 @@ class EventModel:
 
     def sample(
         self, rng: "np.random.Generator", count: int, year_range: Tuple[int, int]
-    ) -> List[DisasterEvent]:
+    ) -> DisasterCatalog:
         """Draw ``count`` events with uniform years over ``year_range``."""
-        points = sample_mixture(
+        lat, lon = sample_mixture(
             rng, self.components, count, clamp=CONTINENTAL_US
         )
         years = rng.integers(year_range[0], year_range[1] + 1, size=count)
-        return [
-            DisasterEvent(self.event_type, point, int(year))
-            for point, year in zip(points, years)
-        ]
+        return DisasterCatalog(self.event_type, lat, lon, years)
 
 
 def _hurricane_model() -> EventModel:
@@ -184,6 +181,4 @@ def generate_events(
     if count < 0:
         raise ValueError("count must be non-negative")
     rng = np.random.default_rng(seed)
-    return DisasterCatalog(
-        EVENT_MODELS[event_type].sample(rng, count, year_range)
-    )
+    return EVENT_MODELS[event_type].sample(rng, count, year_range)

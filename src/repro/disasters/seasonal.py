@@ -12,13 +12,13 @@ differently than for *January* (ice/wind season).
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..stats.kde import GaussianKDE
 from .catalog import PRETRAINED_BANDWIDTHS, catalog_of
-from .events import DisasterCatalog, DisasterEvent, EventType
+from .events import DisasterCatalog, EventType
 
 __all__ = [
     "MONTHLY_CLIMATOLOGY",
@@ -65,18 +65,16 @@ def monthly_event_weights(event_type: str) -> "np.ndarray":
     return weights / weights.sum()
 
 
-def assign_months(
-    catalog: DisasterCatalog, event_type: str, seed: int = 11
-) -> List[Tuple[DisasterEvent, int]]:
-    """Pair every event with a month (1..12) drawn from climatology.
+def assign_months(catalog: DisasterCatalog, seed: int = 11) -> "np.ndarray":
+    """A month (1..12) for every event, drawn from its class's
+    climatology, in catalog order.
 
     Deterministic for a given seed; the same event order always receives
     the same months.
     """
     rng = np.random.default_rng(seed)
-    weights = monthly_event_weights(event_type)
-    months = rng.choice(12, size=len(catalog), p=weights) + 1
-    return [(event, int(month)) for event, month in zip(catalog, months)]
+    weights = monthly_event_weights(catalog.event_type)
+    return rng.choice(12, size=len(catalog), p=weights) + 1
 
 
 @lru_cache(maxsize=None)
@@ -88,9 +86,10 @@ def seasonal_catalog(event_type: str, month: int) -> DisasterCatalog:
     """
     if not 1 <= month <= 12:
         raise ValueError(f"month must be 1..12, got {month}")
-    pairs = assign_months(catalog_of(event_type), event_type)
+    catalog = catalog_of(event_type)
+    mask = assign_months(catalog) == month
     return DisasterCatalog(
-        event for event, event_month in pairs if event_month == month
+        event_type, catalog.lat[mask], catalog.lon[mask], catalog.year[mask]
     )
 
 
@@ -112,7 +111,7 @@ def seasonal_kde(event_type: str, month: int) -> GaussianKDE:
     annual = len(catalog_of(event_type))
     widen = float(np.sqrt(annual / len(monthly))) ** 0.5
     bandwidth = PRETRAINED_BANDWIDTHS[event_type] * widen
-    return GaussianKDE(monthly.locations(), bandwidth)
+    return GaussianKDE.from_array(monthly.latlon(), bandwidth)
 
 
 def seasonal_kdes(month: int) -> Dict[str, GaussianKDE]:

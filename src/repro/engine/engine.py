@@ -347,6 +347,9 @@ class RoutingEngine:
                 missing[(alpha, source)] = None
         if not missing:
             return 0
+        # ``peek`` leaves the stats alone: count each sweep computed
+        # here as the miss it is.
+        self._sweeps.stats.misses += len(missing)
         # Alpha sharing: all coalesced sources under one alpha are
         # answered by a single multi-source call of the bucketed kernel;
         # groups too small to vectorize fall through to one heapq sweep

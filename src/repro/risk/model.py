@@ -33,6 +33,11 @@ def _check_input(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
+def _check_gammas(gamma_h: float, gamma_f: float) -> None:
+    _check_input("gamma_h", gamma_h)
+    _check_input("gamma_f", gamma_f)
+
+
 class RiskModel:
     """Per-PoP risk state plus the gamma knobs.
 
@@ -56,8 +61,7 @@ class RiskModel:
         gamma_h: float = DEFAULT_GAMMA_H,
         gamma_f: float = DEFAULT_GAMMA_F,
     ) -> None:
-        _check_input("gamma_h", gamma_h)
-        _check_input("gamma_f", gamma_f)
+        _check_gammas(gamma_h, gamma_f)
         keys = set(shares)
         if set(historical_risk) != keys or set(forecast_risk) != keys:
             raise ValueError(
@@ -88,8 +92,10 @@ class RiskModel:
         """Build the intradomain model of one network.
 
         ``historical`` defaults to the five-class corpus model, whose
-        ``o_h`` vectors are memoized per network content.
+        ``o_h`` vectors are memoized per network content.  A bad gamma
+        is rejected before any share or ``o_h`` is computed.
         """
+        _check_gammas(gamma_h, gamma_f)
         if historical is None:
             historical = default_historical_model()
         return cls(
@@ -112,8 +118,10 @@ class RiskModel:
 
         Shares come from each network's own (footprint-confined)
         population assignment, so a regional PoP's impact reflects the
-        population it actually serves.
+        population it actually serves.  A bad gamma is rejected before
+        any share or ``o_h`` is computed.
         """
+        _check_gammas(gamma_h, gamma_f)
         if historical is None:
             historical = default_historical_model()
         shares: Dict[str, float] = {}

@@ -3,11 +3,13 @@
 :class:`StreamingHistoricalModel` is a
 :class:`~repro.risk.historical.HistoricalRiskModel` whose per-class
 estimates are :class:`~repro.stats.streaming.StreamingKDE` instances
-built from full catalogs (so every event carries its year and stable
-:attr:`~repro.disasters.events.DisasterEvent.identity`).  New disaster
-records are folded in with :meth:`ingest`:
+built from full catalogs.  Every event is keyed by its class, year and
+the exact bits of its coordinates
+(:attr:`~repro.disasters.events.DisasterEvent.identity`; a catalog
+builds the keys of all its rows in one pass).  New disaster records
+are folded in with :meth:`ingest`:
 
-* records whose identity is already present are **dropped as
+* records whose key is already present are **dropped as
   duplicates** (at-least-once delivery upstream is safe),
 * fresh records are appended into the per-class KDEs — an O(K) bucket
   patch plus a recompute of only the query rows near the new events.
@@ -35,7 +37,12 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from ..disasters.catalog import PRETRAINED_BANDWIDTHS, catalog_of
-from ..disasters.events import DisasterCatalog, DisasterEvent, EventType
+from ..disasters.events import (
+    DisasterCatalog,
+    DisasterEvent,
+    EventKey,
+    EventType,
+)
 from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, points_to_array
 from ..stats.streaming import StreamingKDE
 from .historical import RISK_UNIT_MILES, HistoricalRiskModel
@@ -72,8 +79,8 @@ class StreamingHistoricalModel(HistoricalRiskModel):
     """A historical risk model that accepts live event ingest.
 
     Args:
-        catalogs: event-class -> full :class:`DisasterCatalog` (event
-            identities are kept for duplicate detection).
+        catalogs: event-class -> full :class:`DisasterCatalog` of that
+            class (every event's key is kept for duplicate detection).
         bandwidths: per-class kernel bandwidth in miles; defaults to
             the pretrained Table 1 values.
         weights: per-class emphasis, as in the base model.
@@ -90,11 +97,10 @@ class StreamingHistoricalModel(HistoricalRiskModel):
     ) -> None:
         if not catalogs:
             raise ValueError("need at least one event-class catalog")
-        self._id_set: Set[str] = set()
+        self._keys: Set[EventKey] = set()
         kdes: Dict[str, StreamingKDE] = {}
         for event_type, catalog in catalogs.items():
-            events = catalog.events()
-            if not events:
+            if not len(catalog):
                 raise ValueError(f"empty catalog for {event_type!r}")
             bandwidth = (
                 PRETRAINED_BANDWIDTHS[event_type]
@@ -102,11 +108,9 @@ class StreamingHistoricalModel(HistoricalRiskModel):
                 else float(bandwidths[event_type])
             )
             kdes[event_type] = StreamingKDE.from_array(
-                points_to_array([e.location for e in events]),
-                bandwidth,
-                cutoff_sigmas=cutoff_sigmas,
+                catalog.latlon(), bandwidth, cutoff_sigmas=cutoff_sigmas
             )
-            self._id_set.update(e.identity for e in events)
+            self._keys.update(catalog.keys())
         super().__init__(kdes, weights)
 
     # -- ingest ------------------------------------------------------------
@@ -114,8 +118,8 @@ class StreamingHistoricalModel(HistoricalRiskModel):
     def ingest(self, events: Sequence[DisasterEvent]) -> IngestDelta:
         """Fold a batch of disaster records into the model.
 
-        Duplicate identities (already present, or repeated within the
-        batch) are dropped; the rest are appended.  Returns an
+        Duplicate keys (already present, or repeated within the batch)
+        are dropped; the rest are appended.  Returns an
         :class:`IngestDelta`; the model fingerprint after a changing
         ingest equals that of a model rebuilt from scratch over the
         same events.
@@ -127,17 +131,17 @@ class StreamingHistoricalModel(HistoricalRiskModel):
         parent_fp = self.fingerprint
         fresh: Dict[str, List[DisasterEvent]] = {}
         duplicates = 0
-        seen_batch: Set[str] = set()
+        seen_batch: Set[EventKey] = set()
         for event in events:
             if event.event_type not in self._kdes:
                 raise ValueError(
                     f"model has no class {event.event_type!r}"
                 )
-            identity = event.identity
-            if identity in self._id_set or identity in seen_batch:
+            key = event.identity
+            if key in self._keys or key in seen_batch:
                 duplicates += 1
                 continue
-            seen_batch.add(identity)
+            seen_batch.add(key)
             fresh.setdefault(event.event_type, []).append(event)
 
         for event_type, batch in fresh.items():
@@ -146,7 +150,7 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             kde.append_events(
                 points_to_array([e.location for e in batch])
             )
-        self._id_set |= seen_batch
+        self._keys |= seen_batch
 
         if fresh:
             self._fingerprint = None

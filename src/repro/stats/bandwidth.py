@@ -29,9 +29,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo.coords import GeoPoint
 from .divergence import empirical_kl_from_loglik
-from .kde import GaussianKDE, points_to_array
+from .kde import GaussianKDE
 
 __all__ = ["BandwidthSearchResult", "cross_validate_bandwidth", "log_space_candidates"]
 
@@ -66,7 +65,7 @@ def _fold_indices(
 
 
 def cross_validate_bandwidth(
-    events: Sequence[GeoPoint],
+    latlon_deg: "np.ndarray",
     candidates: Sequence[float],
     n_folds: int = 5,
     max_events: Optional[int] = 4000,
@@ -75,7 +74,8 @@ def cross_validate_bandwidth(
     """Select a KDE bandwidth by k-fold cross validation.
 
     Args:
-        events: the event catalog.
+        latlon_deg: the event catalog, an (N, 2) array of (lat, lon)
+            degree rows.
         candidates: bandwidths (miles) to score.
         n_folds: number of folds (the paper uses 5).
         max_events: subsample cap for tractability on huge catalogs;
@@ -93,17 +93,16 @@ def cross_validate_bandwidth(
         raise ValueError("need at least one candidate bandwidth")
     if n_folds < 2:
         raise ValueError("need at least two folds")
-    if len(events) < n_folds:
+    working = np.asarray(latlon_deg, dtype=np.float64)
+    if len(working) < n_folds:
         raise ValueError(
-            f"need at least {n_folds} events, got {len(events)}"
+            f"need at least {n_folds} events, got {len(working)}"
         )
 
     rng = np.random.default_rng(seed)
-    working: List[GeoPoint] = list(events)
     if max_events is not None and len(working) > max_events:
         picks = rng.choice(len(working), size=max_events, replace=False)
-        working = [working[i] for i in sorted(picks)]
-    working_array = points_to_array(working)
+        working = working[np.sort(picks)]
 
     folds = _fold_indices(len(working), n_folds, rng)
     scores: List[float] = []
@@ -111,7 +110,7 @@ def cross_validate_bandwidth(
         # One KDE — and one bucket index — per candidate; every fold
         # reuses it, scoring the held-out rows against the masked
         # complement (same result as fitting on the training folds).
-        kde = GaussianKDE.from_array(working_array, bandwidth)
+        kde = GaussianKDE.from_array(working, bandwidth)
         fold_scores: List[float] = []
         for held_out in folds:
             if held_out.size == 0 or held_out.size == len(working):

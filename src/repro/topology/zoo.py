@@ -8,7 +8,9 @@ chosen to sum to 455 with footprints matching each provider's real
 service region).
 
 Every network is produced deterministically by
-:mod:`repro.topology.builders`, so the corpus is identical across runs.
+:mod:`repro.topology.builders`, seeded by its own name, so the corpus is
+identical across runs and each network is built on its own, on first
+use, at most once per process.
 """
 
 from __future__ import annotations
@@ -147,37 +149,35 @@ REGIONAL_SPECS: Dict[str, Tuple[int, float, Sequence[str]]] = {
 
 
 @lru_cache(maxsize=None)
-def tier1_networks() -> Tuple[Network, ...]:
-    """Build (and cache) the 7 Tier-1 networks."""
-    networks: List[Network] = []
-    for name, (count, degree, anchors) in TIER1_SPECS.items():
-        if anchors:
-            cities = _cities(*anchors)
-        else:
-            cities = top_cities(count)
-        networks.append(
-            build_network(name, cities, count, degree, tier=NetworkTier.TIER1)
+def _build(name: str) -> Network:
+    """Build (and cache) one corpus network from its spec."""
+    if name in TIER1_SPECS:
+        count, degree, anchors = TIER1_SPECS[name]
+        cities = _cities(*anchors) if anchors else top_cities(count)
+        return build_network(
+            name, cities, count, degree, tier=NetworkTier.TIER1
         )
-    return tuple(networks)
+    count, degree, states = REGIONAL_SPECS[name]
+    return build_network(
+        name,
+        cities_in_states(list(states)),
+        count,
+        degree,
+        tier=NetworkTier.REGIONAL,
+        states=states,
+    )
+
+
+@lru_cache(maxsize=None)
+def tier1_networks() -> Tuple[Network, ...]:
+    """The 7 Tier-1 networks."""
+    return tuple(_build(name) for name in TIER1_SPECS)
 
 
 @lru_cache(maxsize=None)
 def regional_networks() -> Tuple[Network, ...]:
-    """Build (and cache) the 16 regional networks."""
-    networks: List[Network] = []
-    for name, (count, degree, states) in REGIONAL_SPECS.items():
-        cities = cities_in_states(list(states))
-        networks.append(
-            build_network(
-                name,
-                cities,
-                count,
-                degree,
-                tier=NetworkTier.REGIONAL,
-                states=states,
-            )
-        )
-    return tuple(networks)
+    """The 16 regional networks."""
+    return tuple(_build(name) for name in REGIONAL_SPECS)
 
 
 def all_networks() -> Tuple[Network, ...]:
@@ -186,12 +186,11 @@ def all_networks() -> Tuple[Network, ...]:
 
 
 def network_by_name(name: str) -> Network:
-    """Look up a corpus network by name.
+    """Look up a corpus network by name; builds only that network.
 
     Raises:
         KeyError: for a name not in the corpus.
     """
-    for network in all_networks():
-        if network.name == name:
-            return network
-    raise KeyError(f"unknown network {name!r}")
+    if name not in TIER1_SPECS and name not in REGIONAL_SPECS:
+        raise KeyError(f"unknown network {name!r}")
+    return _build(name)

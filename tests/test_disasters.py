@@ -10,6 +10,7 @@ from repro.disasters.catalog import (
 )
 from repro.disasters.events import (
     PAPER_EVENT_COUNTS,
+    DisasterCatalog,
     DisasterEvent,
     EventType,
 )
@@ -17,6 +18,10 @@ from repro.disasters.fema import FEMA_TOTAL_DECLARATIONS
 from repro.disasters.generators import EVENT_MODELS, generate_events
 from repro.geo.coords import CONTINENTAL_US, GeoPoint
 from repro.geo.regions import CENTRAL_PLAINS, GULF_COAST
+
+
+def _locations(catalog):
+    return [GeoPoint(lat, lon) for lat, lon in zip(catalog.lat, catalog.lon)]
 
 
 class TestEvents:
@@ -27,6 +32,39 @@ class TestEvents:
     def test_implausible_year_rejected(self):
         with pytest.raises(ValueError):
             DisasterEvent(EventType.FEMA_STORM, GeoPoint(30.0, -90.0), 1492)
+
+
+class TestCatalogColumns:
+    """A catalog checks every row for what one event and its point
+    check."""
+
+    GOOD = ([30.0, 31.0], [-90.0, -91.0], [2000, 2001])
+
+    def test_valid_columns(self):
+        catalog = DisasterCatalog(EventType.FEMA_STORM, *self.GOOD)
+        assert len(catalog) == 2
+        assert catalog.latlon().tolist() == [[30.0, -90.0], [31.0, -91.0]]
+        assert not catalog.lat.flags.writeable
+
+    def test_unknown_type_rejected(self):
+        with pytest.raises(ValueError, match="unknown event type"):
+            DisasterCatalog("typhoon", *self.GOOD)
+
+    @pytest.mark.parametrize(
+        "lat, lon, year, message",
+        [
+            ([30.0, float("nan")], [-90.0, -91.0], [2000, 2001], "latitude"),
+            ([30.0, 90.5], [-90.0, -91.0], [2000, 2001], "latitude"),
+            ([30.0, 31.0], [-90.0, float("inf")], [2000, 2001], "longitude"),
+            ([30.0, 31.0], [-90.0, -180.5], [2000, 2001], "longitude"),
+            ([30.0, 31.0], [-90.0, -91.0], [2000, 1492], "1492"),
+            ([30.0, 31.0], [-90.0, -91.0], [2101, 2000], "2101"),
+            ([30.0], [-90.0, -91.0], [2000, 2001], "equal lengths"),
+        ],
+    )
+    def test_bad_row_rejected(self, lat, lon, year, message):
+        with pytest.raises(ValueError, match=message):
+            DisasterCatalog(EventType.FEMA_STORM, lat, lon, year)
 
 
 class TestGenerators:
@@ -40,22 +78,23 @@ class TestGenerators:
     def test_deterministic(self):
         a = generate_events(EventType.FEMA_STORM, 50, seed=9)
         b = generate_events(EventType.FEMA_STORM, 50, seed=9)
-        assert a.locations() == b.locations()
+        assert a.lat.tobytes() == b.lat.tobytes()
+        assert a.lon.tobytes() == b.lon.tobytes()
 
     def test_seed_changes_output(self):
         a = generate_events(EventType.FEMA_STORM, 50, seed=1)
         b = generate_events(EventType.FEMA_STORM, 50, seed=2)
-        assert a.locations() != b.locations()
+        assert a.lat.tobytes() != b.lat.tobytes()
 
     def test_events_inside_us(self):
         catalog = generate_events(EventType.NOAA_WIND, 300, seed=3)
-        assert all(CONTINENTAL_US.contains(p) for p in catalog.locations())
+        assert all(CONTINENTAL_US.contains(p) for p in _locations(catalog))
 
     def test_years_in_range(self):
         catalog = generate_events(
             EventType.FEMA_HURRICANE, 100, seed=4, year_range=(1980, 1990)
         )
-        assert all(1980 <= e.year <= 1990 for e in catalog)
+        assert all(1980 <= year <= 1990 for year in catalog.year)
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
@@ -69,7 +108,7 @@ class TestGenerators:
         catalog = generate_events(EventType.FEMA_HURRICANE, 500, seed=5)
         coastal = sum(
             1
-            for p in catalog.locations()
+            for p in _locations(catalog)
             if GULF_COAST.contains(p)
             or p.lon > -83.0  # Atlantic seaboard
         )
@@ -78,13 +117,13 @@ class TestGenerators:
     def test_tornadoes_in_plains(self):
         catalog = generate_events(EventType.FEMA_TORNADO, 500, seed=6)
         plains = sum(
-            1 for p in catalog.locations() if CENTRAL_PLAINS.contains(p)
+            1 for p in _locations(catalog) if CENTRAL_PLAINS.contains(p)
         )
         assert plains / 500 > 0.4
 
     def test_earthquakes_western(self):
         catalog = generate_events(EventType.NOAA_EARTHQUAKE, 500, seed=7)
-        west = sum(1 for p in catalog.locations() if p.lon < -100.0)
+        west = sum(1 for p in _locations(catalog) if p.lon < -100.0)
         assert west / 500 > 0.6
 
 

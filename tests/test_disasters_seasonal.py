@@ -48,21 +48,21 @@ class TestClimatology:
 class TestAssignment:
     def test_every_event_assigned(self):
         catalog = catalog_of(EventType.FEMA_HURRICANE)
-        pairs = assign_months(catalog, EventType.FEMA_HURRICANE)
-        assert len(pairs) == len(catalog)
-        assert all(1 <= month <= 12 for _, month in pairs)
+        months = assign_months(catalog)
+        assert len(months) == len(catalog)
+        assert all(1 <= month <= 12 for month in months)
 
     def test_deterministic(self):
         catalog = catalog_of(EventType.FEMA_TORNADO)
-        a = assign_months(catalog, EventType.FEMA_TORNADO)
-        b = assign_months(catalog, EventType.FEMA_TORNADO)
-        assert [m for _, m in a] == [m for _, m in b]
+        a = assign_months(catalog)
+        b = assign_months(catalog)
+        assert a.tolist() == b.tolist()
 
     def test_distribution_tracks_climatology(self):
         catalog = catalog_of(EventType.FEMA_HURRICANE)
-        pairs = assign_months(catalog, EventType.FEMA_HURRICANE)
-        september = sum(1 for _, m in pairs if m == 9)
-        february = sum(1 for _, m in pairs if m == 2)
+        months = assign_months(catalog)
+        september = int((months == 9).sum())
+        february = int((months == 2).sum())
         assert september > 5 * max(1, february)
 
 

@@ -15,9 +15,12 @@ from repro.population.census import synthetic_census
 from repro.population import assignment
 from repro.risk.forecasted import ForecastedRiskModel
 from repro.risk.historical import RISK_UNIT_MILES, HistoricalRiskModel
+from repro.risk import model as model_module
 from repro.risk.model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
 from repro.stats.kde import GaussianKDE
+from repro.topology.interdomain import InterdomainTopology
 from repro.topology.network import Network, PoP
+from repro.topology.peering import PeeringGraph
 
 RISKY_SPOT = GeoPoint(30.0, -90.0)
 SAFE_SPOT = GeoPoint(45.0, -110.0)
@@ -239,6 +242,36 @@ class TestImpact:
         model = RiskModel.for_network(larger, historical=toy_historical())
         for pop_id in larger.pop_ids():
             assert model.share(pop_id) == shares[pop_id]
+
+
+class TestGammaCheckedFirst:
+    """A bad gamma is rejected before any share or ``o_h`` is built."""
+
+    @pytest.mark.parametrize(
+        "gammas, name",
+        [
+            ({"gamma_h": float("nan")}, "gamma_h"),
+            ({"gamma_f": -1.0}, "gamma_f"),
+        ],
+    )
+    def test_bad_gamma_raises_before_the_build(
+        self, monkeypatch, gammas, name
+    ):
+        def boom(*args, **kwargs):
+            raise AssertionError("built shares or o_h before the gamma check")
+
+        class BoomHistorical:
+            pop_risks = staticmethod(boom)
+
+        monkeypatch.setattr(model_module, "network_population_shares", boom)
+        monkeypatch.setattr(model_module, "default_historical_model", boom)
+        network = toy_network()
+        topology = InterdomainTopology([network], PeeringGraph())
+        for historical in (None, BoomHistorical()):
+            with pytest.raises(ValueError, match=name):
+                RiskModel.for_network(network, historical, **gammas)
+            with pytest.raises(ValueError, match=name):
+                RiskModel.for_interdomain(topology, historical, **gammas)
 
 
 class TestRiskModel:

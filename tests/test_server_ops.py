@@ -500,3 +500,39 @@ class TestGeneratedClientWrappers:
                 assert via_wrapper == via_call
         finally:
             thread.stop()
+
+
+class TestPrefetchStats:
+    """A sweep the batch prefetch computes is a sweep-cache miss."""
+
+    @staticmethod
+    def _item(op, params, request_id) -> PendingRequest:
+        return PendingRequest(
+            request=Request(
+                op=op, id=request_id, params=params, v=PROTOCOL_VERSION
+            ),
+            writer=None, arrived=0.0,
+        )
+
+    def test_computed_sweeps_count_as_misses(
+        self, teliasonera, teliasonera_model
+    ):
+        service = QueryService(RoutingSession(teliasonera, teliasonera_model))
+        pair = {
+            "source": "Teliasonera:Miami, FL",
+            "target": "Teliasonera:Seattle, WA",
+        }
+        service.execute_batch([self._item("pair", pair, 1)])
+        swap = self._item(
+            "update_forecast",
+            {"risk": {"Teliasonera:Miami, FL": 0.5}, "default": 0.0},
+            2,
+        )
+        assert service.apply_update(swap).changed
+        misses = service.session.stats()["sweeps"]["misses"]
+        metrics = service.execute_batch([self._item("pair", pair, 3)])
+        assert metrics["computed"] > 0
+        assert (
+            service.session.stats()["sweeps"]["misses"] - misses
+            == metrics["computed"]
+        )

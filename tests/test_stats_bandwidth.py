@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.geo.coords import GeoPoint
 from repro.stats.bandwidth import (
     cross_validate_bandwidth,
     log_space_candidates,
@@ -11,17 +10,16 @@ from repro.stats.bandwidth import (
 
 
 def clustered_events(n=120, spread_deg=0.3, seed=1):
+    """An (n, 2) array of (lat, lon) rows around three centres."""
     rng = np.random.default_rng(seed)
     centers = [(35.0, -95.0), (40.0, -80.0), (30.0, -100.0)]
     out = []
     for i in range(n):
         lat, lon = centers[i % 3]
         out.append(
-            GeoPoint(
-                lat + rng.normal(0, spread_deg), lon + rng.normal(0, spread_deg)
-            )
+            (lat + rng.normal(0, spread_deg), lon + rng.normal(0, spread_deg))
         )
-    return out
+    return np.array(out).reshape(n, 2)
 
 
 class TestCandidates:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.coords import BoundingBox, GeoPoint
-from repro.geo.distance import haversine_miles
+from repro.geo.distance import distances_to_latlon_array
 from repro.stats.sampling import sample_gaussian_cluster, sample_mixture
 
 BOX = BoundingBox(30.0, -100.0, 40.0, -90.0)
@@ -14,8 +14,10 @@ CENTER = GeoPoint(35.0, -95.0)
 class TestGaussianCluster:
     def test_spread_scale(self):
         rng = np.random.default_rng(1)
-        points = sample_gaussian_cluster(rng, CENTER, 50.0, 500)
-        distances = [haversine_miles(CENTER, p) for p in points]
+        lat, lon = sample_gaussian_cluster(rng, CENTER, 50.0, 500)
+        distances = distances_to_latlon_array(
+            np.column_stack((lat, lon)), CENTER
+        )
         # Mean radial distance of a 2-D Gaussian is sigma * sqrt(pi/2).
         assert np.mean(distances) == pytest.approx(
             50.0 * np.sqrt(np.pi / 2), rel=0.15
@@ -24,8 +26,11 @@ class TestGaussianCluster:
     def test_clamped_inside_box(self):
         rng = np.random.default_rng(2)
         tight = BoundingBox(34.9, -95.1, 35.1, -94.9)
-        points = sample_gaussian_cluster(rng, CENTER, 500.0, 100, clamp=tight)
-        assert all(tight.contains(p) for p in points)
+        lat, lon = sample_gaussian_cluster(
+            rng, CENTER, 500.0, 100, clamp=tight
+        )
+        assert len(lat) == 100
+        assert all(tight.contains(GeoPoint(*p)) for p in zip(lat, lon))
 
     def test_invalid_spread(self):
         with pytest.raises(ValueError):
@@ -33,10 +38,10 @@ class TestGaussianCluster:
 
     def test_roughly_isotropic(self):
         rng = np.random.default_rng(3)
-        points = sample_gaussian_cluster(rng, CENTER, 100.0, 2000)
-        lat_spread = np.std([p.lat for p in points]) * 69.05
+        lat, lon = sample_gaussian_cluster(rng, CENTER, 100.0, 2000)
+        lat_spread = np.std(lat) * 69.05
         lon_spread = (
-            np.std([p.lon for p in points])
+            np.std(lon)
             * 69.05
             * np.cos(np.radians(CENTER.lat))
         )
@@ -52,14 +57,17 @@ class TestMixture:
 
     def test_total_count(self):
         rng = np.random.default_rng(4)
-        points = sample_mixture(rng, self.components(), 400)
-        assert len(points) == 400
+        lat, lon = sample_mixture(rng, self.components(), 400)
+        assert len(lat) == len(lon) == 400
 
     def test_weights_respected(self):
         rng = np.random.default_rng(4)
-        points = sample_mixture(rng, self.components(), 2000)
-        near_first = sum(
-            1 for p in points if haversine_miles(p, GeoPoint(35.0, -95.0)) < 300
+        lat, lon = sample_mixture(rng, self.components(), 2000)
+        near_first = np.count_nonzero(
+            distances_to_latlon_array(
+                np.column_stack((lat, lon)), GeoPoint(35.0, -95.0)
+            )
+            < 300
         )
         assert near_first / 2000 == pytest.approx(0.75, abs=0.05)
 

@@ -3,8 +3,9 @@
 Small hand-built catalogs (two classes, explicit bandwidths) keep these
 fast while pinning the model-level contracts:
 
-* duplicate delivery is safe — re-ingesting a record (same identity) is
-  a no-op, for at-least-once upstream pipelines;
+* duplicate delivery is safe — re-ingesting a record (same class, year
+  and coordinate bits) is a no-op, for at-least-once upstream
+  pipelines;
 * after any ingest sequence, ``pop_risks`` and the model fingerprint
   equal those of a model rebuilt from scratch over the same events —
   streaming never forks the cache-key space.
@@ -17,9 +18,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disasters.catalog import catalog_of
 from repro.disasters.events import DisasterCatalog, DisasterEvent, EventType
 from repro.geo.coords import GeoPoint
-from repro.risk.streaming import StreamingHistoricalModel
+from repro.risk.streaming import (
+    StreamingHistoricalModel,
+    default_streaming_model,
+)
 from tests.conftest import build_diamond_network, examples
 
 HURRICANE = EventType.FEMA_HURRICANE
@@ -46,10 +51,19 @@ def _seed_events():
     }
 
 
+def _catalog(event_type: str, batch) -> DisasterCatalog:
+    return DisasterCatalog(
+        event_type,
+        [e.location.lat for e in batch],
+        [e.location.lon for e in batch],
+        [e.year for e in batch],
+    )
+
+
 def _build(events=None) -> StreamingHistoricalModel:
     events = _seed_events() if events is None else events
     return StreamingHistoricalModel(
-        {et: DisasterCatalog(batch) for et, batch in events.items()},
+        {et: _catalog(et, batch) for et, batch in events.items()},
         bandwidths=BANDWIDTHS,
     )
 
@@ -170,3 +184,47 @@ class TestIngestParityProperty:
             np.testing.assert_allclose(
                 incremental[pop_id], rebuilt[pop_id], rtol=1e-9
             )
+
+
+class TestDedupKeys:
+    def test_column_keys_equal_event_keys_for_every_corpus_event(self):
+        for event_type in EventType.ALL:
+            catalog = catalog_of(event_type)
+            rows = zip(
+                catalog.lat.tolist(),
+                catalog.lon.tolist(),
+                catalog.year.tolist(),
+            )
+            assert catalog.keys() == [
+                _event(event_type, lat, lon, year).identity
+                for lat, lon, year in rows
+            ]
+
+    def test_signed_zeros_stay_distinct(self):
+        east = _event(HURRICANE, 0.0, 0.0, 2001)
+        west = _event(HURRICANE, -0.0, -0.0, 2001)
+        assert east.identity != west.identity
+        assert _catalog(HURRICANE, [east, west]).keys() == [
+            east.identity, west.identity
+        ]
+        model = _build()
+        assert model.ingest([east]).appended == 1
+        assert model.ingest([west]).appended == 1
+        assert model.ingest([east, west]).duplicates == 2
+
+    def test_reingesting_a_corpus_event_is_a_duplicate(self):
+        model = default_streaming_model()
+        before = model.fingerprint
+        for event_type in EventType.ALL:
+            catalog = catalog_of(event_type)
+            row = len(catalog) // 2
+            event = _event(
+                event_type,
+                float(catalog.lat[row]),
+                float(catalog.lon[row]),
+                int(catalog.year[row]),
+            )
+            delta = model.ingest([event])
+            assert (delta.appended, delta.duplicates) == (0, 1)
+            assert not delta.changed
+        assert model.fingerprint == before

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.geo.coords import CONTINENTAL_US
+from repro.topology import zoo
 from repro.topology.zoo import (
     REGIONAL_SPECS,
     TIER1_SPECS,
@@ -95,3 +96,26 @@ class TestLookup:
     def test_unknown_name(self):
         with pytest.raises(KeyError):
             network_by_name("Comcast")
+
+    def test_lookup_returns_the_corpus_objects(self):
+        corpus = {network.name: network for network in all_networks()}
+        for name, network in corpus.items():
+            assert network_by_name(name) is network
+
+    def test_each_network_builds_alone_to_the_same_pops_and_links(self):
+        """Each builder is seeded by its network's name, so building
+        one network on its own, in any order, gives the corpus one."""
+        for name in reversed([*TIER1_SPECS, *REGIONAL_SPECS]):
+            alone = zoo._build.__wrapped__(name)
+            corpus = network_by_name(name)
+            assert alone is not corpus
+            assert [(p.pop_id, p.location) for p in alone.pops()] == [
+                (p.pop_id, p.location) for p in corpus.pops()
+            ]
+            assert [
+                (link.pop_a, link.pop_b, link.length_miles)
+                for link in alone.links()
+            ] == [
+                (link.pop_a, link.pop_b, link.length_miles)
+                for link in corpus.links()
+            ]

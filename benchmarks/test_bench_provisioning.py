@@ -47,10 +47,10 @@ LINKS = 8
 # -- the pre-incremental implementation, verbatim modulo module layout ----
 
 
-def seed_candidate_links(
-    network, reduction_threshold=0.15, max_length_miles=2000.0
-):
-    """Candidate generation via a private pure-Python all-pairs sweep."""
+def seed_candidates(network):
+    """Candidate generation via a private pure-Python all-pairs sweep:
+    links up to 2000 miles that cut their endpoints' route mileage by
+    more than 15%."""
     graph = network.distance_graph()
     sweeps = all_pairs_shortest_paths(graph)
     pops = network.pops()
@@ -63,12 +63,12 @@ def seed_candidate_links(
             if pop_b.pop_id not in dist_map:
                 continue
             direct = haversine_miles(pop_a.location, pop_b.location)
-            if direct > max_length_miles:
+            if direct > 2000.0:
                 continue
             current = dist_map[pop_b.pop_id]
             if current <= 0.0:
                 continue
-            if direct / current < (1.0 - reduction_threshold):
+            if direct / current < (1.0 - 0.15):
                 out.append(
                     (pop_a.pop_id, pop_b.pop_id, direct, current)
                 )
@@ -144,7 +144,7 @@ def seed_greedy_links(network, model, count):
     original = _SeedMatrices(working, model, engine).baseline_total()
     out = []
     for _ in range(count):
-        candidates = seed_candidate_links(working)
+        candidates = seed_candidates(working)
         if not candidates:
             break
         matrices = _SeedMatrices(working, model, engine)

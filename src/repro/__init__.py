@@ -29,7 +29,6 @@ from .core import (
     best_new_peering,
     bit_miles,
     bit_risk_miles,
-    candidate_links,
 )
 from .engine import EngineConfig, RoutingEngine
 from .session import RoutingSession
@@ -84,7 +83,6 @@ __all__ = [
     "SweepStrategy",
     "InterdomainRouter",
     "ProvisioningAnalyzer",
-    "candidate_links",
     "best_new_peering",
     "bit_risk_miles",
     "bit_miles",

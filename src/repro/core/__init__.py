@@ -19,7 +19,6 @@ from .provisioning import (
     ProvisioningAnalyzer,
     ProvisioningStats,
     best_new_peering,
-    candidate_links,
 )
 from .monitoring import MonitorPlacement, coverage_of, place_monitors
 from .ospf import OspfWeightTable, export_ospf_weights, ospf_fidelity
@@ -51,7 +50,6 @@ __all__ = [
     "CandidateLink",
     "LinkRecommendation",
     "PeeringRecommendation",
-    "candidate_links",
     "ProvisioningAnalyzer",
     "ProvisioningStats",
     "best_new_peering",

@@ -14,7 +14,7 @@ The ratio between the two is what Figure 8 plots per regional network.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Sequence
 
 from ..risk.model import RiskModel
 from ..session import RoutingSession
@@ -32,8 +32,6 @@ class InterdomainRouter:
         topology: the merged multi-network topology.
         model: a risk model covering every PoP of the merge
             (see :meth:`RiskModel.for_interdomain`).
-        extra_peerings: optional what-if peering relationships added on
-            top of the topology's AS graph (the Figure 11 knob).
 
     Attributes:
         session: the :class:`~repro.session.RoutingSession` over the
@@ -42,16 +40,9 @@ class InterdomainRouter:
             re-evaluate on warm caches.
     """
 
-    def __init__(
-        self,
-        topology: InterdomainTopology,
-        model: RiskModel,
-        extra_peerings: Optional[Sequence[tuple]] = None,
-    ) -> None:
+    def __init__(self, topology: InterdomainTopology, model: RiskModel) -> None:
         self.topology = topology
-        self.session = RoutingSession(
-            topology.merged_graph(extra_peerings=extra_peerings), model
-        )
+        self.session = RoutingSession(topology.merged_graph(), model)
 
     @property
     def engine(self):
@@ -91,22 +82,6 @@ class InterdomainRouter:
         sources = self.topology.networks[regional_name].pop_ids()
         return self.session.all_pairs(
             sources=sources, targets=destination_pops, strategy=strategy
-        )
-
-    def aggregate_lower_bound(
-        self, regional_name: str, destination_pops: Sequence[str]
-    ) -> float:
-        """Sum of lower-bound bit-risk miles for a regional's flows.
-
-        This is the objective the Figure 11 peering search minimises —
-        memoized on the engine per (sources, destinations) population,
-        so re-scoring the same what-if peering is a cache hit.
-        """
-        if regional_name not in self.topology.networks:
-            raise KeyError(f"unknown network {regional_name!r}")
-        sources = self.topology.networks[regional_name].pop_ids()
-        return self.session.engine.lower_bound_total(
-            sources, destination_pops
         )
 
 

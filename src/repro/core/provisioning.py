@@ -22,9 +22,8 @@ absent links that meaningfully cut the endpoints' route mileage, and
 drop impractical cross-country spans.  The paper's literal ">50%
 reduction in bit-miles" threshold was calibrated for real ISP maps with
 substantial route stretch; the synthetic Gabriel meshes here are
-near-optimal spanners (mean stretch ~1.1), so the default threshold is
-a >15% reduction combined with a hard length cap, and the paper's 0.5 is
-available as a parameter.
+near-optimal spanners (mean stretch ~1.1), so the threshold is a >15%
+reduction combined with a hard length cap.
 """
 
 from __future__ import annotations
@@ -46,22 +45,21 @@ __all__ = [
     "LinkRecommendation",
     "PeeringRecommendation",
     "ProvisioningStats",
-    "candidate_links",
     "ProvisioningAnalyzer",
     "best_new_peering",
 ]
 
 _INF = float("inf")
 
-#: Default candidate filter: a new link must cut the endpoints' route
-#: mileage by more than this fraction (see module docstring for why this
-#: is below the paper's 0.5).
-DEFAULT_REDUCTION_THRESHOLD = 0.15
+#: Candidate filter: a new link must cut the endpoints' route mileage
+#: by more than this fraction (see module docstring for why this is
+#: below the paper's 0.5).
+REDUCTION_THRESHOLD = 0.15
 
-#: Default cap on new-link length: excludes impractical spans, the other
-#: half of the paper's filter intent.  2000 miles admits real long-haul
-#: builds (Denver-Seattle class) while rejecting coast-to-coast spans.
-DEFAULT_MAX_LENGTH_MILES = 2000.0
+#: Cap on new-link length: excludes impractical spans, the other half of
+#: the paper's filter intent.  2000 miles admits real long-haul builds
+#: (Denver-Seattle class) while rejecting coast-to-coast spans.
+MAX_LENGTH_MILES = 2000.0
 
 
 @dataclass(frozen=True)
@@ -107,16 +105,6 @@ class PeeringRecommendation:
         return self.aggregate_lower_bound / self.baseline_lower_bound
 
 
-def _geo_model(network: Network) -> RiskModel:
-    """A uniform zero-risk model: enough to stand up an engine whose
-    geographic ``alpha == 0`` sweeps (the only ones candidate generation
-    consults) are model-independent."""
-    pop_ids = network.pop_ids()
-    share = 1.0 / len(pop_ids) if pop_ids else 0.0
-    zeros = {p: 0.0 for p in pop_ids}
-    return RiskModel({p: share for p in pop_ids}, zeros, dict(zeros))
-
-
 def _linked_mask(graph, pop_ids: Sequence[str]) -> np.ndarray:
     index = {p: i for i, p in enumerate(pop_ids)}
     linked = np.zeros((len(pop_ids), len(pop_ids)), dtype=bool)
@@ -140,11 +128,7 @@ def _geo_rows(engine, pop_ids: Sequence[str], perm: np.ndarray) -> np.ndarray:
 
 
 def _candidate_mask(
-    direct: np.ndarray,
-    current: np.ndarray,
-    linked: np.ndarray,
-    reduction_threshold: float,
-    max_length_miles: float,
+    direct: np.ndarray, current: np.ndarray, linked: np.ndarray
 ) -> np.ndarray:
     """The Equation 4 candidate filter, vectorized.
 
@@ -158,88 +142,30 @@ def _candidate_mask(
     np.divide(direct, current, out=ratio, where=finite)
     mask = np.triu(np.ones((n, n), dtype=bool), k=1)
     mask &= ~linked
-    mask &= direct <= max_length_miles
+    mask &= direct <= MAX_LENGTH_MILES
     mask &= finite
-    mask &= ratio < (1.0 - reduction_threshold)
+    mask &= ratio < (1.0 - REDUCTION_THRESHOLD)
     return mask
 
 
-def _links_from_mask(
-    pop_ids: Sequence[str],
-    direct: np.ndarray,
-    current: np.ndarray,
-    mask: np.ndarray,
-) -> List[CandidateLink]:
-    rows, cols = np.nonzero(mask)
-    return [
-        CandidateLink(
-            pop_ids[i], pop_ids[j], float(direct[i, j]), float(current[i, j])
-        )
-        for i, j in zip(rows.tolist(), cols.tolist())
-    ]
-
-
-def candidate_links(
-    network: Network,
-    reduction_threshold: float = DEFAULT_REDUCTION_THRESHOLD,
-    max_length_miles: float = DEFAULT_MAX_LENGTH_MILES,
-    *,
-    engine: Optional[RoutingEngine] = None,
-) -> List[CandidateLink]:
-    """The set ``E_C`` of Equation 4 for one network.
-
-    Current route mileage comes from the engine's cached geographic
-    (``alpha == 0``) sweeps — shared with every other query on the same
-    engine — and the direct-span matrix is one vectorized haversine
-    evaluation, so no standalone all-pairs Dijkstra runs here.
-
-    Args:
-        network: the network to augment.
-        reduction_threshold: minimum fractional mileage reduction the new
-            link must offer its endpoints (paper: 0.5).
-        max_length_miles: hard cap on new-link length.
-        engine: an engine over ``network``'s topology, bound to any
-            risk model (geographic sweeps are model-independent); a
-            zero-risk engine is built when omitted.
-
-    Raises:
-        ValueError: for a threshold outside [0, 1) or non-positive cap.
-    """
-    if not 0.0 <= reduction_threshold < 1.0:
-        raise ValueError("reduction_threshold must be in [0, 1)")
-    if max_length_miles <= 0:
-        raise ValueError("max_length_miles must be positive")
-    pops = network.pops()
-    if len(pops) < 2:
-        return []
-    graph = network.distance_graph()
-    if engine is None:
-        engine = RoutingEngine(graph, _geo_model(network))
-    pop_ids = [p.pop_id for p in pops]
-    perm = np.array([engine.index_of(p) for p in pop_ids], dtype=np.intp)
-    current = _geo_rows(engine, pop_ids, perm)
-    direct = pairwise_distance_matrix([p.location for p in pops])
-    linked = _linked_mask(graph, pop_ids)
-    mask = _candidate_mask(
-        direct, current, linked, reduction_threshold, max_length_miles
-    )
-    return _links_from_mask(pop_ids, direct, current, mask)
-
-
 class _ComponentMatrices:
-    """All-pairs (mileage, risk-sum, impact) arrays for one topology.
+    """All-pairs (mileage, risk-sum, impact) arrays for one topology,
+    with the candidate state of Equation 4's set ``E_C``.
 
     Route components come from the routing engine's O(n) parent-tree
     extraction, under the engine's bound model, so the per-source sweeps
     behind them are memoized and never materialise per-target path
-    objects.  The arrays support three operations:
+    objects.  The candidate state is the direct-span matrix (one
+    vectorized haversine evaluation), the current route mileage from the
+    engine's cached geographic (``alpha == 0``) sweeps, and the linked
+    mask.  The arrays support three operations:
 
+    * ``candidate_list`` — the candidate links against the current
+      topology;
     * ``candidate_total`` — via-edge scoring of one candidate link as a
       rank-4 matrix product over preallocated buffers;
     * ``commit_link`` — the exact in-place edge-insertion update, using
-      the engine's parametric-alpha suffix components;
-    * ``verify`` — cross-check against a from-scratch rebuild (the
-      ``verify_every`` knob of the greedy search).
+      the engine's parametric-alpha suffix components.
     """
 
     def __init__(
@@ -247,7 +173,6 @@ class _ComponentMatrices:
         network: Network,
         engine: RoutingEngine,
         *,
-        with_candidates: bool = False,
         stats: Optional[ProvisioningStats] = None,
     ) -> None:
         model = engine.model
@@ -285,13 +210,11 @@ class _ComponentMatrices:
             row_alpha, return_inverse=True
         )
         self._buf = None
-        self._with_candidates = with_candidates
-        if with_candidates:
-            self.direct = pairwise_distance_matrix(
-                [p.location for p in network.pops()]
-            )
-            self.linked = _linked_mask(network.distance_graph(), pop_ids)
-            self.geo = _geo_rows(engine, pop_ids, perm)
+        self.direct = pairwise_distance_matrix(
+            [p.location for p in network.pops()]
+        )
+        self.linked = _linked_mask(network.distance_graph(), pop_ids)
+        self.geo = _geo_rows(engine, pop_ids, perm)
         self._refresh_derived()
         if stats is not None:
             stats.matrix_builds += 1
@@ -364,27 +287,21 @@ class _ComponentMatrices:
 
     # -- candidate generation ----------------------------------------------
 
-    def candidate_list(
-        self,
-        reduction_threshold: float = DEFAULT_REDUCTION_THRESHOLD,
-        max_length_miles: float = DEFAULT_MAX_LENGTH_MILES,
-    ) -> List[CandidateLink]:
+    def candidate_list(self) -> List[CandidateLink]:
         """Remaining candidates against the *current* (post-commit)
         matrices — no re-sweep, the geographic matrix is maintained
         in place by :meth:`commit_link`."""
-        if not self._with_candidates:
-            raise RuntimeError(
-                "matrices built without candidate state "
-                "(with_candidates=False)"
+        mask = _candidate_mask(self.direct, self.geo, self.linked)
+        rows, cols = np.nonzero(mask)
+        return [
+            CandidateLink(
+                self.pop_ids[i],
+                self.pop_ids[j],
+                float(self.direct[i, j]),
+                float(self.geo[i, j]),
             )
-        mask = _candidate_mask(
-            self.direct,
-            self.geo,
-            self.linked,
-            reduction_threshold,
-            max_length_miles,
-        )
-        return _links_from_mask(self.pop_ids, self.direct, self.geo, mask)
+            for i, j in zip(rows.tolist(), cols.tolist())
+        ]
 
     # -- incremental maintenance -------------------------------------------
 
@@ -437,48 +354,18 @@ class _ComponentMatrices:
         update = via_c < cost0
         self.dist = np.where(update, via_d, self.dist)
         self.risk = np.where(update, via_r, self.risk)
-        if self._with_candidates:
-            geo = self.geo
-            via_geo = np.minimum(
-                geo[:, [a]] + w + geo[[b], :],
-                geo[:, [b]] + w + geo[[a], :],
-            )
-            np.minimum(geo, via_geo, out=geo)
-            self.linked[a, b] = self.linked[b, a] = True
+        geo = self.geo
+        via_geo = np.minimum(
+            geo[:, [a]] + w + geo[[b], :],
+            geo[:, [b]] + w + geo[[a], :],
+        )
+        np.minimum(geo, via_geo, out=geo)
+        self.linked[a, b] = self.linked[b, a] = True
         self._refresh_derived()
         if stats is not None:
             stats.matrix_updates += 1
             stats.sweeps_run += probed_a + probed_b
             stats.sweeps_avoided += max(0, n - (probed_a + probed_b))
-
-    def verify(
-        self,
-        network: Network,
-        engine: RoutingEngine,
-        *,
-        stats: Optional[ProvisioningStats] = None,
-    ) -> float:
-        """Cross-check against a from-scratch rebuild of ``network``
-        from ``engine``, which must be bound to its current topology.
-
-        Adopts the rebuilt risk-weighted matrices (so verification also
-        re-anchors any accumulated float drift) and returns the maximum
-        absolute element-wise deviation observed.
-        """
-        fresh = _ComponentMatrices(network, engine, stats=stats)
-        deviation = max(
-            float(np.abs(self.dist - fresh.dist).max(initial=0.0)),
-            float(np.abs(self.risk - fresh.risk).max(initial=0.0)),
-        )
-        self.dist = fresh.dist
-        self.risk = fresh.risk
-        self._refresh_derived()
-        if stats is not None:
-            stats.verifications += 1
-            stats.max_verify_deviation = max(
-                stats.max_verify_deviation, deviation
-            )
-        return deviation
 
 
 class ProvisioningAnalyzer:
@@ -498,7 +385,7 @@ class ProvisioningAnalyzer:
 
     ``stats`` accumulates :class:`ProvisioningStats` counters across
     every query served by this analyzer (sweeps avoided by incremental
-    updates, matrices built, candidates scored, verifications run).
+    updates, matrices built and updated, candidates scored).
     """
 
     def __init__(
@@ -521,14 +408,6 @@ class ProvisioningAnalyzer:
         if self.engine is not None and network is self.network:
             return self.engine
         return RoutingEngine(network.distance_graph(), self.model, self.config)
-
-    def aggregate_bit_risk(self, working: Optional[Network] = None) -> float:
-        """Total min bit-risk miles over all unordered PoP pairs (the
-        objective of Equation 4)."""
-        network = working or self.network
-        return _ComponentMatrices(
-            network, self._engine_for(network), stats=self.stats
-        ).baseline_total()
 
     def _score_candidates(
         self,
@@ -556,16 +435,12 @@ class ProvisioningAnalyzer:
         return candidates[best_i]
 
     def rank_candidates(
-        self,
-        candidates: Optional[Sequence[CandidateLink]] = None,
-        top: Optional[int] = None,
+        self, top: Optional[int] = None
     ) -> List[LinkRecommendation]:
-        """Score candidates by post-addition aggregate bit-risk, best first
-        (the Figure 9 ranking).
+        """Score the candidate set by post-addition aggregate bit-risk,
+        best first (the Figure 9 ranking).
 
         Args:
-            candidates: explicit candidate set; defaults to
-                :func:`candidate_links`.
             top: truncate the ranking (None = all).
 
         Raises:
@@ -573,11 +448,10 @@ class ProvisioningAnalyzer:
         """
         if top is not None and top < 1:
             raise ValueError("top must be >= 1")
-        engine = self._engine_for(self.network)
-        if candidates is None:
-            candidates = candidate_links(self.network, engine=engine)
-        candidates = list(candidates)
-        matrices = _ComponentMatrices(self.network, engine, stats=self.stats)
+        matrices = _ComponentMatrices(
+            self.network, self._engine_for(self.network), stats=self.stats
+        )
+        candidates = matrices.candidate_list()
         baseline = matrices.baseline_total()
         totals = self._score_candidates(matrices, candidates)
         scored = [
@@ -593,13 +467,7 @@ class ProvisioningAnalyzer:
         )
         return scored[:top] if top is not None else scored
 
-    def greedy_links(
-        self,
-        count: int,
-        *,
-        incremental: bool = True,
-        verify_every: Optional[int] = None,
-    ) -> List[LinkRecommendation]:
+    def greedy_links(self, count: int) -> List[LinkRecommendation]:
         """Add ``count`` links greedily (Section 6.3's k-link extension,
         the computation behind Figure 10).
 
@@ -607,36 +475,27 @@ class ProvisioningAnalyzer:
         network's aggregate, so ``fraction_of_baseline`` decays as links
         accumulate.
 
-        The component matrices are built once and updated in place per
-        committed link (see :meth:`_ComponentMatrices.commit_link`);
-        pass ``incremental=False`` for the historical
-        rebuild-per-iteration loop (also the automatic fallback for
-        disconnected topologies, where 0-filled unreachable entries make
-        the in-place relaxation unsound).  ``verify_every=N`` re-verifies
-        the incremental matrices against a from-scratch rebuild every N
-        insertions; ``None`` (the default) never re-verifies.
+        The component matrices are built once and each committed link is
+        folded in place (see :meth:`_ComponentMatrices.commit_link`).  On
+        a disconnected topology, where 0-filled unreachable entries make
+        the in-place relaxation unsound, each step rebuilds the matrices
+        instead; no candidate bridges two components (their current route
+        is ``inf``), so the topology stays disconnected.
 
         Raises:
-            ValueError: for a non-positive count or verify interval.
+            ValueError: for a non-positive count.
         """
         if count < 1:
             raise ValueError("count must be >= 1")
-        if verify_every is not None and verify_every < 1:
-            raise ValueError("verify_every must be >= 1")
         working = self.network.copy()
         # The copy has the analyzed network's topology, so its engine
         # serves the copy until the first link is added.
-        engine = self._engine_for(self.network)
-        if not incremental:
-            return self._greedy_rebuild(count, working, engine)
         matrices = _ComponentMatrices(
-            working, engine, with_candidates=True, stats=self.stats
+            working, self._engine_for(self.network), stats=self.stats
         )
-        if not matrices.connected:
-            return self._greedy_rebuild(count, working, engine)
         original = matrices.baseline_total()
         out: List[LinkRecommendation] = []
-        for step in range(1, count + 1):
+        for _ in range(count):
             candidates = matrices.candidate_list()
             if not candidates:
                 break
@@ -645,47 +504,18 @@ class ProvisioningAnalyzer:
             engine = RoutingEngine(
                 working.distance_graph(), self.model, self.config
             )
-            matrices.commit_link(
-                engine,
-                choice.pop_a,
-                choice.pop_b,
-                link.length_miles,
-                stats=self.stats,
-            )
-            if verify_every is not None and step % verify_every == 0:
-                matrices.verify(working, engine, stats=self.stats)
-            out.append(
-                LinkRecommendation(
-                    candidate=choice,
-                    aggregate_bit_risk=matrices.baseline_total(),
-                    baseline_bit_risk=original,
+            if matrices.connected:
+                matrices.commit_link(
+                    engine,
+                    choice.pop_a,
+                    choice.pop_b,
+                    link.length_miles,
+                    stats=self.stats,
                 )
-            )
-        return out
-
-    def _greedy_rebuild(
-        self, count: int, working: Network, engine: RoutingEngine
-    ) -> List[LinkRecommendation]:
-        """The historical greedy loop: full candidate regeneration and
-        component-matrix rebuild every iteration.
-
-        ``engine`` serves ``working``'s current topology.  Each added
-        link gets a new engine and matrices, whose total is the step's
-        result and which the next round's candidates and scoring reuse.
-        """
-        matrices = _ComponentMatrices(working, engine, stats=self.stats)
-        original = matrices.baseline_total()
-        out: List[LinkRecommendation] = []
-        for _ in range(count):
-            candidates = candidate_links(working, engine=engine)
-            if not candidates:
-                break
-            choice = self._best_candidate(matrices, candidates)
-            working.add_link(choice.pop_a, choice.pop_b)
-            engine = RoutingEngine(
-                working.distance_graph(), self.model, self.config
-            )
-            matrices = _ComponentMatrices(working, engine, stats=self.stats)
+            else:
+                matrices = _ComponentMatrices(
+                    working, engine, stats=self.stats
+                )
             out.append(
                 LinkRecommendation(
                     candidate=choice,
@@ -721,9 +551,8 @@ def best_new_peering(
         tier1_only: restrict candidates to tier-1 providers (new transit
             rather than mutual regional peering — the relationship type
             Figure 11's recommendations are all drawn from).
-        router: optional pre-built router over the merge (no extra
-            peerings); pass one when scoring many regionals to share the
-            merged graph build.
+        router: optional pre-built router over the merge; pass one
+            when scoring many regionals to share the merged graph build.
 
     Returns None when the network has no candidate peers.
 

@@ -8,8 +8,8 @@ Each :class:`~repro.engine.engine.RoutingEngine` holds two
   is frozen at construction, so the key needs no topology part; the
   alpha is what lets repeated pair queries, ratio sweeps and
   provisioning scoring share a search.
-* results — finished aggregates (ratio results, lower-bound totals,
-  per-source component arrays, targeted routes) keyed by the full
+* results — finished aggregates (ratio results, per-source component
+  arrays, targeted routes) keyed by the full
   query signature, so repeating an identical all-pairs evaluation is a
   dictionary lookup.
 

@@ -22,7 +22,7 @@ sweeps instead of n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
@@ -53,8 +53,6 @@ class ProvisioningStats:
     matrix_builds: int = 0     # from-scratch _ComponentMatrices constructions
     matrix_updates: int = 0    # in-place edge-insertion updates applied
     candidates_scored: int = 0 # via-edge candidate evaluations
-    verifications: int = 0     # verify_every rebuild cross-checks
-    max_verify_deviation: float = field(default=0.0)
 
 
 def sweep_component_arrays(

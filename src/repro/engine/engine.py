@@ -628,14 +628,12 @@ class RoutingEngine:
         source_idx: Sequence[int],
         target_mask: np.ndarray,
         strategy: SweepStrategy,
-        include_shortest: bool = True,
     ) -> None:
         shares = self._shares
         targets = np.flatnonzero(target_mask).tolist()
         tasks: List[Tuple[int, float]] = []
         for s in source_idx:
-            if include_shortest:
-                tasks.append((s, 0.0))
+            tasks.append((s, 0.0))
             if strategy is SweepStrategy.PER_SOURCE:
                 tasks.append((s, shares[s] + self._mean_share))
             else:
@@ -741,43 +739,3 @@ class RoutingEngine:
         self._results.put(key, result)
         return result
 
-    def lower_bound_total(
-        self,
-        sources: Sequence[str],
-        targets: Sequence[str],
-        strategy: SweepStrategy = SweepStrategy.PER_SOURCE,
-    ) -> float:
-        """Sum of RiskRoute bit-risk miles over ``sources x targets``.
-
-        The aggregate behind the Figure 11 peering search: Equation 1
-        over the (mileage, risk) sums of :meth:`_risk_rows`, added one
-        at a time, source by source with targets in node order.
-        Memoized per population signature.
-
-        Raises:
-            NodeNotFoundError: for a source or target outside the
-                topology.
-        """
-        source_idx, target_mask = self._resolve_population(sources, targets)
-        key = (
-            "lower-bound",
-            tuple(source_idx),
-            target_mask.tobytes(),
-            strategy.value,
-        )
-        cached = self._results.get(key)
-        if cached is not None:
-            return cached
-        self._prefetch_population(
-            source_idx, target_mask, strategy, include_shortest=False
-        )
-        total = 0.0
-        for _, _, alpha, dist, risk in self._risk_rows(
-            source_idx, target_mask, strategy
-        ):
-            # In-order addition; np.sum's pairwise sum would change the
-            # last bits.
-            for cost in (dist + alpha * risk).tolist():
-                total += cost
-        self._results.put(key, total)
-        return total

@@ -18,17 +18,11 @@ MAX_LINKS = 8
 
 
 @register("figure10")
-def run(
-    networks: Optional[Sequence[str]] = None,
-    verify_every: Optional[int] = None,
-) -> ExperimentResult:
+def run(networks: Optional[Sequence[str]] = None) -> ExperimentResult:
     """Regenerate the Figure 10 decay curves.
 
     Args:
         networks: restrict to a subset of tier-1 names (all by default).
-        verify_every: re-verify the incremental component matrices
-            against a from-scratch rebuild every N committed links
-            (None — the default — never re-verifies).
     """
     wanted = set(networks) if networks else None
     rows = []
@@ -37,9 +31,7 @@ def run(
         if wanted is not None and network.name not in wanted:
             continue
         analyzer = ProvisioningAnalyzer(network, RiskModel.for_network(network))
-        additions = analyzer.greedy_links(
-            MAX_LINKS, verify_every=verify_every
-        )
+        additions = analyzer.greedy_links(MAX_LINKS)
         sweeps_run += analyzer.stats.sweeps_run
         sweeps_avoided += analyzer.stats.sweeps_avoided
         row = {"network": network.name, "links_available": len(additions)}

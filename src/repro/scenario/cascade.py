@@ -30,6 +30,7 @@ reduces exactly to :func:`repro.core.simulation.route_survival`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -74,8 +75,9 @@ class CascadeConfig:
     max_rounds: int = 50
 
     def __post_init__(self) -> None:
-        if self.headroom is not None and self.headroom <= 0:
-            raise ValueError("headroom must be positive (or None)")
+        # NaN fails both comparisons, so it is caught with the infinities.
+        if self.headroom is not None and not 0 < self.headroom < math.inf:
+            raise ValueError("headroom must be positive and finite (or None)")
         if self.alternates < 1:
             raise ValueError("alternates must be >= 1")
         if self.max_rounds < 1:

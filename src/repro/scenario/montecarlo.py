@@ -14,6 +14,7 @@ replays the same report — the property the determinism tests pin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,8 +65,9 @@ class ScenarioConfig:
             raise ValueError("seed must be >= 0")
         if not 0.0 <= self.srg_fraction <= 1.0:
             raise ValueError("srg_fraction must be within [0, 1]")
-        if self.corridor_miles <= 0:
-            raise ValueError("corridor_miles must be positive")
+        # NaN fails both comparisons, so it is caught with the infinities.
+        if not 0 < self.corridor_miles < math.inf:
+            raise ValueError("corridor_miles must be positive and finite")
         if self.sample_pairs < 1:
             raise ValueError("sample_pairs must be >= 1")
 

@@ -388,9 +388,7 @@ def _handle_ratios(service, params: Dict[str, Any]) -> dict:
 
 
 def _handle_provision(service, params: Dict[str, Any]) -> dict:
-    recs = service.session.provision(
-        k=params["k"], top=params["top"], verify_every=params["verify_every"],
-    )
+    recs = service.session.provision(k=params["k"], top=params["top"])
     return {"recommendations": [recommendation_to_dict(r) for r in recs]}
 
 
@@ -542,11 +540,6 @@ _register(OpSpec(
         Param("top", "truncate the ranking (ignored for k > 1)",
               check=_check_int,
               cli={"flag": "--top", "type": int}, example=3),
-        Param("verify_every",
-              "re-verify incremental matrices every N committed links "
-              "(unset = never)",
-              check=_check_int,
-              cli={"flag": "--verify-every", "type": int}, example=1),
     ),
     handler=_handle_provision,
     routing="params",

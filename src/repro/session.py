@@ -218,28 +218,18 @@ class RoutingSession:
 
     # -- provisioning ------------------------------------------------------
 
-    def provision(
-        self,
-        k: int = 1,
-        candidates: Optional[Sequence] = None,
-        top: Optional[int] = None,
-        verify_every: Optional[int] = None,
-    ) -> List:
+    def provision(self, k: int = 1, top: Optional[int] = None) -> List:
         """Equation 4 link recommendations for the session's network.
 
         ``k == 1`` ranks the candidate set and returns the ``top``
         recommendations (all by default); ``k > 1`` runs the greedy
         k-link extension (Figure 10) — incremental matrix updates per
         committed link, one recommendation per added link.
-        ``verify_every=N`` re-verifies the incremental matrices against
-        a from-scratch rebuild every N insertions (``None`` — the
-        default — never re-verifies).
 
         Raises:
             ValueError: in graph mode (candidate generation needs PoP
-                coordinates), for ``k``, ``top`` or ``verify_every``
-                below 1 (at any ``k``), or for ``candidates`` with
-                ``k > 1`` (the greedy run draws its own).
+                coordinates), or for ``k`` or ``top`` below 1 (at any
+                ``k``).
         """
         if self.network is None:
             raise ValueError(
@@ -249,15 +239,11 @@ class RoutingSession:
             raise ValueError("k must be >= 1")
         if top is not None and top < 1:
             raise ValueError("top must be >= 1")
-        if verify_every is not None and verify_every < 1:
-            raise ValueError("verify_every must be >= 1")
-        if candidates is not None and k > 1:
-            raise ValueError("candidates apply only to k == 1")
         from .core.provisioning import ProvisioningAnalyzer
 
         analyzer = ProvisioningAnalyzer(
             self.network, self.model, config=self._config, engine=self.engine
         )
         if k == 1:
-            return analyzer.rank_candidates(candidates=candidates, top=top)
-        return analyzer.greedy_links(k, verify_every=verify_every)
+            return analyzer.rank_candidates(top=top)
+        return analyzer.greedy_links(k)

@@ -10,7 +10,7 @@ inside shared metro facilities, not across arbitrary distances).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..geo.distance import haversine_miles
 from ..graph.core import Graph
@@ -111,17 +111,8 @@ class InterdomainTopology:
                 )
         return edges
 
-    def merged_graph(
-        self,
-        extra_peerings: Optional[Sequence[Tuple[str, str]]] = None,
-    ) -> Graph[str]:
-        """Build the merged distance-weighted graph.
-
-        Args:
-            extra_peerings: optional additional ``(network_a, network_b)``
-                relationships to include on top of the peering graph —
-                the what-if knob of the Figure 11 search.
-        """
+    def merged_graph(self) -> Graph[str]:
+        """Build the merged distance-weighted graph."""
         graph: Graph[str] = Graph()
         for network in self.networks.values():
             for pop_id in network.pop_ids():
@@ -131,12 +122,6 @@ class InterdomainTopology:
         for pop_a, pop_b, dist in self._peering_edges:
             if not graph.has_edge(pop_a, pop_b):
                 graph.add_edge(pop_a, pop_b, dist)
-        for name_a, name_b in extra_peerings or ():
-            for pop_a, pop_b, dist in self._co_located_pairs(
-                self.networks[name_a], self.networks[name_b]
-            ):
-                if not graph.has_edge(pop_a, pop_b):
-                    graph.add_edge(pop_a, pop_b, dist)
         return graph
 
     # -- candidate peering discovery (Section 6.3) ---------------------------

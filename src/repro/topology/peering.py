@@ -47,10 +47,6 @@ class PeeringGraph:
         self._adj[a].add(b)
         self._adj[b].add(a)
 
-    def networks(self) -> List[str]:
-        """All registered network names, sorted."""
-        return sorted(self._adj)
-
     def peers_of(self, name: str) -> List[str]:
         """Sorted peers of ``name``.
 
@@ -72,7 +68,7 @@ class PeeringGraph:
         return len(self._adj[name])
 
     def copy(self) -> "PeeringGraph":
-        """Independent copy (used by the what-if peering search)."""
+        """Independent copy."""
         clone = PeeringGraph()
         for name, peers in self._adj.items():
             clone.add_network(name)

@@ -7,7 +7,7 @@ library has no copy of it: every production search is
 :func:`repro.engine.sweep.csr_sweep_batch`.
 
 :func:`reference_aggregates` is the scalar form of the engine's
-Equation 5-6 and lower-bound aggregates: explicit
+Equation 5-6 aggregates: explicit
 :class:`~repro.core.riskroute.PairRoutes`, one per counted pair.
 """
 
@@ -30,14 +30,14 @@ def reference_aggregates(
     sources: Sequence[str],
     targets: Sequence[str],
     strategy: SweepStrategy,
-) -> Tuple[Optional[RatioResult], float]:
-    """``(ratios, lower-bound total)`` from explicit per-pair routes.
+) -> Optional[RatioResult]:
+    """The ratios over explicit per-pair routes.
 
     Sources as given, targets in node order, unreachable targets
     skipped: the pair order the engine's aggregates sum in.  The
     shortest route comes from ``shortest_path``; the RiskRoute from
     ``risk_route`` under ``EXACT`` and from ``risk_routes_from`` under
-    ``PER_SOURCE``.  The ratios are ``None`` when no pair counts.
+    ``PER_SOURCE``.  ``None`` when no pair counts.
     """
     wanted = set(targets)
     pairs: List[PairRoutes] = []
@@ -60,10 +60,7 @@ def reference_aggregates(
                     riskroute=riskroute,
                 )
             )
-    total = 0.0
-    for pair in pairs:
-        total += pair.riskroute.bit_risk_miles
-    return (ratios_over_pairs(pairs) if pairs else None), total
+    return ratios_over_pairs(pairs) if pairs else None
 
 
 def risk_dijkstra(

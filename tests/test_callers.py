@@ -8,9 +8,13 @@ constant equal to it (``getattr`` targets), except the entries of
 ``__all__``, which export a name without using it.  A ``Name`` node
 counts too, but only for a def outside a class body: a bare name can
 never reach a method, so a same-named local or parameter must not keep
-a method alive.  Dunder methods are called by the interpreter and are
-not scanned.  The scan goes by name only, so a def shares its
-references with every def of the same name.
+a method alive.  Nor may a field: for a method that is not a property
+and whose name is also a field somewhere in ``src/`` (a class-body
+annotation or a ``self.<name>`` store), only a call ``.<name>(...)``
+or an identifier string that is not a dict key counts.  Dunder methods
+are called by the interpreter and are not scanned.  The scan goes by
+name only, so a def shares its references with every def of the same
+name.
 
 :data:`KEPT` names the defs that stay without such a caller.
 """
@@ -56,13 +60,13 @@ KEPT = {
 
 
 def _defs(node: ast.AST, prefix: str = "", in_class: bool = False):
-    """``(qualified name, name, in_class)`` of every function, method
-    and class; ``in_class`` is true for a def in a class body."""
+    """``(qualified name, def node, in_class)`` of every function,
+    method and class; ``in_class`` is true for a def in a class body."""
     for child in ast.iter_child_nodes(node):
         if isinstance(
             child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
         ):
-            yield prefix + child.name, child.name, in_class
+            yield prefix + child.name, child, in_class
             yield from _defs(
                 child,
                 prefix + child.name + ".",
@@ -73,11 +77,14 @@ def _defs(node: ast.AST, prefix: str = "", in_class: bool = False):
 
 
 def _references(tree: ast.AST):
-    """``(names, members)`` that ``tree`` references: ``Name`` ids, and
-    ``Attribute`` names plus identifier strings (see the module
-    docstring)."""
-    exported = set()
+    """``(names, members, calls)`` that ``tree`` references: ``Name``
+    ids; ``Attribute`` names plus identifier strings; and called
+    ``Attribute`` names plus identifier strings that are not dict keys
+    (see the module docstring)."""
+    exported, keys = set(), set()
     for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys.update(id(key) for key in node.keys)
         if isinstance(node, ast.Assign):
             targets = node.targets
         elif isinstance(node, ast.AugAssign):
@@ -86,12 +93,16 @@ def _references(tree: ast.AST):
             continue
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
             exported.update(id(constant) for constant in ast.walk(node.value))
-    names, members = set(), set()
+    names, members, calls = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             members.add(node.attr)
+        elif isinstance(node, ast.Call) and isinstance(
+            node.func, ast.Attribute
+        ):
+            calls.add(node.func.attr)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -99,29 +110,70 @@ def _references(tree: ast.AST):
             and id(node) not in exported
         ):
             members.add(node.value)
-    return names, members
+            if id(node) not in keys:
+                calls.add(node.value)
+    return names, members, calls
+
+
+def _fields(tree: ast.AST) -> set:
+    """Class-body annotation names and ``self.<name>`` stores."""
+    fields = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            fields.update(
+                stmt.target.id for stmt in node.body
+                if isinstance(stmt, ast.AnnAssign)
+                and isinstance(stmt.target, ast.Name)
+            )
+        elif (
+            isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Store)
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "self"
+        ):
+            fields.add(node.attr)
+    return fields
+
+
+def _is_property(node: ast.AST) -> bool:
+    return any(
+        getattr(decorator, "id", getattr(decorator, "attr", None))
+        in ("property", "cached_property", "setter", "getter", "deleter")
+        for decorator in getattr(node, "decorator_list", ())
+    )
 
 
 def _src_defs():
-    """``(path::qualified name, name, in_class)`` of every non-dunder
-    def in src."""
+    """``(path::qualified name, def node, in_class)`` of every
+    non-dunder def in src."""
     for path, tree in _trees(("src",)):
-        for qualified, name, in_class in _defs(tree):
+        for qualified, node, in_class in _defs(tree):
+            name = node.name
             if not (name.startswith("__") and name.endswith("__")):
-                yield f"{path.relative_to(ROOT)}::{qualified}", name, in_class
+                yield f"{path.relative_to(ROOT)}::{qualified}", node, in_class
 
 
 def test_every_def_has_a_caller_outside_tests():
-    names, members = set(), set()
+    names, members, calls = set(), set(), set()
     for _, tree in _trees(CALLERS):
-        tree_names, tree_members = _references(tree)
+        tree_names, tree_members, tree_calls = _references(tree)
         names |= tree_names
         members |= tree_members
+        calls |= tree_calls
+    fields = set()
+    for _, tree in _trees(("src",)):
+        fields |= _fields(tree)
+
+    def referenced(node, in_class):
+        if not in_class:
+            return node.name in members or node.name in names
+        if node.name in fields and not _is_property(node):
+            return node.name in calls
+        return node.name in members
+
     orphans = [
-        key for key, name, in_class in _src_defs()
-        if name not in members
-        and (in_class or name not in names)
-        and key not in KEPT
+        key for key, node, in_class in _src_defs()
+        if not referenced(node, in_class) and key not in KEPT
     ]
     assert not orphans, "defs only tests reach:\n" + "\n".join(orphans)
 

@@ -152,12 +152,15 @@ class TestServeQueryParser:
         ["ingest", "events.json"],
         ["scenario", "Level3", "--no-defense"],
         ["scenario", "Level3", "--json"],
+        ["provision", "Teliasonera", "--verify-every", "1"],
+        ["query", "--port", "9999", "provision", "--verify-every", "1"],
     ])
     def test_removed_commands_and_flags_are_errors(self, argv):
         # Sweeps and scenarios run serially, ingest is one command
-        # (`query ingest`), and the local commands take exactly the
-        # op's params (`--defense 0`; the reply is always JSON): no
-        # alias, no silently ignored flag.
+        # (`query ingest`), greedy provisioning has no verification
+        # pass, and the local commands take exactly the op's params
+        # (`--defense 0`; the reply is always JSON): no alias, no
+        # silently ignored flag.
         with pytest.raises(SystemExit) as excinfo:
             build_parser().parse_args(argv)
         assert excinfo.value.code == 2

@@ -6,6 +6,8 @@ from repro.core.interdomain import (
     InterdomainRouter,
     regional_pair_population,
 )
+from repro.core.provisioning import best_new_peering
+from repro.core.strategy import SweepStrategy
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
 from repro.topology.interdomain import InterdomainTopology
@@ -106,7 +108,9 @@ class TestRegionalRatios:
 
 class TestAggregateLowerBound:
     def test_extra_peering_reduces_bound(self):
-        """A new peering can only help (more edges, same metric)."""
+        """A new peering can only help (more edges, same metric), and
+        the via-edge score of Figure 11 equals a re-sweep of the merge
+        with the peering added."""
         r = Network("R", tier="regional", states=("NY",))
         r.add_pop(PoP("R:nyc", "New York", GeoPoint(40.71, -74.01)))
         r.add_pop(PoP("R:alb", "Albany", GeoPoint(42.65, -73.76)))
@@ -137,11 +141,31 @@ class TestAggregateLowerBound:
         model = RiskModel(shares, oh, of)
 
         destinations = regional_pair_population(topology)
-        base = InterdomainRouter(topology, model).aggregate_lower_bound(
-            "R", destinations
+
+        def resweep_total(topology):
+            """The regional's lower bound summed over routed pairs."""
+            engine = InterdomainRouter(topology, model).engine
+            total = 0.0
+            for source in r.pop_ids():
+                routes = engine.risk_routes_from(
+                    source, SweepStrategy.PER_SOURCE
+                )
+                for target in destinations:
+                    if target != source and target in routes:
+                        total += routes[target].bit_risk_miles
+            return total
+
+        rec = best_new_peering(topology, model, "R")
+        assert rec.peer == "U"
+        assert rec.baseline_lower_bound == pytest.approx(
+            resweep_total(topology), rel=1e-12
         )
-        with_peer = InterdomainRouter(
-            topology, model, extra_peerings=[("R", "U")]
-        ).aggregate_lower_bound("R", destinations)
-        assert with_peer <= base + 1e-9
-        assert with_peer < base  # the Albany co-location is a shortcut
+        with_peer = PeeringGraph()
+        for a, b in (("R", "T"), ("U", "T"), ("R", "U")):
+            with_peer.add_peering(a, b)
+        assert rec.aggregate_lower_bound == pytest.approx(
+            resweep_total(InterdomainTopology([r, t, u], with_peer)),
+            rel=1e-12,
+        )
+        # The Albany co-location is a shortcut.
+        assert rec.aggregate_lower_bound < rec.baseline_lower_bound

@@ -2,11 +2,13 @@
 
 import pytest
 
+from repro.core import provisioning
 from repro.core.provisioning import (
     ProvisioningAnalyzer,
+    _ComponentMatrices,
     best_new_peering,
-    candidate_links,
 )
+from repro.engine import RoutingEngine
 from repro.geo.coords import GeoPoint
 from repro.risk.model import RiskModel
 from repro.session import RoutingSession
@@ -35,47 +37,44 @@ def chain_model(gamma_h=1e5) -> RiskModel:
     return RiskModel(shares, oh, of, gamma_h=gamma_h)
 
 
+def candidates(network: Network):
+    """The candidate set ``E_C`` of ``network``, as provisioning sees it."""
+    engine = RoutingEngine(network.distance_graph(), chain_model())
+    return _ComponentMatrices(network, engine).candidate_list()
+
+
+def baseline_total(network: Network, model: RiskModel) -> float:
+    """Aggregate bit-risk miles over ``network``'s unordered pairs."""
+    engine = RoutingEngine(network.distance_graph(), model)
+    return _ComponentMatrices(network, engine).baseline_total()
+
+
 class TestCandidateLinks:
     def test_direct_ad_link_is_candidate(self):
-        candidates = candidate_links(chain_network(), reduction_threshold=0.15)
-        pairs = {(c.pop_a, c.pop_b) for c in candidates}
+        pairs = {(c.pop_a, c.pop_b) for c in candidates(chain_network())}
         assert ("chain:a", "chain:d") in pairs
 
-    def test_threshold_filters(self):
-        none = candidate_links(chain_network(), reduction_threshold=0.9)
-        assert none == []
+    def test_threshold_filters(self, monkeypatch):
+        monkeypatch.setattr(provisioning, "REDUCTION_THRESHOLD", 0.9)
+        assert candidates(chain_network()) == []
 
-    def test_length_cap_filters(self):
-        capped = candidate_links(
-            chain_network(), reduction_threshold=0.15, max_length_miles=100.0
-        )
-        assert capped == []
+    def test_length_cap_filters(self, monkeypatch):
+        monkeypatch.setattr(provisioning, "MAX_LENGTH_MILES", 100.0)
+        assert candidates(chain_network()) == []
 
-    def test_existing_links_excluded(self):
-        candidates = candidate_links(chain_network(), reduction_threshold=0.0)
-        pairs = {(c.pop_a, c.pop_b) for c in candidates}
+    def test_existing_links_excluded(self, monkeypatch):
+        monkeypatch.setattr(provisioning, "REDUCTION_THRESHOLD", 0.0)
+        pairs = {(c.pop_a, c.pop_b) for c in candidates(chain_network())}
         assert ("chain:a", "chain:b") not in pairs
 
     def test_mileage_reduction_computed(self):
-        candidates = candidate_links(chain_network(), reduction_threshold=0.15)
-        for c in candidates:
+        for c in candidates(chain_network()):
             assert 0.0 < c.length_miles < c.current_route_miles
-
-    def test_invalid_threshold(self):
-        with pytest.raises(ValueError):
-            candidate_links(chain_network(), reduction_threshold=1.0)
-        with pytest.raises(ValueError):
-            candidate_links(chain_network(), reduction_threshold=-0.1)
-
-    def test_invalid_length_cap(self):
-        with pytest.raises(ValueError):
-            candidate_links(chain_network(), max_length_miles=0.0)
 
 
 class TestAnalyzer:
     def test_baseline_positive(self):
-        analyzer = ProvisioningAnalyzer(chain_network(), chain_model())
-        assert analyzer.aggregate_bit_risk() > 0.0
+        assert baseline_total(chain_network(), chain_model()) > 0.0
 
     def test_ranked_candidates_improve(self):
         analyzer = ProvisioningAnalyzer(chain_network(), chain_model())
@@ -118,7 +117,7 @@ class TestAnalyzer:
         (best,) = analyzer.rank_candidates(top=1)
         augmented = net.copy()
         augmented.add_link(best.candidate.pop_a, best.candidate.pop_b)
-        recomputed = ProvisioningAnalyzer(augmented, model).aggregate_bit_risk()
+        recomputed = baseline_total(augmented, model)
         assert best.aggregate_bit_risk == pytest.approx(recomputed, rel=0.02)
 
     def test_greedy_monotone_decay(self):
@@ -134,6 +133,16 @@ class TestAnalyzer:
         analyzer = ProvisioningAnalyzer(chain_network(), chain_model())
         with pytest.raises(ValueError):
             analyzer.greedy_links(0)
+
+    @pytest.mark.parametrize(
+        "knob", [{"incremental": False}, {"verify_every": 1}]
+    )
+    def test_greedy_has_one_loop(self, knob):
+        # No rebuild loop or verification pass to select: an unknown
+        # keyword is a TypeError, never silently ignored.
+        analyzer = ProvisioningAnalyzer(chain_network(), chain_model())
+        with pytest.raises(TypeError):
+            analyzer.greedy_links(2, **knob)
 
     @pytest.mark.parametrize("top", [0, -1])
     def test_rank_invalid_top(self, top):

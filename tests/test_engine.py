@@ -134,16 +134,14 @@ class TestWarmColdParity:
 
 def _assert_matches_reference(graph, model, sources, targets, strategy):
     """The engine's aggregates equal :func:`reference_aggregates` on a
-    separate engine, bit for bit: rr, dr and pair count, and a
-    ``lower_bound_total`` equal to the in-order sum of the reference
-    routes' bit-risk miles.  Returns the engine's ratios."""
+    separate engine, bit for bit: rr, dr and pair count.  Returns the
+    engine's ratios."""
     engine = RoutingEngine(graph, model)
     ratios = engine.ratios(sources=sources, targets=targets, strategy=strategy)
-    reference, total = reference_aggregates(
+    reference = reference_aggregates(
         RoutingEngine(graph, model), sources, targets, strategy
     )
     assert ratios == reference  # rr, dr and pair_count, exact floats
-    assert engine.lower_bound_total(sources, targets, strategy) == total
     return ratios
 
 
@@ -203,13 +201,12 @@ class TestVectorParity:
             assert only.risk_reduction_ratio == 0.0
 
     def test_unknown_target_raises(self, engine, strategy):
-        for call in (engine.ratios, engine.lower_bound_total):
-            with pytest.raises(NodeNotFoundError):
-                call(
-                    ["diamond:west"],
-                    ["diamond:east", "nowhere"],
-                    strategy=strategy,
-                )
+        with pytest.raises(NodeNotFoundError):
+            engine.ratios(
+                ["diamond:west"],
+                ["diamond:east", "nowhere"],
+                strategy=strategy,
+            )
 
 
 class TestInvalidation:
@@ -484,9 +481,6 @@ class TestKernelIndependence:
                 (
                     ratios.risk_reduction_ratio,
                     ratios.distance_increase_ratio,
-                    engine.lower_bound_total(
-                        sources, engine.node_ids, per_source
-                    ),
                     list(engine.risk_routes_from(sources[0], per_source)),
                 )
             )

@@ -1,9 +1,9 @@
 """The incremental provisioning layer: exactness and parity.
 
 The in-place edge-insertion update must track a from-scratch
-``_ComponentMatrices`` rebuild (DESIGN.md section 9), and the rewritten
-candidate/greedy/scoring paths must reproduce what the rebuild-per-
-iteration implementation computed.
+``_ComponentMatrices`` rebuild (DESIGN.md section 9), and the greedy
+loop must reproduce a step-by-step reference: rank the candidates, add
+the best link, rebuild the matrices for the total.
 """
 
 import random
@@ -13,24 +13,67 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import provisioning
 from repro.core.provisioning import (
     ProvisioningAnalyzer,
     ProvisioningStats,
     _ComponentMatrices,
-    candidate_links,
 )
 from repro.engine import RoutingEngine
+from repro.geo.coords import GeoPoint
 from repro.geo.distance import haversine_miles
 from repro.graph.shortest_path import all_pairs_shortest_paths
 from repro.risk.model import RiskModel
 from repro.topology.builders import build_network
 from repro.topology.cities import ALL_CITIES
+from repro.topology.network import Network, PoP
 from repro.topology.zoo import network_by_name
 from tests.conftest import examples
 
 
 def _engine(network, model):
     return RoutingEngine(network.distance_graph(), model)
+
+
+def _stepwise_greedy(network, model, count):
+    """The greedy reference, one link at a time: ``(candidate, total)``
+    per step from ``rank_candidates(top=1)`` on the current topology and
+    a from-scratch ``_ComponentMatrices`` after adding its link."""
+    working = network.copy()
+    out = []
+    for _ in range(count):
+        ranked = ProvisioningAnalyzer(working, model).rank_candidates(top=1)
+        if not ranked:
+            break
+        candidate = ranked[0].candidate
+        working.add_link(candidate.pop_a, candidate.pop_b)
+        total = _ComponentMatrices(
+            working, _engine(working, model)
+        ).baseline_total()
+        out.append((candidate, total))
+    return out
+
+
+def _assert_matches_stepwise(analyzer, count, expected_steps):
+    """``analyzer.greedy_links(count)`` equals :func:`_stepwise_greedy`
+    up to float association; returns the recommendations."""
+    network, model = analyzer.network, analyzer.model
+    greedy = analyzer.greedy_links(count)
+    reference = _stepwise_greedy(network, model, count)
+    assert len(greedy) == len(reference) == expected_steps
+    original = _ComponentMatrices(
+        network, _engine(network, model)
+    ).baseline_total()
+    for rec, (candidate, total) in zip(greedy, reference):
+        got = rec.candidate
+        assert (got.pop_a, got.pop_b) == (candidate.pop_a, candidate.pop_b)
+        assert got.length_miles == candidate.length_miles
+        assert got.current_route_miles == pytest.approx(
+            candidate.current_route_miles, rel=1e-9
+        )
+        assert rec.aggregate_bit_risk == pytest.approx(total, rel=1e-9)
+        assert rec.baseline_bit_risk == original
+    return greedy
 
 
 city_subsets = st.lists(
@@ -76,13 +119,11 @@ class TestIncrementalExactness:
             matrices.risk, fresh.risk, rtol=1e-9, atol=1e-9
         )
 
-    def test_verify_reports_tiny_deviation(self):
+    def test_commit_tracks_rebuild_on_sprint(self):
         network = network_by_name("Sprint")
         model = RiskModel.for_network(network)
         working = network.copy()
-        matrices = _ComponentMatrices(
-            working, _engine(working, model), with_candidates=True
-        )
+        matrices = _ComponentMatrices(working, _engine(working, model))
         stats = ProvisioningStats()
         choice = matrices.candidate_list()[0]
         link = working.add_link(choice.pop_a, choice.pop_b)
@@ -91,10 +132,17 @@ class TestIncrementalExactness:
             engine, choice.pop_a, choice.pop_b, link.length_miles,
             stats=stats,
         )
-        deviation = matrices.verify(working, engine, stats=stats)
-        assert deviation < 1e-8
-        assert stats.verifications == 1
-        assert stats.max_verify_deviation == deviation
+        fresh = _ComponentMatrices(working, engine)
+        for got, want in (
+            (matrices.dist, fresh.dist),
+            (matrices.risk, fresh.risk),
+            (matrices.geo, fresh.geo),
+        ):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+        assert (matrices.linked == fresh.linked).all()
+        assert [(c.pop_a, c.pop_b) for c in matrices.candidate_list()] == [
+            (c.pop_a, c.pop_b) for c in fresh.candidate_list()
+        ]
         assert stats.matrix_updates == 1
         assert stats.sweeps_run > 0
 
@@ -104,37 +152,53 @@ class TestGreedyParity:
     def test_greedy_matches_rebuild_path(self, name):
         count = 4 if name == "Level3" else 6
         network = network_by_name(name)
-        model = RiskModel.for_network(network)
-        fast = ProvisioningAnalyzer(network, model).greedy_links(count)
-        slow = ProvisioningAnalyzer(network, model).greedy_links(
-            count, incremental=False
+        analyzer = ProvisioningAnalyzer(
+            network, RiskModel.for_network(network)
         )
-        assert [
-            (r.candidate.pop_a, r.candidate.pop_b) for r in fast
-        ] == [(r.candidate.pop_a, r.candidate.pop_b) for r in slow]
-        for a, b in zip(fast, slow):
-            assert a.aggregate_bit_risk == pytest.approx(
-                b.aggregate_bit_risk, rel=1e-9
-            )
-            assert a.baseline_bit_risk == pytest.approx(
-                b.baseline_bit_risk, rel=1e-9
-            )
+        _assert_matches_stepwise(analyzer, count, count)
 
-    def test_verify_every_knob_matches_default(self):
-        network = network_by_name("Sprint")
-        model = RiskModel.for_network(network)
+    def test_disconnected_network_rebuilds_each_step(self):
+        """Two disjoint four-PoP chains: no candidate bridges them, so
+        greedy stops after each chain's end-to-end shortcut, rebuilding
+        the matrices at every step."""
+        network = Network("pair")
+        for tag, lat, lon in (("w", 39.0, -120.0), ("e", 33.0, -95.0)):
+            ids = []
+            for i, (dlat, dlon) in enumerate(
+                ((0.0, 0.0), (2.5, 3.0), (2.5, 7.0), (0.0, 10.0))
+            ):
+                ids.append(f"pair:{tag}{i}")
+                network.add_pop(
+                    PoP(ids[-1], f"{tag}{i}", GeoPoint(lat + dlat, lon + dlon))
+                )
+            for pop_a, pop_b in zip(ids, ids[1:]):
+                network.add_link(pop_a, pop_b)
+        pop_ids = network.pop_ids()
+        model = RiskModel(
+            {p: 1.0 / len(pop_ids) for p in pop_ids},
+            {p: 1e-3 * (1 + (i * 7) % 5) for i, p in enumerate(pop_ids)},
+            {p: 0.0 for p in pop_ids},
+            gamma_h=1e5,
+        )
+        assert not _ComponentMatrices(
+            network, _engine(network, model)
+        ).connected
         analyzer = ProvisioningAnalyzer(network, model)
-        checked = analyzer.greedy_links(5, verify_every=2)
-        plain = ProvisioningAnalyzer(network, model).greedy_links(5)
-        assert [r.candidate for r in checked] == [r.candidate for r in plain]
-        assert analyzer.stats.verifications == 2
-        assert analyzer.stats.max_verify_deviation < 1e-8
+        greedy = _assert_matches_stepwise(analyzer, 5, 2)
+        assert [(r.candidate.pop_a, r.candidate.pop_b) for r in greedy] == [
+            ("pair:w0", "pair:w3"),
+            ("pair:e0", "pair:e3"),
+        ]
+        assert analyzer.stats.matrix_updates == 0
+        assert analyzer.stats.matrix_builds == 1 + 2
 
 
 class TestCandidateLinksVectorized:
     def test_matches_scalar_reference(self):
         network = network_by_name("Sprint")
-        got = candidate_links(network)
+        got = _ComponentMatrices(
+            network, _engine(network, RiskModel.for_network(network))
+        ).candidate_list()
         # The historical scalar implementation, inlined as the oracle.
         graph = network.distance_graph()
         pops = network.pops()
@@ -149,9 +213,9 @@ class TestCandidateLinksVectorized:
                     continue
                 direct = haversine_miles(pop_a.location, pop_b.location)
                 current = dist_map[pop_b.pop_id]
-                if direct > 2000.0 or current <= 0.0:
+                if direct > provisioning.MAX_LENGTH_MILES or current <= 0.0:
                     continue
-                if direct / current < (1.0 - 0.15):
+                if direct / current < (1.0 - provisioning.REDUCTION_THRESHOLD):
                     reference[(pop_a.pop_id, pop_b.pop_id)] = (
                         direct, current,
                     )
@@ -171,7 +235,9 @@ class TestCandidateLinksVectorized:
         for rec in ranked:
             working = network.copy()
             working.add_link(rec.candidate.pop_a, rec.candidate.pop_b)
-            actual = ProvisioningAnalyzer(working, model).aggregate_bit_risk()
+            actual = _ComponentMatrices(
+                working, _engine(working, model)
+            ).baseline_total()
             assert rec.aggregate_bit_risk == pytest.approx(actual, rel=0.02)
 
 
@@ -209,4 +275,3 @@ class TestStatsAccounting:
         assert stats.sweeps_run > 0
         assert stats.sweeps_avoided > 0
         assert stats.candidates_scored > 0
-        assert stats.verifications == 0

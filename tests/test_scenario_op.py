@@ -20,7 +20,7 @@ from repro.server import (
 )
 from repro.server import ops
 from repro.server.coalesce import PendingRequest
-from repro.server.protocol import PROTOCOL_VERSION, Request
+from repro.server.protocol import PROTOCOL_VERSION, Request, parse_request
 from repro.server.service import QueryService
 from repro.session import RoutingSession
 from tests.conftest import build_diamond_model, build_diamond_network
@@ -155,3 +155,22 @@ class TestOpValidation:
     def test_srg_fraction_above_one_rejected(self):
         with pytest.raises(ValueError):
             _direct("scenario", {**SCENARIO_PARAMS, "srg_fraction": 1.5})
+
+    @pytest.mark.parametrize("name", ["headroom", "corridor_miles"])
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity"])
+    def test_non_finite_is_bad_request(self, name, literal):
+        # The wire's JSON parser accepts both literals.
+        line = (
+            f'{{"v": {PROTOCOL_VERSION}, "id": 1, "op": "scenario", '
+            f'"scenarios": 2, "{name}": {literal}}}'
+        ).encode()
+        item = PendingRequest(
+            request=parse_request(line), writer=None, arrived=0.0
+        )
+        QueryService(
+            RoutingSession(build_diamond_network(), build_diamond_model())
+        ).execute_batch([item])
+        assert item.ok is False
+        error = json.loads(item.reply)["error"]
+        assert error["code"] == "bad_request"
+        assert name in error["message"]

@@ -107,7 +107,7 @@ class TestBasicOps:
     def test_provision_exact_and_latency_bucket(self, diamond_server):
         _, host, port = diamond_server
         with RiskRouteClient(host, port) as client:
-            client.provision(k=2, verify_every=1)
+            client.provision(k=2)
             stats = client.stats()
         by_op = stats["latency_by_op"]
         assert by_op["provision"]["count"] == 1

@@ -341,7 +341,8 @@ class TestRangeChecks:
     @pytest.mark.parametrize("op, params", [
         ("provision", {"k": 0}),
         ("provision", {"top": 0}),
-        ("provision", {"verify_every": 0}),
+        # Not a provision param: answered as unknown, naming it.
+        ("provision", {"verify_every": 1}),
         ("scenario", {"scenarios": 0}),
         ("scenario", {"alternates": 0}),
         ("scenario", {"sample_pairs": 0}),

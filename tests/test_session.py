@@ -68,17 +68,19 @@ class TestFacadeParity:
             session.provision()
 
     @pytest.mark.parametrize(
-        "kwargs",
+        "kwargs, error",
         [
-            {"k": 0},
-            {"k": 2, "top": -5},
-            {"k": 1, "verify_every": 0},
-            {"k": 2, "candidates": []},
+            ({"k": 0}, ValueError),
+            ({"k": 2, "top": -5}, ValueError),
+            # Neither knob exists: the one candidate set and the one
+            # greedy loop take no such argument.
+            ({"k": 1, "verify_every": 1}, TypeError),
+            ({"k": 2, "candidates": []}, TypeError),
         ],
         ids=["k0", "k2-top", "k1-verify", "k2-candidates"],
     )
-    def test_provision_bad_k(self, session, kwargs):
-        with pytest.raises(ValueError):
+    def test_provision_bad_k(self, session, kwargs, error):
+        with pytest.raises(error):
             session.provision(**kwargs)
 
 

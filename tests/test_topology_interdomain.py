@@ -83,15 +83,6 @@ class TestPeeringEdges:
         assert reaches_every_node(graph)
         assert graph.node_count == 4
 
-    def test_extra_peerings(self):
-        a, b = two_isps()
-        g = PeeringGraph()
-        g.add_network("A")
-        g.add_network("B")
-        topo = InterdomainTopology([a, b], g)
-        merged = topo.merged_graph(extra_peerings=[("A", "B")])
-        assert merged.has_edge("A:chi", "B:chi")
-
 
 class TestCandidates:
     def test_candidate_when_unpeered(self):

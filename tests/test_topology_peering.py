@@ -8,6 +8,7 @@ from repro.topology.peering import (
     corpus_peering,
     parse_caida_as_rel,
 )
+from repro.topology.zoo import all_networks
 
 
 class TestPeeringGraph:
@@ -70,7 +71,14 @@ class TestCorpusPeering:
                 assert g.are_peers(regional, provider)
 
     def test_23_networks(self):
-        assert len(corpus_peering().networks()) == 23
+        g = corpus_peering()
+        names = {network.name for network in all_networks()}
+        assert len(names) == 23
+        for name in names:
+            # Registered (peer_count raises KeyError otherwise), with
+            # every relationship inside the corpus.
+            assert g.peer_count(name) > 0
+            assert set(g.peers_of(name)) <= names
 
     def test_att_and_tinet_underrepresented(self):
         # The Figure 11 setup requires AT&T and Tinet to be rare transit

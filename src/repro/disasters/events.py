@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -83,8 +82,9 @@ class DisasterEvent:
         no decimal rounding can merge distinct locations, and ``-0.0``
         and ``0.0`` stay distinct.  This is what makes streaming dedup
         deterministic: ingesting the same record twice is a no-op.
-        Equal to the catalog's :meth:`DisasterCatalog.keys` entry for
-        the same event.
+        A catalog row's key is its ``year`` and the ``view(np.int64)``
+        of its ``lat`` and ``lon``, the columns the streaming model
+        searches.
         """
         return (
             self.event_type,
@@ -143,15 +143,3 @@ class DisasterCatalog:
     def latlon(self) -> "np.ndarray":
         """An (N, 2) array of (lat, lon) degree rows, catalog order."""
         return np.column_stack((self.lat, self.lon))
-
-    def keys(self) -> List[EventKey]:
-        """Every event's :attr:`DisasterEvent.identity`, catalog order,
-        built from the columns in one pass."""
-        return list(
-            zip(
-                repeat(self.event_type),
-                self.year.tolist(),
-                self.lat.view(np.int64).tolist(),
-                self.lon.view(np.int64).tolist(),
-            )
-        )

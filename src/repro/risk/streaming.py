@@ -5,9 +5,10 @@
 estimates are :class:`~repro.stats.streaming.StreamingKDE` instances
 built from full catalogs.  Every event is keyed by its class, year and
 the exact bits of its coordinates
-(:attr:`~repro.disasters.events.DisasterEvent.identity`; a catalog
-builds the keys of all its rows in one pass).  New disaster records
-are folded in with :meth:`ingest`:
+(:attr:`~repro.disasters.events.DisasterEvent.identity`).  The archive's
+keys are kept as sorted int64 columns per class (24 bytes an event) and
+searched once per class and batch; keys that ingest appends are kept in
+a set.  New disaster records are folded in with :meth:`ingest`:
 
 * records whose key is already present are **dropped as
   duplicates** (at-least-once delivery upstream is safe),
@@ -75,12 +76,45 @@ class IngestDelta:
         }
 
 
+class _ArchiveKeys:
+    """One catalog's dedup keys as int64 columns sorted by lat bits.
+
+    Row ``i`` holds the year, lat bits and lon bits of one event (24
+    bytes).  A lookup finds each query's run of equal lat bits with
+    :func:`numpy.searchsorted` and compares year and lon bits on every
+    row of that run, so equality is decided on the full key.
+    """
+
+    def __init__(self, catalog: DisasterCatalog) -> None:
+        lat = catalog.lat.view(np.int64)
+        order = np.argsort(lat)
+        self.lat = lat[order]
+        self.lon = catalog.lon.view(np.int64)[order]
+        self.year = catalog.year[order]
+
+    def contains(self, year, lat, lon) -> "np.ndarray":
+        """A bool mask: which query keys (int64 columns) are rows here."""
+        first = np.searchsorted(self.lat, lat, side="left")
+        runs = np.searchsorted(self.lat, lat, side="right") - first
+        # One slot per (query, row of its run): the query's index and
+        # the row it is compared with.
+        query = np.repeat(np.arange(len(lat)), runs)
+        rows = np.arange(query.size) + np.repeat(
+            first - (np.cumsum(runs) - runs), runs
+        )
+        hit = (self.year[rows] == year[query]) & (self.lon[rows] == lon[query])
+        found = np.zeros(len(lat), dtype=bool)
+        found[query[hit]] = True
+        return found
+
+
 class StreamingHistoricalModel(HistoricalRiskModel):
     """A historical risk model that accepts live event ingest.
 
     Args:
         catalogs: event-class -> full :class:`DisasterCatalog` of that
-            class (every event's key is kept for duplicate detection).
+            class (its keys are kept as sorted columns for duplicate
+            detection).
         bandwidths: per-class kernel bandwidth in miles; defaults to
             the pretrained Table 1 values.
         weights: per-class emphasis, as in the base model.
@@ -97,7 +131,9 @@ class StreamingHistoricalModel(HistoricalRiskModel):
     ) -> None:
         if not catalogs:
             raise ValueError("need at least one event-class catalog")
-        self._keys: Set[EventKey] = set()
+        self._archive: Dict[str, _ArchiveKeys] = {}
+        # Keys appended by ingest; they grow only with what is sent.
+        self._ingested: Set[EventKey] = set()
         kdes: Dict[str, StreamingKDE] = {}
         for event_type, catalog in catalogs.items():
             if not len(catalog):
@@ -110,7 +146,7 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             kdes[event_type] = StreamingKDE.from_array(
                 catalog.latlon(), bandwidth, cutoff_sigmas=cutoff_sigmas
             )
-            self._keys.update(catalog.keys())
+            self._archive[event_type] = _ArchiveKeys(catalog)
         super().__init__(kdes, weights)
 
     # -- ingest ------------------------------------------------------------
@@ -129,16 +165,13 @@ class StreamingHistoricalModel(HistoricalRiskModel):
                 (checked for the whole batch before anything changes).
         """
         parent_fp = self.fingerprint
+        keys = [event.identity for event in events]
+        archived = self._archived(keys)
         fresh: Dict[str, List[DisasterEvent]] = {}
         duplicates = 0
         seen_batch: Set[EventKey] = set()
-        for event in events:
-            if event.event_type not in self._kdes:
-                raise ValueError(
-                    f"model has no class {event.event_type!r}"
-                )
-            key = event.identity
-            if key in self._keys or key in seen_batch:
+        for event, key, in_archive in zip(events, keys, archived):
+            if in_archive or key in self._ingested or key in seen_batch:
                 duplicates += 1
                 continue
             seen_batch.add(key)
@@ -150,7 +183,7 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             kde.append_events(
                 points_to_array([e.location for e in batch])
             )
-        self._keys |= seen_batch
+        self._ingested |= seen_batch
 
         if fresh:
             self._fingerprint = None
@@ -161,6 +194,26 @@ class StreamingHistoricalModel(HistoricalRiskModel):
             duplicates=duplicates,
             touched_types=tuple(sorted(fresh)),
         )
+
+    def _archived(self, keys: List[EventKey]) -> List[bool]:
+        """Which keys the archive catalogs hold: one search per class.
+
+        Raises:
+            ValueError: for a class the model does not carry, before
+                any search.
+        """
+        rows: Dict[str, List[int]] = {}
+        for i, key in enumerate(keys):
+            if key[0] not in self._archive:
+                raise ValueError(f"model has no class {key[0]!r}")
+            rows.setdefault(key[0], []).append(i)
+        found = np.zeros(len(keys), dtype=bool)
+        for event_type, idx in rows.items():
+            year, lat, lon = np.array(
+                [keys[i][1:] for i in idx], dtype=np.int64
+            ).T
+            found[idx] = self._archive[event_type].contains(year, lat, lon)
+        return found.tolist()
 
     # -- evaluation (incremental) ------------------------------------------
 

@@ -50,10 +50,10 @@ def corridor_grid(
     cells stay approximately square on the ground.
 
     Raises:
-        ValueError: for a non-positive corridor size.
+        ValueError: for a corridor size that is not finite and positive.
     """
-    if corridor_miles <= 0:
-        raise ValueError("corridor_miles must be positive")
+    if not 0 < corridor_miles < math.inf:
+        raise ValueError("corridor_miles must be positive and finite")
     mean_lat = math.radians((box.south + box.north) / 2.0)
     n_lat = max(
         1, round(box.height_degrees * _MILES_PER_DEGREE_LAT / corridor_miles)

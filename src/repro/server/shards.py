@@ -357,7 +357,8 @@ class ShardPool:
     # -- lifecycle ---------------------------------------------------------
 
     def start(self) -> None:
-        """Export the engine and spawn + warm every shard (blocking)."""
+        """Export the engine, start every shard process, then wait for
+        each warm-up ping in shard order (blocking)."""
         engine = self._session.engine
         self._state = SharedEngineState.export(engine)
         topology = (
@@ -373,10 +374,19 @@ class ShardPool:
             faults=self._faults,
         )
         self.fingerprint = engine.risk_fingerprint
+        # Every shard imports and attaches at once; each enters the
+        # placement map only after its own warm-up ping passes.
+        launched: List[_Shard] = []
         try:
             for sid in range(self.nshards):
-                self._shards[sid] = self._spawn(sid)
+                launched.append(self._launch(sid))
+            for sid, shard in enumerate(launched):
+                self._warm(sid, shard)
+                self._shards[sid] = shard
         except BaseException:
+            for shard in launched:
+                self._kill(shard)
+            self._shards = [None] * self.nshards
             self.stop()
             raise
 
@@ -411,6 +421,12 @@ class ShardPool:
         warmed on a stale field is killed here and its slot stays
         down, served by the surviving replicas.
         """
+        shard = self._launch(sid)
+        self._warm(sid, shard)
+        return shard
+
+    def _launch(self, sid: int) -> _Shard:
+        """Start one shard process; it warms up on its own."""
         assert self._spec is not None
         parent_conn, child_conn = self._ctx.Pipe()
         process = self._ctx.Process(
@@ -421,10 +437,14 @@ class ShardPool:
         )
         process.start()
         child_conn.close()
-        shard = _Shard(process=process, conn=parent_conn, pid=process.pid)
+        return _Shard(process=process, conn=parent_conn, pid=process.pid)
+
+    def _warm(self, sid: int, shard: _Shard) -> None:
+        """Block until a launched shard's warm-up ping echoes the pool's
+        fingerprint; kill the shard and raise otherwise."""
         self._seq += 1
         try:
-            parent_conn.send(("ping", self._seq))
+            shard.conn.send(("ping", self._seq))
             message = self._recv(shard, "pong", self._seq)
             if message is None:
                 raise RuntimeError(
@@ -439,7 +459,6 @@ class ShardPool:
         except BaseException:
             self._kill(shard)
             raise
-        return shard
 
     def _recv(self, shard: _Shard, kind: str, seq: int):
         """The shard's answer to the ``(kind, seq)`` message, or None.

@@ -67,16 +67,6 @@ class PeeringGraph:
             raise KeyError(f"unknown network {name!r}")
         return len(self._adj[name])
 
-    def copy(self) -> "PeeringGraph":
-        """Independent copy."""
-        clone = PeeringGraph()
-        for name, peers in self._adj.items():
-            clone.add_network(name)
-            for peer in peers:
-                clone._adj[name].add(peer)
-                clone.add_network(peer)
-        return clone
-
 
 #: The transit/peering providers of each regional network in the
 #: synthetic corpus (Digex additionally peers with the Hibernia regional).

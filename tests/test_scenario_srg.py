@@ -29,8 +29,9 @@ class TestCorridorGrid:
         assert fine.n_lon > coarse.n_lon
 
     def test_non_positive_corridor_rejected(self):
-        with pytest.raises(ValueError):
-            corridor_grid(0.0)
+        for bad in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="corridor_miles"):
+                corridor_grid(bad)
 
 
 class TestLinkCorridorCells:

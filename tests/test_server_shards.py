@@ -23,6 +23,7 @@ the suite.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import socket
 import threading
 import time
@@ -40,7 +41,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import PROTOCOL_VERSION, Request, pair_to_dict
-from repro.server.shards import replicas_of
+from repro.server.shards import ShardPool, replicas_of
 from tests.conftest import build_diamond_model, build_diamond_network
 
 WEST, EAST = "diamond:west", "diamond:east"
@@ -57,6 +58,20 @@ def _pair_request(source: str, target: str, op: str = "pair") -> Request:
 def _owner(request: Request, nshards: int) -> int:
     """The shard a single-replica pool routes ``request`` to."""
     return replicas_of(request, nshards, 1)[0]
+
+
+def _shard_processes(other=frozenset()) -> set:
+    """This process's live shard children, less ``other``."""
+    return {
+        child
+        for child in multiprocessing.active_children()
+        if child.name.startswith("riskroute-shard-")
+    } - other
+
+
+def _diamond_pool() -> ShardPool:
+    session = RoutingSession(build_diamond_network(), build_diamond_model())
+    return ShardPool(session, 2, replicas=1, timeout=60.0)
 
 
 class TestShardOf:
@@ -119,6 +134,61 @@ class TestShardOf:
         broken = Request(op="pair", id=1,
                          params={"source": 7, "target": None}, v=2)
         assert _owner(broken, 4) == 0
+
+
+@pytest.mark.timeout(180)
+class TestPoolStart:
+    def test_every_shard_starts_before_the_first_ping(self, monkeypatch):
+        at_first_ping = []
+        recv = ShardPool._recv
+        before = _shard_processes()
+
+        def watched(pool, shard, kind, seq):
+            if kind == "pong" and not at_first_ping:
+                at_first_ping.append(
+                    {p.pid for p in _shard_processes(before)}
+                )
+            return recv(pool, shard, kind, seq)
+
+        monkeypatch.setattr(ShardPool, "_recv", watched)
+        pool = _diamond_pool()
+        try:
+            pool.start()
+            assert pool.alive() == 2
+            pids = {shard["pid"] for shard in pool.snapshot()["per_shard"]}
+        finally:
+            pool.stop()
+        assert pids <= at_first_ping[0]
+
+    def test_fingerprint_mismatch_on_shard_1_leaves_no_shard(
+        self, monkeypatch
+    ):
+        started = set()
+        recv = ShardPool._recv
+        pongs = []
+        before = _shard_processes()
+
+        def forged(pool, shard, kind, seq):
+            started.update(_shard_processes(before))
+            message = recv(pool, shard, kind, seq)
+            if kind == "pong":
+                pongs.append(shard.pid)
+                if len(pongs) == 2 and message is not None:
+                    message = message[:2] + ("stale",) + message[3:]
+            return message
+
+        monkeypatch.setattr(ShardPool, "_recv", forged)
+        pool = _diamond_pool()
+        with pytest.raises(
+            RuntimeError, match="shard 1 warmed up on fingerprint 'stale'"
+        ):
+            pool.start()
+        assert len(started) == 2
+        for process in started:
+            process.join(timeout=10)
+            assert not process.is_alive()
+        assert pool.alive() == 0
+        assert pool.snapshot()["per_shard"] == [None, None]
 
 
 @pytest.mark.timeout(180)

@@ -13,6 +13,8 @@ fast while pinning the model-level contracts:
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,6 +24,7 @@ from repro.disasters.catalog import catalog_of
 from repro.disasters.events import DisasterCatalog, DisasterEvent, EventType
 from repro.geo.coords import GeoPoint
 from repro.risk.streaming import (
+    IngestDelta,
     StreamingHistoricalModel,
     default_streaming_model,
 )
@@ -188,6 +191,10 @@ class TestIngestParityProperty:
 
 class TestDedupKeys:
     def test_column_keys_equal_event_keys_for_every_corpus_event(self):
+        """Each corpus row, rebuilt as a wire record, is found by the
+        archive's column search, one batch per class."""
+        model = default_streaming_model()
+        before = model.fingerprint
         for event_type in EventType.ALL:
             catalog = catalog_of(event_type)
             rows = zip(
@@ -195,18 +202,21 @@ class TestDedupKeys:
                 catalog.lon.tolist(),
                 catalog.year.tolist(),
             )
-            assert catalog.keys() == [
-                _event(event_type, lat, lon, year).identity
-                for lat, lon, year in rows
-            ]
+            delta = model.ingest(
+                [_event(event_type, lat, lon, year) for lat, lon, year in rows]
+            )
+            assert (delta.appended, delta.duplicates) == (0, len(catalog))
+        assert model.fingerprint == before
 
     def test_signed_zeros_stay_distinct(self):
         east = _event(HURRICANE, 0.0, 0.0, 2001)
         west = _event(HURRICANE, -0.0, -0.0, 2001)
         assert east.identity != west.identity
-        assert _catalog(HURRICANE, [east, west]).keys() == [
-            east.identity, west.identity
-        ]
+        seeds = _seed_events()
+        seeds[HURRICANE].append(east)
+        archived = _build(seeds)
+        assert archived.ingest([east]).duplicates == 1
+        assert archived.ingest([west]).appended == 1
         model = _build()
         assert model.ingest([east]).appended == 1
         assert model.ingest([west]).appended == 1
@@ -228,3 +238,99 @@ class TestDedupKeys:
             assert (delta.appended, delta.duplicates) == (0, 1)
             assert not delta.changed
         assert model.fingerprint == before
+
+    def test_near_misses_of_a_corpus_row_append(self):
+        """A corpus row of every class is a duplicate; the same point a
+        year later, or at the next float of latitude, is a new event."""
+        model = default_streaming_model()
+        for event_type in EventType.ALL:
+            catalog = catalog_of(event_type)
+            row = len(catalog) // 3
+            lat = float(catalog.lat[row])
+            lon = float(catalog.lon[row])
+            year = int(catalog.year[row])
+            batch = [
+                _event(event_type, lat, lon, year),
+                _event(event_type, lat, lon, year + 1),
+                _event(event_type, float(np.nextafter(lat, 90.0)), lon, year),
+            ]
+            delta = model.ingest(batch)
+            assert (delta.appended, delta.duplicates) == (2, 1)
+            assert delta.touched_types == (event_type,)
+            assert model.ingest(batch).duplicates == 3
+
+    def test_corpus_keys_retain_under_16_mb(self):
+        """Memory guard: the streaming model over the five corpus
+        catalogs keeps 24 bytes of keys per event (about 4 MB), where
+        one Python tuple per event kept about 40 MB."""
+        for event_type in EventType.ALL:
+            catalog_of(event_type)  # built and memoized outside the trace
+        tracemalloc.start()
+        try:
+            model = default_streaming_model()
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert retained < 16 * 2**20, (
+            f"{retained / 2**20:.1f} MiB retained by {type(model).__name__}"
+        )
+
+
+class TestDedupStoreProperty:
+    """The column search against a reference that dedups with a Python
+    set of :attr:`DisasterEvent.identity` and rebuilds for the
+    fingerprint."""
+
+    # Few distinct values, so keys collide: signed zeros, equal lat
+    # with another lon (and the next float of lat), one point in two
+    # years.
+    lat = st.sampled_from([0.0, -0.0, 30.0, float(np.nextafter(30.0, 90.0))])
+    lon = st.sampled_from([0.0, -0.0, -90.0, -90.5])
+    year = st.sampled_from([2000, 2001])
+
+    def record(self, event_type):
+        return st.builds(
+            _event, st.just(event_type), self.lat, self.lon, self.year
+        )
+
+    @given(data=st.data())
+    @settings(max_examples=examples(30), deadline=None)
+    def test_ingest_matches_set_reference(self, data):
+        corpus = {
+            et: data.draw(st.lists(self.record(et), min_size=1, max_size=6),
+                          label=f"catalog {et}")
+            for et in (HURRICANE, QUAKE)
+        }
+        model = _build(corpus)
+        survivors = {et: list(rows) for et, rows in corpus.items()}
+        seen = {e.identity for rows in corpus.values() for e in rows}
+        fingerprint = model.fingerprint
+        corpus_rows = [e for rows in corpus.values() for e in rows]
+        sent = []
+        for _ in range(data.draw(st.integers(1, 4), label="batches")):
+            fresh = st.one_of(self.record(HURRICANE), self.record(QUAKE))
+            batch = data.draw(
+                st.lists(fresh | st.sampled_from(corpus_rows), max_size=6),
+                label="batch",
+            )
+            if sent and data.draw(st.booleans(), label="resend"):
+                batch = data.draw(st.sampled_from(sent), label="resent")
+            if batch and data.draw(st.booleans(), label="repeat"):
+                batch = batch + [data.draw(st.sampled_from(batch))]
+            sent.append(batch)
+            appended = []
+            for event in batch:
+                if event.identity not in seen:
+                    seen.add(event.identity)
+                    appended.append(event)
+                    survivors[event.event_type].append(event)
+            expected = IngestDelta(
+                parent_fingerprint=fingerprint,
+                fingerprint=_build(survivors).fingerprint,
+                appended=len(appended),
+                duplicates=len(batch) - len(appended),
+                touched_types=tuple(sorted({e.event_type for e in appended})),
+            )
+            assert model.ingest(batch) == expected
+            assert model.fingerprint == expected.fingerprint
+            fingerprint = expected.fingerprint

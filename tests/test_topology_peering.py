@@ -48,13 +48,6 @@ class TestPeeringGraph:
         with pytest.raises(KeyError):
             g.peer_count("ghost")
 
-    def test_copy_independent(self):
-        g = PeeringGraph()
-        g.add_peering("A", "B")
-        clone = g.copy()
-        clone.add_peering("A", "C")
-        assert not g.are_peers("A", "C")
-
 
 class TestCorpusPeering:
     def test_tier1_full_mesh(self):

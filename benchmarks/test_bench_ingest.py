@@ -91,7 +91,7 @@ def test_ingest_vs_rebuild_level3(benchmark):
         arrays[hurricane] = np.vstack([arrays[hurricane], fresh])
         model = HistoricalRiskModel(
             {
-                et: GaussianKDE.from_array(arr, PRETRAINED_BANDWIDTHS[et])
+                et: GaussianKDE(arr, PRETRAINED_BANDWIDTHS[et])
                 for et, arr in arrays.items()
             }
         )

@@ -44,7 +44,7 @@ def _models():
     }
     exact = HistoricalRiskModel(
         {
-            et: GaussianKDE.from_array(
+            et: GaussianKDE(
                 arr, PRETRAINED_BANDWIDTHS[et], cutoff_sigmas=None
             )
             for et, arr in arrays.items()
@@ -52,7 +52,7 @@ def _models():
     )
     truncated = HistoricalRiskModel(
         {
-            et: GaussianKDE.from_array(arr, PRETRAINED_BANDWIDTHS[et])
+            et: GaussianKDE(arr, PRETRAINED_BANDWIDTHS[et])
             for et, arr in arrays.items()
         }
     )

@@ -53,25 +53,21 @@ class InterdomainRouter:
         return self.session.engine
 
     def regional_ratios(
-        self,
-        regional_name: str,
-        destination_pops: Sequence[str],
-        strategy=SweepStrategy.PER_SOURCE,
+        self, regional_name: str, destination_pops: Sequence[str]
     ) -> RatioResult:
         """rr/dr for one regional network's interdomain traffic.
 
         Per Section 7's protocol: every PoP of the regional network is a
         source; destinations are the supplied PoP set (the paper uses all
         PoPs of the 16 regional networks).  Runs as one batched engine
-        query over the merged topology, sharing sweeps with every other
-        evaluation on this router.
+        query over the merged topology under ``PER_SOURCE`` (one sweep
+        per source: exact per-pair optimization is slow on the ~800-PoP
+        merge), sharing sweeps with every other evaluation on this
+        router.
 
         Args:
             regional_name: the source network.
             destination_pops: target PoPs (sources themselves excluded).
-            strategy: ``"per-source"`` (default, whatever the merge's
-                size) or ``"exact"`` per-pair optimization (slow on the
-                ~800-PoP merge).
 
         Raises:
             KeyError: for a network not in the merge.
@@ -81,7 +77,9 @@ class InterdomainRouter:
             raise KeyError(f"unknown network {regional_name!r}")
         sources = self.topology.networks[regional_name].pop_ids()
         return self.session.all_pairs(
-            sources=sources, targets=destination_pops, strategy=strategy
+            sources=sources,
+            targets=destination_pops,
+            strategy=SweepStrategy.PER_SOURCE,
         )
 
 

@@ -25,15 +25,13 @@ from ..geo.distance import haversine_miles
 from ..geo.grid import GeoGrid
 from ..risk.historical import HistoricalRiskModel, default_historical_model
 from ..stats.divergence import jensen_shannon_discrete
+from ..topology.interdomain import CO_LOCATION_MILES
 from ..topology.network import Network
 
 __all__ = ["SharedRiskReport", "shared_risk_report"]
 
 #: Grid used to compare risk profiles (~1.7 degree metro-scale cells).
 _PROFILE_GRID = GeoGrid(CONTINENTAL_US, n_lat=15, n_lon=35)
-
-#: Co-location threshold, matching the interdomain topology default.
-_CO_LOCATION_MILES = 40.0
 
 
 @dataclass(frozen=True)
@@ -80,7 +78,7 @@ def _colocation_fraction(a: Network, b: Network) -> float:
     b_locations = [p.location for p in b.pops()]
     for pop in a.pops():
         if any(
-            haversine_miles(pop.location, other) <= _CO_LOCATION_MILES
+            haversine_miles(pop.location, other) <= CO_LOCATION_MILES
             for other in b_locations
         ):
             hits += 1

@@ -76,7 +76,6 @@ class SurvivalReport:
 def sample_disasters(
     count: int,
     seed: Union[int, "np.random.Generator"] = 2013,
-    event_types: Optional[Sequence[str]] = None,
 ) -> List[SimulatedDisaster]:
     """Draw disasters by resampling the historical catalogs.
 
@@ -91,14 +90,11 @@ def sample_disasters(
     the whole run replays from a single integer seed.
 
     Raises:
-        ValueError: for a non-positive count or unknown class.
+        ValueError: for a non-positive count.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    classes = list(event_types) if event_types else list(EventType.ALL)
-    for event_type in classes:
-        if event_type not in DAMAGE_RADIUS_MILES:
-            raise ValueError(f"unknown event type {event_type!r}")
+    classes = list(EventType.ALL)
     if isinstance(seed, np.random.Generator):
         rng = seed
     else:

@@ -9,14 +9,14 @@ Figure 4.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from ..stats.bandwidth import (
     BandwidthSearchResult,
     cross_validate_bandwidth,
     log_space_candidates,
 )
-from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, GaussianKDE
+from ..stats.kde import GaussianKDE
 from .events import DisasterCatalog, EventType
 from .fema import fema_hurricanes, fema_storms, fema_tornadoes
 from .noaa import noaa_earthquakes, noaa_wind
@@ -85,50 +85,30 @@ def catalog_of(event_type: str) -> DisasterCatalog:
 
 
 @lru_cache(maxsize=None)
-def train_bandwidth(
-    event_type: str,
-    n_folds: int = 5,
-    max_events: int = 2500,
-    seed: int = 7,
-) -> BandwidthSearchResult:
+def train_bandwidth(event_type: str) -> BandwidthSearchResult:
     """Cross-validate the kernel bandwidth for one event class (Table 1).
 
-    The candidate grid is class-specific (see ``_CANDIDATE_RANGES``); the
-    search subsamples huge catalogs to ``max_events`` for tractability.
+    Five folds, as in the paper.  The candidate grid is class-specific
+    (see ``_CANDIDATE_RANGES``), and the search scores a seeded
+    subsample of at most 2,500 events of each class for tractability.
     """
     low, high, count = _CANDIDATE_RANGES[event_type]
     return cross_validate_bandwidth(
         catalog_of(event_type).latlon(),
         log_space_candidates(low, high, count),
-        n_folds=n_folds,
-        max_events=max_events,
-        seed=seed,
+        n_folds=5,
+        max_events=2500,
+        seed=7,
     )
 
 
 @lru_cache(maxsize=None)
-def event_kde(
-    event_type: str,
-    bandwidth_miles: Optional[float] = None,
-    cutoff_sigmas: Optional[float] = DEFAULT_CUTOFF_SIGMAS,
-) -> GaussianKDE:
-    """The likelihood field of one event class (Figure 4, panels A-E).
-
-    Args:
-        event_type: which class.
-        bandwidth_miles: override; defaults to the pretrained bandwidth
-            (see :data:`PRETRAINED_BANDWIDTHS`).
-        cutoff_sigmas: kernel truncation (miles of reach =
-            ``cutoff_sigmas * bandwidth``); the default 8-sigma cutoff
-            keeps densities within ``exp(-32)/(2 pi sigma^2)`` of exact
-            — pass ``None`` for the exact dense evaluation.
-    """
-    if bandwidth_miles is None:
-        bandwidth_miles = PRETRAINED_BANDWIDTHS[event_type]
-    return GaussianKDE.from_array(
-        catalog_of(event_type).latlon(),
-        bandwidth_miles,
-        cutoff_sigmas=cutoff_sigmas,
+def event_kde(event_type: str) -> GaussianKDE:
+    """The likelihood field of one event class (Figure 4, panels A-E),
+    at its pretrained bandwidth (see :data:`PRETRAINED_BANDWIDTHS`)
+    and the default 8-sigma kernel truncation."""
+    return GaussianKDE(
+        catalog_of(event_type).latlon(), PRETRAINED_BANDWIDTHS[event_type]
     )
 
 

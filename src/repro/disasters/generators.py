@@ -30,7 +30,10 @@ from ..stats.sampling import sample_mixture
 from ..topology.cities import ALL_CITIES, City
 from .events import DisasterCatalog, EventType
 
-__all__ = ["EVENT_MODELS", "generate_events", "EventModel"]
+__all__ = ["EVENT_MODELS", "generate_events", "EventModel", "YEAR_RANGE"]
+
+#: First and last year (inclusive) an event's year is drawn from.
+YEAR_RANGE = (1970, 2010)
 
 
 def _coastal_cities() -> List[City]:
@@ -89,13 +92,14 @@ class EventModel:
         self.components = list(components)
 
     def sample(
-        self, rng: "np.random.Generator", count: int, year_range: Tuple[int, int]
+        self, rng: "np.random.Generator", count: int
     ) -> DisasterCatalog:
-        """Draw ``count`` events with uniform years over ``year_range``."""
+        """Draw ``count`` events with uniform years over
+        :data:`YEAR_RANGE`."""
         lat, lon = sample_mixture(
             rng, self.components, count, clamp=CONTINENTAL_US
         )
-        years = rng.integers(year_range[0], year_range[1] + 1, size=count)
+        years = rng.integers(YEAR_RANGE[0], YEAR_RANGE[1] + 1, size=count)
         return DisasterCatalog(self.event_type, lat, lon, years)
 
 
@@ -165,12 +169,7 @@ EVENT_MODELS: Dict[str, EventModel] = {
 }
 
 
-def generate_events(
-    event_type: str,
-    count: int,
-    seed: int,
-    year_range: Tuple[int, int] = (1970, 2010),
-) -> DisasterCatalog:
+def generate_events(event_type: str, count: int, seed: int) -> DisasterCatalog:
     """Generate a seeded catalog for one event class.
 
     Raises:
@@ -181,4 +180,4 @@ def generate_events(
     if count < 0:
         raise ValueError("count must be non-negative")
     rng = np.random.default_rng(seed)
-    return EVENT_MODELS[event_type].sample(rng, count, year_range)
+    return EVENT_MODELS[event_type].sample(rng, count)

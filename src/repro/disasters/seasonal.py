@@ -65,14 +65,13 @@ def monthly_event_weights(event_type: str) -> "np.ndarray":
     return weights / weights.sum()
 
 
-def assign_months(catalog: DisasterCatalog, seed: int = 11) -> "np.ndarray":
+def assign_months(catalog: DisasterCatalog) -> "np.ndarray":
     """A month (1..12) for every event, drawn from its class's
     climatology, in catalog order.
 
-    Deterministic for a given seed; the same event order always receives
-    the same months.
+    Seeded, so the same event order always receives the same months.
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(11)
     weights = monthly_event_weights(catalog.event_type)
     return rng.choice(12, size=len(catalog), p=weights) + 1
 
@@ -111,7 +110,7 @@ def seasonal_kde(event_type: str, month: int) -> GaussianKDE:
     annual = len(catalog_of(event_type))
     widen = float(np.sqrt(annual / len(monthly))) ** 0.5
     bandwidth = PRETRAINED_BANDWIDTHS[event_type] * widen
-    return GaussianKDE.from_array(monthly.latlon(), bandwidth)
+    return GaussianKDE(monthly.latlon(), bandwidth)
 
 
 def seasonal_kdes(month: int) -> Dict[str, GaussianKDE]:

@@ -26,7 +26,7 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-def to_json(result: ExperimentResult, indent: int = 2) -> str:
+def to_json(result: ExperimentResult) -> str:
     """Serialize a result to a JSON document."""
     payload: Dict[str, Any] = {
         "experiment_id": result.experiment_id,
@@ -37,7 +37,7 @@ def to_json(result: ExperimentResult, indent: int = 2) -> str:
             for row in result.rows
         ],
     }
-    return json.dumps(payload, indent=indent, sort_keys=False)
+    return json.dumps(payload, indent=2, sort_keys=False)
 
 
 def to_csv(result: ExperimentResult) -> str:

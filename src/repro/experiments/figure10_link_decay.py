@@ -7,8 +7,6 @@ fraction of the original network's aggregated bit-risk miles.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
-
 from ..core.provisioning import ProvisioningAnalyzer
 from ..risk.model import RiskModel
 from ..topology.zoo import tier1_networks
@@ -18,18 +16,11 @@ MAX_LINKS = 8
 
 
 @register("figure10")
-def run(networks: Optional[Sequence[str]] = None) -> ExperimentResult:
-    """Regenerate the Figure 10 decay curves.
-
-    Args:
-        networks: restrict to a subset of tier-1 names (all by default).
-    """
-    wanted = set(networks) if networks else None
+def run() -> ExperimentResult:
+    """Regenerate the Figure 10 decay curves."""
     rows = []
     sweeps_run = sweeps_avoided = 0
     for network in tier1_networks():
-        if wanted is not None and network.name not in wanted:
-            continue
         analyzer = ProvisioningAnalyzer(network, RiskModel.for_network(network))
         additions = analyzer.greedy_links(MAX_LINKS)
         sweeps_run += analyzer.stats.sweeps_run

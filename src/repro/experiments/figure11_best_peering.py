@@ -27,15 +27,13 @@ def _shared_state():
 
 
 @register("figure11")
-def run(tier1_only: bool = True) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the Figure 11 peering recommendations.
 
-    Args:
-        tier1_only: consider only new tier-1 transit (the paper's
-            Figure 11 recommendations are all regional-to-tier-1 links;
-            our synthetic regional footprints overlap more than the real
-            corpus, so unrestricted search surfaces mutual regional
-            peerings instead).
+    Only new tier-1 transit is considered: the paper's Figure 11
+    recommendations are all regional-to-tier-1 links, and our synthetic
+    regional footprints overlap more than the real corpus, so an
+    unrestricted search surfaces mutual regional peerings instead.
     """
     topology, model = _shared_state()
     # One router over the plain merge serves every regional's search:
@@ -45,8 +43,7 @@ def run(tier1_only: bool = True) -> ExperimentResult:
     rows = []
     for network in regional_networks():
         rec = best_new_peering(
-            topology, model, network.name, tier1_only=tier1_only,
-            router=router,
+            topology, model, network.name, tier1_only=True, router=router,
         )
         if rec is None:
             rows.append(

@@ -8,7 +8,7 @@ tier-1 network is re-evaluated with gamma_h = 1e5, gamma_f = 1e3.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from ..forecast.advisory import Advisory, advisory_text
 from ..forecast.risk import snapshot_from_text
@@ -20,7 +20,7 @@ from ..topology.zoo import tier1_networks
 from .base import ExperimentResult, register
 
 #: Number of advisory ticks sampled per storm (the paper labels 6-10).
-DEFAULT_TICKS = 6
+TICKS = 6
 
 
 def sample_ticks(advisories: Sequence[Advisory], count: int) -> List[Advisory]:
@@ -34,34 +34,19 @@ def sample_ticks(advisories: Sequence[Advisory], count: int) -> List[Advisory]:
 
 
 @register("figure12")
-def run(
-    storms: Optional[Sequence[str]] = None,
-    ticks: int = DEFAULT_TICKS,
-    networks: Optional[Sequence[str]] = None,
-) -> ExperimentResult:
-    """Regenerate the Figure 12 time series.
-
-    Args:
-        storms: storm subset (default all three).
-        ticks: advisory samples per storm.
-        networks: tier-1 subset (default all seven).
-    """
-    storm_names = list(storms) if storms else list(case_study_storms())
-    wanted = set(networks) if networks else None
+def run() -> ExperimentResult:
+    """Regenerate the Figure 12 time series."""
     # One long-lived session per network: each advisory tick swaps only
     # the forecast component, so the engine keeps its geographic sweeps
     # and drops just the risk-weighted ones.
-    sessions = {}
-    for network in tier1_networks():
-        if wanted is not None and network.name not in wanted:
-            continue
-        sessions[network.name] = RoutingSession(
-            network, RiskModel.for_network(network)
-        )
+    sessions = {
+        network.name: RoutingSession(network, RiskModel.for_network(network))
+        for network in tier1_networks()
+    }
 
     rows = []
-    for storm in storm_names:
-        for advisory in sample_ticks(storm_advisories(storm), ticks):
+    for storm in case_study_storms():
+        for advisory in sample_ticks(storm_advisories(storm), TICKS):
             snapshot = snapshot_from_text(advisory_text(advisory))
             forecast = ForecastedRiskModel([snapshot])
             row = {

@@ -8,7 +8,7 @@ merged interdomain topology with the advisory-specific forecast field.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..core.interdomain import InterdomainRouter, regional_pair_population
 from ..forecast.advisory import advisory_text
@@ -26,7 +26,8 @@ from .figure12_tier1_casestudy import sample_ticks
 #: their PoPs inside the storm's scope.
 SCOPE_FRACTION = 0.20
 
-DEFAULT_TICKS = 5
+#: Number of advisory ticks sampled per storm.
+TICKS = 5
 
 
 @lru_cache(maxsize=1)
@@ -50,21 +51,18 @@ def networks_in_scope(storm: str) -> List[str]:
 
 
 @register("figure13")
-def run(
-    storms: Optional[Sequence[str]] = None, ticks: int = DEFAULT_TICKS
-) -> ExperimentResult:
+def run() -> ExperimentResult:
     """Regenerate the Figure 13 time series."""
     topology, base_model = _shared_state()
     destinations = regional_pair_population(topology)
-    storm_names = list(storms) if storms else list(case_study_storms())
     # One router over the merge for the whole run, as in Figure 12:
     # each tick swaps only the forecast field, so the engine keeps its
     # geographic sweeps and drops just the risk-weighted ones.
     router = InterdomainRouter(topology, base_model)
     rows = []
-    for storm in storm_names:
+    for storm in case_study_storms():
         in_scope = networks_in_scope(storm)
-        for advisory in sample_ticks(storm_advisories(storm), ticks):
+        for advisory in sample_ticks(storm_advisories(storm), TICKS):
             snapshot = snapshot_from_text(advisory_text(advisory))
             forecast = ForecastedRiskModel([snapshot])
             of_map: Dict[str, float] = {}

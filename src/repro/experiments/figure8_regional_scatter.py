@@ -26,10 +26,10 @@ def _shared_state() -> Tuple[InterdomainTopology, RiskModel]:
     return topology, model
 
 
-def regional_ratio_map(gamma_h: float = 1e5) -> Dict[str, Tuple[float, float]]:
-    """(rr, dr) per regional network — shared with the Table 3 experiment."""
+def regional_ratio_map() -> Dict[str, Tuple[float, float]]:
+    """(rr, dr) per regional network at the model's default gammas."""
     topology, model = _shared_state()
-    router = InterdomainRouter(topology, model.with_gammas(gamma_h, 1e3))
+    router = InterdomainRouter(topology, model)
     destinations = regional_pair_population(topology)
     out: Dict[str, Tuple[float, float]] = {}
     for network in regional_networks():

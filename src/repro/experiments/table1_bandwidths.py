@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from ..disasters.catalog import (
-    PAPER_BANDWIDTHS,
-    PRETRAINED_BANDWIDTHS,
-    train_bandwidth,
-)
+from ..disasters.catalog import PAPER_BANDWIDTHS, train_bandwidth
 from ..disasters.events import EventType, PAPER_EVENT_COUNTS
 from .base import ExperimentResult, register
 
@@ -20,29 +16,18 @@ _LABELS = {
 
 
 @register("table1")
-def run(retrain: bool = True) -> ExperimentResult:
-    """Regenerate Table 1.
-
-    Args:
-        retrain: run the 5-fold cross validation (the real experiment);
-            False reports the shipped pretrained constants only.
-    """
+def run() -> ExperimentResult:
+    """Regenerate Table 1 by 5-fold cross validation."""
     rows = []
     for event_type in EventType.ALL:
-        if retrain:
-            result = train_bandwidth(event_type)
-            bandwidth = result.best_bandwidth_miles
-            events_used = result.n_events_used
-        else:
-            bandwidth = PRETRAINED_BANDWIDTHS[event_type]
-            events_used = 0
+        result = train_bandwidth(event_type)
         rows.append(
             {
                 "event_type": _LABELS[event_type],
                 "entries": PAPER_EVENT_COUNTS[event_type],
-                "bandwidth_miles": bandwidth,
+                "bandwidth_miles": result.best_bandwidth_miles,
                 "paper_bandwidth": PAPER_BANDWIDTHS[event_type],
-                "cv_events_used": events_used,
+                "cv_events_used": result.n_events_used,
             }
         )
     return ExperimentResult(

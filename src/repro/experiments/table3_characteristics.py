@@ -39,13 +39,11 @@ PAPER_TABLE3: Dict[str, tuple] = {
 }
 
 
-def regional_network_ratios(
-    gamma_h: float = 1e5,
-) -> Dict[str, Tuple[float, float]]:
+def regional_network_ratios() -> Dict[str, Tuple[float, float]]:
     """(rr, dr) of each regional network's own (intradomain) routing."""
     out: Dict[str, Tuple[float, float]] = {}
     for network in regional_networks():
-        model = RiskModel.for_network(network, gamma_h=gamma_h)
+        model = RiskModel.for_network(network)
         result = RoutingSession(network, model).all_pairs()
         out[network.name] = (
             result.risk_reduction_ratio,

@@ -36,8 +36,9 @@ __all__ = [
 #: 2/3-probability circle reaches ~100 nm (115 mi) at 48 h.
 CONE_GROWTH_MILES_PER_HOUR = 2.4
 
-#: Default forecast leads, hours (matching NHC advisory structure).
-DEFAULT_LEADS_HOURS = (12.0, 24.0, 48.0)
+#: Forecast leads of the anticipatory field, hours (matching NHC
+#: advisory structure).
+LEADS_HOURS = (12.0, 24.0, 48.0)
 
 #: Risk discount per projected hour: a threat 48 h out counts ~1/3 of a
 #: current one (operators weight immediacy).
@@ -61,8 +62,7 @@ class ProjectedPosition:
 
 
 def project_advisory(
-    advisory: Advisory,
-    leads_hours: Sequence[float] = DEFAULT_LEADS_HOURS,
+    advisory: Advisory, leads_hours: Sequence[float]
 ) -> List[ProjectedPosition]:
     """Project an advisory forward along its motion vector.
 
@@ -97,23 +97,21 @@ def project_advisory(
     return out
 
 
-def anticipatory_snapshots(
-    advisory: Advisory,
-    leads_hours: Sequence[float] = DEFAULT_LEADS_HOURS,
-) -> List[ForecastSnapshot]:
+def anticipatory_snapshots(advisory: Advisory) -> List[ForecastSnapshot]:
     """The current plus projected wind fields, discounted by lead time.
 
     The advisory's own field comes first, at full risk.  Each
-    projection's field (cone-inflated) follows with its lead-time
-    weight multiplied into ``rho_tropical`` and ``rho_hurricane``; a
-    projection whose weight reaches zero is dropped.  A
+    projection at :data:`LEADS_HOURS` (cone-inflated) follows
+    with its lead-time weight multiplied into ``rho_tropical`` and
+    ``rho_hurricane``; a projection whose weight reaches zero (the
+    48-hour one, at :data:`LEAD_DISCOUNT_PER_HOUR`) is dropped.  A
     :class:`~repro.risk.forecasted.ForecastedRiskModel` over the list is
     the anticipatory ``o_f``: the maximum over the weighted fields, so
     infrastructure in the storm's *projected* path is already priced
     before the winds arrive.
     """
     snapshots = [snapshot_from_advisory(advisory)]
-    for projection in project_advisory(advisory, leads_hours):
+    for projection in project_advisory(advisory, LEADS_HOURS):
         weight = 1.0 - LEAD_DISCOUNT_PER_HOUR * projection.lead_hours
         if weight <= 0.0:
             continue

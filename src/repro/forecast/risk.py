@@ -86,27 +86,19 @@ class ForecastSnapshot:
         return _ZONE_NAMES[int(level)]
 
 
-def snapshot_from_advisory(
-    advisory: Advisory,
-    rho_tropical: float = RHO_TROPICAL,
-    rho_hurricane: float = RHO_HURRICANE,
-) -> ForecastSnapshot:
-    """Build the risk field directly from a structured advisory."""
+def snapshot_from_advisory(advisory: Advisory) -> ForecastSnapshot:
+    """Build the risk field directly from a structured advisory, at the
+    paper's ``rho_t`` and ``rho_h``."""
     return ForecastSnapshot(
         center=advisory.center,
         hurricane_radius_miles=advisory.hurricane_radius_miles,
         tropical_radius_miles=advisory.tropical_radius_miles,
-        rho_tropical=rho_tropical,
-        rho_hurricane=rho_hurricane,
     )
 
 
-def snapshot_from_text(
-    text: str,
-    rho_tropical: float = RHO_TROPICAL,
-    rho_hurricane: float = RHO_HURRICANE,
-) -> ForecastSnapshot:
-    """Build the risk field from raw advisory text via the NLP parser.
+def snapshot_from_text(text: str) -> ForecastSnapshot:
+    """Build the risk field from raw advisory text via the NLP parser,
+    at the paper's ``rho_t`` and ``rho_h``.
 
     This is the full pipeline of Section 5.3: advisory prose in, risk
     field out.
@@ -119,8 +111,6 @@ def snapshot_from_text(
         center=parsed.center,
         hurricane_radius_miles=parsed.hurricane_radius_miles,
         tropical_radius_miles=parsed.tropical_radius_miles,
-        rho_tropical=rho_tropical,
-        rho_hurricane=rho_hurricane,
     )
 
 

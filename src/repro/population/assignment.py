@@ -15,7 +15,7 @@ recomputes ``h`` only for the rare rows where a second PoP's dot lies
 within :data:`_TIE_MARGIN` of the best, so every block gets the PoP
 the ``h`` argmin gives, bit for bit.
 
-Shares under the default synthetic census are memoized (a Level3 sweep
+Shares under the synthetic census are memoized (a Level3 sweep
 over 215,932 blocks takes about 0.2 s).  The memo is keyed by what the
 assignment reads — tier, footprint states, and each PoP's id and
 coordinates — not by network name, so two networks that share a name
@@ -24,7 +24,7 @@ never share population shares.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -45,7 +45,7 @@ _CHUNK = 2048
 #: so a gap above this margin orders both the same way.
 _TIE_MARGIN = 1e-12
 
-#: Network content -> its shares under the default synthetic census.
+#: Network content -> its shares under the synthetic census.
 _SHARES_MEMO: Dict[Tuple, Dict[str, float]] = {}
 
 
@@ -125,20 +125,15 @@ def _nearest_pops(
     return nearest
 
 
-def network_population_shares(
-    network: Network, census: Optional[CensusData] = None
-) -> Dict[str, float]:
+def network_population_shares(network: Network) -> Dict[str, float]:
     """``{pop_id: c_i}`` for one network, honouring regional footprints.
 
     Tier-1 networks are assigned the full continental population;
     regional networks only the population of their footprint states
-    (Section 5.1).  Without ``census`` the default synthetic census is
-    used and the shares are memoized (see the module docstring); a
-    custom census bypasses the memo.  Returns a copy the caller may
+    (Section 5.1).  The shares come from the synthetic census and are
+    memoized (see the module docstring).  Returns a copy the caller may
     alter.
     """
-    if census is not None:
-        return _footprint_shares(network, census)
     key = (
         network.tier,
         network.states,

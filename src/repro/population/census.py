@@ -87,26 +87,15 @@ class CensusData:
         return CensusData(self.lat[mask], self.lon[mask], self.population[mask])
 
 
-@lru_cache(maxsize=4)
-def synthetic_census(
-    seed: int = 20130909, n_blocks: int = PAPER_BLOCK_COUNT
-) -> CensusData:
-    """Generate (and cache) the synthetic census corpus.
+@lru_cache(maxsize=None)
+def synthetic_census() -> CensusData:
+    """Generate (and cache) the synthetic census corpus: the paper's
+    :data:`PAPER_BLOCK_COUNT` blocks inside the continental US, from a
+    seed that marks the CoNEXT'13 deadline."""
+    rng = np.random.default_rng(20130909)
 
-    Args:
-        seed: generator seed; the default marks the CoNEXT'13 deadline.
-        n_blocks: total block count (paper: 215,932).
-
-    Returns:
-        A :class:`CensusData` with ``n_blocks`` blocks inside the
-        continental US.
-    """
-    if n_blocks < 1:
-        raise ValueError("n_blocks must be positive")
-    rng = np.random.default_rng(seed)
-
-    n_rural = int(n_blocks * _RURAL_FRACTION)
-    n_urban = n_blocks - n_rural
+    n_rural = int(PAPER_BLOCK_COUNT * _RURAL_FRACTION)
+    n_urban = PAPER_BLOCK_COUNT - n_rural
 
     # Urban blocks: multinomial split across cities by population weight.
     weights = np.array([c.population for c in ALL_CITIES], dtype=np.float64)
@@ -139,8 +128,7 @@ def synthetic_census(
     np.clip(lon, CONTINENTAL_US.west, CONTINENTAL_US.east, out=lon)
 
     # Block populations: heavy-tailed lognormal; rural blocks are smaller.
-    population = rng.lognormal(mean=6.0, sigma=1.0, size=n_blocks)
-    if n_rural:
-        population[-n_rural:] *= 0.2
+    population = rng.lognormal(mean=6.0, sigma=1.0, size=PAPER_BLOCK_COUNT)
+    population[-n_rural:] *= 0.2
 
     return CensusData(lat, lon, population)

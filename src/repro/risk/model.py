@@ -107,32 +107,21 @@ class RiskModel:
         )
 
     @classmethod
-    def for_interdomain(
-        cls,
-        topology: InterdomainTopology,
-        historical: Optional[HistoricalRiskModel] = None,
-        gamma_h: float = DEFAULT_GAMMA_H,
-        gamma_f: float = DEFAULT_GAMMA_F,
-    ) -> "RiskModel":
-        """Build the merged model of an interdomain topology.
+    def for_interdomain(cls, topology: InterdomainTopology) -> "RiskModel":
+        """Build the merged model of an interdomain topology, from the
+        five-class corpus model at the default gammas.
 
         Shares come from each network's own (footprint-confined)
         population assignment, so a regional PoP's impact reflects the
-        population it actually serves.  A bad gamma is rejected before
-        any share or ``o_h`` is computed.
+        population it actually serves.
         """
-        _check_gammas(gamma_h, gamma_f)
-        if historical is None:
-            historical = default_historical_model()
+        historical = default_historical_model()
         shares: Dict[str, float] = {}
         oh: Dict[str, float] = {}
         for network in topology.networks.values():
             shares.update(network_population_shares(network))
             oh.update(historical.pop_risks(network))
-        return cls(
-            shares, oh, dict.fromkeys(shares, 0.0),
-            gamma_h=gamma_h, gamma_f=gamma_f,
-        )
+        return cls(shares, oh, dict.fromkeys(shares, 0.0))
 
     # -- variants --------------------------------------------------------
 

@@ -44,7 +44,7 @@ from ..disasters.events import (
     EventKey,
     EventType,
 )
-from ..stats.kde import DEFAULT_CUTOFF_SIGMAS, points_to_array
+from ..stats.kde import points_to_array
 from ..stats.streaming import StreamingKDE
 from .historical import RISK_UNIT_MILES, HistoricalRiskModel
 
@@ -111,23 +111,20 @@ class _ArchiveKeys:
 class StreamingHistoricalModel(HistoricalRiskModel):
     """A historical risk model that accepts live event ingest.
 
+    Every class weighs equally, as in the default corpus model.
+
     Args:
         catalogs: event-class -> full :class:`DisasterCatalog` of that
             class (its keys are kept as sorted columns for duplicate
             detection).
         bandwidths: per-class kernel bandwidth in miles; defaults to
             the pretrained Table 1 values.
-        weights: per-class emphasis, as in the base model.
-        cutoff_sigmas: kernel truncation radius (must not be None —
-            streaming requires the cell-binned path).
     """
 
     def __init__(
         self,
         catalogs: Mapping[str, DisasterCatalog],
         bandwidths: Optional[Mapping[str, float]] = None,
-        weights: Optional[Mapping[str, float]] = None,
-        cutoff_sigmas: float = DEFAULT_CUTOFF_SIGMAS,
     ) -> None:
         if not catalogs:
             raise ValueError("need at least one event-class catalog")
@@ -143,11 +140,9 @@ class StreamingHistoricalModel(HistoricalRiskModel):
                 if bandwidths is None
                 else float(bandwidths[event_type])
             )
-            kdes[event_type] = StreamingKDE.from_array(
-                catalog.latlon(), bandwidth, cutoff_sigmas=cutoff_sigmas
-            )
+            kdes[event_type] = StreamingKDE(catalog.latlon(), bandwidth)
             self._archive[event_type] = _ArchiveKeys(catalog)
-        super().__init__(kdes, weights)
+        super().__init__(kdes)
 
     # -- ingest ------------------------------------------------------------
 

@@ -41,12 +41,16 @@ from ..engine import RoutingEngine
 from ..risk.model import RiskModel
 from ..session import RoutingSession
 from ..topology.network import Network
-from ..traffic.gravity import TrafficMatrix, gravity_matrix
+from ..traffic.gravity import gravity_matrix
 
 __all__ = ["CascadeConfig", "CascadeResult", "CascadeSimulator", "POLICIES"]
 
 #: The provisioning policies a cascade can be run under.
 POLICIES = ("shortest", "riskroute")
+
+#: Hard stop on cascade rounds (a safety bound: real cascades reach
+#: their fixpoint long before).
+_MAX_ROUNDS = 50
 
 #: Relative capacity floor: an element's capacity is ``headroom x
 #: max(load, floor_fraction x mean load)`` so zero-load elements do not
@@ -65,14 +69,11 @@ class CascadeConfig:
         redistribute: the defense knob (see module docstring).
         alternates: how many risk-aware alternates a defended shed is
             split across.
-        max_rounds: hard stop on cascade rounds (safety bound; real
-            cascades reach fixpoint long before).
     """
 
     headroom: Optional[float] = 1.5
     redistribute: bool = True
     alternates: int = 3
-    max_rounds: int = 50
 
     def __post_init__(self) -> None:
         # NaN fails both comparisons, so it is caught with the infinities.
@@ -80,8 +81,6 @@ class CascadeConfig:
             raise ValueError("headroom must be positive and finite (or None)")
         if self.alternates < 1:
             raise ValueError("alternates must be >= 1")
-        if self.max_rounds < 1:
-            raise ValueError("max_rounds must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -129,19 +128,17 @@ class CascadeSimulator:
     sampled survival routes — so one simulator is built per Monte Carlo
     run and :meth:`run` stays cheap enough for hundreds of scenarios.
 
+    Demand is the network's gravity model
+    (:func:`~repro.traffic.gravity.gravity_matrix`).
+
     Args:
         network: topology under study.
         model: risk model driving the risk-aware policy and alternates.
-        traffic: demand matrix; defaults to the gravity model.
         sample_pairs: size of the survival route sample (matches
             :func:`repro.core.simulation.route_survival`).
         engine: an engine over ``network`` to route on (the daemon
             passes its session's, so a request reuses its warm
             sweeps); built when omitted.
-
-    Raises:
-        ValueError: when the traffic matrix covers different PoPs than
-            the network.
     """
 
     def __init__(
@@ -149,7 +146,6 @@ class CascadeSimulator:
         network: Network,
         model: RiskModel,
         *,
-        traffic: Optional[TrafficMatrix] = None,
         sample_pairs: int = 60,
         engine: Optional[RoutingEngine] = None,
     ) -> None:
@@ -186,8 +182,8 @@ class CascadeSimulator:
             self._incident[u].append((v, idx))
             self._incident[v].append((u, idx))
 
-        traffic = traffic or gravity_matrix(network)
-        self.demand = self._aligned_demand(traffic)
+        # gravity_matrix orders its PoPs as network.pops() does.
+        self.demand = gravity_matrix(network).as_array()
         self._total_demand = float(np.triu(self.demand, 1).sum())
 
         # Baseline loads: gravity demand carried over each policy's
@@ -212,14 +208,6 @@ class CascadeSimulator:
             self._routes["riskroute"].append(self._route_arrays(risky.path))
 
     # -- construction helpers ---------------------------------------------
-
-    def _aligned_demand(self, traffic: TrafficMatrix) -> "np.ndarray":
-        if set(traffic.pop_ids) != set(self.pop_ids):
-            raise ValueError(
-                "traffic matrix PoPs do not match the network's"
-            )
-        order = [traffic.pop_ids.index(pid) for pid in self.pop_ids]
-        return traffic.as_array()[np.ix_(order, order)]
 
     def _baseline_loads(
         self, session: RoutingSession, policy: str
@@ -321,7 +309,7 @@ class CascadeSimulator:
         )
         depth = 0
         trips = 0
-        while depth < config.max_rounds:
+        while depth < _MAX_ROUNDS:
             over_pops, over_links = self._overloads(
                 alive_pop, alive_link, load, lload, cap_pop, cap_link
             )

@@ -5,8 +5,8 @@ Two line-of-sight links whose great-circle paths run through the same
 bridge crossing or river valley — one backhoe, flood or ice storm takes
 both out at once.  This module rasterises every link's geodesic onto a
 corridor :class:`~repro.geo.grid.GeoGrid` and groups links by shared
-cell: each occupied cell with at least ``min_links`` distinct links
-becomes one :class:`SharedRiskGroup` whose *activation* fails every
+cell: each occupied cell with at least two distinct links becomes one
+:class:`SharedRiskGroup` whose *activation* fails every
 member link (and any PoP sitting inside the corridor cell)
 simultaneously.
 
@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
-from ..geo.coords import CONTINENTAL_US, BoundingBox, GeoPoint
+from ..geo.coords import CONTINENTAL_US, GeoPoint
 from ..geo.distance import haversine_miles, interpolate_great_circle
 from ..geo.grid import GeoGrid
 from ..topology.network import Network
@@ -41,10 +41,9 @@ __all__ = [
 _MILES_PER_DEGREE_LAT = 69.0
 
 
-def corridor_grid(
-    corridor_miles: float, box: BoundingBox = CONTINENTAL_US
-) -> GeoGrid:
-    """A grid whose cells are roughly ``corridor_miles`` on a side.
+def corridor_grid(corridor_miles: float) -> GeoGrid:
+    """A grid over the continental US whose cells are roughly
+    ``corridor_miles`` on a side.
 
     Longitudinal cell width is corrected for the box's mean latitude so
     cells stay approximately square on the ground.
@@ -54,6 +53,7 @@ def corridor_grid(
     """
     if not 0 < corridor_miles < math.inf:
         raise ValueError("corridor_miles must be positive and finite")
+    box = CONTINENTAL_US
     mean_lat = math.radians((box.south + box.north) / 2.0)
     n_lat = max(
         1, round(box.height_degrees * _MILES_PER_DEGREE_LAT / corridor_miles)
@@ -78,9 +78,13 @@ def link_corridor_cells(
     The great circle from ``a`` to ``b`` is sampled every
     ``step_miles`` (at least both endpoints); samples outside the
     grid's bounding box are ignored.
+
+    Raises:
+        ValueError: for a step that is not finite and positive.
     """
-    if step_miles <= 0:
-        raise ValueError("step_miles must be positive")
+    # NaN fails both comparisons, so it is caught with the infinities.
+    if not 0 < step_miles < math.inf:
+        raise ValueError("step_miles must be positive and finite")
     length = haversine_miles(a, b)
     samples = max(2, int(math.ceil(length / step_miles)) + 1)
     cells: Set[Tuple[int, int]] = set()
@@ -157,31 +161,26 @@ class SrgIndex:
 
 
 def infer_srgs(
-    network: Network,
-    model=None,
-    corridor_miles: float = 50.0,
-    grid: Optional[GeoGrid] = None,
-    min_links: int = 2,
+    network: Network, model=None, corridor_miles: float = 50.0
 ) -> SrgIndex:
     """Infer the shared-risk groups of one network.
+
+    A cell crossed by fewer than two distinct links yields no group.
 
     Args:
         network: topology whose links are rasterised.
         model: optional :class:`~repro.risk.model.RiskModel` supplying
             per-PoP node risks for the groups' sampling weights.
-        corridor_miles: corridor cell size (ignored when ``grid`` is
-            given); geodesics are sampled at half this spacing so no
-            traversed cell is skipped.
-        grid: explicit corridor grid to rasterise onto.
-        min_links: cells shared by fewer links yield no group.
+        corridor_miles: corridor cell size of the
+            :func:`corridor_grid` the links are rasterised onto;
+            geodesics are sampled at half this spacing so no traversed
+            cell is skipped.
 
     Raises:
-        ValueError: for non-positive ``corridor_miles`` or ``min_links``.
+        ValueError: for a ``corridor_miles`` that is not finite and
+            positive.
     """
-    if min_links < 1:
-        raise ValueError("min_links must be >= 1")
-    if grid is None:
-        grid = corridor_grid(corridor_miles)
+    grid = corridor_grid(corridor_miles)
     step = corridor_miles / 2.0
     by_cell: Dict[Tuple[int, int], List[Tuple[str, str]]] = {}
     for link in network.links():
@@ -202,7 +201,7 @@ def infer_srgs(
     groups: List[SharedRiskGroup] = []
     for cell in sorted(by_cell):
         links = sorted(set(by_cell[cell]))
-        if len(links) < min_links:
+        if len(links) < 2:
             continue
         pops = tuple(sorted(pop_cells.get(cell, [])))
         touched = sorted({p for pair in links for p in pair} | set(pops))

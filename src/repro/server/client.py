@@ -50,7 +50,7 @@ import random
 import socket
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from . import ops
 from .protocol import PROTOCOL_VERSION
@@ -61,6 +61,25 @@ __all__ = ["RiskRouteClient", "RetryPolicy", "ServerError"]
 #: derived from the registry (``read`` and ``control`` ops; writes are
 #: excluded).  ``write`` ops join them only when token-guarded.
 RETRY_SAFE_OPS = frozenset(ops.retry_safe_op_names())
+
+#: Server error codes worth retrying.  ``overloaded`` /
+#: ``shutting_down`` are rejections issued *before* execution, so they
+#: are safe for every op; ``shard_unavailable`` is only ever attached to
+#: replicated reads (a key's whole replica set was down for a moment —
+#: idempotent by classification), so riding through the respawn window
+#: with a retry is safe too.
+RETRY_CODES = frozenset({"overloaded", "shutting_down", "shard_unavailable"})
+
+#: Backoff before the first retry, in seconds; each further retry
+#: multiplies it by :data:`BACKOFF_MULTIPLIER`, up to
+#: :data:`MAX_BACKOFF`.
+BASE_BACKOFF = 0.05
+BACKOFF_MULTIPLIER = 2.0
+MAX_BACKOFF = 2.0
+
+#: Fraction of each backoff randomized away: a sleep lands somewhere in
+#: [0.5, 1.0] x the delay.
+BACKOFF_JITTER = 0.5
 
 
 class ServerError(RuntimeError):
@@ -74,54 +93,32 @@ class ServerError(RuntimeError):
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How a client retries transient failures.
+    """How a client retries transient failures: the error codes in
+    :data:`RETRY_CODES` and, for retry-safe requests, transport
+    failures, each after a jittered exponential backoff.
 
     Args:
         attempts: total tries per call (1 = no retry).
-        base_delay: backoff before the first retry, in seconds.
-        multiplier: exponential backoff factor per retry.
-        max_delay: cap on a single backoff sleep.
-        jitter: fraction of each delay randomized away (0 = none,
-            0.5 = sleep somewhere in [0.5, 1.0] x delay).
         budget: total seconds a call may spend across all retries;
             exhausting it re-raises the last failure immediately.
-        retry_codes: server error codes worth retrying.
-            ``overloaded`` / ``shutting_down`` are rejections issued
-            *before* execution, so they are safe for every op;
-            ``shard_unavailable`` is only ever attached to replicated
-            reads (a key's whole replica set was down for a moment —
-            idempotent by classification), so riding through the
-            respawn window with a retry is safe too.
     """
 
     attempts: int = 4
-    base_delay: float = 0.05
-    multiplier: float = 2.0
-    max_delay: float = 2.0
-    jitter: float = 0.5
     budget: float = 30.0
-    retry_codes: Tuple[str, ...] = (
-        "overloaded",
-        "shutting_down",
-        "shard_unavailable",
-    )
 
     def __post_init__(self) -> None:
         if self.attempts < 1:
             raise ValueError("attempts must be >= 1")
-        if self.base_delay < 0 or self.max_delay < 0 or self.budget <= 0:
-            raise ValueError("delays must be >= 0 and budget > 0")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
-        if not 0.0 <= self.jitter <= 1.0:
-            raise ValueError("jitter must be within [0, 1]")
+        if self.budget <= 0:
+            raise ValueError("budget must be > 0")
 
-    def delay(self, retry_index: int, rng: random.Random) -> float:
+    @staticmethod
+    def delay(retry_index: int, rng: random.Random) -> float:
         """The jittered backoff before retry ``retry_index`` (0-based)."""
         raw = min(
-            self.max_delay, self.base_delay * self.multiplier ** retry_index
+            MAX_BACKOFF, BASE_BACKOFF * BACKOFF_MULTIPLIER ** retry_index
         )
-        return raw * (1.0 - self.jitter * rng.random())
+        return raw * (1.0 - BACKOFF_JITTER * rng.random())
 
 
 class RiskRouteClient:
@@ -224,7 +221,7 @@ class RiskRouteClient:
                 self._ensure_connected()
                 return self._roundtrip(op, wire_params)
             except ServerError as exc:
-                if policy is None or exc.code not in policy.retry_codes:
+                if policy is None or exc.code not in RETRY_CODES:
                     raise
                 self._backoff(policy, retry_index, deadline, exc)
             except OSError as exc:

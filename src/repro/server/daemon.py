@@ -103,25 +103,24 @@ class ServerConfig:
             milliseconds widens the coalescing window under load).
         request_timeout: per-request deadline in seconds; expired
             requests get a ``timeout`` reply (0 = no deadline).
-        max_line_bytes: request-line cap; longer lines are answered
-            ``too_large`` and the connection closes.
         faults: optional :class:`FaultPlane` for chaos tests; ``None``
             (production) disables every injection site.
         shards: query-serving shard processes.  0 (the default) serves
             in-process; N >= 1 fans query batches across N
             :mod:`~repro.server.shards` workers over a shared-memory
             engine export, with writes applied in the parent and
-            broadcast behind a fingerprint barrier.
-        shard_timeout: seconds the shard watchdog waits for one shard's
-            batch, write ack or warm-up ping before declaring it hung.
+            broadcast behind a fingerprint barrier; a shard is declared
+            hung after :data:`~repro.server.shards.SHARD_TIMEOUT`.
         replicas: shards serving each read key (clamped to ``shards``),
             ranked by rendezvous hashing.  1 (the default) gives every
             pair/params key one owner; R >= 2 replicates it over R
             shards with load-balanced routing and transparent one-hop
             failover for reads.
 
-    A field with a ``help`` entry in its metadata is also a
-    ``riskroute serve`` flag, which takes its default from here.
+    A request line longer than :data:`~repro.server.protocol.MAX_LINE_BYTES`
+    is answered ``too_large`` and its connection closes.  A field with a
+    ``help`` entry in its metadata is also a ``riskroute serve`` flag,
+    which takes its default from here.
     """
 
     host: str = "127.0.0.1"
@@ -133,10 +132,8 @@ class ServerConfig:
                 "coalesce"})
     request_timeout: float = field(default=30.0, metadata={
         "help": "per-request deadline in seconds, 0 disables"})
-    max_line_bytes: int = MAX_LINE_BYTES
     faults: Optional[FaultPlane] = None
     shards: int = 0
-    shard_timeout: float = 120.0
     replicas: int = 1
 
     def __post_init__(self) -> None:
@@ -146,12 +143,8 @@ class ServerConfig:
             raise ValueError("batch_linger must be >= 0")
         if self.request_timeout < 0:
             raise ValueError("request_timeout must be >= 0")
-        if self.max_line_bytes < 1024:
-            raise ValueError("max_line_bytes must be >= 1024")
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
-        if self.shard_timeout <= 0:
-            raise ValueError("shard_timeout must be > 0")
         if self.replicas < 1:
             raise ValueError("replicas must be >= 1")
 
@@ -215,7 +208,6 @@ class RiskRouteServer:
                 self.session,
                 self.config.shards,
                 replicas=self.config.replicas,
-                timeout=self.config.shard_timeout,
                 faults=self._faults,
                 engine_config=getattr(self.session, "_config", None),
             )
@@ -227,7 +219,7 @@ class RiskRouteServer:
             self._handle,
             self.config.host,
             self.config.port,
-            limit=self.config.max_line_bytes,
+            limit=MAX_LINE_BYTES,
         )
         self._supervisor_task = loop.create_task(self._supervise())
         sockname = self._server.sockets[0].getsockname()
@@ -296,7 +288,7 @@ class RiskRouteServer:
                             None,
                             "too_large",
                             f"request line exceeds "
-                            f"{self.config.max_line_bytes} bytes",
+                            f"{MAX_LINE_BYTES} bytes",
                         ),
                     )
                     break

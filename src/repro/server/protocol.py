@@ -27,8 +27,8 @@ of a ``KeyError`` on fields it does not know.  v1 requests (no ``v``)
 are always accepted — v2 only added the envelope version itself.
 
 Error codes are a closed set (:data:`ERROR_CODES`); clients switch on
-``code``, never on message text.  Lines longer than the server's
-``max_line_bytes`` cap are answered with ``too_large`` and the
+``code``, never on message text.  Lines longer than
+:data:`MAX_LINE_BYTES` are answered with ``too_large`` and the
 connection is closed (the rest of the oversized line cannot be framed
 reliably).
 
@@ -78,7 +78,8 @@ __all__ = [
 #: v2: ``v`` on requests and replies, ``unsupported_version`` errors.
 PROTOCOL_VERSION = 2
 
-#: Default cap on one request line (daemon and client side).
+#: Cap on one request line the daemon reads; a longer line is answered
+#: ``too_large``.
 MAX_LINE_BYTES = 1 << 20
 
 #: The closed error vocabulary.

@@ -44,13 +44,13 @@ A celebrity key therefore spreads over its R replicas instead of
 saturating one process, at the cost of cache affinity for that key.
 
 **Failover**: a batch is one round — send every shard its group, then
-collect every answer.  A shard that died, or hung past ``timeout``, is
-lost for the batch.  With ``replicas >= 2``, one failover round
-re-sends each lost group's items to a live replica outside the lost
-set, so a request visits at most two shards, and the ``item.reply is
-None`` guard fills each item exactly once.  Items still unanswered get
-a typed ``shard_unavailable`` error, which clients may safely retry
-(:class:`~repro.server.client.RetryPolicy` does by default).  With
+collect every answer.  A shard that died, or hung past
+:data:`SHARD_TIMEOUT`, is lost for the batch.  With ``replicas >= 2``,
+one failover round re-sends each lost group's items to a live replica
+outside the lost set, so a request visits at most two shards, and the
+``item.reply is None`` guard fills each item exactly once.  Items still
+unanswered get a typed ``shard_unavailable`` error, which clients may
+safely retry (:class:`~repro.server.client.RetryPolicy` does).  With
 ``replicas=1`` there is no failover round: typed ``internal`` errors,
 fail-fast.  Lost shards are respawned before the batch returns, so
 every error reply goes out after the respawn.
@@ -105,10 +105,15 @@ from .protocol import Request, encode_error
 from .service import QueryService, apply_field
 
 __all__ = [
+    "SHARD_TIMEOUT",
     "ShardPool",
     "ShardSpec",
     "replicas_of",
 ]
+
+#: Seconds the pool waits for one shard's batch, write ack or warm-up
+#: ping before it declares the shard hung and kills it.
+SHARD_TIMEOUT = 120.0
 
 
 def _affinity_key(request: Request) -> Optional[str]:
@@ -312,8 +317,6 @@ class ShardPool:
         shards: shard processes to run.
         replicas: shards serving each key, clamped to ``shards``;
             1 serves every key from its rendezvous primary alone.
-        timeout: seconds to wait for one shard batch, write ack or
-            warm-up ping before the shard is declared hung and killed.
         faults: fault plane — ``shard_exit`` / ``replica_crash`` are
             visited parent-side (counters survive respawns); a copy
             still pickles into each child for the service-level sites.
@@ -326,13 +329,11 @@ class ShardPool:
         shards: int,
         *,
         replicas: int,
-        timeout: float,
         faults: Optional[FaultPlane] = None,
         engine_config=None,
     ) -> None:
         self.nshards = shards
         self.replicas = min(replicas, shards)
-        self.timeout = timeout
         self._session = session
         self._faults = faults
         self._engine_config = engine_config
@@ -449,7 +450,7 @@ class ShardPool:
             if message is None:
                 raise RuntimeError(
                     f"shard {sid} did not answer its warm-up ping "
-                    f"within {self.timeout:g}s"
+                    f"within {SHARD_TIMEOUT:g}s"
                 )
             if message[2] != self.fingerprint:
                 raise RuntimeError(
@@ -463,13 +464,13 @@ class ShardPool:
     def _recv(self, shard: _Shard, kind: str, seq: int):
         """The shard's answer to the ``(kind, seq)`` message, or None.
 
-        None covers a hung shard (nothing within ``timeout``), a dead
-        pipe and any other message.  Because every pool call collects
+        None covers a hung shard (nothing within :data:`SHARD_TIMEOUT`),
+        a dead pipe and any other message.  Because every pool call collects
         each answer it asked for before it returns, the next message
         on a pipe is always the answer to the last one sent.
         """
         try:
-            if not shard.conn.poll(self.timeout):
+            if not shard.conn.poll(SHARD_TIMEOUT):
                 return None
             message = shard.conn.recv()
         except (EOFError, OSError):

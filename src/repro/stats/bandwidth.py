@@ -110,7 +110,7 @@ def cross_validate_bandwidth(
         # One KDE — and one bucket index — per candidate; every fold
         # reuses it, scoring the held-out rows against the masked
         # complement (same result as fitting on the training folds).
-        kde = GaussianKDE.from_array(working, bandwidth)
+        kde = GaussianKDE(working, bandwidth)
         fold_scores: List[float] = []
         for held_out in folds:
             if held_out.size == 0 or held_out.size == len(working):

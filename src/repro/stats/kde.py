@@ -243,7 +243,9 @@ class GaussianKDE:
     """A 2-D Gaussian kernel density estimate over geographic points.
 
     Args:
-        events: the observed event locations (at least one).
+        latlon_deg: the observed event locations, an (N, 2) array of
+            (lat, lon) degree rows (at least one; see
+            :func:`points_to_array` for a ``GeoPoint`` sequence).
         bandwidth_miles: the kernel bandwidth ``sigma`` in miles.
         cutoff_sigmas: kernel truncation radius in standard deviations
             (see the module docstring for the error bound); ``None``
@@ -256,36 +258,11 @@ class GaussianKDE:
 
     def __init__(
         self,
-        events: Sequence[GeoPoint],
-        bandwidth_miles: float,
-        cutoff_sigmas: Optional[float] = DEFAULT_CUTOFF_SIGMAS,
-    ) -> None:
-        self._init_from_array(
-            points_to_array(events), bandwidth_miles, cutoff_sigmas
-        )
-
-    @classmethod
-    def from_array(
-        cls,
         latlon_deg: "np.ndarray",
         bandwidth_miles: float,
         cutoff_sigmas: Optional[float] = DEFAULT_CUTOFF_SIGMAS,
-    ) -> "GaussianKDE":
-        """Build a KDE directly from an (N, 2) (lat, lon) degree array."""
-        kde = cls.__new__(cls)
-        kde._init_from_array(
-            np.asarray(latlon_deg, dtype=np.float64),
-            bandwidth_miles,
-            cutoff_sigmas,
-        )
-        return kde
-
-    def _init_from_array(
-        self,
-        events: "np.ndarray",
-        bandwidth_miles: float,
-        cutoff_sigmas: Optional[float],
     ) -> None:
+        events = np.asarray(latlon_deg, dtype=np.float64)
         if events.ndim != 2 or events.shape[1] != 2:
             raise ValueError("expected an (N, 2) array of (lat, lon)")
         if events.shape[0] == 0:

@@ -107,21 +107,18 @@ class _TrackedPoints:
 class StreamingKDE(GaussianKDE):
     """A :class:`GaussianKDE` whose event set can be patched in place.
 
-    Requires the truncated path (``cutoff_sigmas`` must not be None):
-    the exact dense path has no cell structure to localise updates in.
-    All evaluation methods are inherited and stay bitwise-identical to
-    a fresh ``GaussianKDE`` over the current event array; so does
+    Always on the truncated path at the default cutoff: the exact dense
+    path has no cell structure to localise updates in.  All evaluation
+    methods are inherited and stay bitwise-identical to a fresh
+    ``GaussianKDE`` over the current event array; so does
     :attr:`fingerprint`, which is what keeps fingerprint-keyed caches
     consistent across the streaming and rebuild paths.
     """
 
-    def _init_from_array(self, events, bandwidth_miles, cutoff_sigmas) -> None:
-        if cutoff_sigmas is None:
-            raise ValueError(
-                "StreamingKDE requires a truncation radius (the dense "
-                "path has no cells to patch); pass cutoff_sigmas"
-            )
-        super()._init_from_array(events, bandwidth_miles, cutoff_sigmas)
+    def __init__(
+        self, latlon_deg: "np.ndarray", bandwidth_miles: float
+    ) -> None:
+        super().__init__(latlon_deg, bandwidth_miles)
         self._tracked: Dict[str, _TrackedPoints] = {}
 
     # -- geometry ----------------------------------------------------------

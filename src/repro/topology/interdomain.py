@@ -39,29 +39,25 @@ class CandidatePeering:
 class InterdomainTopology:
     """The PoP-level merger of a set of networks under a peering graph.
 
+    A peering edge joins two PoPs of peered ISPs that lie within
+    :data:`CO_LOCATION_MILES` of each other.
+
     Args:
         networks: the ISPs to merge.
         peering: which pairs of ISPs interconnect.
-        co_location_miles: max distance for a peering edge between PoPs.
 
     Raises:
         ValueError: for duplicate network names or PoP ids.
     """
 
     def __init__(
-        self,
-        networks: Sequence[Network],
-        peering: PeeringGraph,
-        co_location_miles: float = CO_LOCATION_MILES,
+        self, networks: Sequence[Network], peering: PeeringGraph
     ) -> None:
-        if co_location_miles <= 0:
-            raise ValueError("co_location_miles must be positive")
         names = [n.name for n in networks]
         if len(set(names)) != len(names):
             raise ValueError("duplicate network names in the merge set")
         self.networks: Dict[str, Network] = {n.name: n for n in networks}
         self.peering = peering
-        self.co_location_miles = float(co_location_miles)
         self._owner: Dict[str, str] = {}
         for network in networks:
             for pop_id in network.pop_ids():
@@ -93,7 +89,7 @@ class InterdomainTopology:
         for pop_a in net_a.pops():
             for pop_b in net_b.pops():
                 dist = haversine_miles(pop_a.location, pop_b.location)
-                if dist <= self.co_location_miles:
+                if dist <= CO_LOCATION_MILES:
                     pairs.append((pop_a.pop_id, pop_b.pop_id, dist))
         return pairs
 

@@ -206,9 +206,9 @@ class Network:
             return 0.0
         return 2.0 * len(self._links) / len(self._pops)
 
-    def copy(self, name: Optional[str] = None) -> "Network":
-        """Deep copy, optionally renamed — used by what-if provisioning."""
-        clone = Network(name or self.name, tier=self.tier, states=self.states)
+    def copy(self) -> "Network":
+        """Deep copy — used by what-if provisioning."""
+        clone = Network(self.name, tier=self.tier, states=self.states)
         for pop in self._pops.values():
             clone.add_pop(pop)
         for link in self._links.values():

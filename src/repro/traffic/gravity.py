@@ -8,9 +8,9 @@ they serve, attenuated by distance,
 
     t_ij  ~  (c_i * c_j) / max(d_ij, d_floor)^beta
 
-normalised so all demands sum to 1.  With ``beta = 0`` the matrix is a
-pure population product; the default ``beta = 1`` gives the
-distance-discounted mix observed in inter-metro traffic studies.
+normalised so all demands sum to 1.  ``beta = 1`` and ``d_floor = 50``
+miles give the distance-discounted mix observed in inter-metro traffic
+studies.
 """
 
 from __future__ import annotations
@@ -24,6 +24,9 @@ from ..population.assignment import network_population_shares
 from ..topology.network import Network
 
 __all__ = ["TrafficMatrix", "gravity_matrix"]
+
+#: Distance-attenuation exponent.
+_BETA = 1.0
 
 #: Distance floor (miles) preventing metro-internal blowups.
 _DISTANCE_FLOOR_MILES = 50.0
@@ -76,26 +79,12 @@ class TrafficMatrix:
         return self._demands.copy()
 
 
-def gravity_matrix(
-    network: Network,
-    beta: float = 1.0,
-    distance_floor_miles: float = _DISTANCE_FLOOR_MILES,
-) -> TrafficMatrix:
+def gravity_matrix(network: Network) -> TrafficMatrix:
     """Build the gravity-model traffic matrix of a network.
 
-    Args:
-        network: PoPs and their geography.
-        beta: distance-attenuation exponent (0 = none).
-        distance_floor_miles: minimum effective distance.
-
     Raises:
-        ValueError: for negative beta, non-positive floor, or fewer than
-            two PoPs.
+        ValueError: for fewer than two PoPs.
     """
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    if distance_floor_miles <= 0:
-        raise ValueError("distance_floor_miles must be positive")
     pops = network.pops()
     if len(pops) < 2:
         raise ValueError("need at least two PoPs for a traffic matrix")
@@ -104,7 +93,7 @@ def gravity_matrix(
     # Zero-population PoPs still attract a trickle of traffic.
     shares = np.maximum(shares, 1e-6)
     distance = pairwise_distance_matrix([p.location for p in pops])
-    np.maximum(distance, distance_floor_miles, out=distance)
-    demands = np.outer(shares, shares) / distance**beta
+    np.maximum(distance, _DISTANCE_FLOOR_MILES, out=distance)
+    demands = np.outer(shares, shares) / distance**_BETA
     np.fill_diagonal(demands, 0.0)
     return TrafficMatrix([p.pop_id for p in pops], demands)

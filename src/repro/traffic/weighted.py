@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from ..core.ratios import RatioResult
 from ..core.riskroute import PairRoutes
-from ..core.strategy import auto_strategy, resolve_strategy
+from ..core.strategy import auto_strategy
 from ..session import RoutingSession
 from .gravity import TrafficMatrix
 
@@ -38,26 +38,23 @@ class TrafficWeightedResult:
 
 
 def traffic_weighted_ratios(
-    session: RoutingSession,
-    matrix: TrafficMatrix,
-    strategy=None,
+    session: RoutingSession, matrix: TrafficMatrix
 ) -> TrafficWeightedResult:
     """Demand-weighted Equations 5-6 over a network.
+
+    The sweep strategy is picked by size, as
+    :meth:`RoutingSession.all_pairs` does
+    (:func:`~repro.core.strategy.auto_strategy`).
 
     Args:
         session: the routing session for the network.
         matrix: demand between the session's PoPs.
-        strategy: ``"exact"`` / ``"per-source"``; ``None`` picks by
-            size, as :meth:`RoutingSession.all_pairs` does
-            (:func:`~repro.core.strategy.auto_strategy`).
 
     Raises:
         ValueError: when no pair carries demand.
         KeyError: when the matrix covers PoPs the session does not.
     """
-    strategy = resolve_strategy(
-        strategy, default=auto_strategy(session.engine.node_count)
-    )
+    strategy = auto_strategy(session.engine.node_count)
 
     weighted_risk = 0.0
     weighted_dist = 0.0

@@ -239,6 +239,13 @@ class TestCommands:
         assert "Level3" in out
         assert "Telepak" in out
 
+    def test_run_one_experiment(self, capsys):
+        assert main(["run", "figure6"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("== figure6: ")
+        for storm in ("Irene", "Katrina", "Sandy"):
+            assert storm in out
+
     def test_run_unknown_experiment(self, capsys):
         assert main(["run", "table99"]) == 2
         err = capsys.readouterr().err

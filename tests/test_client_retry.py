@@ -17,6 +17,7 @@ from collections import deque
 import pytest
 
 from repro.server import RetryPolicy, RiskRouteClient, ServerError
+from repro.server.client import RETRY_CODES
 
 
 class ScriptedServer:
@@ -116,34 +117,27 @@ def _client(server, retry=None, seed=0):
 
 
 def _policy(**overrides):
-    base = dict(attempts=4, base_delay=0.005, max_delay=0.02, budget=10.0)
+    base = dict(attempts=4, budget=10.0)
     base.update(overrides)
     return RetryPolicy(**base)
 
 
 class TestRetryPolicyUnit:
     def test_delay_is_jittered_and_capped(self):
-        policy = RetryPolicy(
-            base_delay=0.1, multiplier=2.0, max_delay=0.3, jitter=0.5
-        )
+        # 50 ms doubling per retry, capped at 2 s, half of it jittered.
+        policy = RetryPolicy()
         rng = random.Random(42)
-        for retry_index, raw in ((0, 0.1), (1, 0.2), (2, 0.3), (5, 0.3)):
+        for retry_index, raw in (
+            (0, 0.05), (1, 0.1), (5, 1.6), (6, 2.0), (10, 2.0)
+        ):
             for _ in range(20):
                 delay = policy.delay(retry_index, rng)
                 assert raw * 0.5 <= delay <= raw
 
-    def test_zero_jitter_is_deterministic(self):
-        policy = RetryPolicy(base_delay=0.1, jitter=0.0)
-        assert policy.delay(0, random.Random()) == pytest.approx(0.1)
-
     def test_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="attempts"):
             RetryPolicy(attempts=0)
-        with pytest.raises(ValueError):
-            RetryPolicy(multiplier=0.5)
-        with pytest.raises(ValueError):
-            RetryPolicy(jitter=2.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="budget"):
             RetryPolicy(budget=0.0)
 
 
@@ -203,8 +197,8 @@ class TestRetrySemantics:
         # A replicated pool emits shard_unavailable only when every
         # replica of a *read* died inside one batch window; the shards
         # are respawned before the reply goes out, so the retry is
-        # always safe — and in the default retry_codes.
-        assert "shard_unavailable" in RetryPolicy().retry_codes
+        # always safe — and in RETRY_CODES.
+        assert "shard_unavailable" in RETRY_CODES
         with ScriptedServer(["shard_unavailable", "ok"]) as server:
             with _client(server, retry=_policy()) as client:
                 assert client.route("a", "b") == {"served": 2}
@@ -257,9 +251,8 @@ class TestRetrySemantics:
             assert len(server.requests) == 3
 
     def test_budget_exhaustion_stops_retrying(self):
-        policy = _policy(
-            attempts=10, base_delay=0.2, max_delay=0.2, budget=0.05
-        )
+        # The first backoff is at least 25 ms.
+        policy = _policy(attempts=10, budget=0.01)
         with ScriptedServer(["overloaded"] * 10) as server:
             with _client(server, retry=policy) as client:
                 with pytest.raises(ServerError):

@@ -95,11 +95,14 @@ class TestRegionalRatios:
             router.regional_ratios("ghost", ["T:den"])
 
     def test_exact_mode(self):
+        """The per-source answer stays close to per-pair optimization."""
         topology, model = build_two_domain_world()
         router = InterdomainRouter(topology, model)
         approx = router.regional_ratios("R", ["T:den", "T:atl"])
-        exact = router.regional_ratios(
-            "R", ["T:den", "T:atl"], strategy="exact"
+        exact = router.session.all_pairs(
+            sources=topology.networks["R"].pop_ids(),
+            targets=["T:den", "T:atl"],
+            strategy="exact",
         )
         assert approx.risk_reduction_ratio == pytest.approx(
             exact.risk_reduction_ratio, abs=0.05

@@ -68,14 +68,6 @@ class TestDisasterSampling:
         b = sample_disasters(30, seed=5)
         assert a == b
 
-    def test_class_restriction(self):
-        disasters = sample_disasters(
-            50, seed=2, event_types=[EventType.FEMA_HURRICANE]
-        )
-        assert all(
-            d.event_type == EventType.FEMA_HURRICANE for d in disasters
-        )
-
     def test_wind_dominates_unrestricted(self):
         disasters = sample_disasters(500, seed=3)
         wind = sum(
@@ -86,8 +78,6 @@ class TestDisasterSampling:
     def test_validation(self):
         with pytest.raises(ValueError):
             sample_disasters(0)
-        with pytest.raises(ValueError):
-            sample_disasters(5, event_types=["typhoon"])
 
 
 class TestFailureInjection:

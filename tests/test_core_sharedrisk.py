@@ -7,7 +7,7 @@ import pytest
 from repro.core.sharedrisk import shared_risk_report
 from repro.geo.coords import GeoPoint
 from repro.risk.historical import HistoricalRiskModel
-from repro.stats.kde import GaussianKDE
+from repro.stats.kde import GaussianKDE, points_to_array
 from repro.topology.network import Network, PoP
 
 
@@ -27,7 +27,9 @@ WEST = {"la": (34.05, -118.24), "sf": (37.77, -122.42), "sea": (47.61, -122.33)}
 
 def flat_historical():
     events = [GeoPoint(lat, lon) for lat in (35.0, 40.0, 45.0) for lon in (-120.0, -95.0, -75.0)]
-    return HistoricalRiskModel({"storm": GaussianKDE(events, 800.0)})
+    return HistoricalRiskModel(
+        {"storm": GaussianKDE(points_to_array(events), 800.0)}
+    )
 
 
 class TestSharedRiskReport:

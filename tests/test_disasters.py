@@ -15,7 +15,11 @@ from repro.disasters.events import (
     EventType,
 )
 from repro.disasters.fema import FEMA_TOTAL_DECLARATIONS
-from repro.disasters.generators import EVENT_MODELS, generate_events
+from repro.disasters.generators import (
+    EVENT_MODELS,
+    YEAR_RANGE,
+    generate_events,
+)
 from repro.geo.coords import CONTINENTAL_US, GeoPoint
 from repro.geo.regions import CENTRAL_PLAINS, GULF_COAST
 
@@ -91,10 +95,9 @@ class TestGenerators:
         assert all(CONTINENTAL_US.contains(p) for p in _locations(catalog))
 
     def test_years_in_range(self):
-        catalog = generate_events(
-            EventType.FEMA_HURRICANE, 100, seed=4, year_range=(1980, 1990)
-        )
-        assert all(1980 <= year <= 1990 for year in catalog.year)
+        catalog = generate_events(EventType.FEMA_HURRICANE, 100, seed=4)
+        first, last = YEAR_RANGE
+        assert all(first <= year <= last for year in catalog.year)
 
     def test_unknown_type(self):
         with pytest.raises(ValueError):
@@ -177,10 +180,6 @@ class TestBandwidths:
     def test_event_kde_uses_pretrained_default(self):
         kde = event_kde(EventType.FEMA_TORNADO)
         assert kde.bandwidth_miles == PRETRAINED_BANDWIDTHS[EventType.FEMA_TORNADO]
-
-    def test_event_kde_override(self):
-        kde = event_kde(EventType.FEMA_TORNADO, 123.0)
-        assert kde.bandwidth_miles == 123.0
 
     def test_kde_peaks_in_expected_regions(self):
         quake = event_kde(EventType.NOAA_EARTHQUAKE)

@@ -1,4 +1,4 @@
-"""Tests for the bulk runner, case-study helpers, and example scripts."""
+"""Tests for the case-study helpers and the example scripts."""
 
 import pathlib
 import py_compile
@@ -7,7 +7,6 @@ import pytest
 
 from repro.experiments.figure12_tier1_casestudy import sample_ticks
 from repro.experiments.figure13_regional_casestudy import networks_in_scope
-from repro.experiments.runner import SLOW_EXPERIMENTS, run_many
 from repro.forecast.storms import storm_advisories
 
 
@@ -47,23 +46,6 @@ class TestNetworksInScope:
 
     def test_deterministic(self):
         assert networks_in_scope("Irene") == networks_in_scope("Irene")
-
-
-class TestRunner:
-    def test_explicit_ids(self):
-        results = run_many(["figure6"])
-        assert list(results) == ["figure6"]
-        assert results["figure6"].rows
-
-    def test_fast_skips_slow(self):
-        # Do not execute: just verify the selection logic via the
-        # constant and an empty explicit list.
-        assert "table1" in SLOW_EXPERIMENTS
-        assert "figure10" in SLOW_EXPERIMENTS
-
-    def test_unknown_id(self):
-        with pytest.raises(KeyError):
-            run_many(["tableZZ"])
 
 
 class TestExamples:

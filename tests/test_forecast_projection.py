@@ -8,7 +8,7 @@ import pytest
 from repro.forecast.advisory import Advisory
 from repro.forecast.projection import (
     CONE_GROWTH_MILES_PER_HOUR,
-    DEFAULT_LEADS_HOURS,
+    LEADS_HOURS,
     LEAD_DISCOUNT_PER_HOUR,
     anticipatory_snapshots,
     project_advisory,
@@ -75,12 +75,12 @@ class TestProjection:
         )
 
 
-def anticipatory_risk_at(advisory, point, **leads) -> float:
+def anticipatory_risk_at(advisory, point) -> float:
     """The anticipatory ``o_f`` at one point, read off a one-PoP
     network."""
     probe = Network("probe")
     probe.add_pop(PoP("probe:x", "X", point))
-    field = ForecastedRiskModel(anticipatory_snapshots(advisory, **leads))
+    field = ForecastedRiskModel(anticipatory_snapshots(advisory))
     return field.pop_risks(probe)["probe:x"]
 
 
@@ -92,9 +92,7 @@ class TestAnticipatorySnapshots:
         assert current.rho_hurricane == RHO_HURRICANE
 
     def test_weights_decay_with_lead(self):
-        snapshots = anticipatory_snapshots(
-            moving_storm(), leads_hours=(12.0, 24.0, 48.0)
-        )
+        snapshots = anticipatory_snapshots(moving_storm())
         weights = [s.rho_hurricane / RHO_HURRICANE for s in snapshots[1:]]
         assert weights == sorted(weights, reverse=True)
         assert all(0.0 < w < 1.0 for w in weights)
@@ -104,10 +102,11 @@ class TestAnticipatorySnapshots:
             )
 
     def test_far_leads_dropped(self):
-        snapshots = anticipatory_snapshots(
-            moving_storm(), leads_hours=(1000.0,)
-        )
-        assert len(snapshots) == 1  # only the current field survives
+        # The 48-hour lead's weight is below zero: current, 12 h, 24 h.
+        snapshots = anticipatory_snapshots(moving_storm())
+        assert [s.rho_hurricane < RHO_HURRICANE for s in snapshots] == [
+            False, True, True,
+        ]
 
 
 class TestAnticipatoryRiskField:
@@ -118,9 +117,7 @@ class TestAnticipatoryRiskField:
         downtrack = destination_point(advisory.center, 0.0, 360.0)
         reactive = advisory.tropical_radius_miles
         assert haversine_miles(advisory.center, downtrack) > reactive
-        assert anticipatory_risk_at(
-            advisory, downtrack, leads_hours=(24.0,)
-        ) > 0.0
+        assert anticipatory_risk_at(advisory, downtrack) > 0.0
 
     def test_current_risk_undiscounted(self):
         advisory = moving_storm()
@@ -149,9 +146,7 @@ class TestAnticipatoryRiskField:
             for pop in diamond_network.pops()
             if haversine_miles(pop.location, advisory.center) <= 150.0
         }
-        field = ForecastedRiskModel(
-            anticipatory_snapshots(advisory, leads_hours=(24.0,))
-        )
+        field = ForecastedRiskModel(anticipatory_snapshots(advisory))
         threatened = set(field.pops_in_scope(diamond_network))
         assert threatened >= reactive_risks
         assert "diamond:south" in threatened  # in the projected path
@@ -170,7 +165,7 @@ class TestOneForecastField:
         best = snapshot_from_advisory(advisory).risks_many(row)[0]
         if not anticipatory:
             return best
-        for projection in project_advisory(advisory, DEFAULT_LEADS_HOURS):
+        for projection in project_advisory(advisory, LEADS_HOURS):
             weight = 1.0 - LEAD_DISCOUNT_PER_HOUR * projection.lead_hours
             if weight <= 0.0:
                 continue

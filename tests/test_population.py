@@ -72,10 +72,6 @@ class TestSyntheticCensus:
         wyoming = census.restricted_to(states_region(["WY"]))
         assert nyc_region.total_population > wyoming.total_population
 
-    def test_invalid_block_count(self):
-        with pytest.raises(ValueError):
-            synthetic_census(seed=1, n_blocks=0)
-
 
 class TestAssignment:
     def test_shares_sum_to_one(self):
@@ -113,7 +109,7 @@ class TestNetworkShares:
         net = Network("tex", tier="regional", states=("TX",))
         net.add_pop(PoP("tex:hou", "Houston", GeoPoint(29.76, -95.37)))
         net.add_pop(PoP("tex:dal", "Dallas", GeoPoint(32.78, -96.80)))
-        result = network_population_shares(net, census)
+        result = network_population_shares(net)
         assert sum(result.values()) == pytest.approx(1.0)
         texas = census.restricted_to(states_region(["TX"]))
         assert result == assign_population(texas, net.pops())
@@ -122,5 +118,5 @@ class TestNetworkShares:
 
     def test_tier1_uses_full_population(self, teliasonera):
         census = synthetic_census()
-        result = network_population_shares(teliasonera, census)
+        result = network_population_shares(teliasonera)
         assert result == assign_population(census, teliasonera.pops())

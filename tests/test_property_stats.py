@@ -23,14 +23,14 @@ class TestKdeProperties:
     @given(event_lists, bandwidths, points)
     @settings(max_examples=examples(60), deadline=None)
     def test_density_non_negative(self, events, bandwidth, query):
-        kde = GaussianKDE(events, bandwidth)
+        kde = GaussianKDE(points_to_array(events), bandwidth)
         assert kde.density(query) >= 0.0
 
     @given(event_lists, bandwidths)
     @settings(max_examples=examples(40), deadline=None)
     def test_peak_at_events(self, events, bandwidth):
         """Density at some event location >= density far away."""
-        kde = GaussianKDE(events, bandwidth)
+        kde = GaussianKDE(points_to_array(events), bandwidth)
         at_events = kde.density_array(points_to_array(events))
         far = kde.density(GeoPoint(25.0, -67.0))
         assert at_events.max() >= far - 1e-15
@@ -40,7 +40,7 @@ class TestKdeProperties:
     def test_single_event_radial_decay(self, center, bandwidth):
         from repro.geo.distance import destination_point
 
-        kde = GaussianKDE([center], bandwidth)
+        kde = GaussianKDE(points_to_array([center]), bandwidth)
         densities = [
             kde.density(destination_point(center, 90.0, radius))
             for radius in (0.0, bandwidth, 2 * bandwidth, 4 * bandwidth)
@@ -51,7 +51,7 @@ class TestKdeProperties:
     @given(event_lists, bandwidths, st.lists(points, min_size=1, max_size=8))
     @settings(max_examples=examples(40), deadline=None)
     def test_batch_matches_scalar(self, events, bandwidth, queries):
-        kde = GaussianKDE(events, bandwidth)
+        kde = GaussianKDE(points_to_array(events), bandwidth)
         batch = kde.density_array(points_to_array(queries))
         for query, value in zip(queries, batch):
             assert math.isclose(
@@ -74,6 +74,7 @@ class TestKdeProperties:
         exp(-c^2/2) / (2 pi sigma^2) for cutoff c: dropped kernels each
         contribute < exp(-c^2/2) and the normaliser carries the 1/N.
         """
+        events = points_to_array(events)
         exact = GaussianKDE(events, bandwidth, cutoff_sigmas=None)
         truncated = GaussianKDE(events, bandwidth, cutoff_sigmas=cutoff)
         latlon = points_to_array(queries)
@@ -92,6 +93,7 @@ class TestKdeProperties:
     def test_log_density_truncation_lossless(self, events, bandwidth, queries):
         """The log path truncates only exact-zero kernels, so scores
         match dense mode to float-sum reordering."""
+        events = points_to_array(events)
         exact = GaussianKDE(events, bandwidth, cutoff_sigmas=None)
         truncated = GaussianKDE(events, bandwidth)
         np.testing.assert_allclose(

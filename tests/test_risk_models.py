@@ -17,10 +17,8 @@ from repro.risk.forecasted import ForecastedRiskModel
 from repro.risk.historical import RISK_UNIT_MILES, HistoricalRiskModel
 from repro.risk import model as model_module
 from repro.risk.model import DEFAULT_GAMMA_F, DEFAULT_GAMMA_H, RiskModel
-from repro.stats.kde import GaussianKDE
-from repro.topology.interdomain import InterdomainTopology
+from repro.stats.kde import GaussianKDE, points_to_array
 from repro.topology.network import Network, PoP
-from repro.topology.peering import PeeringGraph
 
 RISKY_SPOT = GeoPoint(30.0, -90.0)
 SAFE_SPOT = GeoPoint(45.0, -110.0)
@@ -30,7 +28,9 @@ def toy_historical(weights=None) -> HistoricalRiskModel:
     events = [
         GeoPoint(30.0 + d, -90.0 + d) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)
     ]
-    return HistoricalRiskModel({"storm": GaussianKDE(events, 40.0)}, weights)
+    return HistoricalRiskModel(
+        {"storm": GaussianKDE(points_to_array(events), 40.0)}, weights
+    )
 
 
 def latlon(*points: GeoPoint) -> np.ndarray:
@@ -52,11 +52,9 @@ class TestHistorical:
             HistoricalRiskModel({})
 
     def test_negative_weight_rejected(self):
-        events = [RISKY_SPOT]
+        kde = GaussianKDE(points_to_array([RISKY_SPOT]), 10.0)
         with pytest.raises(ValueError):
-            HistoricalRiskModel(
-                {"storm": GaussianKDE(events, 10.0)}, weights={"storm": -1.0}
-            )
+            HistoricalRiskModel({"storm": kde}, weights={"storm": -1.0})
 
     def test_risk_higher_near_events(self):
         risky, safe = toy_historical().risks_array(latlon(RISKY_SPOT, SAFE_SPOT))
@@ -65,9 +63,9 @@ class TestHistorical:
     def test_equation2_normalisation(self):
         """Risk = density * sigma * unit, per the module's convention."""
         model = toy_historical()
+        offsets = (-0.2, -0.1, 0.0, 0.1, 0.2)
         kde = GaussianKDE(
-            [GeoPoint(30.0 + d, -90.0 + d) for d in (-0.2, -0.1, 0.0, 0.1, 0.2)],
-            40.0,
+            latlon(*(GeoPoint(30.0 + d, -90.0 + d) for d in offsets)), 40.0
         )
         expected = kde.density(RISKY_SPOT) * 40.0 * RISK_UNIT_MILES
         assert model.risks_array(latlon(RISKY_SPOT))[0] == pytest.approx(
@@ -125,7 +123,7 @@ class TestHistorical:
         monkeypatch.setenv("HOME", str(tmp_path))
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
         toy_historical().pop_risks(toy_network())
-        kde = GaussianKDE([RISKY_SPOT, SAFE_SPOT], 40.0)
+        kde = GaussianKDE(latlon(RISKY_SPOT, SAFE_SPOT), 40.0)
         kde.evaluate_grid(GeoGrid(CONTINENTAL_US, 4, 5))
         assert list(tmp_path.rglob("*")) == []
 
@@ -228,8 +226,8 @@ class TestImpact:
         east_shares = network_population_shares(east)
         west_shares = network_population_shares(west)
         assert east_shares != west_shares
-        assert west_shares == network_population_shares(
-            west, synthetic_census()
+        assert west_shares == assignment.assign_population(
+            synthetic_census(), west.pops()
         )
 
     def test_same_name_with_one_more_pop_gets_every_share(self):
@@ -266,12 +264,9 @@ class TestGammaCheckedFirst:
         monkeypatch.setattr(model_module, "network_population_shares", boom)
         monkeypatch.setattr(model_module, "default_historical_model", boom)
         network = toy_network()
-        topology = InterdomainTopology([network], PeeringGraph())
         for historical in (None, BoomHistorical()):
             with pytest.raises(ValueError, match=name):
                 RiskModel.for_network(network, historical, **gammas)
-            with pytest.raises(ValueError, match=name):
-                RiskModel.for_interdomain(topology, historical, **gammas)
 
 
 class TestRiskModel:

@@ -20,7 +20,6 @@ from repro.core.simulation import (
 from repro.engine import RoutingEngine
 from repro.geo.coords import GeoPoint
 from repro.scenario import CascadeConfig, CascadeSimulator
-from repro.traffic.gravity import TrafficMatrix
 from tests.conftest import build_diamond_model, build_diamond_network
 
 SAMPLE_PAIRS = 10
@@ -181,8 +180,6 @@ class TestValidation:
             CascadeConfig(headroom=0.0)
         with pytest.raises(ValueError):
             CascadeConfig(alternates=0)
-        with pytest.raises(ValueError):
-            CascadeConfig(max_rounds=0)
 
     def test_unknown_policy_rejected(self, simulator):
         with pytest.raises(ValueError):
@@ -194,13 +191,3 @@ class TestValidation:
         with pytest.raises(KeyError):
             simulator.run((), [("diamond:west", "diamond:atlantis")],
                           "shortest")
-
-    def test_foreign_traffic_matrix_rejected(self):
-        network = build_diamond_network()
-        foreign = TrafficMatrix(
-            ["a", "b"], [[0.0, 1.0], [1.0, 0.0]]
-        )
-        with pytest.raises(ValueError):
-            CascadeSimulator(
-                network, build_diamond_model(), traffic=foreign
-            )

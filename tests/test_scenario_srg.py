@@ -1,7 +1,7 @@
 """Shared-risk-group inference: corridor grids, rasterised geodesics.
 
 Pins the geometry (cell sizing, geodesic rasterisation), the grouping
-contract (min_links filter, dense ordered ids), and the risk-weighted
+contract (two-link minimum, dense ordered ids), and the risk-weighted
 activation sampling the Monte Carlo driver draws from.
 """
 
@@ -60,10 +60,11 @@ class TestLinkCorridorCells:
 
     def test_non_positive_step_rejected(self):
         grid = corridor_grid(50.0)
-        with pytest.raises(ValueError):
-            link_corridor_cells(
-                grid, GeoPoint(39.0, -100.0), GeoPoint(39.0, -90.0), 0.0
-            )
+        for bad in (0.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match="step_miles"):
+                link_corridor_cells(
+                    grid, GeoPoint(39.0, -100.0), GeoPoint(39.0, -90.0), bad
+                )
 
 
 class TestInferSrgs:
@@ -88,11 +89,26 @@ class TestInferSrgs:
         assert any(g.risk != 1.0 for g in weighted.groups)
 
     def test_min_links_filters_groups(self, diamond_network):
-        all_groups = infer_srgs(diamond_network, min_links=1)
-        shared_only = infer_srgs(diamond_network, min_links=2)
-        assert len(all_groups) > len(shared_only)
-        with pytest.raises(ValueError):
-            infer_srgs(diamond_network, min_links=0)
+        """Only the cells that two or more links cross become groups."""
+        grid = corridor_grid(50.0)
+        crossings = {}
+        for link in diamond_network.links():
+            for cell in link_corridor_cells(
+                grid,
+                diamond_network.pop(link.pop_a).location,
+                diamond_network.pop(link.pop_b).location,
+                25.0,
+            ):
+                crossings.setdefault(cell, set()).add(link.endpoints)
+        shared = sorted(c for c, links in crossings.items() if len(links) > 1)
+        assert len(shared) < len(crossings)
+        groups = infer_srgs(diamond_network).groups
+        assert [g.cell for g in groups] == shared
+
+    def test_non_finite_corridor_rejected_by_name(self, diamond_network):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="corridor_miles"):
+                infer_srgs(diamond_network, corridor_miles=bad)
 
     def test_activation_weights_normalised(self, diamond_network):
         srgs = infer_srgs(diamond_network, build_diamond_model())

@@ -22,6 +22,7 @@ from repro.engine import RoutingEngine
 from repro.graph.core import Graph
 from repro.risk.model import RiskModel
 from repro.server import (
+    MAX_LINE_BYTES,
     CoalescingQueue,
     PendingRequest,
     Request,
@@ -262,17 +263,14 @@ class TestProtocolEdgeCases:
     def test_oversized_line_gets_too_large_then_close(
         self, diamond_network, diamond_model
     ):
-        thread = ServerThread(
-            RoutingSession(diamond_network, diamond_model),
-            ServerConfig(max_line_bytes=2048),
-        )
+        thread = ServerThread(RoutingSession(diamond_network, diamond_model))
         host, port = thread.start()
         try:
             sock, stream = _raw_connect(host, port)
             try:
                 stream.write(
                     b'{"op": "route", "source": "'
-                    + b"x" * 4096
+                    + b"x" * MAX_LINE_BYTES
                     + b'", "target": "y"}\n'
                 )
                 stream.flush()

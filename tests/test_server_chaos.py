@@ -43,10 +43,8 @@ from repro.server.protocol import pair_to_dict, route_to_dict
 from tests.conftest import build_diamond_model
 
 
-def _fast_retry(attempts: int = 5, seed: int = 0) -> RetryPolicy:
-    return RetryPolicy(
-        attempts=attempts, base_delay=0.01, max_delay=0.05, budget=30.0
-    )
+def _retry(attempts: int = 5) -> RetryPolicy:
+    return RetryPolicy(attempts=attempts, budget=30.0)
 
 
 def _serve(network, model, faults, **config):
@@ -203,7 +201,7 @@ class TestConnectionFaults:
             host, port = thread.address
             client = RiskRouteClient(
                 host, port, timeout=10,
-                retry=_fast_retry(), rng=random.Random(1),
+                retry=_retry(), rng=random.Random(1),
             )
             with client:
                 for _ in range(3):
@@ -354,7 +352,7 @@ class TestTransactionalSwap:
             host, port = thread.address
             client = RiskRouteClient(
                 host, port, timeout=10,
-                retry=_fast_retry(), rng=random.Random(7),
+                retry=_retry(), rng=random.Random(7),
             )
             with client:
                 result = client.update_forecast(of_new, token="tok-7")
@@ -375,7 +373,7 @@ class TestTransactionalSwap:
             host, port = thread.address
             client = RiskRouteClient(
                 host, port, timeout=10,
-                retry=_fast_retry(), rng=random.Random(3),
+                retry=_retry(), rng=random.Random(3),
             )
             with client:
                 # call() with an explicit token=None stays untokened —
@@ -498,7 +496,7 @@ class TestSeededMixedChaos:
                 try:
                     client = RiskRouteClient(
                         host, port, timeout=15,
-                        retry=_fast_retry(attempts=8),
+                        retry=_retry(attempts=8),
                         rng=random.Random(seed),
                     )
                     with client:

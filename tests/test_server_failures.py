@@ -17,6 +17,7 @@ import pytest
 
 from repro import RoutingSession
 from repro.server import (
+    MAX_LINE_BYTES,
     RetryPolicy,
     RiskRouteClient,
     ServerConfig,
@@ -93,15 +94,12 @@ class TestOversizedRequestFromClient:
     def test_plain_client_gets_too_large_then_clean_error(
         self, diamond_network, diamond_model
     ):
-        thread = ServerThread(
-            RoutingSession(diamond_network, diamond_model),
-            ServerConfig(max_line_bytes=2048),
-        )
+        thread = ServerThread(RoutingSession(diamond_network, diamond_model))
         host, port = thread.start()
         try:
             with RiskRouteClient(host, port, timeout=10) as client:
                 with pytest.raises(ServerError) as err:
-                    client.route("diamond:west", "x" * 4096)
+                    client.route("diamond:west", "x" * MAX_LINE_BYTES)
                 assert err.value.code == "too_large"
                 # The server closed the oversized connection; the next
                 # call fails cleanly as a connection error...
@@ -117,22 +115,17 @@ class TestOversizedRequestFromClient:
     def test_retry_client_heals_transparently_after_too_large(
         self, diamond_network, diamond_model
     ):
-        thread = ServerThread(
-            RoutingSession(diamond_network, diamond_model),
-            ServerConfig(max_line_bytes=2048),
-        )
+        thread = ServerThread(RoutingSession(diamond_network, diamond_model))
         host, port = thread.start()
         try:
             client = RiskRouteClient(
                 host, port, timeout=10,
-                retry=RetryPolicy(
-                    attempts=3, base_delay=0.01, max_delay=0.05
-                ),
+                retry=RetryPolicy(attempts=3),
                 rng=random.Random(5),
             )
             with client:
                 with pytest.raises(ServerError) as err:
-                    client.route("diamond:west", "y" * 4096)
+                    client.route("diamond:west", "y" * MAX_LINE_BYTES)
                 assert err.value.code == "too_large"
                 # The dead connection is retried away without surfacing.
                 result = client.route("diamond:west", "diamond:east")

@@ -16,7 +16,7 @@ processes:
   client under the default :class:`RetryPolicy` rides through the
   respawn window without surfacing anything;
 * a shard that hangs (SIGSTOP) rather than dies is declared lost by
-  the batch watchdog (``shard_timeout``) and handled like a crash:
+  the batch watchdog (``SHARD_TIMEOUT``) and handled like a crash:
   failover at ``replicas=2``, typed ``internal`` errors for its keys
   only at ``replicas=1``;
 * forecast swaps stay barriered under replication.
@@ -46,6 +46,7 @@ from repro.server import (
     ServerThread,
 )
 from repro.server.protocol import PROTOCOL_VERSION, Request, pair_to_dict
+from repro.server.client import RETRY_CODES
 from repro.server.shards import replicas_of
 from tests.conftest import build_diamond_model, build_diamond_network
 
@@ -272,8 +273,8 @@ class TestTransparentFailover:
         )
         host, port = thread.start()
         try:
-            policy = RetryPolicy(attempts=4, base_delay=0.01, jitter=0.0)
-            assert "shard_unavailable" in policy.retry_codes
+            assert "shard_unavailable" in RETRY_CODES
+            policy = RetryPolicy(attempts=4)
             with RiskRouteClient(host, port, retry=policy) as client:
                 expected = pair_to_dict(_session().pair(WEST, EAST))
                 assert client.pair(WEST, EAST) == expected  # hit 1: clean
@@ -347,15 +348,18 @@ def _stop_shard_0_and_burst(host: str, port: int) -> list:
 @pytest.mark.timeout(180)
 class TestHungShard:
     """A shard that stops answering without dying: the batch watchdog
-    (``shard_timeout``) declares it lost, and the pool kills and
-    respawns it exactly as it does a crashed one."""
+    (``SHARD_TIMEOUT``, shortened here: the pool runs in the test
+    process) declares it lost, and the pool kills and respawns it
+    exactly as it does a crashed one."""
+
+    @pytest.fixture(autouse=True)
+    def short_watchdog(self, monkeypatch):
+        monkeypatch.setattr("repro.server.shards.SHARD_TIMEOUT", 2.0)
 
     def test_hung_shard_is_invisible_to_read_clients(self):
         thread = ServerThread(
             _session(),
-            ServerConfig(
-                batch_linger=0.05, shards=2, replicas=2, shard_timeout=2.0
-            ),
+            ServerConfig(batch_linger=0.05, shards=2, replicas=2),
         )
         host, port = thread.start()
         try:
@@ -384,9 +388,7 @@ class TestHungShard:
     def test_hung_shard_fails_only_its_keys_at_one_replica(self):
         thread = ServerThread(
             _session(),
-            ServerConfig(
-                batch_linger=0.05, shards=2, replicas=1, shard_timeout=2.0
-            ),
+            ServerConfig(batch_linger=0.05, shards=2, replicas=1),
         )
         host, port = thread.start()
         try:

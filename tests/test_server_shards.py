@@ -71,7 +71,7 @@ def _shard_processes(other=frozenset()) -> set:
 
 def _diamond_pool() -> ShardPool:
     session = RoutingSession(build_diamond_network(), build_diamond_model())
-    return ShardPool(session, 2, replicas=1, timeout=60.0)
+    return ShardPool(session, 2, replicas=1)
 
 
 class TestShardOf:

@@ -13,7 +13,6 @@ evaluated after a patch matches the oracle's too.
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,14 +38,8 @@ def _array(pairs) -> np.ndarray:
 
 
 class TestConstruction:
-    def test_dense_path_rejected(self):
-        with pytest.raises(ValueError):
-            StreamingKDE.from_array(
-                _array([(35.0, -95.0)]), BANDWIDTH, cutoff_sigmas=None
-            )
-
     def test_empty_batches_are_noop_deltas(self):
-        kde = StreamingKDE.from_array(_array([(35.0, -95.0)]), BANDWIDTH)
+        kde = StreamingKDE(_array([(35.0, -95.0)]), BANDWIDTH)
         before = kde.fingerprint
         delta = kde.append_events(_array([]))
         assert delta.fingerprint == delta.parent_fingerprint == before
@@ -65,7 +58,7 @@ class TestIncrementalParity:
             data.draw(st.lists(coords, min_size=3, max_size=10),
                       label="queries")
         )
-        kde = StreamingKDE.from_array(_array(events), BANDWIDTH)
+        kde = StreamingKDE(_array(events), BANDWIDTH)
         # Register the tracked set cold so later calls exercise the
         # dirty-row patch path, not a fresh sweep.
         kde.tracked_density(queries)
@@ -75,7 +68,7 @@ class TestIncrementalParity:
             )
             kde.append_events(_array(batch))
             events.extend(batch)
-        oracle = GaussianKDE.from_array(_array(events), BANDWIDTH)
+        oracle = GaussianKDE(_array(events), BANDWIDTH)
         incremental = kde.tracked_density(queries)
         rebuilt = oracle.density_array(queries)
         np.testing.assert_allclose(incremental, rebuilt, rtol=1e-9, atol=0.0)
@@ -86,7 +79,7 @@ class TestIncrementalParity:
 
     def test_delta_reports_patch_and_dirty_rows(self):
         base = [(35.0, -95.0), (35.2, -95.1), (43.0, -78.0)]
-        kde = StreamingKDE.from_array(_array(base), BANDWIDTH)
+        kde = StreamingKDE(_array(base), BANDWIDTH)
         delta = kde.append_events(_array([(35.1, -94.9)]))
         assert delta.fingerprint != delta.parent_fingerprint
         assert delta.appended == 1
@@ -99,7 +92,7 @@ class TestIncrementalParity:
         """A query out of reach keeps its *kernel sum* unchanged; its
         density moves only by the normaliser (and stays exactly 0.0
         when the sum is 0)."""
-        kde = StreamingKDE.from_array(
+        kde = StreamingKDE(
             _array([(35.0, -95.0), (35.3, -95.2)]), BANDWIDTH
         )
         queries = _array([(46.9, -68.0)])  # far from everything
@@ -115,12 +108,12 @@ class TestGridFieldsAndDeltaCache:
 
     def test_evaluate_grid_matches_rebuild_after_patches(self):
         events = [(34.0, -97.0), (35.0, -95.0), (36.5, -93.0)]
-        kde = StreamingKDE.from_array(_array(events), BANDWIDTH)
+        kde = StreamingKDE(_array(events), BANDWIDTH)
         kde.evaluate_grid(self.GRID)  # builds the index patched below
         kde.append_events(_array([(35.5, -94.5)]))
         events.append((35.5, -94.5))
         field = kde.evaluate_grid(self.GRID)
-        oracle = GaussianKDE.from_array(_array(events), BANDWIDTH)
+        oracle = GaussianKDE(_array(events), BANDWIDTH)
         expected = oracle.evaluate_grid(self.GRID)
         np.testing.assert_allclose(
             field.values, expected.values, rtol=1e-9, atol=0.0

@@ -35,11 +35,6 @@ class TestConstruction:
         with pytest.raises(ValueError):
             InterdomainTopology([a, a.copy()], peered())
 
-    def test_invalid_colocation_radius(self):
-        a, b = two_isps()
-        with pytest.raises(ValueError):
-            InterdomainTopology([a, b], peered(), co_location_miles=0.0)
-
     def test_owner_lookup(self):
         a, b = two_isps()
         topo = InterdomainTopology([a, b], peered())

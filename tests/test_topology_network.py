@@ -131,8 +131,5 @@ class TestDerivedStructure:
         clone.remove_link("test:nyc", "test:dc")
         assert net.has_link("test:nyc", "test:dc")
 
-    def test_copy_rename(self):
-        assert small_network().copy(name="other").name == "other"
-
     def test_repr(self):
         assert "pops=3" in repr(small_network())

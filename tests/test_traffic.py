@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.strategy import SweepStrategy
+from repro.geo.coords import GeoPoint
+from repro.geo.distance import haversine_miles
+from repro.population.assignment import network_population_shares
 from repro.session import RoutingSession
+from repro.topology.network import Network, PoP
 from repro.traffic.gravity import TrafficMatrix, gravity_matrix
+from repro.traffic import weighted
 from repro.traffic.weighted import traffic_weighted_ratios
 from tests.conftest import build_zero_mile_world
 
@@ -70,30 +76,29 @@ class TestGravity:
         assert matrix.as_array().sum() == pytest.approx(1.0)
         assert len(matrix.pop_ids) == teliasonera.pop_count
 
-    def test_population_products_dominate(self, teliasonera):
-        matrix = gravity_matrix(teliasonera, beta=0.0)
-        demands = np.triu(matrix.as_array(), 1)
-        i, j = np.unravel_index(np.argmax(demands), demands.shape)
-        top_pair = (matrix.pop_ids[i], matrix.pop_ids[j])
-        # With beta=0 the top pair joins the two most-populous PoPs.
-        from repro.population.assignment import network_population_shares
-
-        shares = network_population_shares(teliasonera)
-        ranked = sorted(teliasonera.pop_ids(), key=lambda p: -shares[p])
-        assert set(top_pair) == set(ranked[:2])
-
     def test_distance_attenuation(self, teliasonera):
-        near_sighted = gravity_matrix(teliasonera, beta=2.0)
-        flat = gravity_matrix(teliasonera, beta=0.0)
-        # NYC-Newark (9 miles apart) gains weight as beta grows.
-        pair = ("Teliasonera:New York, NY", "Teliasonera:Newark, NJ")
-        assert near_sighted.demand(*pair) > flat.demand(*pair)
+        # Demand is c_i * c_j / max(d_ij, 50 miles): Newark (9 miles
+        # from New York) sits on the floor, Seattle far beyond it.
+        matrix = gravity_matrix(teliasonera)
+        shares = network_population_shares(teliasonera)
+        nyc, newark, seattle = (
+            f"Teliasonera:{city}"
+            for city in ("New York, NY", "Newark, NJ", "Seattle, WA")
+        )
+        miles = haversine_miles(
+            teliasonera.pop(nyc).location, teliasonera.pop(seattle).location
+        )
+        assert matrix.demand(nyc, newark) / matrix.demand(
+            nyc, seattle
+        ) == pytest.approx(
+            (shares[newark] / 50.0) / (shares[seattle] / miles), rel=1e-9
+        )
 
-    def test_validation(self, teliasonera):
-        with pytest.raises(ValueError):
-            gravity_matrix(teliasonera, beta=-1.0)
-        with pytest.raises(ValueError):
-            gravity_matrix(teliasonera, distance_floor_miles=0.0)
+    def test_validation(self):
+        network = Network("solo")
+        network.add_pop(PoP("solo:a", "A", GeoPoint(40.0, -100.0)))
+        with pytest.raises(ValueError, match="two PoPs"):
+            gravity_matrix(network)
 
 
 class TestWeightedEvaluation:
@@ -125,8 +130,13 @@ class TestWeightedEvaluation:
     @pytest.mark.parametrize("strategy", ["exact", "per-source"])
     @pytest.mark.parametrize("b_risk", [0.0, 0.01])
     def test_zero_cost_shortest_path_counts_as_ratio_one(
-        self, b_risk, strategy
+        self, monkeypatch, b_risk, strategy
     ):
+        # The size rule picks the strategy; networks above 60 PoPs run
+        # per-source, so this three-node world stands in for one.
+        monkeypatch.setattr(
+            weighted, "auto_strategy", lambda _: SweepStrategy(strategy)
+        )
         graph, model = build_zero_mile_world(b_risk)
         demands = np.array(
             [
@@ -138,7 +148,6 @@ class TestWeightedEvaluation:
         result = traffic_weighted_ratios(
             RoutingSession(graph, model),
             TrafficMatrix(["a", "b", "c"], demands),
-            strategy=strategy,
         )
         # a <-> b costs 0 miles, so both dr terms are 1.0.  b -> a also
         # costs 0 bit-risk miles (a is risk-free), so its rr term is

@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.disasters.catalog import PRETRAINED_BANDWIDTHS, catalog_of
 from repro.risk.historical import HistoricalRiskModel
-from repro.stats.kde import GaussianKDE, points_to_array
+from repro.stats.kde import GaussianKDE
 from repro.topology.zoo import network_by_name
 
 from .conftest import run_once
@@ -61,7 +61,7 @@ def _models():
 
 def test_kde_truncation_speedup_level3(benchmark):
     network = network_by_name("Level3")
-    latlon = points_to_array([p.location for p in network.pops()])
+    latlon = network.latlon()
     exact_model, truncated_model = _models()
 
     t0 = time.perf_counter()

@@ -139,13 +139,7 @@ def test_landmark_pruning_smoke(benchmark):
     model = _synthetic_model(network)
     csr, entry_risk = _csr_arrays(network, model)
     n = csr.node_count
-    latlon = np.asarray(
-        [
-            (pop.location.lat, pop.location.lon)
-            for pop in (network.pop(node) for node in csr.node_ids)
-        ],
-        dtype=np.float64,
-    )
+    latlon = network.latlon()
     index = LandmarkIndex.build(
         csr.indptr, csr.indices, csr.weights, k=8, latlon=latlon
     )
@@ -215,12 +209,7 @@ def test_continental_scale_budget(benchmark, monkeypatch):
     # settlements skipped, routes identical to full sweeps.
     graph = network.distance_graph()
     pruned = RoutingEngine(graph, model)
-    pruned.set_coordinates(
-        [
-            (network.pop(node).location.lat, network.pop(node).location.lon)
-            for node in pruned.node_ids
-        ]
-    )
+    pruned.set_coordinates(network.latlon())
     exact = RoutingEngine(graph, model)
     rng = np.random.default_rng(13)
     ids = pruned.node_ids

@@ -14,12 +14,10 @@ Run:
 """
 
 from repro import (
-    InterdomainTopology,
     ProvisioningAnalyzer,
     RiskModel,
-    all_networks,
     best_new_peering,
-    corpus_peering,
+    corpus_merge,
     network_by_name,
 )
 
@@ -48,8 +46,7 @@ def intradomain_study() -> None:
 
 
 def interdomain_study() -> None:
-    topology = InterdomainTopology(list(all_networks()), corpus_peering())
-    model = RiskModel.for_interdomain(topology)
+    topology, model = corpus_merge()
     print("\n== New peering for the Digex regional network ==\n")
     current = topology.peering.peers_of("Digex")
     print(f"Current transit providers: {', '.join(current)}")

@@ -27,8 +27,7 @@ from .core import (
     RouteResult,
     SweepStrategy,
     best_new_peering,
-    bit_miles,
-    bit_risk_miles,
+    corpus_merge,
 )
 from .engine import EngineConfig, RoutingEngine
 from .session import RoutingSession
@@ -84,6 +83,5 @@ __all__ = [
     "InterdomainRouter",
     "ProvisioningAnalyzer",
     "best_new_peering",
-    "bit_risk_miles",
-    "bit_miles",
+    "corpus_merge",
 ]

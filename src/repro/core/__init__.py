@@ -1,7 +1,7 @@
 """The paper's contribution: bit-risk miles, RiskRoute, provisioning."""
 
 from .backup import BackupPath, frr_backup_next_hops, mpls_link_failover
-from .bitrisk import PathMetrics, bit_miles, bit_risk_miles, path_metrics
+from .bitrisk import PathMetrics, path_metrics
 from .characteristics import (
     CHARACTERISTIC_NAMES,
     NetworkCharacteristics,
@@ -10,6 +10,7 @@ from .characteristics import (
 )
 from .interdomain import (
     InterdomainRouter,
+    corpus_merge,
     regional_pair_population,
 )
 from .provisioning import (
@@ -37,8 +38,6 @@ from .simulation import (
 __all__ = [
     "PathMetrics",
     "path_metrics",
-    "bit_risk_miles",
-    "bit_miles",
     "RouteResult",
     "PairRoutes",
     "SweepStrategy",
@@ -46,6 +45,7 @@ __all__ = [
     "RatioResult",
     "ratios_over_pairs",
     "InterdomainRouter",
+    "corpus_merge",
     "regional_pair_population",
     "CandidateLink",
     "LinkRecommendation",

@@ -19,7 +19,7 @@ from typing import Sequence
 from ..graph.core import Graph
 from ..risk.model import RiskModel
 
-__all__ = ["PathMetrics", "path_metrics", "bit_risk_miles", "bit_miles"]
+__all__ = ["PathMetrics", "path_metrics"]
 
 
 @dataclass(frozen=True)
@@ -68,18 +68,3 @@ def path_metrics(
         distance += graph.weight(prev, curr)
         risk += model.node_risk(curr)
     return PathMetrics(tuple(path), distance, risk, alpha)
-
-
-def bit_risk_miles(
-    graph: Graph[str], path: Sequence[str], model: RiskModel
-) -> float:
-    """Equation 1 for an explicit route."""
-    return path_metrics(graph, path, model).bit_risk_miles
-
-
-def bit_miles(graph: Graph[str], path: Sequence[str]) -> float:
-    """Pure geographic mileage of a route (the Level 3 "bit-miles")."""
-    total = 0.0
-    for prev, curr in zip(path, path[1:]):
-        total += graph.weight(prev, curr)
-    return total

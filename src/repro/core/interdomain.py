@@ -14,15 +14,18 @@ The ratio between the two is what Figure 8 plots per regional network.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from functools import lru_cache
+from typing import List, Sequence, Tuple
 
 from ..risk.model import RiskModel
 from ..session import RoutingSession
 from ..topology.interdomain import InterdomainTopology
+from ..topology.peering import corpus_peering
+from ..topology.zoo import all_networks
 from .ratios import RatioResult
 from .strategy import SweepStrategy
 
-__all__ = ["InterdomainRouter", "regional_pair_population"]
+__all__ = ["InterdomainRouter", "corpus_merge", "regional_pair_population"]
 
 
 class InterdomainRouter:
@@ -81,6 +84,18 @@ class InterdomainRouter:
             targets=destination_pops,
             strategy=SweepStrategy.PER_SOURCE,
         )
+
+
+@lru_cache(maxsize=1)
+def corpus_merge() -> Tuple[InterdomainTopology, RiskModel]:
+    """All 23 corpus networks merged over the corpus peering graph, and
+    its risk model (Figures 8, 11 and 13).
+
+    Built once per process and shared: callers swap models into their
+    own sessions and never mutate either object.
+    """
+    topology = InterdomainTopology(list(all_networks()), corpus_peering())
+    return topology, RiskModel.for_interdomain(topology)
 
 
 def regional_pair_population(

@@ -34,7 +34,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..engine import ProvisioningStats, RoutingEngine
-from ..geo.distance import pairwise_distance_matrix
+from ..geo.distance import great_circle_miles
 from ..risk.model import RiskModel
 from ..topology.interdomain import InterdomainTopology
 from ..topology.network import Network
@@ -210,9 +210,8 @@ class _ComponentMatrices:
             row_alpha, return_inverse=True
         )
         self._buf = None
-        self.direct = pairwise_distance_matrix(
-            [p.location for p in network.pops()]
-        )
+        latlon = network.latlon()
+        self.direct = great_circle_miles(latlon, latlon)
         self.linked = _linked_mask(network.distance_graph(), pop_ids)
         self.geo = _geo_rows(engine, pop_ids, perm)
         self._refresh_derived()

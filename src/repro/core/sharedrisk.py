@@ -62,7 +62,7 @@ def _risk_profile(
     """Risk mass per grid cell, normalised to sum 1."""
     cells = np.zeros(_PROFILE_GRID.shape, dtype=np.float64)
     pops = network.pops()
-    risks = historical.risk_many([p.location for p in pops])
+    risks = historical.risks_array(network.latlon())
     for pop, risk in zip(pops, risks):
         i, j = _PROFILE_GRID.cell_of(pop.location)
         cells[i, j] += risk

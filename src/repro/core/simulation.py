@@ -23,7 +23,7 @@ from ..disasters.catalog import catalog_of
 from ..disasters.events import EventType
 from ..engine import RoutingEngine
 from ..geo.coords import GeoPoint
-from ..geo.distance import distances_to_latlon_array
+from ..geo.distance import great_circle_miles
 from ..graph.shortest_path import NoPathError
 from ..risk.model import RiskModel
 from ..topology.network import Network
@@ -131,24 +131,16 @@ def damage_mask(
     haversine, so a PoP on the radius boundary fails (or survives) in
     both consistently.
     """
-    distances = distances_to_latlon_array(latlon_deg, disaster.center)
-    return distances <= disaster.radius_miles
-
-
-def _pop_latlon_array(network: Network) -> "np.ndarray":
-    pops = network.pops()
-    out = np.empty((len(pops), 2), dtype=np.float64)
-    for i, pop in enumerate(pops):
-        out[i, 0] = pop.location.lat
-        out[i, 1] = pop.location.lon
-    return out
+    center = disaster.center
+    distances = great_circle_miles(latlon_deg, [[center.lat, center.lon]])
+    return distances[:, 0] <= disaster.radius_miles
 
 
 def failed_pops(
     network: Network, disaster: SimulatedDisaster
 ) -> Set[str]:
     """PoPs inside the disaster's damage radius."""
-    mask = damage_mask(_pop_latlon_array(network), disaster)
+    mask = damage_mask(network.latlon(), disaster)
     return {
         pop.pop_id for pop, hit in zip(network.pops(), mask) if hit
     }

@@ -13,14 +13,7 @@ from .events import (
     DisasterEvent,
     EventType,
 )
-from .fema import (
-    FEMA_TOTAL_DECLARATIONS,
-    fema_hurricanes,
-    fema_storms,
-    fema_tornadoes,
-)
 from .generators import EVENT_MODELS, EventModel, generate_events
-from .noaa import noaa_earthquakes, noaa_wind
 
 __all__ = [
     "EventType",
@@ -30,12 +23,6 @@ __all__ = [
     "EVENT_MODELS",
     "EventModel",
     "generate_events",
-    "fema_hurricanes",
-    "fema_tornadoes",
-    "fema_storms",
-    "FEMA_TOTAL_DECLARATIONS",
-    "noaa_wind",
-    "noaa_earthquakes",
     "catalog_of",
     "train_bandwidth",
     "event_kde",

@@ -69,29 +69,10 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
+from ..geo.distance import great_circle_miles
 from .sweep import csr_sweep_batch
 
 __all__ = ["LandmarkIndex"]
-
-#: Mean Earth radius (IUGG) in statute miles — kept in sync with
-#: :mod:`repro.geo.distance` (no import: the engine layer stays
-#: standalone over bare arrays).
-_EARTH_RADIUS_MILES = 3958.7613
-
-
-def _gc_miles_to(latlon_deg: np.ndarray, target: int) -> np.ndarray:
-    """Great-circle miles from every row to one target row."""
-    rad = np.radians(np.asarray(latlon_deg, dtype=np.float64))
-    tlat, tlon = float(rad[target, 0]), float(rad[target, 1])
-    dlat = rad[:, 0] - tlat
-    dlon = rad[:, 1] - tlon
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + np.cos(rad[:, 0]) * np.cos(tlat) * np.sin(dlon / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * _EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
-
 
 class LandmarkIndex:
     """Per-topology ALT tables plus optional coordinates.
@@ -163,13 +144,14 @@ class LandmarkIndex:
             chosen = [int(np.argmax(centroid_dist))]
             # Incremental farthest-point: one O(n) great-circle row per
             # landmark, never the O(n^2) matrix.
-            nearest = _gc_miles_to(latlon, chosen[0])
+            nearest = great_circle_miles(latlon, latlon[chosen[0], None])[:, 0]
             while len(chosen) < k:
                 nxt = int(np.argmax(nearest))
                 if nearest[nxt] <= 0.0:
                     break  # every node coincides with a landmark
                 chosen.append(nxt)
-                np.minimum(nearest, _gc_miles_to(latlon, nxt), out=nearest)
+                gc = great_circle_miles(latlon, latlon[nxt, None])[:, 0]
+                np.minimum(nearest, gc, out=nearest)
             sweeps = csr_sweep_batch(
                 indptr, indices, weights, zero_risk, chosen, 0.0
             )
@@ -231,5 +213,6 @@ class LandmarkIndex:
         np.nan_to_num(diff, copy=False, nan=0.0, posinf=np.inf)
         h = diff.max(axis=0) if self.k else np.zeros(self.node_count)
         if self.latlon is not None:
-            np.maximum(h, _gc_miles_to(self.latlon, target), out=h)
+            gc = great_circle_miles(self.latlon, self.latlon[target, None])
+            np.maximum(h, gc[:, 0], out=h)
         return h

@@ -8,22 +8,10 @@ aggregate lower-bound bit-risk miles with that peering added.
 
 from __future__ import annotations
 
-from functools import lru_cache
-
-from ..core.interdomain import InterdomainRouter
+from ..core.interdomain import InterdomainRouter, corpus_merge
 from ..core.provisioning import best_new_peering
-from ..risk.model import RiskModel
-from ..topology.interdomain import InterdomainTopology
-from ..topology.peering import corpus_peering
-from ..topology.zoo import all_networks, regional_networks
+from ..topology.zoo import regional_networks
 from .base import ExperimentResult, register
-
-
-@lru_cache(maxsize=1)
-def _shared_state():
-    topology = InterdomainTopology(list(all_networks()), corpus_peering())
-    model = RiskModel.for_interdomain(topology)
-    return topology, model
 
 
 @register("figure11")
@@ -35,7 +23,7 @@ def run() -> ExperimentResult:
     regional footprints overlap more than the real corpus, so an
     unrestricted search surfaces mutual regional peerings instead.
     """
-    topology, model = _shared_state()
+    topology, model = corpus_merge()
     # One router over the plain merge serves every regional's search:
     # the via-edge scorer never mutates the graph, so baseline sweeps
     # accumulate in a single shared engine cache.

@@ -25,8 +25,6 @@ TICKS = 6
 
 def sample_ticks(advisories: Sequence[Advisory], count: int) -> List[Advisory]:
     """Evenly spaced advisory sample including the last advisory."""
-    if count < 1:
-        raise ValueError("need at least one tick")
     if count >= len(advisories):
         return list(advisories)
     step = (len(advisories) - 1) / (count - 1) if count > 1 else 0

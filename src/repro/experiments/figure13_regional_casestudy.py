@@ -7,18 +7,18 @@ merged interdomain topology with the advisory-specific forecast field.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, List
 
-from ..core.interdomain import InterdomainRouter, regional_pair_population
+from ..core.interdomain import (
+    InterdomainRouter,
+    corpus_merge,
+    regional_pair_population,
+)
 from ..forecast.advisory import advisory_text
 from ..forecast.risk import snapshot_from_advisory, snapshot_from_text
 from ..forecast.storms import case_study_storms, storm_advisories
 from ..risk.forecasted import ForecastedRiskModel
-from ..risk.model import RiskModel
-from ..topology.interdomain import InterdomainTopology
-from ..topology.peering import corpus_peering
-from ..topology.zoo import all_networks, regional_networks
+from ..topology.zoo import regional_networks
 from .base import ExperimentResult, register
 from .figure12_tier1_casestudy import sample_ticks
 
@@ -28,13 +28,6 @@ SCOPE_FRACTION = 0.20
 
 #: Number of advisory ticks sampled per storm.
 TICKS = 5
-
-
-@lru_cache(maxsize=1)
-def _shared_state():
-    topology = InterdomainTopology(list(all_networks()), corpus_peering())
-    model = RiskModel.for_interdomain(topology)
-    return topology, model
 
 
 def networks_in_scope(storm: str) -> List[str]:
@@ -53,7 +46,7 @@ def networks_in_scope(storm: str) -> List[str]:
 @register("figure13")
 def run() -> ExperimentResult:
     """Regenerate the Figure 13 time series."""
-    topology, base_model = _shared_state()
+    topology, base_model = corpus_merge()
     destinations = regional_pair_population(topology)
     # One router over the merge for the whole run, as in Figure 12:
     # each tick swaps only the forecast field, so the engine keeps its

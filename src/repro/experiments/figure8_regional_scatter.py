@@ -8,27 +8,20 @@ bound is compared against shortest-path routing.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Dict, Tuple
 
-from ..core.interdomain import InterdomainRouter, regional_pair_population
-from ..risk.model import RiskModel
-from ..topology.interdomain import InterdomainTopology
-from ..topology.peering import corpus_peering
-from ..topology.zoo import all_networks, regional_networks
+from ..core.interdomain import (
+    InterdomainRouter,
+    corpus_merge,
+    regional_pair_population,
+)
+from ..topology.zoo import regional_networks
 from .base import ExperimentResult, register
-
-
-@lru_cache(maxsize=1)
-def _shared_state() -> Tuple[InterdomainTopology, RiskModel]:
-    topology = InterdomainTopology(list(all_networks()), corpus_peering())
-    model = RiskModel.for_interdomain(topology)
-    return topology, model
 
 
 def regional_ratio_map() -> Dict[str, Tuple[float, float]]:
     """(rr, dr) per regional network at the model's default gammas."""
-    topology, model = _shared_state()
+    topology, model = corpus_merge()
     router = InterdomainRouter(topology, model)
     destinations = regional_pair_population(topology)
     out: Dict[str, Tuple[float, float]] = {}

@@ -18,9 +18,6 @@ from .risk import (
 from .storms import (
     PAPER_ADVISORY_COUNTS,
     case_study_storms,
-    hurricane_irene,
-    hurricane_katrina,
-    hurricane_sandy,
     storm_advisories,
 )
 from .track import StormTrack, TrackFix, interpolate_waypoints
@@ -46,9 +43,6 @@ __all__ = [
     "RHO_TROPICAL",
     "RHO_HURRICANE",
     "PAPER_ADVISORY_COUNTS",
-    "hurricane_katrina",
-    "hurricane_irene",
-    "hurricane_sandy",
     "case_study_storms",
     "storm_advisories",
 ]

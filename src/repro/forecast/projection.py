@@ -13,7 +13,7 @@ the projected ones, with risk discounted by lead time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence
+from typing import List
 
 from ..geo.coords import GeoPoint
 from ..geo.distance import destination_point
@@ -61,22 +61,16 @@ class ProjectedPosition:
         return self.tropical_radius_miles + self.cone_radius_miles
 
 
-def project_advisory(
-    advisory: Advisory, leads_hours: Sequence[float]
-) -> List[ProjectedPosition]:
-    """Project an advisory forward along its motion vector.
+def project_advisory(advisory: Advisory) -> List[ProjectedPosition]:
+    """Project an advisory forward along its motion vector, one position
+    per :data:`LEADS_HOURS` lead.
 
     The centre advances at the advisory's reported speed and bearing;
     wind radii are carried forward unchanged (NHC's own persistence
     baseline) and the cone radius grows linearly with lead time.
-
-    Raises:
-        ValueError: for negative lead times.
     """
     out: List[ProjectedPosition] = []
-    for lead in leads_hours:
-        if lead < 0:
-            raise ValueError("lead times must be non-negative")
+    for lead in LEADS_HOURS:
         travel = advisory.motion_speed_mph * lead
         center = (
             destination_point(
@@ -87,11 +81,11 @@ def project_advisory(
         )
         out.append(
             ProjectedPosition(
-                lead_hours=float(lead),
+                lead_hours=lead,
                 center=center,
                 hurricane_radius_miles=advisory.hurricane_radius_miles,
                 tropical_radius_miles=advisory.tropical_radius_miles,
-                cone_radius_miles=CONE_GROWTH_MILES_PER_HOUR * float(lead),
+                cone_radius_miles=CONE_GROWTH_MILES_PER_HOUR * lead,
             )
         )
     return out
@@ -111,7 +105,7 @@ def anticipatory_snapshots(advisory: Advisory) -> List[ForecastSnapshot]:
     before the winds arrive.
     """
     snapshots = [snapshot_from_advisory(advisory)]
-    for projection in project_advisory(advisory, LEADS_HOURS):
+    for projection in project_advisory(advisory):
         weight = 1.0 - LEAD_DISCOUNT_PER_HOUR * projection.lead_hours
         if weight <= 0.0:
             continue

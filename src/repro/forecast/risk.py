@@ -15,7 +15,7 @@ from typing import Dict, Iterable, Sequence
 import numpy as np
 
 from ..geo.coords import GeoPoint
-from ..geo.distance import distances_to_latlon_array
+from ..geo.distance import great_circle_miles
 from .advisory import Advisory
 from .parser import ParsedAdvisory, parse_advisory_text
 
@@ -64,7 +64,9 @@ class ForecastSnapshot:
         field) and :func:`storm_scope`, where per-point Python loops
         used to dominate Figure 6.
         """
-        distances = distances_to_latlon_array(latlon_deg, self.center)
+        distances = great_circle_miles(
+            latlon_deg, [[self.center.lat, self.center.lon]]
+        )[:, 0]
         levels = np.zeros(distances.shape[0], dtype=np.int64)
         levels[distances <= self.tropical_radius_miles] = 1
         levels[distances <= self.hurricane_radius_miles] = 2

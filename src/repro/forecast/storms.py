@@ -9,7 +9,6 @@ Irene, 60 for Sandy, spanning the advisory windows quoted in Section 7.3.
 from __future__ import annotations
 
 from datetime import datetime
-from functools import lru_cache
 from typing import Dict, List, Tuple
 
 from .advisory import Advisory, advisories_for_track
@@ -17,9 +16,6 @@ from .track import StormTrack, interpolate_waypoints
 
 __all__ = [
     "PAPER_ADVISORY_COUNTS",
-    "hurricane_katrina",
-    "hurricane_irene",
-    "hurricane_sandy",
     "case_study_storms",
     "storm_advisories",
 ]
@@ -33,8 +29,9 @@ PAPER_ADVISORY_COUNTS: Dict[str, int] = {
 
 # Waypoints: (hour offset, lat, lon, max wind mph, hurricane-force wind
 # radius mi, tropical-storm-force wind radius mi).
+_Waypoints = Tuple[Tuple[float, float, float, float, float, float], ...]
 
-_KATRINA_WAYPOINTS: Tuple[Tuple[float, float, float, float, float, float], ...] = (
+_KATRINA_WAYPOINTS: _Waypoints = (
     (0.0, 23.2, -75.5, 40.0, 0.0, 70.0),      # forms near the Bahamas
     (24.0, 25.9, -78.0, 65.0, 0.0, 105.0),
     (36.0, 25.6, -80.6, 80.0, 15.0, 115.0),   # first landfall near Homestead
@@ -45,10 +42,8 @@ _KATRINA_WAYPOINTS: Tuple[Tuple[float, float, float, float, float, float], ...] 
     (150.0, 30.8, -89.6, 100.0, 70.0, 200.0),   # inland Mississippi
     (161.0, 33.0, -88.9, 50.0, 0.0, 150.0),     # weakening inland
 )
-# 5 PM EDT Tuesday August 23 2005 (Section 7.3, footnote 4).
-_KATRINA_START = datetime(2005, 8, 23, 17, 0)
 
-_IRENE_WAYPOINTS: Tuple[Tuple[float, float, float, float, float, float], ...] = (
+_IRENE_WAYPOINTS: _Waypoints = (
     (0.0, 16.9, -60.9, 50.0, 0.0, 105.0),     # east of the Leewards
     (24.0, 18.5, -65.5, 75.0, 30.0, 150.0),   # Puerto Rico
     (48.0, 20.5, -70.0, 90.0, 40.0, 175.0),
@@ -62,10 +57,8 @@ _IRENE_WAYPOINTS: Tuple[Tuple[float, float, float, float, float, float], ...] = 
     (192.0, 40.7, -73.9, 70.0, 90.0, 230.0),   # New York City
     (196.0, 42.8, -72.8, 60.0, 70.0, 200.0),   # New England
 )
-# 7 PM EDT Saturday August 20 2011 (Section 7.3, footnote 4).
-_IRENE_START = datetime(2011, 8, 20, 19, 0)
 
-_SANDY_WAYPOINTS: Tuple[Tuple[float, float, float, float, float, float], ...] = (
+_SANDY_WAYPOINTS: _Waypoints = (
     (0.0, 13.5, -78.0, 45.0, 0.0, 100.0),     # Caribbean genesis
     (24.0, 15.5, -77.5, 65.0, 0.0, 125.0),
     (48.0, 18.5, -76.5, 85.0, 25.0, 140.0),   # Jamaica
@@ -78,49 +71,30 @@ _SANDY_WAYPOINTS: Tuple[Tuple[float, float, float, float, float, float], ...] = 
     (176.0, 39.4, -74.4, 85.0, 280.0, 480.0),  # New Jersey landfall
     (180.0, 40.1, -76.3, 70.0, 210.0, 450.0),  # inland Pennsylvania
 )
-# 11 AM EDT Monday October 22 2012 (Section 7.3, footnote 4).
-_SANDY_START = datetime(2012, 10, 22, 11, 0)
 
-
-@lru_cache(maxsize=None)
-def hurricane_katrina() -> StormTrack:
-    """Hurricane Katrina (August 2005), 61 fixes."""
-    return StormTrack(
-        "Katrina",
-        interpolate_waypoints(
-            _KATRINA_WAYPOINTS, _KATRINA_START, PAPER_ADVISORY_COUNTS["Katrina"]
-        ),
-    )
-
-
-@lru_cache(maxsize=None)
-def hurricane_irene() -> StormTrack:
-    """Hurricane Irene (August 2011), 70 fixes."""
-    return StormTrack(
-        "Irene",
-        interpolate_waypoints(
-            _IRENE_WAYPOINTS, _IRENE_START, PAPER_ADVISORY_COUNTS["Irene"]
-        ),
-    )
-
-
-@lru_cache(maxsize=None)
-def hurricane_sandy() -> StormTrack:
-    """Hurricane Sandy (October 2012), 60 fixes."""
-    return StormTrack(
-        "Sandy",
-        interpolate_waypoints(
-            _SANDY_WAYPOINTS, _SANDY_START, PAPER_ADVISORY_COUNTS["Sandy"]
-        ),
-    )
+#: Each storm's waypoints and first advisory time (EDT; Section 7.3,
+#: footnote 4), in :func:`case_study_storms` order.
+_STORMS: Dict[str, Tuple[_Waypoints, datetime]] = {
+    # 7 PM Saturday August 20 2011.
+    "Irene": (_IRENE_WAYPOINTS, datetime(2011, 8, 20, 19, 0)),
+    # 5 PM Tuesday August 23 2005.
+    "Katrina": (_KATRINA_WAYPOINTS, datetime(2005, 8, 23, 17, 0)),
+    # 11 AM Monday October 22 2012.
+    "Sandy": (_SANDY_WAYPOINTS, datetime(2012, 10, 22, 11, 0)),
+}
 
 
 def case_study_storms() -> Dict[str, StormTrack]:
-    """All three storms keyed by name."""
+    """All three storms keyed by name (Irene, Katrina, Sandy), each
+    densified to its paper advisory count."""
     return {
-        "Irene": hurricane_irene(),
-        "Katrina": hurricane_katrina(),
-        "Sandy": hurricane_sandy(),
+        name: StormTrack(
+            name,
+            interpolate_waypoints(
+                waypoints, start, PAPER_ADVISORY_COUNTS[name]
+            ),
+        )
+        for name, (waypoints, start) in _STORMS.items()
     }
 
 

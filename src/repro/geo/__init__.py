@@ -4,9 +4,9 @@ from .coords import CONTINENTAL_US, BoundingBox, GeoPoint
 from .distance import (
     EARTH_RADIUS_MILES,
     destination_point,
+    great_circle_miles,
     haversine_miles,
     interpolate_great_circle,
-    pairwise_distance_matrix,
 )
 from .grid import GeoGrid, GridField
 from .regions import (
@@ -29,7 +29,7 @@ __all__ = [
     "CONTINENTAL_US",
     "EARTH_RADIUS_MILES",
     "haversine_miles",
-    "pairwise_distance_matrix",
+    "great_circle_miles",
     "interpolate_great_circle",
     "destination_point",
     "GeoGrid",

@@ -12,8 +12,6 @@ says otherwise.
 from __future__ import annotations
 
 import math
-from typing import Sequence
-
 import numpy as np
 
 from .coords import GeoPoint
@@ -21,8 +19,7 @@ from .coords import GeoPoint
 __all__ = [
     "EARTH_RADIUS_MILES",
     "haversine_miles",
-    "pairwise_distance_matrix",
-    "distances_to_latlon_array",
+    "great_circle_miles",
     "interpolate_great_circle",
     "destination_point",
 ]
@@ -44,57 +41,39 @@ def haversine_miles(a: GeoPoint, b: GeoPoint) -> float:
     return 2.0 * EARTH_RADIUS_MILES * math.asin(min(1.0, math.sqrt(h)))
 
 
-def _to_radian_arrays(points: Sequence[GeoPoint]) -> "np.ndarray":
-    arr = np.empty((len(points), 2), dtype=np.float64)
-    for i, p in enumerate(points):
-        arr[i, 0] = math.radians(p.lat)
-        arr[i, 1] = math.radians(p.lon)
-    return arr
+def great_circle_miles(
+    a_deg: "np.ndarray", b_deg: "np.ndarray"
+) -> "np.ndarray":
+    """(len(a), len(b)) matrix of haversine miles between (lat, lon)
+    degree rows, fully vectorised.
 
+    The one array form of :func:`haversine_miles`: candidate-link and
+    traffic distance matrices, KDE kernel distances, storm and damage
+    radii and landmark bounds all come from here.  A one-to-many caller
+    passes its target as a one-row ``b_deg`` and reads column 0.
 
-def pairwise_distance_matrix(points: Sequence[GeoPoint]) -> "np.ndarray":
-    """Return the symmetric N x N matrix of haversine miles between points.
-
-    Vectorised with numpy; used by the topology builders and the
-    nearest-neighbour population assignment, where N can reach the tens of
-    thousands.
+    Raises:
+        ValueError: unless both inputs are (N, 2) arrays.
     """
-    if not points:
-        return np.zeros((0, 0), dtype=np.float64)
-    rad = _to_radian_arrays(points)
-    lat = rad[:, 0][:, None]
-    lon = rad[:, 1][:, None]
-    dlat = lat - lat.T
-    dlon = lon - lon.T
+    a = np.radians(_latlon_rows(a_deg))
+    b = np.radians(_latlon_rows(b_deg))
+    dlat = a[:, 0][:, None] - b[:, 0][None, :]
+    dlon = a[:, 1][:, None] - b[:, 1][None, :]
     h = (
         np.sin(dlat / 2.0) ** 2
-        + np.cos(lat) * np.cos(lat.T) * np.sin(dlon / 2.0) ** 2
+        + np.cos(a[:, 0])[:, None]
+        * np.cos(b[:, 0])[None, :]
+        * np.sin(dlon / 2.0) ** 2
     )
     np.clip(h, 0.0, 1.0, out=h)
     return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
 
 
-def distances_to_latlon_array(
-    latlon_deg: "np.ndarray", target: GeoPoint
-) -> "np.ndarray":
-    """Haversine miles from each (lat, lon) degree row to ``target``.
-
-    For callers (forecast fields, KDE sweeps) that already hold
-    coordinates as an (M, 2) array rather than a GeoPoint sequence.
-    """
+def _latlon_rows(latlon_deg: "np.ndarray") -> "np.ndarray":
     latlon_deg = np.asarray(latlon_deg, dtype=np.float64)
     if latlon_deg.ndim != 2 or latlon_deg.shape[1] != 2:
-        raise ValueError("expected an (M, 2) array of (lat, lon)")
-    rad = np.radians(latlon_deg)
-    tlat, tlon = target.as_radians()
-    dlat = rad[:, 0] - tlat
-    dlon = rad[:, 1] - tlon
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + np.cos(rad[:, 0]) * math.cos(tlat) * np.sin(dlon / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
+        raise ValueError("expected an (N, 2) array of (lat, lon) degrees")
+    return latlon_deg
 
 
 def interpolate_great_circle(

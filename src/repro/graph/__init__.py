@@ -7,7 +7,6 @@ from .shortest_path import (
     all_pairs_shortest_paths,
     dijkstra,
     reconstruct_path,
-    shortest_path,
 )
 
 __all__ = [
@@ -16,7 +15,6 @@ __all__ = [
     "NodeNotFoundError",
     "NoPathError",
     "dijkstra",
-    "shortest_path",
     "all_pairs_shortest_paths",
     "reconstruct_path",
     "connected_components",

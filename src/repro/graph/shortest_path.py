@@ -7,9 +7,9 @@ all-pairs computation once per candidate edge.
 
 Every search here is the routing engine's one heapq loop
 (:func:`repro.engine.sweep.csr_sweep` at ``alpha == 0`` with zero risk)
-over the graph flattened into CSR arrays: a single-source Dijkstra, a
-single-pair variant with early exit, and an all-pairs search that
-flattens the graph once.  Returned dicts list nodes in graph order.
+over the graph flattened into CSR arrays: a single-source Dijkstra and
+an all-pairs search that flattens the graph once.  Returned dicts list
+nodes in graph order.
 
 A deterministic tie-break keeps equal-cost paths stable across runs: among
 equally cheap frontier entries the one inserted first wins.
@@ -17,14 +17,13 @@ equally cheap frontier entries the one inserted first wins.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple, TypeVar
+from typing import Dict, Hashable, List, Tuple, TypeVar
 
 from .core import Graph, NodeNotFoundError
 
 __all__ = [
     "NoPathError",
     "dijkstra",
-    "shortest_path",
     "all_pairs_shortest_paths",
     "reconstruct_path",
 ]
@@ -41,14 +40,14 @@ class NoPathError(Exception):
         self.target = target
 
 
-def _sweep(csr, source: int, target: Optional[int] = None):
+def _sweep(csr, source: int):
     """The alpha-0, zero-risk engine sweep over flattened arrays."""
     from ..engine.sweep import csr_sweep
 
     zero_risk = [0.0] * len(csr.indices_list)
     return csr_sweep(
         csr.indptr_list, csr.indices_list, csr.weights_list, zero_risk,
-        source, 0.0, target=target,
+        source, 0.0,
     )
 
 
@@ -67,17 +66,13 @@ def _as_dicts(csr, sweep) -> Tuple[Dict, Dict]:
     return dist, parent
 
 
-def dijkstra(
-    graph: Graph[N], source: N, target: Optional[N] = None
-) -> Tuple[Dict[N, float], Dict[N, N]]:
+def dijkstra(graph: Graph[N], source: N) -> Tuple[Dict[N, float], Dict[N, N]]:
     """Single-source Dijkstra.
 
     Args:
         graph: the weighted graph (non-negative weights enforced by
             :class:`~repro.graph.core.Graph`).
         source: start node.
-        target: optional early-exit node — the search stops as soon as the
-            target is settled.
 
     Returns:
         ``(dist, parent)`` where ``dist`` maps each reached node to its
@@ -86,18 +81,15 @@ def dijkstra(
         list nodes in graph order.
 
     Raises:
-        NodeNotFoundError: if ``source`` (or a given ``target``) is absent.
+        NodeNotFoundError: if ``source`` is absent.
     """
     if source not in graph:
         raise NodeNotFoundError(source)
-    if target is not None and target not in graph:
-        raise NodeNotFoundError(target)
     # Lazy import: the engine layer imports this module.
     from ..engine.arrays import CsrGraph
 
     csr = CsrGraph(graph)
-    t = None if target is None else csr.index[target]
-    return _as_dicts(csr, _sweep(csr, csr.index[source], t))
+    return _as_dicts(csr, _sweep(csr, csr.index[source]))
 
 
 def reconstruct_path(parent: Dict[N, N], source: N, target: N) -> List[N]:
@@ -117,19 +109,6 @@ def reconstruct_path(parent: Dict[N, N], source: N, target: N) -> List[N]:
         path.append(node)
     path.reverse()
     return path
-
-
-def shortest_path(graph: Graph[N], source: N, target: N) -> List[N]:
-    """Return the minimum-weight node path from ``source`` to ``target``.
-
-    Raises:
-        NoPathError: when the endpoints are disconnected.
-        NodeNotFoundError: when either endpoint is absent.
-    """
-    dist, parent = dijkstra(graph, source, target=target)
-    if target not in dist:
-        raise NoPathError(source, target)
-    return reconstruct_path(parent, source, target)
 
 
 def all_pairs_shortest_paths(

@@ -15,7 +15,6 @@ from typing import Dict, Iterable, List
 import numpy as np
 
 from ..forecast.risk import ForecastSnapshot
-from ..stats.kde import points_to_array
 from ..topology.network import Network
 
 __all__ = ["ForecastedRiskModel"]
@@ -30,7 +29,7 @@ class ForecastedRiskModel:
     def _network_risks(self, network: Network) -> "np.ndarray":
         """``o_f`` per PoP, in ``network.pops()`` order: each snapshot
         is evaluated once on the network's (lat, lon) array."""
-        latlon = points_to_array([pop.location for pop in network.pops()])
+        latlon = network.latlon()
         best = np.zeros(latlon.shape[0], dtype=np.float64)
         for snapshot in self._snapshots:
             np.maximum(best, snapshot.risks_many(latlon), out=best)

@@ -27,13 +27,12 @@ from __future__ import annotations
 
 from functools import lru_cache
 from threading import Lock
-from typing import Dict, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from ..disasters.catalog import all_event_kdes
-from ..geo.coords import GeoPoint
-from ..stats.kde import GaussianKDE, points_to_array
+from ..stats.kde import GaussianKDE
 from ..topology.network import Network
 
 __all__ = ["HistoricalRiskModel", "default_historical_model", "RISK_UNIT_MILES"]
@@ -123,12 +122,6 @@ class HistoricalRiskModel:
             )
         return total
 
-    def risk_many(self, points: Sequence[GeoPoint]) -> "np.ndarray":
-        """Aggregate ``o_h`` at each point: weighted sum over classes."""
-        if not points:
-            return np.zeros(0, dtype=np.float64)
-        return self.risks_array(points_to_array(points))
-
     def pop_risks(self, network: Network) -> Dict[str, float]:
         """``o_h`` for every PoP of a network, keyed by PoP id.
 
@@ -144,7 +137,7 @@ class HistoricalRiskModel:
         )
 
         pops = network.pops()
-        latlon = points_to_array([p.location for p in pops])
+        latlon = network.latlon()
         key = combine_fingerprints(
             ["oh", self.fingerprint, array_fingerprint(latlon)]
         )

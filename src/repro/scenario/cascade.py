@@ -152,14 +152,9 @@ class CascadeSimulator:
         self.network = network
         self.model = model
         session = RoutingSession(network, model, engine=engine)
-        pops = network.pops()
-        self.pop_ids: List[str] = [p.pop_id for p in pops]
+        self.pop_ids: List[str] = network.pop_ids()
         self._pop_index = {pid: i for i, pid in enumerate(self.pop_ids)}
-        n = len(self.pop_ids)
-        self.latlon = np.empty((n, 2), dtype=np.float64)
-        for i, pop in enumerate(pops):
-            self.latlon[i, 0] = pop.location.lat
-            self.latlon[i, 1] = pop.location.lon
+        self.latlon = network.latlon()
         self.node_risk = np.array(
             [model.node_risk(pid) for pid in self.pop_ids], dtype=np.float64
         )
@@ -176,7 +171,9 @@ class CascadeSimulator:
             [self._pop_index[b] for _, b in self.link_pairs], dtype=np.int64
         )
         # Per-PoP incidence: (neighbor index, link index) pairs.
-        self._incident: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
+        self._incident: List[List[Tuple[int, int]]] = [
+            [] for _ in self.pop_ids
+        ]
         for idx, (a, b) in enumerate(self.link_pairs):
             u, v = self._pop_index[a], self._pop_index[b]
             self._incident[u].append((v, idx))

@@ -49,6 +49,7 @@ event loop — the harness used by tests, benchmarks and examples.
 from __future__ import annotations
 
 import asyncio
+import math
 import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -137,12 +138,14 @@ class ServerConfig:
     replicas: int = 1
 
     def __post_init__(self) -> None:
+        if not 0 <= self.port <= 65535:
+            raise ValueError("port must be in 0..65535")
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if self.batch_linger < 0:
-            raise ValueError("batch_linger must be >= 0")
-        if self.request_timeout < 0:
-            raise ValueError("request_timeout must be >= 0")
+        for name in ("batch_linger", "request_timeout"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0")
         if self.shards < 0:
             raise ValueError("shards must be >= 0")
         if self.replicas < 1:

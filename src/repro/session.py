@@ -95,16 +95,9 @@ class RoutingSession:
         engine.update_model(self.model)
         if self.network is not None and engine.coordinates is None:
             # PoP coordinates enable great-circle lower bounds for
-            # landmark-pruned pair queries on large topologies.
-            engine.set_coordinates(
-                [
-                    (
-                        self.network.pop(node).location.lat,
-                        self.network.pop(node).location.lon,
-                    )
-                    for node in engine.node_ids
-                ]
-            )
+            # landmark-pruned pair queries on large topologies; a
+            # network-built engine's node order is pops() order.
+            engine.set_coordinates(self.network.latlon())
         self._engine = engine
         self._version = self._graph.version
 

@@ -9,9 +9,9 @@ bandwidth with the lowest mean held-out score wins.
 
 Event catalogs range from thousands (earthquakes) to >100k entries
 (wind).  Cross-validating the full wind catalog would be quadratic in N,
-so folds are optionally subsampled with a seeded generator — the selected
-bandwidth is insensitive to this beyond the second decimal because the
-score curve is smooth in log-bandwidth.
+so a catalog is subsampled to :data:`MAX_EVENTS` rows with a seeded
+generator — the selected bandwidth is insensitive to this beyond the
+second decimal because the score curve is smooth in log-bandwidth.
 
 Rather than materialising a fresh training list and KDE per (candidate x
 fold) pair, the search builds **one** KDE (and one spatial bucket index)
@@ -25,7 +25,7 @@ so fold scores match the rebuild-per-fold dense computation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,6 +33,16 @@ from .divergence import empirical_kl_from_loglik
 from .kde import GaussianKDE
 
 __all__ = ["BandwidthSearchResult", "cross_validate_bandwidth", "log_space_candidates"]
+
+#: Cross-validation folds (the paper uses 5).
+N_FOLDS = 5
+
+#: Subsample cap on the events a search scores, for tractability on
+#: huge catalogs.
+MAX_EVENTS = 2500
+
+#: Seed of the fold shuffle and the subsample.
+SEED = 7
 
 
 def log_space_candidates(
@@ -54,33 +64,18 @@ class BandwidthSearchResult:
     candidates: Tuple[float, ...]
     scores: Tuple[float, ...]
     n_events_used: int
-    n_folds: int
-
-
-def _fold_indices(
-    n: int, n_folds: int, rng: "np.random.Generator"
-) -> List["np.ndarray"]:
-    order = rng.permutation(n)
-    return [order[i::n_folds] for i in range(n_folds)]
 
 
 def cross_validate_bandwidth(
-    latlon_deg: "np.ndarray",
-    candidates: Sequence[float],
-    n_folds: int = 5,
-    max_events: Optional[int] = 4000,
-    seed: int = 0,
+    latlon_deg: "np.ndarray", candidates: Sequence[float]
 ) -> BandwidthSearchResult:
-    """Select a KDE bandwidth by k-fold cross validation.
+    """Select a KDE bandwidth by :data:`N_FOLDS`-fold cross validation
+    over at most :data:`MAX_EVENTS` events.
 
     Args:
         latlon_deg: the event catalog, an (N, 2) array of (lat, lon)
             degree rows.
         candidates: bandwidths (miles) to score.
-        n_folds: number of folds (the paper uses 5).
-        max_events: subsample cap for tractability on huge catalogs;
-            ``None`` uses everything.
-        seed: seed for the fold shuffle and subsample.
 
     Returns:
         A :class:`BandwidthSearchResult`; ties on score break toward the
@@ -91,33 +86,29 @@ def cross_validate_bandwidth(
     """
     if not candidates:
         raise ValueError("need at least one candidate bandwidth")
-    if n_folds < 2:
-        raise ValueError("need at least two folds")
     working = np.asarray(latlon_deg, dtype=np.float64)
-    if len(working) < n_folds:
+    if len(working) < N_FOLDS:
         raise ValueError(
-            f"need at least {n_folds} events, got {len(working)}"
+            f"need at least {N_FOLDS} events, got {len(working)}"
         )
 
-    rng = np.random.default_rng(seed)
-    if max_events is not None and len(working) > max_events:
-        picks = rng.choice(len(working), size=max_events, replace=False)
+    rng = np.random.default_rng(SEED)
+    if len(working) > MAX_EVENTS:
+        picks = rng.choice(len(working), size=MAX_EVENTS, replace=False)
         working = working[np.sort(picks)]
 
-    folds = _fold_indices(len(working), n_folds, rng)
+    order = rng.permutation(len(working))
+    folds = [order[i::N_FOLDS] for i in range(N_FOLDS)]
     scores: List[float] = []
     for bandwidth in candidates:
         # One KDE — and one bucket index — per candidate; every fold
         # reuses it, scoring the held-out rows against the masked
         # complement (same result as fitting on the training folds).
         kde = GaussianKDE(working, bandwidth)
-        fold_scores: List[float] = []
-        for held_out in folds:
-            if held_out.size == 0 or held_out.size == len(working):
-                continue
-            fold_scores.append(
-                empirical_kl_from_loglik(kde.holdout_log_density(held_out))
-            )
+        fold_scores = [
+            empirical_kl_from_loglik(kde.holdout_log_density(held_out))
+            for held_out in folds
+        ]
         scores.append(float(np.mean(fold_scores)))
 
     best_index = min(
@@ -128,5 +119,4 @@ def cross_validate_bandwidth(
         candidates=tuple(float(c) for c in candidates),
         scores=tuple(scores),
         n_events_used=len(working),
-        n_folds=n_folds,
     )

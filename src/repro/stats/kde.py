@@ -61,7 +61,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geo.coords import GeoPoint
-from ..geo.distance import EARTH_RADIUS_MILES
+from ..geo.distance import EARTH_RADIUS_MILES, great_circle_miles
 from ..geo.grid import GeoGrid, GridField
 
 __all__ = [
@@ -95,24 +95,6 @@ def points_to_array(points: Sequence[GeoPoint]) -> "np.ndarray":
     if not points:
         return np.zeros((0, 2), dtype=np.float64)
     return np.array([(p.lat, p.lon) for p in points], dtype=np.float64)
-
-
-def _haversine_matrix_miles(
-    a_latlon_deg: "np.ndarray", b_latlon_deg: "np.ndarray"
-) -> "np.ndarray":
-    """(len(a), len(b)) matrix of great-circle miles, fully vectorised."""
-    a = np.radians(a_latlon_deg)
-    b = np.radians(b_latlon_deg)
-    dlat = a[:, 0][:, None] - b[:, 0][None, :]
-    dlon = a[:, 1][:, None] - b[:, 1][None, :]
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + np.cos(a[:, 0])[:, None]
-        * np.cos(b[:, 0])[None, :]
-        * np.sin(dlon / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
 
 
 def _unit_xyz(latlon_deg: "np.ndarray") -> "np.ndarray":
@@ -435,7 +417,7 @@ class GaussianKDE:
         chunk_rows = min(chunk_rows, self._chunk_size)
         for start in range(0, latlon_deg.shape[0], chunk_rows):
             chunk = latlon_deg[start : start + chunk_rows]
-            dist = _haversine_matrix_miles(chunk, events)
+            dist = great_circle_miles(chunk, events)
             kernel = np.exp(-(dist**2) * inv_two_sigma_sq)
             out[start : start + chunk.shape[0]] = kernel.sum(axis=1)
         return out
@@ -476,7 +458,7 @@ class GaussianKDE:
             chunk_rows = min(chunk_rows, self._chunk_size)
             for start in range(0, query_rows.shape[0], chunk_rows):
                 rows = query_rows[start : start + chunk_rows]
-                dist = _haversine_matrix_miles(latlon_deg[rows], events)
+                dist = great_circle_miles(latlon_deg[rows], events)
                 kernel = np.exp(-(dist**2) * inv_two_sigma_sq)
                 out[rows] = kernel.sum(axis=1)
         return out

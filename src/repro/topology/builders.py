@@ -27,11 +27,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geo.distance import (
-    EARTH_RADIUS_MILES,
-    destination_point,
-    pairwise_distance_matrix,
-)
+from ..geo.distance import destination_point, great_circle_miles
 from ..graph.components import bridges
 from .cities import ALL_CITIES, City, top_cities
 from .network import Network, NetworkTier, PoP
@@ -148,8 +144,8 @@ def mesh_links(network: Network, target_avg_degree: float) -> None:
     if target_avg_degree < 1.0:
         raise ValueError("target_avg_degree must be >= 1")
 
-    lat = np.array([p.location.lat for p in pops])
-    lon = np.array([p.location.lon for p in pops])
+    latlon = network.latlon()
+    lat, lon = latlon.T
     # Real fiber does not follow an ideal proximity graph: jitter the
     # metric used for the *topology decision* (seeded by the network
     # name, so the corpus stays deterministic) to introduce the route
@@ -184,7 +180,7 @@ def mesh_links(network: Network, target_avg_degree: float) -> None:
 
     # Augment: add shortest missing links if the mesh is too sparse.
     if network.link_count < target_links:
-        dist = pairwise_distance_matrix([p.location for p in pops])
+        dist = great_circle_miles(latlon, latlon)
         missing: List[Tuple[float, int, int]] = []
         for i in range(n):
             for j in range(i + 1, n):
@@ -261,24 +257,6 @@ def _vogel_offsets(count: int, spread_miles: float) -> List[Tuple[float, float]]
     for k in range(1, count):
         out.append(((k * 137.50776) % 360.0, spread_miles * math.sqrt(k)))
     return out
-
-
-def _haversine_chunk(
-    rad: "np.ndarray", rows: "np.ndarray"
-) -> "np.ndarray":
-    """Haversine miles from each of ``rows`` to every point (chunked)."""
-    lat = rad[:, 0]
-    lon = rad[:, 1]
-    dlat = rows[:, 0][:, None] - lat[None, :]
-    dlon = rows[:, 1][:, None] - lon[None, :]
-    h = (
-        np.sin(dlat / 2.0) ** 2
-        + np.cos(rows[:, 0])[:, None]
-        * np.cos(lat)[None, :]
-        * np.sin(dlon / 2.0) ** 2
-    )
-    np.clip(h, 0.0, 1.0, out=h)
-    return 2.0 * EARTH_RADIUS_MILES * np.arcsin(np.sqrt(h))
 
 
 class _UnionFind:
@@ -371,9 +349,7 @@ def continental_network(
 
     pops = network.pops()
     n = len(pops)
-    rad = np.radians(
-        np.array([(p.location.lat, p.location.lon) for p in pops])
-    )
+    latlon = network.latlon()
 
     # k-nearest-neighbour candidate edges, brute force in memory-capped
     # row chunks (a 5k x 5k float64 matrix never materialises).
@@ -382,7 +358,7 @@ def continental_network(
     chunk = 512
     for start in range(0, n, chunk):
         stop = min(start + chunk, n)
-        dist = _haversine_chunk(rad, rad[start:stop])
+        dist = great_circle_miles(latlon[start:stop], latlon)
         rows = np.arange(start, stop)
         dist[np.arange(stop - start), rows] = np.inf
         nearest = np.argpartition(dist, k, axis=1)[:, :k]
@@ -413,7 +389,7 @@ def continental_network(
             members.setdefault(uf.find(i), []).append(i)
         smallest = min(members.values(), key=lambda m: (len(m), m[0]))
         inside = np.array(smallest)
-        dist = _haversine_chunk(rad, rad[inside])
+        dist = great_circle_miles(latlon[inside], latlon)
         outside_mask = np.ones(n, dtype=bool)
         outside_mask[inside] = False
         dist[:, ~outside_mask] = np.inf

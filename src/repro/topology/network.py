@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geo.coords import GeoPoint
 from ..geo.distance import haversine_miles
 from ..graph.core import Graph
@@ -177,6 +179,13 @@ class Network:
     def locations(self) -> List[GeoPoint]:
         """PoP locations in insertion order."""
         return [pop.location for pop in self._pops.values()]
+
+    def latlon(self) -> "np.ndarray":
+        """(N, 2) array of PoP (lat, lon) degrees in :meth:`pops` order."""
+        return np.array(
+            [(p.location.lat, p.location.lon) for p in self._pops.values()],
+            dtype=np.float64,
+        ).reshape(len(self._pops), 2)
 
     # -- derived structure --------------------------------------------------
 

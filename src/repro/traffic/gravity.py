@@ -19,7 +19,7 @@ from typing import List, Sequence
 
 import numpy as np
 
-from ..geo.distance import pairwise_distance_matrix
+from ..geo.distance import great_circle_miles
 from ..population.assignment import network_population_shares
 from ..topology.network import Network
 
@@ -92,7 +92,8 @@ def gravity_matrix(network: Network) -> TrafficMatrix:
     shares = np.array([share_of[p.pop_id] for p in pops])
     # Zero-population PoPs still attract a trickle of traffic.
     shares = np.maximum(shares, 1e-6)
-    distance = pairwise_distance_matrix([p.location for p in pops])
+    latlon = network.latlon()
+    distance = great_circle_miles(latlon, latlon)
     np.maximum(distance, _DISTANCE_FLOOR_MILES, out=distance)
     demands = np.outer(shares, shares) / distance**_BETA
     np.fill_diagonal(demands, 0.0)

@@ -18,6 +18,7 @@ from repro.engine.arrays import CsrGraph
 from repro.engine.sweep import csr_sweep
 from repro.geo.coords import GeoPoint
 from repro.graph.core import Graph
+from repro.graph.shortest_path import dijkstra, reconstruct_path
 from repro.risk.model import RiskModel
 from repro.topology.network import Network, NetworkTier, PoP
 
@@ -53,6 +54,12 @@ def graph_from_edges(edges) -> Graph:
     for u, v, weight in edges:
         graph.add_edge(u, v, weight)
     return graph
+
+
+def shortest_path(graph: Graph, source, target) -> list:
+    """The minimum-weight path, read off Dijkstra's parent map."""
+    _, parent = dijkstra(graph, source)
+    return reconstruct_path(parent, source, target)
 
 
 def reaches_every_node(graph: Graph) -> bool:

@@ -2,19 +2,26 @@
 scan of the repository.
 
 A function, method or class defined under ``src/`` must be referenced
-from ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.  A
-reference is an ``Attribute`` node spelling the def's name, or a string
-constant equal to it (``getattr`` targets), except the entries of
-``__all__``, which export a name without using it.  A ``Name`` node
-counts too, but only for a def outside a class body: a bare name can
-never reach a method, so a same-named local or parameter must not keep
-a method alive.  Nor may a field: for a method that is not a property
-and whose name is also a field somewhere in ``src/`` (a class-body
-annotation or a ``self.<name>`` store), only a call ``.<name>(...)``
-or an identifier string that is not a dict key counts.  Dunder methods
-are called by the interpreter and are not scanned.  The scan goes by
-name only, so a def shares its references with every def of the same
-name.
+from ``src/``, ``benchmarks/``, ``examples/`` or ``perfbench/``.
+
+A def outside a class body is referenced by a ``Name`` load of its
+name, by an import of that name, or by an attribute read on a name an
+import bound (``module.<name>``).  An import whose bound name is in its
+module's ``__all__`` is a re-export and does not count: ``__all__``
+exports a name without using it.  So a method or property of the same
+name (``RoutingEngine.shortest_path``) cannot keep a module-level
+function alive.
+
+A def in a class body is referenced by an ``Attribute`` node spelling
+its name, or a string constant equal to it (``getattr`` targets),
+except the entries of ``__all__``.  A bare name can never reach a
+method, so a same-named local or parameter does not count.  Nor may a
+field: for a method that is not a property and whose name is also a
+field somewhere in ``src/`` (a class-body annotation or a
+``self.<name>`` store), only a call ``.<name>(...)`` or an identifier
+string that is not a dict key counts.  Dunder methods are called by the
+interpreter and are not scanned.  The scan goes by name only, so a def
+shares its references with every def of the same name.
 
 :data:`KEPT` names the defs that stay without such a caller.
 """
@@ -77,12 +84,15 @@ def _defs(node: ast.AST, prefix: str = "", in_class: bool = False):
 
 
 def _references(tree: ast.AST):
-    """``(names, members, calls)`` that ``tree`` references: ``Name``
-    ids; ``Attribute`` names plus identifier strings; and called
+    """``(names, members, calls)`` that ``tree`` references: names
+    loaded, imported (not re-exported) or read off an imported name;
+    ``Attribute`` names plus identifier strings; and called
     ``Attribute`` names plus identifier strings that are not dict keys
     (see the module docstring)."""
-    exported, keys = set(), set()
+    exported, listed, keys, imports = set(), set(), set(), []
     for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imports.append(node)
         if isinstance(node, ast.Dict):
             keys.update(id(key) for key in node.keys)
         if isinstance(node, ast.Assign):
@@ -92,13 +102,30 @@ def _references(tree: ast.AST):
         else:
             continue
         if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-            exported.update(id(constant) for constant in ast.walk(node.value))
-    names, members, calls = set(), set(), set()
+            constants = list(ast.walk(node.value))
+            exported.update(map(id, constants))
+            listed.update(
+                c.value for c in constants if isinstance(c, ast.Constant)
+            )
+    names, members, calls, bound = set(), set(), set(), set()
+    for node in imports:
+        for alias in node.names:
+            bound_name = (alias.asname or alias.name).split(".")[0]
+            bound.add(bound_name)
+            if isinstance(node, ast.ImportFrom) and bound_name not in listed:
+                names.add(alias.name)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            names.add(node.id)
+            if isinstance(node.ctx, ast.Load):
+                names.add(node.id)
         elif isinstance(node, ast.Attribute):
             members.add(node.attr)
+            if (
+                isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+            ):
+                names.add(node.attr)
         elif isinstance(node, ast.Call) and isinstance(
             node.func, ast.Attribute
         ):
@@ -166,7 +193,7 @@ def test_every_def_has_a_caller_outside_tests():
 
     def referenced(node, in_class):
         if not in_class:
-            return node.name in members or node.name in names
+            return node.name in names
         if node.name in fields and not _is_property(node):
             return node.name in calls
         return node.name in members

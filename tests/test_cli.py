@@ -111,6 +111,12 @@ class TestServeQueryParser:
         ["--request-timeout", "-1"],
         ["--shards", "-1"],
         ["--replicas", "0"],
+        ["--batch-linger", "nan"],
+        ["--batch-linger", "inf"],
+        ["--request-timeout", "nan"],
+        ["--request-timeout", "inf"],
+        ["--port", "-1"],
+        ["--port", "65536"],
     ])
     def test_serve_bad_flag_exits_2_before_building(
         self, capsys, monkeypatch, flag

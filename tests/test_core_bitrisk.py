@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.bitrisk import bit_miles, bit_risk_miles, path_metrics
+from repro.core.bitrisk import path_metrics
 
 
 @pytest.fixture
@@ -69,10 +69,15 @@ class TestPathMetrics:
 class TestConvenience:
     def test_bit_miles(self, graph, diamond_model):
         path = ["diamond:west", "diamond:north", "diamond:east"]
-        assert bit_miles(graph, path) == pytest.approx(graph.path_weight(path))
+        metrics = path_metrics(graph, path, diamond_model)
+        assert metrics.distance_miles == pytest.approx(graph.path_weight(path))
 
     def test_bit_risk_miles(self, graph, diamond_model):
+        # Equation 1: miles plus the pair impact times the risk of every
+        # PoP after the source.
         path = ["diamond:west", "diamond:north", "diamond:east"]
-        assert bit_risk_miles(graph, path, diamond_model) == pytest.approx(
-            path_metrics(graph, path, diamond_model).bit_risk_miles
+        risk = sum(diamond_model.node_risk(pop) for pop in path[1:])
+        alpha = diamond_model.impact(path[0], path[-1])
+        assert path_metrics(graph, path, diamond_model).bit_risk_miles == (
+            pytest.approx(graph.path_weight(path) + alpha * risk)
         )

@@ -30,7 +30,7 @@ class TestOspfExport:
         assert south > north
 
     def test_as_graph_routes_risk_aware(self, diamond_network, diamond_model):
-        from repro.graph.shortest_path import shortest_path
+        from tests.conftest import shortest_path
 
         table = export_ospf_weights(diamond_network, diamond_model)
         path = shortest_path(

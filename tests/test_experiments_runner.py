@@ -3,8 +3,6 @@
 import pathlib
 import py_compile
 
-import pytest
-
 from repro.experiments.figure12_tier1_casestudy import sample_ticks
 from repro.experiments.figure13_regional_casestudy import networks_in_scope
 from repro.forecast.storms import storm_advisories
@@ -27,10 +25,6 @@ class TestSampleTicks:
         advisories = storm_advisories("Katrina")
         ticks = sample_ticks(advisories, 1000)
         assert len(ticks) == len(advisories)
-
-    def test_invalid_count(self):
-        with pytest.raises(ValueError):
-            sample_ticks(storm_advisories("Sandy"), 0)
 
 
 class TestNetworksInScope:

@@ -44,7 +44,8 @@ def moving_storm(speed=15.0, bearing=0.0) -> Advisory:
 class TestProjection:
     def test_centers_advance_along_bearing(self):
         advisory = moving_storm(speed=15.0, bearing=0.0)
-        projections = project_advisory(advisory, leads_hours=(12.0, 24.0))
+        projections = project_advisory(advisory)
+        assert [p.lead_hours for p in projections] == list(LEADS_HOURS)
         d12 = haversine_miles(advisory.center, projections[0].center)
         d24 = haversine_miles(advisory.center, projections[1].center)
         assert d12 == pytest.approx(15.0 * 12, rel=1e-3)
@@ -52,24 +53,20 @@ class TestProjection:
         assert projections[1].center.lat > projections[0].center.lat
 
     def test_cone_grows_with_lead(self):
-        projections = project_advisory(moving_storm(), leads_hours=(12.0, 48.0))
+        projections = project_advisory(moving_storm())
         assert projections[0].cone_radius_miles == pytest.approx(
             CONE_GROWTH_MILES_PER_HOUR * 12
         )
-        assert projections[1].cone_radius_miles > projections[0].cone_radius_miles
+        cones = [p.cone_radius_miles for p in projections]
+        assert cones == sorted(cones) and cones[0] < cones[-1]
 
     def test_stationary_storm(self):
-        projections = project_advisory(
-            moving_storm(speed=0.0), leads_hours=(24.0,)
-        )
-        assert projections[0].center == moving_storm().center
-
-    def test_negative_lead_rejected(self):
-        with pytest.raises(ValueError):
-            project_advisory(moving_storm(), leads_hours=(-1.0,))
+        projections = project_advisory(moving_storm(speed=0.0))
+        assert all(p.center == moving_storm().center for p in projections)
 
     def test_threatened_radius_includes_cone(self):
-        projection = project_advisory(moving_storm(), leads_hours=(48.0,))[0]
+        projection = project_advisory(moving_storm())[-1]
+        assert projection.lead_hours == 48.0
         assert projection.threatened_radius_miles == pytest.approx(
             220.0 + CONE_GROWTH_MILES_PER_HOUR * 48
         )
@@ -165,7 +162,7 @@ class TestOneForecastField:
         best = snapshot_from_advisory(advisory).risks_many(row)[0]
         if not anticipatory:
             return best
-        for projection in project_advisory(advisory, LEADS_HOURS):
+        for projection in project_advisory(advisory):
             weight = 1.0 - LEAD_DISCOUNT_PER_HOUR * projection.lead_hours
             if weight <= 0.0:
                 continue

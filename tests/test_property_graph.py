@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from repro.graph.components import connected_components
 from repro.graph.core import Graph
-from repro.graph.shortest_path import NoPathError, dijkstra, shortest_path
-from tests.conftest import examples
+from repro.graph.shortest_path import NoPathError, dijkstra
+from tests.conftest import examples, shortest_path
 
 
 @st.composite

@@ -15,8 +15,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.disasters import fema, noaa
-from repro.disasters.catalog import catalog_of
+from repro.disasters.catalog import CATALOG_SEEDS, catalog_of
 from repro.disasters.events import PAPER_EVENT_COUNTS, EventType
 from repro.disasters.generators import EVENT_MODELS
 from repro.geo.coords import CONTINENTAL_US, BoundingBox, GeoPoint
@@ -196,12 +195,13 @@ class TestSamplerParity:
         assert lon.tolist() == [-70.0] * 4
 
     def test_every_corpus_catalog_equals_scalar_reference(self):
-        seeds = {**fema._SEEDS, **noaa._SEEDS}
-        assert set(seeds) == set(EventType.ALL)
+        assert set(CATALOG_SEEDS) == set(EventType.ALL)
         for event_type in EventType.ALL:
             catalog = catalog_of(event_type)
             lat, lon, year = scalar_catalog(
-                event_type, PAPER_EVENT_COUNTS[event_type], seeds[event_type]
+                event_type,
+                PAPER_EVENT_COUNTS[event_type],
+                CATALOG_SEEDS[event_type],
             )
             _assert_same_bits(catalog.lat, lat)
             _assert_same_bits(catalog.lon, lon)

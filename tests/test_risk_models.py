@@ -86,15 +86,8 @@ class TestHistorical:
         assert set(risks) == {"toy:risky", "toy:safe"}
         assert risks["toy:risky"] > risks["toy:safe"]
 
-    def test_risk_many_empty(self):
-        assert toy_historical().risk_many([]).shape == (0,)
-
-    def test_risks_array_matches_risk_many(self):
-        model = toy_historical()
-        points = [RISKY_SPOT, SAFE_SPOT]
-        np.testing.assert_array_equal(
-            model.risks_array(latlon(*points)), model.risk_many(points)
-        )
+    def test_risks_array_empty(self):
+        assert toy_historical().risks_array(np.zeros((0, 2))).shape == (0,)
 
     def test_fingerprint_tracks_weights_and_kdes(self):
         base = toy_historical()

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.stats import bandwidth
 from repro.stats.bandwidth import (
     cross_validate_bandwidth,
     log_space_candidates,
@@ -48,7 +49,7 @@ class TestCrossValidation:
     def test_picks_reasonable_bandwidth(self):
         events = clustered_events()
         result = cross_validate_bandwidth(
-            events, log_space_candidates(2.0, 2000.0, 10), seed=3
+            events, log_space_candidates(2.0, 2000.0, 10)
         )
         # Clusters are ~20 miles across; CV must not pick the extremes.
         assert 2.0 < result.best_bandwidth_miles < 2000.0
@@ -56,16 +57,15 @@ class TestCrossValidation:
     def test_deterministic(self):
         events = clustered_events()
         candidates = log_space_candidates(5.0, 500.0, 6)
-        r1 = cross_validate_bandwidth(events, candidates, seed=7)
-        r2 = cross_validate_bandwidth(events, candidates, seed=7)
+        r1 = cross_validate_bandwidth(events, candidates)
+        r2 = cross_validate_bandwidth(events, candidates)
         assert r1.best_bandwidth_miles == r2.best_bandwidth_miles
         assert r1.scores == r2.scores
 
-    def test_subsampling_cap(self):
+    def test_subsampling_cap(self, monkeypatch):
+        monkeypatch.setattr(bandwidth, "MAX_EVENTS", 60)
         events = clustered_events(n=200)
-        result = cross_validate_bandwidth(
-            events, [50.0, 100.0], max_events=60, seed=0
-        )
+        result = cross_validate_bandwidth(events, [50.0, 100.0])
         assert result.n_events_used == 60
 
     def test_no_candidates_rejected(self):
@@ -74,23 +74,19 @@ class TestCrossValidation:
 
     def test_too_few_events_rejected(self):
         with pytest.raises(ValueError):
-            cross_validate_bandwidth(clustered_events(4), [10.0], n_folds=5)
-
-    def test_too_few_folds_rejected(self):
-        with pytest.raises(ValueError):
-            cross_validate_bandwidth(clustered_events(), [10.0], n_folds=1)
+            cross_validate_bandwidth(clustered_events(4), [10.0])
 
     def test_scores_cover_all_candidates(self):
         events = clustered_events(n=60)
         candidates = [10.0, 50.0, 200.0]
-        result = cross_validate_bandwidth(events, candidates, seed=1)
+        result = cross_validate_bandwidth(events, candidates)
         assert len(result.scores) == 3
         assert result.candidates == (10.0, 50.0, 200.0)
 
     def test_best_has_minimal_score(self):
         events = clustered_events(n=90)
         result = cross_validate_bandwidth(
-            events, log_space_candidates(3.0, 800.0, 8), seed=2
+            events, log_space_candidates(3.0, 800.0, 8)
         )
         best = result.candidates.index(result.best_bandwidth_miles)
         assert result.scores[best] == min(result.scores)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.geo.coords import BoundingBox, GeoPoint
-from repro.geo.distance import distances_to_latlon_array
+from repro.geo.distance import great_circle_miles
 from repro.stats.sampling import sample_gaussian_cluster, sample_mixture
 
 BOX = BoundingBox(30.0, -100.0, 40.0, -90.0)
@@ -15,8 +15,8 @@ class TestGaussianCluster:
     def test_spread_scale(self):
         rng = np.random.default_rng(1)
         lat, lon = sample_gaussian_cluster(rng, CENTER, 50.0, 500)
-        distances = distances_to_latlon_array(
-            np.column_stack((lat, lon)), CENTER
+        distances = great_circle_miles(
+            np.column_stack((lat, lon)), [[CENTER.lat, CENTER.lon]]
         )
         # Mean radial distance of a 2-D Gaussian is sigma * sqrt(pi/2).
         assert np.mean(distances) == pytest.approx(
@@ -64,9 +64,7 @@ class TestMixture:
         rng = np.random.default_rng(4)
         lat, lon = sample_mixture(rng, self.components(), 2000)
         near_first = np.count_nonzero(
-            distances_to_latlon_array(
-                np.column_stack((lat, lon)), GeoPoint(35.0, -95.0)
-            )
+            great_circle_miles(np.column_stack((lat, lon)), [[35.0, -95.0]])
             < 300
         )
         assert near_first / 2000 == pytest.approx(0.75, abs=0.05)

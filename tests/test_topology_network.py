@@ -1,5 +1,6 @@
 """Tests for repro.topology.network."""
 
+import numpy as np
 import pytest
 
 from repro.geo.coords import GeoPoint
@@ -99,6 +100,12 @@ class TestNetworkQueries:
 
     def test_locations_order(self):
         assert small_network().locations() == [NYC, BOSTON, DC]
+
+    def test_latlon_in_pops_order(self):
+        latlon = small_network().latlon()
+        assert latlon.dtype == np.float64
+        assert latlon.tolist() == [[p.lat, p.lon] for p in (NYC, BOSTON, DC)]
+        assert Network("empty").latlon().shape == (0, 2)
 
     def test_average_outdegree(self):
         assert small_network().average_outdegree() == pytest.approx(4.0 / 3.0)

@@ -1,24 +1,29 @@
-"""The engine's memo: one LRU cache class, used twice.
+"""The engine's memo: one LRU cache class, used three times.
 
-Each :class:`~repro.engine.engine.RoutingEngine` holds two
+Each :class:`~repro.engine.engine.RoutingEngine` holds three
 :class:`LruCache` instances:
 
 * sweeps — per-source Dijkstra sweeps keyed by ``(alpha, source
   index)``.  Each cache belongs to one engine, and an engine's topology
   is frozen at construction, so the key needs no topology part; the
-  alpha is what lets repeated pair queries, ratio sweeps and
-  provisioning scoring share a search.
+  alpha is what lets the geographic side of pair queries, ratio sweeps
+  and provisioning scoring share a search.
+* routes — single-pair answers keyed by ``(kind, source index, target
+  index)``: ``EXACT`` risk routes, ``route_pair``'s ``PairRoutes`` and
+  continental-scale shortest paths.  An ``EXACT`` pair's impact
+  ``c_s + c_t`` is shared with no other query, so the engine keeps the
+  answer of its target-stopped search rather than a full sweep.  Sized
+  by ``sweep_cache_size``.
 * results — finished aggregates (ratio results, per-source component
-  arrays, targeted routes) keyed by the full
-  query signature, so repeating an identical all-pairs evaluation is a
-  dictionary lookup.
+  arrays) keyed by the full query signature, so repeating an identical
+  all-pairs evaluation is a dictionary lookup.
 
-Both are risk-scoped: when the risk field changes (a new forecast
+All three are risk-scoped: when the risk field changes (a new forecast
 advisory hour, different gammas, a streaming event ingest) the engine
 keeps the ``alpha == 0`` sweeps — those depend only on the topology —
-through :meth:`LruCache.retain`, and clears the results.
+through :meth:`LruCache.retain`, and clears the routes and the results.
 
-:class:`EngineConfig` sizes both caches for one engine.
+:class:`EngineConfig` sizes the caches for one engine.
 """
 
 from __future__ import annotations
@@ -38,7 +43,8 @@ class EngineConfig:
     :mod:`repro.engine.engine`.
 
     Args:
-        sweep_cache_size: max memoized sweeps per engine.
+        sweep_cache_size: max memoized sweeps per engine, and max
+            memoized single-pair routes.
         result_cache_size: max memoized aggregates per engine.
     """
 

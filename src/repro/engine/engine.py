@@ -2,32 +2,42 @@
 
 One engine owns one topology, frozen into CSR arrays, and serves every
 risk-weighted query against it: single pairs, per-source sweeps,
-all-pairs ratio aggregates and provisioning component sums.  Everything
-reduces to memoized single-source sweeps (see
-:mod:`repro.engine.sweep`), so repeated pair queries, ratio sweeps and
-candidate scoring share work instead of recomputing it.
+all-pairs ratio aggregates and provisioning component sums.  Work that
+many queries share reduces to memoized single-source sweeps (see
+:mod:`repro.engine.sweep`), so ratio sweeps, candidate scoring and the
+geographic side of pair queries share work instead of recomputing it.
+An ``EXACT`` single pair is its own search, since its impact
+``c_s + c_t`` is shared with no other query: the engine memoizes its
+answer, not the search.
 
-Caching contract:
+Caching contract (see :mod:`repro.engine.cache`):
 
-* sweeps are keyed by ``(alpha, source)`` — see
-  :mod:`repro.engine.cache`;
+* sweeps are keyed by ``(alpha, source)``;
+* ``EXACT`` risk routes and ``route_pair``'s ``PairRoutes`` are
+  memoized per ``(source, target)`` in a route LRU sized like the
+  sweep cache; a cold one is read off the cached ``(alpha, source)``
+  sweep when there is one, and otherwise searched for its target alone
+  and never cached as a sweep;
 * a model swap with the same risk field (fingerprint match) keeps every
   cache; a changed field (a new forecast advisory, an event ingest,
   different gammas) keeps the ``alpha == 0`` geographic sweeps and
-  drops every other sweep and every memoized result;
+  drops every other sweep, every memoized route and every memoized
+  result;
 * answers do not depend on cache history: every aggregate iterates
-  targets in node-index order, so it is the same whichever kernel
-  settled a sweep and whether the sweep was cached alone or in a batch
-  — except between exactly tied optima, where the two kernels'
-  tie-breaks may pick different, equally short paths.
+  targets in node-index order, and a search stopped at its target
+  settles what the full sweep would have up to it, so an answer is the
+  same whichever kernel settled a sweep and whether it was cached alone,
+  in a batch or not at all — except between exactly tied optima, where
+  the bucketed kernel's and A*'s tie-breaks may pick different, equally
+  short paths.
 
 Kernel rule (DESIGN §15): a prefetch bucket of at least
 ``BUCKETED_MIN_BATCH`` sources on a graph of at least
 ``BUCKETED_MIN_NODES`` nodes runs through the bucketed multi-source
 kernel; smaller buckets run one :func:`~repro.engine.sweep.csr_sweep`
-per source.  On graphs of at least ``TARGETED_MIN_NODES`` nodes a cold
-single-pair query runs :func:`~repro.engine.sweep.csr_sweep` as A*
-under ``LANDMARK_COUNT`` landmark bounds instead of a full sweep.
+per source.  On graphs of at least ``TARGETED_MIN_NODES`` nodes a
+single-pair search runs :func:`~repro.engine.sweep.csr_sweep` as A*
+under ``LANDMARK_COUNT`` landmark bounds.
 
 Whoever owns a topology owns its engine and passes it to whatever
 should share its warm caches: a :class:`~repro.session.RoutingSession`
@@ -94,16 +104,23 @@ class RoutingEngine:
         model: RiskModel,
         config: Optional[EngineConfig] = None,
     ) -> None:
+        self._init_state(CsrGraph(graph), config)
+        self._bind_model(model, risk_fingerprint(model, self._csr.node_ids))
+
+    def _init_state(
+        self, csr: CsrGraph, config: Optional[EngineConfig]
+    ) -> None:
+        """Everything but the model binding, with empty caches."""
         self._config = config or EngineConfig()
-        self._csr = CsrGraph(graph)
+        self._csr = csr
         self._sweeps = LruCache(self._config.sweep_cache_size)
+        self._routes = LruCache(self._config.sweep_cache_size)
         self._results = LruCache(self._config.result_cache_size)
         self.risk_fingerprint = ""
         self._latlon: Optional[np.ndarray] = None
         self._landmarks = None
         self._targeted_queries = 0
         self._targeted_settled = 0
-        self._bind_model(model, risk_fingerprint(model, self._csr.node_ids))
 
     @classmethod
     def from_csr(
@@ -128,15 +145,7 @@ class RoutingEngine:
         instead of recomputing it.  Later model swaps rebind normally.
         """
         self = cls.__new__(cls)
-        self._config = config or EngineConfig()
-        self._csr = csr
-        self._sweeps = LruCache(self._config.sweep_cache_size)
-        self._results = LruCache(self._config.result_cache_size)
-        self.risk_fingerprint = ""
-        self._latlon = None
-        self._landmarks = None
-        self._targeted_queries = 0
-        self._targeted_settled = 0
+        self._init_state(csr, config)
         if risk_state is None:
             self._bind_model(model, risk_fingerprint(model, csr.node_ids))
             return self
@@ -176,7 +185,8 @@ class RoutingEngine:
         and shares — e.g. a fresh but equivalent ``RiskModel`` object)
         keeps every cache warm.  A changed field keeps the geographic
         ``alpha == 0`` sweeps, which risk can never affect, and drops
-        every other sweep and every memoized result.
+        every other sweep, every memoized route and every memoized
+        result.
 
         Returns True when caches were invalidated.
         """
@@ -188,6 +198,7 @@ class RoutingEngine:
             return False
         self._bind_model(model, fingerprint)
         self._sweeps.retain(lambda key: key[0] == 0.0)
+        self._routes.clear()
         self._results.clear()
         return True
 
@@ -210,8 +221,10 @@ class RoutingEngine:
         """Cache counters plus current occupancy (for tests/logging)."""
         return {
             "sweeps": self._sweeps.stats.as_dict(),
+            "routes": self._routes.stats.as_dict(),
             "results": self._results.stats.as_dict(),
             "cached_sweeps": len(self._sweeps),
+            "cached_routes": len(self._routes),
             "cached_results": len(self._results),
             "targeted": self.targeted_stats(),
         }
@@ -220,8 +233,9 @@ class RoutingEngine:
     #
     # The query service plans whole batches of single-pair requests as
     # (source index, alpha) sweep demands, deduplicates them, and
-    # prefetches once — these hooks expose exactly the impact values a
-    # query will sweep under, without reaching into private state.
+    # prefetches once — these hooks expose the source index and the
+    # per-source impact a query sweeps under, without reaching into
+    # private state.
 
     def index_of(self, node: str) -> int:
         """CSR row index of a node.
@@ -230,13 +244,6 @@ class RoutingEngine:
             NodeNotFoundError: for a name outside the topology.
         """
         return self._idx(node)
-
-    def pair_impact(self, source: str, target: str) -> float:
-        """The true pair impact ``alpha_ij = c_i + c_j`` — the sweep
-        impact of an ``EXACT`` single-pair query."""
-        return (
-            self._shares[self._idx(source)] + self._shares[self._idx(target)]
-        )
 
     def expected_impact(self, source: str) -> float:
         """The expected impact ``alpha_i = c_i + mean(c)`` — the sweep
@@ -312,10 +319,11 @@ class RoutingEngine:
         return self._landmarks
 
     def targeted_stats(self) -> dict:
-        """Settle counters for landmark-pruned pair queries.
+        """Settle counters for single-pair searches stopped at their
+        target (landmark-pruned from ``TARGETED_MIN_NODES`` nodes).
 
         ``settled / (queries * node_count)`` is the fraction of the
-        graph a pruned query actually visited.
+        graph such a search actually visited.
         """
         return {
             "queries": self._targeted_queries,
@@ -455,44 +463,61 @@ class RoutingEngine:
         return RouteResult(path[0], path[-1], metrics)
 
     def _targeted_route(self, s: int, t: int, alpha: float):
-        """Landmark-pruned single-pair route on a cold cache.
+        """One pair's route at ``alpha``, searched for that pair alone.
 
-        Returns None when the full sweep should be used instead (it is
-        already cached, so pruning would only discard work).  The A*
-        search runs at the same alpha the full sweep would have used,
-        and the chosen path is scored by :meth:`_route_from_path`, so
-        the reported costs match the sweep path exactly.
+        Reads the full ``(alpha, s)`` sweep when it is cached.
+        Otherwise runs :func:`~repro.engine.sweep.csr_sweep` stopped
+        when ``t`` settles, under landmark bounds (A*) only on graphs of
+        at least ``TARGETED_MIN_NODES`` nodes.  Below that gate the
+        search is the full sweep's own loop cut short, so path and costs
+        are the full sweep's bit for bit; A* settles ``t`` at the same
+        distance, its path identical up to exactly tied optima.  The
+        search is not cached as a sweep: callers memoize the route.
         """
-        if self._sweeps.peek((alpha, s)):
-            return None
-        cache_key = ("targeted", s, t, alpha)
-        cached = self._results.get(cache_key)
-        if cached is not None:
-            return cached
-        bounds = self.landmark_index().lower_bounds(t).tolist()
-        result = csr_sweep(*self._arrays(), s, alpha, target=t, bounds=bounds)
-        self._targeted_queries += 1
-        self._targeted_settled += result.settled
-        if result.dist[t] == _INF:
+        sweep = self._sweeps.get((alpha, s))
+        if sweep is None:
+            bounds = None
+            if self._csr.node_count >= TARGETED_MIN_NODES:
+                bounds = self.landmark_index().lower_bounds(t).tolist()
+            sweep = csr_sweep(
+                *self._arrays(), s, alpha, target=t, bounds=bounds
+            )
+            self._targeted_queries += 1
+            self._targeted_settled += sweep.settled
+        if sweep.dist[t] == _INF:
             names = self._csr.node_ids
             raise NoPathError(names[s], names[t])
-        route = self._route(result, t)
-        self._results.put(cache_key, route)
+        return self._route(sweep, t)
+
+    def _memo_route(self, key: tuple, compute):
+        """``compute()``, memoized under ``key`` in the route LRU."""
+        route = self._routes.get(key)
+        if route is None:
+            route = compute()
+            self._routes.put(key, route)
         return route
+
+    def _exact_route(self, s: int, t: int):
+        """The Equation 3 optimum for one pair, under ``c_s + c_t``."""
+        return self._targeted_route(s, t, self._shares[s] + self._shares[t])
 
     # -- single-pair queries -----------------------------------------------
 
     def shortest_path(self, source: str, target: str):
         """Pure geographic shortest path (the paper's baseline).
 
+        Read off the source's cached ``alpha == 0`` sweep, which every
+        target shares; on graphs of at least ``TARGETED_MIN_NODES``
+        nodes a cold one is an A* search, memoized per pair.
+
         Raises:
             NoPathError: when disconnected.
         """
         s, t = self._idx(source), self._idx(target)
         if self._csr.node_count >= TARGETED_MIN_NODES:
-            route = self._targeted_route(s, t, 0.0)
-            if route is not None:
-                return route
+            return self._memo_route(
+                ("shortest", s, t), lambda: self._targeted_route(s, t, 0.0)
+            )
         sweep = self._sweep_idx(s, 0.0)
         if sweep.dist[t] == _INF:
             raise NoPathError(source, target)
@@ -506,39 +531,42 @@ class RoutingEngine:
     ):
         """The RiskRoute path for one pair.
 
-        ``EXACT`` is the true Equation 3 optimum.  On continental-scale
-        topologies (``TARGETED_MIN_NODES``) a cold ``EXACT`` query runs
-        the landmark-pruned A* search instead of settling the whole
-        graph; the distance is the same bit-for-bit and the path
-        identical up to exactly-tied optima.  ``PER_SOURCE`` reads the
-        target off the source's expected-impact sweep — the route
-        :meth:`risk_routes_from` reports for it — re-scored exactly.
+        ``EXACT`` is the true Equation 3 optimum, memoized per pair: a
+        cold one is read off the cached ``(c_s + c_t, source)`` sweep
+        if there is one, and otherwise searched for its target alone —
+        landmark-pruned A* on continental-scale topologies
+        (``TARGETED_MIN_NODES``), whose distance is the same bit for bit
+        and whose path is identical up to exactly tied optima.
+        ``PER_SOURCE`` reads the target off the source's cached
+        expected-impact sweep — the route :meth:`risk_routes_from`
+        reports for it — re-scored exactly.
 
         Raises:
             NodeNotFoundError: for an endpoint outside the topology.
             NoPathError: when disconnected.
         """
         s, t = self._idx(source), self._idx(target)
-        if strategy is SweepStrategy.PER_SOURCE:
-            alpha = self._shares[s] + self._mean_share
-        else:
-            alpha = self._shares[s] + self._shares[t]
-            if self._csr.node_count >= TARGETED_MIN_NODES:
-                route = self._targeted_route(s, t, alpha)
-                if route is not None:
-                    return route
-        sweep = self._sweep_idx(s, alpha)
+        if strategy is not SweepStrategy.PER_SOURCE:
+            return self._memo_route(
+                ("route", s, t), lambda: self._exact_route(s, t)
+            )
+        sweep = self._sweep_idx(s, self._shares[s] + self._mean_share)
         if sweep.dist[t] == _INF:
             raise NoPathError(source, target)
         return self._route(sweep, t)
 
     def route_pair(self, source: str, target: str):
-        """Both routes for a pair, ready for ratio evaluation."""
+        """Both routes for a pair, ready for ratio evaluation; memoized
+        per pair."""
         from ..core.riskroute import PairRoutes
 
-        return PairRoutes(
-            shortest=self.shortest_path(source, target),
-            riskroute=self.risk_route(source, target),
+        s, t = self._idx(source), self._idx(target)
+        return self._memo_route(
+            ("pair", s, t),
+            lambda: PairRoutes(
+                shortest=self.shortest_path(source, target),
+                riskroute=self._exact_route(s, t),
+            ),
         )
 
     # -- per-source sweeps -------------------------------------------------

@@ -19,7 +19,7 @@ What is shared vs. local:
 * **Local (per child)**: the name→index dict, the list mirrors the
   pure-Python sweep inner loop indexes (see
   :meth:`~repro.engine.arrays.CsrGraph.from_arrays` — per-process
-  working state by design), and all sweep/result caches.
+  working state by design), and all sweep/route/result caches.
 
 Lifecycle: the parent's :class:`SharedEngineState` owns the segments —
 it alone unlinks them (:meth:`SharedEngineState.close`).  Children

@@ -94,8 +94,9 @@ def csr_sweep(
             the target is *settled*, leaving later nodes unsettled.
             Settle order up to the target is that of the full sweep, so
             ``dist[target]`` and the parent chain to it are identical.
-            The full sweep (no target) is what the engine caches, since
-            it serves every later query.
+            The engine caches full sweeps (no target), which many
+            queries share, and runs a target-stopped search for an
+            ``EXACT`` pair, whose impact no other query shares.
         bounds: optional per-node lower bounds on the remaining cost to
             ``target`` (``LandmarkIndex.lower_bounds(target)``, see
             :mod:`repro.engine.landmarks`), which make the search A*:

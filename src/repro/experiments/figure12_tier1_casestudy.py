@@ -27,7 +27,7 @@ def sample_ticks(advisories: Sequence[Advisory], count: int) -> List[Advisory]:
     """Evenly spaced advisory sample including the last advisory."""
     if count >= len(advisories):
         return list(advisories)
-    step = (len(advisories) - 1) / (count - 1) if count > 1 else 0
+    step = (len(advisories) - 1) / (count - 1)
     return [advisories[round(i * step)] for i in range(count)]
 
 

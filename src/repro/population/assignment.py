@@ -24,13 +24,13 @@ never share population shares.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from ..geo.regions import states_region
 from ..stats.kde import _unit_xyz
-from ..topology.network import Network, PoP
+from ..topology.network import Network
 from .census import CensusData, synthetic_census
 
 __all__ = ["assign_population", "network_population_shares"]
@@ -50,9 +50,10 @@ _SHARES_MEMO: Dict[Tuple, Dict[str, float]] = {}
 
 
 def assign_population(
-    census: CensusData, pops: Sequence[PoP]
+    census: CensusData, network: Network
 ) -> Dict[str, float]:
-    """Assign each census block to the nearest PoP: ``{pop_id: c_i}``.
+    """Assign each census block to the nearest PoP of ``network``:
+    ``{pop_id: c_i}``, in PoP order.
 
     Distance is great-circle (see the module docstring for the tie
     rule); the sweep is chunked so the block x PoP work matrices never
@@ -61,21 +62,20 @@ def assign_population(
     Raises:
         ValueError: with no PoPs or an empty census.
     """
-    if not pops:
+    pop_ids = network.pop_ids()
+    if not pop_ids:
         raise ValueError("need at least one PoP")
     if census.block_count == 0:
         raise ValueError("census has no blocks")
+    latlon = network.latlon()
     nearest = _nearest_pops(
-        census.lat,
-        census.lon,
-        np.array([p.location.lat for p in pops]),
-        np.array([p.location.lon for p in pops]),
+        census.lat, census.lon, latlon[:, 0], latlon[:, 1]
     )
-    served = np.zeros(len(pops), dtype=np.float64)
+    served = np.zeros(len(pop_ids), dtype=np.float64)
     np.add.at(served, nearest, census.population)
     total = census.total_population
     return {
-        pop.pop_id: float(served[i] / total) for i, pop in enumerate(pops)
+        pop_id: float(served[i] / total) for i, pop_id in enumerate(pop_ids)
     }
 
 
@@ -159,4 +159,4 @@ def _footprint_shares(
             raise ValueError(
                 f"no census blocks inside the footprint of {network.name}"
             )
-    return assign_population(working, network.pops())
+    return assign_population(working, network)

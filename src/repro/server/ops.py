@@ -345,20 +345,22 @@ def validate_params(spec: OpSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
 
 
 # -- sweep planners (the coalescing half of the old _sweep_demands) ----------
+#
+# Only sweeps other queries share are planned.  An EXACT pair's risk
+# route is a search of its own under ``c_s + c_t``, which the engine
+# memoizes per pair, so prefetching its full sweep would only cache work
+# no other query reads.
 
 
 def _plan_route(engine, params: Dict[str, Any]) -> List[Tuple[int, float]]:
-    source, target = params["source"], params["target"]
-    s = engine.index_of(source)
-    if params["strategy"] is SweepStrategy.PER_SOURCE:
-        return [(s, engine.expected_impact(source))]
-    return [(s, engine.pair_impact(source, target))]
+    if params["strategy"] is not SweepStrategy.PER_SOURCE:
+        return []
+    source = params["source"]
+    return [(engine.index_of(source), engine.expected_impact(source))]
 
 
 def _plan_pair(engine, params: Dict[str, Any]) -> List[Tuple[int, float]]:
-    source, target = params["source"], params["target"]
-    s = engine.index_of(source)
-    return [(s, 0.0), (s, engine.pair_impact(source, target))]
+    return [(engine.index_of(params["source"]), 0.0)]
 
 
 # -- result handlers (what QueryService._dispatch runs) ----------------------

@@ -18,8 +18,8 @@ same specs against a shared-memory engine, which is what makes sharded
 replies byte-identical to single-process ones.
 
 Coalescing happens here too: before dispatching, the batch's sweep
-demands — the ``(alpha, source)`` searches each request will
-need — are collected, deduplicated and prefetched in one engine call.
+demands — the shared ``(alpha, source)`` sweeps each request will
+read — are collected, deduplicated and prefetched in one engine call.
 Requests that demand the same sweep share one computation; the surplus
 is reported back as ``coalesced`` and surfaces in server stats.
 

@@ -22,10 +22,11 @@ Topology of one sharded daemon::
 shard for a key under **rendezvous (highest-random-weight) hashing**
 of a blake2b affinity key and serves the key from its top ``replicas``
 shards.  Pair ops (``route`` / ``pair``) key ``network|source|target``
-so a pair always lands on the same shards — their ``(alpha, source)``
-sweep caches stay hot — while params-routed ops (``ratios`` /
-``provision``) key their canonical parameter dict, so repeats of the
-same heavy query hit the same shards' memoized result caches.  Every
+so a pair always lands on the same shards — their memoized pair
+routes and geographic sweeps stay hot — while params-routed ops
+(``ratios`` / ``provision``) key their canonical parameter dict, so
+repeats of the same heavy query hit the same shards' memoized result
+caches.  Every
 replica of a key is a full substitute for the others (identical
 arrays, identical service code), adding a shard moves only the keys
 that shard wins, and growing R keeps the first R-1 replicas

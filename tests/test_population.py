@@ -75,31 +75,31 @@ class TestSyntheticCensus:
 
 class TestAssignment:
     def test_shares_sum_to_one(self):
-        result = assign_population(tiny_census(), two_pop_network().pops())
+        result = assign_population(tiny_census(), two_pop_network())
         assert sum(result.values()) == pytest.approx(1.0)
 
     def test_nearest_neighbor_split(self):
-        result = assign_population(tiny_census(), two_pop_network().pops())
+        result = assign_population(tiny_census(), two_pop_network())
         assert result == {"t:chi": 0.5, "t:den": 0.5}
 
     def test_impact_is_share_sum(self):
-        result = assign_population(tiny_census(), two_pop_network().pops())
+        result = assign_population(tiny_census(), two_pop_network())
         assert result["t:chi"] + result["t:den"] == pytest.approx(1.0)
 
     def test_population_of(self):
         census = tiny_census()
-        result = assign_population(census, two_pop_network().pops())
+        result = assign_population(census, two_pop_network())
         served = result["t:chi"] * census.total_population
         assert served == pytest.approx(400.0)
 
     def test_unknown_pop(self):
-        result = assign_population(tiny_census(), two_pop_network().pops())
+        result = assign_population(tiny_census(), two_pop_network())
         with pytest.raises(KeyError):
             result["t:ghost"]
 
     def test_no_pops_rejected(self):
         with pytest.raises(ValueError):
-            assign_population(tiny_census(), [])
+            assign_population(tiny_census(), Network("empty"))
 
 
 class TestNetworkShares:
@@ -112,11 +112,11 @@ class TestNetworkShares:
         result = network_population_shares(net)
         assert sum(result.values()) == pytest.approx(1.0)
         texas = census.restricted_to(states_region(["TX"]))
-        assert result == assign_population(texas, net.pops())
+        assert result == assign_population(texas, net)
         # Texas population is far less than the national total.
         assert texas.total_population < census.total_population * 0.2
 
     def test_tier1_uses_full_population(self, teliasonera):
         census = synthetic_census()
         result = network_population_shares(teliasonera)
-        assert result == assign_population(census, teliasonera.pops())
+        assert result == assign_population(census, teliasonera)

@@ -220,7 +220,7 @@ class TestImpact:
         west_shares = network_population_shares(west)
         assert east_shares != west_shares
         assert west_shares == assignment.assign_population(
-            synthetic_census(), west.pops()
+            synthetic_census(), west
         )
 
     def test_same_name_with_one_more_pop_gets_every_share(self):

@@ -136,8 +136,11 @@ class TestBasicOps:
         assert stats["batches"] >= 1
         assert stats["queue_high_water"] >= 1
         assert stats["p50_ms"] >= 0.0
-        assert stats["engine"]["cached_sweeps"] >= 1
-        assert stats["engine"]["sweeps"]["hits"] >= 1
+        # An EXACT route caches no sweep: it is searched for its target
+        # alone, and its answer is memoized as a route.
+        assert stats["engine"]["cached_sweeps"] == 0
+        assert stats["engine"]["cached_routes"] == 1
+        assert stats["engine"]["targeted"]["queries"] == 1
         assert stats["risk_fingerprint"]
 
     def test_health_probe_stays_off_the_engine(

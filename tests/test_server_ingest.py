@@ -176,9 +176,9 @@ class TestIngestOp:
 @pytest.mark.timeout(300)
 class TestDeltaInvalidationAcrossIngest:
     def test_ingest_keeps_only_geographic_sweeps(self):
-        """Over the wire, a localized ingest drops every risk-weighted
-        sweep, the untouched island's too, and keeps the geographic
-        ones."""
+        """Over the wire, a localized ingest drops every memoized
+        risk-weighted answer, the untouched island's too, and keeps the
+        geographic sweeps."""
         thread = ServerThread(
             RoutingSession(
                 build_two_island_network(), build_two_island_model()
@@ -194,8 +194,11 @@ class TestDeltaInvalidationAcrossIngest:
                 client.ingest([_tornado(37.5, -97.5, 2005)], token="seed")
                 client.pair(*MAINE)
                 client.pair(*KANSAS)
+                # Each pair cached its source's geographic sweep and
+                # memoized its answer; no risk-weighted sweep is cached.
                 before = client.stats()["engine"]
-                assert before["cached_sweeps"] > 0
+                assert before["cached_sweeps"] == 2
+                assert before["cached_routes"] == 2
 
                 reply = client.ingest(
                     [_tornado(38.5, -96.5, 2006)], token="second"
@@ -203,26 +206,36 @@ class TestDeltaInvalidationAcrossIngest:
                 assert reply["changed"] is True
                 fingerprint = client.last_fingerprint
 
-                # Each pair cached one geographic and one risk-weighted
-                # sweep; the swap kept the two geographic ones only.
+                # The swap kept the two geographic sweeps and dropped
+                # both memoized pairs.
                 swapped_stats = client.stats()
                 swapped = swapped_stats["engine"]
-                assert before["cached_sweeps"] == 4
                 assert swapped["cached_sweeps"] == 2
+                assert swapped["cached_routes"] == 0
                 assert swapped["cached_results"] == 0
 
                 # Maine's tornado density is exactly 0.0 before and
                 # after (the new event is far out of kernel reach), yet
-                # its risk-weighted sweep is recomputed too.
+                # its pair is recomputed too, off the surviving
+                # geographic sweep.
                 client.pair(*MAINE)
                 # Every post-ingest query reply carries the new
                 # fingerprint (stats replies are untagged).
                 assert client.last_fingerprint == fingerprint
                 mid_stats = client.stats()
-                assert mid_stats["sweeps_computed"] == (
-                    swapped_stats["sweeps_computed"] + 1
+                mid = mid_stats["engine"]
+                assert (
+                    mid_stats["sweeps_computed"]
+                    == swapped_stats["sweeps_computed"]
                 )
-                assert mid_stats["engine"]["cached_sweeps"] == 3
+                assert mid["cached_sweeps"] == 2
+                assert mid["cached_routes"] == 1
+                assert mid["routes"]["misses"] == (
+                    swapped["routes"]["misses"] + 1
+                )
+                assert mid["targeted"]["queries"] == (
+                    swapped["targeted"]["queries"] + 1
+                )
         finally:
             thread.stop()
 

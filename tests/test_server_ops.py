@@ -519,11 +519,14 @@ class TestPrefetchStats:
         self, teliasonera, teliasonera_model
     ):
         service = QueryService(RoutingSession(teliasonera, teliasonera_model))
-        pair = {
+        # A PER_SOURCE route plans its source's expected-impact sweep,
+        # which the swap below drops.
+        route = {
             "source": "Teliasonera:Miami, FL",
             "target": "Teliasonera:Seattle, WA",
+            "strategy": "per-source",
         }
-        service.execute_batch([self._item("pair", pair, 1)])
+        service.execute_batch([self._item("route", route, 1)])
         swap = self._item(
             "update_forecast",
             {"risk": {"Teliasonera:Miami, FL": 0.5}, "default": 0.0},
@@ -531,7 +534,7 @@ class TestPrefetchStats:
         )
         assert service.apply_update(swap).changed
         misses = service.session.stats()["sweeps"]["misses"]
-        metrics = service.execute_batch([self._item("pair", pair, 3)])
+        metrics = service.execute_batch([self._item("route", route, 3)])
         assert metrics["computed"] > 0
         assert (
             service.session.stats()["sweeps"]["misses"] - misses

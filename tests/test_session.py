@@ -162,10 +162,13 @@ class TestInvalidationBoundary:
         self, diamond_network, session
     ):
         engine = session.engine
-        # Warm one geographic and one risk-weighted sweep.
-        session.pair("diamond:west", "diamond:east")
+        # Warm one geographic and one risk-weighted sweep (an EXACT pair
+        # caches only its geographic sweep: its risk route is memoized
+        # as a route, not as a sweep).
+        session.shortest("diamond:west", "diamond:east")
+        session.route("diamond:west", "diamond:east", strategy="per-source")
         warm = engine.stats()
-        assert warm["cached_sweeps"] >= 2
+        assert warm["cached_sweeps"] == 2
         of = {pop_id: 0.3 for pop_id in diamond_network.pop_ids()}
         assert session.update_forecast(of) is True
         after = engine.stats()
@@ -179,7 +182,7 @@ class TestInvalidationBoundary:
         assert engine.stats()["sweeps"]["hits"] == hits_before + 1
         assert engine.stats()["sweeps"]["misses"] == misses_before
         # ... while the risk-weighted sweep must be recomputed.
-        session.route("diamond:west", "diamond:east")
+        session.route("diamond:west", "diamond:east", strategy="per-source")
         assert engine.stats()["sweeps"]["misses"] == misses_before + 1
 
     def test_forecast_swap_drops_aggregates(self, session, diamond_network):

@@ -1,10 +1,9 @@
-"""Benchmark: coalesced concurrent serving vs serial per-request.
+"""Benchmark: batched concurrent serving vs serial per-request.
 
-The daemon's coalescing queue batches concurrent requests into one
-executor hop and one shared sweep-prefetch, so N clients in flight
-should move at least as many requests per second as one client issuing
-the same requests strictly serially (where every request pays its own
-round trip and executor dispatch).
+The daemon's queue batches concurrent requests into one executor hop,
+so N clients in flight should move at least as many requests per
+second as one client issuing the same requests strictly serially
+(where every request pays its own round trip and executor dispatch).
 
 This file pins that property on Level3 (233 PoPs, the largest corpus
 network): coalesced throughput must be >= serial per-request
@@ -62,7 +61,7 @@ def _run_coalesced(host, port, queries):
             errors.append(repr(exc))
 
     # Strided partition: concurrent clients work the same sources at
-    # the same time, so batches share geographic sweep demands.
+    # the same time.
     threads = [
         threading.Thread(target=worker, args=(queries[i::N_CLIENTS],))
         for i in range(N_CLIENTS)
@@ -95,14 +94,18 @@ def test_server_coalesced_throughput_level3(benchmark):
         _run_serial(host, port, queries)
 
         serial_seconds = _run_serial(host, port, queries)
+        with RiskRouteClient(host, port) as client:
+            before = client.stats()["batches"]
         coalesced_seconds = run_once(
             benchmark, _run_coalesced, host, port, queries
         )
 
         with RiskRouteClient(host, port) as client:
-            stats = client.stats()
-        assert stats["coalesced_sweeps"] >= 1, (
-            "concurrent run never shared a sweep demand"
+            # The stats request itself is one more batch.
+            batches = client.stats()["batches"] - before - 1
+        assert batches < len(queries), (
+            f"concurrent run was never batched: {batches} batches for "
+            f"{len(queries)} requests"
         )
 
         serial_tput = len(queries) / serial_seconds

@@ -8,7 +8,7 @@ script is a plain network client.  Each NHC advisory becomes an
 ``update_forecast`` call that hot-swaps the daemon's risk model; the
 fingerprint echoed in every reply shows the swap took effect, and the
 ``stats`` op at the end shows what the serving layer did (batches,
-coalesced sweeps, forecast swaps).
+full sweeps computed, forecast swaps).
 
 Run against an in-process daemon (default):
     python examples/service_client.py
@@ -64,8 +64,8 @@ def run(client: RiskRouteClient) -> None:
 
     stats = client.stats()
     print(f"\nserver saw {stats['requests']} requests in "
-          f"{stats['batches']} batches, {stats['coalesced_sweeps']} "
-          f"coalesced sweeps, {stats['forecast_swaps']} forecast swaps; "
+          f"{stats['batches']} batches, {stats['sweeps_computed']} "
+          f"full sweeps, {stats['forecast_swaps']} forecast swaps; "
           f"p99 latency {stats['p99_ms']:.1f} ms")
     print("Every reply above is tagged with the fingerprint of exactly "
           "the advisory that computed it — the daemon swaps risk models "

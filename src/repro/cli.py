@@ -103,17 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
                 default=config_field.default,
                 help=config_field.metadata["help"] + " (default: %(default)s)",
             )
-    serve_p.add_argument(
-        "--shards", type=int, default=0,
-        help="fan query batches across this many shard processes over a "
-        "shared-memory engine export (default: 0 = in-process)",
-    )
-    serve_p.add_argument(
-        "--replicas", type=int, default=1,
-        help="shards serving each read key (default: 1 = single-owner "
-        "affinity; >= 2 adds load-balanced routing and transparent "
-        "failover; clamped to --shards)",
-    )
 
     query_p = sub.add_parser("query", help="query a running daemon")
     query_p.add_argument("--host", default="127.0.0.1")
@@ -301,7 +290,7 @@ def _cmd_serve(args) -> int:
             # stderr: stdout carries the machine-read banner below.
             print(
                 f"sharded serving: {args.shards} worker processes over "
-                f"a shared-memory engine export (replicas={replicas})",
+                f"a shared-memory topology export (replicas={replicas})",
                 file=sys.stderr,
                 flush=True,
             )

@@ -128,39 +128,18 @@ class RoutingEngine:
         csr: CsrGraph,
         model: RiskModel,
         config: Optional[EngineConfig] = None,
-        *,
-        risk_state: Optional[tuple] = None,
     ) -> "RoutingEngine":
         """Build an engine over pre-flattened CSR arrays.
 
         The shard-process constructor (see :mod:`repro.engine.shm`): a
         child that mapped the parent's CSR segments rebuilds the engine
-        without flattening a :class:`~repro.graph.core.Graph`, and hands
-        it to its session's constructor.
-
-        ``risk_state`` — ``(risk, entry_risk, shares, risk_fingerprint)``
-        per-node/per-entry vectors already bound by the exporting
-        engine — skips the model re-binding entirely: the child adopts
-        the parent's exact risk field (same floats, same fingerprint)
-        instead of recomputing it.  Later model swaps rebind normally.
+        without flattening a :class:`~repro.graph.core.Graph`, binds
+        ``model`` as any engine does, and hands the engine to its
+        session's constructor.
         """
         self = cls.__new__(cls)
         self._init_state(csr, config)
-        if risk_state is None:
-            self._bind_model(model, risk_fingerprint(model, csr.node_ids))
-            return self
-        risk, entry_risk, shares, risk_fp = risk_state
-        self.model = model
-        self._risk = [float(x) for x in risk]
-        self._entry_risk = [float(x) for x in entry_risk]
-        # Zero-copy when the exporting side handed a shared-memory
-        # float64 view; a local copy otherwise.
-        self._entry_risk_np = np.asarray(entry_risk, dtype=np.float64)
-        self._shares = [float(x) for x in shares]
-        self._mean_share = (
-            sum(self._shares) / len(self._shares) if self._shares else 0.0
-        )
-        self.risk_fingerprint = risk_fp
+        self._bind_model(model, risk_fingerprint(model, csr.node_ids))
         return self
 
     # -- model binding and invalidation -----------------------------------
@@ -229,13 +208,18 @@ class RoutingEngine:
             "targeted": self.targeted_stats(),
         }
 
-    # -- coalescing hooks --------------------------------------------------
+    @property
+    def full_sweeps(self) -> int:
+        """Full sweeps this engine has run: every sweep-cache miss but
+        the target-stopped searches :meth:`targeted_stats` counts."""
+        return self._sweeps.stats.misses - self._targeted_queries
+
+    # -- provisioning hooks ------------------------------------------------
     #
-    # The query service plans whole batches of single-pair requests as
-    # (source index, alpha) sweep demands, deduplicates them, and
-    # prefetches once — these hooks expose the source index and the
-    # per-source impact a query sweeps under, without reaching into
-    # private state.
+    # Provisioning scores candidate links off this engine's sweeps: these
+    # hooks expose a node's CSR row and the per-source impact its
+    # expected-impact sweep runs under, without reaching into private
+    # state.
 
     def index_of(self, node: str) -> int:
         """CSR row index of a node.
@@ -358,7 +342,7 @@ class RoutingEngine:
         # ``peek`` leaves the stats alone: count each sweep computed
         # here as the miss it is.
         self._sweeps.stats.misses += len(missing)
-        # Alpha sharing: all coalesced sources under one alpha are
+        # Alpha sharing: all missing sources under one alpha are
         # answered by a single multi-source call of the bucketed kernel;
         # groups too small to vectorize fall through to one heapq sweep
         # per source.

@@ -1,36 +1,36 @@
-"""Shared-memory transport for engine state across shard processes.
+"""Shared-memory transport for a topology across shard processes.
 
 A sharded daemon (:mod:`repro.server.shards`) runs one
 :class:`~repro.engine.engine.RoutingEngine` per shard process over the
-*same* frozen topology.  Pickling the CSR arrays and the risk field
-into every child would copy them N times; instead the parent exports
-them once into named :class:`multiprocessing.shared_memory` segments
-and hands children a small picklable :class:`ShmManifest` (segment
-names + dtypes + shapes + the risk fingerprint).  Each child maps the
-segments and rebuilds its engine directly over the views — the numpy
-arrays in the child are zero-copy windows onto the parent's pages — and
-hands that engine to its :class:`~repro.session.RoutingSession`.
+*same* frozen topology.  Pickling the CSR arrays into every child would
+copy them N times; instead the parent exports them once into named
+:class:`multiprocessing.shared_memory` segments and hands children a
+small picklable :class:`ShmManifest` (node ids + segment names, dtypes
+and shapes).  Each child maps the segments and rebuilds its engine
+directly over the views — the numpy arrays in the child are zero-copy
+windows onto the parent's pages — binds its own risk model, and hands
+that engine to its :class:`~repro.session.RoutingSession`.
 
 What is shared vs. local:
 
-* **Shared (zero-copy)**: the CSR adjacency (``indptr`` / ``indices``
-  / ``weights``) and the bound risk vectors (per-node risk, per-entry
-  risk, outage shares) — the big, read-only arrays.
-* **Local (per child)**: the name→index dict, the list mirrors the
-  pure-Python sweep inner loop indexes (see
-  :meth:`~repro.engine.arrays.CsrGraph.from_arrays` — per-process
-  working state by design), and all sweep/route/result caches.
+* **Shared (zero-copy)**: the CSR adjacency, three arrays (``indptr``
+  / ``indices`` / ``weights``) — the topology, which no write changes.
+* **Local (per child)**: the risk field the child binds from its model
+  (as every engine does), the PoP coordinates its session sets, the
+  name→index dict, the list mirrors the pure-Python sweep inner loop
+  indexes (see :meth:`~repro.engine.arrays.CsrGraph.from_arrays` —
+  per-process working state by design), and all sweep/route/result
+  caches.
 
 Lifecycle: the parent's :class:`SharedEngineState` owns the segments —
 it alone unlinks them (:meth:`SharedEngineState.close`).  Children
 attach with resource-tracker registration suppressed, so a dying child
 cannot unlink memory its siblings still map and cannot corrupt the
 parent's tracker bookkeeping (the tracker assumes attach == own, which
-is wrong here; spawn children share the parent's tracker process).  Forecast swaps are **not** propagated through shared memory:
-the parent broadcasts the new field over each shard's pipe behind a
-fingerprint barrier (see ``repro.server.shards``), and each child
-rebinds its model locally — so a reader never observes a half-written
-risk vector.
+is wrong here; spawn children share the parent's tracker process).
+Risk-field writes never touch shared memory: the parent broadcasts the
+new field over each shard's pipe behind a fingerprint barrier (see
+``repro.server.shards``), and each child rebinds its model locally.
 """
 
 from __future__ import annotations
@@ -51,15 +51,12 @@ __all__ = ["ShmManifest", "SharedEngineState", "attach_engine"]
 
 @dataclass(frozen=True)
 class ShmManifest:
-    """Everything a child needs to map and rebuild an engine.
+    """Everything a child needs to map and rebuild an engine's topology.
 
-    Picklable by construction: segment *names*, not handles.  The risk
-    fingerprint lets the parent assert the child came up bound to the
-    same field it exported.
+    Picklable by construction: segment *names*, not handles.
     """
 
     node_ids: Tuple[str, ...]
-    risk_fingerprint: str
     #: name -> (shared-memory segment name, dtype string, shape)
     segments: Dict[str, Tuple[str, str, Tuple[int, ...]]] = field(
         default_factory=dict
@@ -89,7 +86,7 @@ class SharedEngineState:
 
     @classmethod
     def export(cls, engine: RoutingEngine) -> "SharedEngineState":
-        """Copy an engine's CSR arrays and risk vectors into segments.
+        """Copy an engine's three CSR arrays into segments.
 
         One copy total (parent heap → shared pages); every shard then
         maps the same pages.
@@ -98,14 +95,7 @@ class SharedEngineState:
             "indptr": engine._csr.indptr,
             "indices": engine._csr.indices,
             "weights": engine._csr.weights,
-            "risk": np.asarray(engine._risk, dtype=np.float64),
-            "entry_risk": np.asarray(engine._entry_risk, dtype=np.float64),
-            "shares": np.asarray(engine._shares, dtype=np.float64),
         }
-        if engine.coordinates is not None:
-            # Optional: lets shard children run landmark-pruned pair
-            # queries with the great-circle bound family.
-            arrays["latlon"] = engine.coordinates
         segments: List[shared_memory.SharedMemory] = []
         entries: Dict[str, Tuple[str, str, Tuple[int, ...]]] = {}
         try:
@@ -127,9 +117,7 @@ class SharedEngineState:
                 _release(segment, unlink=True)
             raise
         manifest = ShmManifest(
-            node_ids=tuple(engine._csr.node_ids),
-            risk_fingerprint=engine.risk_fingerprint,
-            segments=entries,
+            node_ids=tuple(engine._csr.node_ids), segments=entries
         )
         return cls(manifest, segments)
 
@@ -206,12 +194,11 @@ def attach_engine(
 ) -> RoutingEngine:
     """Child-side: map the segments and rebuild the engine over them.
 
-    The CSR arrays stay zero-copy views; the caller passes the engine
-    to the :class:`~repro.session.RoutingSession` it serves from.
-    ``model`` must be the same risk model the parent exported under —
-    asserted via the manifest's risk fingerprint by the caller
-    (:mod:`repro.server.shards` pings each shard for its fingerprint
-    after warm-up).
+    The CSR arrays stay zero-copy views; the engine binds ``model`` as
+    any engine does, and the caller passes it to the
+    :class:`~repro.session.RoutingSession` it serves from
+    (:mod:`repro.server.shards` pings each shard for its risk
+    fingerprint after warm-up, which must equal the parent's).
     """
     views: Dict[str, np.ndarray] = {}
     segments: List[shared_memory.SharedMemory] = []
@@ -230,19 +217,7 @@ def attach_engine(
         views["indices"],
         views["weights"],
     )
-    engine = RoutingEngine.from_csr(
-        csr,
-        model,
-        config,
-        risk_state=(
-            views["risk"],
-            views["entry_risk"],
-            views["shares"],
-            manifest.risk_fingerprint,
-        ),
-    )
-    if "latlon" in views:
-        engine.set_coordinates(views["latlon"])
+    engine = RoutingEngine.from_csr(csr, model, config)
     # Keep the mappings alive exactly as long as the engine: the numpy
     # views borrow the segments' buffers.
     engine._shm_segments = segments

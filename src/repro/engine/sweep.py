@@ -166,8 +166,10 @@ def csr_sweep_batch(
     """Batched multi-source risk-weighted sweep (bucketed kernel).
 
     Runs every source in ``sources`` simultaneously under one shared
-    ``alpha`` — the alpha-sharing entry point: the engine groups all
-    coalesced sweep demands per alpha and answers each group with a
+    ``alpha`` — the alpha-sharing entry point: the engine's
+    :meth:`~repro.engine.engine.RoutingEngine.prefetch` (which
+    ``ratios`` and provisioning batch their sweeps through) groups its
+    missing sweeps per alpha and answers each large enough group with a
     single call.  State is a flat ``(len(sources) * n)`` distance
     /parent tableau; each round relaxes the out-edges of the
     whole current frontier (all sources at once) with vectorized numpy

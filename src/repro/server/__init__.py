@@ -9,8 +9,10 @@ into.
 
 Service semantics, not a toy loop:
 
-* request **coalescing** — concurrent single-source queries that demand
-  the same ``(alpha, source)`` sweep share one engine search;
+* request **batching** — concurrent queries share one hop to the
+  service executor, and each is answered in order exactly as a direct
+  session call answers it, sharing sweeps only through the engine's
+  caches;
 * **admission control / backpressure** — a bounded pending queue with
   per-request deadlines and typed ``overloaded`` / ``timeout`` replies;
 * **hot risk-field writes** — ``update_forecast`` swaps ``o_f`` and
@@ -40,12 +42,12 @@ reads and token-guarded writes.
 
 Since the v2 envelope the whole API surface is table-driven: every op
 is declared once in the registry (:mod:`repro.server.ops`) — wire
-params, read/write/control classification, shard routing, coalescing
-plan, handler — and the protocol parser, the service dispatch, the
-client's generated per-op methods and the CLI subcommands all derive
-from it.  A daemon started with ``shards=N``
+params, read/write/control classification, shard routing, handler —
+and the protocol parser, the queue, the service dispatch, the client's
+generated per-op methods and the CLI subcommands all derive from it.
+A daemon started with ``shards=N``
 (:class:`~repro.server.shards.ShardPool`) fans query batches across N
-worker processes over a shared-memory engine export, with writes
+worker processes over a shared-memory topology export, with writes
 applied in the parent and broadcast behind a fingerprint barrier.
 With ``replicas=R >= 2`` each read key is rendezvous-replicated over R
 shards with load-balanced (power-of-two-choices) routing, and a shard
@@ -64,12 +66,9 @@ from .daemon import RiskRouteServer, ServerConfig, ServerThread
 from .faults import FAULT_SITES, FaultPlane, FaultRule, InjectedFault
 from .ops import REGISTRY, OpSpec, Param
 from .protocol import (
-    CONTROL_OPS,
     ERROR_CODES,
     MAX_LINE_BYTES,
-    OPS,
     PROTOCOL_VERSION,
-    QUERY_OPS,
     ProtocolError,
     Request,
     encode_error,
@@ -108,9 +107,6 @@ __all__ = [
     "encode_reply",
     "encode_error",
     "PROTOCOL_VERSION",
-    "OPS",
-    "QUERY_OPS",
-    "CONTROL_OPS",
     "ERROR_CODES",
     "MAX_LINE_BYTES",
 ]

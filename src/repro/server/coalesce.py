@@ -12,14 +12,16 @@ returns either
   (``update_forecast``, ``ingest``, ``stats``, ``subscribe``) is one:
   every query admitted before it is served under the pre-barrier
   state, every query after under the post-barrier state; or
-* up to :data:`MAX_BATCH` consecutive **query** requests.  An optional
-  ``linger`` lets a just-started batch wait a few milliseconds for
-  concurrent requests to land, widening the coalescing window (the
-  service then shares one engine sweep across every request in the
-  batch that demands the same ``(alpha, source)``).
+* up to :data:`MAX_BATCH` consecutive **query** requests, which share
+  one hop to the service executor.  An optional ``linger`` lets a
+  just-started batch wait a few milliseconds for concurrent requests
+  to land.  The service answers a batch's requests one by one, in
+  order, each as a direct session call would; batchmates share sweeps
+  only through the engine's caches, so no reply depends on its batch.
 
 FIFO order is never reordered — batches are contiguous runs — so the
-barrier guarantee is positional, not probabilistic.
+barrier guarantee is positional, not probabilistic.  Whether a request
+is a barrier is its op's :attr:`~repro.server.ops.OpSpec.is_barrier`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, List, Optional
 
-from .protocol import CONTROL_OPS, Request
+from .ops import REGISTRY
+from .protocol import Request
 
 __all__ = ["PendingRequest", "CoalescingQueue", "MAX_BATCH"]
 
@@ -52,6 +55,11 @@ class PendingRequest:
     def expired(self, now: float) -> bool:
         """True when the per-request deadline has passed."""
         return self.deadline is not None and now >= self.deadline
+
+
+def _is_barrier(item: PendingRequest) -> bool:
+    """True for a write or control op, which runs alone between batches."""
+    return REGISTRY[item.request.op].is_barrier
 
 
 class CoalescingQueue:
@@ -87,7 +95,7 @@ class CoalescingQueue:
             if len(self._items) >= self.max_pending:
                 return "overloaded"
             self._items.append(item)
-            if item.request.op in CONTROL_OPS:
+            if _is_barrier(item):
                 self._controls += 1
             self._cond.notify_all()
             return "ok"
@@ -108,7 +116,7 @@ class CoalescingQueue:
                     return None
                 await self._cond.wait()
             head = self._items[0]
-            if head.request.op in CONTROL_OPS:
+            if _is_barrier(head):
                 self._items.popleft()
                 self._controls -= 1
                 return [head]
@@ -118,7 +126,7 @@ class CoalescingQueue:
             while (
                 self._items
                 and len(batch) < MAX_BATCH
-                and self._items[0].request.op not in CONTROL_OPS
+                and not _is_barrier(self._items[0])
             ):
                 batch.append(self._items.popleft())
             return batch

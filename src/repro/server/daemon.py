@@ -101,7 +101,8 @@ class ServerConfig:
         max_pending: admission-control bound on queued requests.
         batch_linger: seconds a just-started batch waits for concurrent
             requests to join it (0 = serve immediately; a few
-            milliseconds widens the coalescing window under load).
+            milliseconds lets more requests share one executor hop
+            under load).
         request_timeout: per-request deadline in seconds; expired
             requests get a ``timeout`` reply (0 = no deadline).
         faults: optional :class:`FaultPlane` for chaos tests; ``None``
@@ -109,7 +110,7 @@ class ServerConfig:
         shards: query-serving shard processes.  0 (the default) serves
             in-process; N >= 1 fans query batches across N
             :mod:`~repro.server.shards` workers over a shared-memory
-            engine export, with writes applied in the parent and
+            topology export, with writes applied in the parent and
             broadcast behind a fingerprint barrier; a shard is declared
             hung after :data:`~repro.server.shards.SHARD_TIMEOUT`.
         replicas: shards serving each read key (clamped to ``shards``),
@@ -129,13 +130,18 @@ class ServerConfig:
     max_pending: int = field(default=256, metadata={
         "help": "admission-control bound on queued requests"})
     batch_linger: float = field(default=0.0, metadata={
-        "help": "seconds a batch waits for concurrent requests to "
-                "coalesce"})
+        "help": "seconds a batch waits for concurrent requests to join "
+                "it"})
     request_timeout: float = field(default=30.0, metadata={
         "help": "per-request deadline in seconds, 0 disables"})
     faults: Optional[FaultPlane] = None
-    shards: int = 0
-    replicas: int = 1
+    shards: int = field(default=0, metadata={
+        "help": "fan query batches across this many shard processes over "
+                "a shared-memory topology export (0 = in-process)"})
+    replicas: int = field(default=1, metadata={
+        "help": "shards serving each read key (1 = single-owner "
+                "affinity; >= 2 adds load-balanced routing and "
+                "transparent failover; clamped to --shards)"})
 
     def __post_init__(self) -> None:
         if not 0 <= self.port <= 65535:
@@ -489,13 +495,12 @@ class RiskRouteServer:
                     metrics = await loop.run_in_executor(
                         self._executor, self._shards.execute_batch, live
                     )
-                    self.stats.read_failovers += metrics.get("failovers", 0)
+                    self.stats.read_failovers += metrics["failovers"]
                     healed = self._sync_shard_health()
                 else:
                     metrics = await loop.run_in_executor(
                         self._executor, self.service.execute_batch, live
                     )
-                self.stats.coalesced_sweeps += metrics["coalesced"]
                 self.stats.sweeps_computed += metrics["computed"]
                 for item in live:
                     self._deliver(loop, item)

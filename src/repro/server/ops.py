@@ -2,15 +2,13 @@
 
 Every server operation is described once, as an :class:`OpSpec`: its
 wire name, its parameters (type checks, defaults, documentation, CLI
-exposure), its ``read``/``write``/``control`` classification, how it is
-routed across shards, and the callables that plan its sweep demands and
-produce its result.  Everything that used to be an ``op ==`` string
-chain is derived from this table:
+exposure), its ``read``/``write``/``control`` classification, how a
+sharded daemon routes it, and the handler that produces its result.
+Everything that used to be an ``op ==`` string chain reads this table:
 
-* :data:`~repro.server.protocol.QUERY_OPS` /
-  :data:`~repro.server.protocol.CONTROL_OPS` membership (and with it
-  queue batching and barrier placement in
-  :class:`~repro.server.coalesce.CoalescingQueue`),
+* queue batching and barrier placement in
+  :class:`~repro.server.coalesce.CoalescingQueue`
+  (:attr:`OpSpec.is_barrier`),
 * request validation and dispatch in
   :class:`~repro.server.service.QueryService`,
 * shard routing (:func:`repro.server.shards.replicas_of` reads
@@ -21,8 +19,8 @@ chain is derived from this table:
 * the ``riskroute query`` CLI subcommands, and the local ``riskroute
   <command> <network>`` subcommand of every op with a handler.
 
-Adding an op is one table entry; the wire protocol, the coalescing
-plan, the shard router, the client and the CLI all pick it up.
+Adding an op is one table entry; the wire protocol, the queue, the
+shard router, the client and the CLI all pick it up.
 
 The checks here pin JSON types and shapes only.  A value's range is
 checked once, by the library the handler calls
@@ -35,9 +33,9 @@ checked here, because the daemon itself is its only consumer.
 Classification semantics (:attr:`OpSpec.kind`):
 
 ``read``
-    A pure query of engine/server state: batched and coalesced by the
-    worker, routable to any/the affine shard, idempotent, always safe
-    to retry.
+    A pure query of engine/server state: batched by the worker,
+    routable to any/the affine shard, idempotent, always safe to retry.
+    ``health`` is a read the daemon answers inline, ahead of the queue.
 ``write``
     Mutates served state (forecast swaps, event ingests).  A queue
     barrier: runs alone
@@ -81,25 +79,20 @@ __all__ = [
     "get_spec",
     "spec_for_cli",
     "validate_params",
-    "op_names",
-    "query_op_names",
-    "control_op_names",
     "retry_safe_op_names",
 ]
 
 KINDS = ("read", "write", "control")
 
-#: How a sharded daemon routes an op (see ``repro.server.shards``):
+#: How a sharded daemon routes a read op (see ``repro.server.shards``):
 #: ``pair`` hashes the (network-prefixed) endpoint pair for affinity,
 #: ``params`` hashes the canonical parameter dict (so repeats of the
-#: same heavy query land on the same shard's memoized result cache),
-#: ``parent`` is answered/applied by the parent process only, and
-#: ``inline`` never reaches the worker at all (``health``).  Only
-#: ``read`` ops use the two shard-routed modes.  With ``replicas >= 2``
-#: (``ServerConfig.replicas``) they widen to a rendezvous-hashed replica
-#: set, with balancing and failover; ``parent`` / ``inline`` routing is
-#: unaffected by replication.
-ROUTINGS = ("pair", "params", "parent", "inline")
+#: same heavy query land on the same shard's memoized result cache).
+#: With ``replicas >= 2`` (``ServerConfig.replicas``) either widens to a
+#: rendezvous-hashed replica set, with balancing and failover.  Writes,
+#: controls and ``health`` never reach a shard, so their routing is
+#: never read.
+ROUTINGS = ("pair", "params")
 
 
 # -- parameter validators ----------------------------------------------------
@@ -250,7 +243,7 @@ class Param:
 
 @dataclass(frozen=True)
 class OpSpec:
-    """One operation: classification, params, planner, handler.
+    """One operation: classification, params, routing, handler.
 
     Args:
         name: wire op name.
@@ -258,16 +251,11 @@ class OpSpec:
         doc: one-line summary (client docstring, CLI help).
         params: declared parameters, in client-signature order.
         handler: ``(service, params) -> result dict`` for batched query
-            ops; ``None`` for ops the daemon answers itself (``stats``,
-            ``health``) or applies as a barrier (``update_forecast``,
-            ``ingest``).
-        plan: ``(engine, params) -> [(source index, alpha), ...]`` sweep
-            demands for the batch coalescer; ``None`` contributes none.
-        routing: shard routing mode (:data:`ROUTINGS`).
-        queued: False for ops answered inline by the connection handler
-            (``health``) — they bypass admission control entirely.
-        fingerprint_reply: tag successful replies with the engine's
-            risk fingerprint.
+            ops, whose replies carry the batch's risk fingerprint;
+            ``None`` for ops the daemon answers itself (``stats``,
+            ``subscribe``, ``health``) or applies as a barrier
+            (``update_forecast``, ``ingest``).
+        routing: shard routing mode of a read (:data:`ROUTINGS`).
         cli_name: CLI subcommand name when it differs from the op
             name (e.g. ``update-forecast``).
     """
@@ -277,12 +265,7 @@ class OpSpec:
     doc: str
     params: Tuple[Param, ...] = ()
     handler: Optional[Callable[[Any, Dict[str, Any]], dict]] = None
-    plan: Optional[
-        Callable[[Any, Dict[str, Any]], List[Tuple[int, float]]]
-    ] = None
     routing: str = "params"
-    queued: bool = True
-    fingerprint_reply: bool = True
     cli_name: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -342,25 +325,6 @@ def validate_params(spec: OpSpec, params: Mapping[str, Any]) -> Dict[str, Any]:
             value = p.check(p.name, value)
         out[p.name] = value
     return out
-
-
-# -- sweep planners (the coalescing half of the old _sweep_demands) ----------
-#
-# Only sweeps other queries share are planned.  An EXACT pair's risk
-# route is a search of its own under ``c_s + c_t``, which the engine
-# memoizes per pair, so prefetching its full sweep would only cache work
-# no other query reads.
-
-
-def _plan_route(engine, params: Dict[str, Any]) -> List[Tuple[int, float]]:
-    if params["strategy"] is not SweepStrategy.PER_SOURCE:
-        return []
-    source = params["source"]
-    return [(engine.index_of(source), engine.expected_impact(source))]
-
-
-def _plan_pair(engine, params: Dict[str, Any]) -> List[Tuple[int, float]]:
-    return [(engine.index_of(params["source"]), 0.0)]
 
 
 # -- result handlers (what QueryService._dispatch runs) ----------------------
@@ -496,7 +460,6 @@ _register(OpSpec(
               check=_check_strategy, cli=_STRATEGY_CLI, example="exact"),
     ),
     handler=_handle_route,
-    plan=_plan_route,
     routing="pair",
 ))
 
@@ -511,7 +474,6 @@ _register(OpSpec(
               cli={"positional": True}, example="diamond:east"),
     ),
     handler=_handle_pair,
-    plan=_plan_pair,
     routing="pair",
 ))
 
@@ -528,7 +490,6 @@ _register(OpSpec(
               check=_check_strategy, cli=_STRATEGY_CLI, example="exact"),
     ),
     handler=_handle_ratios,
-    routing="params",
 ))
 
 _register(OpSpec(
@@ -544,7 +505,6 @@ _register(OpSpec(
               cli={"flag": "--top", "type": int}, example=3),
     ),
     handler=_handle_provision,
-    routing="params",
 ))
 
 _register(OpSpec(
@@ -583,7 +543,6 @@ _register(OpSpec(
               example=50.0),
     ),
     handler=_handle_scenario,
-    routing="params",
 ))
 
 _register(OpSpec(
@@ -598,7 +557,6 @@ _register(OpSpec(
               example="diamond"),
     ),
     handler=_handle_shared_risk,
-    routing="params",
     cli_name="shared-risk",
 ))
 
@@ -618,7 +576,6 @@ _register(OpSpec(
         Param("token", "idempotency token (applied at most once)",
               check=_check_str),
     ),
-    routing="parent",
     cli_name="update-forecast",
 ))
 
@@ -639,15 +596,12 @@ _register(OpSpec(
         Param("token", "idempotency token (applied at most once)",
               check=_check_str, cli={"flag": "--token"}),
     ),
-    routing="parent",
 ))
 
 _register(OpSpec(
     name="stats",
     kind="control",
     doc="Server counters, engine cache stats, current fingerprint.",
-    routing="parent",
-    fingerprint_reply=False,
 ))
 
 _register(OpSpec(
@@ -659,17 +613,12 @@ _register(OpSpec(
               default=0, check=_check_non_negative_int,
               cli={"flag": "--since", "type": int}, example=0),
     ),
-    routing="parent",
-    fingerprint_reply=False,
 ))
 
 _register(OpSpec(
     name="health",
     kind="read",
     doc="Cheap liveness probe (bypasses the request queue).",
-    routing="inline",
-    queued=False,
-    fingerprint_reply=False,
 ))
 
 
@@ -702,23 +651,6 @@ def spec_for_cli(command: str) -> OpSpec:
         if spec.command == command:
             return spec
     raise KeyError(command)
-
-
-def op_names() -> Tuple[str, ...]:
-    """Every wire op name."""
-    return tuple(REGISTRY)
-
-
-def query_op_names() -> Tuple[str, ...]:
-    """Ops batched and coalesced by the worker."""
-    return tuple(
-        s.name for s in REGISTRY.values() if s.kind == "read" and s.queued
-    )
-
-
-def control_op_names() -> Tuple[str, ...]:
-    """Barrier ops: each runs alone between query batches."""
-    return tuple(s.name for s in REGISTRY.values() if s.is_barrier)
 
 
 def retry_safe_op_names() -> "frozenset":

@@ -32,10 +32,9 @@ Error codes are a closed set (:data:`ERROR_CODES`); clients switch on
 connection is closed (the rest of the oversized line cannot be framed
 reliably).
 
-The op vocabulary itself — :data:`OPS`, :data:`QUERY_OPS`,
-:data:`CONTROL_OPS` — is derived from the declarative registry in
-:mod:`repro.server.ops` (resolved lazily: the registry imports this
-module's error/serializer machinery).
+The op vocabulary itself is the declarative registry in
+:mod:`repro.server.ops`, which imports this module's errors and
+serializers.
 
 ``update_forecast`` accepts an optional idempotency ``token`` (string):
 the daemon applies a given token at most once and answers retries of an
@@ -58,9 +57,6 @@ from typing import Any, Dict, Optional
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "OPS",
-    "QUERY_OPS",
-    "CONTROL_OPS",
     "ERROR_CODES",
     "MAX_LINE_BYTES",
     "ProtocolError",
@@ -85,7 +81,7 @@ MAX_LINE_BYTES = 1 << 20
 #: The closed error vocabulary.
 ERROR_CODES = (
     "bad_request",    # not JSON, not an object, missing/unknown fields
-    "unknown_op",     # op outside OPS
+    "unknown_op",     # op outside the registry
     "unknown_node",   # a PoP name the topology does not contain
     "no_path",        # endpoints in different components
     "too_large",      # request line over the cap (connection closes)
@@ -101,23 +97,6 @@ ERROR_CODES = (
     # ``internal`` for shard crashes.
     "shard_unavailable",
 )
-
-
-def __getattr__(name: str):
-    # OPS / QUERY_OPS / CONTROL_OPS are views over the op registry;
-    # resolved lazily (and then cached) because repro.server.ops imports
-    # this module's errors and serializers.
-    if name in ("OPS", "QUERY_OPS", "CONTROL_OPS"):
-        from . import ops
-
-        values = {
-            "OPS": ops.op_names(),
-            "QUERY_OPS": ops.query_op_names(),
-            "CONTROL_OPS": ops.control_op_names(),
-        }
-        globals().update(values)
-        return values[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class ProtocolError(ValueError):

@@ -9,19 +9,18 @@ That serialization is what makes the write guarantee atomic: a write
 every reply in a batch is tagged with the risk fingerprint captured
 when the batch started.
 
-Dispatch is table-driven: each request's validation, sweep-demand
-planning and result production come from its
-:class:`~repro.server.ops.OpSpec` in the declarative registry — the
-service contains no per-op ``op ==`` branching.  In a sharded daemon
-the same service class runs inside every shard process, executing the
-same specs against a shared-memory engine, which is what makes sharded
-replies byte-identical to single-process ones.
-
-Coalescing happens here too: before dispatching, the batch's sweep
-demands — the shared ``(alpha, source)`` sweeps each request will
-read — are collected, deduplicated and prefetched in one engine call.
-Requests that demand the same sweep share one computation; the surplus
-is reported back as ``coalesced`` and surfaces in server stats.
+Dispatch is table-driven: each request's validation and result
+production come from its :class:`~repro.server.ops.OpSpec` in the
+declarative registry — the service contains no per-op ``op ==``
+branching.  A batch's requests are validated and answered one by one,
+in order, each by its handler exactly as a direct
+:class:`~repro.session.RoutingSession` call answers it; batchmates
+share sweeps only through the engine's caches, so a reply never
+depends on the batch it came in.  (``ratios`` and ``provision`` batch
+their own sweeps inside the engine.)  In a sharded daemon the same
+service class runs inside every shard process, executing the same
+specs over the same topology and risk field, which is what makes
+sharded replies byte-identical to single-process ones.
 
 Writes are **transactional** and share one path
 (:meth:`QueryService._write`).  In the paper every PoP's risk term is
@@ -47,7 +46,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..graph.core import NodeNotFoundError
 from ..graph.shortest_path import NoPathError
@@ -123,69 +122,24 @@ class QueryService:
             return None
         return self._faults.check(site)
 
-    # -- coalescing plan ---------------------------------------------------
-
-    @staticmethod
-    def _validate(request: Request):
-        """``(spec, params, None)`` for a valid query request, or
-        ``(None, None, error)`` with the error its reply reports.
-
-        Each request of a batch is validated once, here; planning and
-        dispatch both read the same params dict.
-        """
-        try:
-            spec = ops.get_spec(request.op)
-            if spec.handler is None:
-                raise ProtocolError(
-                    "unknown_op", f"op {request.op!r} is not a query op"
-                )
-            return spec, ops.validate_params(spec, request.params), None
-        except ProtocolError as error:
-            return None, None, error
-
-    @staticmethod
-    def _sweep_demands(engine, spec, params) -> List[Tuple[int, float]]:
-        """The (source index, alpha) sweeps one request will consult.
-
-        Driven by each op's :attr:`~repro.server.ops.OpSpec.plan`; ops
-        without a planner (``ratios``/``provision``) carry their own
-        batched prefetch inside the engine.  Invalid requests and
-        unknown nodes yield no demands — the dispatch step reports them.
-        """
-        if spec is None or spec.plan is None:
-            return []
-        try:
-            return spec.plan(engine, params)
-        except (ProtocolError, NodeNotFoundError):
-            return []
-
     # -- batch execution (worker-thread entry points) ----------------------
 
     def execute_batch(self, batch: List[PendingRequest]) -> Dict[str, int]:
         """Serve one batch of query requests, filling each item's reply.
 
-        Returns coalescing metrics: ``demands`` (sweeps requested),
-        ``coalesced`` (demands shared within the batch), ``computed``
-        (cold sweeps actually run by the shared prefetch).
+        Every reply is tagged with the risk fingerprint the batch runs
+        under.  Returns ``computed``: the full sweeps the engine ran
+        for the batch.
         """
         rule = self._fault("executor_stall")
         if rule is not None:
             time.sleep(rule.delay)
         engine = self.session.engine
         fingerprint = engine.risk_fingerprint
-        validated = [self._validate(item.request) for item in batch]
-        demands: List[Tuple[int, float]] = []
-        for spec, params, _ in validated:
-            demands.extend(self._sweep_demands(engine, spec, params))
-        unique = set(demands)
-        computed = engine.prefetch(demands) if demands else 0
-        for item, checked in zip(batch, validated):
-            self._dispatch(item, checked, fingerprint)
-        return {
-            "demands": len(demands),
-            "coalesced": len(demands) - len(unique),
-            "computed": computed,
-        }
+        before = engine.full_sweeps
+        for item in batch:
+            self._dispatch(item, fingerprint)
+        return {"computed": engine.full_sweeps - before}
 
     # -- the risk-field write path -----------------------------------------
 
@@ -377,20 +331,20 @@ class QueryService:
 
     # -- per-request dispatch ----------------------------------------------
 
-    def _dispatch(
-        self, item: PendingRequest, checked, fingerprint: str
-    ) -> None:
-        """Answer one request from its :meth:`_validate` outcome."""
+    def _dispatch(self, item: PendingRequest, fingerprint: str) -> None:
+        """Validate and answer one query request."""
         request = item.request
-        spec, params, error = checked
         try:
-            if error is not None:
-                raise error
-            result = spec.handler(self, params)
+            spec = ops.get_spec(request.op)
+            if spec.handler is None:
+                raise ProtocolError(
+                    "unknown_op", f"op {request.op!r} is not a query op"
+                )
+            result = spec.handler(
+                self, ops.validate_params(spec, request.params)
+            )
             item.reply = encode_reply(
-                request.id,
-                result,
-                fingerprint=fingerprint if spec.fingerprint_reply else None,
+                request.id, result, fingerprint=fingerprint
             )
             item.ok = True
         except Exception as exc:  # noqa: BLE001 - mapped to wire errors

@@ -6,8 +6,9 @@ behind one CPU.  :class:`ShardPool` fans the worker's query batches
 across N **shard processes**, each running the same
 :class:`~repro.server.service.QueryService` over an engine rebuilt
 from the parent's shared-memory segments
-(:mod:`repro.engine.shm`) — the CSR arrays and the bound risk field
-are mapped zero-copy, not pickled per child.
+(:mod:`repro.engine.shm`) — the three CSR arrays are mapped zero-copy,
+not pickled per child, and each shard binds the risk model its spec
+carries, as every engine does.
 
 Topology of one sharded daemon::
 
@@ -181,10 +182,10 @@ def replicas_of(
 class ShardSpec:
     """Everything one shard child needs, picklable for ``spawn``.
 
-    The heavy engine arrays travel via the shared-memory ``manifest``;
-    the rest — the topology object (for the child's session), the risk
-    model (plain value dicts), tuning, and the child's copy of the
-    fault plane — pickle normally.
+    The CSR arrays travel via the shared-memory ``manifest``; the rest
+    — the topology object (for the child's session and its PoP
+    coordinates), the risk model its engine binds (plain value dicts),
+    tuning, and the child's copy of the fault plane — pickle normally.
     """
 
     topology: Any                    # Network or Graph for RoutingSession
@@ -304,7 +305,7 @@ class _Shard:
 
 
 class ShardPool:
-    """N shard processes over one shared-memory engine export.
+    """N shard processes over one shared-memory topology export.
 
     Built by the daemon when ``ServerConfig.shards > 0``; every method
     is called from the daemon's one-thread executor (the same
@@ -524,7 +525,8 @@ class ShardPool:
         """Fan one query batch across shards; fill each item's reply.
 
         Same contract as
-        :meth:`~repro.server.service.QueryService.execute_batch`, plus
+        :meth:`~repro.server.service.QueryService.execute_batch`
+        (``computed`` summed over the shards that answered), plus
         ``failovers`` (items answered by a surviving replica).  One
         round sends every shard its group, then collects every answer.
         With ``replicas >= 2``, one failover round re-sends each lost
@@ -538,7 +540,7 @@ class ShardPool:
             sid = self._route(item.request, assigned)
             groups.setdefault(sid, []).append(item)
             assigned[sid] = assigned.get(sid, 0) + 1
-        metrics = {"demands": 0, "coalesced": 0, "computed": 0, "failovers": 0}
+        metrics = {"computed": 0, "failovers": 0}
         lost = self._round(groups, "shard_exit", "crashed mid-batch", metrics)
         hop_lost: Dict[int, str] = {}
         if lost and self.replicas > 1:
@@ -624,8 +626,7 @@ class ShardPool:
                 if item.reply is None:  # exactly one reply per request
                     item.reply = reply
                     item.ok = ok
-            for key in ("demands", "coalesced", "computed"):
-                metrics[key] += message[3].get(key, 0)
+            metrics["computed"] += message[3]["computed"]
         return lost
 
     def _fail(self, sid: int, why: str, group: List[PendingRequest]) -> None:

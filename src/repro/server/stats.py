@@ -28,10 +28,10 @@ def _percentile(samples: list, fraction: float) -> float:
 class ServerStats:
     """Counters for one daemon lifetime.
 
-    ``coalesced_sweeps`` counts sweep demands that were satisfied by
-    another request in the same batch — the direct measure of request
-    coalescing (N concurrent clients asking about one source demand N
-    sweeps but trigger one).
+    ``sweeps_computed`` counts the full sweeps the engine (or, sharded,
+    every shard's engine) ran for read batches, ``ratios`` and
+    ``provision`` included; target-stopped pair searches are not full
+    sweeps.
     """
 
     def __init__(self) -> None:
@@ -43,8 +43,7 @@ class ServerStats:
         self.timeouts = 0          # expired before service
         self.malformed = 0         # bad_request / unknown_op / too_large
         self.batches = 0           # worker batches executed
-        self.coalesced_sweeps = 0  # sweep demands shared within a batch
-        self.sweeps_computed = 0   # cold sweeps actually run
+        self.sweeps_computed = 0   # full sweeps read batches ran
         self.writes: Counter = Counter()  # writes that changed risk, by op
         self.worker_crashes = 0    # worker task died (batch aborted)
         self.worker_restarts = 0   # supervisor restarts after a crash
@@ -93,7 +92,6 @@ class ServerStats:
             "timeouts": self.timeouts,
             "malformed": self.malformed,
             "batches": self.batches,
-            "coalesced_sweeps": self.coalesced_sweeps,
             "sweeps_computed": self.sweeps_computed,
             "forecast_swaps": self.writes["update_forecast"],
             "ingests": self.writes["ingest"],

@@ -53,15 +53,16 @@ class TestExportAttach:
             build_diamond_network(), build_diamond_model()
         )
         with SharedEngineState.export(session.engine) as state:
-            manifest = state.manifest
-            assert manifest.risk_fingerprint == (
-                session.engine.risk_fingerprint
-            )
-            child = attach_engine(manifest, build_diamond_model())
-            assert child.risk_fingerprint == manifest.risk_fingerprint
-            np.testing.assert_array_equal(
-                child._csr.indptr, session.engine._csr.indptr
-            )
+            assert set(state.manifest.segments) == {
+                "indptr", "indices", "weights",
+            }
+            child = attach_engine(state.manifest, build_diamond_model())
+            assert child.risk_fingerprint == session.engine.risk_fingerprint
+            for name in ("indptr", "indices", "weights"):
+                np.testing.assert_array_equal(
+                    getattr(child._csr, name),
+                    getattr(session.engine._csr, name),
+                )
 
 
 class TestUnlinkGuard:

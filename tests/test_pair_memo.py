@@ -26,6 +26,7 @@ from repro import RoutingSession
 from repro.core.bitrisk import path_metrics
 from repro.disasters.events import EventType
 from repro.engine import RoutingEngine
+from repro.engine import engine as engine_module
 from repro.graph.core import Graph
 from repro.risk.model import RiskModel
 from repro.server.coalesce import PendingRequest
@@ -209,9 +210,10 @@ class TestContinental:
         network = continental_network(pop_count=1024, seed=0)
         return network, _seeded_model(network)
 
-    def test_landmark_bounds_prune(self, continental):
-        """Through the service: one A* search per cold pair, settling
-        fewer than n nodes, at the full sweep's cost."""
+    def test_landmark_bounds_prune(self, continental, monkeypatch):
+        """Through the service: two A* searches per cold pair, the
+        geographic and the risk route, each settling fewer than n nodes,
+        at the full sweeps' costs."""
         network, model = continental
         session = RoutingSession(network, model)
         service = QueryService(session)
@@ -220,22 +222,42 @@ class TestContinental:
         rng = random.Random(5)
         graph = network.distance_graph()
         reference = RoutingEngine(graph, model)
+        searches = []
+        search = engine_module.csr_sweep
+
+        def recording(*args, **kwargs):
+            result = search(*args, **kwargs)
+            searches.append(
+                (args[5], kwargs.get("bounds") is not None, result.settled)
+            )
+            return result
+
+        monkeypatch.setattr(engine_module, "csr_sweep", recording)
         for request_id in range(8):
             source, target = rng.sample(ids, 2)
             item = _request(
                 "pair", {"source": source, "target": target}, request_id
             )
-            before = session.stats()["targeted"]
+            del searches[:]
             service.execute_batch([item])
             assert item.ok, item.reply
-            after = session.stats()["targeted"]
-            assert after["queries"] == before["queries"] + 1
-            assert after["settled"] - before["settled"] < n
-            served = json.loads(item.reply)["result"]["riskroute"]
-            sweep = reference.sweep(source, model.impact(source, target))
-            path = [
-                reference.node_ids[i]
-                for i in sweep.path_to(reference.index_of(target))
+            alpha = model.impact(source, target)
+            assert [(a, pruned) for a, pruned, _ in searches] == [
+                (0.0, True), (alpha, True),
             ]
-            want = path_metrics(graph, path, model)
-            assert served["bit_risk_miles"] == want.bit_risk_miles
+            assert all(settled < n for _, _, settled in searches)
+            served = json.loads(item.reply)["result"]
+            shortest, risky = (
+                path_metrics(graph, [
+                    reference.node_ids[i]
+                    for i in reference.sweep(source, sweep_alpha).path_to(
+                        reference.index_of(target)
+                    )
+                ], model)
+                for sweep_alpha in (0.0, alpha)
+            )
+            assert served["shortest"]["path"] == list(shortest.path)
+            assert served["shortest"]["bit_miles"] == shortest.distance_miles
+            assert served["riskroute"]["bit_risk_miles"] == (
+                risky.bit_risk_miles
+            )

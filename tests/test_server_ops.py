@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import random
 import socket
 import threading
 
@@ -20,6 +21,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RoutingSession
+from repro.graph.core import Graph
+from repro.risk.model import RiskModel
 from repro.server import (
     REGISTRY,
     RiskRouteClient,
@@ -27,7 +30,7 @@ from repro.server import (
     ServerError,
     ServerThread,
 )
-from repro.server import ops, protocol
+from repro.server import ops
 from repro.server.coalesce import PendingRequest
 from repro.server.protocol import (
     PROTOCOL_VERSION,
@@ -67,22 +70,9 @@ class TestRegistryShape:
                     )
 
     def test_derived_views_match_table(self):
-        assert set(ops.op_names()) == set(REGISTRY)
-        assert set(ops.query_op_names()) == {
-            s.name for s in REGISTRY.values()
-            if s.kind == "read" and s.queued
-        }
-        assert set(ops.control_op_names()) == {
-            s.name for s in REGISTRY.values() if s.is_barrier
-        }
         assert ops.retry_safe_op_names() == {
             s.name for s in REGISTRY.values()
             if s.kind in ("read", "control")
-        }
-        # The protocol module's lazy views resolve to the same sets.
-        assert set(protocol.OPS) == set(REGISTRY)
-        assert set(protocol.CONTROL_OPS) == {
-            "update_forecast", "ingest", "stats", "subscribe",
         }
 
     def test_barrier_and_retry_semantics(self):
@@ -229,23 +219,21 @@ class TestHandlerRoundTrip:
             result = spec.handler(service, params)
             assert isinstance(result, dict)
             line = encode_reply(
-                7, result,
-                fingerprint=(
-                    session.engine.risk_fingerprint
-                    if spec.fingerprint_reply else None
-                ),
+                7, result, fingerprint=session.engine.risk_fingerprint
             )
             reply = json.loads(line)
             assert reply["ok"] is True
             assert reply["v"] == PROTOCOL_VERSION
             assert reply["result"] == json.loads(json.dumps(result))
+            assert reply["fingerprint"] == session.engine.risk_fingerprint
             exercised.append(spec.name)
         assert exercised == [
             "route", "pair", "ratios", "provision", "scenario", "shared_risk",
         ]
 
-    def test_planned_demands_execute_in_batches(self):
-        """Every op with a plan callable survives the batch path."""
+    def test_every_handler_op_answers_in_one_batch(self):
+        """Every op with a handler answers ok, fingerprinted, from one
+        batch."""
         session = RoutingSession(
             build_diamond_network(), build_diamond_model()
         )
@@ -267,6 +255,7 @@ class TestHandlerRoundTrip:
             reply = json.loads(item.reply)
             assert reply["id"] == item.request.op  # id echoed verbatim
             assert reply["ok"] is True
+            assert reply["fingerprint"] == session.engine.risk_fingerprint
 
 
 class TestBatchValidation:
@@ -332,6 +321,55 @@ class TestBatchValidation:
         for item in clean:
             assert replies[item.request.id].ok
             assert replies[item.request.id].reply == item.reply
+
+
+class TestBatchIndependence:
+    """A reply does not depend on its batchmates."""
+
+    def test_grid_pairs_answer_as_one_per_batch(self):
+        """20 ``pair`` requests with distinct sources on a 9x9
+        unit-weight grid (81 nodes, above ``BUCKETED_MIN_NODES``, and
+        full of exactly tied shortest paths), served as one batch,
+        answer byte for byte as the same requests served one per batch
+        by a fresh service."""
+        graph = Graph()
+        side = 9
+        for row in range(side):
+            for col in range(side):
+                if col + 1 < side:
+                    graph.add_edge(f"g:{row},{col}", f"g:{row},{col + 1}", 1.0)
+                if row + 1 < side:
+                    graph.add_edge(f"g:{row},{col}", f"g:{row + 1},{col}", 1.0)
+        nodes = sorted(graph.nodes())
+        model = RiskModel(
+            dict.fromkeys(nodes, 1.0 / len(nodes)),
+            dict.fromkeys(nodes, 0.0),
+            dict.fromkeys(nodes, 0.0),
+        )
+        rng = random.Random(11)
+        sources = rng.sample(nodes, 20)
+        requests = [
+            Request(
+                op="pair", id=i, v=PROTOCOL_VERSION,
+                params={
+                    "source": source,
+                    "target": rng.choice([n for n in nodes if n != source]),
+                },
+            )
+            for i, source in enumerate(sources)
+        ]
+
+        def item(request):
+            return PendingRequest(request=request, writer=None, arrived=0.0)
+
+        batched = [item(request) for request in requests]
+        QueryService(RoutingSession(graph, model)).execute_batch(batched)
+        alone = QueryService(RoutingSession(graph, model))
+        for got, request in zip(batched, requests):
+            single = item(request)
+            alone.execute_batch([single])
+            assert got.ok, got.reply
+            assert got.reply == single.reply, request.params
 
 
 class TestRangeChecks:
@@ -504,7 +542,8 @@ class TestGeneratedClientWrappers:
 
 
 class TestPrefetchStats:
-    """A sweep the batch prefetch computes is a sweep-cache miss."""
+    """The full sweeps a batch reports as ``computed`` are exactly its
+    sweep-cache misses."""
 
     @staticmethod
     def _item(op, params, request_id) -> PendingRequest:
@@ -519,7 +558,7 @@ class TestPrefetchStats:
         self, teliasonera, teliasonera_model
     ):
         service = QueryService(RoutingSession(teliasonera, teliasonera_model))
-        # A PER_SOURCE route plans its source's expected-impact sweep,
+        # A PER_SOURCE route reads its source's expected-impact sweep,
         # which the swap below drops.
         route = {
             "source": "Teliasonera:Miami, FL",

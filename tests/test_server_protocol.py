@@ -7,9 +7,9 @@ import json
 import pytest
 
 from repro.server import protocol
+from repro.server.ops import REGISTRY
 from repro.server.protocol import (
     ERROR_CODES,
-    OPS,
     ProtocolError,
     encode_error,
     encode_reply,
@@ -50,7 +50,7 @@ class TestParseRequest:
         assert excinfo.value.code == "unknown_op"
 
     def test_every_op_parses(self):
-        for op in OPS:
+        for op in REGISTRY:
             assert parse_request(
                 json.dumps({"op": op}).encode()
             ).op == op

@@ -1,24 +1,20 @@
-"""Benchmark: the bucketed multi-source sweep core at continental scale.
+"""Benchmark: the sweep core at continental scale.
 
-Three tiers, two of which are the CI smoke tier (``-k smoke``):
+Two tiers, one of which is the CI smoke tier (``-k smoke``):
 
-* **Level3 kernel parity + speedup (smoke)** — one batched
-  :func:`~repro.engine.sweep.csr_sweep_batch` call over every source
-  must beat one heapq :func:`~repro.engine.sweep.csr_sweep` per source
-  by the hard 3x floor while reproducing its distances to 1e-9
-  relative (measured: bitwise) and its parents wherever the
-  shortest-path tree is unique.
 * **Landmark pruning (smoke)** — targeted pair queries (``csr_sweep``
   with ``bounds=``) on a synthetic 1k-PoP continental topology must
   skip >= 50% of node settlements under the ALT + great-circle bounds,
   at unchanged distances.
 * **5k-PoP budget (full)** — the all-pairs sweep over the 5k-PoP
-  synthetic continental backbone must finish under the recorded budget
-  in ``sweep_scale_baseline.json``, and engine-level targeted routing
-  on the same topology must clear the 50% skip floor with exact routes.
+  synthetic continental backbone, one heapq
+  :func:`~repro.engine.sweep.csr_sweep` per source, must finish under
+  the recorded budget in ``sweep_scale_baseline.json``, and
+  engine-level targeted routing on the same topology must clear the
+  50% skip floor with exact routes.
 
 Absolute times land in the baseline JSON (regenerate on a quiet
-machine); CI asserts the floors and the budget, not the raw numbers.
+machine); CI asserts the floor and the budget, not the raw numbers.
 """
 
 from __future__ import annotations
@@ -32,18 +28,14 @@ import numpy as np
 import repro.engine.engine as engine_module
 from repro.engine import CsrGraph, RoutingEngine, csr_sweep
 from repro.engine.landmarks import LandmarkIndex
-from repro.engine.sweep import csr_sweep_batch
 from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
-from repro.topology.zoo import network_by_name
 
 from .conftest import run_once
 
 BASELINE_PATH = Path(__file__).with_name("sweep_scale_baseline.json")
 
-#: Hard floor from the issue: batched kernel >= 3x over per-source heapq.
-MIN_SPEEDUP = 3.0
-#: Hard floor from the issue: landmark bounds skip >= 50% of settlements.
+#: Hard floor: landmark bounds skip >= 50% of settlements.
 MIN_SKIP = 0.5
 
 
@@ -84,54 +76,6 @@ def _synthetic_model(network, seed=7):
         pid: float(v) for pid, v in zip(ids, rng.uniform(0.0, 0.2, len(ids)))
     }
     return RiskModel(shares, historical, forecast)
-
-
-def test_bucketed_speedup_level3_smoke(benchmark):
-    network = network_by_name("Level3")
-    model = RiskModel.for_network(network)
-    csr, entry_risk = _csr_arrays(network, model)
-    n = csr.node_count
-    sources = list(range(n))
-    mean_share = sum(model.share(node) for node in csr.node_ids) / n
-    alpha = 2.0 * mean_share  # a typical pair impact c_i + c_j
-
-    t0 = time.perf_counter()
-    reference = [
-        csr_sweep(
-            csr.indptr_list, csr.indices_list, csr.weights_list,
-            entry_risk, source, alpha,
-        )
-        for source in sources
-    ]
-    heapq_seconds = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    batch = run_once(
-        benchmark,
-        csr_sweep_batch,
-        csr.indptr, csr.indices, csr.weights, entry_risk,
-        sources, alpha,
-    )
-    bucketed_seconds = max(time.perf_counter() - t0, 1e-9)
-
-    for ref, got in zip(reference, batch):
-        np.testing.assert_allclose(
-            np.asarray(got.dist), np.asarray(ref.dist), rtol=1e-9, atol=0.0
-        )
-        # Level3 is a parity-pinned network: the shortest-path tree is
-        # unique at this alpha, so paths must match exactly.
-        assert list(got.parent) == ref.parent
-
-    speedup = heapq_seconds / bucketed_seconds
-    assert speedup >= MIN_SPEEDUP, (
-        f"bucketed kernel only {speedup:.2f}x over heapq "
-        f"({heapq_seconds:.3f}s vs {bucketed_seconds:.3f}s)"
-    )
-    recorded = _baseline()["level3"]["speedup"]
-    assert speedup >= recorded / 2.0, (
-        f"speedup regressed to {speedup:.2f}x; "
-        f"baseline records {recorded:.2f}x"
-    )
 
 
 def test_landmark_pruning_smoke(benchmark):
@@ -181,19 +125,14 @@ def test_continental_scale_budget(benchmark, monkeypatch):
     n = csr.node_count
     mean_share = 1.0 / n  # synthetic shares are normalised
     alpha = 2.0 * mean_share
-    chunk = 500
+    arrays = (csr.indptr_list, csr.indices_list, csr.weights_list,
+              entry_risk.tolist())
 
     def all_pairs_sweep():
-        reached = 0
-        for start in range(0, n, chunk):
-            batch = csr_sweep_batch(
-                csr.indptr, csr.indices, csr.weights, entry_risk,
-                list(range(start, min(start + chunk, n))), alpha,
-            )
-            reached += sum(
-                int(np.isfinite(result.dist).all()) for result in batch
-            )
-        return reached
+        return sum(
+            csr_sweep(*arrays, source, alpha).settled == n
+            for source in range(n)
+        )
 
     t0 = time.perf_counter()
     reached = run_once(benchmark, all_pairs_sweep)

@@ -39,8 +39,9 @@ __all__ = ["EngineConfig", "LruCache", "CacheStats"]
 class EngineConfig:
     """Cache sizes for one :class:`~repro.engine.engine.RoutingEngine`.
 
-    Kernel choice is not a knob: see the module constants in
-    :mod:`repro.engine.engine`.
+    There is no kernel knob: every sweep is
+    :func:`~repro.engine.sweep.csr_sweep`, run as A* for single pairs
+    from :mod:`repro.engine.engine`'s ``TARGETED_MIN_NODES`` up.
 
     Args:
         sweep_cache_size: max memoized sweeps per engine, and max

@@ -24,20 +24,15 @@ Caching contract (see :mod:`repro.engine.cache`):
   drops every other sweep, every memoized route and every memoized
   result;
 * answers do not depend on cache history: every aggregate iterates
-  targets in node-index order, and a search stopped at its target
-  settles what the full sweep would have up to it, so an answer is the
-  same whichever kernel settled a sweep and whether it was cached alone,
-  in a batch or not at all — except between exactly tied optima, where
-  the bucketed kernel's and A*'s tie-breaks may pick different, equally
-  short paths.
+  targets in node-index order, every sweep runs the one
+  :func:`~repro.engine.sweep.csr_sweep` loop, alone or in a prefetch,
+  and a search stopped at its target settles what the full sweep would
+  have up to it — except under A*, whose settle order may pick a
+  different, equally short path between exactly tied optima.
 
-Kernel rule (DESIGN §15): a prefetch bucket of at least
-``BUCKETED_MIN_BATCH`` sources on a graph of at least
-``BUCKETED_MIN_NODES`` nodes runs through the bucketed multi-source
-kernel; smaller buckets run one :func:`~repro.engine.sweep.csr_sweep`
-per source.  On graphs of at least ``TARGETED_MIN_NODES`` nodes a
-single-pair search runs :func:`~repro.engine.sweep.csr_sweep` as A*
-under ``LANDMARK_COUNT`` landmark bounds.
+On graphs of at least ``TARGETED_MIN_NODES`` nodes a single-pair
+search runs :func:`~repro.engine.sweep.csr_sweep` as A* under
+``LANDMARK_COUNT`` landmark bounds (DESIGN §15).
 
 Whoever owns a topology owns its engine and passes it to whatever
 should share its warm caches: a :class:`~repro.session.RoutingSession`
@@ -47,7 +42,6 @@ session's engine or builds one per working graph.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import (
     Dict,
     Iterable,
@@ -73,15 +67,13 @@ from .arrays import CsrGraph
 from .cache import EngineConfig, LruCache
 from .components import sweep_component_arrays
 from .fingerprint import risk_fingerprint
-from .sweep import SweepResult, csr_sweep, csr_sweep_batch
+from .sweep import SweepResult, csr_sweep
 
 __all__ = ["RoutingEngine"]
 
 _INF = float("inf")
 
-#: The kernel rule of the module docstring (measured in DESIGN §15).
-BUCKETED_MIN_BATCH = 16
-BUCKETED_MIN_NODES = 64
+#: The A* gate of the module docstring.
 TARGETED_MIN_NODES = 1024
 LANDMARK_COUNT = 8
 
@@ -150,7 +142,6 @@ class RoutingEngine:
         self.model = model
         self._risk = [model.node_risk(node) for node in node_ids]
         self._entry_risk = self._csr.neighbor_values(self._risk)
-        self._entry_risk_np = np.asarray(self._entry_risk, dtype=np.float64)
         self._shares = [model.share(node) for node in node_ids]
         self._mean_share = (
             sum(self._shares) / len(self._shares) if self._shares else 0.0
@@ -250,14 +241,6 @@ class RoutingEngine:
             self._entry_risk,
         )
 
-    def _np_arrays(self) -> tuple:
-        return (
-            self._csr.indptr,
-            self._csr.indices,
-            self._csr.weights,
-            self._entry_risk_np,
-        )
-
     # -- coordinates and landmark bounds -----------------------------------
 
     def set_coordinates(self, latlon) -> None:
@@ -298,7 +281,7 @@ class RoutingEngine:
             from .landmarks import LandmarkIndex
 
             self._landmarks = LandmarkIndex.build(
-                *self._np_arrays()[:3], k=LANDMARK_COUNT, latlon=self._latlon
+                *self._arrays()[:3], k=LANDMARK_COUNT, latlon=self._latlon
             )
         return self._landmarks
 
@@ -328,41 +311,23 @@ class RoutingEngine:
         return self._sweep_idx(self._idx(source), alpha)
 
     def prefetch(self, tasks: Iterable[Tuple[int, float]]) -> int:
-        """Batch-compute missing sweeps.
+        """Compute the missing sweeps, in task order.
 
         ``tasks`` are ``(source index, alpha)`` pairs.  Returns the
         number of sweeps actually computed.
         """
-        missing: "OrderedDict[Tuple[float, int], None]" = OrderedDict()
+        arrays = self._arrays()
+        computed = 0
         for source, alpha in tasks:
             if not self._sweeps.peek((alpha, source)):
-                missing[(alpha, source)] = None
-        if not missing:
-            return 0
+                self._sweeps.put(
+                    (alpha, source), csr_sweep(*arrays, source, alpha)
+                )
+                computed += 1
         # ``peek`` leaves the stats alone: count each sweep computed
         # here as the miss it is.
-        self._sweeps.stats.misses += len(missing)
-        # Alpha sharing: all missing sources under one alpha are
-        # answered by a single multi-source call of the bucketed kernel;
-        # groups too small to vectorize fall through to one heapq sweep
-        # per source.
-        groups: "OrderedDict[float, List[int]]" = OrderedDict()
-        for alpha, source in missing:
-            groups.setdefault(alpha, []).append(source)
-        serial: List[Tuple[int, float]] = []
-        bucketed_graph = self._csr.node_count >= BUCKETED_MIN_NODES
-        for alpha, sources in groups.items():
-            if bucketed_graph and len(sources) >= BUCKETED_MIN_BATCH:
-                for result in csr_sweep_batch(
-                    *self._np_arrays(), sources, alpha
-                ):
-                    self._sweeps.put((alpha, result.source), result)
-            else:
-                serial.extend((source, alpha) for source in sources)
-        arrays = self._arrays()
-        for source, alpha in serial:
-            self._sweeps.put((alpha, source), csr_sweep(*arrays, source, alpha))
-        return len(missing)
+        self._sweeps.stats.misses += computed
+        return computed
 
     def prefetch_per_source(
         self, sources: Optional[Sequence[str]] = None
@@ -617,7 +582,9 @@ class RoutingEngine:
         sources: Optional[Sequence[str]],
         targets: Optional[Sequence[str]],
     ) -> Tuple[List[int], np.ndarray]:
-        """Source indices as given, and the target set as a node mask.
+        """Source indices, each once in first-occurrence order, and the
+        target set as a node mask: a repeated source or target counts
+        its pairs once.
 
         Raises:
             NodeNotFoundError: for a source or target outside the
@@ -627,7 +594,7 @@ class RoutingEngine:
         if sources is None:
             source_idx = list(range(n))
         else:
-            source_idx = [self._idx(name) for name in sources]
+            source_idx = list(dict.fromkeys(map(self._idx, sources)))
         if targets is None:
             target_mask = np.ones(n, dtype=bool)
         else:

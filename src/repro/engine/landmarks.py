@@ -70,7 +70,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..geo.distance import great_circle_miles
-from .sweep import csr_sweep_batch
+from .sweep import csr_sweep
 
 __all__ = ["LandmarkIndex"]
 
@@ -122,20 +122,22 @@ class LandmarkIndex:
         tight ``|dG(L, t) - dG(L, v)|`` bounds for pairs across the
         spread.  With coordinates the spread is computed on great-circle
         distance (no sweeps needed to choose); otherwise on graph
-        distance with one sweep per landmark.  Either way the final
-        table comes from one batched ``alpha == 0``
-        :func:`~repro.engine.sweep.csr_sweep_batch` call, and the first
-        landmark is the node farthest from the centroid (coordinates)
-        or node 0 (bare arrays) — fully deterministic.
+        distance.  Either way each table row is one ``alpha == 0``
+        :func:`~repro.engine.sweep.csr_sweep` from its landmark, and the
+        first landmark is the node farthest from the centroid
+        (coordinates) or node 0 (bare arrays) — fully deterministic.
         """
-        indptr = np.asarray(indptr, dtype=np.int64)
-        n = int(indptr.shape[0]) - 1
+        arrays = [np.asarray(a).tolist() for a in (indptr, indices, weights)]
+        n = len(arrays[0]) - 1
         if n == 0:
             raise ValueError("cannot build landmarks over an empty graph")
         k = max(1, min(int(k), n))
-        zero_risk = np.zeros(
-            np.asarray(indices, dtype=np.int64).shape[0], dtype=np.float64
-        )
+        zero_risk = [0.0] * len(arrays[1])
+
+        def row(landmark: int) -> np.ndarray:
+            sweep = csr_sweep(*arrays, zero_risk, landmark, 0.0)
+            return np.asarray(sweep.dist)
+
         if latlon is not None:
             latlon = np.asarray(latlon, dtype=np.float64)
             centroid_dist = np.linalg.norm(
@@ -152,19 +154,10 @@ class LandmarkIndex:
                 chosen.append(nxt)
                 gc = great_circle_miles(latlon, latlon[nxt, None])[:, 0]
                 np.minimum(nearest, gc, out=nearest)
-            sweeps = csr_sweep_batch(
-                indptr, indices, weights, zero_risk, chosen, 0.0
-            )
-            table = np.vstack([np.asarray(s.dist) for s in sweeps])
+            table = np.vstack([row(landmark) for landmark in chosen])
             return cls(chosen, table, latlon)
         chosen = [0]
-        rows: List[np.ndarray] = [
-            np.asarray(
-                csr_sweep_batch(
-                    indptr, indices, weights, zero_risk, [0], 0.0
-                )[0].dist
-            )
-        ]
+        rows: List[np.ndarray] = [row(0)]
         nearest = rows[0].copy()
         while len(chosen) < k:
             finite = np.isfinite(nearest)
@@ -177,13 +170,8 @@ class LandmarkIndex:
                 if nearest[nxt] <= 0.0:
                     break
             chosen.append(nxt)
-            row = np.asarray(
-                csr_sweep_batch(
-                    indptr, indices, weights, zero_risk, [nxt], 0.0
-                )[0].dist
-            )
-            rows.append(row)
-            np.minimum(nearest, row, out=nearest)
+            rows.append(row(nxt))
+            np.minimum(nearest, rows[-1], out=nearest)
         return cls(chosen, np.vstack(rows), None)
 
     @property

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import random
 
 import pytest
 from hypothesis import settings
@@ -143,6 +144,33 @@ def build_zero_mile_world(b_risk: float):
         {"a": 0.0, "b": b_risk, "c": 0.02},
         {node: 0.0 for node in nodes},
         gamma_h=1e4,
+    )
+    return graph, model
+
+
+def build_tied_grid(oh_seed=None):
+    """A 9x9 unit-weight grid (81 nodes, full of exactly tied shortest
+    paths) and a model with equal shares and no forecast risk.  ``o_h``
+    is 0, or with ``oh_seed`` drawn ``uniform(0, 0.2)`` per node, in
+    sorted node order, from ``random.Random(oh_seed)``."""
+    side = 9
+    edges = []
+    for row in range(side):
+        for col in range(side):
+            if col + 1 < side:
+                edges.append((f"g:{row},{col}", f"g:{row},{col + 1}", 1.0))
+            if row + 1 < side:
+                edges.append((f"g:{row},{col}", f"g:{row + 1},{col}", 1.0))
+    graph = graph_from_edges(edges)
+    nodes = sorted(graph.nodes())
+    oh = dict.fromkeys(nodes, 0.0)
+    if oh_seed is not None:
+        rng = random.Random(oh_seed)
+        oh = {node: rng.uniform(0.0, 0.2) for node in nodes}
+    model = RiskModel(
+        dict.fromkeys(nodes, 1.0 / len(nodes)),
+        oh,
+        dict.fromkeys(nodes, 0.0),
     )
     return graph, model
 

@@ -3,8 +3,7 @@
 :func:`risk_dijkstra` is the seed's dict-based risk-weighted Dijkstra
 (Equation 3's relaxation, ``d_uv + alpha * node_risk(v)``).  The
 library has no copy of it: every production search is
-:func:`repro.engine.sweep.csr_sweep` or
-:func:`repro.engine.sweep.csr_sweep_batch`.
+:func:`repro.engine.sweep.csr_sweep`.
 
 :func:`reference_aggregates` is the scalar form of the engine's
 Equation 5-6 aggregates: explicit
@@ -33,15 +32,16 @@ def reference_aggregates(
 ) -> Optional[RatioResult]:
     """The ratios over explicit per-pair routes.
 
-    Sources as given, targets in node order, unreachable targets
-    skipped: the pair order the engine's aggregates sum in.  The
-    shortest route comes from ``shortest_path``; the RiskRoute from
-    ``risk_route`` under ``EXACT`` and from ``risk_routes_from`` under
-    ``PER_SOURCE``.  ``None`` when no pair counts.
+    Each source once, in first-occurrence order, targets in node
+    order, unreachable targets skipped: the pair order the engine's
+    aggregates sum in.  The shortest route comes from
+    ``shortest_path``; the RiskRoute from ``risk_route`` under ``EXACT``
+    and from ``risk_routes_from`` under ``PER_SOURCE``.  ``None`` when
+    no pair counts.
     """
     wanted = set(targets)
     pairs: List[PairRoutes] = []
-    for source in sources:
+    for source in dict.fromkeys(sources):
         if strategy is SweepStrategy.PER_SOURCE:
             risky = engine.risk_routes_from(source, strategy)
         for target in engine.node_ids:

@@ -24,7 +24,11 @@ from repro.engine import (
 from repro.graph.core import NodeNotFoundError
 from repro.risk.model import RiskModel
 from repro.topology.builders import continental_network
-from tests.conftest import build_diamond_model, build_zero_mile_world
+from tests.conftest import (
+    build_diamond_model,
+    build_tied_grid,
+    build_zero_mile_world,
+)
 from tests.oracles import reference_aggregates, risk_dijkstra
 
 
@@ -201,6 +205,19 @@ class TestVectorParity:
         if b_risk == 0.0:
             assert only.risk_reduction_ratio == 0.0
 
+    def test_repeated_source_counts_once(
+        self, teliasonera, teliasonera_model, strategy
+    ):
+        graph = teliasonera.distance_graph()
+        a, b = list(graph.nodes())[:2]
+        engine = RoutingEngine(graph, teliasonera_model)
+        repeated = engine.ratios(sources=[a, b, a], strategy=strategy)
+        assert repeated == RoutingEngine(graph, teliasonera_model).ratios(
+            sources=[a, b], strategy=strategy
+        )
+        # One memo key for both spellings.
+        assert engine.ratios(sources=[a, b], strategy=strategy) is repeated
+
     def test_unknown_target_raises(self, engine, strategy):
         with pytest.raises(NodeNotFoundError):
             engine.ratios(
@@ -311,64 +328,13 @@ def _seeded_model(network, seed=7):
     )
 
 
-def _force_bucketed(monkeypatch):
-    """Send every prefetch bucket through the bucketed kernel."""
-    monkeypatch.setattr(engine_module, "BUCKETED_MIN_BATCH", 1)
-    monkeypatch.setattr(engine_module, "BUCKETED_MIN_NODES", 0)
-
-
-def _record_batched(monkeypatch):
-    """The sources every ``csr_sweep_batch`` call settles, in order."""
-    batched = []
-    kernel = engine_module.csr_sweep_batch
-
-    def recording(*args, **kwargs):
-        results = kernel(*args, **kwargs)
-        batched.extend(result.source for result in results)
-        return results
-
-    monkeypatch.setattr(engine_module, "csr_sweep_batch", recording)
-    return batched
-
-
 def _force_targeted(monkeypatch):
     """Answer every cold single-pair query with landmark A*."""
     monkeypatch.setattr(engine_module, "TARGETED_MIN_NODES", 1)
 
 
 class TestKernelSelection:
-    """The kernel rule's module constants, monkeypatched to force a path."""
-
-    def test_forced_bucketed_prefetch_matches_exact(
-        self, diamond_graph, diamond_model, monkeypatch
-    ):
-        exact = RoutingEngine(diamond_graph, diamond_model)
-        forced = RoutingEngine(diamond_graph, diamond_model)
-        n = forced.node_count
-        batched = _record_batched(monkeypatch)
-        exact.prefetch((s, 0.0) for s in range(n))
-        assert batched == []  # heapq only
-        _force_bucketed(monkeypatch)
-        forced.prefetch((s, 0.0) for s in range(n))
-        assert batched == list(range(n))  # the bucketed kernel only
-        for source in exact.node_ids:
-            a = exact.sweep(source, 0.0)
-            b = forced.sweep(source, 0.0)
-            assert a.dist == b.dist
-            assert a.parent == b.parent
-
-    def test_small_buckets_stay_on_heapq(self, monkeypatch):
-        # 80 nodes clear BUCKETED_MIN_NODES; 15 sources stay below
-        # BUCKETED_MIN_BATCH, 16 reach it.
-        network = continental_network(pop_count=80, seed=0)
-        engine = RoutingEngine(
-            network.distance_graph(), _seeded_model(network)
-        )
-        batched = _record_batched(monkeypatch)
-        engine.prefetch((s, 0.0) for s in range(15))
-        assert batched == []
-        engine.prefetch((s, 0.0) for s in range(20, 36))
-        assert batched == list(range(20, 36))
+    """The A* gate, monkeypatched to force the landmark search."""
 
     def test_targeted_route_equals_exact_route(
         self, diamond_network, monkeypatch
@@ -424,8 +390,8 @@ class TestKernelSelection:
         assert engine.targeted_stats()["queries"] >= 1
 
     def test_invalid_kernel_config_rejected(self):
-        # Kernel choice is the module rule, and sweeps run serially:
-        # neither is a config knob.
+        # There is one kernel, and sweeps run serially: neither is a
+        # config knob.
         with pytest.raises(TypeError):
             EngineConfig(kernel="bucketed")
         with pytest.raises(TypeError):
@@ -446,43 +412,36 @@ class TestKernelSelection:
 
 
 class TestKernelIndependence:
-    """On a topology without exact ties, no answer depends on which
-    kernel settled a sweep or on the order sweeps entered the cache."""
+    """No answer depends on the order sweeps entered the cache, or on
+    whether one prefetch computed them, exactly tied paths included."""
 
-    def test_batched_and_one_at_a_time_caches_agree(self, monkeypatch):
+    def test_batched_and_one_at_a_time_caches_agree(self):
         network = continental_network(pop_count=400, seed=0)
-        graph = network.distance_graph()
-        model = _seeded_model(network)
+        cases = [
+            # 20 sources of a topology without exact ties.
+            (network.distance_graph(), _seeded_model(network), 20),
+            # Every source of a grid full of exactly tied paths.
+            (*build_tied_grid(oh_seed=5), None),
+        ]
         per_source = SweepStrategy.PER_SOURCE
-        answers = []
-        kernel_sources = _record_batched(monkeypatch)
-        for batched in (True, False):
-            engine = RoutingEngine(graph, model)
-            sources = engine.node_ids[:20]
-            kernel_sources.clear()
-            if batched:
-                # One prefetch: the 20 geographic sweeps share a bucket
-                # and run through the bucketed kernel.
-                engine.prefetch(
-                    task
-                    for name in sources
-                    for task in (
-                        (engine.index_of(name), 0.0),
-                        (engine.index_of(name), engine.expected_impact(name)),
+        for graph, model, count in cases:
+            answers = []
+            for one_at_a_time in (False, True):
+                engine = RoutingEngine(graph, model)
+                sources = engine.node_ids[:count]
+                if one_at_a_time:
+                    for name in sources:
+                        engine.sweep(name, 0.0)
+                        engine.sweep(name, engine.expected_impact(name))
+                # Cold, ``ratios`` prefetches every sweep it reads.
+                ratios = engine.ratios(sources=sources, strategy=per_source)
+                paths = [
+                    route.path
+                    for routes in (
+                        engine.risk_routes_from(sources[0], per_source),
+                        engine.shortest_routes_from(sources[0]),
                     )
-                )
-                assert engine.index_of(sources[0]) in kernel_sources
-            else:
-                for name in sources:
-                    engine.sweep(name, 0.0)
-                    engine.sweep(name, engine.expected_impact(name))
-                assert kernel_sources == []
-            ratios = engine.ratios(sources=sources, strategy=per_source)
-            answers.append(
-                (
-                    ratios.risk_reduction_ratio,
-                    ratios.distance_increase_ratio,
-                    list(engine.risk_routes_from(sources[0], per_source)),
-                )
-            )
-        assert answers[0] == answers[1]
+                    for route in routes.values()
+                ]
+                answers.append((ratios, paths))
+            assert answers[0] == answers[1]

@@ -21,8 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import RoutingSession
-from repro.graph.core import Graph
-from repro.risk.model import RiskModel
 from repro.server import (
     REGISTRY,
     RiskRouteClient,
@@ -43,6 +41,7 @@ from repro.server.service import QueryService
 from tests.conftest import (
     build_diamond_model,
     build_diamond_network,
+    build_tied_grid,
     examples,
 )
 
@@ -324,28 +323,17 @@ class TestBatchValidation:
 
 
 class TestBatchIndependence:
-    """A reply does not depend on its batchmates."""
+    """A reply does not depend on its batchmates or on what they
+    cached."""
 
     def test_grid_pairs_answer_as_one_per_batch(self):
         """20 ``pair`` requests with distinct sources on a 9x9
-        unit-weight grid (81 nodes, above ``BUCKETED_MIN_NODES``, and
-        full of exactly tied shortest paths), served as one batch,
-        answer byte for byte as the same requests served one per batch
-        by a fresh service."""
-        graph = Graph()
-        side = 9
-        for row in range(side):
-            for col in range(side):
-                if col + 1 < side:
-                    graph.add_edge(f"g:{row},{col}", f"g:{row},{col + 1}", 1.0)
-                if row + 1 < side:
-                    graph.add_edge(f"g:{row},{col}", f"g:{row + 1},{col}", 1.0)
+        unit-weight grid (full of exactly tied shortest paths) answer
+        byte for byte as the same requests served one per batch by a
+        fresh service: served as one batch, and served after an
+        all-sources ``ratios`` that cached every source's sweeps."""
+        graph, model = build_tied_grid()
         nodes = sorted(graph.nodes())
-        model = RiskModel(
-            dict.fromkeys(nodes, 1.0 / len(nodes)),
-            dict.fromkeys(nodes, 0.0),
-            dict.fromkeys(nodes, 0.0),
-        )
         rng = random.Random(11)
         sources = rng.sample(nodes, 20)
         requests = [
@@ -358,18 +346,24 @@ class TestBatchIndependence:
             )
             for i, source in enumerate(sources)
         ]
+        ratios = Request(
+            op="ratios", id=len(requests), v=PROTOCOL_VERSION, params={}
+        )
 
         def item(request):
             return PendingRequest(request=request, writer=None, arrived=0.0)
 
-        batched = [item(request) for request in requests]
-        QueryService(RoutingSession(graph, model)).execute_batch(batched)
         alone = QueryService(RoutingSession(graph, model))
-        for got, request in zip(batched, requests):
-            single = item(request)
+        singles = [item(request) for request in requests]
+        for single in singles:
             alone.execute_batch([single])
-            assert got.ok, got.reply
-            assert got.reply == single.reply, request.params
+        for prelude in ([], [ratios]):
+            batch = [item(request) for request in prelude + requests]
+            QueryService(RoutingSession(graph, model)).execute_batch(batch)
+            for got in batch:
+                assert got.ok, got.reply
+            for got, single in zip(batch[len(prelude):], singles):
+                assert got.reply == single.reply, single.request.params
 
 
 class TestRangeChecks:
